@@ -93,6 +93,18 @@ func main() {
 	os.Exit(run())
 }
 
+// printClosure reports, for the closure controls (prevent, detect), how
+// wide the coherent closure is when the run ends: with every committed
+// transaction sealed (Stats.Sealed) it holds only what was still in flight.
+func printClosure(c sched.Control) {
+	if w, ok := c.(interface {
+		ClosureSteps() int
+		ClosureSlots() int
+	}); ok {
+		fmt.Printf("closure:        %d live steps in %d slots\n", w.ClosureSteps(), w.ClosureSlots())
+	}
+}
+
 // run keeps the real logic defer-safe: os.Exit in main would skip the
 // telemetry export and pprof stop otherwise.
 func run() int {
@@ -412,6 +424,7 @@ func run() int {
 			ev.Steps, ev.Waits, ev.WaitTime, ev.Groups)
 		fmt.Printf("aborts:         %d (%d cascades)\n", res.Aborts, res.Cascades)
 		fmt.Printf("control:        %+v\n", *c.Stats())
+		printClosure(c)
 		if tel != nil {
 			tel.Metrics.ObserveSnapshot("control."+c.Name(), c.Stats().Snapshot())
 		}
@@ -434,6 +447,7 @@ func run() int {
 		fmt.Printf("aborts:         %d (%d cascades, %d partial, %d stall breaks)\n",
 			res.Stats.Aborts, res.Stats.Cascades, res.Stats.PartialRollbacks, res.Stats.StallBreaks)
 		fmt.Printf("control:        %+v\n", *res.Control)
+		printClosure(c)
 		if distCtl != nil {
 			ns := distCtl.NetStats()
 			fmt.Printf("network:        %d sent, %d delivered, %d dropped (%d fault, %d link, %d crash)\n",

@@ -33,6 +33,12 @@ import (
 // randomized histories). When bookkeeping is ambiguous — a partial keep, a
 // relation left dirty by a rejected AddStep, or a dropped step with live
 // closure-successors — RebuildPartial falls back to the full replay.
+//
+// Commit is the mirror image: Retire marks a transaction committed and
+// seals the committed prefix of the closure — every committed transaction
+// whose closure-predecessors are all sealable too leaves the relation for
+// good (see seal), so the state is bounded by the transactions in flight,
+// not by the length of the run.
 type Online struct {
 	k     int
 	level func(a, b model.TxnID) int
@@ -64,6 +70,23 @@ type Online struct {
 	forceReplay bool
 	retractions int // total successful incremental retractions
 
+	// Sealing bookkeeping. committed marks (per txn index, replayable) the
+	// transactions Retire announced that seal has not reclaimed yet, and
+	// nCommitted counts them. OnSeal, when set, is told each transaction as
+	// it leaves the closure, so the owner can free its own per-transaction
+	// state; it must not re-enter oc. noSeal (tests only) turns Retire into
+	// a bare mark, so a sealing closure can be compared with one that keeps
+	// everything.
+	committed  []bool
+	nCommitted int
+	OnSeal     func(model.TxnID)
+	noSeal     bool
+
+	// Scratch kept for its capacity: applyStep's edge work list and seal's
+	// candidate set.
+	queue   [][2]int
+	sealing obitset
+
 	// Preview scratch, reused across ForEachPredOfNewStep calls. Online is
 	// driven under its owner's serialization (the engine mutex or the
 	// simulator loop), so struct-owned scratch needs no locking. pvMax holds,
@@ -82,11 +105,19 @@ type Online struct {
 }
 
 type oevent struct {
-	isCut  bool
+	kind   evKind
 	txn    model.TxnID
 	entity model.EntityID // step events
 	coarse int            // cut events
 }
+
+type evKind uint8
+
+const (
+	evStep evKind = iota
+	evCut
+	evCommit
+)
 
 // obitset is a growable bitset.
 type obitset []uint64
@@ -126,6 +157,25 @@ func (b obitset) forEach(f func(i int)) {
 	}
 }
 
+func (b obitset) clear(i int) {
+	if w := i >> 6; w < len(b) {
+		b[w] &^= 1 << uint(i&63)
+	}
+}
+
+// subsetOf reports whether every element of b is in other.
+func (b obitset) subsetOf(other obitset) bool {
+	for wi, w := range b {
+		if wi < len(other) {
+			w &^= other[wi]
+		}
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // andNot clears every bit of other from b.
 func (b obitset) andNot(other obitset) {
 	n := len(b)
@@ -158,20 +208,31 @@ func NewOnline(k int, level func(a, b model.TxnID) int) *Online {
 	return oc
 }
 
+// reset empties the replayable state, keeping its storage: a sealing
+// closure resets every time it goes quiescent, so fresh maps and slices per
+// reset would be the dominant allocation of a steady run.
 func (oc *Online) reset() {
-	oc.txns = nil
-	oc.txnIdx = make(map[model.TxnID]int)
-	oc.stepTxn = nil
-	oc.stepSeq = nil
-	oc.stepEnt = nil
-	oc.perTxn = nil
-	oc.coarse = nil
-	oc.reach = nil
-	oc.pred = nil
-	oc.lastEntity = make(map[model.EntityID]int)
-	oc.chains = make(map[model.EntityID][]int)
-	oc.pinned = nil
-	oc.dead = nil
+	oc.txns = oc.txns[:0]
+	oc.stepTxn = oc.stepTxn[:0]
+	oc.stepSeq = oc.stepSeq[:0]
+	oc.stepEnt = oc.stepEnt[:0]
+	oc.perTxn = oc.perTxn[:0]
+	oc.coarse = oc.coarse[:0]
+	oc.reach = oc.reach[:0]
+	oc.pred = oc.pred[:0]
+	oc.pinned = oc.pinned[:0]
+	oc.committed = oc.committed[:0]
+	oc.dead = oc.dead[:0]
+	if oc.txnIdx == nil {
+		oc.txnIdx = make(map[model.TxnID]int)
+		oc.lastEntity = make(map[model.EntityID]int)
+		oc.chains = make(map[model.EntityID][]int)
+	} else {
+		clear(oc.txnIdx)
+		clear(oc.lastEntity)
+		clear(oc.chains)
+	}
+	oc.nCommitted = 0
 	oc.liveSteps = 0
 	oc.dirty = false
 	oc.cyclic = false
@@ -187,6 +248,7 @@ func (oc *Online) txn(t model.TxnID) int {
 	oc.perTxn = append(oc.perTxn, nil)
 	oc.coarse = append(oc.coarse, nil)
 	oc.pinned = append(oc.pinned, make([]obitset, oc.k+1))
+	oc.committed = append(oc.committed, false)
 	return ti
 }
 
@@ -194,7 +256,7 @@ func (oc *Online) txn(t model.TxnID) int {
 // in the coherent closure. On false the caller must Rollback or Rebuild:
 // the internal relation is left dirty.
 func (oc *Online) AddStep(t model.TxnID, x model.EntityID) bool {
-	oc.events = append(oc.events, oevent{txn: t, entity: x})
+	oc.events = append(oc.events, oevent{kind: evStep, txn: t, entity: x})
 	oc.applyStep(t, x)
 	return !oc.cyclic
 }
@@ -212,7 +274,7 @@ func (oc *Online) PopStep() {
 // AddCut appends a breakpoint of the given coarseness after t's latest
 // step.
 func (oc *Online) AddCut(t model.TxnID, coarse int) {
-	oc.events = append(oc.events, oevent{isCut: true, txn: t, coarse: coarse})
+	oc.events = append(oc.events, oevent{kind: evCut, txn: t, coarse: coarse})
 	oc.applyCut(t, coarse)
 }
 
@@ -234,37 +296,48 @@ func (oc *Online) Rebuild(drop map[model.TxnID]bool) {
 // path (see tryRetract) and never replay; partial keeps, dirty relations,
 // and drops with live closure-successors fall back to filter-and-replay.
 func (oc *Online) RebuildPartial(keep map[model.TxnID]int) {
-	if oc.tryRetract(keep) {
-		return
-	}
-	seen := make(map[model.TxnID]int, len(keep))
-	kept := oc.events[:0]
-	for _, ev := range oc.events {
-		k, tracked := keep[ev.txn]
-		if !tracked {
-			kept = append(kept, ev)
-			continue
-		}
-		if ev.isCut {
-			if seen[ev.txn] >= 1 && seen[ev.txn] <= k {
+	if !oc.tryRetract(keep) {
+		seen := make(map[model.TxnID]int, len(keep))
+		kept := oc.events[:0]
+		for _, ev := range oc.events {
+			k, tracked := keep[ev.txn]
+			// A tracked commit event matches no case and is dropped: a
+			// rolled-back transaction was not committed.
+			switch {
+			case !tracked:
 				kept = append(kept, ev)
+			case ev.kind == evCut:
+				if seen[ev.txn] >= 1 && seen[ev.txn] <= k {
+					kept = append(kept, ev)
+				}
+			case ev.kind == evStep:
+				if seen[ev.txn] < k {
+					kept = append(kept, ev)
+				}
+				seen[ev.txn]++
 			}
-			continue
 		}
-		if seen[ev.txn] < k {
-			seen[ev.txn]++
-			kept = append(kept, ev)
-		} else {
-			seen[ev.txn]++ // dropped
-		}
+		oc.events = kept
+		oc.replay()
 	}
-	oc.events = kept
+	// The rollback may have removed the last uncommitted predecessor of a
+	// committed transaction.
+	oc.seal()
+}
+
+// replay rebuilds the relation from the event log. Step slots and
+// transaction indices are renumbered densely; the committed marks are
+// re-derived from the log's commit events.
+func (oc *Online) replay() {
 	oc.reset()
 	for _, ev := range oc.events {
-		if ev.isCut {
-			oc.applyCut(ev.txn, ev.coarse)
-		} else {
+		switch ev.kind {
+		case evStep:
 			oc.applyStep(ev.txn, ev.entity)
+		case evCut:
+			oc.applyCut(ev.txn, ev.coarse)
+		case evCommit:
+			oc.applyCommit(ev.txn)
 		}
 	}
 }
@@ -371,6 +444,15 @@ func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
 	// pred of a live step cannot contain a dying bit (that edge would make
 	// the live step a closure-successor), but masking is cheap and keeps
 	// the invariant mechanical rather than argued.
+	oc.bury(dying, total)
+	oc.retractions++
+	return true
+}
+
+// bury tombstones the step slots in dying (total of them) and masks their
+// bits out of every live reach/pred/pinned set — the common tail of
+// retraction and sealing.
+func (oc *Online) bury(dying obitset, total int) {
 	dying.forEach(func(g int) {
 		oc.dead.set(g)
 		oc.reach[g] = nil
@@ -389,8 +471,145 @@ func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
 			oc.pinned[ti][lv].andNot(dying)
 		}
 	}
-	oc.retractions++
-	return true
+}
+
+// compactSlack is the constant in the compaction trigger: step slots may
+// outnumber live steps by 2× plus this many before seal renumbers them.
+const compactSlack = 64
+
+// Retire records that t committed — it performs no further step and is
+// never rolled back — and seals whatever that makes reclaimable.
+func (oc *Online) Retire(t model.TxnID) {
+	if _, ok := oc.txnIdx[t]; !ok {
+		// Nothing of t is in the closure (it never stepped, or was already
+		// sealed): there is nothing to hold on to.
+		if oc.OnSeal != nil {
+			oc.OnSeal(t)
+		}
+		return
+	}
+	oc.events = append(oc.events, oevent{kind: evCommit, txn: t})
+	oc.applyCommit(t)
+	oc.seal()
+}
+
+func (oc *Online) applyCommit(t model.TxnID) {
+	if ti := oc.txn(t); !oc.committed[ti] {
+		oc.committed[ti] = true
+		oc.nCommitted++
+	}
+}
+
+// seal removes the committed prefix of the closure: the largest set S of
+// committed transactions such that every closure-predecessor (pred[g]) of
+// every step g of a member belongs to a member. It mirrors tryRetract,
+// which removes closure-sinks: sealed steps are closure-sources.
+//
+// Sealing is exact (DESIGN.md, "Sealing the committed prefix"): members of
+// S perform no further steps and are never rolled back, and no edge the
+// closure can ever gain enters S from outside — a new step is not in S; a
+// pin target has a predecessor in a transaction that is still stepping; a
+// transitive edge into S needs an edge into S to start from; rule (b) turns
+// a → b with b ∈ S into a′ → b only for a′ in a's transaction, which is in
+// S because S is pred-closed. So no path between live steps passes through
+// S, and the closure restricted to them is the same with S dropped
+// (TestSealEquivalence). Pred-closure also makes the sealed steps a prefix
+// of every per-entity chain.
+//
+// The sweep is deferred while a rejected step's phantom edges are in the
+// relation (dirty/cyclic); the Rebuild that must follow runs it.
+func (oc *Online) seal() {
+	if oc.nCommitted == 0 || oc.noSeal || oc.dirty || oc.cyclic {
+		return
+	}
+	// Fixpoint: start from every committed transaction's steps and evict
+	// any transaction with a predecessor outside the candidate set.
+	sealing := oc.sealing[:0]
+	for ti, c := range oc.committed {
+		if c {
+			for _, g := range oc.perTxn[ti] {
+				sealing.set(g)
+			}
+		}
+	}
+	oc.sealing = sealing // keep the grown scratch
+	evicted := 0
+	for changed := true; changed; {
+		changed = false
+		for ti, c := range oc.committed {
+			if !c || oc.evicted(ti, sealing) {
+				continue
+			}
+			for _, g := range oc.perTxn[ti] {
+				if oc.pred[g].subsetOf(sealing) {
+					continue
+				}
+				for _, h := range oc.perTxn[ti] {
+					sealing.clear(h)
+				}
+				evicted++
+				changed = true
+				break
+			}
+		}
+	}
+	if evicted == oc.nCommitted {
+		return
+	}
+	total := 0
+	for ti, c := range oc.committed {
+		if !c || oc.evicted(ti, sealing) {
+			continue
+		}
+		// Per-entity chains lose their sealed prefixes.
+		for _, g := range oc.perTxn[ti] {
+			x := oc.stepEnt[g]
+			ch := oc.chains[x]
+			for len(ch) > 0 && sealing.has(ch[0]) {
+				ch = ch[1:]
+			}
+			if len(ch) == 0 {
+				delete(oc.chains, x)
+				delete(oc.lastEntity, x)
+			} else {
+				oc.chains[x] = ch
+			}
+		}
+		total += len(oc.perTxn[ti])
+		t := oc.txns[ti]
+		delete(oc.txnIdx, t)
+		oc.txns[ti] = ""
+		oc.perTxn[ti], oc.coarse[ti], oc.pinned[ti] = nil, nil, nil
+		oc.committed[ti] = false
+		oc.nCommitted--
+		if oc.OnSeal != nil {
+			oc.OnSeal(t)
+		}
+	}
+	if total == oc.liveSteps {
+		// Quiescent: nothing live is left to anchor anything.
+		oc.events = oc.events[:0]
+		oc.reset()
+		return
+	}
+	kept := oc.events[:0]
+	for _, ev := range oc.events {
+		if _, live := oc.txnIdx[ev.txn]; live {
+			kept = append(kept, ev)
+		}
+	}
+	oc.events = kept
+	oc.bury(sealing, total)
+	if len(oc.stepTxn) > 2*oc.liveSteps+compactSlack {
+		oc.replay()
+	}
+}
+
+// evicted reports whether committed transaction ti has been thrown out of
+// the candidate set: a member keeps all its steps in it, an evicted one
+// none. A committed transaction without steps is trivially a member.
+func (oc *Online) evicted(ti int, sealing obitset) bool {
+	return len(oc.perTxn[ti]) > 0 && !sealing.has(oc.perTxn[ti][0])
 }
 
 // Retractions returns the total number of rollbacks handled by incremental
@@ -415,6 +634,11 @@ func (oc *Online) CycleTxns() []model.TxnID {
 // Steps returns the number of live steps.
 func (oc *Online) Steps() int { return oc.liveSteps }
 
+// Slots returns the number of step slots in use, live or tombstoned: the
+// width of every bitset. Compaction keeps it within 2·Steps() + compactSlack
+// of a sealing closure; rollbacks alone only ever grow it until a replay.
+func (oc *Online) Slots() int { return len(oc.stepTxn) }
+
 func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 	ti := oc.txn(t)
 	g := len(oc.stepTxn)
@@ -426,12 +650,12 @@ func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 	oc.pred = append(oc.pred, nil)
 	oc.liveSteps++
 
-	var queue [][2]int
+	oc.queue = oc.queue[:0]
 	if seq > 1 {
-		queue = append(queue, [2]int{oc.perTxn[ti][seq-2], g})
+		oc.queue = append(oc.queue, [2]int{oc.perTxn[ti][seq-2], g})
 	}
 	if le, ok := oc.lastEntity[x]; ok {
-		queue = append(queue, [2]int{le, g})
+		oc.queue = append(oc.queue, [2]int{le, g})
 	}
 	// Rule (b), future part: this step extends t's open segments, so it
 	// inherits every pinned successor obligation. Level 1 is included: a
@@ -439,7 +663,7 @@ func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 	// the transaction ends.
 	for lv := 1; lv <= oc.k; lv++ {
 		oc.pinned[ti][lv].forEach(func(b int) {
-			queue = append(queue, [2]int{g, b})
+			oc.queue = append(oc.queue, [2]int{g, b})
 		})
 	}
 
@@ -447,15 +671,15 @@ func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 	oc.coarse[ti] = append(oc.coarse[ti], 0) // boundary after seq not yet known
 	oc.lastEntity[x] = g
 	oc.chains[x] = append(oc.chains[x], g)
-	oc.process(queue)
+	oc.process()
 }
 
 func (oc *Online) applyCut(t model.TxnID, coarse int) {
-	ti := oc.txn(t)
-	n := len(oc.perTxn[ti])
-	if n == 0 {
+	ti, ok := oc.txnIdx[t]
+	if !ok || len(oc.perTxn[ti]) == 0 {
 		return
 	}
+	n := len(oc.perTxn[ti])
 	if coarse < 2 {
 		coarse = 2
 	}
@@ -476,10 +700,12 @@ func (oc *Online) segmentOpen(ti, seq, lv int) bool {
 	return true
 }
 
-func (oc *Online) process(queue [][2]int) {
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+// process drains oc.queue, closing the relation under transitivity and
+// rule (b).
+func (oc *Online) process() {
+	for len(oc.queue) > 0 {
+		p := oc.queue[len(oc.queue)-1]
+		oc.queue = oc.queue[:len(oc.queue)-1]
 		a, b := p[0], p[1]
 		if a == b {
 			oc.cyclic = true
@@ -507,7 +733,7 @@ func (oc *Online) process(queue [][2]int) {
 				}
 				g2 := oc.perTxn[ta][s-1]
 				if !oc.reach[g2].has(b) {
-					queue = append(queue, [2]int{g2, b})
+					oc.queue = append(oc.queue, [2]int{g2, b})
 				}
 			}
 			// Rule (b), future part: pin b if a's segment is still open.
@@ -517,10 +743,10 @@ func (oc *Online) process(queue [][2]int) {
 		}
 
 		oc.reach[b].forEachNotIn(oc.reach[a], func(c int) {
-			queue = append(queue, [2]int{a, c})
+			oc.queue = append(oc.queue, [2]int{a, c})
 		})
 		oc.pred[a].forEachNotIn(oc.pred[b], func(c int) {
-			queue = append(queue, [2]int{c, b})
+			oc.queue = append(oc.queue, [2]int{c, b})
 		})
 	}
 }
@@ -548,20 +774,6 @@ func (oc *Online) Extent(t model.TxnID) int {
 	return len(oc.perTxn[ti])
 }
 
-// PredForNewStep computes, per transaction, the latest step (max seq) that
-// would precede a hypothetical next step of t on x in the coherent closure,
-// WITHOUT mutating the closure. The hypothetical step's in-edges are its
-// program predecessor and x's last accessor; rule (b) extends each
-// predecessor α of another transaction u with u's already-performed steps
-// in α's still-open level(u,t) segment; transitivity pulls in all their
-// ancestors. The result is exactly the predecessor set the step would have
-// if added (successor pins do not affect it).
-func (oc *Online) PredForNewStep(t model.TxnID, x model.EntityID) map[model.TxnID]int {
-	out := make(map[model.TxnID]int)
-	oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) { out[u] = s })
-	return out
-}
-
 // pvPush pushes step g onto the preview DFS stack if unvisited. Bound once
 // as pvPushFn so forEach calls do not allocate.
 func (oc *Online) pvPush(g int) {
@@ -571,11 +783,17 @@ func (oc *Online) pvPush(g int) {
 	}
 }
 
-// ForEachPredOfNewStep is the allocation-free form of PredForNewStep: it
-// calls f once per predecessor transaction with that transaction's latest
-// preceding seq, in no particular order. All traversal state lives in
-// scratch on oc, so steady-state calls allocate nothing; the callback must
-// not re-enter oc.
+// ForEachPredOfNewStep reports, per transaction, the latest step (max seq)
+// that would precede a hypothetical next step of t on x in the coherent
+// closure, WITHOUT mutating the closure: it calls f once per predecessor
+// transaction with that seq, in no particular order. The hypothetical
+// step's in-edges are its program predecessor and x's last accessor; rule
+// (b) extends each predecessor α of another transaction u with u's
+// already-performed steps in α's still-open level(u,t) segment;
+// transitivity pulls in all their ancestors. The result is exactly the
+// predecessor set the step would have if added (successor pins do not
+// affect it). All traversal state lives in scratch on oc, so steady-state
+// calls allocate nothing; the callback must not re-enter oc.
 func (oc *Online) ForEachPredOfNewStep(t model.TxnID, x model.EntityID, f func(u model.TxnID, maxSeq int)) {
 	if len(oc.stepTxn) == 0 {
 		return

@@ -42,17 +42,23 @@ func dump(oc *Online, txns []model.TxnID, ents []model.EntityID) string {
 			}
 		}
 		for _, x := range ents {
-			pred := oc.PredForNewStep(t, x)
 			var ks []string
-			for u, s := range pred {
+			oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) {
 				ks = append(ks, fmt.Sprintf("%s=%d", u, s))
-			}
+			})
 			sort.Strings(ks)
 			lines = append(lines, fmt.Sprintf("pred %s %s {%s}", t, x, strings.Join(ks, ",")))
 		}
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// predOfNewStep collects ForEachPredOfNewStep into a map.
+func predOfNewStep(oc *Online, t model.TxnID, x model.EntityID) map[model.TxnID]int {
+	out := make(map[model.TxnID]int)
+	oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) { out[u] = s })
+	return out
 }
 
 // TestRetractEquivalence drives two Onlines through identical randomized
@@ -154,7 +160,7 @@ func TestRetractFallsBackOnLiveSuccessor(t *testing.T) {
 		t.Fatalf("steps = %d, want 2", oc.Steps())
 	}
 	// After the replay, a#1 -> c#1 is the surviving entity edge.
-	pred := oc.PredForNewStep("b", "x")
+	pred := predOfNewStep(oc, "b", "x")
 	if pred["a"] != 1 || pred["c"] != 1 {
 		t.Fatalf("pred after fallback = %v", pred)
 	}
@@ -185,7 +191,7 @@ func TestRetractSinkVictim(t *testing.T) {
 		t.Fatal("retracted transaction still reported as open")
 	}
 	// x's last accessor is a#1 again; a new b step depends on it.
-	if pred := oc.PredForNewStep("b", "x"); pred["a"] != 1 {
+	if pred := predOfNewStep(oc, "b", "x"); pred["a"] != 1 {
 		t.Fatalf("pred after retraction = %v", pred)
 	}
 	// The victim restarts: same txn, fresh seq numbering.

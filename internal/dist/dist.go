@@ -491,7 +491,9 @@ func (p *Preventer) retire(t model.TxnID) {
 
 // Retired implements the simulator's optional retirer hook. Memory
 // reclamation here is driven by the finish acknowledgment protocol (see
-// retire), not by commit time, so there is nothing left to do.
+// retire), not by commit time, so there is nothing left to do. The closure
+// is not sealed here (coherent.Online.Retire): with delayed announcements
+// "committed ⇒ no step of t will arrive later" is not yet established.
 func (p *Preventer) Retired(model.TxnID) {}
 
 // Aborted implements sched.Control. The epoch bump fences every in-flight

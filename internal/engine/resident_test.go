@@ -1,0 +1,211 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mla/internal/bank"
+	"mla/internal/breakpoint"
+	"mla/internal/history"
+	"mla/internal/model"
+	"mla/internal/nest"
+	"mla/internal/sched"
+)
+
+// windowRecorder forwards the history-bearing observer events to the
+// current window's Recorder and samples the Preventer's closure width at
+// every performed step (the hooks run under the engine mutex, which is
+// also what serializes the control).
+type windowRecorder struct {
+	NopObserver
+	rec                atomic.Pointer[history.Recorder]
+	p                  *sched.Preventer
+	maxSteps, maxSlots int
+}
+
+func (w *windowRecorder) StepPerformed(t model.TxnID, seq int, x model.EntityID, attempt, cut int) {
+	w.rec.Load().StepPerformed(t, seq, x, attempt, cut)
+	if n := w.p.ClosureSteps(); n > w.maxSteps {
+		w.maxSteps = n
+	}
+	if n := w.p.ClosureSlots(); n > w.maxSlots {
+		w.maxSlots = n
+	}
+}
+func (w *windowRecorder) TxnAborted(t model.TxnID, cascade bool) {
+	w.rec.Load().TxnAborted(t, cascade)
+}
+func (w *windowRecorder) CommitGroup(ids []model.TxnID) { w.rec.Load().CommitGroup(ids) }
+
+// TestPreventerResidentBounded keeps ONE Preventer resident behind one
+// session for 20,000 Section 4.2 banking transactions from 4 concurrent
+// callers. Sealing must hold the closure to the width of what is in flight
+// (a never-sealing closure would end near 120,000 step slots), so the last
+// windows cost what the first ones did; and the schedule must stay what the
+// Preventer promises: exact audits, conserved money, correctable history.
+func TestPreventerResidentBounded(t *testing.T) {
+	const (
+		callers  = 4
+		windows  = 20
+		perRound = 1000
+		// The widest the closure may get: every caller inside a 65-step bank
+		// audit, plus a generous allowance for commits lingering behind them.
+		maxLive = callers * 65 * 4
+	)
+	world := bank.World{Families: 16, AccountsPerFamily: 4, InitialBalance: 1000}
+	all := world.Accounts()
+	n := nest.New(4)
+	transfers := make(map[model.TxnID]*bank.Transfer) // touched under the engine mutex only
+	spec := breakpoint.Func{Levels: 4, Fn: func(id model.TxnID, prefix []model.Step) int {
+		if tr, ok := transfers[id]; ok {
+			if last := prefix[len(prefix)-1]; last.Label == "withdraw" && tr.WithdrawDone(prefix) {
+				return 2
+			}
+			return 3
+		}
+		return 4
+	}}
+	p := sched.NewPreventer(n, spec)
+	obs := &windowRecorder{p: p}
+	obs.rec.Store(history.NewRecorder(n))
+	store := NewVolatileStore(world.Init())
+	s := NewSession(Config{Seed: 1, Observer: obs}, p, spec, store)
+
+	var auditMu sync.Mutex
+	var audits []model.EntityID
+	submit := func(rng *rand.Rand, i int) error {
+		fam := rng.Intn(world.Families)
+		var (
+			prog model.Program
+			tr   *bank.Transfer
+			path []string
+		)
+		switch m := i % 110; {
+		case m%55 == 27: // 2 bank audits per 110
+			id := model.TxnID(fmt.Sprintf("a%d", i))
+			res := model.EntityID("auditres/" + string(id))
+			prog, path = &bank.Audit{Txn: id, Accounts: all, Result: res}, []string{"audit/" + string(id), "audit/" + string(id)}
+			auditMu.Lock()
+			audits = append(audits, res)
+			auditMu.Unlock()
+		case m%14 == 3: // 8 creditor audits
+			id := model.TxnID(fmt.Sprintf("c%d", i))
+			prog = &bank.Audit{Txn: id, Accounts: world.FamilyAccounts(fam), Result: model.EntityID("credres/" + string(id))}
+			path = []string{"cust", "cred/" + string(id)}
+		default: // 100 transfers
+			src, dst := world.FamilyAccounts(fam), world.FamilyAccounts((fam+1+rng.Intn(world.Families-1))%world.Families)
+			o := rng.Intn(4)
+			tr = &bank.Transfer{
+				Txn: model.TxnID(fmt.Sprintf("x%d", i)), Family: fam,
+				Sources: []model.EntityID{src[o], src[(o+1)%4], src[(o+2)%4]},
+				Targets: [2]model.EntityID{dst[rng.Intn(4)], dst[rng.Intn(4)]},
+				Amount:  100, Reserve: 125,
+			}
+			prog, path = tr, []string{"cust", fmt.Sprintf("fam-%02d", fam)}
+		}
+		id := prog.ID()
+		out, err := s.Submit(context.Background(), prog, SubmitOpts{
+			Prepare: func() {
+				if tr != nil {
+					transfers[id] = tr
+				}
+				n.Add(id, path...)
+			},
+			Cleanup: func() { delete(transfers, id) },
+		})
+		if err == nil && !out.Committed {
+			err = fmt.Errorf("%s resolved without committing: %+v", id, out)
+		}
+		return err
+	}
+
+	var next atomic.Int64
+	elapsed := make([]time.Duration, windows)
+	for w := 0; w < windows; w++ {
+		limit := int64((w + 1) * perRound)
+		start := time.Now()
+		var wg sync.WaitGroup
+		errs := make(chan error, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < limit; i = next.Add(1) - 1 {
+					if err := submit(rng, int(i)); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(rand.New(rand.NewSource(int64(w*callers + c))))
+		}
+		wg.Wait()
+		next.Store(limit) // the callers overshoot by one each when they stop
+		elapsed[w] = time.Since(start)
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		// Every submission has returned, so every commit is retired: the
+		// window boundary is a quiescent point, for the closure and for the
+		// recorded history alike.
+		if p.ClosureSteps() != 0 || p.ClosureSlots() != 0 {
+			t.Fatalf("window %d: %d live steps in %d slots at a quiescent point", w, p.ClosureSteps(), p.ClosureSlots())
+		}
+		rec := obs.rec.Swap(history.NewRecorder(n))
+		if w == 0 || w == windows/2 || w == windows-1 {
+			rep, err := history.Check(rec.History())
+			if err != nil {
+				t.Fatalf("window %d: %v", w, err)
+			}
+			if !rep.Correctable || rep.Txns != perRound {
+				t.Fatalf("window %d: %d txns, %s", w, rep.Txns, rep.Summary())
+			}
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	final := store.Values()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if st := p.Stats(); st.Sealed != windows*perRound {
+		t.Errorf("sealed %d of %d committed transactions", st.Sealed, windows*perRound)
+	}
+	if obs.maxSteps > maxLive || obs.maxSlots > 2*maxLive+64 {
+		t.Errorf("closure peaked at %d live steps in %d slots; bound %d / %d", obs.maxSteps, obs.maxSlots, maxLive, 2*maxLive+64)
+	}
+	median := func(d []time.Duration) time.Duration {
+		d = append([]time.Duration(nil), d...)
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	first, last := median(elapsed[:5]), median(elapsed[windows-5:])
+	t.Logf("peak %d live steps / %d slots; window medians: first five %v, last five %v; %d waits, %d aborts",
+		obs.maxSteps, obs.maxSlots, first, last, p.Stats().Waits, p.Stats().Aborts)
+	if last > 2*first {
+		t.Errorf("the last windows take %v, the first %v: cost grows with the run", last, first)
+	}
+	var total model.Value
+	for _, x := range all {
+		total += final[x]
+	}
+	if total != world.Total() {
+		t.Errorf("accounts hold %d, the bank started with %d", total, world.Total())
+	}
+	if len(audits) < windows*perRound/55 {
+		t.Errorf("only %d bank audits ran", len(audits))
+	}
+	for _, res := range audits {
+		if final[res] != world.Total() {
+			t.Errorf("%s recorded %d, the bank holds %d", res, final[res], world.Total())
+		}
+	}
+}

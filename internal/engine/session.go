@@ -180,9 +180,12 @@ func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 
 // Submit admits p into the running scheduler and blocks until it resolves;
 // see Outcome. Safe for concurrent use. Transaction IDs must be unique
-// among in-flight submissions (a duplicate is rejected), and should be
-// unique across the session's lifetime for controls that retain committed-
-// transaction state (sched.Preventer).
+// among in-flight submissions (a duplicate is rejected). Under a closure
+// control (sched.Preventer, sched.Detector) a committed transaction's ID
+// stays taken until the control has sealed it — which happens once every
+// transaction that preceded it in the closure has committed too, so at the
+// latest when the session next goes quiescent — and is free for reuse
+// after that; until then a reused ID would continue the old transaction.
 //
 // The context bounds the submission two ways: its deadline merges with
 // opts.Deadline (earlier wins), and its cancellation withdraws the

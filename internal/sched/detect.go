@@ -12,7 +12,8 @@ import (
 // of the performed execution is maintained online; when a step would close
 // a cycle — i.e. would make the execution non-correctable by Theorem 2 —
 // the youngest transaction involved is rolled back and the closure is
-// rebuilt without it.
+// rebuilt without it. Committed transactions are sealed out of the closure
+// (Retired), exactly as under the Preventer.
 //
 // The paper predicts that "fewer cycles would be detected using the
 // multilevel atomicity definition than if strict serializability were
@@ -36,13 +37,15 @@ func NewDetector(n *nest.Nest, spec breakpoint.Spec) *Detector {
 	if n.K() != spec.K() {
 		panic("sched: nest and breakpoint spec disagree on k")
 	}
-	return &Detector{
+	d := &Detector{
 		nest:     n,
 		spec:     spec,
 		oc:       coherent.NewOnline(n.K(), n.Level),
 		prio:     make(map[model.TxnID]int64),
 		finished: make(map[model.TxnID]bool),
 	}
+	d.oc.OnSeal = d.forget
+	return d
 }
 
 // Name implements Control.
@@ -99,6 +102,23 @@ func (d *Detector) Performed(t model.TxnID, _ int, _ model.EntityID, cut int) {
 
 // Finished implements Control.
 func (d *Detector) Finished(t model.TxnID) { d.finished[t] = true }
+
+// Retired implements the Retirer capability: t committed, so the closure
+// may seal it (coherent.Online.Retire). A sealed transaction is in no
+// future cycle and so is never a victim candidate again.
+func (d *Detector) Retired(t model.TxnID) { d.oc.Retire(t) }
+
+// forget frees the per-transaction state of a transaction that left the
+// closure.
+func (d *Detector) forget(t model.TxnID) {
+	delete(d.prio, t)
+	delete(d.finished, t)
+	d.stats.Sealed++
+}
+
+// ClosureSteps and ClosureSlots report the closure's width; see Preventer.
+func (d *Detector) ClosureSteps() int { return d.oc.Steps() }
+func (d *Detector) ClosureSlots() int { return d.oc.Slots() }
 
 // AbortedTo implements the simulator's partial-recovery hook: transaction
 // t's events beyond seq = keep are removed and the closure replayed; t

@@ -21,12 +21,16 @@ import (
 // The closure predecessors are taken from the same online coherent closure
 // the Detector uses (property-tested equal to the batch Theorem 2 checker):
 // before granting, the would-be step's predecessor set is previewed without
-// mutation (coherent.Online.PredForNewStep) and each predecessor
+// mutation (coherent.Online.ForEachPredOfNewStep) and each predecessor
 // transaction's boundary position is checked in O(extent). Earlier versions
 // approximated the predecessor set by folding per-entity dependency maps
 // forward; that scheme misses predecessors introduced by coherence rule (b)
 // — segment-completion pins — and admitted non-correctable executions
 // (TestPreventerSoundnessSeed67 pins the counterexamples).
+//
+// Committed transactions are sealed out of the closure (Retired), so the
+// cost of a decision follows the transactions in flight, not the length of
+// the run.
 //
 // Blocked requests are resolved by a waits-for graph with youngest-victim
 // selection, the paper's assumed "priority scheme and rollback mechanism to
@@ -54,6 +58,10 @@ type Preventer struct {
 	direct     map[model.TxnID]*dtxnState
 	lastAccess map[model.EntityID]map[model.TxnID]int
 
+	// blockers is Request's scratch, kept for its capacity. The Preventer
+	// runs under its harness's serialization, so it needs no locking.
+	blockers []model.TxnID
+
 	waitFor *waitGraph
 	stats   Stats
 }
@@ -69,7 +77,7 @@ func NewPreventer(n *nest.Nest, spec breakpoint.Spec) *Preventer {
 	if n.K() != spec.K() {
 		panic("sched: nest and breakpoint spec disagree on k")
 	}
-	return &Preventer{
+	p := &Preventer{
 		nest:            n,
 		spec:            spec,
 		k:               n.K(),
@@ -81,6 +89,8 @@ func NewPreventer(n *nest.Nest, spec breakpoint.Spec) *Preventer {
 		lastAccess:      make(map[model.EntityID]map[model.TxnID]int),
 		waitFor:         newWaitGraph(),
 	}
+	p.oc.OnSeal = p.forget
+	return p
 }
 
 // Name implements Control.
@@ -95,7 +105,9 @@ func (p *Preventer) Name() string {
 func (p *Preventer) Begin(t model.TxnID, prio int64) {
 	p.prio[t] = prio
 	delete(p.finished, t)
-	p.direct[t] = &dtxnState{bound: make([]int, p.k+1)}
+	if !p.TrackTransitive {
+		p.direct[t] = &dtxnState{bound: make([]int, p.k+1)}
+	}
 }
 
 // closed reports whether u's step at seq is closed off for a level-lv
@@ -118,26 +130,29 @@ func (p *Preventer) closed(u model.TxnID, seq, lv int) bool {
 // closure predecessors, with waits-for deadlock resolution.
 func (p *Preventer) Request(t model.TxnID, _ int, x model.EntityID) Decision {
 	p.stats.Requests++
-	blockers := make(map[model.TxnID]bool)
-	if p.TrackTransitive {
-		p.oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) {
-			if u != t && !p.closed(u, s, p.nest.Level(u, t)) {
-				blockers[u] = true
-			}
-		})
-	} else {
-		for u, s := range p.lastAccess[x] {
-			if u != t && !p.closed(u, s, p.nest.Level(u, t)) {
-				blockers[u] = true
-			}
+	p.blockers = p.blockers[:0]
+	collect := func(u model.TxnID, seq int) {
+		if u != t && !p.closed(u, seq, p.nest.Level(u, t)) {
+			p.blockers = append(p.blockers, u)
 		}
 	}
-	if len(blockers) == 0 {
+	if p.TrackTransitive {
+		p.oc.ForEachPredOfNewStep(t, x, collect)
+	} else {
+		for u, s := range p.lastAccess[x] {
+			collect(u, s)
+		}
+	}
+	if len(p.blockers) == 0 {
 		p.waitFor.clear(t)
 		p.stats.Grants++
 		return grant
 	}
-	p.waitFor.setWaits(t, blockers)
+	waits := make(map[model.TxnID]bool, len(p.blockers))
+	for _, u := range p.blockers {
+		waits[u] = true
+	}
+	p.waitFor.setWaits(t, waits)
 	if cycle := p.waitFor.cycleThrough(t); len(cycle) > 0 {
 		victim := youngest(cycle, func(u model.TxnID) int64 {
 			if pr, ok := p.prio[u]; ok {
@@ -190,12 +205,34 @@ func (p *Preventer) Finished(t model.TxnID) {
 	p.waitFor.drop(t)
 }
 
-// Retired tells the Preventer that a finished transaction committed. Its
-// closure entries are retained deliberately: a committed transaction blocks
-// nobody (finished ⇒ closed at every level), but its steps still anchor
-// obligations about other, still-open transactions. Memory grows with the
-// run — the usual price of exact dependency tracking.
-func (p *Preventer) Retired(model.TxnID) {}
+// Retired implements the Retirer capability: t committed, so it performs no
+// further step and is never rolled back. The closure seals it, together
+// with any earlier commit that was only waiting for t, as soon as all its
+// closure-predecessors are sealable too (coherent.Online.Retire); forget
+// then drops the Preventer's own record of each sealed transaction.
+func (p *Preventer) Retired(t model.TxnID) {
+	if p.TrackTransitive {
+		p.oc.Retire(t)
+	} else {
+		p.forget(t)
+	}
+}
+
+// forget frees the per-transaction state of a transaction that left the
+// closure. closed answers true for a transaction with no live steps, so
+// nothing is lost with the finished mark.
+func (p *Preventer) forget(t model.TxnID) {
+	delete(p.prio, t)
+	delete(p.finished, t)
+	delete(p.direct, t)
+	p.stats.Sealed++
+}
+
+// ClosureSteps and ClosureSlots report the closure's width: the live steps
+// it holds and the step slots (bitset width) it occupies. On a resident
+// control both track the transactions in flight.
+func (p *Preventer) ClosureSteps() int { return p.oc.Steps() }
+func (p *Preventer) ClosureSlots() int { return p.oc.Slots() }
 
 // Aborted implements Control: victims' events leave the closure entirely.
 func (p *Preventer) Aborted(victims []model.TxnID) {

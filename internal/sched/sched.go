@@ -137,6 +137,10 @@ type AsyncAborter interface {
 //     abort is counted once in Aborts (like every rollback) and once in
 //     Deadlines (its distinct cause); Aborts - Deadlines is the control's
 //     own conflict-abort count.
+//   - Sealed counts committed transactions whose state the control
+//     reclaimed (the closure controls, through the Retirer capability): on
+//     a resident control Sealed trails commits by the transactions still
+//     anchored behind an uncommitted closure-predecessor.
 //
 // Under this contract a simulator run without partial recovery satisfies
 // Control.Stats().Aborts == sim full-rollback count for every control; the
@@ -149,6 +153,7 @@ type Stats struct {
 	Wounds    int // abort decisions naming a non-requester victim (in Request)
 	Cycles    int // dependency cycles detected (Detector only)
 	Deadlines int // subset of Aborts caused by per-txn deadlines (DeadlineAborter)
+	Sealed    int // committed transactions reclaimed from the closure (Retirer)
 }
 
 // Snapshot returns a value copy of the counters. The pointer returned by

@@ -241,9 +241,92 @@ func TestPreventerRetired(t *testing.T) {
 	p.Performed("t1", 1, "x", 3)
 	p.Finished("t1")
 	p.Retired("t1")
+	if p.ClosureSteps() != 0 || p.ClosureSlots() != 0 || p.Stats().Sealed != 1 {
+		t.Fatalf("after the retire: %d live steps, %d slots, %d sealed", p.ClosureSteps(), p.ClosureSlots(), p.Stats().Sealed)
+	}
+	if len(p.prio)+len(p.finished)+len(p.direct) != 0 {
+		t.Fatalf("retired transaction still tracked: prio=%v finished=%v direct=%v", p.prio, p.finished, p.direct)
+	}
 	p.Begin("t3", 3)
 	if d := p.Request("t3", 1, "x"); d.Kind != Grant {
 		t.Fatal("retired transactions impose no constraints")
+	}
+}
+
+// TestPreventerRetiredLingers: a commit whose closure-predecessor is still
+// running stays in the closure, and is sealed with it — by the
+// predecessor's own commit, or by the rollback that removes it.
+func TestPreventerRetiredLingers(t *testing.T) {
+	for _, outcome := range []string{"commit", "abort"} {
+		n, spec := preventerFixture()
+		p := NewPreventer(n, spec)
+		p.Begin("t1", 1)
+		p.Begin("t2", 2)
+		p.Request("t1", 1, "x")
+		p.Performed("t1", 1, "x", 2) // level-2 cut: classmate t2 may follow
+		if d := p.Request("t2", 1, "x"); d.Kind != Grant {
+			t.Fatalf("t2 after t1's level-2 breakpoint: %v", d.Kind)
+		}
+		p.Performed("t2", 1, "x", 0)
+		p.Finished("t2")
+		p.Retired("t2")
+		if p.ClosureSteps() != 2 || p.Stats().Sealed != 0 {
+			t.Fatalf("%s: t2 sealed ahead of its predecessor t1: %d live steps, %d sealed", outcome, p.ClosureSteps(), p.Stats().Sealed)
+		}
+		if outcome == "commit" {
+			p.Finished("t1")
+			p.Retired("t1")
+		} else {
+			p.Aborted([]model.TxnID{"t1"})
+		}
+		if p.ClosureSteps() != 0 || len(p.finished) != 0 {
+			t.Fatalf("%s of t1 left %d live steps, finished=%v", outcome, p.ClosureSteps(), p.finished)
+		}
+	}
+}
+
+// TestDetectorRetired is the Detector twin: a retired transaction is out of
+// the closure, so it can no longer be named in a cycle or picked as victim —
+// the access pattern that is a cycle against a live t1 is none after it.
+func TestDetectorRetired(t *testing.T) {
+	for _, retire := range []bool{false, true} {
+		n := nest.New(2)
+		n.Add("t1")
+		n.Add("t2")
+		d := NewDetector(n, breakpoint.Uniform{Levels: 2, C: 2})
+		d.Begin("t1", 1)
+		d.Begin("t2", 2)
+		perform := func(txn model.TxnID, seq int, x model.EntityID) {
+			t.Helper()
+			if dec := d.Request(txn, seq, x); dec.Kind != Grant {
+				t.Fatalf("%s[%d] on %s: %v", txn, seq, x, dec.Kind)
+			}
+			d.Performed(txn, seq, x, 2)
+		}
+		perform("t1", 1, "x")
+		perform("t1", 2, "y")
+		d.Finished("t1")
+		if retire {
+			d.Retired("t1")
+			if d.ClosureSteps() != 0 || d.Stats().Sealed != 1 || len(d.prio) != 1 || len(d.finished) != 0 {
+				t.Fatalf("after the retire: %d live steps, %d sealed, prio=%v finished=%v", d.ClosureSteps(), d.Stats().Sealed, d.prio, d.finished)
+			}
+		}
+		perform("t2", 1, "y") // t1 → t2 while t1 is in the closure
+		d.Begin("t3", 3)
+		n.Add("t3")
+		perform("t3", 1, "x")
+		perform("t3", 2, "y") // t2 → t3
+		// t2 on x closes t3 → t2 either way; the victim is the youngest
+		// unfinished member, never the finished (or retired) t1.
+		dec := d.Request("t2", 2, "x")
+		if dec.Kind != Abort || len(dec.Victims) != 1 || dec.Victims[0] != "t3" {
+			t.Fatalf("retire=%v: decision %v %v, want abort of t3", retire, dec.Kind, dec.Victims)
+		}
+		d.Aborted(dec.Victims)
+		if want := map[bool]int{false: 3, true: 1}[retire]; d.ClosureSteps() != want {
+			t.Fatalf("retire=%v: %d live steps after the rollback, want %d", retire, d.ClosureSteps(), want)
+		}
 	}
 }
 

@@ -284,6 +284,8 @@ func NewSimControl(pr SimParams) *SimControl {
 	}
 	if pr.Nest != nil {
 		c.nest = pr.Nest
+		// Never sealed (no Retired hook): with delayed announcements
+		// "committed ⇒ no step of t will arrive later" is not yet established.
 		c.oc = coherent.NewOnline(pr.Nest.K(), pr.Nest.Level)
 	}
 	pol := pr.NetPolicy
