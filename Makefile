@@ -1,4 +1,4 @@
-.PHONY: check test bench lint fuzz perf history-check
+.PHONY: check test bench lint fuzz perf history-check loc
 
 # Tier-1 gate: build + vet + lint + full suite under -race (includes the
 # engine goroutine-leak and cancellation tests), fuzz smoke, perf smoke.
@@ -39,3 +39,8 @@ history-check:
 perf:
 	go run -race ./cmd/mlabench -perf -quick -out /tmp/mla_perf_smoke.json \
 		-telemetry -trace-out /tmp/mla_perf_smoke_trace.json
+
+# Non-test Go source lines per internal/* package and in total (benchmark/
+# excluded): ROADMAP aim 2 wants the total to go down.
+loc:
+	./scripts/loc.sh

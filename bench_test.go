@@ -33,7 +33,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, err := ex.Run(bench.Options{Scale: 1, Seed: int64(i) + 1})
+		tbl, err := ex.Run(bench.Config{Scale: 1, Seed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -291,7 +291,7 @@ func run() int {
 		return record(rep)
 	}
 
-	opts := bench.Options{Scale: *scale, Seed: *seed, Context: ctx, Telemetry: tel}
+	opts := bench.Config{Scale: *scale, Seed: *seed, Context: ctx, Telemetry: tel}
 	failed := 0
 	for _, ex := range bench.All() {
 		if *exp != "" && ex.ID != *exp {

@@ -22,7 +22,7 @@ import (
 type Experiment struct {
 	ID    string
 	Claim string
-	Run   func(Options) (*metrics.Table, error)
+	Run   func(Config) (*metrics.Table, error)
 }
 
 // All returns every experiment in order.

@@ -19,7 +19,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, ex := range All() {
 		ex := ex
 		t.Run(ex.ID, func(t *testing.T) {
-			tbl, err := ex.Run(Options{Scale: 1, Seed: 1})
+			tbl, err := ex.Run(Config{Scale: 1, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestE1NeverDisagrees(t *testing.T) {
-	tbl, err := E1Equivalence(Options{Scale: 1, Seed: 7})
+	tbl, err := E1Equivalence(Config{Scale: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestE1NeverDisagrees(t *testing.T) {
 }
 
 func TestE2AllExamplesPass(t *testing.T) {
-	tbl, err := E2PaperExamples(Options{Scale: 1, Seed: 1})
+	tbl, err := E2PaperExamples(Config{Scale: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestE10ChainDetectsUnsoundness(t *testing.T) {
 
 func TestWindowedInterleaveCompletes(t *testing.T) {
 	wl := bankWorkload(2, 3, 4, 1, 3)
-	rng := Options{Seed: 5}.rng()
+	rng := Config{Seed: 5}.rng()
 	e, err := windowedInterleave(wl.Programs, copyInit(wl.Init), rng, 10)
 	if err != nil {
 		t.Fatal(err)

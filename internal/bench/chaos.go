@@ -21,7 +21,7 @@ import (
 // are aborted within the grace period and retried after the fault clears.
 // Failures cost throughput (waits, grace aborts, crash aborts,
 // retransmissions — all reported), never correctness.
-func E18Chaos(o Options) (*metrics.Table, error) {
+func E18Chaos(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E18: distributed prevention under partitions, loss, and processor crashes (banking)",
 		"scenario", "throughput", "p99-lat", "aborts", "grace-ab", "crash-ab", "probe-dl", "retransmit", "net-drop")
 	sc := o.scale()

@@ -10,10 +10,8 @@ import (
 
 // Config is the one configuration type for every harness entry point: the
 // experiment suite (All), the perf sweep (PerfRun), and the open-loop load
-// cells (LoadRun). It replaces the old Options/PerfOptions split — those
-// names remain as deprecated aliases — and is normally built with NewConfig
-// and the With* functional options, though literal construction keeps
-// working for existing call sites.
+// cells (LoadRun). It is normally built with NewConfig and the With*
+// functional options, though literal construction works too.
 type Config struct {
 	// Scale multiplies trial counts and workload sizes for the experiment
 	// suite. 1 is the quick configuration used from benchmarks and tests;
@@ -121,21 +119,6 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithShards partitions the entity store across n shards.
 func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// Options is the pre-redesign name for Config.
-//
-// Deprecated: use Config (and NewConfig with functional options).
-type Options = Config
-
-// PerfOptions is the pre-redesign perf-sweep configuration.
-//
-// Deprecated: use Config; PerfRun accepts it directly.
-type PerfOptions = Config
-
-// DefaultOptions returns Scale 1, Seed 1.
-//
-// Deprecated: use NewConfig.
-func DefaultOptions() Options { return NewConfig() }
 
 func (o Config) scale() int {
 	if o.Scale < 1 {

@@ -18,7 +18,7 @@ import (
 // none (and timestamp ordering livelocks — reported as "stalled"). This is
 // the strongest qualitative separation: an application class that
 // serializability cannot express at all.
-func E15Conversations(o Options) (*metrics.Table, error) {
+func E15Conversations(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E15: conversations between transactions",
 		"control", "completed", "failed", "serializable-exec", "correctable", "time")
 	sc := o.scale()

@@ -15,7 +15,7 @@ import (
 // steps remains value-consistent and Theorem-2 correctable. The experiment
 // sweeps the crash count; redone transactions measure the work lost to
 // volatility.
-func E14CrashRecovery(o Options) (*metrics.Table, error) {
+func E14CrashRecovery(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E14: crash-recovery on the WAL-backed store (banking, Preventer)",
 		"crashes", "rounds", "committed", "redone-txns", "conserved", "audits-exact", "correctable")
 	sc := o.scale()

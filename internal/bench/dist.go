@@ -18,7 +18,7 @@ import (
 // conservative — stale-waits rise with the delay — while soundness
 // (Theorem 2 correctability) is asserted at every point; "delay=0" must
 // match the centralized scheduler's admissions behaviorally.
-func E13Distributed(o Options) (*metrics.Table, error) {
+func E13Distributed(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E13: distributed prevention vs announcement delay (banking)",
 		"delay", "throughput", "p99-lat", "waits", "stale-waits", "aborts", "vs-central")
 	sc := o.scale()

@@ -17,7 +17,7 @@ import (
 // every crash un-redone, the stitched execution stays value-consistent and
 // Theorem-2 correctable, and the fault/redo columns price the injected
 // adversity.
-func E17EngineCrash(o Options) (*metrics.Table, error) {
+func E17EngineCrash(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E17: engine crash-recovery under fault injection (banking, Preventer)",
 		"crashes", "err-rate", "rounds", "committed", "redone", "torn", "faults", "conserved", "correctable")
 	sc := o.scale()

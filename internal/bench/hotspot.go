@@ -15,7 +15,7 @@ import (
 // transfers end-to-end; under the banking specification the hot account's
 // writers still interleave at their phase boundaries (and family members
 // everywhere), so the MLA controls degrade far more gently.
-func E16HotSpot(o Options) (*metrics.Table, error) {
+func E16HotSpot(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E16: hot-spot deposit account (banking)",
 		"hot%", "control", "throughput", "p99-lat", "waits", "aborts", "vs-2pl")
 	sc := o.scale()

@@ -101,7 +101,7 @@ func newMixedWorkload(sessions, rounds, analytics, audits, accounts int, seed in
 // checker on the recorded event log. A disagreement fails the experiment —
 // that is the point: two independent implementations of multilevel
 // atomicity must agree on every schedule the system actually produces.
-func E20MixedHistory(o Options) (*metrics.Table, error) {
+func E20MixedHistory(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E20: mixed-level history checking (sessions + analytics + audits)",
 		"control", "executor", "committed", "steps", "atomic", "correctable", "agree")
 	sc := o.scale()

@@ -17,7 +17,7 @@ import (
 //     victim's last class-wide breakpoint (the paper's smaller unit of
 //     recovery: "one would probably not want to roll back very long
 //     transactions"); the undone-steps column shows the redone work saved.
-func E11Recovery(o Options) (*metrics.Table, error) {
+func E11Recovery(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E11: commit chaining and recovery-unit accounting (sessioned banking, L=4)",
 		"control", "commits", "group=1", "group>1", "max-group", "aborts", "partial", "undone-steps")
 	sc := o.scale()

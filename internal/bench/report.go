@@ -102,11 +102,6 @@ type Report struct {
 	Load []LoadCell `json:"load,omitempty"`
 }
 
-// PerfReport is the pre-redesign name for Report.
-//
-// Deprecated: use Report.
-type PerfReport = Report
-
 // Table renders the report for terminal output.
 func (r *Report) Table() *metrics.Table {
 	if r.Kind == "load" {

@@ -15,7 +15,7 @@ func TestExperimentsAcrossSeeds(t *testing.T) {
 				if ex.ID != id {
 					continue
 				}
-				if _, err := ex.Run(Options{Scale: 1, Seed: seed}); err != nil {
+				if _, err := ex.Run(Config{Scale: 1, Seed: seed}); err != nil {
 					t.Errorf("%s seed %d: %v", id, seed, err)
 				}
 			}

@@ -17,7 +17,7 @@ import (
 // pass the black-box multilevel-atomicity checker — the serving contract
 // (a 200 is a durable, correctly interleaved commit) is what the table
 // shows holding under churn.
-func E21Serve(o Options) (*metrics.Table, error) {
+func E21Serve(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E21: resident front-end under open-loop load (drain + overload)",
 		"cell", "offered", "acked", "shed", "draining", "disconnected", "p99", "history", "verdict")
 	sc := o.scale()

@@ -18,7 +18,7 @@ import (
 // breakpoint after every transfer — are insensitive to L. Bank audits sit
 // in the customers' level-2 class and so interleave at those breakpoints
 // only, where no money is in transit: exactness is asserted at every L.
-func E12Sessions(o Options) (*metrics.Table, error) {
+func E12Sessions(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E12: session length vs transfer throughput (8 concurrent sessions)",
 		"session-len", "control", "xfers/1000u", "p99-lat", "aborts", "audits-exact", "vs-2pl")
 	sc := o.scale()

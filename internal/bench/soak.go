@@ -18,7 +18,7 @@ import (
 // the last checkpoint, and the history spool concatenated across all boots
 // must pass the black-box MLA checker. This is the claim the other tables
 // assume: the WAL the scheduler commits into actually survives the process.
-func E22CrashSoak(o Options) (*metrics.Table, error) {
+func E22CrashSoak(o Config) (*metrics.Table, error) {
 	sc := o.scale()
 	dir, err := os.MkdirTemp("", "mla-e22-")
 	if err != nil {

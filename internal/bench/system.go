@@ -31,7 +31,7 @@ func bankWorkload(families, accounts, transfers, audits int, seed int64) *bank.W
 // contention sweep. The paper's thesis predicts the MLA controls commit
 // more per unit time than the serializable baselines, with the gap growing
 // as contention rises.
-func E5Throughput(o Options) (*metrics.Table, error) {
+func E5Throughput(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E5: banking throughput by control (committed txns / 1000 time units)",
 		"families", "transfers", "control", "throughput", "p50-lat", "p99-lat", "waits", "aborts", "vs-2pl")
 	sc := o.scale()
@@ -69,7 +69,7 @@ func E5Throughput(o Options) (*metrics.Table, error) {
 // E6Audit sweeps the audit share of the banking mix, checking that audits
 // stay exact under the MLA controls while transfer latency stays near the
 // audit-free baseline — the [FGL] property the paper cites.
-func E6Audit(o Options) (*metrics.Table, error) {
+func E6Audit(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E6: audits vs transfer latency",
 		"audits", "control", "audits-exact", "audits-inexact", "xfer-p50", "throughput")
 	sc := o.scale()
@@ -97,7 +97,7 @@ func E6Audit(o Options) (*metrics.Table, error) {
 // breakpoints to more transactions, cutting blocking (waits fall
 // monotonically) and raising throughput (k=2 is serializability, k=5 the
 // full specialty/team hierarchy).
-func E7NestDepth(o Options) (*metrics.Table, error) {
+func E7NestDepth(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E7: CAD throughput by nest depth (Preventer, mean over seeds)",
 		"k", "throughput", "waits", "aborts", "snapshots-clean", "vs-k2")
 	seeds := 5 * o.scale()
@@ -143,7 +143,7 @@ func E7NestDepth(o Options) (*metrics.Table, error) {
 
 // E8ActionTrees converts multilevel atomic executions into Section 7 nested
 // action trees and verifies the structural properties.
-func E8ActionTrees(o Options) (*metrics.Table, error) {
+func E8ActionTrees(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E8: nested action trees from MLA executions",
 		"workload", "steps", "atomic", "nodes", "leaves", "depth", "fanout", "verified")
 	// CAD at depth 5 under the Preventer, then witnessed to an atomic
@@ -198,7 +198,7 @@ func E8ActionTrees(o Options) (*metrics.Table, error) {
 
 // E9CheckerScaling measures the cost of the Theorem 2 test (coherent
 // closure + cycle check) as the execution grows.
-func E9CheckerScaling(o Options) (*metrics.Table, error) {
+func E9CheckerScaling(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E9: Theorem 2 checker scaling",
 		"steps", "k", "pairs", "ms/check", "correctable")
 	rng := o.rng()
@@ -252,7 +252,7 @@ func E9CheckerScaling(o Options) (*metrics.Table, error) {
 // and then races t1 on w. The coherent closure forces all of t1 before t3
 // (they relate only at level 1), so t3 touching w before t1 cycles; only
 // closure-grade tracking sees this coming.
-func E10Ablations(o Options) (*metrics.Table, error) {
+func E10Ablations(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E10: prevention, closure-based vs direct-only (naive nested specialization)",
 		"control", "workload", "runs", "correctable", "unsound", "throughput(mean)")
 	sc := o.scale()

@@ -14,7 +14,7 @@ import (
 
 // randomScripted builds nTxn scripted transactions of nSteps random
 // accesses over nEnt entities.
-func randomScripted(o Options, rng interface{ Intn(int) int }, nTxn, nSteps, nEnt int) []model.Program {
+func randomScripted(o Config, rng interface{ Intn(int) int }, nTxn, nSteps, nEnt int) []model.Program {
 	progs := make([]model.Program, nTxn)
 	for i := 0; i < nTxn; i++ {
 		ops := make([]model.Op, nSteps)
@@ -30,7 +30,7 @@ func randomScripted(o Options, rng interface{ Intn(int) int }, nTxn, nSteps, nEn
 // E1Equivalence measures agreement of the k=2 Theorem 2 test with the
 // classical serialization-graph test on random interleavings. The paper's
 // Section 4.3 claims exact coincidence, so the "disagree" column must be 0.
-func E1Equivalence(o Options) (*metrics.Table, error) {
+func E1Equivalence(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E1: k=2 correctability vs conflict serializability",
 		"txns", "steps", "entities", "trials", "serializable", "agree", "disagree")
 	rng := o.rng()
@@ -73,7 +73,7 @@ func E1Equivalence(o Options) (*metrics.Table, error) {
 
 // E2PaperExamples re-evaluates the paper's worked examples and reports
 // expected versus computed for each.
-func E2PaperExamples(o Options) (*metrics.Table, error) {
+func E2PaperExamples(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E2: the paper's worked examples",
 		"example", "expected", "got", "ok")
 	row := func(name, want, got string) {
@@ -207,7 +207,7 @@ func benchBankFixture() (*nest.Nest, breakpoint.Spec, []model.Program, map[model
 
 // E3Extension exercises Lemma 1 at scale: random correctable executions
 // across k and n, each extended to a coherent total order and re-verified.
-func E3Extension(o Options) (*metrics.Table, error) {
+func E3Extension(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E3: Lemma 1 extension of coherent partial orders",
 		"k", "txns", "steps/txn", "correctable", "extended", "verified", "µs/extension")
 	rng := o.rng()
@@ -278,7 +278,7 @@ func E3Extension(o Options) (*metrics.Table, error) {
 // rejection rate is bounded by the serializability rejection rate ("fewer
 // cycles … leading to fewer rollbacks"); the gap is the concurrency MLA
 // buys.
-func E4CycleRate(o Options) (*metrics.Table, error) {
+func E4CycleRate(o Config) (*metrics.Table, error) {
 	t := metrics.NewTable("E4: rejected interleavings, serializability vs multilevel atomicity",
 		"switch%", "trials", "ser-rejected%", "mla-rejected%", "mla-only-admitted%")
 	rng := o.rng()

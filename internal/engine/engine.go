@@ -29,12 +29,20 @@
 // transactions are immune to abort and count as satisfied dependencies —
 // safe because submission order bounds durability order.
 //
-// Run lifecycle: Run owns every goroutine it starts. The run ends when all
-// transactions commit, the caller's context is cancelled, the configured
-// timeout expires, or a worker fails; in every case Run closes a stop
-// channel that all blocking points (generation waits, backoff sleeps,
-// commit waits) select on, then joins the workers before returning. No
-// goroutine outlives Run — the regression test counts them.
+// Lifecycle: there is one engine loop — Session.submit: admit, attempt,
+// restart on rollback, park on an exhausted budget, await the commit group —
+// and two drivers of it. A service keeps a Session open and calls Submit as
+// requests arrive; Run/RunOnStore opens a session, submits every program
+// from its own goroutine, joins them, closes the session, and assembles a
+// Result. The two differ in retention only: a batch run keeps its whole step
+// trace and transaction table (they become Result.Exec), a resident session
+// retires and compacts them. A batch run ends when all transactions resolve,
+// the caller's context is cancelled, the configured timeout expires, a
+// worker fails, or an injected crash fires; every cause but the first fails
+// the session, which closes the stop channel all blocking points
+// (generation waits, backoff sleeps, commit waits) select on. Close joins
+// the finalizer; Run joins its workers first. No goroutine outlives Run or
+// Close — the regression tests count them.
 package engine
 
 import (
@@ -214,36 +222,31 @@ type engine struct {
 	// wait path surfaces the error instead of an ack.
 	asyncErr error
 
-	// committers tracks the commit-finalizer goroutine (one per run, fed
-	// through finCh); RunOnStore joins it after the workers so no goroutine
-	// outlives the run.
+	// committers tracks the commit-finalizer goroutine (one per engine,
+	// started only for an AsyncCommitter store); Close joins it so no
+	// goroutine outlives the session.
 	committers sync.WaitGroup
-	// finCh feeds submitted commit groups to the finalizer in submission
-	// order. Buffered to the program count: groups are disjoint and each
-	// transaction commits at most once per run, so a send under the engine
-	// mutex can never block. Batch runs only — resident sessions have no
-	// program count to size the buffer by, so they queue through finPending
-	// instead (same single finalizer, same submission order).
-	finCh chan asyncFin
-
-	// resident marks an open-submission engine (NewSession): transactions
-	// arrive and retire over time, so everything sized or accumulated "per
-	// run" — finCh, order, the Result sample slices, the step trace — must
-	// be bounded differently (see finPending, compactTraceLocked).
-	resident bool
-	// finPending queues submitted commit groups for the resident finalizer,
-	// which drains it in append (= submission) order; finWake (1-buffered)
-	// wakes the finalizer when the queue goes non-empty. Guarded by mu.
+	// finPending queues submitted commit groups for the finalizer, which
+	// drains it in append (= submission) order; finWake (1-buffered) wakes
+	// the finalizer when the queue goes non-empty. Guarded by mu.
 	finPending []asyncFin
 	finWake    chan struct{}
-	// traceCap is the resident trace-compaction threshold: when the step
-	// trace reaches it, entries of committed/retired attempts are dropped
-	// and the threshold is reset to twice the surviving length (amortized
-	// O(1) per step, like slice growth).
+
+	// retain marks a batch run's engine: the run's history — the step
+	// trace, the transaction records, the commit-group sizes — is kept
+	// whole, because it becomes Result.Exec and Result.CommitGroups. A
+	// resident session (retain false) serves transactions indefinitely, so
+	// it retires records as submissions resolve and compacts the trace.
+	// Retention is the only thing the flag decides; the run loop, the
+	// finalizer, and the commit hand-off are the same for both.
+	retain bool
+	// traceCap is the trace-compaction threshold: when the step trace
+	// reaches it, entries of committed/retired attempts are dropped and the
+	// threshold is reset to twice the surviving length (amortized O(1) per
+	// step, like slice growth).
 	traceCap int
 
 	txns   map[model.TxnID]*etxn
-	order  []model.TxnID
 	trace  []traceEntry
 	author map[model.EntityID]model.TxnID
 
@@ -260,7 +263,7 @@ type engine struct {
 	// appliers recycles the per-attempt applier (program-state stepper +
 	// its bound store callback) across attempts and transactions.
 	appliers sync.Pool
-	// txnPool recycles resident submissions' etxn records (with their deps
+	// txnPool recycles retired submissions' etxn records (with their deps
 	// maps and steps slices) across the session's lifetime. Safe because a
 	// retired record is unreachable: the transaction table maps by id, trace
 	// entries carry ids, and the submission goroutine retires its record
@@ -318,8 +321,8 @@ func (e *engine) putApplier(a *applier) {
 	e.appliers.Put(a)
 }
 
-// getTxn returns a fresh transaction record for a resident submission,
-// recycling a retired one's deps map and steps slice when available.
+// getTxn returns a fresh transaction record for a submission, recycling a
+// retired one's deps map and steps slice when available.
 func (e *engine) getTxn(p model.Program, id model.TxnID) *etxn {
 	t, _ := e.txnPool.Get().(*etxn)
 	if t == nil {
@@ -338,9 +341,9 @@ func (e *engine) putTxn(t *etxn) {
 	e.txnPool.Put(t)
 }
 
-// errStopped is the workers' internal signal that the run was abandoned
-// (cancellation, timeout, or another worker's failure). It never escapes
-// Run.
+// errStopped is attempt's signal that the session was stopped (closed, or
+// failed by cancellation, timeout, a crash, or another submission's fatal
+// error). It never escapes Submit.
 var errStopped = errors.New("engine: run stopped")
 
 // Run executes the programs concurrently to completion. Cancelling ctx (or
@@ -368,109 +371,60 @@ func RunOnStore(ctx context.Context, cfg Config, programs []model.Program, contr
 	if cfg.Timeout == 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 100 * time.Microsecond
-	}
-	if cfg.MaxStepRetries == 0 {
-		cfg.MaxStepRetries = 6
-	}
-	tctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
-	cctx, crash := context.WithCancelCause(tctx)
-	defer crash(nil)
-	ctx = cctx
+	s := newSession(cfg, control, spec, store, true)
+	// Whatever ends the run early — the caller, the whole-run timeout, the
+	// injected wall-clock crash, a worker's fatal error — fails the session:
+	// the first cause is recorded and every submission unblocks.
+	unwatch := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			s.fail(fmt.Errorf("engine: timeout after %v", cfg.Timeout))
+		} else {
+			s.fail(fmt.Errorf("engine: run cancelled: %w", ctx.Err()))
+		}
+	})
 	if d, ok := cfg.Faults.ArmWallClock(); ok {
-		// The wall-clock crash budget: the whole system dies mid-run.
-		tm := time.AfterFunc(d, func() { crash(fault.ErrCrash) })
+		tm := time.AfterFunc(d, func() { s.fail(fmt.Errorf("engine: wall-clock crash: %w", fault.ErrCrash)) })
 		defer tm.Stop()
 	}
-	e := &engine{
-		waitGen: make(chan struct{}),
-		stop:    make(chan struct{}),
-		control: control,
-		caps:    sched.CapabilitiesOf(control),
-		spec:    spec,
-		store:   store,
-		faults:  cfg.Faults,
-		obs:     cfg.Observer,
-		txns:    make(map[model.TxnID]*etxn),
-		author:  make(map[model.EntityID]model.TxnID),
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-	}
-	e.async, _ = store.(AsyncCommitter)
-	e.cerr, _ = store.(CommitErrer)
-	for _, p := range programs {
-		e.txns[p.ID()] = &etxn{prog: p, id: p.ID(), deps: make(map[model.TxnID]bool)}
-		e.order = append(e.order, p.ID())
-	}
-	// One sample per committed transaction, at most one group per txn: size
-	// once instead of re-growing under the mutex all run long.
-	e.stats.Latencies = make([]time.Duration, 0, len(programs))
-	e.stats.WaitTimes = make([]time.Duration, 0, len(programs))
-	e.stats.CommitGroups = make([]int, 0, len(programs))
-	if e.async != nil {
-		// One finalizer goroutine serves every commit group of the run —
-		// groups become durable in submission order (a flush drains the
-		// pipeline's whole batch), so waiting on acks sequentially adds no
-		// latency and spawning a goroutine per group added two allocations
-		// per group for nothing.
-		e.finCh = make(chan asyncFin, len(programs))
-		e.committers.Add(1)
-		go e.finalizer()
-	}
-
-	e.start = time.Now()
-	done := make(chan error, len(programs))
+	outs := make([]Outcome, len(programs))
 	var wg sync.WaitGroup
 	wg.Add(len(programs))
 	for i, p := range programs {
-		go func(i int, p model.Program) {
+		go func() {
 			defer wg.Done()
-			e.runTxn(cfg, p, int64(i), done)
-		}(i, p)
-	}
-	var runErr error
-	for range programs {
-		select {
-		case err := <-done:
-			runErr = err
-		case <-ctx.Done():
-			switch cause := context.Cause(ctx); {
-			case errors.Is(cause, fault.ErrCrash):
-				runErr = fmt.Errorf("engine: wall-clock crash: %w", fault.ErrCrash)
-			case errors.Is(ctx.Err(), context.DeadlineExceeded):
-				runErr = fmt.Errorf("engine: timeout after %v", cfg.Timeout)
-			default:
-				runErr = fmt.Errorf("engine: run cancelled: %w", ctx.Err())
+			// No per-submission bounds, and the program index as the
+			// priority band: earlier programs are older.
+			out, err := s.submit(context.Background(), p, SubmitOpts{}, int64(i))
+			if err != nil {
+				s.fail(err)
 			}
-		}
-		if runErr != nil {
-			break
-		}
+			outs[i] = out
+		}()
 	}
-	// Shut down: wake and stop every worker, then join them — and the
-	// commit finalizers, which select on the same stop channel. This is
-	// what makes a timed-out, cancelled, or crashed run leak-free.
-	close(e.stop)
 	wg.Wait()
-	e.committers.Wait()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.obs != nil {
-		// One RunEnded per engine run, on every exit path — clean, crash,
-		// timeout, cancellation — fired under the mutex like the per-step
-		// hooks, after every worker joined (so it is provably the last
-		// per-run event an observer sees before the recovery loop's
-		// Crashed/Recovered, and a telemetry recorder can seal its spans).
-		e.obs.RunEnded(e.stats.Committed, e.stats.GaveUp, time.Since(e.start))
-	}
+	unwatch()
+	// Close joins the finalizer and fires RunEnded — after every worker
+	// joined, so it is provably the last per-run event an observer sees
+	// before the recovery loop's Crashed/Recovered.
+	runErr := s.Close()
 	if runErr != nil && !errors.Is(runErr, fault.ErrCrash) {
 		return nil, runErr
 	}
+	e := s.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	res := e.stats
 	res.Exec = e.survivors()
 	res.Final = e.store.Values()
 	res.Elapsed = time.Since(e.start)
+	for _, o := range outs {
+		if o.Committed {
+			res.Latencies = append(res.Latencies, o.Latency)
+			res.WaitTimes = append(res.WaitTimes, o.Waited)
+		}
+	}
 	if runErr != nil {
 		// Injected crash: hand the partial run to the recovery loop.
 		return &res, runErr
@@ -543,87 +497,6 @@ func (e *engine) jitter(base time.Duration, attempt int) time.Duration {
 	j := time.Duration(e.rng.Int63n(int64(window) + 1))
 	e.rngMu.Unlock()
 	return base + j
-}
-
-// runTxn is one transaction's goroutine: execute, restart on abort, signal
-// completion once committed or parked. It exits silently when the run
-// stops.
-func (e *engine) runTxn(cfg Config, p model.Program, prio int64, done chan<- error) {
-	id := p.ID()
-	for {
-		if e.stopped() {
-			return
-		}
-		e.mu.Lock()
-		t := e.txns[id]
-		if cfg.MaxRestarts > 0 && t.attempt > cfg.MaxRestarts {
-			// Restart budget exhausted: park instead of livelocking. The
-			// transaction was fully rolled back by its last abort, so it
-			// holds no store records, no control state, and no dependents;
-			// the run completes without it and reports it in GaveUp. One
-			// exception: a concurrent control's Request can race past that
-			// last rollback and grant the dead attempt a lock nobody would
-			// ever release — ReleaseAll discards such residue so the parked
-			// transaction provably blocks no one.
-			t.gaveUp = true
-			if e.caps.ReleaseAll != nil {
-				e.caps.ReleaseAll(id)
-			}
-			e.stats.GaveUp++
-			if e.obs != nil {
-				e.obs.TxnGaveUp(id, t.attempt)
-			}
-			e.bump()
-			e.mu.Unlock()
-			done <- nil
-			return
-		}
-		attempt := t.attempt
-		e.beginAttemptLocked(t, prio)
-		cur := p.Init()
-		e.mu.Unlock()
-
-		aborted, err := e.attempt(cfg, id, attempt, cur, time.Time{}, nil)
-		if err != nil {
-			if !errors.Is(err, errStopped) {
-				done <- err
-			}
-			return
-		}
-		if !aborted {
-			// Wait until our commit group forms.
-			e.mu.Lock()
-			for !e.txns[id].commit && e.txns[id].attempt == attempt {
-				if err := e.asyncErr; err != nil {
-					e.mu.Unlock()
-					done <- fmt.Errorf("engine: commit durability lost: %w", err)
-					return
-				}
-				ch := e.waitReg()
-				e.mu.Unlock()
-				select {
-				case <-ch:
-				case <-e.stop:
-					return
-				}
-				e.mu.Lock()
-				e.waitDereg(ch)
-			}
-			committed := e.txns[id].commit
-			e.mu.Unlock()
-			if committed {
-				done <- nil
-				return
-			}
-			// Cascaded abort after finishing: fall through to restart.
-		}
-		e.mu.Lock()
-		att := e.txns[id].attempt
-		e.mu.Unlock()
-		if !e.sleep(e.jitter(cfg.BackoffBase, att)) {
-			return
-		}
-	}
 }
 
 // beginAttemptLocked resets t for a fresh attempt and registers it with the
@@ -1077,16 +950,11 @@ func (e *engine) tryCommitLocked() {
 			e.txns[id].committing = true
 		}
 		ack := e.async.SubmitGroup(ids)
-		if e.finCh != nil {
-			e.finCh <- asyncFin{ack: ack, ids: ids} // buffered; never blocks
-		} else {
-			// Resident path: no program count to bound a channel by, so
-			// queue under the mutex and nudge the finalizer.
-			e.finPending = append(e.finPending, asyncFin{ack: ack, ids: ids})
-			select {
-			case e.finWake <- struct{}{}:
-			default: // already signalled; the finalizer re-checks the queue
-			}
+		// Queue under the mutex and nudge the finalizer.
+		e.finPending = append(e.finPending, asyncFin{ack: ack, ids: ids})
+		select {
+		case e.finWake <- struct{}{}:
+		default: // already signalled; the finalizer re-checks the queue
 		}
 		return
 	}
@@ -1094,35 +962,6 @@ func (e *engine) tryCommitLocked() {
 	// other's values, so a durable backend must commit them atomically.
 	e.store.CommitGroup(ids)
 	e.finalizeGroupLocked(ids)
-}
-
-// finalizer marks each submitted group committed once the store
-// acknowledges its durability, in submission order. It exits when the run
-// stops (abandoned acks are discarded with it) or when the store reports
-// the durable medium failed — the ack of a degraded flush is a wake-up,
-// not a durability promise.
-func (e *engine) finalizer() {
-	defer e.committers.Done()
-	for {
-		var f asyncFin
-		select {
-		case f = <-e.finCh:
-		case <-e.stop:
-			return
-		}
-		select {
-		case <-f.ack:
-		case <-e.stop:
-			return // run abandoned; the result is discarded
-		}
-		if !e.ackHealthy() {
-			return
-		}
-		e.mu.Lock()
-		e.finalizeGroupLocked(f.ids)
-		e.bump()
-		e.mu.Unlock()
-	}
 }
 
 // ackHealthy checks the store's durable-failure latch after an ack. On
@@ -1146,17 +985,16 @@ func (e *engine) ackHealthy() bool {
 	return false
 }
 
-// finalizeGroupLocked records a now-durable commit group: stats, latency
-// samples, retirement hooks, observer, and the author/deps cleanup that
-// releases the members' dependents. Caller holds the mutex.
+// finalizeGroupLocked records a now-durable commit group: stats, retirement
+// hooks, observer, and the author/deps cleanup that releases the members'
+// dependents. (Latency and wait samples travel in each submission's Outcome.)
+// Caller holds the mutex.
 func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
-	if !e.resident {
-		// Per-commit sample slices grow with the run: fine for a batch, a
-		// leak for a resident session, where each submission carries its
-		// latency home in its Outcome instead.
+	if e.retain {
+		// One entry per group grows with the run: part of a batch run's
+		// retained history, a leak for a resident session.
 		e.stats.CommitGroups = append(e.stats.CommitGroups, len(ids))
 	}
-	now := time.Now()
 	for _, id := range ids {
 		t := e.txns[id]
 		if t == nil {
@@ -1170,10 +1008,6 @@ func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
 		t.committing = false
 		t.commit = true
 		e.stats.Committed++
-		if !e.resident {
-			e.stats.Latencies = append(e.stats.Latencies, now.Sub(t.began))
-			e.stats.WaitTimes = append(e.stats.WaitTimes, t.waited)
-		}
 		if e.caps.Retired != nil {
 			e.caps.Retired(id)
 		}
@@ -1211,11 +1045,11 @@ func (e *engine) survivors() model.Execution {
 // compactTraceLocked drops trace entries that can no longer matter to
 // rebuildAuthorsLocked — entries of retired, committed, parked, or
 // superseded attempts — once the trace reaches the current threshold, then
-// doubles the threshold from the surviving length. Resident engines only;
-// a batch run keeps its whole trace because survivors() is its Result.Exec.
+// doubles the threshold from the surviving length. A retaining (batch)
+// engine keeps its whole trace because survivors() is its Result.Exec.
 // Caller holds the mutex.
 func (e *engine) compactTraceLocked() {
-	if !e.resident || len(e.trace) < e.traceCap {
+	if e.retain || len(e.trace) < e.traceCap {
 		return
 	}
 	kept := e.trace[:0]
@@ -1233,11 +1067,15 @@ func (e *engine) compactTraceLocked() {
 	}
 }
 
-// residentFinalizer is the resident engines' commit finalizer: it drains
-// finPending in submission order, waiting on each group's durability ack
-// before finalizing it, and parks on finWake when the queue is empty. It
-// exits when the session stops.
-func (e *engine) residentFinalizer() {
+// finalizer marks each submitted group committed once the store
+// acknowledges its durability: it drains finPending in submission order —
+// groups become durable in that order (a flush drains the pipeline's whole
+// batch), so waiting on acks sequentially adds no latency — and parks on
+// finWake when the queue is empty. It exits when the session stops
+// (abandoned acks are discarded with it) or when the store reports the
+// durable medium failed — the ack of a degraded flush is a wake-up, not a
+// durability promise.
+func (e *engine) finalizer() {
 	defer e.committers.Done()
 	for {
 		e.mu.Lock()

@@ -13,26 +13,30 @@ import (
 	"mla/internal/sched"
 )
 
-// Session is the engine's open-submission mode: one resident engine whose
-// transactions arrive over time from many goroutines instead of as a fixed
-// batch. It is what a long-lived service front-end (internal/serve) runs on.
+// Session is the engine: one running scheduler whose transactions arrive
+// over time from many goroutines. A long-lived service front-end
+// (internal/serve) keeps one open; Run/RunOnStore is the other driver — it
+// opens a session, submits a fixed batch, and closes it.
 //
-// Differences from Run/RunOnStore:
+// One loop, two drivers:
 //
 //   - Submit admits one transaction into the already-running scheduler and
 //     blocks the calling goroutine until the transaction durably commits,
 //     exhausts its restart budget, hits its deadline, or its client walks
-//     away. There is no whole-run timeout; bounds are per submission.
+//     away. Bounds are per submission; the batch driver adds its whole-run
+//     timeout on top by failing the session.
 //   - Per-submission deadlines abort at breakpoints: a runnable transaction
 //     finishes the unit it started before its rollback, a blocked one rolls
 //     back in place (nothing partial survives a full rollback either way).
 //     Deadline rollbacks are counted distinctly (Result.DeadlineAborts,
-//     sched.Stats.Deadlines) from the control's own conflict aborts.
-//   - Book-keeping that grows per transaction in a batch run — the step
-//     trace, commit-latency samples, the transaction table — is bounded:
-//     retired transactions are deleted, the trace is compacted amortized,
-//     and per-commit samples are returned in each Outcome instead of
-//     accumulated.
+//     sched.Stats.Deadlines) from the control's own conflict aborts. The
+//     batch driver sets none.
+//   - Per-commit samples (latency, wait time) are returned in each Outcome;
+//     the batch driver collects them into its Result.
+//   - The drivers differ in retention only. A service's session bounds what
+//     grows per transaction — retired transactions are deleted from the
+//     table, the step trace is compacted amortized — while a batch run
+//     keeps both whole, because the surviving trace is its Result.Exec.
 //
 // Lifecycle: NewSession → Submit (any number, concurrently) → Drain (stop
 // admitting, wait for in-flight submissions to resolve) → Close (stop the
@@ -145,6 +149,12 @@ type SessionStats struct {
 // Config fields keep their Run semantics. The caller owns the store and the
 // control and must not share them with another run.
 func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store) *Session {
+	return newSession(cfg, control, spec, store, false)
+}
+
+// newSession builds the engine for either driver; retain is the batch
+// driver's request to keep the whole trace and transaction table.
+func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store, retain bool) *Session {
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 100 * time.Microsecond
 	}
@@ -163,7 +173,7 @@ func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 		txns:     make(map[model.TxnID]*etxn),
 		author:   make(map[model.EntityID]model.TxnID),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
-		resident: true,
+		retain:   retain,
 		finWake:  make(chan struct{}, 1),
 		traceCap: 1024,
 	}
@@ -173,7 +183,7 @@ func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 	s := &Session{cfg: cfg, e: e, idle: make(chan struct{})}
 	if e.async != nil {
 		e.committers.Add(1)
-		go e.residentFinalizer()
+		go e.finalizer()
 	}
 	return s
 }
@@ -193,6 +203,13 @@ func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 // submitted for durability, in which case the commit is seen through and
 // reported, because the record may already be on the device.
 func (s *Session) Submit(ctx context.Context, p model.Program, opts SubmitOpts) (Outcome, error) {
+	return s.submit(ctx, p, opts, 0)
+}
+
+// submit is Submit with the caller's base priority band: 0 for a service's
+// submissions, where admission order alone decides age; the program index
+// for a batch run, so earlier programs are older.
+func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, prio int64) (Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -252,9 +269,13 @@ func (s *Session) Submit(ctx context.Context, p model.Program, opts SubmitOpts) 
 		}
 		e.mu.Lock()
 		if maxRestarts > 0 && t.attempt > maxRestarts {
-			// Park, exactly like the batch path (see runTxn): fully rolled
-			// back, holding nothing — including lock residue a concurrent
-			// control's racing Request may have granted the dead attempt.
+			// Restart budget exhausted: park instead of livelocking. The
+			// transaction was fully rolled back by its last abort, so it
+			// holds no store records, no control state, and no dependents.
+			// One exception: a concurrent control's Request can race past
+			// that last rollback and grant the dead attempt a lock nobody
+			// would ever release — ReleaseAll discards such residue so the
+			// parked transaction provably blocks no one.
 			t.gaveUp = true
 			if e.caps.ReleaseAll != nil {
 				e.caps.ReleaseAll(id)
@@ -269,7 +290,7 @@ func (s *Session) Submit(ctx context.Context, p model.Program, opts SubmitOpts) 
 			return Outcome{GaveUp: true, Restarts: restarts}, nil
 		}
 		attempt := t.attempt
-		e.beginAttemptLocked(t, 0)
+		e.beginAttemptLocked(t, prio)
 		cur := p.Init()
 		e.mu.Unlock()
 
@@ -395,20 +416,21 @@ func killedOutcome(reason int8, restarts int) Outcome {
 	}
 }
 
-// retire deletes the submission's transaction record (bounding the table)
-// and runs the caller's Cleanup hook under the engine mutex. It also
-// discards any lock residue unconditionally: on the clean outcomes the
-// control already released everything (Finished/Aborted), so this is a
-// no-op, but a submission abandoned mid-attempt by Close — or a racing
-// concurrent-control grant to the dead attempt — must not leave a lock
-// behind for a session that keeps running other tenants.
+// retire deletes the submission's transaction record (bounding the table;
+// a retaining batch engine keeps it for survivors()) and runs the caller's
+// Cleanup hook under the engine mutex. It also discards any lock residue
+// unconditionally: on the clean outcomes the control already released
+// everything (Finished/Aborted), so this is a no-op, but a submission
+// abandoned mid-attempt by Close — or a racing concurrent-control grant to
+// the dead attempt — must not leave a lock behind for a session that keeps
+// running other tenants.
 func (s *Session) retire(id model.TxnID, cleanup func()) {
 	e := s.e
 	e.mu.Lock()
 	if e.caps.ReleaseAll != nil {
 		e.caps.ReleaseAll(id)
 	}
-	if t, ok := e.txns[id]; ok {
+	if t, ok := e.txns[id]; ok && !e.retain {
 		delete(e.txns, id)
 		e.putTxn(t)
 	}

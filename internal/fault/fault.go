@@ -4,7 +4,7 @@
 // first-class and reproducible rather than ad-hoc. A Plan describes which
 // faults to inject — system crashes keyed to WAL-append counts or a
 // wall-clock budget, torn durable tails, transient step errors the engine
-// must retry, and dropped or extra-delayed distributed announcements — and
+// must retry, and dropped or extra-delayed distributed bus messages — and
 // an Injector executes the plan deterministically: every decision is a pure
 // function of the plan's seed and the event's identity (transaction, step,
 // attempt, retry, or a global counter), so a failing run replays exactly.
@@ -89,20 +89,6 @@ type Plan struct {
 	// fails, which exercises the retry cap and the restart budget.
 	StepErrorRate float64
 
-	// AnnounceDropRate is the probability that a distributed boundary
-	// announcement is dropped entirely. Safe by the monotone-wait argument
-	// (internal/dist): a missing announcement only under-reports progress,
-	// making remote schedulers wait longer, never admit more.
-	AnnounceDropRate float64
-
-	// AnnounceDelayRate is the probability that an announcement is delayed
-	// by AnnounceExtraDelay additional time units.
-	AnnounceDelayRate float64
-
-	// AnnounceExtraDelay is the extra latency applied to delayed
-	// announcements, in simulator time units.
-	AnnounceExtraDelay int64
-
 	// NetDropRate is the probability that an individual bus message of the
 	// distributed control (boundary, finish, ack, heartbeat, probe, or sync
 	// traffic — see internal/net) is lost. Loss is safe end to end:
@@ -179,7 +165,6 @@ type ProcCrash struct {
 // Enabled reports whether the plan injects anything at all.
 func (p Plan) Enabled() bool {
 	return len(p.CrashAppends) > 0 || p.CrashAfter > 0 || p.StepErrorRate > 0 ||
-		p.AnnounceDropRate > 0 || p.AnnounceDelayRate > 0 ||
 		p.NetDropRate > 0 || p.NetDelayRate > 0 ||
 		len(p.Partitions) > 0 || len(p.ProcCrashes) > 0 || p.DiskEnabled()
 }
@@ -207,9 +192,8 @@ type Injector struct {
 
 	mu         sync.Mutex
 	appends    int64
-	crashIdx   int  // next unfired entry of plan.CrashAppends
-	wallArmed  bool // CrashAfter not yet handed out
-	announceN  int64
+	crashIdx   int              // next unfired entry of plan.CrashAppends
+	wallArmed  bool             // CrashAfter not yet handed out
 	netN       map[string]int64 // per-kind bus message counters
 	diskWrites int64            // write calls seen (coin identity)
 	diskSyncs  int64            // fsync calls seen (coin identity)
@@ -310,28 +294,6 @@ func (i *Injector) Net(kind string) (drop bool, extra int64) {
 	}
 	if i.coin(i.plan.NetDelayRate, "delay/"+key) {
 		return false, i.plan.NetExtraDelay
-	}
-	return false, 0
-}
-
-// Announce decides the fate of the next distributed announcement: dropped
-// entirely, or delivered with extra delay. Legacy single-table knob — the
-// bus-backed distributed control uses Net instead, where a dropped finish
-// is recovered by retransmission rather than forbidden.
-func (i *Injector) Announce() (drop bool, extra int64) {
-	if i == nil {
-		return false, 0
-	}
-	i.mu.Lock()
-	n := i.announceN
-	i.announceN++
-	i.mu.Unlock()
-	key := fmt.Sprintf("announce/%d", n)
-	if i.coin(i.plan.AnnounceDropRate, "drop/"+key) {
-		return true, 0
-	}
-	if i.coin(i.plan.AnnounceDelayRate, "delay/"+key) {
-		return false, i.plan.AnnounceExtraDelay
 	}
 	return false, 0
 }

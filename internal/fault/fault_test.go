@@ -81,37 +81,10 @@ func TestStepErrorRateOne(t *testing.T) {
 	}
 }
 
-func TestAnnounceDeterministic(t *testing.T) {
-	a := New(Plan{Seed: 4, AnnounceDropRate: 0.3, AnnounceDelayRate: 0.5, AnnounceExtraDelay: 40})
-	b := New(Plan{Seed: 4, AnnounceDropRate: 0.3, AnnounceDelayRate: 0.5, AnnounceExtraDelay: 40})
-	drops, delays := 0, 0
-	for n := 0; n < 300; n++ {
-		da, xa := a.Announce()
-		db, xb := b.Announce()
-		if da != db || xa != xb {
-			t.Fatal("announce decisions diverged under one seed")
-		}
-		if da {
-			drops++
-		} else if xa > 0 {
-			if xa != 40 {
-				t.Fatalf("extra delay = %d", xa)
-			}
-			delays++
-		}
-	}
-	if drops == 0 || delays == 0 {
-		t.Errorf("drops=%d delays=%d; both should occur", drops, delays)
-	}
-}
-
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var inj *Injector
 	if inj.OnAppend() || inj.StepError("t", 1, 0, 0) != nil {
 		t.Fatal("nil injector must be inert")
-	}
-	if d, _ := inj.Announce(); d {
-		t.Fatal("nil injector dropped an announcement")
 	}
 	if _, ok := inj.ArmWallClock(); ok {
 		t.Fatal("nil injector armed a crash")

@@ -40,27 +40,37 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram accumulates int64 samples and summarizes them with order
+// Histogram accumulates int64 samples into fixed log-linear buckets
+// (metrics.Histogram: no allocation per sample, memory independent of the
+// sample count, quantiles within 1.6%) and summarizes them with order
 // statistics. Observe takes a lock; it belongs on reporting paths (one
-// call per wait, per commit), not per-step hot loops.
+// call per wait, per commit), not per-step hot loops. Obtain one from
+// Registry.Histogram.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []int64
+	mu sync.Mutex
+	h  *metrics.Histogram
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
 	h.mu.Lock()
-	h.samples = append(h.samples, v)
+	h.h.Record(v)
 	h.mu.Unlock()
 }
 
 // Summary returns order statistics over the samples recorded so far.
 func (h *Histogram) Summary() metrics.Summary {
 	h.mu.Lock()
-	s := append([]int64(nil), h.samples...)
-	h.mu.Unlock()
-	return metrics.Summarize(s)
+	defer h.mu.Unlock()
+	return metrics.Summary{
+		N:    int(h.h.Count()),
+		Min:  h.h.Min(),
+		Max:  h.h.Max(),
+		Mean: h.h.Mean(),
+		P50:  h.h.Percentile(50),
+		P95:  h.h.Percentile(95),
+		P99:  h.h.Percentile(99),
+	}
 }
 
 // Registry is the run-wide aggregated view: named counters, gauges, and
@@ -112,7 +122,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{}
+		h = &Histogram{h: metrics.NewHistogram()}
 		r.hists[name] = h
 	}
 	return h
