@@ -1,4 +1,4 @@
-.PHONY: check test bench lint fuzz perf history-check loc
+.PHONY: check test bench lint fuzz perf history-check loc chaos-replay
 
 # Tier-1 gate: build + vet + lint + full suite under -race (includes the
 # engine goroutine-leak and cancellation tests), fuzz smoke, perf smoke.
@@ -44,3 +44,11 @@ perf:
 # excluded): ROADMAP aim 2 wants the total to go down.
 loc:
 	./scripts/loc.sh
+
+# Chaos replay oracle: the E13/E18 tables and the mlasim chaos scenarios
+# for both message-driven controls, one file per command. The controls are
+# deterministic in (seed, fault plan), so `diff -r` of this directory from
+# two commits is the regression check for any change to internal/net,
+# internal/cluster, internal/dist or internal/shard.
+chaos-replay:
+	./scripts/chaos_replay.sh /tmp/mla_chaos_replay

@@ -234,6 +234,6 @@ func (wl *SessionWorkload) SessionIDs() []model.TxnID {
 	for id := range wl.sessions {
 		out = append(out, id)
 	}
-	sortTxnIDs(out)
+	model.SortTxnIDs(out)
 	return out
 }

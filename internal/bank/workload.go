@@ -243,14 +243,6 @@ func (wl *Workload) BankAuditIDs() []model.TxnID {
 	for id := range wl.audits {
 		out = append(out, id)
 	}
-	sortTxnIDs(out)
+	model.SortTxnIDs(out)
 	return out
-}
-
-func sortTxnIDs(ids []model.TxnID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"mla/internal/bank"
@@ -125,7 +126,7 @@ func TestPartitionStrandsThenGraceAborts(t *testing.T) {
 	if c.GraceAborts == 0 {
 		t.Error("grace abort not counted")
 	}
-	if !c.reps[0].suspected[1] {
+	if !c.kit.Suspects(0, 1) {
 		t.Error("processor 0 never suspected its partitioned peer")
 	}
 	c.Aborted(victims)
@@ -149,7 +150,7 @@ func TestCrashedOwnerStrandsRequests(t *testing.T) {
 	if d := c.Request("t1", 1, "x"); d.Kind != sched.Wait {
 		t.Fatalf("request to a crashed processor: %v, want Wait", d.Kind)
 	}
-	if c.stranded["t1"] == nil {
+	if !c.kit.Stranded("t1") {
 		t.Fatal("request not recorded as stranded")
 	}
 	c.Tick(60) // rejoin
@@ -157,7 +158,7 @@ func TestCrashedOwnerStrandsRequests(t *testing.T) {
 	if d := c.Request("t1", 1, "x"); d.Kind != sched.Grant {
 		t.Fatalf("re-offered request after rejoin: %v", d.Kind)
 	}
-	if c.stranded["t1"] != nil {
+	if c.kit.Stranded("t1") {
 		t.Fatal("stranding record leaked past the rejoin")
 	}
 	if len(c.TakeVictims()) != 0 {
@@ -336,5 +337,51 @@ func TestChaosSweepSoundness(t *testing.T) {
 				t.Errorf("execution carries %d transactions, want %d", got, len(wl.Programs))
 			}
 		})
+	}
+}
+
+// TestChaosReplayDeterministic: the control is a pure function of (seed,
+// fault plan). Two runs of the "everything" plan must agree on the
+// execution and on every counter — what an unsorted map iteration on a
+// path that sends messages or queues aborts would break.
+func TestChaosReplayDeterministic(t *testing.T) {
+	type outcome struct {
+		Exec    model.Execution
+		Stats   sim.Stats
+		Control sched.Stats
+		Chaos   [5]int
+		Net     mnet.Stats
+	}
+	run := func() outcome {
+		p := bank.DefaultParams()
+		p.Transfers = 40
+		p.BankAudits = 2
+		p.CreditorAudits = 3
+		p.Seed = 5
+		wl := bank.Generate(p)
+		cfg := sim.DefaultConfig()
+		c := NewNet(wl.Nest, wl.Spec, Params{
+			Procs:  cfg.Processors,
+			Owner:  sim.OwnerFunc(cfg.Processors),
+			Delay:  5,
+			Faults: fault.New(chaosScenarios(false)[3].plan),
+		})
+		res, err := sim.Run(cfg, wl.Programs, c, wl.Spec, wl.Init)
+		if err != nil {
+			t.Fatalf("run did not drain: %v", err)
+		}
+		return outcome{
+			res.Exec, res.Stats, *res.Control,
+			[5]int{c.StaleWaits, c.GraceAborts, c.CrashAborts, c.ProbeDeadlocks, c.Retransmits},
+			c.NetStats(),
+		}
+	}
+	a, b := run(), run()
+	if a.Net.Dropped == 0 || a.Chaos[1]+a.Chaos[2] == 0 {
+		t.Fatalf("the plan injected nothing worth replaying: %+v %+v", a.Chaos, a.Net)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed, same plan, different runs:\n%+v %+v %+v %+v\n%+v %+v %+v %+v",
+			a.Stats, a.Control, a.Chaos, a.Net, b.Stats, b.Control, b.Chaos, b.Net)
 	}
 }

@@ -30,7 +30,10 @@
 // zero-delay view would have granted); experiments E13 and E18 sweep the
 // delay and the failure space.
 //
-// Robustness machinery, all replica-local and message-driven:
+// Robustness machinery, all replica-local and message-driven. The parts
+// that are not about views — failure detector, backoff, wait table, probes,
+// grace, chaos schedule — are internal/cluster's, shared with
+// internal/shard:
 //
 //   - Finish announcements, which strand remote waiters if lost, are
 //     delivered by retransmission with capped exponential backoff until
@@ -50,6 +53,7 @@ import (
 	"fmt"
 
 	"mla/internal/breakpoint"
+	"mla/internal/cluster"
 	"mla/internal/coherent"
 	"mla/internal/fault"
 	"mla/internal/model"
@@ -59,32 +63,13 @@ import (
 	"mla/internal/telemetry"
 )
 
-// Params configures the distributed control. Zero timer fields get
-// defaults derived from Delay so larger announcement latencies do not
-// trip the failure detector spuriously.
+// Params configures the distributed control. Every protocol timer is
+// derived from Delay (cluster.Timers).
 type Params struct {
 	Procs int
 	Owner func(model.EntityID) int
 	// Delay is the bus's one-hop message latency in simulator units.
 	Delay int64
-
-	// HeartbeatEvery is the failure detector's broadcast period.
-	HeartbeatEvery int64
-	// SuspectAfter is how long a peer may stay silent before it is
-	// suspected. Must exceed Delay + HeartbeatEvery or live peers flap.
-	SuspectAfter int64
-	// Grace is how long a waiter may stay blocked on a transaction sited
-	// at a suspected or crashed processor before it is aborted.
-	Grace int64
-	// RetransmitEvery is the base finish-retransmission period; the
-	// backoff doubles per round, capped at 16x.
-	RetransmitEvery int64
-	// ProbeAfter is how long a request waits before its replica starts
-	// edge-chasing deadlock probes for it.
-	ProbeAfter int64
-	// ProbeEvery is the re-probe period (probes are unreliable messages;
-	// re-probing makes detection survive loss).
-	ProbeEvery int64
 
 	// Faults supplies per-message drop/delay verdicts and the scheduled
 	// partition and processor-crash chaos (fault.Plan.Partitions,
@@ -95,57 +80,31 @@ type Params struct {
 	NetPolicy mnet.Policy
 }
 
-// DefaultHeartbeatEvery is the failure detector's default broadcast period,
-// exported so internal/shard's simulator control derives its suspicion and
-// grace timers from the same base and the two message-driven layers trip
-// failure detection identically on the same chaos grid.
-const DefaultHeartbeatEvery int64 = 20
-
-func (pr Params) withDefaults() Params {
-	if pr.HeartbeatEvery == 0 {
-		pr.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if pr.SuspectAfter == 0 {
-		pr.SuspectAfter = pr.Delay + 3*pr.HeartbeatEvery
-	}
-	if pr.Grace == 0 {
-		pr.Grace = 2 * pr.SuspectAfter
-	}
-	if pr.RetransmitEvery == 0 {
-		pr.RetransmitEvery = 2*pr.Delay + pr.HeartbeatEvery
-	}
-	if pr.ProbeAfter == 0 {
-		pr.ProbeAfter = 2*pr.Delay + pr.HeartbeatEvery
-	}
-	if pr.ProbeEvery == 0 {
-		pr.ProbeEvery = pr.ProbeAfter
-	}
-	return pr
-}
-
 // Preventer is the distributed prevention control: a facade over
 // per-processor replicas that the simulator drives through sched.Control,
 // sched.Ticker (clock), sched.Waker (protocol timers), and
 // sched.AsyncAborter (probe- and failure-detector-initiated aborts).
 type Preventer struct {
-	nest   *nest.Nest
-	spec   breakpoint.Spec
-	k      int
-	params Params
-	owner  func(model.EntityID) int
-	procs  int
+	nest  *nest.Nest
+	spec  breakpoint.Spec
+	k     int
+	delay int64
+	owner func(model.EntityID) int
+	procs int
 
+	// kit is the failure-handling machinery over bus: clock, chaos
+	// schedule, failure detector, wait table, probes, grace, abort queue.
+	kit  *cluster.Kit
 	bus  *mnet.Bus
 	reps []*replica
 
 	// Control plane, carried by the migrating transactions themselves:
 	// the exact closure, priorities, incarnation epochs, and the processor
 	// each transaction currently sits at.
-	oc       *coherent.Online
-	prio     map[model.TxnID]int64
-	epoch    map[model.TxnID]int
-	site     map[model.TxnID]int
-	waitSite map[model.TxnID]int // processor holding t's wait record
+	oc    *coherent.Online
+	prio  map[model.TxnID]int64
+	epoch map[model.TxnID]int
+	site  map[model.TxnID]int
 
 	// finishedTruth is the zero-delay ground truth (staleness attribution
 	// and victim filtering only — replicas never consult it to decide).
@@ -160,16 +119,6 @@ type Preventer struct {
 	// for the transaction's durable commit coordinator at its origin.
 	pendingFinish map[model.TxnID]*finRec
 
-	// stranded tracks requests addressed to a crashed processor: the step
-	// cannot even be decided there, and after Grace the waiter aborts.
-	stranded map[model.TxnID]*strandRec
-
-	victims map[model.TxnID]bool // asynchronous abort queue
-
-	chaos    []chaosEvent
-	chaosIdx int
-
-	now   int64
 	stats sched.Stats
 
 	StaleWaits     int // waits a zero-delay view would have granted
@@ -180,16 +129,10 @@ type Preventer struct {
 }
 
 type finRec struct {
-	origin   int
-	epoch    int
-	need     map[int]bool // peers that have not acknowledged yet
-	tries    int
-	nextSend int64
-}
-
-type strandRec struct {
-	proc  int
-	since int64
+	origin int
+	epoch  int
+	need   map[int]bool // peers that have not acknowledged yet
+	cluster.Backoff
 }
 
 // New creates the distributed control over a reliable, failure-free
@@ -211,42 +154,45 @@ func NewNet(n *nest.Nest, spec breakpoint.Spec, pr Params) *Preventer {
 	if pr.Owner == nil {
 		panic("dist: need an entity owner function")
 	}
-	pr = pr.withDefaults()
 	p := &Preventer{
 		nest:          n,
 		spec:          spec,
 		k:             n.K(),
-		params:        pr,
+		delay:         pr.Delay,
 		owner:         pr.Owner,
 		procs:         pr.Procs,
 		oc:            coherent.NewOnline(n.K(), n.Level),
 		prio:          make(map[model.TxnID]int64),
 		epoch:         make(map[model.TxnID]int),
 		site:          make(map[model.TxnID]int),
-		waitSite:      make(map[model.TxnID]int),
 		finishedTruth: make(map[model.TxnID]bool),
 		retiredAll:    make(map[model.TxnID]bool),
 		pendingFinish: make(map[model.TxnID]*finRec),
-		stranded:      make(map[model.TxnID]*strandRec),
-		victims:       make(map[model.TxnID]bool),
 	}
-	pol := pr.NetPolicy
-	if pol == nil && pr.Faults != nil {
-		inj := pr.Faults
-		pol = func(m mnet.Message) (bool, int64) { return inj.Net(m.Kind.String()) }
-	}
-	p.bus = mnet.New(pr.Procs, pr.Delay, pol)
-	p.bus.OnDeliver(p.receive)
+	sited := func(t model.TxnID) (int, bool) { q, ok := p.site[t]; return q, ok }
+	p.kit = cluster.New(pr.Procs, pr.Delay, pr.Faults, pr.NetPolicy, cluster.Host{
+		Epoch: func(t model.TxnID) int { return p.epoch[t] },
+		Prio:  func(t model.TxnID) (int64, bool) { pr, ok := p.prio[t]; return pr, ok },
+		// A transaction lives at the processor of its latest step: waiting
+		// on it needs that processor reachable, and a probe chasing it goes
+		// there whether or not it turns out to be blocked.
+		Home:    sited,
+		ProbeTo: sited,
+		Done:    p.done,
+		Crash:   p.crashProc,
+		Rejoin:  p.rejoinProc,
+		Deliver: p.receive,
+	})
+	p.bus = p.kit.Bus()
 	p.reps = make([]*replica, pr.Procs)
 	for i := range p.reps {
-		p.reps[i] = newReplica(i, pr.Procs, p.k)
+		p.reps[i] = &replica{up: true, k: p.k, view: make(map[model.TxnID]*repView)}
 	}
-	p.buildChaos()
 	return p
 }
 
 // Name implements sched.Control.
-func (p *Preventer) Name() string { return fmt.Sprintf("dist-prevent/d=%d", p.params.Delay) }
+func (p *Preventer) Name() string { return fmt.Sprintf("dist-prevent/d=%d", p.delay) }
 
 // NetStats returns the bus traffic counters.
 func (p *Preventer) NetStats() mnet.Stats { return p.bus.Stats() }
@@ -284,13 +230,10 @@ func (p *Preventer) forget(t model.TxnID) {
 	delete(p.finishedTruth, t)
 	delete(p.retiredAll, t)
 	delete(p.pendingFinish, t)
-	delete(p.stranded, t)
-	delete(p.victims, t)
 	delete(p.site, t)
-	p.clearWait(t)
+	p.kit.Forget(t)
 	for _, rep := range p.reps {
 		delete(rep.view, t)
-		delete(rep.waiting, t)
 	}
 }
 
@@ -330,15 +273,11 @@ func (p *Preventer) Request(t model.TxnID, seq int, x model.EntityID) sched.Deci
 	p.site[t] = proc
 	rep := p.reps[proc]
 	if !rep.up {
-		if p.stranded[t] == nil {
-			p.stranded[t] = &strandRec{proc: proc, since: p.now}
-		} else {
-			p.stranded[t].proc = proc
-		}
+		p.kit.Strand(t, proc)
 		p.stats.Waits++
 		return sched.Decision{Kind: sched.Wait}
 	}
-	delete(p.stranded, t)
+	p.kit.Unstrand(t)
 	blockers := make(map[model.TxnID]bool)
 	stale := true
 	p.oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) {
@@ -354,30 +293,15 @@ func (p *Preventer) Request(t model.TxnID, seq int, x model.EntityID) sched.Deci
 		}
 	})
 	if len(blockers) == 0 {
-		p.clearWait(t)
+		p.kit.ClearWait(t)
 		p.stats.Grants++
 		return sched.Decision{Kind: sched.Grant}
 	}
 	if stale {
 		p.StaleWaits++
 	}
-	w := rep.waiting[t]
-	if w == nil || w.seq != seq {
-		p.clearWait(t)
-		w = &waitRec{seq: seq, since: p.now, nextProbe: p.now + p.params.ProbeAfter}
-		rep.waiting[t] = w
-		p.waitSite[t] = proc
-	}
-	w.blockers = blockers
-	if cycle := p.localCycle(rep, t); len(cycle) > 0 {
-		victim := cycle[0]
-		best := p.prioOf(victim)
-		for _, u := range cycle[1:] {
-			if pr := p.prioOf(u); pr > best || (pr == best && u > victim) {
-				victim, best = u, pr
-			}
-		}
-		p.clearWait(t)
+	p.kit.SetWait(proc, t, x).Blockers = blockers
+	if victim, ok := p.kit.LocalVictim(proc, t); ok {
 		if victim != t {
 			p.stats.Wounds++
 		}
@@ -387,20 +311,8 @@ func (p *Preventer) Request(t model.TxnID, seq int, x model.EntityID) sched.Deci
 	return sched.Decision{Kind: sched.Wait}
 }
 
-func (p *Preventer) prioOf(t model.TxnID) int64 {
-	if pr, ok := p.prio[t]; ok {
-		return pr
-	}
-	return -1
-}
-
-// clearWait drops t's wait record wherever it is held.
-func (p *Preventer) clearWait(t model.TxnID) {
-	if q, ok := p.waitSite[t]; ok {
-		delete(p.reps[q].waiting, t)
-		delete(p.waitSite, t)
-	}
-}
+// done: t finished (and possibly retired) — beyond the reach of any abort.
+func (p *Preventer) done(t model.TxnID) bool { return p.finishedTruth[t] || p.retiredAll[t] }
 
 // Performed implements sched.Control: the step enters the exact closure;
 // the new boundary vector is merged into the owner replica's view
@@ -450,8 +362,8 @@ func (p *Preventer) Performed(t model.TxnID, seq int, x model.EntityID, cut int)
 // transaction's soft state pruned everywhere (retire).
 func (p *Preventer) Finished(t model.TxnID) {
 	p.finishedTruth[t] = true
-	delete(p.stranded, t)
-	p.clearWait(t)
+	p.kit.Unstrand(t)
+	p.kit.ClearWait(t)
 	origin, ok := p.site[t]
 	if !ok {
 		origin = 0
@@ -471,7 +383,7 @@ func (p *Preventer) Finished(t model.TxnID) {
 		p.retire(t)
 		return
 	}
-	fr := &finRec{origin: origin, epoch: ep, need: need, nextSend: p.now}
+	fr := &finRec{origin: origin, epoch: ep, need: need}
 	p.pendingFinish[t] = fr
 	p.sendFinish(t, fr)
 }
@@ -482,7 +394,7 @@ func (p *Preventer) Finished(t model.TxnID) {
 func (p *Preventer) retire(t model.TxnID) {
 	p.retiredAll[t] = true
 	delete(p.pendingFinish, t)
-	delete(p.stranded, t)
+	p.kit.Unstrand(t)
 	delete(p.site, t)
 	for _, rep := range p.reps {
 		delete(rep.view, t)
@@ -508,13 +420,6 @@ func (p *Preventer) Aborted(victims []model.TxnID) {
 		p.epoch[t]++
 		p.forget(t)
 	}
-	for _, rep := range p.reps {
-		for _, w := range rep.waiting {
-			for t := range drop {
-				delete(w.blockers, t)
-			}
-		}
-	}
 	p.oc.Rebuild(drop)
 }
 
@@ -527,67 +432,4 @@ func (p *Preventer) Stats() *sched.Stats { return &p.stats }
 // TakeVictims implements sched.AsyncAborter: transactions the protocol
 // machinery (probes, failure detector, processor crashes) decided to abort
 // since the last drain, sorted for determinism.
-func (p *Preventer) TakeVictims() []model.TxnID {
-	if len(p.victims) == 0 {
-		return nil
-	}
-	out := make([]model.TxnID, 0, len(p.victims))
-	for t := range p.victims {
-		if p.finishedTruth[t] {
-			continue
-		}
-		out = append(out, t)
-	}
-	p.victims = make(map[model.TxnID]bool)
-	model.SortTxnIDs(out)
-	return out
-}
-
-func (p *Preventer) enqueueVictim(t model.TxnID) {
-	if _, began := p.prio[t]; !began || p.finishedTruth[t] || p.retiredAll[t] {
-		return
-	}
-	p.victims[t] = true
-}
-
-// localCycle is a DFS over the waits-for edges recorded at one replica
-// (deterministic order). Cycles spanning replicas have no single holder of
-// all their edges; those are found by probes.
-func (p *Preventer) localCycle(rep *replica, t model.TxnID) []model.TxnID {
-	var path []model.TxnID
-	onPath := map[model.TxnID]bool{}
-	visited := map[model.TxnID]bool{}
-	var dfs func(u model.TxnID) []model.TxnID
-	dfs = func(u model.TxnID) []model.TxnID {
-		if onPath[u] {
-			for i, w := range path {
-				if w == u {
-					return append([]model.TxnID(nil), path[i:]...)
-				}
-			}
-			return path
-		}
-		if visited[u] {
-			return nil
-		}
-		visited[u] = true
-		onPath[u] = true
-		path = append(path, u)
-		if w := rep.waiting[u]; w != nil {
-			next := make([]model.TxnID, 0, len(w.blockers))
-			for v := range w.blockers {
-				next = append(next, v)
-			}
-			model.SortTxnIDs(next)
-			for _, v := range next {
-				if c := dfs(v); c != nil {
-					return c
-				}
-			}
-		}
-		onPath[u] = false
-		path = path[:len(path)-1]
-		return nil
-	}
-	return dfs(t)
-}
+func (p *Preventer) TakeVictims() []model.TxnID { return p.kit.TakeVictims() }

@@ -1,13 +1,11 @@
-// Per-processor replica state and the message-driven protocol machinery:
-// heartbeat failure detection, finish retransmission, edge-chasing deadlock
-// probes, grace-period escalation, anti-entropy resync, and the scheduled
-// partition/crash chaos. Everything here runs off Tick and bus deliveries;
-// nothing consults another replica's state directly.
+// Per-processor replica state and the view protocol: finish retransmission,
+// anti-entropy resync, and what a crash and a rejoin mean for view tables.
+// Everything here runs off Tick and bus deliveries; nothing consults another
+// replica's state directly.
 package dist
 
 import (
-	"sort"
-
+	"mla/internal/cluster"
 	"mla/internal/model"
 	mnet "mla/internal/net"
 )
@@ -21,57 +19,13 @@ type repView struct {
 	finished bool
 }
 
-// waitRec is one blocked request recorded at the replica that owns the
-// requested entity.
-type waitRec struct {
-	seq       int
-	since     int64 // when the wait began (probe eligibility)
-	nextProbe int64
-	// strandedSince is when every path forward started depending on a
-	// suspected processor; 0 while reachable. After Grace, the waiter is
-	// aborted rather than left hanging across the partition.
-	strandedSince int64
-	blockers      map[model.TxnID]bool
-}
-
-type probeKey struct {
-	init   model.TxnID
-	target model.TxnID
-}
-
 // replica is the soft state of one processor. up=false models a crashed
-// processor: everything here is volatile and zeroed on crash.
+// processor: the view table is volatile and emptied on crash.
 type replica struct {
-	id int
 	up bool
 	k  int
 
-	view    map[model.TxnID]*repView
-	waiting map[model.TxnID]*waitRec
-
-	// Failure detector.
-	lastHeard []int64
-	suspected []bool
-	nextHb    int64
-
-	// Probe dedup: (initiator, target) pairs recently chased, with expiry.
-	seen map[probeKey]int64
-}
-
-func newReplica(id, procs, k int) *replica {
-	r := &replica{id: id, up: true, k: k}
-	r.reset(procs)
-	return r
-}
-
-// reset zeroes all volatile state (crash, and initial construction).
-func (r *replica) reset(procs int) {
-	r.view = make(map[model.TxnID]*repView)
-	r.waiting = make(map[model.TxnID]*waitRec)
-	r.lastHeard = make([]int64, procs)
-	r.suspected = make([]bool, procs)
-	r.seen = make(map[probeKey]int64)
-	r.nextHb = 0
+	view map[model.TxnID]*repView
 }
 
 // viewFor returns the replica's view of t at the given epoch, creating or
@@ -85,123 +39,32 @@ func (r *replica) viewFor(t model.TxnID, epoch int) *repView {
 	return v
 }
 
-type chaosEvent struct {
-	at    int64
-	apply func()
-}
-
-// buildChaos translates the fault plan's partition and processor-crash
-// schedules into a sorted event list applied on the simulated clock.
-func (p *Preventer) buildChaos() {
-	if p.params.Faults == nil {
-		return
-	}
-	plan := p.params.Faults.Plan()
-	for i, part := range plan.Partitions {
-		name := part.Name
-		if name == "" {
-			name = "partition"
-		}
-		sides := part.Sides
-		if len(sides) == 0 {
-			// Default split: two halves.
-			var a, b []int
-			for q := 0; q < p.procs; q++ {
-				if q < (p.procs+1)/2 {
-					a = append(a, q)
-				} else {
-					b = append(b, q)
-				}
-			}
-			sides = [][]int{a, b}
-		}
-		key := name
-		if i > 0 {
-			key = name + string(rune('a'+i%26))
-		}
-		p.chaos = append(p.chaos, chaosEvent{at: part.At, apply: func() { p.bus.Partition(key, sides...) }})
-		if part.Heal > 0 {
-			p.chaos = append(p.chaos, chaosEvent{at: part.Heal, apply: func() { p.bus.Heal(key) }})
-		}
-	}
-	for _, c := range plan.ProcCrashes {
-		q := c.Proc % p.procs
-		p.chaos = append(p.chaos, chaosEvent{at: c.At, apply: func() { p.crashProc(q) }})
-		if c.Rejoin > 0 {
-			p.chaos = append(p.chaos, chaosEvent{at: c.Rejoin, apply: func() { p.rejoinProc(q) }})
-		}
-	}
-	sort.SliceStable(p.chaos, func(i, j int) bool { return p.chaos[i].at < p.chaos[j].at })
-}
-
 // Tick implements sched.Ticker: advance the clock, apply due chaos,
 // deliver matured messages, and run every replica's periodic machinery.
 func (p *Preventer) Tick(now int64) {
-	if now < p.now {
+	if !p.kit.Advance(now) {
 		return
 	}
-	p.now = now
-	for p.chaosIdx < len(p.chaos) && p.chaos[p.chaosIdx].at <= now {
-		p.chaos[p.chaosIdx].apply()
-		p.chaosIdx++
-	}
-	p.bus.Tick(now)
 	if p.procs > 1 {
-		for _, rep := range p.reps {
-			if !rep.up {
-				continue
-			}
-			p.heartbeat(rep)
-		}
+		p.kit.Heartbeats()
 		p.retransmitFinishes()
-		p.probeSweep()
+		p.ProbeDeadlocks += p.kit.ProbeSweep()
 	}
-	p.graceSweep()
+	p.GraceAborts += p.kit.GraceSweep()
 }
 
 // NextWake implements sched.Waker: the earliest instant any timer or
 // in-flight message needs a Tick.
 func (p *Preventer) NextWake(int64) int64 {
-	var next int64
-	earlier := func(at int64) {
-		if at > 0 && (next == 0 || at < next) {
-			next = at
-		}
-	}
-	if p.chaosIdx < len(p.chaos) {
-		earlier(p.chaos[p.chaosIdx].at)
-	}
-	earlier(p.bus.NextDelivery())
+	next := p.kit.NextWake()
 	if p.procs > 1 {
-		for _, rep := range p.reps {
-			if rep.up {
-				earlier(rep.nextHb)
-			}
-		}
 		for _, fr := range p.pendingFinish {
 			if p.reps[fr.origin].up {
-				earlier(fr.nextSend)
+				next = cluster.Earlier(next, fr.NextSend)
 			}
 		}
 	}
 	return next
-}
-
-// heartbeat broadcasts liveness on schedule and turns prolonged silence
-// into suspicion.
-func (p *Preventer) heartbeat(rep *replica) {
-	if p.now >= rep.nextHb {
-		rep.nextHb = p.now + p.params.HeartbeatEvery
-		p.bus.Broadcast(mnet.Message{Kind: mnet.Heartbeat, From: rep.id})
-	}
-	for q := 0; q < p.procs; q++ {
-		if q == rep.id || rep.suspected[q] {
-			continue
-		}
-		if p.now-rep.lastHeard[q] > p.params.SuspectAfter {
-			rep.suspected[q] = true
-		}
-	}
 }
 
 // retransmitFinishes resends unacknowledged finishes with capped
@@ -209,147 +72,42 @@ func (p *Preventer) heartbeat(rep *replica) {
 // the rejoin (which re-arms it); the origin's durable commit record
 // survives the crash, only the daemon pauses.
 func (p *Preventer) retransmitFinishes() {
-	for _, t := range sortedTxns(p.pendingFinish) {
+	for _, t := range model.SortedKeys(p.pendingFinish) {
 		fr := p.pendingFinish[t]
-		if !p.reps[fr.origin].up || p.now < fr.nextSend {
-			continue
+		if p.reps[fr.origin].up && p.kit.Now() >= fr.NextSend {
+			p.sendFinish(t, fr)
 		}
-		p.sendFinish(t, fr)
 	}
 }
 
 // sendFinish transmits the finish to every peer still missing an ack and
 // schedules the next round.
 func (p *Preventer) sendFinish(t model.TxnID, fr *finRec) {
-	for _, q := range sortedProcs(fr.need) {
+	for _, q := range model.SortedKeys(fr.need) {
 		p.bus.Send(mnet.Message{Kind: mnet.Finish, From: fr.origin, To: q, Txn: t, Epoch: fr.epoch})
-		if fr.tries > 0 {
+		if fr.Tries > 0 {
 			p.Retransmits++
 		}
 	}
-	fr.tries++
-	shift := fr.tries - 1
-	if shift > 4 {
-		shift = 4
-	}
-	fr.nextSend = p.now + p.params.RetransmitEvery<<uint(shift)
+	fr.Sent(p.kit.Now(), p.kit.Timers().RetransmitEvery)
 }
 
-// probeSweep starts (and periodically restarts) edge-chasing probes for
-// requests that have been blocked past ProbeAfter. Probes are unreliable;
-// periodic re-probing makes detection survive message loss.
-func (p *Preventer) probeSweep() {
-	for _, rep := range p.reps {
-		if !rep.up {
-			continue
-		}
-		for _, t := range sortedTxns(rep.waiting) {
-			w := rep.waiting[t]
-			if p.now-w.since < p.params.ProbeAfter || p.now < w.nextProbe {
-				continue
-			}
-			w.nextProbe = p.now + p.params.ProbeEvery
-			for _, u := range sortedBlockers(w.blockers) {
-				p.sendProbe(rep.id, t, p.epoch[t], u, t, p.prioOf(t))
-			}
-		}
-	}
-}
-
-// sendProbe routes a probe to the processor where target is sited; a local
-// target is chased inline without touching the bus.
-func (p *Preventer) sendProbe(from int, init model.TxnID, initEpoch int, target, victim model.TxnID, victimPrio int64) {
-	dst, ok := p.site[target]
-	if !ok {
-		return
-	}
-	m := mnet.Message{
-		Kind: mnet.Probe, From: from, To: dst,
-		Txn: target, Epoch: p.epoch[target],
-		Init: init, InitEpoch: initEpoch,
-		Victim: victim, VictimPrio: victimPrio,
-	}
-	if dst == from {
-		p.onProbe(m)
-		return
-	}
-	p.bus.Send(m)
-}
-
-// graceSweep aborts transactions that cannot make progress because of an
-// unreachable processor, once the grace period expires: requests stranded
-// at a crashed owner, and waiters all of whose forward paths lead through
-// a suspected peer.
-func (p *Preventer) graceSweep() {
-	for _, t := range sortedTxns(p.stranded) {
-		s := p.stranded[t]
-		if p.reps[s.proc].up {
-			delete(p.stranded, t) // re-offer will re-decide at the live owner
-			continue
-		}
-		if p.now-s.since > p.params.Grace {
-			p.GraceAborts++
-			p.enqueueVictim(t)
-			delete(p.stranded, t)
-		}
-	}
-	if p.procs == 1 {
-		return
-	}
-	for _, rep := range p.reps {
-		if !rep.up {
-			continue
-		}
-		for _, t := range sortedTxns(rep.waiting) {
-			w := rep.waiting[t]
-			unreachable := false
-			for u := range w.blockers {
-				s, ok := p.site[u]
-				if !ok || s == rep.id {
-					continue
-				}
-				if rep.suspected[s] || !p.reps[s].up {
-					unreachable = true
-					break
-				}
-			}
-			if !unreachable {
-				w.strandedSince = 0
-				continue
-			}
-			if w.strandedSince == 0 {
-				w.strandedSince = p.now
-				continue
-			}
-			if p.now-w.strandedSince > p.params.Grace {
-				p.GraceAborts++
-				p.enqueueVictim(t)
-				w.strandedSince = p.now // don't re-fire while the abort drains
-			}
-		}
-	}
-}
-
-// crashProc kills processor q: its soft state (views, wait records, probe
-// dedup) vanishes, its in-flight mailbox dies on the bus, and every
-// unfinished transaction resident on it is lost with it.
+// crashProc kills processor q: its soft state (views here; wait records,
+// detector and probe dedup in the kit) vanishes, its in-flight mailbox dies
+// on the bus, and every unfinished transaction resident on it is lost with
+// it.
 func (p *Preventer) crashProc(q int) {
 	rep := p.reps[q]
 	if !rep.up {
 		return
 	}
-	rep.reset(p.procs)
+	rep.view = make(map[model.TxnID]*repView)
 	rep.up = false
-	p.bus.Crash(q)
-	for _, t := range sortedTxns(p.waitSite) {
-		if p.waitSite[t] == q {
-			delete(p.waitSite, t)
-		}
-	}
-	for _, t := range sortedTxns(p.site) {
-		if p.site[t] == q && !p.finishedTruth[t] && !p.retiredAll[t] {
+	p.kit.Crash(q)
+	for _, t := range model.SortedKeys(p.site) {
+		if p.site[t] == q && !p.done(t) {
 			p.CrashAborts++
-			p.enqueueVictim(t)
+			p.kit.Abort(t)
 		}
 	}
 }
@@ -363,20 +121,13 @@ func (p *Preventer) rejoinProc(q int) {
 		return
 	}
 	rep.up = true
-	for i := range rep.lastHeard {
-		rep.lastHeard[i] = p.now
-		rep.suspected[i] = false
-	}
-	rep.nextHb = p.now
-	p.bus.Restart(q)
+	p.kit.Rejoin(q)
 	if p.procs > 1 {
 		p.bus.Broadcast(mnet.Message{Kind: mnet.SyncRequest, From: q})
 	}
-	for _, t := range sortedTxns(p.pendingFinish) {
-		fr := p.pendingFinish[t]
+	for _, fr := range p.pendingFinish {
 		if fr.need[q] || fr.origin == q {
-			fr.tries = 0
-			fr.nextSend = p.now
+			fr.Rearm(p.kit.Now())
 		}
 	}
 }
@@ -390,9 +141,7 @@ func (p *Preventer) receive(m mnet.Message) {
 	if !rep.up {
 		return
 	}
-	rep.lastHeard[m.From] = p.now
-	if rep.suspected[m.From] {
-		rep.suspected[m.From] = false
+	if p.kit.Heard(m.To, m.From) {
 		if m.Kind != mnet.SyncRequest && m.Kind != mnet.SyncReply {
 			p.bus.Send(mnet.Message{Kind: mnet.SyncRequest, From: m.To, To: m.From})
 		}
@@ -408,7 +157,7 @@ func (p *Preventer) receive(m mnet.Message) {
 	case mnet.FinishAck:
 		p.onFinishAck(m)
 	case mnet.Probe:
-		p.onProbe(m)
+		p.ProbeDeadlocks += p.kit.OnProbe(m)
 	case mnet.SyncRequest:
 		p.onSyncRequest(rep, m)
 	case mnet.SyncReply:
@@ -419,11 +168,9 @@ func (p *Preventer) receive(m mnet.Message) {
 // rearmFinishes resets the backoff of every finish the observer originated
 // that still awaits peer's ack: the peer just proved reachable again.
 func (p *Preventer) rearmFinishes(observer, peer int) {
-	for _, t := range sortedTxns(p.pendingFinish) {
-		fr := p.pendingFinish[t]
+	for _, fr := range p.pendingFinish {
 		if fr.origin == observer && fr.need[peer] {
-			fr.tries = 0
-			fr.nextSend = p.now
+			fr.Rearm(p.kit.Now())
 		}
 	}
 }
@@ -467,48 +214,6 @@ func (p *Preventer) onFinishAck(m mnet.Message) {
 	}
 }
 
-// onProbe is one hop of the edge chase: if the probed transaction is
-// waiting here, the probe forwards along each of its waits-for edges,
-// keeping the youngest (highest-priority-value) transaction seen; reaching
-// the initiator closes a cycle and the carried victim is aborted. Each
-// (initiator, target) pair is chased at most once per ProbeEvery window.
-func (p *Preventer) onProbe(m mnet.Message) {
-	rep := p.reps[m.To]
-	if !rep.up || p.epoch[m.Txn] != m.Epoch || p.epoch[m.Init] != m.InitEpoch {
-		return
-	}
-	w := rep.waiting[m.Txn]
-	if w == nil {
-		return // not blocked here: the chase dies, no deadlock via this edge
-	}
-	key := probeKey{init: m.Init, target: m.Txn}
-	if exp, ok := rep.seen[key]; ok && p.now < exp {
-		return
-	}
-	if len(rep.seen) > 1024 {
-		for k, exp := range rep.seen {
-			if p.now >= exp {
-				delete(rep.seen, k)
-			}
-		}
-	}
-	rep.seen[key] = p.now + p.params.ProbeEvery
-	victim, vprio := m.Victim, m.VictimPrio
-	if pr := p.prioOf(m.Txn); pr > vprio || (pr == vprio && m.Txn > victim) {
-		victim, vprio = m.Txn, pr
-	}
-	for _, u := range sortedBlockers(w.blockers) {
-		if u == m.Init {
-			if !p.victims[victim] && !p.finishedTruth[victim] {
-				p.ProbeDeadlocks++
-				p.enqueueVictim(victim)
-			}
-			continue
-		}
-		p.sendProbe(m.To, m.Init, m.InitEpoch, u, victim, vprio)
-	}
-}
-
 // onSyncRequest answers anti-entropy with a snapshot of the replica's view
 // table. The snapshot is copied at send time: it describes this replica's
 // knowledge now, not at delivery.
@@ -539,26 +244,4 @@ func (p *Preventer) onSyncReply(rep *replica, m mnet.Message) {
 			v.finished = true
 		}
 	}
-}
-
-// sortedTxns returns the map's keys in sorted order (deterministic
-// iteration for anything that sends messages or makes decisions).
-func sortedTxns[V any](m map[model.TxnID]V) []model.TxnID {
-	out := make([]model.TxnID, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	model.SortTxnIDs(out)
-	return out
-}
-
-func sortedBlockers(m map[model.TxnID]bool) []model.TxnID { return sortedTxns(m) }
-
-func sortedProcs(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
 }

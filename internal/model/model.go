@@ -13,8 +13,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -237,6 +239,17 @@ func sortOrdered[T ~string](xs []T) {
 		return
 	}
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+}
+
+// SortedKeys returns m's keys ascending: the deterministic iteration order
+// for anything that sends messages or makes decisions off a map.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Program is a deterministic transaction automaton. A fresh run starts from

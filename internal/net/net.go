@@ -1,11 +1,14 @@
-// Package net is the in-simulator message substrate for the distributed
-// prevention control (internal/dist). The paper's Section 6 setting is a
-// network of processors with entities resident at nodes and transactions
+// Package net is the in-simulator message substrate for the message-driven
+// controls: distributed prevention (internal/dist) and the sharded lock and
+// multi-shot commit protocol (internal/shard), both through the
+// failure-handling kit in internal/cluster. The paper's Section 6 setting is
+// a network of processors with entities resident at nodes and transactions
 // migrating between them; this package gives that setting a real — if
 // simulated — transport: a Bus of per-processor links carrying typed
-// messages (boundary announcements, finish + acknowledgment, heartbeats,
-// deadlock probes, anti-entropy sync), delivered on the simulated clock
-// after a configurable one-hop latency.
+// messages (heartbeats, deadlock probes, anti-entropy sync; boundary
+// announcements, finish + acknowledgment; lock request + grant, shot
+// prepare + vote), delivered on the simulated clock after a configurable
+// one-hop latency.
 //
 // The bus is deliberately unreliable. A fault Policy may drop any message
 // or add per-message latency (which reorders it behind later traffic);
@@ -13,7 +16,7 @@
 // sides until healed; a crashed processor loses its in-flight inbound
 // messages and sends/receives nothing until restarted. Protocol-level
 // robustness (retransmission, acknowledgments, failure detection, resync)
-// is the sender's job — see internal/dist — exactly as on a real network.
+// is the sender's job — see internal/cluster — exactly as on a real network.
 //
 // Determinism: delivery order is a pure function of (send order, latency,
 // policy verdicts). Messages mature in (arrival time, send sequence) order,
@@ -306,7 +309,7 @@ func (b *Bus) Crash(p int) {
 }
 
 // Restart marks p up again. It rejoins with an empty mailbox; state
-// recovery is the protocol's job (anti-entropy sync in internal/dist).
+// recovery is the protocol's job (anti-entropy sync in the controls).
 func (b *Bus) Restart(p int) { b.down[p] = false }
 
 // Send routes one message. Sends to self are a protocol bug and panic;

@@ -154,7 +154,7 @@ func (p *Preventer) Request(t model.TxnID, _ int, x model.EntityID) Decision {
 	}
 	p.waitFor.setWaits(t, waits)
 	if cycle := p.waitFor.cycleThrough(t); len(cycle) > 0 {
-		victim := youngest(cycle, func(u model.TxnID) int64 {
+		victim := Youngest(cycle, func(u model.TxnID) int64 {
 			if pr, ok := p.prio[u]; ok {
 				return pr
 			}

@@ -45,7 +45,7 @@ func (tp *TwoPhase) Request(t model.TxnID, _ int, x model.EntityID) Decision {
 	}
 	tp.waitFor.setWaits(t, map[model.TxnID]bool{holder: true})
 	if cycle := tp.waitFor.cycleThrough(t); len(cycle) > 0 {
-		victim := youngest(cycle, func(u model.TxnID) int64 { return tp.prio[u] })
+		victim := Youngest(cycle, func(u model.TxnID) int64 { return tp.prio[u] })
 		tp.waitFor.clear(t)
 		if victim != t {
 			tp.stats.Wounds++

@@ -31,9 +31,18 @@ func (g *waitGraph) drop(t model.TxnID) {
 }
 
 // cycleThrough returns the members of a waits-for cycle reachable from t,
-// or nil. DFS over a graph bounded by the number of active transactions;
-// successor order is sorted for determinism.
+// or nil.
 func (g *waitGraph) cycleThrough(t model.TxnID) []model.TxnID {
+	return Cycle(t, func(u model.TxnID) map[model.TxnID]bool { return g.edges[u] })
+}
+
+// Cycle returns the members of a waits-for cycle reachable from t, or nil;
+// edges(u) is the set u waits for. It is the one deadlock DFS: the blocking
+// controls run it over their whole graph, the message-driven ones
+// (internal/cluster) over the edges recorded at a single node. The graph is
+// bounded by the number of active transactions; successor order is sorted
+// for determinism.
+func Cycle(t model.TxnID, edges func(model.TxnID) map[model.TxnID]bool) []model.TxnID {
 	var path []model.TxnID
 	onPath := make(map[model.TxnID]bool)
 	visited := make(map[model.TxnID]bool)
@@ -53,12 +62,7 @@ func (g *waitGraph) cycleThrough(t model.TxnID) []model.TxnID {
 		visited[u] = true
 		onPath[u] = true
 		path = append(path, u)
-		next := make([]model.TxnID, 0, len(g.edges[u]))
-		for v := range g.edges[u] {
-			next = append(next, v)
-		}
-		sortTxnIDs(next)
-		for _, v := range next {
+		for _, v := range model.SortedKeys(edges(u)) {
 			if c := dfs(v); c != nil {
 				return c
 			}
@@ -70,23 +74,22 @@ func (g *waitGraph) cycleThrough(t model.TxnID) []model.TxnID {
 	return dfs(t)
 }
 
-// youngest returns the member with the largest priority according to prio,
+// Youngest returns the member with the largest priority according to prio,
 // breaking ties by larger ID.
-func youngest(cycle []model.TxnID, prio func(model.TxnID) int64) model.TxnID {
+func Youngest(cycle []model.TxnID, prio func(model.TxnID) int64) model.TxnID {
 	victim := cycle[0]
 	best := prio(victim)
 	for _, u := range cycle[1:] {
-		if pr := prio(u); pr > best || (pr == best && u > victim) {
+		if pr := prio(u); Younger(u, pr, victim, best) {
 			victim, best = u, pr
 		}
 	}
 	return victim
 }
 
-func sortTxnIDs(ids []model.TxnID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+// Younger is the one victim rule for every deadlock cycle, local or
+// probe-chased: u (priority pu) is younger than v (priority pv) when its
+// priority value is larger, ties broken toward the larger ID.
+func Younger(u model.TxnID, pu int64, v model.TxnID, pv int64) bool {
+	return pu > pv || (pu == pv && u > v)
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -123,8 +124,8 @@ func (n *shardNode) waitCh() <-chan struct{} {
 // irrevocable, and the wounding requester only ever needs the locks, which
 // the shot release hands over anyway.
 type unitState struct {
-	abortCh   chan struct{}
-	aborted   atomic.Bool
+	abortCh    chan struct{}
+	aborted    atomic.Bool
 	committing atomic.Bool
 }
 
@@ -273,8 +274,8 @@ func (g *Group) Submit(ctx context.Context, txn Txn) (Outcome, error) {
 			// from an older transaction that may still hold what this unit
 			// wants, and at a hot spot an instant retry mostly burns another
 			// acquire-rollback round and wounds a third party on the way.
-			// Same capped-shift idiom as the dist retransmit path; priority
-			// is kept across retries, so the unit still ages to the front.
+			// Priority is kept across retries, so the unit still ages to the
+			// front.
 			shift := out.Restarts
 			if shift > 6 {
 				shift = 6
@@ -312,20 +313,28 @@ func (g *Group) runUnit(ctx context.Context, sub model.TxnID, prio int64, unit *
 		}
 		return false
 	}
-	rollback := func() {
+	// abandon rolls the attempt back at every participant and is runUnit's
+	// result: cause, nil for a wound the caller retries. A store that fails
+	// to undo is fatal either way — a retry would apply the unit on top of
+	// its own leftovers.
+	abandon := func(cause error) (bool, []int, error) {
 		set := map[model.TxnID]bool{sub: true}
 		for _, s := range parts {
 			n := g.nodes[s]
 			n.mu.Lock()
-			_ = n.store.Abort(set)
+			aerr := n.store.Abort(set)
 			n.mu.Unlock()
 			n.ctl.Aborted([]model.TxnID{sub})
 			n.bump()
+			if aerr != nil {
+				cause = errors.Join(cause, fmt.Errorf("shard %d: roll back %s: %w", s, sub, aerr))
+			}
 		}
+		return false, parts, cause
 	}
 
 	for si := range unit.Steps {
-		st := &unit.Steps[si]
+		st, seq := &unit.Steps[si], si+1 // stores undo by Seq > 0: steps count from 1
 		s := g.router.Shard(st.Entity)
 		n := g.nodes[s]
 		if !seen(s) {
@@ -337,7 +346,7 @@ func (g *Group) runUnit(ctx context.Context, sub model.TxnID, prio int64, unit *
 		// wound — signal it and wait for its rollback to free the lock.
 		for {
 			ch := n.waitCh()
-			d := n.ctl.Request(sub, si, st.Entity)
+			d := n.ctl.Request(sub, seq, st.Entity)
 			if d.Kind == sched.Grant {
 				break
 			}
@@ -353,24 +362,20 @@ func (g *Group) runUnit(ctx context.Context, sub model.TxnID, prio int64, unit *
 			case <-ch:
 			case <-u.abortCh:
 			case <-ctx.Done():
-				rollback()
-				return false, parts, ctx.Err()
+				return abandon(ctx.Err())
 			}
 			if u.aborted.Load() {
-				rollback()
-				return false, parts, nil
+				return abandon(nil)
 			}
 		}
 		if u.aborted.Load() {
-			rollback()
-			return false, parts, nil
+			return abandon(nil)
 		}
 		n.mu.Lock()
-		_, perr := n.store.Perform(sub, si, st.Entity, st.Apply)
+		_, perr := n.store.Perform(sub, seq, st.Entity, st.Apply)
 		n.mu.Unlock()
 		if perr != nil {
-			rollback()
-			return false, parts, fmt.Errorf("shard %d: perform %s on %s: %w", s, sub, st.Entity, perr)
+			return abandon(fmt.Errorf("shard %d: perform %s on %s: %w", s, sub, st.Entity, perr))
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"mla/internal/fault"
 	"mla/internal/history"
 	"mla/internal/model"
+	mnet "mla/internal/net"
 	"mla/internal/sched"
 	"mla/internal/sim"
 	"mla/internal/wal"
@@ -217,9 +219,24 @@ func TestGroupWALPipelinedShots(t *testing.T) {
 	}
 }
 
+// TestGroupCancelledSubmitLeavesCommittedShots runs on WAL-backed shards,
+// whose Abort undoes by sequence number (records with Seq > 0): the torn
+// unit is cancelled after its first step performed, so a first step logged
+// at seq 0 would survive the rollback.
 func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
-	init := map[model.EntityID]model.Value{"a": 0, "b": 0}
-	g := NewGroup(GroupConfig{Shards: 2}, init)
+	init := map[model.EntityID]model.Value{"a": 0, "b": 0, "c": 0}
+	var dbs []*wal.DB
+	g := NewGroup(GroupConfig{
+		Shards: 2,
+		NewStore: func(i int, part map[model.EntityID]model.Value) engine.Store {
+			db, err := wal.Open(wal.NewMedium(), part)
+			if err != nil {
+				t.Fatalf("shard %d wal: %v", i, err)
+			}
+			dbs = append(dbs, db)
+			return engine.NewWALStore(db, nil)
+		},
+	}, init)
 	inc := func(v model.Value) (model.Value, string) { return v + 1, "inc" }
 	ctx, cancel := context.WithCancel(context.Background())
 	// Hold b's lock before the submission starts so its second unit must
@@ -231,14 +248,15 @@ func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
 	}
 	victim := Txn{ID: "victim", Units: []Unit{
 		{Steps: []Step{{Entity: "a", Apply: inc}}},
-		{Steps: []Step{{Entity: "b", Apply: inc}}},
+		{Steps: []Step{{Entity: "c", Apply: inc}, {Entity: "b", Apply: inc}}},
 	}}
 	done := make(chan Outcome, 1)
 	go func() {
 		out, _ := g.Submit(ctx, victim)
 		done <- out
 	}()
-	time.Sleep(20 * time.Millisecond) // let unit 1 commit and unit 2 block
+	// Let unit 1 commit and unit 2 perform c, then block on b.
+	time.Sleep(20 * time.Millisecond)
 	cancel()
 	out := <-done
 	n.ctl.Finished("hold")
@@ -253,8 +271,17 @@ func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
 	if v := g.Values()["a"]; v != 1 {
 		t.Fatalf("a = %d, want 1 (committed shot)", v)
 	}
-	if v := g.Values()["b"]; v != 0 {
-		t.Fatalf("b = %d, want 0 (aborted unit)", v)
+	// The aborted unit leaves nothing: neither the step it performed before
+	// blocking nor the one it never reached, and no live log records.
+	for _, x := range []model.EntityID{"c", "b"} {
+		if v := g.Values()[x]; v != 0 {
+			t.Fatalf("%s = %d, want 0 (aborted unit)", x, v)
+		}
+	}
+	for i, db := range dbs {
+		if live := db.Live(); live != 0 {
+			t.Errorf("shard %d: %d transactions with live updates after the rollback", i, live)
+		}
 	}
 	// The shards stay serviceable after the torn submission.
 	blocker := Txn{ID: "after", Units: []Unit{{Steps: []Step{{Entity: "b", Apply: inc}}}}}
@@ -588,5 +615,50 @@ func TestShardChaosSweepSoundness(t *testing.T) {
 				t.Errorf("history checker rejected a sharded history: %s", rep.Summary())
 			}
 		})
+	}
+}
+
+// TestChaosReplayDeterministic: the control is a pure function of (seed,
+// fault plan). Two runs of the "everything" plan must agree on the
+// execution and on every counter — what an unsorted map iteration on a
+// path that sends messages or queues aborts would break.
+func TestChaosReplayDeterministic(t *testing.T) {
+	type outcome struct {
+		Exec    model.Execution
+		Stats   sim.Stats
+		Control sched.Stats
+		Chaos   [6]int
+		Net     mnet.Stats
+	}
+	run := func() outcome {
+		p := bank.DefaultParams()
+		p.Transfers = 40
+		p.BankAudits = 2
+		p.CreditorAudits = 3
+		p.Seed = 5
+		wl := bank.Generate(p)
+		c := NewSimControl(SimParams{
+			Shards: 4,
+			Delay:  5,
+			Faults: fault.New(shardChaosGrid(false)[4].plan),
+			Nest:   wl.Nest,
+		})
+		res, err := sim.Run(sim.DefaultConfig(), wl.Programs, c, wl.Spec, wl.Init)
+		if err != nil {
+			t.Fatalf("run did not drain: %v", err)
+		}
+		return outcome{
+			res.Exec, res.Stats, *res.Control,
+			[6]int{c.Shots, c.CrossShard, c.GraceAborts, c.CrashAborts, c.ProbeDeadlocks, c.Retransmits},
+			c.NetStats(),
+		}
+	}
+	a, b := run(), run()
+	if a.Net.Dropped == 0 || a.Chaos[2]+a.Chaos[3] == 0 {
+		t.Fatalf("the plan injected nothing worth replaying: %+v %+v", a.Chaos, a.Net)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed, same plan, different runs:\n%+v %+v %+v %+v\n%+v %+v %+v %+v",
+			a.Stats, a.Control, a.Chaos, a.Net, b.Stats, b.Control, b.Chaos, b.Net)
 	}
 }

@@ -1,11 +1,13 @@
 // SimControl is the simulator-facing face of the partitioned store: a
 // sched.Control in which each shard's lock table lives at its own processor
 // of a simulated message bus (internal/net). Lock requests, grants, and
-// per-shot commit votes travel as typed messages; the robustness machinery —
-// epoch fencing, retransmission with capped backoff, heartbeat failure
-// detection, grace-period escalation, anti-entropy lock resync after a
-// crash, and edge-chasing deadlock probes — mirrors internal/dist, so the
-// sharded engine survives the same partition/crash chaos grid (E18).
+// per-shot commit votes travel as typed messages. The robustness machinery
+// that is not about locks — failure detector, retransmission backoff, wait
+// table, deadlock probes, grace-period escalation, chaos schedule — is
+// internal/cluster's, the same kit internal/dist runs on, so the sharded
+// engine survives the same partition/crash chaos grid (E18); epoch fencing
+// of lock and shot messages and the anti-entropy lock resync after a crash
+// are this file's.
 //
 // Protocol shape (Chockler & Gotsman's multi-shot commit specialized to
 // Lynch's breakpoint units):
@@ -39,33 +41,24 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
+	"mla/internal/cluster"
 	"mla/internal/coherent"
-	"mla/internal/dist"
 	"mla/internal/fault"
 	"mla/internal/lock"
 	"mla/internal/model"
-	mnet "mla/internal/net"
 	"mla/internal/nest"
+	mnet "mla/internal/net"
 	"mla/internal/sched"
 )
 
-// SimParams configures the simulator-side sharded control. Zero timer
-// fields get the dist-style defaults derived from Delay, so both
-// message-driven layers trip failure detection identically.
+// SimParams configures the simulator-side sharded control. Every protocol
+// timer is derived from Delay (cluster.Timers).
 type SimParams struct {
 	// Shards is the shard count; one bus processor per shard.
 	Shards int
 	// Delay is the bus's one-hop message latency in simulator units.
 	Delay int64
-
-	HeartbeatEvery  int64
-	SuspectAfter    int64
-	Grace           int64
-	RetransmitEvery int64
-	ProbeAfter      int64
-	ProbeEvery      int64
 
 	// Faults supplies per-message drop/delay verdicts and the scheduled
 	// partition/crash chaos. Nil means a reliable, failure-free network.
@@ -83,55 +76,15 @@ type SimParams struct {
 	Nest *nest.Nest
 }
 
-func (pr SimParams) withDefaults() SimParams {
-	if pr.Shards < 1 {
-		pr.Shards = 1
-	}
-	if pr.HeartbeatEvery == 0 {
-		pr.HeartbeatEvery = dist.DefaultHeartbeatEvery
-	}
-	if pr.SuspectAfter == 0 {
-		pr.SuspectAfter = pr.Delay + 3*pr.HeartbeatEvery
-	}
-	if pr.Grace == 0 {
-		pr.Grace = 2 * pr.SuspectAfter
-	}
-	if pr.RetransmitEvery == 0 {
-		pr.RetransmitEvery = 2*pr.Delay + pr.HeartbeatEvery
-	}
-	if pr.ProbeAfter == 0 {
-		pr.ProbeAfter = 2*pr.Delay + pr.HeartbeatEvery
-	}
-	if pr.ProbeEvery == 0 {
-		pr.ProbeEvery = pr.ProbeAfter
-	}
-	return pr
-}
-
-// simWait is one blocked request recorded at the shard that owns the
-// requested entity — the coordinator's own wait for local entities, a
-// remote transaction's queued LockRequest otherwise.
-type simWait struct {
-	entity    model.EntityID
-	seq       int
-	epoch     int
-	since     int64
-	nextProbe int64
-	// strandedSince is when every path forward started depending on a
-	// suspected processor; 0 while reachable.
-	strandedSince int64
-	blockers      map[model.TxnID]bool
-}
-
 // simNode is one shard processor: the hard lock state for its slice of the
-// entity space plus the volatile protocol soft state. A crash wipes
-// everything here; the lock table is rebuilt by anti-entropy on rejoin.
+// entity space plus the volatile shot and recovery state (the wait table
+// and failure detector are the kit's). A crash wipes everything here; the
+// lock table is rebuilt by anti-entropy on rejoin.
 type simNode struct {
 	id int
 	up bool
 
-	locks   *lock.Manager
-	waiting map[model.TxnID]*simWait
+	locks *lock.Manager
 	// shotDone fences duplicate ShotPrepare deliveries: retransmits of an
 	// already-prepared shot re-vote without re-releasing (a re-release
 	// after the next unit acquired fresh locks here would tear it).
@@ -143,36 +96,18 @@ type simNode struct {
 	recovering bool
 	recoverBy  int64
 	syncNeed   map[int]bool
-
-	// Failure detector.
-	lastSeen  []int64
-	suspected []bool
-	nextHb    int64
-
-	// Probe dedup: (initiator, target) pairs recently chased, with expiry.
-	seen map[chaseKey]int64
 }
 
-type chaseKey struct {
-	init   model.TxnID
-	target model.TxnID
-}
-
-func newSimNode(id, shards int) *simNode {
+func newSimNode(id int) *simNode {
 	n := &simNode{id: id, up: true}
-	n.reset(shards)
+	n.reset()
 	return n
 }
 
 // reset zeroes all per-node state (crash, and initial construction).
-func (n *simNode) reset(shards int) {
+func (n *simNode) reset() {
 	n.locks = lock.NewManager()
-	n.waiting = make(map[model.TxnID]*simWait)
 	n.shotDone = make(map[model.TxnID]int)
-	n.lastSeen = make([]int64, shards)
-	n.suspected = make([]bool, shards)
-	n.seen = make(map[chaseKey]int64)
-	n.nextHb = 0
 	n.recovering = false
 	n.syncNeed = nil
 }
@@ -180,40 +115,26 @@ func (n *simNode) reset(shards int) {
 // reqRec is one outstanding remote lock request, owned by the coordinator
 // and retransmitted with capped backoff until the grant arrives.
 type reqRec struct {
-	entity   model.EntityID
-	shard    int
-	seq      int
-	since    int64
-	tries    int
-	nextSend int64
+	entity model.EntityID
+	shard  int
+	since  int64
+	cluster.Backoff
 }
 
 // shotRec is one in-flight shot round: the participants still owing votes,
 // and the full remote-participant set so the coordinator can stop believing
 // the released grants once the shot commits.
 type shotRec struct {
-	shot     int
-	need     map[int]bool
-	parts    map[int]bool
-	since    int64
-	tries    int
-	nextSend int64
-}
-
-type simStrand struct {
-	proc  int
+	shot  int
+	need  map[int]bool
+	parts map[int]bool
 	since int64
-}
-
-type simChaos struct {
-	at    int64
-	apply func()
+	cluster.Backoff
 }
 
 // SimControl is the sharded concurrency control the simulator drives
 // through sched.Control, sched.Ticker, sched.Waker, and sched.AsyncAborter.
 type SimControl struct {
-	params SimParams
 	shards int
 	router *Router
 
@@ -225,6 +146,9 @@ type SimControl struct {
 	nest *nest.Nest
 	oc   *coherent.Online
 
+	// kit is the failure-handling machinery over bus: clock, chaos
+	// schedule, failure detector, wait table, probes, grace, abort queue.
+	kit   *cluster.Kit
 	bus   *mnet.Bus
 	nodes []*simNode
 
@@ -240,16 +164,9 @@ type SimControl struct {
 	shotIdx     map[model.TxnID]int
 	pendingReq  map[model.TxnID]*reqRec
 	pendingShot map[model.TxnID]*shotRec
-	stranded    map[model.TxnID]*simStrand
-	waitSite    map[model.TxnID]int // shard holding t's wait record
 	finished    map[model.TxnID]bool
 	crossed     map[model.TxnID]bool
-	victims     map[model.TxnID]bool // asynchronous abort queue
 
-	chaos    []simChaos
-	chaosIdx int
-
-	now   int64
 	stats sched.Stats
 
 	Shots          int // breakpoint units committed through the shot protocol
@@ -263,9 +180,8 @@ type SimControl struct {
 // NewSimControl creates the sharded control with full network, failure, and
 // chaos configuration.
 func NewSimControl(pr SimParams) *SimControl {
-	pr = pr.withDefaults()
+	pr.Shards = max(pr.Shards, 1)
 	c := &SimControl{
-		params:      pr,
 		shards:      pr.Shards,
 		router:      NewRouter(pr.Shards),
 		prio:        make(map[model.TxnID]int64),
@@ -276,11 +192,8 @@ func NewSimControl(pr SimParams) *SimControl {
 		shotIdx:     make(map[model.TxnID]int),
 		pendingReq:  make(map[model.TxnID]*reqRec),
 		pendingShot: make(map[model.TxnID]*shotRec),
-		stranded:    make(map[model.TxnID]*simStrand),
-		waitSite:    make(map[model.TxnID]int),
 		finished:    make(map[model.TxnID]bool),
 		crossed:     make(map[model.TxnID]bool),
-		victims:     make(map[model.TxnID]bool),
 	}
 	if pr.Nest != nil {
 		c.nest = pr.Nest
@@ -288,18 +201,24 @@ func NewSimControl(pr SimParams) *SimControl {
 		// "committed ⇒ no step of t will arrive later" is not yet established.
 		c.oc = coherent.NewOnline(pr.Nest.K(), pr.Nest.Level)
 	}
-	pol := pr.NetPolicy
-	if pol == nil && pr.Faults != nil {
-		inj := pr.Faults
-		pol = func(m mnet.Message) (bool, int64) { return inj.Net(m.Kind.String()) }
-	}
-	c.bus = mnet.New(pr.Shards, pr.Delay, pol)
-	c.bus.OnDeliver(c.receive)
+	c.kit = cluster.New(pr.Shards, pr.Delay, pr.Faults, pr.NetPolicy, cluster.Host{
+		Epoch: func(t model.TxnID) int { return c.epoch[t] },
+		Prio:  func(t model.TxnID) (int64, bool) { pr, ok := c.prio[t]; return pr, ok },
+		// A transaction's control state lives at its coordinator, so waiting
+		// on it needs the coordinator reachable; its waits-for edges are
+		// wherever its wait record is, and probes chase it there.
+		Home:    func(t model.TxnID) (int, bool) { q, ok := c.coord[t]; return q, ok },
+		ProbeTo: func(t model.TxnID) (int, bool) { return c.kit.WaitSite(t) },
+		Done:    func(t model.TxnID) bool { return c.finished[t] },
+		Crash:   c.crashProc,
+		Rejoin:  c.rejoinProc,
+		Deliver: c.receive,
+	})
+	c.bus = c.kit.Bus()
 	c.nodes = make([]*simNode, pr.Shards)
 	for i := range c.nodes {
-		c.nodes[i] = newSimNode(i, pr.Shards)
+		c.nodes[i] = newSimNode(i)
 	}
-	c.buildChaos()
 	return c
 }
 
@@ -338,17 +257,11 @@ func (c *SimControl) forget(t model.TxnID) {
 	delete(c.shotIdx, t)
 	delete(c.pendingReq, t)
 	delete(c.pendingShot, t)
-	delete(c.stranded, t)
 	delete(c.finished, t)
 	delete(c.crossed, t)
-	delete(c.victims, t)
-	c.clearWait(t)
+	c.kit.Forget(t)
 	for _, n := range c.nodes {
-		delete(n.waiting, t)
 		delete(n.shotDone, t)
-		for _, w := range n.waiting {
-			delete(w.blockers, t)
-		}
 		if n.up {
 			n.locks.Release(t)
 		}
@@ -388,64 +301,41 @@ func (c *SimControl) Request(t model.TxnID, seq int, x model.EntityID) sched.Dec
 	// cross-shard probes resolve closure deadlocks like lock deadlocks.
 	if c.oc != nil {
 		if blk := c.closureBlockers(t, x); len(blk) > 0 {
-			n := c.nodes[co]
-			w := c.setWait(n, t, x, seq)
-			w.blockers = blk
-			if cycle := c.localCycle(n, t); len(cycle) > 0 {
-				victim := c.youngest(cycle)
-				c.clearWait(t)
-				if victim != t {
-					c.stats.Wounds++
-				}
-				return sched.Decision{Kind: sched.Abort, Victims: []model.TxnID{victim}}
-			}
-			c.stats.Waits++
-			return sched.Decision{Kind: sched.Wait}
+			return c.waitAt(co, t, x, blk)
 		}
 	}
 	node := c.nodes[s]
 	if s == co {
-		delete(c.stranded, t)
+		c.kit.Unstrand(t)
 		if node.recovering {
 			c.stats.Waits++
 			return sched.Decision{Kind: sched.Wait}
 		}
 		ok, holder := node.locks.TryAcquire(t, x)
 		if ok {
-			c.clearWait(t)
+			c.kit.ClearWait(t)
 			c.stats.Grants++
 			return sched.Decision{Kind: sched.Grant}
 		}
-		w := c.setWait(node, t, x, seq)
-		w.blockers = map[model.TxnID]bool{holder: true}
-		if cycle := c.localCycle(node, t); len(cycle) > 0 {
-			victim := c.youngest(cycle)
-			c.clearWait(t)
-			if victim != t {
-				c.stats.Wounds++
-			}
-			return sched.Decision{Kind: sched.Abort, Victims: []model.TxnID{victim}}
-		}
-		c.stats.Waits++
-		return sched.Decision{Kind: sched.Wait}
+		return c.waitAt(co, t, x, map[model.TxnID]bool{holder: true})
 	}
 	// Remote shard: the coordinator's own grant record is authoritative —
 	// if the shard crashed since, anti-entropy re-installs the lock before
 	// the rejoined shard grants anything conflicting.
 	if c.granted[t][x] {
-		delete(c.stranded, t)
-		c.clearWait(t)
+		c.kit.Unstrand(t)
+		c.kit.ClearWait(t)
 		c.stats.Grants++
 		return sched.Decision{Kind: sched.Grant}
 	}
 	if !node.up {
 		return c.strand(t, s)
 	}
-	delete(c.stranded, t)
+	c.kit.Unstrand(t)
 	pr := c.pendingReq[t]
 	if pr == nil || pr.entity != x {
-		c.clearWait(t)
-		pr = &reqRec{entity: x, shard: s, seq: seq, since: c.now, nextSend: c.now}
+		c.kit.ClearWait(t)
+		pr = &reqRec{entity: x, shard: s, since: c.kit.Now()}
 		c.pendingReq[t] = pr
 		c.sendLockReq(t, pr)
 	}
@@ -473,10 +363,20 @@ func (c *SimControl) closureBlockers(t model.TxnID, x model.EntityID) map[model.
 }
 
 func (c *SimControl) strand(t model.TxnID, proc int) sched.Decision {
-	if st := c.stranded[t]; st == nil {
-		c.stranded[t] = &simStrand{proc: proc, since: c.now}
-	} else {
-		st.proc = proc
+	c.kit.Strand(t, proc)
+	c.stats.Waits++
+	return sched.Decision{Kind: sched.Wait}
+}
+
+// waitAt records t's wait for x at the coordinator's own shard co and
+// resolves a deadlock among the edges recorded there on the spot.
+func (c *SimControl) waitAt(co int, t model.TxnID, x model.EntityID, blockers map[model.TxnID]bool) sched.Decision {
+	c.kit.SetWait(co, t, x).Blockers = blockers
+	if victim, ok := c.kit.LocalVictim(co, t); ok {
+		if victim != t {
+			c.stats.Wounds++
+		}
+		return sched.Decision{Kind: sched.Abort, Victims: []model.TxnID{victim}}
 	}
 	c.stats.Waits++
 	return sched.Decision{Kind: sched.Wait}
@@ -544,7 +444,7 @@ func (c *SimControl) Performed(t model.TxnID, seq int, x model.EntityID, cut int
 	for q := range need {
 		parts[q] = true
 	}
-	sr := &shotRec{shot: c.shotIdx[t], need: need, parts: parts, since: c.now, nextSend: c.now}
+	sr := &shotRec{shot: c.shotIdx[t], need: need, parts: parts, since: c.kit.Now()}
 	c.pendingShot[t] = sr
 	c.sendShot(t, sr)
 }
@@ -559,13 +459,13 @@ func (c *SimControl) Finished(t model.TxnID) {
 	}
 	delete(c.pendingReq, t)
 	delete(c.pendingShot, t)
-	delete(c.stranded, t)
+	c.kit.Unstrand(t)
 	delete(c.coord, t)
 	delete(c.granted, t)
 	delete(c.unitParts, t)
 	delete(c.shotIdx, t)
 	delete(c.crossed, t)
-	c.clearWait(t)
+	c.kit.ClearWait(t)
 	for _, n := range c.nodes {
 		if n.up {
 			n.locks.Release(t)
@@ -596,72 +496,7 @@ func (c *SimControl) Aborted(victims []model.TxnID) {
 // TakeVictims implements sched.AsyncAborter: transactions the protocol
 // machinery (probes, failure detector, crashes) decided to abort since the
 // last drain, sorted for determinism.
-func (c *SimControl) TakeVictims() []model.TxnID {
-	if len(c.victims) == 0 {
-		return nil
-	}
-	out := make([]model.TxnID, 0, len(c.victims))
-	for t := range c.victims {
-		if c.finished[t] {
-			continue
-		}
-		out = append(out, t)
-	}
-	c.victims = make(map[model.TxnID]bool)
-	model.SortTxnIDs(out)
-	return out
-}
-
-func (c *SimControl) enqueueVictim(t model.TxnID) {
-	if _, began := c.prio[t]; !began || c.finished[t] {
-		return
-	}
-	c.victims[t] = true
-}
-
-func (c *SimControl) prioOf(t model.TxnID) int64 {
-	if pr, ok := c.prio[t]; ok {
-		return pr
-	}
-	return -1
-}
-
-// youngest picks the abort victim from a cycle: highest priority value
-// (youngest), ties broken toward the larger ID — the same rule as dist.
-func (c *SimControl) youngest(cycle []model.TxnID) model.TxnID {
-	victim := cycle[0]
-	best := c.prioOf(victim)
-	for _, u := range cycle[1:] {
-		if pr := c.prioOf(u); pr > best || (pr == best && u > victim) {
-			victim, best = u, pr
-		}
-	}
-	return victim
-}
-
-// setWait installs (or refreshes) t's wait record at node n.
-func (c *SimControl) setWait(n *simNode, t model.TxnID, x model.EntityID, seq int) *simWait {
-	if w := n.waiting[t]; w != nil && w.entity == x && w.epoch == c.epoch[t] {
-		w.seq = seq
-		return w
-	}
-	c.clearWait(t)
-	w := &simWait{
-		entity: x, seq: seq, epoch: c.epoch[t],
-		since: c.now, nextProbe: c.now + c.params.ProbeAfter,
-	}
-	n.waiting[t] = w
-	c.waitSite[t] = n.id
-	return w
-}
-
-// clearWait drops t's wait record wherever it is held.
-func (c *SimControl) clearWait(t model.TxnID) {
-	if q, ok := c.waitSite[t]; ok {
-		delete(c.nodes[q].waiting, t)
-		delete(c.waitSite, t)
-	}
-}
+func (c *SimControl) TakeVictims() []model.TxnID { return c.kit.TakeVictims() }
 
 // grantPass retries every wait queued at a node after its lock table
 // changed. Remote waiters are granted by message; local waiters only get
@@ -671,31 +506,28 @@ func (c *SimControl) grantPass(n *simNode) {
 	if n.recovering {
 		return
 	}
-	for _, t := range sortedTxnKeys(n.waiting) {
-		w := n.waiting[t]
-		if w.epoch != c.epoch[t] || c.finished[t] {
-			delete(n.waiting, t)
-			if c.waitSite[t] == n.id {
-				delete(c.waitSite, t)
-			}
+	waiting := c.kit.Waiting(n.id)
+	for _, t := range model.SortedKeys(waiting) {
+		w := waiting[t]
+		if w.Epoch != c.epoch[t] || c.finished[t] {
+			c.kit.ClearWait(t)
 			continue
 		}
 		if c.coord[t] == n.id {
-			if h := n.locks.HolderOf(w.entity); h == "" || h == t {
-				w.blockers = nil
+			if h := n.locks.HolderOf(w.Entity); h == "" || h == t {
+				w.Blockers = nil
 			}
 			continue
 		}
-		ok, holder := n.locks.TryAcquire(t, w.entity)
+		ok, holder := n.locks.TryAcquire(t, w.Entity)
 		if !ok {
-			w.blockers = map[model.TxnID]bool{holder: true}
+			w.Blockers = map[model.TxnID]bool{holder: true}
 			continue
 		}
-		delete(n.waiting, t)
-		delete(c.waitSite, t)
+		c.kit.ClearWait(t)
 		c.bus.Send(mnet.Message{
 			Kind: mnet.LockGrant, From: n.id, To: c.coord[t],
-			Txn: t, Epoch: w.epoch, Entity: w.entity,
+			Txn: t, Epoch: w.Epoch, Entity: w.Entity,
 		})
 	}
 }
@@ -707,191 +539,63 @@ func (c *SimControl) sendLockReq(t model.TxnID, pr *reqRec) {
 		Kind: mnet.LockRequest, From: c.coord[t], To: pr.shard,
 		Txn: t, Epoch: c.epoch[t], Entity: pr.entity,
 	})
-	if pr.tries > 0 {
+	if pr.Tries > 0 {
 		c.Retransmits++
 	}
-	pr.tries++
-	shift := pr.tries - 1
-	if shift > 4 {
-		shift = 4
-	}
-	pr.nextSend = c.now + c.params.RetransmitEvery<<uint(shift)
+	pr.Sent(c.kit.Now(), c.kit.Timers().RetransmitEvery)
 }
 
 // sendShot transmits ShotPrepare to every participant still owing a vote.
 func (c *SimControl) sendShot(t model.TxnID, sr *shotRec) {
 	co := c.coord[t]
-	for _, q := range sortedIntKeys(sr.need) {
+	for _, q := range model.SortedKeys(sr.need) {
 		c.bus.Send(mnet.Message{
 			Kind: mnet.ShotPrepare, From: co, To: q,
 			Txn: t, Epoch: c.epoch[t], Shot: sr.shot,
 		})
-		if sr.tries > 0 {
+		if sr.Tries > 0 {
 			c.Retransmits++
 		}
 	}
-	sr.tries++
-	shift := sr.tries - 1
-	if shift > 4 {
-		shift = 4
-	}
-	sr.nextSend = c.now + c.params.RetransmitEvery<<uint(shift)
+	sr.Sent(c.kit.Now(), c.kit.Timers().RetransmitEvery)
 }
 
-// localCycle is a DFS over the waits-for edges recorded at one shard
-// (deterministic order). Cycles spanning shards have no single holder of
-// all their edges; those are found by probes.
-func (c *SimControl) localCycle(n *simNode, t model.TxnID) []model.TxnID {
-	var path []model.TxnID
-	onPath := map[model.TxnID]bool{}
-	visited := map[model.TxnID]bool{}
-	var dfs func(u model.TxnID) []model.TxnID
-	dfs = func(u model.TxnID) []model.TxnID {
-		if onPath[u] {
-			for i, w := range path {
-				if w == u {
-					return append([]model.TxnID(nil), path[i:]...)
-				}
-			}
-			return path
-		}
-		if visited[u] {
-			return nil
-		}
-		visited[u] = true
-		onPath[u] = true
-		path = append(path, u)
-		if w := n.waiting[u]; w != nil {
-			for _, v := range sortedTxnKeys(w.blockers) {
-				if cyc := dfs(v); cyc != nil {
-					return cyc
-				}
-			}
-		}
-		onPath[u] = false
-		path = path[:len(path)-1]
-		return nil
-	}
-	return dfs(t)
-}
-
-// ---- clock, chaos, and periodic machinery ----
-
-// buildChaos translates the fault plan's partition and processor-crash
-// schedules into a sorted event list applied on the simulated clock.
-func (c *SimControl) buildChaos() {
-	if c.params.Faults == nil {
-		return
-	}
-	plan := c.params.Faults.Plan()
-	for i, part := range plan.Partitions {
-		name := part.Name
-		if name == "" {
-			name = "partition"
-		}
-		sides := part.Sides
-		if len(sides) == 0 {
-			var a, b []int
-			for q := 0; q < c.shards; q++ {
-				if q < (c.shards+1)/2 {
-					a = append(a, q)
-				} else {
-					b = append(b, q)
-				}
-			}
-			sides = [][]int{a, b}
-		}
-		key := name
-		if i > 0 {
-			key = name + string(rune('a'+i%26))
-		}
-		c.chaos = append(c.chaos, simChaos{at: part.At, apply: func() { c.bus.Partition(key, sides...) }})
-		if part.Heal > 0 {
-			c.chaos = append(c.chaos, simChaos{at: part.Heal, apply: func() { c.bus.Heal(key) }})
-		}
-	}
-	for _, cr := range plan.ProcCrashes {
-		q := cr.Proc % c.shards
-		c.chaos = append(c.chaos, simChaos{at: cr.At, apply: func() { c.crashProc(q) }})
-		if cr.Rejoin > 0 {
-			c.chaos = append(c.chaos, simChaos{at: cr.Rejoin, apply: func() { c.rejoinProc(q) }})
-		}
-	}
-	sort.SliceStable(c.chaos, func(i, j int) bool { return c.chaos[i].at < c.chaos[j].at })
-}
+// ---- clock and periodic machinery ----
 
 // Tick implements sched.Ticker: advance the clock, apply due chaos,
 // deliver matured messages, and run every shard's periodic machinery.
 func (c *SimControl) Tick(now int64) {
-	if now < c.now {
+	if !c.kit.Advance(now) {
 		return
 	}
-	c.now = now
-	for c.chaosIdx < len(c.chaos) && c.chaos[c.chaosIdx].at <= now {
-		c.chaos[c.chaosIdx].apply()
-		c.chaosIdx++
-	}
-	c.bus.Tick(now)
 	if c.shards > 1 {
-		for _, n := range c.nodes {
-			if n.up {
-				c.heartbeat(n)
-			}
-		}
+		c.kit.Heartbeats()
 		c.recoverySweep()
 		c.retransmit()
-		c.probeSweep()
+		c.ProbeDeadlocks += c.kit.ProbeSweep()
 	}
+	c.GraceAborts += c.kit.GraceSweep()
 	c.graceSweep()
 }
 
 // NextWake implements sched.Waker: the earliest instant any timer or
 // in-flight message needs a Tick.
 func (c *SimControl) NextWake(int64) int64 {
-	var next int64
-	earlier := func(at int64) {
-		if at > 0 && (next == 0 || at < next) {
-			next = at
-		}
-	}
-	if c.chaosIdx < len(c.chaos) {
-		earlier(c.chaos[c.chaosIdx].at)
-	}
-	earlier(c.bus.NextDelivery())
+	next := c.kit.NextWake()
 	if c.shards > 1 {
 		for _, n := range c.nodes {
-			if n.up {
-				earlier(n.nextHb)
-			}
 			if n.recovering {
-				earlier(n.recoverBy)
+				next = cluster.Earlier(next, n.recoverBy)
 			}
 		}
 		for _, pr := range c.pendingReq {
-			earlier(pr.nextSend)
+			next = cluster.Earlier(next, pr.NextSend)
 		}
 		for _, sr := range c.pendingShot {
-			earlier(sr.nextSend)
+			next = cluster.Earlier(next, sr.NextSend)
 		}
 	}
 	return next
-}
-
-// heartbeat broadcasts liveness on schedule and turns prolonged silence
-// into suspicion.
-func (c *SimControl) heartbeat(n *simNode) {
-	if c.now >= n.nextHb {
-		n.nextHb = c.now + c.params.HeartbeatEvery
-		c.bus.Broadcast(mnet.Message{Kind: mnet.Heartbeat, From: n.id})
-	}
-	for q := 0; q < c.shards; q++ {
-		if q == n.id || n.suspected[q] {
-			continue
-		}
-		if c.now-n.lastSeen[q] > c.params.SuspectAfter {
-			n.suspected[q] = true
-		}
-	}
 }
 
 // recoverySweep ends anti-entropy recovery at its deadline even when some
@@ -899,7 +603,7 @@ func (c *SimControl) heartbeat(n *simNode) {
 // trade a bounded resync window for unavailability.
 func (c *SimControl) recoverySweep() {
 	for _, n := range c.nodes {
-		if n.up && n.recovering && c.now >= n.recoverBy {
+		if n.up && n.recovering && c.kit.Now() >= n.recoverBy {
 			n.recovering = false
 			c.grantPass(n)
 		}
@@ -910,155 +614,51 @@ func (c *SimControl) recoverySweep() {
 // backoff expired. A sender whose coordinator shard is down stays quiet —
 // the crash already queued the transaction for abort.
 func (c *SimControl) retransmit() {
-	for _, t := range sortedTxnKeys(c.pendingReq) {
+	now := c.kit.Now()
+	for _, t := range model.SortedKeys(c.pendingReq) {
 		pr := c.pendingReq[t]
-		if co, ok := c.coord[t]; !ok || !c.nodes[co].up || c.now < pr.nextSend {
-			continue
+		if co, ok := c.coord[t]; ok && c.nodes[co].up && now >= pr.NextSend {
+			c.sendLockReq(t, pr)
 		}
-		c.sendLockReq(t, pr)
 	}
-	for _, t := range sortedTxnKeys(c.pendingShot) {
+	for _, t := range model.SortedKeys(c.pendingShot) {
 		sr := c.pendingShot[t]
-		if co, ok := c.coord[t]; !ok || !c.nodes[co].up || c.now < sr.nextSend {
-			continue
-		}
-		c.sendShot(t, sr)
-	}
-}
-
-// probeSweep starts (and periodically restarts) edge-chasing probes for
-// requests blocked past ProbeAfter. Probes are unreliable messages;
-// re-probing makes detection survive loss.
-func (c *SimControl) probeSweep() {
-	for _, n := range c.nodes {
-		if !n.up {
-			continue
-		}
-		for _, t := range sortedTxnKeys(n.waiting) {
-			w := n.waiting[t]
-			if w.epoch != c.epoch[t] {
-				continue
-			}
-			if c.now-w.since < c.params.ProbeAfter || c.now < w.nextProbe {
-				continue
-			}
-			w.nextProbe = c.now + c.params.ProbeEvery
-			for _, u := range sortedTxnKeys(w.blockers) {
-				c.sendProbe(n.id, t, c.epoch[t], u, t, c.prioOf(t))
-			}
+		if co, ok := c.coord[t]; ok && c.nodes[co].up && now >= sr.NextSend {
+			c.sendShot(t, sr)
 		}
 	}
 }
 
-// sendProbe routes a probe to the shard holding target's wait record; a
-// local target is chased inline without touching the bus.
-func (c *SimControl) sendProbe(from int, init model.TxnID, initEpoch int, target, victim model.TxnID, victimPrio int64) {
-	dst, ok := c.waitSite[target]
-	if !ok {
-		return // target is not blocked: no deadlock via this edge
-	}
-	m := mnet.Message{
-		Kind: mnet.Probe, From: from, To: dst,
-		Txn: target, Epoch: c.epoch[target],
-		Init: init, InitEpoch: initEpoch,
-		Victim: victim, VictimPrio: victimPrio,
-	}
-	if dst == from {
-		c.onProbe(m)
-		return
-	}
-	c.bus.Send(m)
-}
-
-// graceSweep aborts transactions that cannot make progress because of an
-// unreachable shard, once the grace period expires: requests stranded at a
-// crashed processor, lock requests and shot rounds addressed to dead or
-// suspected participants, and waiters whose blockers are coordinated by an
-// unreachable peer.
+// graceSweep is the lock plane's share of grace-period escalation (the kit
+// sweeps stranded requests and blocked waiters): lock requests and shot
+// rounds addressed to participants their coordinator cannot reach abort
+// once the grace period expires.
 func (c *SimControl) graceSweep() {
-	for _, t := range sortedTxnKeys(c.stranded) {
-		st := c.stranded[t]
-		if c.nodes[st.proc].up {
-			delete(c.stranded, t) // re-offer will re-decide at the live shard
-			continue
-		}
-		if c.now-st.since > c.params.Grace {
-			c.GraceAborts++
-			c.enqueueVictim(t)
-			delete(c.stranded, t)
-		}
-	}
-	if c.shards == 1 {
-		return
-	}
-	for _, t := range sortedTxnKeys(c.pendingReq) {
+	now, grace := c.kit.Now(), c.kit.Timers().Grace
+	for _, t := range model.SortedKeys(c.pendingReq) {
 		pr := c.pendingReq[t]
 		co, ok := c.coord[t]
 		if !ok || !c.nodes[co].up {
 			continue // the coordinator crash already queued the abort
 		}
-		cn := c.nodes[co]
-		if c.nodes[pr.shard].up && !cn.suspected[pr.shard] {
-			continue
-		}
-		if c.now-pr.since > c.params.Grace {
+		if c.kit.Unreachable(co, pr.shard) && now-pr.since > grace {
 			c.GraceAborts++
-			c.enqueueVictim(t)
-			pr.since = c.now // don't re-fire while the abort drains
+			c.kit.Abort(t)
+			pr.since = now // don't re-fire while the abort drains
 		}
 	}
-	for _, t := range sortedTxnKeys(c.pendingShot) {
+	for _, t := range model.SortedKeys(c.pendingShot) {
 		sr := c.pendingShot[t]
 		co, ok := c.coord[t]
-		if !ok || !c.nodes[co].up {
+		if !ok || !c.nodes[co].up || now-sr.since <= grace {
 			continue
 		}
-		cn := c.nodes[co]
-		unreachable := false
 		for q := range sr.need {
-			if !c.nodes[q].up || cn.suspected[q] {
-				unreachable = true
-				break
-			}
-		}
-		if !unreachable {
-			continue
-		}
-		if c.now-sr.since > c.params.Grace {
-			c.GraceAborts++
-			c.enqueueVictim(t)
-			sr.since = c.now
-		}
-	}
-	for _, n := range c.nodes {
-		if !n.up {
-			continue
-		}
-		for _, t := range sortedTxnKeys(n.waiting) {
-			w := n.waiting[t]
-			unreachable := false
-			for u := range w.blockers {
-				cu, ok := c.coord[u]
-				if !ok || cu == n.id {
-					continue
-				}
-				if n.suspected[cu] || !c.nodes[cu].up {
-					unreachable = true
-					break
-				}
-			}
-			if !unreachable {
-				w.strandedSince = 0
-				continue
-			}
-			if w.strandedSince == 0 {
-				w.strandedSince = c.now
-				continue
-			}
-			if c.now-w.strandedSince > c.params.Grace {
+			if c.kit.Unreachable(co, q) {
 				c.GraceAborts++
-				c.enqueueVictim(t)
-				w.strandedSince = c.now
+				c.kit.Abort(t)
+				sr.since = now
+				break
 			}
 		}
 	}
@@ -1074,18 +674,13 @@ func (c *SimControl) crashProc(q int) {
 	if !n.up {
 		return
 	}
-	n.reset(c.shards)
+	n.reset()
 	n.up = false
-	c.bus.Crash(q)
-	for _, t := range sortedTxnKeys(c.waitSite) {
-		if c.waitSite[t] == q {
-			delete(c.waitSite, t)
-		}
-	}
-	for _, t := range sortedTxnKeys(c.coord) {
+	c.kit.Crash(q)
+	for _, t := range model.SortedKeys(c.coord) {
 		if c.coord[t] == q && !c.finished[t] {
 			c.CrashAborts++
-			c.enqueueVictim(t)
+			c.kit.Abort(t)
 		}
 	}
 }
@@ -1099,12 +694,7 @@ func (c *SimControl) rejoinProc(q int) {
 		return
 	}
 	n.up = true
-	for i := range n.lastSeen {
-		n.lastSeen[i] = c.now
-		n.suspected[i] = false
-	}
-	n.nextHb = c.now
-	c.bus.Restart(q)
+	c.kit.Rejoin(q)
 	if c.shards == 1 {
 		return
 	}
@@ -1116,20 +706,18 @@ func (c *SimControl) rejoinProc(q int) {
 	}
 	if len(n.syncNeed) > 0 {
 		n.recovering = true
-		n.recoverBy = c.now + c.params.SuspectAfter
+		n.recoverBy = c.kit.Now() + c.kit.Timers().SuspectAfter
 	}
 	c.bus.Broadcast(mnet.Message{Kind: mnet.SyncRequest, From: q})
 	// Re-arm every sender that was waiting out q's downtime.
-	for _, t := range sortedTxnKeys(c.pendingReq) {
-		if pr := c.pendingReq[t]; pr.shard == q {
-			pr.tries = 0
-			pr.nextSend = c.now
+	for _, pr := range c.pendingReq {
+		if pr.shard == q {
+			pr.Rearm(c.kit.Now())
 		}
 	}
-	for _, t := range sortedTxnKeys(c.pendingShot) {
-		if sr := c.pendingShot[t]; sr.need[q] {
-			sr.tries = 0
-			sr.nextSend = c.now
+	for _, sr := range c.pendingShot {
+		if sr.need[q] {
+			sr.Rearm(c.kit.Now())
 		}
 	}
 }
@@ -1143,8 +731,7 @@ func (c *SimControl) receive(m mnet.Message) {
 	if !n.up {
 		return
 	}
-	n.lastSeen[m.From] = c.now
-	n.suspected[m.From] = false
+	c.kit.Heard(m.To, m.From)
 	switch m.Kind {
 	case mnet.Heartbeat:
 		// Liveness already recorded above.
@@ -1157,7 +744,7 @@ func (c *SimControl) receive(m mnet.Message) {
 	case mnet.ShotVote:
 		c.onShotVote(m)
 	case mnet.Probe:
-		c.onProbe(m)
+		c.ProbeDeadlocks += c.kit.OnProbe(m)
 	case mnet.SyncRequest:
 		c.onSyncRequest(m)
 	case mnet.SyncReply:
@@ -1175,14 +762,13 @@ func (c *SimControl) onLockRequest(n *simNode, m mnet.Message) {
 		return
 	}
 	if n.recovering {
-		c.setWait(n, m.Txn, m.Entity, 0)
+		c.kit.SetWait(n.id, m.Txn, m.Entity)
 		return
 	}
 	ok, holder := n.locks.TryAcquire(m.Txn, m.Entity)
 	if ok {
-		if q, have := c.waitSite[m.Txn]; have && q == n.id {
-			delete(n.waiting, m.Txn)
-			delete(c.waitSite, m.Txn)
+		if q, have := c.kit.WaitSite(m.Txn); have && q == n.id {
+			c.kit.ClearWait(m.Txn)
 		}
 		c.bus.Send(mnet.Message{
 			Kind: mnet.LockGrant, From: m.To, To: m.From,
@@ -1190,8 +776,7 @@ func (c *SimControl) onLockRequest(n *simNode, m mnet.Message) {
 		})
 		return
 	}
-	w := c.setWait(n, m.Txn, m.Entity, 0)
-	w.blockers = map[model.TxnID]bool{holder: true}
+	c.kit.SetWait(n.id, m.Txn, m.Entity).Blockers = map[model.TxnID]bool{holder: true}
 }
 
 // onLockGrant records the coordinator's claim. A grant that arrives after
@@ -1263,47 +848,6 @@ func (c *SimControl) onShotVote(m mnet.Message) {
 	}
 }
 
-// onProbe is one hop of the edge chase: if the probed transaction is
-// waiting here, the probe forwards along its waits-for edge, keeping the
-// youngest transaction seen; reaching the initiator closes a cycle and the
-// carried victim is aborted.
-func (c *SimControl) onProbe(m mnet.Message) {
-	n := c.nodes[m.To]
-	if !n.up || m.Epoch != c.epoch[m.Txn] || m.InitEpoch != c.epoch[m.Init] {
-		return
-	}
-	w := n.waiting[m.Txn]
-	if w == nil || w.epoch != m.Epoch {
-		return // not blocked here: the chase dies
-	}
-	key := chaseKey{init: m.Init, target: m.Txn}
-	if exp, ok := n.seen[key]; ok && c.now < exp {
-		return
-	}
-	if len(n.seen) > 1024 {
-		for k, exp := range n.seen {
-			if c.now >= exp {
-				delete(n.seen, k)
-			}
-		}
-	}
-	n.seen[key] = c.now + c.params.ProbeEvery
-	victim, vprio := m.Victim, m.VictimPrio
-	if pr := c.prioOf(m.Txn); pr > vprio || (pr == vprio && m.Txn > victim) {
-		victim, vprio = m.Txn, pr
-	}
-	for _, u := range sortedTxnKeys(w.blockers) {
-		if u == m.Init {
-			if !c.victims[victim] && !c.finished[victim] {
-				c.ProbeDeadlocks++
-				c.enqueueVictim(victim)
-			}
-			continue
-		}
-		c.sendProbe(m.To, m.Init, m.InitEpoch, u, victim, vprio)
-	}
-}
-
 // onSyncRequest answers anti-entropy: the replying shard reports, for every
 // transaction it coordinates, the locks it believes granted at the
 // requester. The claims are re-validated against the coordinator's live
@@ -1311,7 +855,7 @@ func (c *SimControl) onProbe(m mnet.Message) {
 // reply was in flight.
 func (c *SimControl) onSyncRequest(m mnet.Message) {
 	held := make(map[model.TxnID][]model.EntityID)
-	for _, t := range sortedTxnKeys(c.coord) {
+	for _, t := range model.SortedKeys(c.coord) {
 		if c.coord[t] != m.To || c.finished[t] {
 			continue
 		}
@@ -1330,7 +874,7 @@ func (c *SimControl) onSyncRequest(m mnet.Message) {
 // the coordinator released or aborted meanwhile fails the live-state check
 // and is skipped.
 func (c *SimControl) onSyncReply(n *simNode, m mnet.Message) {
-	for _, t := range sortedTxnKeys(m.Held) {
+	for _, t := range model.SortedKeys(m.Held) {
 		if c.coord[t] != m.From || c.finished[t] {
 			continue
 		}
@@ -1348,24 +892,4 @@ func (c *SimControl) onSyncReply(n *simNode, m mnet.Message) {
 		n.recovering = false
 		c.grantPass(n)
 	}
-}
-
-// sortedTxnKeys returns the map's keys in sorted order (deterministic
-// iteration for anything that sends messages or makes decisions).
-func sortedTxnKeys[V any](m map[model.TxnID]V) []model.TxnID {
-	out := make([]model.TxnID, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	model.SortTxnIDs(out)
-	return out
-}
-
-func sortedIntKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -1,0 +1,43 @@
+#!/usr/bin/env sh
+# Chaos replay oracle: both message-driven controls (dist.Preventer,
+# shard.SimControl) are deterministic functions of (seed, fault plan), so
+# the printed tables and summaries below must be byte-identical across any
+# refactor of the failure-handling machinery. Writes one file per command
+# into <outdir>, with the one wall-clock field (the "(0.1s)" in the
+# experiment-table header) and the <outdir> prefix stripped, so that
+#
+#     diff -r parent-out/ change-out/
+#
+# is the whole check. The shard scenarios also write their mla-history
+# spool to <outdir>/<scenario>.json (nightly audits those with mlacheck);
+# -check makes each run exit nonzero unless the execution is Theorem-2
+# correctable with exact audits.
+set -eu
+[ $# -eq 1 ] || { echo "usage: $0 <outdir>" >&2; exit 2; }
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+cd "$(dirname "$0")/.."
+
+# run <name> <command...>: the command's stdout, normalised, to <name>.txt.
+# Not a pipe, so a failing -check fails the script.
+run() {
+    name=$1; shift
+    "$@" > "$out/$name.raw"
+    sed -e 's/  ([0-9.]*m\{0,1\}s)$//' -e "s|$out/||" "$out/$name.raw" > "$out/$name.txt"
+    rm "$out/$name.raw"
+}
+shard() { # <scenario> <flags...>
+    name=$1; shift
+    run "shard-$name" go run ./cmd/mlasim -control shard -shards 4 -txns 96 "$@" -check \
+        -history "$out/$name.json"
+}
+
+run E18 go run ./cmd/mlabench -exp E18 -scale 1 -seed 1
+run E13 go run ./cmd/mlabench -exp E13 -scale 1 -seed 1
+run dist-storm go run ./cmd/mlasim -control dist -txns 96 -seed 17 -loss 0.05 -partition 600 -procfail 2 -check
+# Scenario grid: clean, lossy bus, long partition, and the full storm
+# (loss + partition + two processor crashes).
+shard clean -seed 7
+shard loss -seed 11 -loss 0.08
+shard partition -seed 13 -partition 600
+shard storm -seed 17 -loss 0.05 -partition 600 -procfail 2
