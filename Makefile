@@ -16,9 +16,12 @@ bench:
 lint:
 	./scripts/lint.sh
 
-# The same fuzz smoke check.sh runs: coverage-guided WAL recovery fuzzing.
+# The same three fuzz smokes check.sh runs: WAL recovery over the in-memory
+# medium, over the real file medium, and checker-vs-scheduler agreement.
 fuzz:
 	go test ./internal/wal/ -run FuzzWALRecovery -fuzz FuzzWALRecovery -fuzztime 10s
+	go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzztime 10s
+	go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
 
 # The history-oracle slice of check.sh: record a live engine run as an
 # event history, check it offline with the black-box checker, verify the

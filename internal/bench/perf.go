@@ -37,13 +37,8 @@ import (
 	"mla/internal/wal"
 )
 
-// perfSyncDelay simulates the device's per-sync latency; perfFlushEvery is
-// the pipeline's flush window (must comfortably exceed the sync delay so
-// flushes never queue behind each other).
-const (
-	perfSyncDelay  = 300 * time.Microsecond
-	perfFlushEvery = 400 * time.Microsecond
-)
+// perfSyncDelay simulates the device's per-sync latency.
+const perfSyncDelay = 300 * time.Microsecond
 
 // perfProg increments each of its entities once, in order. Increments
 // commute, which is what makes cross-configuration equivalence checkable
@@ -168,13 +163,12 @@ func PerfRun(ctx context.Context, opts Config) (*Report, error) {
 		genPerfWorkload("lowcontention", txns, steps, txns*3),
 	}
 	rep := &Report{
-		Schema:          Schema,
-		Kind:            "perf",
-		Seed:            opts.Seed,
-		Quick:           opts.Quick,
-		SyncDelayUS:     perfSyncDelay.Microseconds(),
-		FlushIntervalUS: perfFlushEvery.Microseconds(),
-		EquivalenceOK:   true,
+		Schema:        Schema,
+		Kind:          "perf",
+		Seed:          opts.Seed,
+		Quick:         opts.Quick,
+		SyncDelayUS:   perfSyncDelay.Microseconds(),
+		EquivalenceOK: true,
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -286,7 +280,7 @@ func perfCase(ctx context.Context, wl perfWorkload, config string, procs int, se
 	var pipe *wal.Pipeline
 	var control sched.Control
 	if config == "optimized" {
-		pipe = wal.NewPipeline(db, perfFlushEvery)
+		pipe = wal.NewPipeline(db, 0)
 		store = engine.NewPipelinedWALStore(pipe)
 		control = sched.NewShardedTwoPhase(16)
 	} else {

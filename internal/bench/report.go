@@ -57,8 +57,8 @@ type LoadCell struct {
 	Workload      string  `json:"workload"`         // "lowcontention" | "hotspot"
 	Mode          string  `json:"mode"`             // "open" | "closed"
 	Shards        int     `json:"shards,omitempty"` // partition count (0 = single resident engine)
-	RateTPS       float64 `json:"rate_tps"` // offered arrival rate (open loop)
-	Workers       int     `json:"workers"`  // pool worker bound
+	RateTPS       float64 `json:"rate_tps"`         // offered arrival rate (open loop)
+	Workers       int     `json:"workers"`          // pool worker bound
 	Txns          int     `json:"txns"`
 	Committed     int     `json:"committed"`
 	Restarts      int     `json:"restarts"`
@@ -91,12 +91,11 @@ type Report struct {
 	EquivalenceOK bool `json:"equivalence_ok"`
 
 	// Perf sweep section (Kind "perf").
-	SyncDelayUS     int64             `json:"sync_delay_us,omitempty"`      // simulated device sync latency
-	FlushIntervalUS int64             `json:"flush_interval_us,omitempty"`  // pipeline flush window
-	HotspotSpeedup  float64           `json:"hotspot_speedup_8p,omitempty"` // optimized/baseline throughput, hotspot @ max procs
-	ShardSpeedup    float64           `json:"shard_speedup,omitempty"`      // max-shards/1-shard throughput @ max procs (Kind "shardperf")
-	Recovery        *PerfRecovery     `json:"recovery,omitempty"`           // telemetry-only crash-recovery cell
-	Measurements    []PerfMeasurement `json:"measurements,omitempty"`
+	SyncDelayUS    int64             `json:"sync_delay_us,omitempty"`      // simulated device sync latency
+	HotspotSpeedup float64           `json:"hotspot_speedup_8p,omitempty"` // optimized/baseline throughput, hotspot @ max procs
+	ShardSpeedup   float64           `json:"shard_speedup,omitempty"`      // max-shards/1-shard throughput @ max procs (Kind "shardperf")
+	Recovery       *PerfRecovery     `json:"recovery,omitempty"`           // telemetry-only crash-recovery cell
+	Measurements   []PerfMeasurement `json:"measurements,omitempty"`
 
 	// Load section (Kind "load").
 	Load []LoadCell `json:"load,omitempty"`

@@ -142,7 +142,7 @@ func (w *WALStore) CommitGroup(ids []model.TxnID) {
 func (w *WALStore) Values() map[model.EntityID]model.Value { return w.db.Values() }
 
 // PipelinedWALStore backs the engine with a group-commit pipeline over a
-// wal.DB: commit groups submitted within a flush window are merged into one
+// wal.DB: commit groups submitted while a sync is in flight are merged into one
 // durable record and one device sync (see wal.Pipeline). It implements
 // AsyncCommitter, so the engine overlaps execution with the flush instead
 // of stalling every worker on the device. No fault injection — crash

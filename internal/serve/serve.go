@@ -112,9 +112,6 @@ type Config struct {
 	SessionRetryBudget int
 	MaxRestarts        int
 
-	// FlushInterval is the WAL group-commit pipeline's flush window.
-	FlushInterval time.Duration
-
 	// DataDir, when non-empty, makes the WAL real: a segmented on-disk log
 	// under this directory (created if needed) replaces the in-memory
 	// medium. The server recovers from it on start — committed work from
@@ -174,7 +171,6 @@ func DefaultConfig() Config {
 		MaxDeadline:        30 * time.Second,
 		SessionRetryBudget: 256,
 		MaxRestarts:        32,
-		FlushInterval:      200 * time.Microsecond,
 		Seed:               1,
 	}
 }
@@ -304,10 +300,7 @@ func New(cfg Config) (*Server, error) {
 		medium.Close()
 		return nil, fmt.Errorf("serve: opening WAL: %w", err)
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 200 * time.Microsecond
-	}
-	pipe := wal.NewPipeline(db, cfg.FlushInterval)
+	pipe := wal.NewPipeline(db, 0)
 	if cfg.CheckpointEvery > 0 {
 		pipe.AutoCheckpoint(cfg.CheckpointEvery)
 	}

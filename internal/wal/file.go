@@ -14,11 +14,25 @@ package wal
 // the log already moved past went bad — that is corruption, and Open
 // fails loudly instead of replaying around it.
 //
+// Log buffer. append only encodes a frame into memory; sync (and rotate,
+// compact, close) swaps the buffer out, writes it as one chunk, then
+// fsyncs. The durability contract every caller relies on:
+//
+//  1. File bytes are always a prefix of append (LSN) order.
+//  2. sync returns nil only after an fsync covering every record appended
+//     before the call: an ack covers its commit record and all earlier ones.
+//  3. A write or fsync failure surfaces at the flush, not at the append, and
+//     latches ErrDegraded: no later chunk is written, so no group in or
+//     after the failed chunk is ever acked.
+//  4. A retried chunk is rewritten whole at the same offset, so the only
+//     torn state is a partial tail frame, which the loader truncates.
+//  5. close flushes.
+//
 // Every write and fsync passes through an optional fault.Injector, which
 // can fail it transiently, shorten it, stall it, or declare the disk
 // full. Transient faults are retried with capped backoff; a persistent
 // failure (disk full, retries exhausted) latches the backing into a
-// degraded state where every further write fails fast wrapping
+// degraded state where every further append and flush fails fast wrapping
 // ErrDegraded.
 
 import (
@@ -79,8 +93,8 @@ const (
 )
 
 // OpenFile mounts (creating if needed) the segmented log in dir and
-// returns a Medium whose appends persist there before anything volatile
-// changes. The load verifies every record's checksum, truncates a torn
+// returns a Medium whose appends are buffered for it and persisted by the
+// next Sync. The load verifies every record's checksum, truncates a torn
 // tail of the last segment in place, and refuses mid-log corruption. The
 // caller passes the result to Open for WAL recovery as usual.
 func OpenFile(dir string, o FileOptions) (*Medium, error) {
@@ -108,7 +122,9 @@ func OpenFile(dir string, o FileOptions) (*Medium, error) {
 	return m, nil
 }
 
-// bumpEpoch durably increments the data directory's boot counter.
+// bumpEpoch durably increments the data directory's boot counter. The new
+// value is written beside the old one and renamed over it, so a crash at
+// any point leaves an intact epoch file (a stale epoch.tmp is overwritten).
 func bumpEpoch(dir string) (int64, error) {
 	path := filepath.Join(dir, epochFile)
 	var epoch int64
@@ -122,41 +138,47 @@ func bumpEpoch(dir string) (int64, error) {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	epoch++
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := fmt.Fprintf(f, "%d\n", epoch); err != nil {
-		f.Close()
+	_, err = fmt.Fprintf(f, "%d\n", epoch)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
 		return 0, fmt.Errorf("wal: epoch: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("wal: epoch: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("wal: epoch: %w", err)
-	}
-	return epoch, nil
+	return epoch, syncDir(dir)
 }
 
-// fileBacking is the on-disk side of a Medium. Its mutex is a leaf (it
-// never calls back into the Medium or DB), taken by append/sync/compact
-// so the pipeline's "sync outside the batch lock" concurrency stays safe
-// against segment rotation.
+// fileBacking is the on-disk side of a Medium. mu is a leaf guarding the
+// log buffer and the failure latch; it is never held across a syscall. io
+// alone orders file operations (lock order io → mu), so appends continue
+// while a flush is on the device and no lock above the medium is ever held
+// across a write or fsync.
 type fileBacking struct {
 	dir      string
 	segBytes int64
 	inj      *fault.Injector
 
-	mu        sync.Mutex
+	mu      sync.Mutex
+	pending []byte // frames appended since the last flush
+	failed  error  // latched persistent failure
+
+	io        sync.Mutex
+	chunk     []byte   // the buffer being written; swapped with pending
 	f         *os.File // active segment
 	segIndex  int64    // its index
 	off       int64    // good (fully framed) offset within it
 	segs      []int64  // all segment indices, ascending
-	failed    error    // latched persistent failure
 	tornBytes int64    // truncated at load
-	buf       []byte   // frame scratch
 }
 
 func segName(idx int64) string { return fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix) }
@@ -218,12 +240,7 @@ func (b *fileBacking) load(m *Medium) error {
 		}
 	}
 	if len(b.segs) == 0 {
-		b.segIndex = 1
-		b.segs = []int64{1}
-		if err := b.create(b.segIndex); err != nil {
-			return err
-		}
-		return nil
+		return b.create(1)
 	}
 	f, err := os.OpenFile(filepath.Join(b.dir, segName(b.segIndex)), os.O_RDWR, 0o644)
 	if err != nil {
@@ -268,55 +285,101 @@ func decodeFrames(data []byte, prev int64) (int64, []Record, error) {
 	return off, recs, nil
 }
 
-// encode builds the frame for r into b.buf.
-func (b *fileBacking) encode(r Record) error {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("wal: encode lsn %d: %w", r.LSN, err)
+// appendPayload appends r's frame payload to dst, byte-identical to
+// json.Marshal(r) — the on-disk format. The hot kinds are encoded without
+// reflection; a Checkpoint, or any id json would escape, takes json.Marshal.
+func appendPayload(dst []byte, r *Record) ([]byte, error) {
+	simple := r.Kind != Checkpoint && len(r.Snapshot)+len(r.Done) == 0 && plainJSON(string(r.Txn)) && plainJSON(string(r.Entity))
+	for _, g := range r.Group {
+		simple = simple && plainJSON(string(g))
 	}
-	b.buf = b.buf[:0]
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	b.buf = append(b.buf, hdr[:]...)
-	b.buf = append(b.buf, payload...)
-	return nil
+	if !simple {
+		p, err := json.Marshal(*r) // a copy: r itself must not escape
+		return append(dst, p...), err
+	}
+	dst = strconv.AppendInt(append(dst, `{"l":`...), r.LSN, 10)
+	dst = strconv.AppendInt(append(dst, `,"k":`...), int64(r.Kind), 10)
+	dst = appendStr(dst, `,"t":"`, string(r.Txn))
+	dst = appendNum(dst, `,"q":`, int64(r.Seq))
+	dst = appendStr(dst, `,"e":"`, string(r.Entity))
+	dst = appendNum(dst, `,"b":`, int64(r.Before))
+	dst = appendNum(dst, `,"a":`, int64(r.After))
+	dst = appendNum(dst, `,"p":`, int64(r.Keep))
+	if len(r.Group) > 0 {
+		dst = append(dst, `,"g":[`...)
+		for _, g := range r.Group {
+			dst = append(append(append(dst, '"'), g...), '"', ',')
+		}
+		dst[len(dst)-1] = ']'
+	}
+	return append(strconv.AppendUint(append(dst, `,"x":`...), r.Sum, 10), '}'), nil
 }
 
-// append persists one record: rotate if the active segment is full, then
-// write the frame at the good offset with fault-aware retries.
+// plainJSON reports whether json.Marshal writes s verbatim between quotes.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendNum and appendStr write one omitempty field.
+func appendNum(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+func appendStr(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return append(append(append(dst, key...), s...), '"')
+}
+
+// append buffers one record's frame. It makes no syscall: the frame
+// reaches the file at the next flush.
 func (b *fileBacking) append(r Record) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.failed != nil {
 		return b.failed
 	}
-	if err := b.encode(r); err != nil {
-		return err
+	at := len(b.pending)
+	buf, err := appendPayload(append(b.pending, 0, 0, 0, 0), &r)
+	if err != nil {
+		return fmt.Errorf("wal: encode lsn %d: %w", r.LSN, err)
 	}
-	if b.off > 0 && b.off+int64(len(b.buf)) > b.segBytes {
-		if err := b.rotate(); err != nil {
-			return err
-		}
-	}
-	return b.writeFrame()
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	b.pending = buf
+	return nil
 }
 
-// writeFrame lands b.buf at b.off, retrying transient injected faults and
-// real short writes with capped backoff. Retries always rewrite the WHOLE
-// frame at the same offset, overwriting any partial bytes of the failed
-// try — so the only torn state a crash can leave is a partial frame at
-// the tail, exactly what the loader truncates.
-func (b *fileBacking) writeFrame() error {
+// latch records the first persistent failure; every later append and flush
+// fails fast with it.
+func (b *fileBacking) latch(err error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.failed == nil {
+		b.failed = fmt.Errorf("%w: segment %d offset %d: %w", ErrDegraded, b.segIndex, b.off, err)
+	}
+	return b.failed
+}
+
+// try runs one disk operation, backing off and retrying while it fails
+// transiently; disk-full, or diskRetries failures in a row, latch.
+func (b *fileBacking) try(op func() error) error {
 	backoff := diskBackoffMin
-	for try := 0; ; try++ {
-		err := b.writeOnce()
+	for failures := 0; ; failures++ {
+		err := op()
 		if err == nil {
-			b.off += int64(len(b.buf))
 			return nil
 		}
-		if errors.Is(err, fault.ErrDiskFull) || try >= diskRetries {
-			b.failed = fmt.Errorf("%w: segment %d offset %d: %w", ErrDegraded, b.segIndex, b.off, err)
-			return b.failed
+		if errors.Is(err, fault.ErrDiskFull) || failures >= diskRetries {
+			return b.latch(err)
 		}
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > diskBackoffMax {
@@ -325,60 +388,85 @@ func (b *fileBacking) writeFrame() error {
 	}
 }
 
-func (b *fileBacking) writeOnce() error {
-	allowed, ierr := b.inj.DiskWrite(len(b.buf))
-	if allowed > 0 {
-		if n, werr := b.f.WriteAt(b.buf[:allowed], b.off); werr != nil {
-			return werr
-		} else if n < allowed {
-			return io.ErrShortWrite
+// write swaps the log buffer out and lands it in the file: per segment, the
+// longest run of whole frames that fits goes down as one chunk at b.off,
+// rotating on the frame boundary where the segment is full. Called with
+// b.io held. Any failure latches — the frames of a failed chunk are gone
+// from the buffer, so nothing may be written after them.
+func (b *fileBacking) write() error {
+	b.mu.Lock()
+	if b.failed != nil {
+		b.mu.Unlock()
+		return b.failed
+	}
+	b.chunk, b.pending = b.pending, b.chunk[:0]
+	b.mu.Unlock()
+	for rest := b.chunk; len(rest) > 0; {
+		n := 0
+		for n < len(rest) {
+			frame := 4 + int(binary.BigEndian.Uint32(rest[n:]))
+			if b.off+int64(n) > 0 && b.off+int64(n+frame) > b.segBytes {
+				break
+			}
+			n += frame
 		}
-	}
-	if ierr != nil {
-		return ierr
-	}
-	if allowed < len(b.buf) {
-		return io.ErrShortWrite
+		if n == 0 {
+			if err := b.rotate(); err != nil {
+				return b.latch(err)
+			}
+			continue
+		}
+		// A retry rewrites the WHOLE chunk at the same offset, overwriting
+		// any partial bytes of the failed try.
+		if err := b.try(func() error { return b.writeOnce(rest[:n]) }); err != nil {
+			return err
+		}
+		b.off += int64(n)
+		rest = rest[n:]
 	}
 	return nil
 }
 
-// syncActive fsyncs the active segment with fault-aware retries.
-func (b *fileBacking) syncActive() error {
-	backoff := diskBackoffMin
-	for try := 0; ; try++ {
-		err := b.inj.DiskSync()
-		if err == nil {
-			err = b.f.Sync()
-		}
-		if err == nil {
-			return nil
-		}
-		if try >= diskRetries {
-			// An fsync that keeps failing leaves the kernel's dirty state
-			// unknowable (the pages may have been dropped); latch degraded
-			// rather than pretend a later success covers this data.
-			b.failed = fmt.Errorf("%w: fsync segment %d: %w", ErrDegraded, b.segIndex, err)
-			return b.failed
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > diskBackoffMax {
-			backoff = diskBackoffMax
-		}
+func (b *fileBacking) writeOnce(p []byte) error {
+	allowed, err := b.inj.DiskWrite(len(p))
+	if _, werr := b.f.WriteAt(p[:allowed], b.off); werr != nil {
+		return werr // includes a real short write
 	}
+	if err == nil && allowed < len(p) {
+		err = io.ErrShortWrite
+	}
+	return err
 }
 
-func (b *fileBacking) sync() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failed != nil {
-		return b.failed
+// syncActive fsyncs the active segment with fault-aware retries. An fsync
+// that keeps failing leaves the kernel's dirty state unknowable (the pages
+// may have been dropped); latch degraded rather than pretend a later
+// success covers this data.
+func (b *fileBacking) syncActive() error {
+	return b.try(func() error {
+		if err := b.inj.DiskSync(); err != nil {
+			return err
+		}
+		return b.f.Sync()
+	})
+}
+
+// flush writes the buffer and fsyncs. Called with b.io held.
+func (b *fileBacking) flush() error {
+	if err := b.write(); err != nil {
+		return err
 	}
 	return b.syncActive()
 }
 
+func (b *fileBacking) sync() error {
+	b.io.Lock()
+	defer b.io.Unlock()
+	return b.flush()
+}
+
 // rotate seals the active segment (fsync, close) and opens the next one.
-// Called with b.mu held.
+// Called with b.io held.
 func (b *fileBacking) rotate() error {
 	if err := b.syncActive(); err != nil {
 		return err
@@ -386,17 +474,11 @@ func (b *fileBacking) rotate() error {
 	if err := b.f.Close(); err != nil {
 		return fmt.Errorf("wal: sealing segment %d: %w", b.segIndex, err)
 	}
-	next := b.segIndex + 1
-	if err := b.create(next); err != nil {
-		return err
-	}
-	b.segIndex = next
-	b.segs = append(b.segs, next)
-	return nil
+	return b.create(b.segIndex + 1)
 }
 
-// create opens a fresh segment file and fsyncs the directory so the name
-// itself is durable. Sets b.f, resets b.off.
+// create opens a fresh segment file as the active one and fsyncs the
+// directory so the name itself is durable.
 func (b *fileBacking) create(idx int64) error {
 	f, err := os.OpenFile(filepath.Join(b.dir, segName(idx)), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -406,67 +488,51 @@ func (b *fileBacking) create(idx int64) error {
 		f.Close()
 		return err
 	}
-	b.f = f
-	b.off = 0
+	b.f, b.off, b.segIndex = f, 0, idx
+	b.segs = append(b.segs, idx)
 	return nil
 }
 
 // compact writes ckpt as the first frame of a brand-new segment, makes it
 // durable, then deletes every older segment. Called via
-// Medium.checkpointCompact with the checkpoint already checksummed.
+// Medium.checkpointCompact with the checkpoint already checksummed, and
+// with no append running concurrently (the DB is single-threaded).
 func (b *fileBacking) compact(ckpt Record) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failed != nil {
-		return b.failed
-	}
-	// Seal whatever is in flight first: the checkpoint claims everything
-	// before it is durable, so it must not outrun an unsynced tail.
-	if err := b.syncActive(); err != nil {
+	b.io.Lock()
+	defer b.io.Unlock()
+	// Seal whatever is buffered first (rotate fsyncs it): the checkpoint
+	// claims everything before it is durable, so it must not outrun an
+	// unsynced tail.
+	if err := b.write(); err != nil {
 		return err
 	}
-	if err := b.f.Close(); err != nil {
-		return fmt.Errorf("wal: sealing segment %d: %w", b.segIndex, err)
+	if err := b.rotate(); err != nil {
+		return b.latch(err)
 	}
-	old := append([]int64(nil), b.segs...)
-	next := b.segIndex + 1
-	if err := b.create(next); err != nil {
+	if err := b.append(ckpt); err != nil {
 		return err
 	}
-	b.segIndex = next
-	b.segs = append(b.segs, next)
-	if err := b.encode(ckpt); err != nil {
-		return err
-	}
-	if err := b.writeFrame(); err != nil {
-		return err
-	}
-	if err := b.syncActive(); err != nil {
+	if err := b.flush(); err != nil {
 		return err
 	}
 	// Only now is the prefix redundant. Deletion is best-effort: a
 	// leftover old segment is entirely behind the checkpoint the loader
 	// will pick, so it costs read work, never correctness.
-	for _, idx := range old {
+	last := len(b.segs) - 1
+	for _, idx := range b.segs[:last] {
 		os.Remove(filepath.Join(b.dir, segName(idx)))
 	}
-	if err := syncDir(b.dir); err != nil {
-		return err
-	}
-	b.segs = []int64{next}
-	return nil
+	b.segs = b.segs[last:]
+	return syncDir(b.dir)
 }
 
 func (b *fileBacking) close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.io.Lock()
+	defer b.io.Unlock()
 	if b.f == nil {
 		return nil
 	}
-	var err error
-	if b.failed == nil {
-		err = b.syncActive()
-	}
+	err := b.flush()
 	if cerr := b.f.Close(); err == nil {
 		err = cerr
 	}

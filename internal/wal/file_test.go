@@ -348,31 +348,33 @@ func TestFileDiskFaultRetry(t *testing.T) {
 }
 
 // TestFileDiskFullDegrades: once the injected byte budget is exhausted the
-// medium latches degraded — the failing append reports ErrDegraded, and so
-// does every later operation, fast.
+// medium latches degraded. Appends only fill the log buffer, so the failure
+// surfaces at the flush: Sync reports ErrDegraded, and so does every later
+// operation, fast.
 func TestFileDiskFullDegrades(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.New(fault.Plan{Seed: 7, DiskFullAfter: 600})
 	m, db := openFileDB(t, dir, FileOptions{Faults: inj})
 	defer m.Close()
-	var firstErr error
 	for i := 1; i <= 100; i++ {
-		_, err := db.Perform("t0", i, "a", func(v model.Value) (model.Value, string) {
+		if _, err := db.Perform("t0", i, "a", func(v model.Value) (model.Value, string) {
 			return v + 1, "inc"
-		})
-		if err != nil {
-			firstErr = err
+		}); err != nil {
+			t.Fatalf("buffered append %d failed before any flush: %v", i, err)
+		}
+		// A 600-byte budget absorbs the first few 100-byte chunks whole.
+		if err := db.Sync(); err != nil {
+			if !errors.Is(err, ErrDegraded) {
+				t.Fatalf("disk-full error %v does not wrap ErrDegraded", err)
+			}
+			if !errors.Is(err, fault.ErrDiskFull) {
+				t.Fatalf("disk-full error %v does not wrap fault.ErrDiskFull", err)
+			}
 			break
 		}
-	}
-	if firstErr == nil {
-		t.Fatal("600-byte budget absorbed 100 appends")
-	}
-	if !errors.Is(firstErr, ErrDegraded) {
-		t.Fatalf("disk-full error %v does not wrap ErrDegraded", firstErr)
-	}
-	if !errors.Is(firstErr, fault.ErrDiskFull) {
-		t.Fatalf("disk-full error %v does not wrap fault.ErrDiskFull", firstErr)
+		if i == 100 {
+			t.Fatal("600-byte budget absorbed 100 flushed appends")
+		}
 	}
 	// Latched: the next operations fail fast with the same sentinel.
 	if _, err := db.Perform("t1", 1, "b", func(v model.Value) (model.Value, string) {
@@ -387,7 +389,9 @@ func TestFileDiskFullDegrades(t *testing.T) {
 
 // TestPipelineDegradedLatch: a pipeline over a degraded medium closes its
 // acks (waiters unblock), latches Err, and fails later Performs fast —
-// the contract the engine's ackHealthy check builds on.
+// the contract the engine's ackHealthy check builds on. The disk failure
+// surfaces at a flush, so it is that group's ack (and every later one) that
+// closes with Err set; every ack that closed healthy is on disk.
 func TestPipelineDegradedLatch(t *testing.T) {
 	dir := t.TempDir()
 	// Budget admits the early appends, then dies.
@@ -405,6 +409,7 @@ func TestPipelineDegradedLatch(t *testing.T) {
 	defer p.Close()
 
 	var lastID model.TxnID
+	var healthy []model.TxnID
 	for i := 0; i < 100; i++ {
 		id := model.TxnID("t" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
 		if _, perr := p.Perform(id, 1, "a", func(v model.Value) (model.Value, string) {
@@ -420,9 +425,13 @@ func TestPipelineDegradedLatch(t *testing.T) {
 		if p.Err() != nil {
 			break
 		}
+		healthy = append(healthy, id)
 	}
 	if p.Err() == nil {
 		t.Fatal("pipeline never degraded under a 400-byte budget")
+	}
+	if len(healthy) == 0 {
+		t.Fatal("a 400-byte budget acked nothing before it ran out")
 	}
 	if !errors.Is(p.Err(), ErrDegraded) {
 		t.Fatalf("pipeline error %v does not wrap ErrDegraded", p.Err())
@@ -432,6 +441,25 @@ func TestPipelineDegradedLatch(t *testing.T) {
 	}
 	// Acks still close after the latch — no waiter hangs.
 	<-p.Submit([]model.TxnID{lastID})
+
+	// What the disk holds (the live medium stays mounted; a second, read-only
+	// decode of its segments is safe): every healthy ack, and nothing after
+	// the failed chunk.
+	recs, _ := segmentFrames(t, dir)
+	onDisk := make(map[model.TxnID]bool)
+	for _, r := range recs {
+		if r.Kind == Commit {
+			onDisk[r.Txn] = true
+		}
+	}
+	for _, id := range healthy {
+		if !onDisk[id] {
+			t.Fatalf("%s acked healthy but its commit record is not on disk", id)
+		}
+	}
+	if onDisk[lastID] {
+		t.Fatalf("%s was acked with Err set, yet its commit record reached the disk after the failed chunk", lastID)
+	}
 }
 
 // TestPipelineAutoCheckpoint: with auto-checkpointing on, quiescent flush

@@ -193,7 +193,7 @@ func FuzzWALRecovery(f *testing.F) {
 			case op == 7: // merged batch commit (the Pipeline flusher's shape)
 				// Merge the closures of two independent commit groups into
 				// ONE record, exactly as the group-commit pipeline does when
-				// submissions land in the same flush window. A torn tail must
+				// submissions arrive during the same sync. A torn tail must
 				// keep or drop BOTH groups — the every-prefix loop below
 				// checks that the coarsened record stays sound.
 				id2 := txns[int(arg)%len(txns)]

@@ -9,10 +9,12 @@ import (
 
 // Pipeline is the group-commit committer: a dedicated flusher goroutine
 // that batches concurrent commit submissions into one durable CommitGroup
-// record and one device sync per flush interval. Callers submit a
-// dependency-closed commit group and receive an ack channel that closes
-// only after the group's record has been flushed to the device — durability
-// is acknowledged, never assumed.
+// record and one device sync. The flusher is self-clocked: a batch is what
+// was submitted while the previous sync was in flight, and a lone submit
+// pays one sync, never a timer. Callers submit a dependency-closed commit
+// group and receive an ack channel that closes only after the group's
+// record has been flushed to the device — durability is acknowledged, never
+// assumed.
 //
 // Merging commit groups is sound because it only coarsens atomicity: the
 // merged record commits a superset all-or-none, so every member group is
@@ -23,11 +25,10 @@ import (
 //
 // The Pipeline serializes all access to its DB: Perform, Abort, and the
 // flusher share one mutex, so the DB's single-threaded invariants hold
-// unchanged. The device sync itself happens outside that mutex — a slow
-// flush never stalls concurrent Performs.
+// unchanged. The device sync happens outside that mutex and a Perform only
+// appends to the medium's log buffer, so a slow flush never stalls concurrent
+// Performs — except the quiescent-only checkpoint (see maybeCheckpoint).
 type Pipeline struct {
-	interval time.Duration
-
 	mu sync.Mutex // guards db, the current batch, stats
 	db *DB
 
@@ -81,18 +82,16 @@ type PipelineStats struct {
 	Degraded int
 }
 
-// NewPipeline starts a committer over db. interval is the batching window:
-// after the first submission arrives, the flusher waits that long for more
-// before flushing (0 = flush as soon as the goroutine is scheduled; batching
-// then comes only from submission bursts). Close must be called to stop the
-// flusher; no methods may be called after Close.
-func NewPipeline(db *DB, interval time.Duration) *Pipeline {
+// NewPipeline starts a committer over db. The interval parameter is ignored
+// (the flusher has no batching window); it remains only because benchmark/
+// still passes one, and goes with the next benchmark issue. Close must be
+// called to stop the flusher; no methods may be called after Close.
+func NewPipeline(db *DB, _ time.Duration) *Pipeline {
 	p := &Pipeline{
-		interval: interval,
-		db:       db,
-		wake:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		db:   db,
+		wake: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go p.flusher()
 	return p
@@ -100,29 +99,9 @@ func NewPipeline(db *DB, interval time.Duration) *Pipeline {
 
 func (p *Pipeline) flusher() {
 	defer close(p.done)
-	// One timer serves every batching window; it is always drained before
-	// Reset (either its fire was consumed or Stop found it already fired),
-	// so reuse is safe and the per-wake timer allocation is gone.
-	var timer *time.Timer
-	if p.interval > 0 {
-		timer = time.NewTimer(p.interval)
-		if !timer.Stop() {
-			<-timer.C
-		}
-	}
 	for {
 		select {
 		case <-p.wake:
-			if timer != nil {
-				timer.Reset(p.interval)
-				select {
-				case <-timer.C:
-				case <-p.quit:
-					if !timer.Stop() {
-						<-timer.C
-					}
-				}
-			}
 			p.flush()
 		case <-p.quit:
 			p.flush() // drain anything submitted before Close
@@ -134,9 +113,10 @@ func (p *Pipeline) flusher() {
 // flush commits the current batch in one record, syncs the device, then
 // acks. The record append happens under mu (serialized with Perform/Abort,
 // and with Submit — so the batch buffer can be recycled immediately: the
-// record has already copied the members); the sync and the ack happen
-// outside it (the file backing has its own leaf mutex, so a concurrent
-// Perform cannot race the fsync against a segment rotation).
+// record has already copied the members); the sync — on a file medium the
+// write of everything buffered so far, then the fsync — and the ack happen
+// outside it, while Performs keep appending to the other half of the
+// medium's log buffer.
 //
 // A failed commit or sync latches p.err; the ack channel still closes —
 // waiters unblock and learn the verdict from Err(). Durability is

@@ -12,13 +12,17 @@ import (
 // TestPipelineBatchesCommits submits many commit groups concurrently and
 // checks the pipeline's whole contract: every ack fires, every transaction
 // is durably committed, and the device saw fewer syncs than groups (the
-// amortization that justifies the pipeline's existence).
+// amortization that justifies the pipeline's existence). The flusher is
+// self-clocked, so batches form only while a sync is in flight: the medium
+// is given a sync delay for the groups to pile up behind.
 func TestPipelineBatchesCommits(t *testing.T) {
-	db, err := Open(NewMedium(), map[model.EntityID]model.Value{"x": 0})
+	m := NewMedium()
+	m.SyncDelay = 2 * time.Millisecond
+	db, err := Open(m, map[model.EntityID]model.Value{"x": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(db, 2*time.Millisecond)
+	p := NewPipeline(db, 0)
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -66,6 +70,33 @@ func TestPipelineBatchesCommits(t *testing.T) {
 		if id := model.TxnID(fmt.Sprintf("t%d", i)); !rdb.Committed(id) {
 			t.Fatalf("%s lost across recovery", id)
 		}
+	}
+}
+
+// TestPipelineLoneSubmitPaysOneSync: with nothing to batch against, submit →
+// ack costs one device sync — no batching window is waited out, whatever
+// interval the constructor is handed.
+func TestPipelineLoneSubmitPaysOneSync(t *testing.T) {
+	m := NewMedium()
+	m.SyncDelay = 10 * time.Millisecond
+	db, err := Open(m, map[model.EntityID]model.Value{"x": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(db, 300*time.Millisecond)
+	defer p.Close()
+	if _, err := p.Perform("t0", 1, "x", func(v model.Value) (model.Value, string) {
+		return v + 1, "add"
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	<-p.Submit([]model.TxnID{"t0"})
+	if d := time.Since(t0); d < m.SyncDelay || d > 15*m.SyncDelay {
+		t.Fatalf("lone submit acked after %v, want about one %v sync", d, m.SyncDelay)
+	}
+	if st := p.Snapshot(); st.Flushes != 1 || m.Syncs() != 1 {
+		t.Fatalf("%d flushes, %d syncs for one group", st.Flushes, m.Syncs())
 	}
 }
 
@@ -145,9 +176,9 @@ func TestPipelineTornTailKeepsGroupsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(db, 5*time.Millisecond)
-	// Two 2-member groups submitted inside one batching window, so the
-	// flusher merges them into one record.
+	p := NewPipeline(db, 0)
+	// Two 2-member groups: merged into one record when both arrive before
+	// the flusher runs, two records otherwise — atomic either way.
 	for _, id := range []model.TxnID{"g1a", "g1b", "g2a", "g2b"} {
 		if _, err := p.Perform(id, 1, "a", func(v model.Value) (model.Value, string) {
 			return v + 1, "add"
@@ -185,7 +216,7 @@ func TestPipelineCloseFlushesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(db, time.Hour) // window far longer than the test
+	p := NewPipeline(db, 0)
 	if _, err := p.Perform("t0", 1, "x", func(v model.Value) (model.Value, string) {
 		return v + 1, "add"
 	}); err != nil {
@@ -207,15 +238,16 @@ func TestPipelineCloseFlushesPending(t *testing.T) {
 // batch is open, enqueueing another commit group must not allocate — the
 // batch slice is recycled across flushes and every group in a batch shares
 // one ack channel. The historical regression this guards against allocated
-// a per-group ids copy and a per-group ack channel on every Submit (and a
-// timer per flush window), which showed up as ~4 extra allocs/txn on the
-// hotspot benchmark.
+// a per-group ids copy and a per-group ack channel on every Submit, which
+// showed up as ~4 extra allocs/txn on the hotspot benchmark.
 func TestSubmitSteadyStateAllocations(t *testing.T) {
-	db, err := Open(NewMedium(), map[model.EntityID]model.Value{"x": 0})
+	m := NewMedium()
+	m.SyncDelay = 200 * time.Millisecond // far longer than the measured submits: one open batch
+	db, err := Open(m, map[model.EntityID]model.Value{"x": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(db, time.Hour) // window far longer than the test: one open batch
+	p := NewPipeline(db, 0)
 	defer p.Close()
 	const runs = 200
 	groups := make([][]model.TxnID, 0, runs+2)
@@ -228,9 +260,14 @@ func TestSubmitSteadyStateAllocations(t *testing.T) {
 		}
 		groups = append(groups, []model.TxnID{id})
 	}
-	// The first submit of a batch lazily creates the shared ack channel;
-	// prime it so the measured runs see only the steady state.
+	// The first submit sends the flusher into its sync; everything submitted
+	// until that returns joins one open batch. AllocsPerRun's warm-up call
+	// creates that batch's shared ack channel, so the measured runs see only
+	// the steady state.
 	p.Submit(groups[0])
+	for p.Snapshot().Flushes == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	next := 1
 	allocs := testing.AllocsPerRun(runs, func() {
 		p.Submit(groups[next])

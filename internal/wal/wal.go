@@ -189,9 +189,9 @@ type Medium struct {
 	sinceCkpt int
 
 	// backing, when non-nil, is the real on-disk segment log behind this
-	// medium (see file.go). Appends persist to it BEFORE entering the
+	// medium (see file.go). Appends enter its log buffer BEFORE the
 	// in-memory cache (the write-ahead rule applied to the medium itself),
-	// and Sync becomes a real fsync.
+	// and Sync becomes one write of the buffer plus a real fsync.
 	backing *fileBacking
 	info    RecoveryInfo
 
@@ -274,10 +274,10 @@ func (m *Medium) Corrupt(lsn int64) bool {
 func (m *Medium) Len() int { return len(m.records) }
 
 // Sync flushes the device: sleeps SyncDelay, increments the sync counter,
-// and — on a file-backed medium — fsyncs the active segment (with
-// capped-backoff retries under injected faults). Safe to call concurrently
-// with appends; callers deliberately invoke it outside any log lock so a
-// slow flush does not stall appends (the backing has its own leaf mutex).
+// and — on a file-backed medium — writes every record appended so far as
+// one chunk and fsyncs (with capped-backoff retries under injected faults);
+// a disk failure surfaces here, not at the append. Callers invoke it outside
+// any log lock: appends keep buffering while the flush is on the device.
 func (m *Medium) Sync() error {
 	if m.SyncDelay > 0 {
 		time.Sleep(m.SyncDelay)
@@ -323,6 +323,9 @@ type DB struct {
 
 	vals      map[model.EntityID]model.Value
 	committed map[model.TxnID]bool
+	// done is the committed set sorted as of the last doneIDs call, fresh
+	// the ids committed since; a checkpoint sorts only fresh and merges.
+	done, fresh []model.TxnID
 	// live: per transaction, the stack of update records not yet cancelled
 	// by a compensation (oldest first).
 	live map[model.TxnID][]Record
@@ -439,10 +442,10 @@ func (db *DB) recover() error {
 			}
 			db.live[r.Txn] = stack[:len(stack)-1]
 		case Commit:
-			db.committed[r.Txn] = true
+			db.markCommitted(r.Txn)
 			delete(db.live, r.Txn)
 			for _, t := range r.Group {
-				db.committed[t] = true
+				db.markCommitted(t)
 				delete(db.live, t)
 			}
 		case Abort:
@@ -458,7 +461,7 @@ func (db *DB) recover() error {
 	// prefix (compaction dropped those Commit records).
 	if start > 0 {
 		for _, t := range records[start-1].Done {
-			db.committed[t] = true
+			db.markCommitted(t)
 		}
 	}
 	// Undo losers: all remaining live updates, newest first globally.
@@ -508,8 +511,8 @@ func (db *DB) Values() map[model.EntityID]model.Value { return copyVals(db.vals)
 // Committed reports whether t has a durable commit.
 func (db *DB) Committed(t model.TxnID) bool { return db.committed[t] }
 
-// Perform executes one atomic step WAL-first: the update record is durable
-// before the volatile value changes.
+// Perform executes one atomic step WAL-first: the update record is logged
+// (so durable no later than any later record) before the value changes.
 func (db *DB) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Value) (model.Value, string)) (model.Step, error) {
 	if db.committed[t] {
 		return model.Step{}, fmt.Errorf("wal: %s already committed", t)
@@ -533,7 +536,7 @@ func (db *DB) Commit(t model.TxnID) error {
 	if _, err := db.medium.append(Record{Kind: Commit, Txn: t}); err != nil {
 		return err
 	}
-	db.committed[t] = true
+	db.markCommitted(t)
 	db.retireLive(t)
 	return nil
 }
@@ -553,7 +556,7 @@ func (db *DB) CommitGroup(ids []model.TxnID) error {
 		return err
 	}
 	for _, t := range ids {
-		db.committed[t] = true
+		db.markCommitted(t)
 		db.retireLive(t)
 	}
 	return nil
@@ -641,13 +644,32 @@ func (db *DB) CheckpointCompact() error {
 	return db.medium.checkpointCompact(copyVals(db.vals), db.doneIDs())
 }
 
-func (db *DB) doneIDs() []model.TxnID {
-	ids := make([]model.TxnID, 0, len(db.committed))
-	for t := range db.committed {
-		ids = append(ids, t)
+func (db *DB) markCommitted(t model.TxnID) {
+	if !db.committed[t] {
+		db.committed[t] = true
+		db.fresh = append(db.fresh, t)
 	}
-	model.SortTxnIDs(ids)
-	return ids
+}
+
+// doneIDs returns every committed id, ascending. The result is shared with
+// the checkpoint record that carries it, so a merge builds a new slice.
+func (db *DB) doneIDs() []model.TxnID {
+	if len(db.fresh) == 0 {
+		return db.done
+	}
+	model.SortTxnIDs(db.fresh)
+	merged := make([]model.TxnID, 0, len(db.done)+len(db.fresh))
+	for i, j := 0, 0; len(merged) < cap(merged); {
+		if j == len(db.fresh) || (i < len(db.done) && db.done[i] < db.fresh[j]) {
+			merged = append(merged, db.done[i])
+			i++
+		} else {
+			merged = append(merged, db.fresh[j])
+			j++
+		}
+	}
+	db.done, db.fresh = merged, db.fresh[:0]
+	return merged
 }
 
 // Live returns the number of transactions with un-undone live updates —
