@@ -1,7 +1,8 @@
 .PHONY: check test bench lint fuzz perf history-check loc chaos-replay
 
 # Tier-1 gate: build + vet + lint + full suite under -race (includes the
-# engine goroutine-leak and cancellation tests), fuzz smoke, perf smoke.
+# engine goroutine-leak and cancellation tests), fuzz smoke, the E19 race
+# smoke and a one-second benchmark/ output-check smoke.
 check:
 	./scripts/check.sh
 
@@ -25,8 +26,8 @@ fuzz:
 
 # The history-oracle slice of check.sh: record a live engine run as an
 # event history, check it offline with the black-box checker, verify the
-# known-violating histories are rejected, and run the E20
-# checker-vs-scheduler cross-check.
+# known-violating histories are rejected, run the E20 checker-vs-scheduler
+# cross-check, and verify an unknown experiment ID is rejected.
 history-check:
 	go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
 	go run ./cmd/mlacheck -history /tmp/mla_check_history.json
@@ -36,12 +37,17 @@ history-check:
 		fi; \
 	done
 	go run ./cmd/mlabench -exp E20
+	@if go run ./cmd/mlabench -exp E99 > /dev/null 2>&1; then \
+		echo "mlabench -exp E99 should have been rejected" >&2; exit 1; \
+	fi
 
-# The same perf smoke check.sh runs: quick E19 sweep under -race with
-# telemetry on; trace and report land in /tmp.
+# The same two smokes check.sh runs: E19 at scale 1 under -race with
+# telemetry on (the trace lands in /tmp), then one second of the benchmark's
+# engine workload with its output checks. Neither is a perf gate; performance
+# is judged by alternating benchmark/ pairs (benchmark/README.md).
 perf:
-	go run -race ./cmd/mlabench -perf -quick -out /tmp/mla_perf_smoke.json \
-		-telemetry -trace-out /tmp/mla_perf_smoke_trace.json
+	go run -race ./cmd/mlabench -exp E19 -scale 1 -telemetry -trace-out /tmp/mla_perf_smoke_trace.json
+	bash benchmark/run.sh --workload engine_uniform --seed 1 --seconds 1 --trace 0 > /dev/null
 
 # Non-test Go source lines per internal/* package and in total (benchmark/
 # excluded): ROADMAP aim 2 wants the total to go down.

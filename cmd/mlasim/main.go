@@ -438,7 +438,11 @@ func run() int {
 			return 1
 		}
 		exec, final = res.Exec, res.Final
-		lat := metrics.Summarize(res.Latencies)
+		h := metrics.NewHistogram()
+		for _, v := range res.Latencies {
+			h.Record(v)
+		}
+		lat := h.Summary()
 		fmt.Printf("workload=%s control=%s txns=%d seed=%d\n", *workload, c.Name(), *txns, *seed)
 		fmt.Printf("committed:      %d in %d time units (throughput %.2f/1000u)\n",
 			res.Stats.Committed, res.Time, res.Throughput())

@@ -46,7 +46,7 @@ func All() []Experiment {
 		{"E16", "hot-spot contention: MLA degrades gently where 2PL serializes", E16HotSpot},
 		{"E17", "engine crash tolerance under deterministic fault injection", E17EngineCrash},
 		{"E18", "distributed prevention under partitions, loss, and processor crashes", E18Chaos},
-		{"E19", "striped locks + group commit scale the engine's hot path (-perf)", E19Perf},
+		{"E19", "striped locks + group commit scale the engine's hot path", E19Perf},
 		{"E20", "black-box history checker agrees with the scheduler on mixed-level runs", E20MixedHistory},
 		{"E21", "resident front-end keeps the serving contract under drain and overload", E21Serve},
 		{"E22", "acked commits survive SIGKILL crash-restarts with disk faults (real process)", E22CrashSoak},

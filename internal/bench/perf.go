@@ -1,25 +1,24 @@
-// Perf is the engine performance harness behind `mlabench -perf` and E19:
-// it runs hot-spot and low-contention increment workloads on the real
-// concurrent engine in two configurations —
+// E19 is the engine performance demonstration: hot-spot and low-contention
+// increment workloads on the real concurrent engine in two configurations —
 //
 //   - baseline: the "unoptimized path" — wound-wait 2PL over a SINGLE lock
 //     stripe, commits made durable one group at a time with a device sync
 //     each, performed under the engine mutex;
-//   - optimized: the tentpole — 16 lock stripes with Request outside the
-//     engine mutex, commits batched by the WAL group-commit pipeline with
-//     one sync per flush, acknowledged off the engine's critical path;
+//   - optimized: 16 lock stripes with Request outside the engine mutex,
+//     commits batched by the WAL group-commit pipeline with one sync per
+//     flush, acknowledged off the engine's critical path;
 //
-// sweeping GOMAXPROCS, and measuring throughput, commit-latency order
+// sweeping GOMAXPROCS, and reporting throughput, commit-latency order
 // statistics, device syncs per commit, and allocations per transaction.
 // The device is simulated with a fixed per-sync delay (a fast SSD's fsync)
 // so durability cost is explicit and identical for both configurations.
+// The cells are 24 or 64 transactions long: a mechanism demonstration, not
+// a throughput result — throughput is measured by benchmark/.
 //
 // Safety is asserted, not assumed: the workloads are commutative
 // (increments), so every schedule that commits all transactions must reach
-// the same final state. Each run is checked against the arithmetically
-// expected values and against its sibling configuration at the equal seed;
-// any divergence fails the report (EquivalenceOK=false), which `mlabench
-// -perf` and the nightly perf job turn into a nonzero exit.
+// the same final state. Each cell is checked against the arithmetically
+// expected values; a miss is the runner's error.
 package bench
 
 import (
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"mla/internal/engine"
-	"mla/internal/fault"
 	"mla/internal/metrics"
 	"mla/internal/model"
 	"mla/internal/sched"
@@ -62,8 +60,7 @@ func (p *perfProg) Init() model.ProgState {
 }
 
 // perfState is a pointer state mutated in place: Apply returns the same
-// ProgState value, so stepping a transaction re-boxes nothing. It is shared
-// by the perf sweep's perfProg and the load cell's loadProg.
+// ProgState value, so stepping a transaction re-boxes nothing.
 type perfState struct {
 	ents []model.EntityID
 	idx  int
@@ -133,148 +130,19 @@ func (s syncWALStore) CommitGroup(ids []model.TxnID) {
 }
 func (s syncWALStore) Values() map[model.EntityID]model.Value { return s.db.Values() }
 
-// PerfRun executes the full sweep (the Kind "perf" report behind
-// `mlabench -perf` and BENCH_4.json). Telemetry, when configured, attaches
-// a per-cell engine.TelemetryObserver (spans for every lock wait, commit
-// group, …), folds each cell's WAL counters into the registry, and appends
-// a small crash-recovery cell so the exported trace also contains recovery
-// spans. PerfRun mutates GOMAXPROCS during the run and restores it before
-// returning.
-func PerfRun(ctx context.Context, opts Config) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	procs := opts.Procs
-	if len(procs) == 0 {
-		if opts.Quick {
-			procs = []int{1, 8}
-		} else {
-			procs = []int{1, 2, 4, 8}
-		}
-	}
-	txns, steps := 64, 6
-	if opts.Quick {
-		txns = 24
-	}
-	workloads := []perfWorkload{
-		// Hot spot: every transaction fights over 4 entities.
-		genPerfWorkload("hotspot", txns, steps, 4),
-		// Low contention: only neighbouring transactions overlap.
-		genPerfWorkload("lowcontention", txns, steps, txns*3),
-	}
-	rep := &Report{
-		Schema:        Schema,
-		Kind:          "perf",
-		Seed:          opts.Seed,
-		Quick:         opts.Quick,
-		SyncDelayUS:   perfSyncDelay.Microseconds(),
-		EquivalenceOK: true,
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	maxProcs := procs[len(procs)-1]
-	var hotBase, hotOpt float64
-	for _, wl := range workloads {
-		for _, p := range procs {
-			for _, config := range []string{"baseline", "optimized"} {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				m, err := perfCase(ctx, wl, config, p, opts.Seed, opts.Telemetry)
-				if err != nil {
-					return nil, fmt.Errorf("bench: perf %s/%s@%d: %w", wl.name, config, p, err)
-				}
-				if m.Committed != m.Txns {
-					rep.EquivalenceOK = false
-				}
-				if wl.name == "hotspot" && p == maxProcs {
-					if config == "baseline" {
-						hotBase = m.ThroughputTPS
-					} else {
-						hotOpt = m.ThroughputTPS
-					}
-				}
-				rep.Measurements = append(rep.Measurements, m)
-			}
-		}
-	}
-	if hotBase > 0 {
-		rep.HotspotSpeedup = hotOpt / hotBase
-	}
-	if opts.Telemetry != nil {
-		rec, err := perfRecoveryCell(ctx, opts.Seed, opts.Telemetry)
-		if err != nil {
-			return nil, fmt.Errorf("bench: perf recovery cell: %w", err)
-		}
-		if rec.failed {
-			rep.EquivalenceOK = false
-		}
-		rep.Recovery = &rec.PerfRecovery
-	}
-	return rep, nil
-}
-
-// perfRecoveryResult carries the recovery cell's summary plus its pass/fail
-// verdict (a wrong final state flips the report's EquivalenceOK).
-type perfRecoveryResult struct {
-	PerfRecovery
-	failed bool
-}
-
-// perfRecoveryCell runs a small crash-recovery plan under the telemetry
-// observer: two injected crashes with a torn tail, so the exported trace
-// contains crash and recovery spans next to the sweep's lock-wait and
-// commit-group spans. The workload is the same commutative increment shape
-// as the sweep, so the final state is checkable.
-func perfRecoveryCell(ctx context.Context, seed int64, tel *telemetry.Telemetry) (*perfRecoveryResult, error) {
-	wl := genPerfWorkload("recovery", 12, 4, 6)
-	start := time.Now()
-	plan := engine.CrashPlan{
-		Cfg: engine.Config{
-			Seed:     seed,
-			Observer: engine.NewTelemetryObserver(tel, "perf/recovery"),
-		},
-		Init: wl.init,
-		Faults: fault.Plan{
-			Seed:         seed,
-			CrashAppends: []int64{10, 25},
-			TearTail:     1,
-		},
-		NewControl: func() sched.Control { return sched.NewShardedTwoPhase(16) },
-	}
-	out, err := engine.RunWithCrashes(ctx, plan, wl.progs)
-	if err != nil {
-		return nil, err
-	}
-	rec := &perfRecoveryResult{PerfRecovery: PerfRecovery{
-		Crashes:   out.Crashes,
-		Rounds:    out.Rounds,
-		TornTotal: out.TornTotal,
-		Committed: out.Committed,
-		ElapsedUS: time.Since(start).Microseconds(),
-	}}
-	for x, v := range wl.want {
-		if out.Final[x] != v {
-			rec.failed = true
-		}
-	}
-	if out.Committed != len(wl.progs) {
-		rec.failed = true
-	}
-	return rec, nil
-}
-
 // perfCase runs one cell: build the store for the configuration, run the
 // engine at the given GOMAXPROCS, verify the outcome against the
-// schedule-independent expectation, and fold the counters.
-func perfCase(ctx context.Context, wl perfWorkload, config string, procs int, seed int64, tel *telemetry.Telemetry) (PerfMeasurement, error) {
+// schedule-independent expectation, append the cell's row to tbl and return
+// its throughput. Telemetry, when non-nil, attaches a per-cell
+// engine.TelemetryObserver (spans for every lock wait and commit group) and
+// folds the cell's WAL counters into the registry.
+func perfCase(ctx context.Context, tbl *metrics.Table, wl perfWorkload, config string, procs int, seed int64, tel *telemetry.Telemetry) (float64, error) {
 	runtime.GOMAXPROCS(procs)
 	medium := wal.NewMedium()
 	medium.SyncDelay = perfSyncDelay
 	db, err := wal.Open(medium, wl.init)
 	if err != nil {
-		return PerfMeasurement{}, err
+		return 0, err
 	}
 	var store engine.Store
 	var pipe *wal.Pipeline
@@ -298,7 +166,7 @@ func perfCase(ctx context.Context, wl perfWorkload, config string, procs int, se
 		pipe.Close()
 	}
 	if err != nil {
-		return PerfMeasurement{}, err
+		return 0, err
 	}
 	runtime.ReadMemStats(&after)
 	if tel != nil {
@@ -306,43 +174,70 @@ func perfCase(ctx context.Context, wl perfWorkload, config string, procs int, se
 	}
 	// The equivalence assertion: commutative workload, so the optimized and
 	// baseline paths must both land exactly on init + increment counts.
+	if res.Committed != len(wl.progs) {
+		return 0, fmt.Errorf("committed %d of %d transactions", res.Committed, len(wl.progs))
+	}
 	for x, v := range wl.want {
 		if res.Final[x] != v {
-			return PerfMeasurement{}, fmt.Errorf("final[%s] = %d, want %d: optimized and baseline paths diverged", x, res.Final[x], v)
+			return 0, fmt.Errorf("final[%s] = %d, want %d: optimized and baseline paths diverged", x, res.Final[x], v)
 		}
 	}
 	lat := res.LatencySummary()
-	m := PerfMeasurement{
-		Workload:     wl.name,
-		Config:       config,
-		Procs:        procs,
-		Txns:         len(wl.progs),
-		Committed:    res.Committed,
-		Restarts:     res.Restarts,
-		P50LatencyUS: lat.P50,
-		P99LatencyUS: lat.P99,
-		Fsyncs:       db.Snapshot().Syncs,
-		ElapsedUS:    res.Elapsed.Microseconds(),
-	}
+	committed := float64(res.Committed)
+	tps := 0.0
 	if res.Elapsed > 0 {
-		m.ThroughputTPS = float64(res.Committed) / res.Elapsed.Seconds()
+		tps = committed / res.Elapsed.Seconds()
 	}
-	if res.Committed > 0 {
-		m.FsyncsPerCommit = float64(m.Fsyncs) / float64(res.Committed)
-		m.AllocsPerTxn = float64(after.Mallocs-before.Mallocs) / float64(res.Committed)
-	}
-	return m, nil
+	tbl.Row(wl.name, config, procs, fmt.Sprintf("%.0f", tps), lat.P50, lat.P99,
+		fmt.Sprintf("%.3f", float64(db.Snapshot().Syncs)/committed),
+		fmt.Sprintf("%.0f", float64(after.Mallocs-before.Mallocs)/committed), res.Restarts)
+	return tps, nil
 }
 
-// E19Perf wraps the perf harness as an experiment: a quick sweep whose
-// equivalence assertions must hold. Scale >= 2 runs the full sweep.
+// E19Perf sweeps workload × GOMAXPROCS × configuration; every cell's
+// equivalence assertion must hold. Scale 1 runs 24-transaction cells at
+// GOMAXPROCS {1, 8}, scale >= 2 runs 64-transaction cells at {1, 2, 4, 8}.
+// It mutates GOMAXPROCS during the run and restores it before returning.
 func E19Perf(o Config) (*metrics.Table, error) {
-	rep, err := PerfRun(o.ctx(), NewConfig(WithSeed(o.Seed), WithQuick(o.scale() <= 1), WithTelemetry(o.Telemetry)))
-	if err != nil {
-		return nil, err
+	ctx := o.ctx()
+	procs, txns := []int{1, 2, 4, 8}, 64
+	if o.scale() <= 1 {
+		procs, txns = []int{1, 8}, 24
 	}
-	if !rep.EquivalenceOK {
-		return nil, fmt.Errorf("bench: E19: optimized path changed commit outcomes")
+	const steps = 6
+	workloads := []perfWorkload{
+		// Hot spot: every transaction fights over 4 entities.
+		genPerfWorkload("hotspot", txns, steps, 4),
+		// Low contention: only neighbouring transactions overlap.
+		genPerfWorkload("lowcontention", txns, steps, txns*3),
 	}
-	return rep.Table(), nil
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	tbl := metrics.NewTable("E19 engine perf: striped locks + group commit (sync delay 300µs)",
+		"workload", "config", "procs", "txns/s", "p50 µs", "p99 µs", "fsync/commit", "allocs/txn", "restarts")
+	maxProcs := procs[len(procs)-1]
+	var hotBase, hotOpt float64
+	for _, wl := range workloads {
+		for _, p := range procs {
+			for _, config := range []string{"baseline", "optimized"} {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				tps, err := perfCase(ctx, tbl, wl, config, p, o.Seed, o.Telemetry)
+				if err != nil {
+					return nil, fmt.Errorf("bench: E19 %s/%s@%d: %w", wl.name, config, p, err)
+				}
+				if wl.name == "hotspot" && p == maxProcs {
+					if config == "baseline" {
+						hotBase = tps
+					} else {
+						hotOpt = tps
+					}
+				}
+			}
+		}
+	}
+	tbl.Row("hotspot", "speedup@max", "", metrics.Ratio(hotOpt, hotBase), "", "", "", "", "")
+	return tbl, nil
 }

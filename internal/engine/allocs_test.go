@@ -1,0 +1,143 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strconv"
+	"sync"
+	"testing"
+
+	"mla/internal/model"
+	"mla/internal/sched"
+)
+
+// pooledInc is a tuned client program: one per submitting goroutine, reused
+// for every transaction, with a pointer state mutated in place so stepping
+// re-boxes nothing. Retirement of a transaction finishes before its Submit
+// returns, so the ID buffer is free to reuse; the string conversion copies.
+type pooledInc struct {
+	id   model.TxnID
+	buf  []byte
+	ents []model.EntityID
+	idx  int
+}
+
+func (p *pooledInc) ID() model.TxnID { return p.id }
+func (p *pooledInc) Init() model.ProgState {
+	p.idx = 0
+	return p
+}
+
+func (p *pooledInc) Next() (model.EntityID, bool) {
+	if p.idx < len(p.ents) {
+		return p.ents[p.idx], true
+	}
+	return "", false
+}
+
+func (p *pooledInc) Apply(v model.Value) (model.Value, string, model.ProgState) {
+	p.idx++
+	return v + 1, "inc", p
+}
+
+// TestSessionAllocBudget is the hot-path allocation pin DESIGN.md's
+// allocation-budget section points at: a resident Session under sharded 2PL
+// over a volatile store, fed pooled 2-step increment programs from several
+// goroutines, must commit every transaction, land exactly on the acked
+// increment counts, and spend at most 25 heap allocations per committed
+// transaction. The measured steady state is ~5, so a trip here means
+// pooling or interning regressed, not noise.
+func TestSessionAllocBudget(t *testing.T) {
+	const (
+		workers      = 4
+		warmup       = 250 // per worker, before the MemStats baseline
+		measured     = 750 // per worker: 3,000 measured transactions
+		entities     = 2048
+		allocCeiling = 25
+	)
+	ents := make([]model.EntityID, entities)
+	init := make(map[model.EntityID]model.Value, entities)
+	for e := range ents {
+		ents[e] = model.EntityID(fmt.Sprintf("x%04d", e))
+		init[ents[e]] = 0
+	}
+	store := NewVolatileStore(init)
+	s := NewSession(Config{Seed: 3}, sched.NewShardedTwoPhase(16), nil, store)
+	defer s.Close()
+
+	// Each worker counts its own acked increments per entity; increments
+	// commute, so the merged counts are the schedule-independent final state.
+	acked := make([][]int, workers)
+	for w := range acked {
+		acked[w] = make([]int, entities)
+	}
+	run := func(w, from, to int) error {
+		p := &pooledInc{}
+		for i := from; i < to; i++ {
+			n := i*workers + w
+			p.buf = strconv.AppendInt(append(p.buf[:0], 'a'), int64(n), 36)
+			p.id = model.TxnID(p.buf)
+			// Neighbouring transactions share an entity: incidental
+			// contention, as in the benchmark's uniform workload.
+			lo := n % (entities - 1)
+			p.ents = ents[lo : lo+2]
+			out, err := s.Submit(context.Background(), p, SubmitOpts{})
+			if err != nil {
+				return err
+			}
+			if !out.Committed {
+				return fmt.Errorf("%s resolved without committing: %+v", p.id, out)
+			}
+			acked[w][lo]++
+			acked[w][lo+1]++
+		}
+		return nil
+	}
+	phase := func(from, to int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = run(w, from, to)
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	phase(0, warmup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	phase(warmup, warmup+measured)
+	runtime.ReadMemStats(&after)
+
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	const total = workers * (warmup + measured)
+	if st := s.Stats(); st.Committed != total {
+		t.Errorf("session committed %d/%d", st.Committed, total)
+	}
+	final := store.Values()
+	for e, x := range ents {
+		want := 0
+		for w := range acked {
+			want += acked[w][e]
+		}
+		if final[x] != model.Value(want) {
+			t.Errorf("final[%s] = %d, want %d acked increments", x, final[x], want)
+		}
+	}
+	perTxn := float64(after.Mallocs-before.Mallocs) / float64(workers*measured)
+	if perTxn <= 0 || perTxn > allocCeiling {
+		t.Errorf("allocs/txn %.1f outside (0, %d] — hot-path allocation budget regressed", perTxn, allocCeiling)
+	}
+	t.Logf("%d measured txns from %d goroutines: %.1f allocs/txn", workers*measured, workers, perTxn)
+}

@@ -146,11 +146,11 @@ func (r *Result) LatencySummary() metrics.Summary { return summarizeDurations(r.
 func (r *Result) WaitSummary() metrics.Summary { return summarizeDurations(r.WaitTimes) }
 
 func summarizeDurations(ds []time.Duration) metrics.Summary {
-	us := make([]int64, len(ds))
-	for i, d := range ds {
-		us[i] = d.Microseconds()
+	h := metrics.NewHistogram()
+	for _, d := range ds {
+		h.Record(d.Microseconds())
 	}
-	return metrics.Summarize(us)
+	return h.Summary()
 }
 
 type etxn struct {

@@ -165,3 +165,25 @@ func (h *Histogram) Percentile(p float64) int64 {
 	}
 	return h.max
 }
+
+// Summary holds order statistics of a sample set.
+type Summary struct {
+	N             int
+	Min, Max      int64
+	Mean          float64
+	P50, P95, P99 int64
+}
+
+// Summary returns order statistics over the samples recorded so far; an
+// empty histogram yields a zero Summary.
+func (h *Histogram) Summary() Summary {
+	return Summary{
+		N:    int(h.total),
+		Min:  h.Min(),
+		Max:  h.Max(),
+		Mean: h.Mean(),
+		P50:  h.Percentile(50),
+		P95:  h.Percentile(95),
+		P99:  h.Percentile(99),
+	}
+}

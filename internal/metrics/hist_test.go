@@ -117,3 +117,24 @@ func BenchmarkHistogramRecord(b *testing.B) {
 		h.Record(int64(i)*7919 + 1)
 	}
 }
+
+// TestHistogramSummary: Summary is the histogram's own order statistics —
+// exact on small values, zero when empty, degenerate on a singleton.
+func TestHistogramSummary(t *testing.T) {
+	h := NewHistogram()
+	for _, v := range []int64{5, 1, 9, 3, 7} {
+		h.Record(v)
+	}
+	s := h.Summary()
+	if s.N != 5 || s.Min != 1 || s.Max != 9 || s.P50 != 5 || s.Mean != 5 {
+		t.Errorf("summary = %+v", s)
+	}
+	if z := NewHistogram().Summary(); z != (Summary{}) {
+		t.Errorf("empty summary = %+v", z)
+	}
+	one := NewHistogram()
+	one.Record(42)
+	if s := one.Summary(); s.P50 != 42 || s.P99 != 42 || s.Min != 42 {
+		t.Errorf("singleton = %+v", s)
+	}
+}

@@ -1,11 +1,11 @@
 // Package metrics provides the small reporting toolkit used by the bench
-// harness: aligned text tables and summary statistics over int64 samples.
+// harness: aligned text tables and a log-linear histogram with its order
+// statistics.
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -91,41 +91,6 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-cellWidth(s))
-}
-
-// Summary holds order statistics of a sample set.
-type Summary struct {
-	N             int
-	Min, Max      int64
-	Mean          float64
-	P50, P95, P99 int64
-}
-
-// Summarize computes order statistics. An empty input yields a zero
-// Summary.
-func Summarize(samples []int64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var sum int64
-	for _, v := range s {
-		sum += v
-	}
-	pct := func(p float64) int64 {
-		i := int(p / 100 * float64(len(s)-1))
-		return s[i]
-	}
-	return Summary{
-		N:    len(s),
-		Min:  s[0],
-		Max:  s[len(s)-1],
-		Mean: float64(sum) / float64(len(s)),
-		P50:  pct(50),
-		P95:  pct(95),
-		P99:  pct(99),
-	}
 }
 
 // Ratio formats a/b as "x.xx×", guarding division by zero.

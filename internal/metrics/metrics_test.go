@@ -27,34 +27,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]int64{5, 1, 9, 3, 7})
-	if s.N != 5 || s.Min != 1 || s.Max != 9 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.P50 != 5 {
-		t.Errorf("p50 = %d", s.P50)
-	}
-	if s.Mean != 5 {
-		t.Errorf("mean = %f", s.Mean)
-	}
-	if z := Summarize(nil); z.N != 0 || z.P99 != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-	one := Summarize([]int64{42})
-	if one.P50 != 42 || one.P99 != 42 || one.Min != 42 {
-		t.Errorf("singleton = %+v", one)
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	in := []int64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Summarize mutated its input")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(3, 2) != "1.50x" {
 		t.Errorf("Ratio = %s", Ratio(3, 2))

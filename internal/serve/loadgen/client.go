@@ -59,10 +59,10 @@ type Result struct {
 	ErrDetail string
 }
 
-// Client executes transactions against a target. The two implementations —
-// HTTPClient here and the in-process engine client in internal/bench — let
-// one Pool drive either a real mlaserve over the wire or the bare engine,
-// so open-loop methodology is identical in both regimes.
+// Client executes transactions against a target. HTTPClient here drives a
+// real mlaserve over the wire; the interface is the seam a decorator
+// (benchmark/'s per-request timer) or an in-process target plugs into, so
+// the Pool's open-loop methodology is identical for all of them.
 //
 // Implementations must be safe for concurrent use by many pool workers.
 type Client interface {

@@ -216,8 +216,8 @@ type Server struct {
 	ewmaLatUs atomic.Int64 // commit latency EWMA, µs — drives Retry-After
 
 	latMu  sync.Mutex
-	lat    ring // commit latencies, µs
-	waited ring // lock-wait time per committed txn, µs
+	lat    *metrics.Histogram // commit latencies since boot, µs
+	waited *metrics.Histogram // lock-wait time per committed txn since boot, µs
 
 	counters counters
 
@@ -316,8 +316,8 @@ func New(cfg Config) (*Server, error) {
 		transfers: make(map[model.TxnID]*bank.Transfer),
 		sessions:  make(map[string]*clientSession),
 		start:     time.Now(),
-		lat:       newRing(4096),
-		waited:    newRing(4096),
+		lat:       metrics.NewHistogram(),
+		waited:    metrics.NewHistogram(),
 	}
 	s.control = controlByName(cfg.Control, cfg.Shards)
 	if s.control == nil {
@@ -675,8 +675,8 @@ func (s *Server) observeLatency(latUs, waitedUs int64) {
 		}
 	}
 	s.latMu.Lock()
-	s.lat.add(latUs)
-	s.waited.add(waitedUs)
+	s.lat.Record(latUs)
+	s.waited.Record(waitedUs)
 	s.latMu.Unlock()
 	if s.cfg.Telemetry != nil {
 		s.cfg.Telemetry.Metrics.Histogram("serve.commit_latency_us").Observe(latUs)
@@ -897,8 +897,8 @@ type Stats struct {
 	Shed         int64                `json:"shed"`
 	BudgetDenied int64                `json:"budget_denied"`
 	Rejected     int64                `json:"rejected_draining"`
-	Latency      metrics.Summary      `json:"latency_us"`
-	LockWait     metrics.Summary      `json:"lock_wait_us"`
+	Latency      metrics.Summary      `json:"latency_us"`   // every commit since boot
+	LockWait     metrics.Summary      `json:"lock_wait_us"` // every commit since boot
 	RetryAfterMS int64                `json:"retry_after_ms"`
 
 	// WAL is the group-commit pipeline's counters (flushes, batch sizes,
@@ -957,8 +957,8 @@ func (s *Server) Stats() Stats {
 	}
 	st.Gates["inflight"] = s.global.snapshot()
 	s.latMu.Lock()
-	st.Latency = metrics.Summarize(s.lat.samples())
-	st.LockWait = metrics.Summarize(s.waited.samples())
+	st.Latency = s.lat.Summary()
+	st.LockWait = s.waited.Summary()
 	s.latMu.Unlock()
 	st.WAL = s.pipe.Snapshot()
 	st.SinceCheckpoint = s.pipe.RecordsSinceCheckpoint()
@@ -1019,29 +1019,4 @@ func (g *gate) snapshot() GateStats {
 		Admitted: g.admitted.Load(),
 		Shed:     g.shed.Load(),
 	}
-}
-
-// ring is a bounded sample buffer: the last cap samples win.
-type ring struct {
-	buf  []int64
-	next int
-	full bool
-}
-
-func newRing(n int) ring { return ring{buf: make([]int64, n)} }
-
-func (r *ring) add(v int64) {
-	r.buf[r.next] = v
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-func (r *ring) samples() []int64 {
-	if r.full {
-		return append([]int64(nil), r.buf...)
-	}
-	return append([]int64(nil), r.buf[:r.next]...)
 }

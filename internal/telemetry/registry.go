@@ -62,15 +62,7 @@ func (h *Histogram) Observe(v int64) {
 func (h *Histogram) Summary() metrics.Summary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return metrics.Summary{
-		N:    int(h.h.Count()),
-		Min:  h.h.Min(),
-		Max:  h.h.Max(),
-		Mean: h.h.Mean(),
-		P50:  h.h.Percentile(50),
-		P95:  h.h.Percentile(95),
-		P99:  h.h.Percentile(99),
-	}
+	return h.h.Summary()
 }
 
 // Registry is the run-wide aggregated view: named counters, gauges, and

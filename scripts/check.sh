@@ -33,6 +33,12 @@ for v in internal/history/testdata/violation_*.json; do
     fi
 done
 go run ./cmd/mlabench -exp E20
+# An -exp that names no experiment must be rejected too (exit 2): otherwise a
+# mistyped or renumbered ID would let the E20 gate above pass vacuously.
+if go run ./cmd/mlabench -exp E99 > /dev/null 2>&1; then
+    echo "check.sh: mlabench -exp E99 should have been rejected" >&2
+    exit 1
+fi
 # Service front-end smoke: mlaserve serves a real listener, its own load
 # client offers an open-loop Poisson load with injected disconnects, a real
 # SIGTERM lands mid-run, and the drain is audited — every 200-acked
@@ -50,16 +56,14 @@ rm -rf /tmp/mla_soak_smoke
 go run ./cmd/mlaserve -soak -soak-rounds 2 -soak-txns 200 -soak-dir /tmp/mla_soak_smoke \
     -checkpoint-every 64 -disk-write-err 0.02 -disk-short-write 0.02 -disk-sync-err 0.01 > /dev/null
 go run ./cmd/mlacheck -history /tmp/mla_soak_smoke/history.spool
-# Perf-path smoke under the race detector: the striped-lock engine and the
-# group-commit pipeline at full concurrency, asserting the optimized paths
-# leave commit outcomes unchanged, with telemetry recording on so the
-# observer path is race-checked too. The reports land in /tmp, not the
-# repo; CI uploads the trace as an artifact.
-go run -race ./cmd/mlabench -perf -quick -out /tmp/mla_perf_smoke.json \
-    -telemetry -trace-out /tmp/mla_perf_smoke_trace.json
-# Open-loop load smoke + bench regression gate: a Poisson cell against the
-# resident engine with coordinated-omission-safe latency accounting, gated
-# against the last entry recorded in BENCH_HISTORY.json — a >10% throughput
-# or p99 regression (past an absolute noise floor) fails the push. CI
-# uploads the appended history as a per-push artifact.
-./scripts/bench_gate.sh
+# Perf-path smoke under the race detector: E19 runs the striped-lock engine
+# and the group-commit pipeline at full concurrency, failing if an optimized
+# path leaves commit outcomes changed, with telemetry recording on so the
+# observer path is race-checked too. The trace lands in /tmp, not the repo;
+# CI uploads it as an artifact.
+go run -race ./cmd/mlabench -exp E19 -scale 1 -telemetry -trace-out /tmp/mla_perf_smoke_trace.json
+# Yardstick smoke: one second of the benchmark's engine workload. It exits
+# nonzero unless increment_equivalence and every other output check pass — a
+# correctness smoke of the yardstick itself, not a perf gate (performance is
+# judged by alternating pairs, per benchmark/README.md).
+bash benchmark/run.sh --workload engine_uniform --seed 1 --seconds 1 --trace 0 > /dev/null
