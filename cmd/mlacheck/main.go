@@ -1,25 +1,33 @@
-// Command mlacheck applies the Theorem 2 analysis to a recorded execution
-// trace (the JSON format of internal/trace): is the execution multilevel
-// atomic as recorded, is it correctable, and if so what is an equivalent
-// multilevel atomic witness.
+// Command mlacheck decides multilevel atomicity of a recorded execution
+// history: is the committed execution multilevel atomic as recorded, is it
+// correctable, and if not, which minimal dependency cycle says so.
 //
 // Usage:
 //
-//	mlacheck [-witness] [-tree] [-timeline] [-stats] [file]
-//	mlacheck -history <file|->
+//	mlacheck [-witness] [-tree] [-timeline] [-stats] [-history] <file|->
 //	mlacheck -sample
 //
-// Reads the trace from file or stdin. -witness prints the reordered
-// witness execution. -stats prints a per-transaction breakdown table.
-// -sample instead writes an example trace (a correctable banking
-// execution) to stdout, for trying the tool out.
-//
-// -history runs the independent black-box checker (internal/history) over
-// an execution history instead: either the native mla-history/v1 format or
+// The input is one history, named by -history, by the positional argument,
+// or read from stdin (no argument, or "-") — all the same path. Its shape
+// is sniffed from the content: a native mla-history/v1 document, a history
+// spool (the JSONL stream mlaserve -spool appends, any number of boots), or
 // a Chrome trace-event export from -trace-out (every process lane that
-// recorded step events is checked). On a violation the minimal witness
-// cycle is printed and the exit status is 2; malformed input exits 1 with
-// a diagnostic.
+// recorded step events is one run).
+//
+// For every run the independent black-box checker (internal/history)
+// prints its verdict; on a violation the minimal witness cycle follows and
+// the exit status is 2. Malformed input exits 1 with a diagnostic.
+//
+// -witness, -tree, -timeline and -stats additionally rebuild the committed
+// execution, the nest and the recorded breakpoint descriptions from the
+// history and run the white-box Theorem 2 analysis (internal/coherent) on
+// them: -witness prints an equivalent multilevel atomic execution, -tree
+// its Section 7 nested action tree, -timeline per-transaction lanes, -stats
+// a per-transaction breakdown. The two deciders share no logic; if they
+// ever disagree on a file, mlacheck says so and exits 3.
+//
+// -sample writes an example history (a correctable banking execution) to
+// stdout, for trying the tool out.
 package main
 
 import (
@@ -31,41 +39,42 @@ import (
 	"os"
 
 	"mla/internal/bank"
+	"mla/internal/coherent"
 	"mla/internal/history"
 	"mla/internal/metrics"
 	"mla/internal/model"
 	"mla/internal/nested"
-	"mla/internal/trace"
 	"mla/internal/viz"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
+// views selects the white-box outputs; any of them turns the second decider on.
+type views struct{ witness, tree, timeline, stats bool }
+
+func (v views) any() bool { return v.witness || v.tree || v.timeline || v.stats }
+
 // run is main without the process exit, so tests can drive every path; the
-// return value is the exit status. All file handles it opens are closed
-// before returning, on success and failure alike.
-func run(args []string, stdout, stderr io.Writer) int {
+// return value is the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mlacheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	witness := fs.Bool("witness", false, "print the equivalent multilevel atomic execution")
-	tree := fs.Bool("tree", false, "print the witness's Section 7 nested action tree")
-	timeline := fs.Bool("timeline", false, "render the execution as per-transaction lanes")
-	stats := fs.Bool("stats", false, "print a per-transaction breakdown table")
-	sample := fs.Bool("sample", false, "emit a sample trace instead of checking")
-	histFile := fs.String("history", "", "check an execution history (native or Chrome trace JSON; - for stdin)")
+	var v views
+	fs.BoolVar(&v.witness, "witness", false, "print the equivalent multilevel atomic execution")
+	fs.BoolVar(&v.tree, "tree", false, "print the witness's Section 7 nested action tree")
+	fs.BoolVar(&v.timeline, "timeline", false, "render the execution as per-transaction lanes")
+	fs.BoolVar(&v.stats, "stats", false, "print a per-transaction breakdown table")
+	sample := fs.Bool("sample", false, "emit a sample history instead of checking")
+	histFlag := fs.String("history", "", "the history to check (same as the positional argument; - for stdin)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *sample {
-		if fs.NArg() > 0 {
-			fmt.Fprintln(stderr, "mlacheck: -sample writes to stdout and takes no file argument")
-			return 2
-		}
-		if *histFile != "" {
-			fmt.Fprintln(stderr, "mlacheck: -sample and -history are mutually exclusive")
+		if fs.NArg() > 0 || *histFlag != "" {
+			fmt.Fprintln(stderr, "mlacheck: -sample writes to stdout and takes no input")
 			return 2
 		}
 		if err := emitSample(stdout); err != nil {
@@ -75,60 +84,150 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *histFile != "" {
-		if fs.NArg() > 0 {
-			fmt.Fprintln(stderr, "mlacheck: -history takes its input as the flag value, not a positional argument")
-			return 2
-		}
-		return runHistory(*histFile, stdout, stderr)
+	path := *histFlag
+	switch {
+	case fs.NArg() > 1, fs.NArg() == 1 && path != "":
+		fmt.Fprintln(stderr, "mlacheck: one input at a time: -history F or a single positional F")
+		return 2
+	case fs.NArg() == 1:
+		path = fs.Arg(0)
 	}
-
-	var in io.Reader = os.Stdin
-	if fs.NArg() > 0 {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, "mlacheck:", err)
-			return 1
-		}
-		defer f.Close()
-		in = f
+	var data []byte
+	var err error
+	if path == "" || path == "-" {
+		data, err = io.ReadAll(stdin)
+	} else {
+		data, err = os.ReadFile(path)
 	}
-
-	res, dec, err := trace.Check(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "mlacheck:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "steps:        %d\n", len(dec.Exec))
-	fmt.Fprintf(stdout, "transactions: %d\n", len(dec.Exec.Txns()))
-	fmt.Fprintf(stdout, "levels (k):   %d\n", dec.Nest.K())
-	fmt.Fprintf(stdout, "atomic:       %v\n", res.Atomic)
-	fmt.Fprintf(stdout, "correctable:  %v\n", res.Correctable)
-	if *timeline {
+	runs, err := decode(data)
+	if err != nil {
+		fmt.Fprintln(stderr, "mlacheck:", err)
+		return 1
+	}
+
+	status := 0
+	for _, r := range runs {
+		rep, err := history.Check(r.h)
+		if err != nil {
+			fmt.Fprintf(stderr, "mlacheck: %s: %v\n", r.name, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "%-24s %s\n", r.name+":", rep.Summary())
+		if rep.Witness != nil {
+			fmt.Fprint(stdout, rep.Witness)
+			status = 2
+		}
+		if v.any() {
+			if st := whiteBox(r.h, rep, v, stdout, stderr); st != 0 {
+				return st
+			}
+		}
+	}
+	return status
+}
+
+// namedHistory is one run of the input: a file holds one, a Chrome export
+// one per step-recording process lane.
+type namedHistory struct {
+	name string
+	h    *history.History
+}
+
+// decode sniffs the input's shape and returns its runs.
+func decode(data []byte) ([]namedHistory, error) {
+	// A spool (JSONL, possibly many boots concatenated by crash-restarts)
+	// is sniffed from its header line BEFORE the single-document probe —
+	// a multi-line stream is not one JSON value.
+	if history.SniffSpool(data) {
+		h, err := history.ReadSpool(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return []namedHistory{{name: "spool", h: h}}, nil
+	}
+
+	var probe struct {
+		Format      string          `json:"format"`
+		TraceEvents json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, fmt.Errorf("history input is not JSON: %w", err)
+	}
+	switch {
+	case probe.Format == history.Format:
+		h, err := history.Decode(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return []namedHistory{{name: "history", h: h}}, nil
+	case probe.TraceEvents != nil:
+		lanes, err := history.ImportChrome(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		if len(lanes) == 0 {
+			return nil, fmt.Errorf("trace has no step-recording lanes (was it exported with telemetry on?)")
+		}
+		var runs []namedHistory
+		for _, l := range lanes {
+			name := l.Name
+			if name == "" {
+				name = fmt.Sprintf("pid %d", l.PID)
+			}
+			runs = append(runs, namedHistory{name: name, h: l.History})
+		}
+		return runs, nil
+	}
+	return nil, fmt.Errorf("unrecognized history input (want format %q, a spool, or a Chrome traceEvents export)", history.Format)
+}
+
+// whiteBox runs the Theorem 2 analysis on the execution the history replays
+// to, cross-checks its verdict against the black-box report, and prints the
+// requested views. It returns 0 when the deciders agree (the verdict itself
+// is the caller's exit status), 1 when the analysis could not run, and 3
+// when they disagree.
+func whiteBox(h *history.History, black *history.Report, v views, stdout, stderr io.Writer) int {
+	exec, n, spec, err := h.Execution()
+	if err != nil {
+		fmt.Fprintln(stderr, "mlacheck:", err)
+		return 1
+	}
+	res, err := coherent.CheckExecution(exec, n, spec)
+	if err != nil {
+		fmt.Fprintln(stderr, "mlacheck: theorem 2 analysis:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "%-24s atomic=%v correctable=%v\n", "theorem 2:", res.Atomic, res.Correctable)
+	if res.Atomic != black.Atomic || res.Correctable != black.Correctable {
+		fmt.Fprintf(stderr, "mlacheck: DECIDERS DISAGREE: history says atomic=%v correctable=%v, coherent says atomic=%v correctable=%v — one of the two checkers is wrong\n",
+			black.Atomic, black.Correctable, res.Atomic, res.Correctable)
+		return 3
+	}
+	if v.timeline {
 		fmt.Fprintln(stdout, "timeline:")
-		fmt.Fprint(stdout, viz.Timeline(dec.Exec, dec.Spec, viz.Options{Width: 48}))
+		fmt.Fprint(stdout, viz.Timeline(exec, spec, viz.Options{Width: 48}))
 	}
-	if *stats {
-		txnStats(dec.Exec).Render(stdout)
+	if v.stats {
+		txnStats(exec).Render(stdout)
 	}
-	if !res.Correctable {
-		fmt.Fprintln(stdout, "verdict:      the coherent closure of ≤e contains a cycle (Theorem 2)")
-		return 2
-	}
-	if *witness || *tree {
+	if res.Correctable && (v.witness || v.tree) {
 		w, ok := res.Witness()
 		if !ok {
 			fmt.Fprintln(stderr, "mlacheck: witness construction failed")
 			return 1
 		}
-		if *witness {
+		if v.witness {
 			fmt.Fprintln(stdout, "witness (an equivalent multilevel atomic execution):")
 			for i, s := range w {
-				fmt.Fprintf(stdout, "  %3d  %s\n", i, s)
+				fmt.Fprintf(stdout, "  %3d  %s[%d]:%s(%s)\n", i, s.Txn, s.Seq, s.Label, s.Entity)
 			}
 		}
-		if *tree {
-			tr, err := nested.Build(w, dec.Nest, dec.Spec)
+		if v.tree {
+			tr, err := nested.Build(w, n, spec)
 			if err != nil {
 				fmt.Fprintln(stderr, "mlacheck: action tree:", err)
 				return 1
@@ -140,103 +239,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// runHistory checks one history input — native mla-history/v1 or a Chrome
-// trace export, sniffed from the content — and reports per-run verdicts.
-func runHistory(path string, stdout, stderr io.Writer) int {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "mlacheck:", err)
-		return 1
-	}
-
-	// A spool (JSONL, possibly many boots concatenated by crash-restarts)
-	// is sniffed from its header line BEFORE the single-document probe —
-	// a multi-line stream is not one JSON value.
-	if history.SniffSpool(data) {
-		h, err := history.ReadSpool(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintln(stderr, "mlacheck:", err)
-			return 1
-		}
-		rep, err := history.Check(h)
-		if err != nil {
-			fmt.Fprintln(stderr, "mlacheck: spool:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-24s %s\n", "spool:", rep.Summary())
-		if rep.Witness != nil {
-			fmt.Fprint(stdout, rep.Witness)
-			return 2
-		}
-		return 0
-	}
-
-	var probe struct {
-		Format      string          `json:"format"`
-		TraceEvents json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		fmt.Fprintln(stderr, "mlacheck: history input is not JSON:", err)
-		return 1
-	}
-
-	type namedHistory struct {
-		name string
-		h    *history.History
-	}
-	var inputs []namedHistory
-	switch {
-	case probe.Format == history.Format:
-		h, err := history.Decode(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintln(stderr, "mlacheck:", err)
-			return 1
-		}
-		inputs = append(inputs, namedHistory{name: "history", h: h})
-	case probe.TraceEvents != nil:
-		runs, err := history.ImportChrome(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintln(stderr, "mlacheck:", err)
-			return 1
-		}
-		if len(runs) == 0 {
-			fmt.Fprintln(stderr, "mlacheck: trace has no step-recording lanes (was it exported with telemetry on?)")
-			return 1
-		}
-		for _, r := range runs {
-			name := r.Name
-			if name == "" {
-				name = fmt.Sprintf("pid %d", r.PID)
-			}
-			inputs = append(inputs, namedHistory{name: name, h: r.History})
-		}
-	default:
-		fmt.Fprintf(stderr, "mlacheck: unrecognized history input (want format %q or a Chrome traceEvents export)\n", history.Format)
-		return 1
-	}
-
-	status := 0
-	for _, in := range inputs {
-		rep, err := history.Check(in.h)
-		if err != nil {
-			fmt.Fprintf(stderr, "mlacheck: %s: %v\n", in.name, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-24s %s\n", in.name+":", rep.Summary())
-		if rep.Witness != nil {
-			fmt.Fprint(stdout, rep.Witness)
-			status = 2
-		}
-	}
-	return status
 }
 
 // txnStats builds the -stats table: per transaction, its step count,
@@ -286,5 +288,9 @@ func emitSample(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return trace.Encode(w, e, wl.Nest, wl.Spec, wl.Init)
+	h, err := history.FromExecution(e, wl.Nest, wl.Spec)
+	if err != nil {
+		return err
+	}
+	return h.Encode(w)
 }

@@ -8,11 +8,16 @@ import (
 	"testing"
 )
 
-// exec runs the CLI with captured output and returns (status, stdout, stderr).
+// execCLI runs the CLI with captured output and returns (status, stdout, stderr).
 func execCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
+	return execCLIStdin(t, "", args...)
+}
+
+func execCLIStdin(t *testing.T, stdin string, args ...string) (int, string, string) {
+	t.Helper()
 	var out, errb bytes.Buffer
-	status := run(args, &out, &errb)
+	status := run(args, strings.NewReader(stdin), &out, &errb)
 	return status, out.String(), errb.String()
 }
 
@@ -26,24 +31,43 @@ func write(t *testing.T, name, content string) string {
 	return path
 }
 
-// sampleTrace round-trips -sample output through a file so the check paths
-// below exercise the same bytes the tool itself emits.
-func sampleTrace(t *testing.T) string {
+// sampleHistory is the -sample output, so the check paths below exercise
+// the same bytes the tool itself emits.
+func sampleHistory(t *testing.T) string {
 	t.Helper()
 	status, out, errs := execCLI(t, "-sample")
 	if status != 0 {
 		t.Fatalf("-sample exited %d: %s", status, errs)
 	}
-	return write(t, "sample.json", out)
+	return out
 }
 
 func TestCheckSampleTrace(t *testing.T) {
-	status, out, errs := execCLI(t, sampleTrace(t))
+	status, out, errs := execCLI(t, write(t, "sample.json", sampleHistory(t)))
 	if status != 0 {
-		t.Fatalf("checking the sample trace exited %d: %s", status, errs)
+		t.Fatalf("checking the sample history exited %d: %s", status, errs)
 	}
-	if !strings.Contains(out, "correctable:  true") {
+	if !strings.Contains(out, "ATOMIC") {
 		t.Errorf("sample verdict missing:\n%s", out)
+	}
+}
+
+// TestOneInputPath: -history F, a positional F and stdin are the same
+// path — same bytes in, same report out.
+func TestOneInputPath(t *testing.T) {
+	sample := sampleHistory(t)
+	path := write(t, "sample.json", sample)
+	_, want, _ := execCLI(t, "-stats", path)
+	for name, got := range map[string]func() (int, string, string){
+		"-history F":      func() (int, string, string) { return execCLI(t, "-stats", "-history", path) },
+		"stdin, bare":     func() (int, string, string) { return execCLIStdin(t, sample, "-stats") },
+		"stdin, -":        func() (int, string, string) { return execCLIStdin(t, sample, "-stats", "-") },
+		"stdin, -history": func() (int, string, string) { return execCLIStdin(t, sample, "-stats", "-history", "-") },
+	} {
+		status, out, errs := got()
+		if status != 0 || out != want {
+			t.Errorf("%s: exit %d (stderr %q), output differs from the positional run:\n%s", name, status, errs, out)
+		}
 	}
 }
 
@@ -53,15 +77,15 @@ func TestMalformedInputs(t *testing.T) {
 	cases := map[string]string{
 		"not json":          `{oops`,
 		"empty object":      `{}`,
-		"bad k":             `{"k": 1, "nest": {}, "cuts": {}, "steps": []}`,
-		"step missing txn":  `{"k": 2, "nest": {}, "cuts": {}, "steps": [{"txn": "ghost", "seq": 1, "entity": "x", "before": 0, "after": 1}]}`,
-		"step zero seq":     `{"k": 2, "nest": {"t1": []}, "cuts": {}, "steps": [{"txn": "t1", "seq": 0, "entity": "x", "before": 0, "after": 1}]}`,
-		"cut out of range":  `{"k": 2, "nest": {"t1": []}, "cuts": {"t1": [9]}, "steps": [{"txn": "t1", "seq": 1, "entity": "x", "before": 0, "after": 1}]}`,
-		"wrong label arity": `{"k": 3, "nest": {"t1": []}, "cuts": {}, "steps": [{"txn": "t1", "seq": 1, "entity": "x", "before": 0, "after": 1}]}`,
+		"bad k":             `{"format": "mla-history/v1", "k": 1, "levels": {}, "events": []}`,
+		"step missing txn":  `{"format": "mla-history/v1", "k": 2, "levels": {}, "events": [{"kind": "step", "txn": "ghost", "seq": 1, "entity": "x"}]}`,
+		"step zero seq":     `{"format": "mla-history/v1", "k": 2, "levels": {"t1": []}, "events": [{"kind": "step", "txn": "t1", "seq": 0, "entity": "x"}]}`,
+		"cut out of range":  `{"format": "mla-history/v1", "k": 2, "levels": {"t1": []}, "events": [{"kind": "step", "txn": "t1", "seq": 1, "entity": "x", "cut": 9}]}`,
+		"wrong label arity": `{"format": "mla-history/v1", "k": 3, "levels": {"t1": []}, "events": [{"kind": "step", "txn": "t1", "seq": 1, "entity": "x"}]}`,
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
-			status, _, errs := execCLI(t, write(t, "bad.json", content))
+			status, _, errs := execCLI(t, "-witness", write(t, "bad.json", content))
 			if status != 1 {
 				t.Errorf("exit = %d, want 1 (stderr: %s)", status, errs)
 			}
@@ -83,7 +107,7 @@ func TestMissingFileExitsOne(t *testing.T) {
 }
 
 // Regression: -sample used to accept (and ignore) a file argument; it must
-// be a usage error, as must combining it with -history.
+// be a usage error, as must combining it with -history, or naming two inputs.
 func TestUsageContradictions(t *testing.T) {
 	cases := [][]string{
 		{"-sample", "trace.json"},
@@ -101,6 +125,9 @@ func TestUsageContradictions(t *testing.T) {
 	}
 }
 
+// TestHistoryViolationsExitTwo: every crafted violation exits 2 with the
+// black-box witness cycle — and, with -witness, under the white-box
+// analysis too (it must agree, and has no atomic witness to print).
 func TestHistoryViolationsExitTwo(t *testing.T) {
 	paths, err := filepath.Glob("../../internal/history/testdata/violation_*.json")
 	if err != nil {
@@ -117,6 +144,13 @@ func TestHistoryViolationsExitTwo(t *testing.T) {
 			}
 			if !strings.Contains(out, "VIOLATION") || !strings.Contains(out, "witness cycle") {
 				t.Errorf("violation output missing verdict or witness:\n%s", out)
+			}
+			status, out, errs = execCLI(t, "-witness", "-history", p)
+			if status != 2 {
+				t.Errorf("-witness: exit = %d, want 2 (stderr: %s)", status, errs)
+			}
+			if !strings.Contains(out, "VIOLATION") || !strings.Contains(out, "correctable=false") || strings.Contains(out, "witness (") {
+				t.Errorf("-witness: want both deciders' rejections and no atomic witness:\n%s", out)
 			}
 		})
 	}
@@ -160,14 +194,33 @@ func TestHistoryMissingFileExitsOne(t *testing.T) {
 	}
 }
 
+// TestWitnessAndStatsFlags: `-sample | -witness -stats -tree -timeline -`
+// round-trips, printing both deciders' verdicts and every view.
 func TestWitnessAndStatsFlags(t *testing.T) {
-	status, out, errs := execCLI(t, "-witness", "-stats", "-tree", sampleTrace(t))
+	status, out, errs := execCLIStdin(t, sampleHistory(t), "-witness", "-stats", "-tree", "-timeline", "-")
 	if status != 0 {
 		t.Fatalf("exit = %d: %s", status, errs)
 	}
-	for _, want := range []string{"witness (", "per-transaction:", "nested action tree:"} {
+	for _, want := range []string{"ATOMIC", "theorem 2:", "correctable=true", "witness (", "per-transaction:", "nested action tree:", "timeline:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSpoolInput: the JSONL spool a server appends is sniffed and judged
+// like any other history, views included.
+func TestSpoolInput(t *testing.T) {
+	spool := `{"spool":"mla-history-spool/v1","k":2}
+{"decl":"t1","levels":[]}
+{"kind":"step","txn":"t1","seq":1,"entity":"x"}
+{"kind":"commit","txns":["t1"]}
+`
+	status, out, errs := execCLI(t, "-witness", write(t, "h.spool", spool))
+	if status != 0 {
+		t.Fatalf("exit = %d: %s", status, errs)
+	}
+	if !strings.Contains(out, "spool:") || !strings.Contains(out, "t1[1]") {
+		t.Errorf("spool verdict or witness missing:\n%s", out)
 	}
 }

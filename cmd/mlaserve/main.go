@@ -7,30 +7,34 @@
 //
 // Usage:
 //
-//	mlaserve [-addr 127.0.0.1:7070] [-control 2pl-sharded] [-history h.json]
+//	mlaserve [-addr 127.0.0.1:7070] [-control 2pl-sharded] [-spool h.spool]
 //	mlaserve -data-dir /var/lib/mla [-spool h.spool] [-checkpoint-every 512]
-//	mlaserve -selftest [-sessions 100] [-txns 10000] [-rate 150] [-overload]
+//	mlaserve -selftest [-sessions 100] [-txns 10000] [-rate 150] [-overload] [-spool h.spool]
 //	mlaserve -soak [-soak-rounds 5] [-soak-dir DIR]
 //
 // In serve mode the process runs until SIGTERM/SIGINT, then drains: new
 // work is refused with 503 while admitted transactions finish, the WAL
-// group-commit pipeline is flushed, and the recorded history / telemetry
-// are exported on every exit path. `mlacheck -history <file>` then audits
-// the run's multilevel atomicity black-box.
+// group-commit pipeline is flushed, and telemetry is exported on every exit
+// path.
 //
 // With -data-dir the WAL is a real segmented on-disk log: commits are
 // fsynced before their 200 is written, a restart over the same directory
 // replays from the latest checkpoint (the listener answers immediately but
 // /readyz stays 503 until recovery completes), and the graceful drain
 // seals the log with a checkpoint so the next boot replays almost nothing.
-// -spool appends a crash-safe history stream (JSONL, one line per event)
-// that `mlacheck -history` can audit even when the process died by kill -9.
+//
+// -spool appends the execution history as it happens (JSONL, one line per
+// event, O(1) memory) so `mlacheck -history <file>` can audit the run's
+// multilevel atomicity black-box — while it is live, after a drain, or
+// after the process died by kill -9. With -data-dir the file accumulates
+// across restarts; an in-memory server starts it empty on every boot.
 //
 // In selftest mode the binary is its own client: it starts the server,
 // offers an open-loop Poisson load from many sessions (with injected
 // disconnects), raises a real SIGTERM against itself mid-run to exercise
 // the signal path, and exits nonzero unless every acknowledged transaction
-// is durable and committed in a history the checker accepts.
+// is durable and committed in the spooled history, which the checker must
+// accept (-spool keeps that file for a standalone mlacheck).
 //
 // In soak mode the binary spawns ITSELF as a child server over a shared
 // data directory and runs the crash-restart durability soak: SIGKILL the
@@ -52,7 +56,6 @@ import (
 	"time"
 
 	"mla/internal/fault"
-	"mla/internal/history"
 	"mla/internal/serve"
 	"mla/internal/telemetry"
 )
@@ -62,27 +65,25 @@ func main() {
 }
 
 // run keeps the real logic defer-safe: os.Exit in main would skip the
-// history and telemetry exports otherwise.
+// telemetry export otherwise.
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	families := flag.Int("families", 0, "account families (0 = default)")
 	accounts := flag.Int("accounts", 0, "accounts per family (0 = default)")
 	control := flag.String("control", "", "concurrency control: 2pl-sharded, 2pl, tso, none")
 	shards := flag.Int("shards", 0, "lock shards for 2pl-sharded (0 = default)")
-	homeShards := flag.Int("home-shards", 0, "partition families across this many home shards with per-shard admission queues (0/1 = single customer queue)")
 	maxInflight := flag.Int("max-inflight", 0, "transactions admitted into the engine at once")
 	queueDepth := flag.Int("queue-depth", 0, "bounded admission queue depth per class")
 	admitWait := flag.Duration("admit-wait", 0, "how long admission may queue before shedding")
 	deadline := flag.Duration("deadline", 0, "default per-transaction deadline")
 	maxDeadline := flag.Duration("max-deadline", 0, "clamp for client-supplied deadlines")
 	seed := flag.Int64("seed", 1, "seed for synthesized workload choices")
-	historyOut := flag.String("history", "", "record the execution history and write it here on exit (mlacheck -history audits it)")
 	traceOut := flag.String("trace-out", "", "write telemetry spans as Chrome trace-event JSON on exit")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics snapshot as JSON on exit")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long the SIGTERM drain may take")
 
 	dataDir := flag.String("data-dir", "", "persist the WAL as a segmented on-disk log here; restarts recover from it")
-	spoolPath := flag.String("spool", "", "append a crash-safe history spool here (mlacheck -history audits it across restarts)")
+	spoolPath := flag.String("spool", "", "append the execution history here as it happens (mlacheck -history audits it; accumulates across restarts with -data-dir)")
 	checkpointEvery := flag.Int("checkpoint-every", 512, "compact the on-disk log after this many records (0 = never)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "on-disk WAL segment rotation size (0 = default)")
 	diskWriteErr := flag.Float64("disk-write-err", 0, "inject: probability a WAL write fails transiently")
@@ -122,9 +123,6 @@ func run() int {
 	if *shards > 0 {
 		cfg.Shards = *shards
 	}
-	if *homeShards > 0 {
-		cfg.HomeShards = *homeShards
-	}
 	if *maxInflight > 0 {
 		cfg.MaxInflight = *maxInflight
 	}
@@ -141,7 +139,6 @@ func run() int {
 		cfg.MaxDeadline = *maxDeadline
 	}
 	cfg.Seed = *seed
-	cfg.Record = *historyOut != ""
 	cfg.DataDir = *dataDir
 	cfg.SpoolPath = *spoolPath
 	cfg.SegmentBytes = *segmentBytes
@@ -200,19 +197,19 @@ func run() int {
 			Overload:      *overload,
 			P99SLO:        *p99SLO,
 			Out:           os.Stderr,
-		}, *historyOut)
+		})
 	}
-	return runServe(cfg, *addr, *historyOut, *drainTimeout)
+	return runServe(cfg, *addr, *drainTimeout)
 }
 
 // runServe is the long-lived mode: serve until SIGTERM/SIGINT, then drain
-// gracefully and export the recorded history.
+// gracefully.
 //
 // The listener binds and announces BEFORE serve.New runs — WAL recovery
 // happens inside New and its duration grows with the unreplayed log, so the
 // recovery window must be observable from outside (probes get 503
 // "recovering" through the gate) rather than a connection-refused blackout.
-func runServe(cfg serve.Config, addr, historyOut string, drainTimeout time.Duration) int {
+func runServe(cfg serve.Config, addr string, drainTimeout time.Duration) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlaserve: %v\n", err)
@@ -238,11 +235,6 @@ func runServe(cfg serve.Config, addr, historyOut string, drainTimeout time.Durat
 			info.Records, info.SinceCheckpoint, info.TornBytes, info.Segments)
 	}
 	gate.Set(srv.Handler())
-	// The history is written on every exit path — a run that died half-way
-	// is exactly the one whose audit trail matters. The snapshot must be
-	// taken inside the closure: a plain defer would evaluate History() now,
-	// exporting the empty pre-traffic state.
-	defer func() { exportHistory(srv.History(), historyOut) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
@@ -324,7 +316,7 @@ func runSoak(dir string, rounds, txns int, killAfter time.Duration, checkpointEv
 // runSelfTest drives serve.SelfTest with the drain routed through a REAL
 // SIGTERM against our own process, so the signal path itself is under test
 // rather than simulated.
-func runSelfTest(o serve.SelfTestOptions, historyOut string) int {
+func runSelfTest(o serve.SelfTestOptions) int {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM)
 	defer signal.Stop(sig)
@@ -347,8 +339,10 @@ func runSelfTest(o serve.SelfTestOptions, historyOut string) int {
 		fmt.Fprintf(os.Stderr, "mlaserve: selftest: %v\n", err)
 		return 1
 	}
-	exportHistory(rep.Recorded, historyOut)
 	rep.Summary().Render(os.Stdout)
+	if o.Config.SpoolPath != "" {
+		fmt.Printf("selftest spool: %s (audit with: mlacheck -history %s)\n", o.Config.SpoolPath, o.Config.SpoolPath)
+	}
 	if !rep.OK() {
 		for _, p := range rep.Problems {
 			fmt.Fprintf(os.Stderr, "mlaserve: selftest: FAIL: %s\n", p)
@@ -356,21 +350,4 @@ func runSelfTest(o serve.SelfTestOptions, historyOut string) int {
 		return 1
 	}
 	return 0
-}
-
-func exportHistory(h *history.History, path string) {
-	if h == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: history: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := h.Encode(f); err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: history: %v\n", err)
-		return
-	}
-	fmt.Printf("wrote %s (audit with: mlacheck -history %s)\n", path, path)
 }

@@ -6,8 +6,7 @@
 //
 //	mlasim [-workload bank|sessions|cad|conv] [-config workload.json]
 //	       [-control prevent|detect|2pl|tso|serial|none|dist|shard]
-//	       [-txns 24] [-seed 1] [-partial] [-engine] [-check] [-trace out.json]
-//	       [-history out.json]
+//	       [-txns 24] [-seed 1] [-partial] [-engine] [-check] [-history out.json]
 //	       [-crashes 0] [-tear 2] [-errrate 0]
 //	       [-shards 4]
 //	       [-delay 5] [-loss 0] [-reorder 0] [-partition 0] [-heal 0] [-procfail 0]
@@ -19,12 +18,13 @@
 // of recovery); -engine executes the workload on the concurrent engine
 // (goroutine per transaction, wall-clock timing) instead of the
 // deterministic simulator; -check verifies the admitted execution against
-// Theorem 2 offline; -trace writes the execution in mlacheck's JSON format.
+// Theorem 2 offline.
 //
-// -history writes the run as an mla-history event log (checkable offline
-// with mlacheck -history). On the engine it records live — every attempt,
-// abort, and injected crash appears as an event; on the simulator it
-// materializes the committed execution.
+// -history writes the run as an mla-history event log, the one format
+// mlacheck reads (`mlacheck -witness out.json` judges it with both
+// deciders). On the engine it records live — every attempt, abort, and
+// injected crash appears as an event; on the simulator it materializes the
+// committed execution.
 //
 // -crashes and -errrate enable the deterministic fault-injection layer
 // (engine only): -crashes kills the system that many times at fixed
@@ -57,8 +57,7 @@
 // commit groups, recoveries; simulator transactions; dist bus messages) and
 // prints the aggregated metrics table at exit. -trace-out writes the spans
 // as Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev), and
-// implies -telemetry; it is distinct from -trace, which writes the admitted
-// execution in mlacheck's format. -pprof PREFIX writes PREFIX.cpu.pprof and
+// implies -telemetry. -pprof PREFIX writes PREFIX.cpu.pprof and
 // PREFIX.heap.pprof.
 package main
 
@@ -86,7 +85,6 @@ import (
 	"mla/internal/shard"
 	"mla/internal/sim"
 	"mla/internal/telemetry"
-	"mla/internal/trace"
 )
 
 func main() {
@@ -116,8 +114,7 @@ func run() int {
 	partial := flag.Bool("partial", false, "enable breakpoint-granular partial recovery")
 	useEngine := flag.Bool("engine", false, "run on the concurrent engine instead of the simulator")
 	check := flag.Bool("check", false, "verify the execution against Theorem 2")
-	traceOut := flag.String("trace", "", "write the execution trace to this file (JSON)")
-	historyOut := flag.String("history", "", "write the run's event history (mla-history JSON, checkable by mlacheck -history) to this file")
+	historyOut := flag.String("history", "", "write the run's event history (mla-history JSON, the format mlacheck reads) to this file")
 	crashes := flag.Int("crashes", 0, "engine only: inject this many crashes on a WAL-backed store, recovering between rounds")
 	tear := flag.Int("tear", 2, "records torn off the durable tail at each injected crash")
 	errRate := flag.Float64("errrate", 0, "engine only: transient step-error rate in [0,1]")
@@ -515,19 +512,6 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("history written: %s\n", *historyOut)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
-			return 1
-		}
-		defer f.Close()
-		if err := trace.Encode(f, exec, n.Restrict(exec.Txns()), spec, init); err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
-			return 1
-		}
-		fmt.Printf("trace written:  %s\n", *traceOut)
 	}
 	return 0
 }

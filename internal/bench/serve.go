@@ -13,7 +13,7 @@ import (
 // concurrent client sessions with injected mid-flight disconnects, one
 // cell that drains gracefully mid-run and one that is capacity-starved so
 // admission control must shed. Each cell's acknowledged transactions are
-// audited against the WAL and the recorded history, and the history must
+// audited against the WAL and the spooled history, and the history must
 // pass the black-box multilevel-atomicity checker — the serving contract
 // (a 200 is a durable, correctly interleaved commit) is what the table
 // shows holding under churn.

@@ -212,26 +212,6 @@ func TestUniformSpecs(t *testing.T) {
 	}
 }
 
-func TestPerTxnSpec(t *testing.T) {
-	p := NewPerTxn(Uniform{Levels: 3, C: 3})
-	p.Set("special", Uniform{Levels: 3, C: 2})
-	if p.K() != 3 {
-		t.Error("K")
-	}
-	if got := p.CutAfter("special", nil); got != 2 {
-		t.Errorf("special cut = %d", got)
-	}
-	if got := p.CutAfter("other", nil); got != 3 {
-		t.Errorf("fallback cut = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched k must panic")
-		}
-	}()
-	p.Set("bad", Uniform{Levels: 2, C: 2})
-}
-
 func TestByLabelSpec(t *testing.T) {
 	b := ByLabel{Levels: 4, Default: 3, Rules: map[string]int{"withdraw/*": 2}}
 	wd := []model.Step{{Txn: "t", Seq: 1, Label: "withdraw"}}

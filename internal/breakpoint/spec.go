@@ -75,39 +75,6 @@ func (f Func) K() int { return f.Levels }
 // CutAfter implements Spec.
 func (f Func) CutAfter(t model.TxnID, prefix []model.Step) int { return f.Fn(t, prefix) }
 
-// PerTxn dispatches to a different Spec per transaction, with a default for
-// transactions not listed. All member specs must share the same K; New
-// enforces it.
-type PerTxn struct {
-	levels   int
-	byTxn    map[model.TxnID]Spec
-	fallback Spec
-}
-
-// NewPerTxn builds a PerTxn spec with the given default.
-func NewPerTxn(def Spec) *PerTxn {
-	return &PerTxn{levels: def.K(), byTxn: make(map[model.TxnID]Spec), fallback: def}
-}
-
-// Set assigns a spec to one transaction.
-func (p *PerTxn) Set(t model.TxnID, s Spec) {
-	if s.K() != p.levels {
-		panic(fmt.Sprintf("breakpoint: spec for %s has k=%d, want %d", t, s.K(), p.levels))
-	}
-	p.byTxn[t] = s
-}
-
-// K implements Spec.
-func (p *PerTxn) K() int { return p.levels }
-
-// CutAfter implements Spec.
-func (p *PerTxn) CutAfter(t model.TxnID, prefix []model.Step) int {
-	if s, ok := p.byTxn[t]; ok {
-		return s.CutAfter(t, prefix)
-	}
-	return p.fallback.CutAfter(t, prefix)
-}
-
 // ByLabel assigns coarseness from the labels of the steps flanking the
 // boundary: the coarsest matching rule wins, falling back to Default. It
 // captures patterns like the paper's banking description, where the single

@@ -209,3 +209,32 @@ func TestPreventerResidentBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderSurvivesDeadlineBeforeFirstGrant: a resident session's
+// transaction withdrawn at its deadline while still waiting for its FIRST
+// grant performs nothing, so the observer sees an abort and no step. The
+// recorded history must still give it a level row: validate and check clean.
+func TestRecorderSurvivesDeadlineBeforeFirstGrant(t *testing.T) {
+	n := nest.New(2)
+	n.Add("d")
+	rec := history.NewRecorder(n)
+	s := NewSession(Config{Observer: rec}, &waitControl{}, breakpoint.Uniform{Levels: 2, C: 2}, NewVolatileStore(nil))
+	p := &model.Scripted{Txn: "d", Ops: []model.Op{model.Add("x", 1)}}
+	out, err := s.Submit(context.Background(), p, SubmitOpts{Deadline: time.Now().Add(20 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.DeadlineExceeded {
+		t.Fatalf("want DeadlineExceeded, got %+v", out)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	h := rec.History()
+	if err := h.Validate(); err != nil {
+		t.Fatalf("recorded history does not validate: %v", err)
+	}
+	if rep, err := history.Check(h); err != nil || !rep.Correctable {
+		t.Fatalf("checker rejected the recorded history: %v %v", rep, err)
+	}
+}

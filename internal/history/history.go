@@ -4,8 +4,8 @@
 // coarsenesses) and an independent decision procedure for multilevel
 // atomicity over it.
 //
-// Unlike internal/trace, which serializes an already-surviving execution
-// together with a materialized specification, a history is a raw event log:
+// A history is the one execution format of the repository, and a raw event
+// log rather than a surviving execution with a materialized specification:
 // it contains the steps of aborted attempts, the aborts that discarded
 // them, and the commit events that promoted the rest. The checker replays
 // the log to reconstruct the committed execution and the per-transaction
@@ -13,10 +13,13 @@
 // sharing only the data types (model, nest, breakpoint) with the scheduler
 // and the Theorem 2 machinery it cross-examines, none of the logic.
 //
-// Histories are recorded live by the engine (Recorder implements the
-// engine's Observer shape), derived from a simulator result
-// (FromExecution), or imported from the Chrome trace-event JSON that
-// internal/telemetry exports (ImportChrome).
+// Histories are written as they happen by a resident server (Spool, the
+// crash-safe JSONL stream), recorded in memory from a batch engine run
+// (Recorder; both implement the engine's Observer shape), derived from a
+// simulator result (FromExecution), or imported from the Chrome trace-event
+// JSON that internal/telemetry exports (ImportChrome). Execution hands the
+// replayed result to the white-box analysis, so both deciders can judge
+// any file.
 package history
 
 import (
@@ -230,6 +233,28 @@ func (h *History) Committed() (model.Execution, map[model.TxnID]*breakpoint.Desc
 		descs[t] = d
 	}
 	return exec, descs, nil
+}
+
+// Execution rebuilds what the white-box Theorem 2 analysis takes — the
+// committed execution, the k-nest, and a breakpoint specification that
+// replays the recorded descriptions by prefix length — so
+// coherent.CheckExecution can run on exactly the object Check judges.
+func (h *History) Execution() (model.Execution, *nest.Nest, breakpoint.Spec, error) {
+	exec, descs, err := h.Committed()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	n, err := h.Nest()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	spec := breakpoint.Func{Levels: h.K, Fn: func(t model.TxnID, prefix []model.Step) int {
+		if d, p := descs[t], len(prefix); d != nil && p >= 1 && p < d.Len() {
+			return d.Coarseness(p)
+		}
+		return h.K
+	}}
+	return exec, n, spec, nil
 }
 
 func sortInts(xs []int) {

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"mla/internal/bank"
+	"mla/internal/breakpoint"
 	"mla/internal/coherent"
 	"mla/internal/model"
+	"mla/internal/nest"
 )
 
 // mk builds a k=3 history of two 2-step transactions over entities x and y,
@@ -100,20 +102,21 @@ func TestLevelPairAcceptReject(t *testing.T) {
 			if tc.correct && rep.Witness != nil {
 				t.Error("correctable history carries a witness cycle")
 			}
-			// Cross-examine against the Theorem 2 machinery.
-			exec, _, err := tc.h.Committed()
+			// Cross-examine against the Theorem 2 machinery, through a
+			// FromExecution round trip of what the history replays to.
+			exec, n, spec, err := tc.h.Execution()
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := tc.h.Nest()
+			h2, err := FromExecution(exec, n, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h2, err := FromExecution(exec, n, specOf(t, tc.h))
+			exec, n, spec, err = h2.Execution()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := coherent.CheckExecution(exec, n, specOf(t, h2))
+			res, err := coherent.CheckExecution(exec, n, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,35 +126,6 @@ func TestLevelPairAcceptReject(t *testing.T) {
 			}
 		})
 	}
-}
-
-// specOf materializes a history's recorded cuts as a breakpoint.Spec for
-// the coherent cross-check.
-func specOf(t *testing.T, h *History) replaySpec {
-	t.Helper()
-	cuts := make(map[model.TxnID][]int)
-	for _, ev := range h.Events {
-		if ev.Kind == KindStep {
-			cuts[ev.Txn] = append(cuts[ev.Txn], ev.Cut)
-		}
-	}
-	return replaySpec{k: h.K, cuts: cuts}
-}
-
-type replaySpec struct {
-	k    int
-	cuts map[model.TxnID][]int
-}
-
-func (s replaySpec) K() int { return s.k }
-
-func (s replaySpec) CutAfter(t model.TxnID, prefix []model.Step) int {
-	cs := s.cuts[t]
-	i := len(prefix) - 1
-	if i < 0 || i >= len(cs) || cs[i] == 0 {
-		return s.k
-	}
-	return cs[i]
 }
 
 func TestWitnessIsClosedCycle(t *testing.T) {
@@ -379,6 +353,60 @@ func TestFromExecutionMatchesCoherent(t *testing.T) {
 		if !rep.Correctable && rep.Witness == nil {
 			t.Errorf("seed %d: violation without witness", seed)
 		}
+
+		// The file is the whole execution: encoded, decoded and rebuilt, it
+		// gives back the steps, every pair's level, and — through the
+		// recorded descriptions — the white-box verdict.
+		var buf bytes.Buffer
+		if err := h.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec2, n2, spec2, err := back.Execution()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exec2) != len(exec) {
+			t.Fatalf("seed %d: %d steps rebuilt from %d", seed, len(exec2), len(exec))
+		}
+		for i, s := range exec {
+			if g := exec2[i]; g.Txn != s.Txn || g.Seq != s.Seq || g.Entity != s.Entity || g.Label != s.Label {
+				t.Fatalf("seed %d: step %d rebuilt as %v, recorded %v", seed, i, g, s)
+			}
+		}
+		for _, a := range exec.Txns() {
+			for _, b := range exec.Txns() {
+				if n2.Level(a, b) != n.Level(a, b) {
+					t.Fatalf("seed %d: level(%s,%s) = %d rebuilt, %d recorded", seed, a, b, n2.Level(a, b), n.Level(a, b))
+				}
+			}
+		}
+		res2, err := coherent.CheckExecution(exec2, n2, spec2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Atomic != res.Atomic || res2.Correctable != res.Correctable {
+			t.Errorf("seed %d: rebuilt execution judged (%v,%v), original (%v,%v)",
+				seed, res2.Atomic, res2.Correctable, res.Atomic, res.Correctable)
+		}
+	}
+}
+
+// TestFromExecutionErrors: a specification that disagrees with the nest on
+// k, and a step of a transaction the nest does not hold, are both refused.
+func TestFromExecutionErrors(t *testing.T) {
+	n := nest.New(3)
+	n.Add("t1", "A")
+	e := model.Execution{{Txn: "t1", Seq: 1, Entity: "x"}}
+	if _, err := FromExecution(e, n, breakpoint.Uniform{Levels: 2, C: 2}); err == nil {
+		t.Error("k mismatch accepted")
+	}
+	ghost := append(e, model.Step{Txn: "ghost", Seq: 1, Entity: "x"})
+	if _, err := FromExecution(ghost, n, breakpoint.Uniform{Levels: 3, C: 3}); err == nil {
+		t.Error("ghost transaction accepted")
 	}
 }
 
@@ -431,5 +459,30 @@ func TestTestdataViolations(t *testing.T) {
 	}
 	if !rep.Correctable {
 		t.Fatalf("accepting history rejected: %v", rep.Witness)
+	}
+}
+
+// TestRecorderDeclaresAbortedBeforeFirstStep: a transaction aborted while
+// still waiting for its first grant (deadline, disconnect, a wounded lock
+// holder) has an abort as its only event; the recorder must still give it a
+// level row, or its own output fails Validate.
+func TestRecorderDeclaresAbortedBeforeFirstStep(t *testing.T) {
+	n := nest.New(3)
+	n.Add("t1", "A")
+	n.Add("t2", "A")
+	r := NewRecorder(n)
+	r.StepPerformed("t2", 1, "x", 0, 0)
+	r.TxnAborted("t1", false)
+	r.CommitGroup([]model.TxnID{"t2"})
+	h := r.History()
+	if err := h.Validate(); err != nil {
+		t.Fatalf("recorder emitted an invalid history: %v", err)
+	}
+	rep, err := Check(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Correctable || rep.Txns != 1 {
+		t.Errorf("want one committed transaction, correctable; got %s", rep.Summary())
 	}
 }

@@ -56,6 +56,9 @@ func (r *Recorder) TxnAborted(t model.TxnID, cascade bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.pending, t)
+	// A transaction withdrawn while still waiting for its first grant is
+	// aborted having performed nothing: the abort is its only event.
+	r.seen[t] = true
 	r.events = append(r.events, Event{TS: int64(len(r.events)), Kind: KindAbort, Txn: t})
 }
 
@@ -66,6 +69,7 @@ func (r *Recorder) CommitGroup(txns []model.TxnID) {
 	ids := append([]model.TxnID(nil), txns...)
 	for _, t := range ids {
 		delete(r.pending, t)
+		r.seen[t] = true
 	}
 	r.events = append(r.events, Event{TS: int64(len(r.events)), Kind: KindCommit, Txns: ids})
 }

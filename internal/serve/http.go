@@ -27,6 +27,7 @@ import (
 //
 //	200 committed (durable before this response is written)
 //	408 the transaction's deadline expired at a breakpoint
+//	413 the request body exceeds maxBodyBytes
 //	429 shed (admission timed out, retry budget spent) + Retry-After
 //	503 draining, degraded (disk failed; read-only), or engine failed,
 //	    + Retry-After where retry makes sense
@@ -99,13 +100,39 @@ func (s *Server) writeRetryable(w http.ResponseWriter, status int, code, detail 
 	writeJSON(w, status, errorResponse{Error: code, Detail: detail, RetryAfterMS: ra.Milliseconds()})
 }
 
+// maxBodyBytes bounds a request body. A well-formed request is under 200
+// bytes; nothing a client sends may make the decoder buffer more than this.
+const maxBodyBytes = 4 << 10
+
+// decodeBody decodes the JSON request body into v. A declared length over
+// the bound is refused with 413 before anything is read; a body of unknown
+// length (chunked) is cut off at the bound, so the common fixed-length path
+// pays one comparison. False means the error response is already written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.ContentLength > maxBodyBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
+		return false
+	}
+	body := r.Body
+	if r.ContentLength < 0 {
+		body = http.MaxBytesReader(w, body, maxBodyBytes)
+	}
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
+		} else {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
+		}
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	var req openSessionRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	family := -1
 	if req.Family != nil {
@@ -133,8 +160,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	var req txnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.Submit(r.Context(), TxnRequest{

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"mla/internal/history"
@@ -17,8 +18,8 @@ import (
 // SelfTestOptions shapes one end-to-end exercise of the server (see
 // SelfTest). The zero value is filled with the CI-sized defaults.
 type SelfTestOptions struct {
-	// Server configuration; zero value takes DefaultConfig (with Record
-	// forced on — the selftest's verdict rests on the recorded history).
+	// Server configuration; zero value takes DefaultConfig. The verdict rests
+	// on the history spool: an empty SpoolPath becomes a temp file for the run.
 	Config Config
 
 	// Load shape.
@@ -62,11 +63,6 @@ type SelfTestReport struct {
 	History  *history.Report
 	P99      time.Duration
 	Problems []string
-
-	// Recorded is the raw recorded history, for callers that export it
-	// (cmd/mlaserve writes it so `mlacheck -history` can audit the run
-	// independently).
-	Recorded *history.History
 }
 
 // OK reports whether every assertion held.
@@ -102,8 +98,8 @@ func (r *SelfTestReport) Summary() *metrics.Table {
 // audit the wreckage:
 //
 //   - every transaction acknowledged with 200 is durably committed on the
-//     WAL and committed in the recorded history — zero lost acks;
-//   - the recorded history passes the black-box MLA checker;
+//     WAL and committed in the spooled history — zero lost acks;
+//   - the spooled history passes the black-box MLA checker;
 //   - under forced overload, requests were genuinely shed with 429 and
 //     the engine stayed within its admission bounds;
 //   - the drain left no transaction half-done and the acked p99 is inside
@@ -125,7 +121,15 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 	if o.Config.Families == 0 {
 		o.Config = DefaultConfig()
 	}
-	o.Config.Record = true
+	if o.Config.SpoolPath == "" {
+		f, err := os.CreateTemp("", "mla-selftest-*.spool")
+		if err != nil {
+			return nil, fmt.Errorf("selftest: %w", err)
+		}
+		f.Close()
+		defer os.Remove(f.Name())
+		o.Config.SpoolPath = f.Name()
+	}
 	if o.Overload {
 		// Capacity far below the offered load: shedding must engage.
 		o.Config.MaxInflight = 2
@@ -213,52 +217,22 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 	}
 
 	// Zero dropped acks: every 200 is durable on the WAL and committed in
-	// the recorded history. This is THE serving contract — an ack that a
-	// crash, drain, or disconnect can un-commit would make every client a
-	// liar downstream.
-	h := srv.History()
-	rep.Recorded = h
-	committed := make(map[model.TxnID]bool)
-	if h != nil {
-		exec, _, err := h.Committed()
-		if err != nil {
-			problem("recorded history does not replay: %v", err)
-		} else {
-			for _, st := range exec {
-				committed[st.Txn] = true
-			}
-		}
-	} else {
-		problem("no history recorded")
-	}
-	lostWAL, lostHist := 0, 0
+	// the spooled history, which the black-box checker must accept. This is
+	// THE serving contract — an ack that a crash, drain, or disconnect can
+	// un-commit would make every client a liar downstream.
+	lostWAL := 0
 	for _, id := range load.AckedIDs {
 		if !srv.Durable(model.TxnID(id)) {
 			lostWAL++
-		}
-		if h != nil && !committed[model.TxnID(id)] {
-			lostHist++
 		}
 	}
 	if lostWAL > 0 {
 		problem("%d acked transactions not durable on the WAL", lostWAL)
 	}
-	if lostHist > 0 {
-		problem("%d acked transactions missing from the recorded history", lostHist)
+	if err := srv.SpoolErr(); err != nil {
+		problem("history spool: %v", err)
 	}
-
-	// The black-box checker audits the multiplexed execution.
-	if h != nil {
-		hr, err := history.Check(h)
-		if err != nil {
-			problem("history checker rejected the input: %v", err)
-		} else {
-			rep.History = hr
-			if !hr.Correctable {
-				problem("recorded history is NOT multilevel atomic: %s", hr.Summary())
-			}
-		}
-	}
+	rep.History = auditSpool(o.Config.SpoolPath, load.AckedIDs, problem)
 
 	if load.Errors > 0 {
 		problem("%d protocol errors (beyond injected disconnects); samples: %v", load.Errors, load.ErrorSamples)
@@ -290,4 +264,39 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 	logf("selftest: %d offered, %d acked, %d shed, %d draining, p99 %v",
 		load.Offered, load.Acked, load.Shed, load.Draining, rep.P99)
 	return rep, nil
+}
+
+// auditSpool is the verdict the selftest and the soak both rest on: the
+// spool at path — every boot that appended to it, torn tails and all — must
+// merge into a history the black-box checker accepts, with every
+// acknowledged transaction committed in it. Failures go to problem.
+func auditSpool(path string, acked []string, problem func(format string, args ...any)) *history.Report {
+	h, err := history.ReadSpoolFile(path)
+	if err != nil {
+		problem("history spool: %v", err)
+		return nil
+	}
+	rep, err := history.Check(h)
+	if err != nil {
+		problem("history checker rejected the spool: %v", err)
+		return nil
+	}
+	if !rep.Correctable {
+		problem("spooled history is NOT multilevel atomic: %s", rep.Summary())
+	}
+	steps, _, _ := h.Committed() // cannot fail: Check just replayed the same log
+	committed := make(map[model.TxnID]bool)
+	for _, st := range steps {
+		committed[st.Txn] = true
+	}
+	missing := 0
+	for _, id := range acked {
+		if !committed[model.TxnID(id)] {
+			missing++
+		}
+	}
+	if missing > 0 {
+		problem("%d acked transactions missing from the spooled history", missing)
+	}
+	return rep
 }

@@ -25,22 +25,23 @@
 //     enough structure (retry_after_ms) for a well-behaved client to back
 //     off instead of hammering.
 //   - Graceful drain: SIGTERM stops admission (readyz flips), in-flight
-//     transactions run to their natural ends, the WAL pipeline is flushed
-//     and closed, and the recorded history and telemetry are exported on
-//     every exit path. A commit acknowledged with 200 is durable on the
+//     transactions run to their natural ends, and the WAL pipeline is
+//     flushed and closed. A commit acknowledged with 200 is durable on the
 //     WAL before the acknowledgment is written.
 //
-// The server optionally records the full execution history through
-// history.Recorder, so `mlacheck -history` can audit a live run after the
-// fact: the black-box checker either blesses the multiplexed execution as
-// multilevel atomic or produces a witness cycle.
+// With Config.SpoolPath the server appends the full execution history to a
+// history.Spool as it happens, so `mlacheck -history` can audit a run —
+// live, drained, or killed: the black-box checker either blesses the
+// multiplexed execution as multilevel atomic or produces a witness cycle.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +54,7 @@ import (
 	"mla/internal/lock"
 	"mla/internal/metrics"
 	"mla/internal/model"
-	"mla/internal/nest"
 	"mla/internal/sched"
-	"mla/internal/shard"
 	"mla/internal/telemetry"
 	"mla/internal/wal"
 )
@@ -81,16 +80,6 @@ type Config struct {
 	// sizes the sharded control's lock table.
 	Control string
 	Shards  int
-
-	// HomeShards, when > 1, partitions the account families across that
-	// many home shards with the same hash routing the partitioned entity
-	// store uses: each session is pinned to the home shard of its family,
-	// and customer traffic (transfers, creditor audits) is admitted
-	// through a per-home-shard queue instead of the single "cust" gate —
-	// one saturated partition sheds its own clients instead of everyone.
-	// Bank audits still share the one "audit" gate (they read every
-	// shard). 0 or 1 keeps the single customer queue.
-	HomeShards int
 
 	// MaxInflight caps transactions inside the engine at once; QueueDepth
 	// bounds each admission class's queue on top of that. AdmitWait is how
@@ -137,16 +126,14 @@ type Config struct {
 
 	// SpoolPath, when non-empty, appends every history event to a durable
 	// JSONL spool (history.SpoolFormat) as it happens — the black-box
-	// witness a kill -9 soak checks with mlacheck. Unlike Record, memory
-	// use is O(1); unlike the recorder, the spool survives the process.
+	// witness mlacheck audits, in O(1) memory, whether the process drained
+	// or died by kill -9. With DataDir the file accumulates across boots
+	// (the boot epoch keeps identifiers apart); without it every boot mints
+	// the same identifiers, so New starts the file empty.
 	SpoolPath string
 
 	// Seed drives every synthesized workload choice deterministically.
 	Seed int64
-
-	// Record enables the history recorder (memory grows with the run;
-	// meant for audited runs and tests, not unbounded production).
-	Record bool
 
 	// Telemetry, when non-nil, receives request spans and engine spans.
 	Telemetry *telemetry.Telemetry
@@ -185,8 +172,6 @@ type Server struct {
 	medium  *wal.Medium
 	db      *wal.DB
 	pipe    *wal.Pipeline
-	nest    *nest.Nest
-	rec     *history.Recorder
 	spool   *history.Spool
 	epoch   int64 // boot count of DataDir; 0 when in-memory
 	start   time.Time
@@ -198,9 +183,8 @@ type Server struct {
 	// from its fixed population).
 	transfers map[model.TxnID]*bank.Transfer
 
-	gates  map[string]*gate // admission queue per nest class (per home shard when partitioned)
+	gates  map[string]*gate // admission queue per nest class
 	global *gate            // engine-wide in-flight cap
-	homes  *shard.Router    // family→home-shard routing; nil unless HomeShards > 1
 
 	mu       sync.Mutex
 	state    int32 // accepting / draining / closed
@@ -243,13 +227,11 @@ type counters struct {
 }
 
 // clientSession is one client's handle: a stable identity, a pinned
-// family (its nest class for transfers), the family's home shard when the
-// store is partitioned, a deterministic parameter rng, and the remaining
-// retry budget.
+// family (its nest class for transfers), a deterministic parameter rng, and
+// the remaining retry budget.
 type clientSession struct {
 	id     string
 	family int
-	home   int // family's home shard; 0 when HomeShards <= 1
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -262,9 +244,6 @@ func (cs *clientSession) ID() string { return cs.id }
 
 // Family returns the session's pinned family (its transfer nest class).
 func (cs *clientSession) Family() int { return cs.family }
-
-// Home returns the session's home shard (0 when the store is unpartitioned).
-func (cs *clientSession) Home() int { return cs.home }
 
 // New builds the world, opens the WAL, starts the group-commit pipeline
 // and the resident engine session. The server is accepting immediately.
@@ -312,7 +291,6 @@ func New(cfg Config) (*Server, error) {
 		db:        db,
 		pipe:      pipe,
 		epoch:     medium.Recovery().Epoch,
-		nest:      nest.New(4),
 		transfers: make(map[model.TxnID]*bank.Transfer),
 		sessions:  make(map[string]*clientSession),
 		start:     time.Now(),
@@ -332,27 +310,12 @@ func New(cfg Config) (*Server, error) {
 	if depth <= 0 {
 		depth = cfg.MaxInflight
 	}
-	s.gates = map[string]*gate{
-		classAudit: newGate(classAudit, depth),
-	}
-	if cfg.HomeShards > 1 {
-		s.homes = shard.NewRouter(cfg.HomeShards)
-		for h := 0; h < cfg.HomeShards; h++ {
-			name := custGateName(h)
-			s.gates[name] = newGate(name, depth)
-		}
-	} else {
-		s.gates[classCust] = newGate(classCust, depth)
-	}
-	s.global = newGate("inflight", cfg.MaxInflight)
+	s.gates = map[string]*gate{classCust: newGate(depth), classAudit: newGate(depth)}
+	s.global = newGate(cfg.MaxInflight)
 
 	var obs []engine.Observer
-	if cfg.Record {
-		s.rec = history.NewRecorder(s.nest)
-		obs = append(obs, s.rec)
-	}
 	if cfg.SpoolPath != "" {
-		sp, err := history.OpenSpoolFile(cfg.SpoolPath, 4)
+		sp, err := openSpool(cfg)
 		if err != nil {
 			pipe.Close()
 			medium.Close()
@@ -362,25 +325,17 @@ func New(cfg Config) (*Server, error) {
 		obs = append(obs, sp)
 	}
 	if cfg.Telemetry != nil {
-		if o := engine.NewTelemetryObserver(cfg.Telemetry, "serve/"+s.control.Name()); o != nil {
-			obs = append(obs, o)
-		}
+		obs = append(obs, engine.NewTelemetryObserver(cfg.Telemetry, "serve/"+s.control.Name()))
 		s.spans = cfg.Telemetry.Trace.Local()
 		s.pid = cfg.Telemetry.Trace.NextPID()
 		cfg.Telemetry.Trace.NameProcess(s.pid, "serve/http")
 		cfg.Telemetry.Trace.NameLane(s.pid, 0, "requests")
 	}
-	var observer engine.Observer
-	if len(obs) == 1 {
-		observer = obs[0]
-	} else if len(obs) > 1 {
-		observer = engine.Tee(obs...)
-	}
 
 	spec := breakpoint.Func{Levels: 4, Fn: s.cutAfter}
 	s.session = engine.NewSession(engine.Config{
 		Seed:        cfg.Seed,
-		Observer:    observer,
+		Observer:    engine.Tee(obs...),
 		MaxRestarts: cfg.MaxRestarts,
 	}, s.control, spec, engine.NewPipelinedWALStore(pipe))
 	return s, nil
@@ -391,9 +346,17 @@ const (
 	classAudit = "audit"
 )
 
-// custGateName is the admission-queue name for one home shard's customer
-// traffic ("cust@2"); /statz reports each as its own gate.
-func custGateName(home int) string { return fmt.Sprintf("%s@%d", classCust, home) }
+// openSpool opens the history spool, emptied first for an in-memory server
+// (see Config.SpoolPath: without a boot epoch an earlier run left in the file
+// would replay as "committed twice").
+func openSpool(cfg Config) (*history.Spool, error) {
+	if cfg.DataDir == "" {
+		if err := os.Truncate(cfg.SpoolPath, 0); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("starting a new history spool: %w", err)
+		}
+	}
+	return history.OpenSpoolFile(cfg.SpoolPath, 4)
+}
 
 func controlByName(name string, shards int) sched.Control {
 	switch name {
@@ -452,12 +415,6 @@ func (s *Server) OpenSession(family int) (*clientSession, error) {
 		family: family,
 		rng:    rand.New(rand.NewSource(s.cfg.Seed ^ s.nextSess<<17)),
 		budget: s.cfg.SessionRetryBudget,
-	}
-	if s.homes != nil {
-		// Pin the session to its family's home shard: the anchor entity is
-		// the family's first account, so every session of one family lands
-		// on the same shard regardless of interning order.
-		cs.home = s.homes.Shard(s.world.Account(family, 0))
 	}
 	s.sessions[id] = cs
 	return cs, nil
@@ -538,8 +495,6 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 	class := classCust
 	if req.Kind == "audit" {
 		class = classAudit
-	} else if s.homes != nil {
-		class = custGateName(cs.home)
 	}
 	g := s.gates[class]
 	if !g.acquire(ctx, s.cfg.AdmitWait) {
@@ -583,23 +538,16 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 		Deadline:    start.Add(d),
 		MaxRestarts: maxRestarts,
 		Prepare: func() {
-			// Under the engine mutex: the spec and the recorder see the
+			// Under the engine mutex: the spec and the spool see the
 			// transaction's class before its first step.
 			if tr != nil {
 				s.transfers[id] = tr
-			}
-			if s.rec != nil {
-				s.nest.Add(id, path...)
 			}
 			if s.spool != nil {
 				s.spool.Declare(id, path)
 			}
 		},
-		Cleanup: func() {
-			delete(s.transfers, id)
-			// The nest entry stays: the recorded history still refers to
-			// this transaction, and the checker needs its class path.
-		},
+		Cleanup: func() { delete(s.transfers, id) },
 	})
 	if s.spans != nil {
 		s.spanMu.Lock()
@@ -848,16 +796,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.shutErr
 }
 
-// History snapshots the recorded history, or nil when recording is off.
-// Meaningful after Shutdown (a mid-run snapshot is consistent but racy
-// with respect to in-flight commits).
-func (s *Server) History() *history.History {
-	if s.rec == nil {
-		return nil
-	}
-	return s.rec.History()
-}
-
 // Durable reports whether the transaction's commit record reached the WAL
 // — the selftest's ground truth for acknowledged commits, and (through
 // GET /v1/txns/{id}) the soak's restart re-verification oracle: after a
@@ -973,7 +911,6 @@ func (s *Server) Stats() Stats {
 // queue (depth beyond the semaphore is the set of parked requesters, which
 // HTTP already caps by its connection limits).
 type gate struct {
-	name  string
 	depth int
 	slots chan struct{}
 
@@ -982,8 +919,8 @@ type gate struct {
 	shed     atomic.Int64
 }
 
-func newGate(name string, depth int) *gate {
-	return &gate{name: name, depth: depth, slots: make(chan struct{}, depth)}
+func newGate(depth int) *gate {
+	return &gate{depth: depth, slots: make(chan struct{}, depth)}
 }
 
 // acquire takes a slot, waiting at most wait; false means shed.

@@ -5,14 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"mla/internal/history"
 	"mla/internal/model"
 )
 
@@ -95,64 +97,6 @@ func TestServeCommit(t *testing.T) {
 	if st.Acked != 3 || st.Engine.Committed != 3 {
 		t.Errorf("stats: acked %d, engine committed %d, want 3/3", st.Acked, st.Engine.Committed)
 	}
-}
-
-// TestServeHomeShardRouting: with HomeShards set, sessions pin to their
-// family's home shard, customer traffic is admitted through that shard's
-// own gate (visible in /statz as cust@N), and audits still share the one
-// audit gate. Transactions keep committing across every home shard.
-func TestServeHomeShardRouting(t *testing.T) {
-	cfg := testConfig()
-	cfg.HomeShards = 2
-	srv, ts := startServer(t, cfg)
-
-	// One session per family: families must spread across both home shards
-	// and two sessions of the same family must agree on their pin.
-	homes := make(map[int]bool)
-	for f := 0; f < cfg.Families; f++ {
-		cs, err := srv.OpenSession(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dup, err := srv.OpenSession(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs.Home() != dup.Home() {
-			t.Fatalf("family %d pinned to shards %d and %d", f, cs.Home(), dup.Home())
-		}
-		homes[cs.Home()] = true
-		res, err := srv.Submit(context.Background(), TxnRequest{Session: cs.ID(), Kind: "transfer"})
-		if err != nil || !res.Outcome.Committed {
-			t.Fatalf("family %d transfer: %v %+v", f, err, res)
-		}
-		if _, err := srv.Submit(context.Background(), TxnRequest{Session: cs.ID(), Kind: "audit"}); err != nil {
-			t.Fatalf("family %d audit: %v", f, err)
-		}
-	}
-	if len(homes) != 2 {
-		t.Fatalf("4 families landed on %d home shards, want 2", len(homes))
-	}
-
-	st := srv.Stats()
-	if _, ok := st.Gates[classCust]; ok {
-		t.Error("partitioned server still reports the single cust gate")
-	}
-	var custAdmitted int64
-	for h := 0; h < cfg.HomeShards; h++ {
-		gs, ok := st.Gates[custGateName(h)]
-		if !ok {
-			t.Fatalf("stats missing gate %s", custGateName(h))
-		}
-		custAdmitted += gs.Admitted
-	}
-	if custAdmitted != int64(cfg.Families) {
-		t.Errorf("home-shard gates admitted %d, want %d", custAdmitted, cfg.Families)
-	}
-	if st.Gates[classAudit].Admitted != int64(cfg.Families) {
-		t.Errorf("audit gate admitted %d, want %d", st.Gates[classAudit].Admitted, cfg.Families)
-	}
-	_ = ts
 }
 
 // TestServeUnknownSessionAndKind: 404 for a session never opened, 400 for
@@ -289,16 +233,16 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
-// TestServeHistoryAudit: a recorded run's history replays, passes the
-// black-box MLA checker, and contains every acknowledged commit — the same
-// audit `mlacheck -history` performs on the exported file.
+// TestServeHistoryAudit: an in-memory server's spooled history replays,
+// passes the black-box MLA checker, and contains every acknowledged commit
+// — the same audit `mlacheck -history` performs on the file.
 func TestServeHistoryAudit(t *testing.T) {
 	cfg := testConfig()
-	cfg.Record = true
+	cfg.SpoolPath = filepath.Join(t.TempDir(), "history.spool")
 	srv, ts := startServer(t, cfg)
 
 	var mu sync.Mutex
-	var acked []model.TxnID
+	var acked []string
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -318,7 +262,7 @@ func TestServeHistoryAudit(t *testing.T) {
 					var tr txnResponse
 					if json.Unmarshal(body, &tr) == nil && tr.Committed {
 						mu.Lock()
-						acked = append(acked, model.TxnID(tr.Txn))
+						acked = append(acked, tr.Txn)
 						mu.Unlock()
 					}
 				}
@@ -331,49 +275,106 @@ func TestServeHistoryAudit(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	if err := srv.SpoolErr(); err != nil {
+		t.Fatalf("spool: %v", err)
+	}
 
-	h := srv.History()
-	if h == nil {
-		t.Fatal("recording enabled but no history")
-	}
-	rep, err := history.Check(h)
-	if err != nil {
-		t.Fatalf("history check: %v", err)
-	}
-	if !rep.Correctable {
-		t.Fatalf("history not multilevel atomic: %s", rep.Summary())
-	}
-	exec, _, err := h.Committed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed := make(map[model.TxnID]bool)
-	for _, st := range exec {
-		committed[st.Txn] = true
-	}
 	if len(acked) == 0 {
 		t.Fatal("no acks collected")
 	}
+	rep := auditSpool(cfg.SpoolPath, acked, func(format string, args ...any) { t.Errorf(format, args...) })
+	if rep == nil || rep.Txns < len(acked) {
+		t.Fatalf("checker saw %+v, want at least the %d acked transactions", rep, len(acked))
+	}
 	for _, id := range acked {
-		if !committed[id] {
-			t.Errorf("acked %s missing from recorded history", id)
-		}
-		if !srv.Durable(id) {
+		if !srv.Durable(model.TxnID(id)) {
 			t.Errorf("acked %s not durable", id)
 		}
 	}
-	// The history round-trips through its wire format (what mlaserve
-	// writes and mlacheck reads).
-	var buf bytes.Buffer
-	if err := h.Encode(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
+}
+
+// TestServeInMemoryStartsNewHistory: without a data directory there is no
+// boot epoch, so a second server mints the first one's identifiers again.
+// Pointed at the same spool it must start a new history, not append a run
+// that would replay as "committed twice".
+func TestServeInMemoryStartsNewHistory(t *testing.T) {
+	cfg := testConfig()
+	cfg.SpoolPath = filepath.Join(t.TempDir(), "history.spool")
+	run := func(n int) []string {
+		srv, ts := startServer(t, cfg)
+		sess := openTestSession(t, ts.URL)
+		var acked []string
+		for i := 0; i < n; i++ {
+			resp, body := postJSON(t, ts.URL+"/v1/txns", txnRequest{Session: sess, Kind: "transfer"})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("txn %d: status %d: %s", i, resp.StatusCode, body)
+			}
+			var tr txnResponse
+			if err := json.Unmarshal(body, &tr); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, tr.Txn)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		return acked
 	}
-	h2, err := history.Decode(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	first, second := run(5), run(3)
+	if first[0] != second[0] {
+		t.Fatalf("fixture: in-memory boots minted %s then %s, want the same id", first[0], second[0])
 	}
-	if rep2, err := history.Check(h2); err != nil || !rep2.Correctable {
-		t.Fatalf("decoded history fails the checker: %v", err)
+
+	rep := auditSpool(cfg.SpoolPath, second, func(format string, args ...any) { t.Errorf(format, args...) })
+	if rep == nil || rep.Txns != len(second) {
+		t.Fatalf("spool holds %+v, want exactly the second run's %d transactions", rep, len(second))
+	}
+}
+
+// TestServeBoundsRequestBodies: both body-taking routes refuse an oversized
+// body with 413 — by its declared length, or cut off at the bound when it
+// arrives chunked — and still serve a normal one.
+func TestServeBoundsRequestBodies(t *testing.T) {
+	_, ts := startServer(t, testConfig())
+	sess := openTestSession(t, ts.URL)
+	big := `{"session":"` + strings.Repeat("a", 2*maxBodyBytes) + `"}`
+	for _, route := range []struct{ path, normal string }{
+		{"/v1/sessions", `{"family":1}`},
+		{"/v1/txns", `{"session":"` + sess + `","kind":"transfer"}`},
+	} {
+		for _, tc := range []struct {
+			name    string
+			body    string
+			chunked bool
+			want    int
+		}{
+			{"oversized fixed-length", big, false, http.StatusRequestEntityTooLarge},
+			{"oversized chunked", big, true, http.StatusRequestEntityTooLarge},
+			{"normal", route.normal, false, http.StatusOK},
+			{"normal chunked", route.normal, true, http.StatusOK},
+		} {
+			t.Run(route.path+" "+tc.name, func(t *testing.T) {
+				var body io.Reader = strings.NewReader(tc.body)
+				if tc.chunked {
+					body = struct{ io.Reader }{body} // hides the length: the client must chunk
+				}
+				resp, err := http.Post(ts.URL+route.path, "application/json", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var er errorResponse
+				json.NewDecoder(resp.Body).Decode(&er)
+				if resp.StatusCode != tc.want {
+					t.Fatalf("status %d (%+v), want %d", resp.StatusCode, er, tc.want)
+				}
+				if tc.want == http.StatusRequestEntityTooLarge && er.Error != "body_too_large" {
+					t.Errorf("413 body %+v, want error body_too_large", er)
+				}
+			})
+		}
 	}
 }
 

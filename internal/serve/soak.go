@@ -17,7 +17,6 @@ import (
 
 	"mla/internal/history"
 	"mla/internal/metrics"
-	"mla/internal/model"
 	"mla/internal/serve/loadgen"
 )
 
@@ -352,41 +351,7 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 		problem("no compacting checkpoint was ever observed — the log grew unbounded")
 	}
 
-	// The merged spool — every boot appended to one file, torn tails and
-	// all — must reconstruct a history the black-box checker accepts, with
-	// every acked transaction committed in it.
-	h, err := history.ReadSpoolFile(rep.SpoolPath)
-	if err != nil {
-		problem("history spool: %v", err)
-	} else {
-		hr, err := history.Check(h)
-		if err != nil {
-			problem("history checker rejected the merged spool: %v", err)
-		} else {
-			rep.History = hr
-			if !hr.Correctable {
-				problem("merged spool history is NOT multilevel atomic: %s", hr.Summary())
-			}
-		}
-		steps, _, err := h.Committed()
-		if err != nil {
-			problem("spool replay: %v", err)
-		} else {
-			committed := make(map[model.TxnID]bool, len(steps))
-			for _, s := range steps {
-				committed[s.Txn] = true
-			}
-			missing := 0
-			for _, id := range acked {
-				if !committed[model.TxnID(id)] {
-					missing++
-				}
-			}
-			if missing > 0 {
-				problem("%d acked transactions missing from the merged spool history", missing)
-			}
-		}
-	}
+	rep.History = auditSpool(rep.SpoolPath, acked, problem)
 	logf("done: %d boots, %d acked, %d lost, %d checkpoints", len(rep.Rounds), rep.TotalAcked, len(rep.LostAcks), rep.Checkpoints)
 	return rep, nil
 }
@@ -485,20 +450,8 @@ func awaitReady(ctx context.Context, client *http.Client, c *soakChild, timeout 
 	}
 }
 
-// soakStatz is the slice of /statz the soak reads.
-type soakStatz struct {
-	Recovery *struct {
-		Epoch           int64 `json:"epoch"`
-		Records         int   `json:"records"`
-		SinceCheckpoint int   `json:"since_checkpoint"`
-		TornBytes       int64 `json:"torn_bytes"`
-	} `json:"recovery"`
-	WAL struct {
-		Checkpoints int64 `json:"Checkpoints"`
-	} `json:"wal"`
-}
-
-func fetchStatz(ctx context.Context, client *http.Client, base string) (*soakStatz, error) {
+// fetchStatz reads the child's /statz back into the type that wrote it.
+func fetchStatz(ctx context.Context, client *http.Client, base string) (*Stats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/statz", nil)
 	if err != nil {
 		return nil, err
@@ -508,7 +461,7 @@ func fetchStatz(ctx context.Context, client *http.Client, base string) (*soakSta
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var st soakStatz
+	var st Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, fmt.Errorf("statz: %w", err)
 	}

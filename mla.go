@@ -5,7 +5,7 @@
 // a k-level nest of classes, and each transaction exposes per-level
 // breakpoints at which more closely related transactions may interleave.
 //
-// The package re-exports the library façade:
+// The package is the library façade:
 //
 //   - Spec pairs a Nest (who may interleave with whom) with a breakpoint
 //     specification (where). Spec.Atomic tests membership in C(π,B),
@@ -24,9 +24,10 @@
 package mla
 
 import (
+	"fmt"
+
 	"mla/internal/breakpoint"
 	"mla/internal/coherent"
-	"mla/internal/core"
 	"mla/internal/model"
 	"mla/internal/nest"
 	"mla/internal/viz"
@@ -50,9 +51,57 @@ type (
 	Nest = nest.Nest
 	// BreakpointSpec supplies per-execution breakpoint descriptions.
 	BreakpointSpec = breakpoint.Spec
-	// Spec is a complete multilevel atomicity specification.
-	Spec = core.Spec
 )
+
+// Spec is a complete multilevel-atomicity specification: who may interleave
+// with whom (the nest) and where (the breakpoints).
+type Spec struct {
+	Nest        *Nest
+	Breakpoints BreakpointSpec
+}
+
+// NewSpec pairs a nest with a breakpoint specification, checking that they
+// agree on the number of levels.
+func NewSpec(n *Nest, bp BreakpointSpec) (*Spec, error) {
+	if n.K() != bp.K() {
+		return nil, fmt.Errorf("mla: nest has k=%d but breakpoint spec has k=%d", n.K(), bp.K())
+	}
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return &Spec{Nest: n, Breakpoints: bp}, nil
+}
+
+// K returns the number of atomicity levels.
+func (s *Spec) K() int { return s.Nest.K() }
+
+// Check runs the full Theorem 2 analysis on an execution.
+func (s *Spec) Check(e Execution) (*CheckResult, error) {
+	return coherent.CheckExecution(e, s.Nest, s.Breakpoints)
+}
+
+// Atomic reports whether e ∈ C(π,B): the execution is multilevel atomic as
+// recorded, with no reordering.
+func (s *Spec) Atomic(e Execution) (bool, error) {
+	return coherent.MultilevelAtomic(e, s.Nest, s.Breakpoints)
+}
+
+// Correctable reports whether e is equivalent to some multilevel atomic
+// execution (Theorem 2: the coherent closure of ≤e is a partial order).
+func (s *Spec) Correctable(e Execution) (bool, error) {
+	return coherent.Correctable(e, s.Nest, s.Breakpoints)
+}
+
+// Witness returns an equivalent multilevel atomic execution when e is
+// correctable.
+func (s *Spec) Witness(e Execution) (Execution, bool, error) {
+	res, err := s.Check(e)
+	if err != nil {
+		return nil, false, err
+	}
+	w, ok := res.Witness()
+	return w, ok, nil
+}
 
 // Program-building helpers.
 type (
@@ -97,15 +146,32 @@ func Timeline(e Execution, spec BreakpointSpec, width int) string {
 // NewNest creates an empty k-nest (k ≥ 2).
 func NewNest(k int) *Nest { return nest.New(k) }
 
-// NewSpec pairs a nest with a breakpoint specification.
-func NewSpec(n *Nest, bp BreakpointSpec) (*Spec, error) { return core.NewSpec(n, bp) }
+// Serializability returns the k=2 specification over the given
+// transactions: one universal class, singleton bottom classes, and the
+// unique 2-level breakpoint description. Under this Spec, Correctable
+// coincides with classical serializability (Section 4.3, first example).
+func Serializability(txns []TxnID) *Spec {
+	n := nest.New(2)
+	for _, t := range txns {
+		n.Add(t)
+	}
+	return &Spec{Nest: n, Breakpoints: Uniform(2, 2)}
+}
 
-// Serializability returns the k=2 specification, under which correctability
-// is classical serializability.
-func Serializability(txns []TxnID) *Spec { return core.Serializability(txns) }
-
-// CompatibilitySets returns Garcia-Molina's scheme as the k=3 special case.
-func CompatibilitySets(classes [][]TxnID) *Spec { return core.CompatibilitySets(classes) }
+// CompatibilitySets returns Garcia-Molina's two-level scheme [G] as the k=3
+// special case of multilevel atomicity (Section 4.3, second example):
+// transactions within one compatibility class interleave arbitrarily
+// (every interior boundary is a level-2 breakpoint), while transactions in
+// different classes must be atomic with respect to each other.
+func CompatibilitySets(classes [][]TxnID) *Spec {
+	n := nest.New(3)
+	for ci, class := range classes {
+		for _, t := range class {
+			n.Add(t, fmt.Sprintf("class-%d", ci))
+		}
+	}
+	return &Spec{Nest: n, Breakpoints: Uniform(3, 2)}
+}
 
 // Uniform is a breakpoint specification giving every interior boundary the
 // same coarseness.

@@ -7,6 +7,7 @@ import (
 
 	"mla"
 	"mla/internal/model"
+	"mla/internal/serial"
 )
 
 // TestPublicAPI exercises the re-exported façade end to end: build a nest
@@ -171,5 +172,120 @@ func TestWithTelemetry(t *testing.T) {
 	plain := mla.RunConfig{Seed: 3, Observer: &ev}
 	if got := mla.WithTelemetry(plain, nil, ""); got.Observer != plain.Observer {
 		t.Error("WithTelemetry(nil) altered the config")
+	}
+}
+
+// Spec and the two named special cases of Section 4.3, checked against the
+// classical notions they must coincide with.
+
+func st(t model.TxnID, seq int, x model.EntityID) model.Step {
+	return model.Step{Txn: t, Seq: seq, Entity: x}
+}
+
+func TestNewSpecValidates(t *testing.T) {
+	n := mla.NewNest(3)
+	n.Add("t", "g")
+	if _, err := mla.NewSpec(n, mla.Uniform(2, 2)); err == nil {
+		t.Error("k mismatch must be rejected")
+	}
+	if _, err := mla.NewSpec(mla.NewNest(3), mla.Uniform(3, 2)); err == nil {
+		t.Error("empty nest must be rejected")
+	}
+	s, err := mla.NewSpec(n, mla.Uniform(3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.K() != 3 {
+		t.Errorf("K = %d", s.K())
+	}
+}
+
+func TestSerializabilitySpec(t *testing.T) {
+	s := mla.Serializability([]model.TxnID{"t1", "t2"})
+	// Non-serializable interleaving.
+	bad := model.Execution{
+		st("t1", 1, "x"), st("t2", 1, "x"),
+		st("t2", 2, "y"), st("t1", 2, "y"),
+	}
+	ok, err := s.Correctable(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Error("k=2 spec must reject the classic cycle")
+	}
+	if serial.Serializable(bad) {
+		t.Error("fixture error: execution should not be serializable")
+	}
+	good := model.Execution{
+		st("t1", 1, "x"), st("t2", 1, "x"), st("t1", 2, "y"), st("t2", 2, "y"),
+	}
+	ok, err = s.Correctable(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Error("serializable execution must be k=2 correctable")
+	}
+	atomic, err := s.Atomic(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atomic {
+		t.Error("interleaved execution is not serial, hence not 2-level atomic")
+	}
+	w, ok, err := s.Witness(good)
+	if err != nil || !ok {
+		t.Fatalf("witness: %v %v", ok, err)
+	}
+	if !serial.IsSerial(w) {
+		t.Errorf("k=2 witness must be serial: %v", w)
+	}
+}
+
+func TestCompatibilitySets(t *testing.T) {
+	s := mla.CompatibilitySets([][]model.TxnID{{"t1", "t2"}, {"t3"}})
+	if s.K() != 3 {
+		t.Fatalf("K = %d", s.K())
+	}
+	// t1 and t2 share a class: arbitrary interleaving is atomic.
+	e := model.Execution{
+		st("t1", 1, "x"), st("t2", 1, "x"), st("t1", 2, "x"), st("t2", 2, "x"),
+	}
+	atomic, err := s.Atomic(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !atomic {
+		t.Error("same-class transactions interleave arbitrarily under [G]")
+	}
+	// t3 is in another class: interleaving with it must serialize.
+	f := model.Execution{
+		st("t1", 1, "x"), st("t3", 1, "x"), st("t1", 2, "x"), st("t3", 2, "x"),
+	}
+	ok, err := s.Correctable(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Error("cross-class ping-pong must not be correctable")
+	}
+}
+
+func TestCheckResultFields(t *testing.T) {
+	s := mla.Serializability([]model.TxnID{"t1"})
+	e := model.Execution{st("t1", 1, "x"), st("t1", 2, "y")}
+	res, err := s.Check(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Atomic || !res.Correctable {
+		t.Error("single-transaction execution is trivially atomic")
+	}
+	if res.Inst.N() != 2 {
+		t.Errorf("instance has %d steps", res.Inst.N())
+	}
+	if !res.Rel.HasID(model.StepID{Txn: "t1", Seq: 1}, model.StepID{Txn: "t1", Seq: 2}) {
+		t.Error("program order missing from closure")
 	}
 }

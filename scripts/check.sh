@@ -21,11 +21,13 @@ go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzz
 # workload.
 go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
 # History oracle, end to end: a live engine run recorded as an event
-# history must check clean offline, known-violating histories must be
-# rejected (exit 2), and E20 cross-checks both checkers over mixed-level
-# runs on every control — a disagreement fails the gate.
+# history must check clean offline — under the black-box checker alone and
+# under both deciders (-witness adds the Theorem 2 analysis and fails on a
+# disagreement) — known-violating histories must be rejected (exit 2), and
+# E20 cross-checks both checkers over mixed-level runs on every control.
 go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
 go run ./cmd/mlacheck -history /tmp/mla_check_history.json
+go run ./cmd/mlacheck -witness -history /tmp/mla_check_history.json > /dev/null
 for v in internal/history/testdata/violation_*.json; do
     if go run ./cmd/mlacheck -history "$v" > /dev/null 2>&1; then
         echo "check.sh: $v should have been rejected" >&2
@@ -42,11 +44,13 @@ fi
 # Service front-end smoke: mlaserve serves a real listener, its own load
 # client offers an open-loop Poisson load with injected disconnects, a real
 # SIGTERM lands mid-run, and the drain is audited — every 200-acked
-# transaction durable and committed in the recorded history, which must
-# then pass the black-box checker standalone.
+# transaction durable and committed in the history spool (the same capture
+# path production runs), which must then pass the black-box checker
+# standalone.
+rm -f /tmp/mla_serve_history.spool
 go run ./cmd/mlaserve -selftest -sessions 20 -txns 400 -rate 40 \
-    -disconnect-pct 5 -drain-after 250ms -history /tmp/mla_serve_history.json > /dev/null
-go run ./cmd/mlacheck -history /tmp/mla_serve_history.json
+    -disconnect-pct 5 -drain-after 250ms -spool /tmp/mla_serve_history.spool > /dev/null
+go run ./cmd/mlacheck -history /tmp/mla_serve_history.spool
 # Crash-restart durability smoke: a real mlaserve process over an on-disk
 # WAL, SIGKILLed mid-load twice with injected disk faults; every 200-acked
 # transaction must be re-verifiable after each restart and the multi-boot
