@@ -2,7 +2,8 @@
 
 # Tier-1 gate: build + vet + lint + full suite under -race (includes the
 # engine goroutine-leak and cancellation tests), fuzz smoke, the E19 race
-# smoke and a one-second benchmark/ output-check smoke.
+# smoke and two short benchmark/ output-check smokes (engine_uniform,
+# bank_mla).
 check:
 	./scripts/check.sh
 
@@ -43,13 +44,15 @@ history-check:
 		echo "mlabench -exp E99 should have been rejected" >&2; exit 1; \
 	fi
 
-# The same two smokes check.sh runs: E19 at scale 1 under -race with
-# telemetry on (the trace lands in /tmp), then one second of the benchmark's
-# engine workload with its output checks. Neither is a perf gate; performance
-# is judged by alternating benchmark/ pairs (benchmark/README.md).
+# The same smokes check.sh runs: E19 at scale 1 under -race with telemetry
+# on (the trace lands in /tmp), then one second of the benchmark's engine
+# workload and 12 epochs of bank_mla (the closure path) with their output
+# checks. None is a perf gate; performance is judged by alternating
+# benchmark/ pairs (benchmark/README.md).
 perf:
 	go run -race ./cmd/mlabench -exp E19 -scale 1 -telemetry -trace-out /tmp/mla_perf_smoke_trace.json
 	bash benchmark/run.sh --workload engine_uniform --seed 1 --seconds 1 --trace 0 > /dev/null
+	bash benchmark/run.sh --workload bank_mla --seed 1 --seconds 3 --trace 0 > /dev/null
 
 # Non-test Go source lines per internal/* package and in total (benchmark/
 # excluded): ROADMAP aim 2 wants the total to go down.
@@ -57,9 +60,11 @@ loc:
 	./scripts/loc.sh
 
 # Chaos replay oracle: the E13/E18 tables and the mlasim chaos scenarios
-# for both message-driven controls, one file per command. The controls are
-# deterministic in (seed, fault plan), so `diff -r` of this directory from
-# two commits is the regression check for any change to internal/net,
-# internal/cluster, internal/dist or internal/shard.
+# for both message-driven controls, plus the `detect`-carrying tables
+# E5/E11/E12/E16, one file per command. The controls are deterministic in
+# (seed, fault plan) and the Detector's victim in coherent.Online's
+# worklist order, so `diff -r` of this directory from two commits is the
+# regression check for any change to internal/net, internal/cluster,
+# internal/dist, internal/shard or internal/coherent.
 chaos-replay:
 	./scripts/chaos_replay.sh /tmp/mla_chaos_replay

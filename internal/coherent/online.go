@@ -21,6 +21,15 @@ import (
 //   - appending a breakpoint (a cut of some coarseness) closes segments and
 //     clears the corresponding pinned sets.
 //
+// A step is inserted by one of two rules. The general one (process) is a
+// pairwise worklist over derived pairs. A step of a transaction that holds
+// no pin — every step the Section 6 delay rule admits, so every insert of
+// the Preventer family — has no out-edge and is a closure sink: linkSink
+// inserts it in closed form from the same traversal that previews it
+// (collectPreds), in time linear in its predecessor set. process remains
+// the rule for pinned transactions (the Detector's optimistic inserts), and
+// its visiting order defines the cycle witness (CycleTxns).
+//
 // Rollback is incremental when it can be and a rebuild when it must:
 // dropping a whole transaction whose steps are closure-sinks (no live step
 // is reachable from any of them) retracts exactly those steps in place —
@@ -87,18 +96,22 @@ type Online struct {
 	queue   [][2]int
 	sealing obitset
 
-	// Preview scratch, reused across ForEachPredOfNewStep calls. Online is
-	// driven under its owner's serialization (the engine mutex or the
-	// simulator loop), so struct-owned scratch needs no locking. pvMax holds,
-	// per transaction index, the max seq seen during the current preview; its
-	// entries are zero between calls (touched entries are re-zeroed on exit),
-	// so growing it lazily never needs a wipe. pvPushFn is pvPush bound once
-	// so passing it to forEach does not allocate a method value per step.
+	// Preview scratch, reused across collectPreds calls. Online is driven
+	// under its owner's serialization (the engine mutex or the simulator
+	// loop), so struct-owned scratch needs no locking. pvMax holds, per
+	// transaction index, the max seq seen during the current preview; its
+	// entries are zero between calls (touched entries are re-zeroed by the
+	// caller), so growing it lazily never needs a wipe. pvLv[u] is
+	// level(u, t), valid while pvMax[u] != 0.
 	pvVisited obitset
 	pvStack   []int
 	pvMax     []int
+	pvLv      []int
 	pvTouched []int
-	pvPushFn  func(int)
+
+	// noSink (tests only) sends every step down process, so the closed-form
+	// insertion can be compared with the general rule.
+	noSink bool
 
 	cyclic         bool
 	cycleA, cycleB int
@@ -203,9 +216,21 @@ func (b obitset) intersects(other obitset) bool {
 
 func NewOnline(k int, level func(a, b model.TxnID) int) *Online {
 	oc := &Online{k: k, level: level}
-	oc.pvPushFn = oc.pvPush
 	oc.reset()
 	return oc
+}
+
+// regrow extends rows by one empty row. A reset truncates the row tables
+// but leaves each row's header behind the length; re-exposing it keeps the
+// row's backing array, where appending nil would regrow it word by word.
+func regrow[R ~[]E, E any](rows []R) []R {
+	n := len(rows)
+	if n == cap(rows) {
+		return append(rows, nil)
+	}
+	rows = rows[:n+1]
+	rows[n] = rows[n][:0]
+	return rows
 }
 
 // reset empties the replayable state, keeping its storage: a sealing
@@ -245,9 +270,10 @@ func (oc *Online) txn(t model.TxnID) int {
 	ti := len(oc.txns)
 	oc.txnIdx[t] = ti
 	oc.txns = append(oc.txns, t)
-	oc.perTxn = append(oc.perTxn, nil)
-	oc.coarse = append(oc.coarse, nil)
-	oc.pinned = append(oc.pinned, make([]obitset, oc.k+1))
+	oc.perTxn = regrow(oc.perTxn)
+	oc.coarse = regrow(oc.coarse)
+	oc.pinned = regrow(oc.pinned)
+	oc.pinned[ti] = append(oc.pinned[ti], make([]obitset, oc.k+1)...)
 	oc.committed = append(oc.committed, false)
 	return ti
 }
@@ -579,7 +605,10 @@ func (oc *Online) seal() {
 		t := oc.txns[ti]
 		delete(oc.txnIdx, t)
 		oc.txns[ti] = ""
-		oc.perTxn[ti], oc.coarse[ti], oc.pinned[ti] = nil, nil, nil
+		// Emptied, not dropped: the slot is dead until a reset, which hands
+		// the rows' storage to whoever takes the slot next (regrow).
+		oc.perTxn[ti], oc.coarse[ti] = oc.perTxn[ti][:0], oc.coarse[ti][:0]
+		clear(oc.pinned[ti])
 		oc.committed[ti] = false
 		oc.nCommitted--
 		if oc.OnSeal != nil {
@@ -618,7 +647,12 @@ func (oc *Online) evicted(ti int, sealing obitset) bool {
 func (oc *Online) Retractions() int { return oc.retractions }
 
 // CycleTxns returns the transactions of the two steps whose pair closed the
-// cycle (valid after AddStep returned false).
+// cycle (valid after AddStep returned false). A rejected step usually closes
+// many cycles; the witness is the last cycle-closing pair process's LIFO
+// worklist visited, so it is defined by that visiting order and by nothing
+// more canonical. The Detector's victim choice, and with it every `detect`
+// row of EXPERIMENTS.md, is a function of it: scripts/chaos_replay.sh pins
+// the order through tables E5, E11, E12 and E16.
 func (oc *Online) CycleTxns() []model.TxnID {
 	if !oc.cyclic {
 		return nil
@@ -641,37 +675,84 @@ func (oc *Online) Slots() int { return len(oc.stepTxn) }
 
 func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 	ti := oc.txn(t)
+	// A transaction that owes no pinned successor gains a closure sink: see
+	// linkSink. The traversal must run before g becomes t's last step and
+	// x's last accessor.
+	sink := !oc.noSink && oc.unpinned(ti)
+	if sink {
+		oc.collectPreds(t, x)
+	}
 	g := len(oc.stepTxn)
 	seq := len(oc.perTxn[ti]) + 1
 	oc.stepTxn = append(oc.stepTxn, ti)
 	oc.stepSeq = append(oc.stepSeq, seq)
 	oc.stepEnt = append(oc.stepEnt, x)
-	oc.reach = append(oc.reach, nil)
-	oc.pred = append(oc.pred, nil)
+	oc.reach = regrow(oc.reach)
+	oc.pred = regrow(oc.pred)
 	oc.liveSteps++
 
 	oc.queue = oc.queue[:0]
-	if seq > 1 {
-		oc.queue = append(oc.queue, [2]int{oc.perTxn[ti][seq-2], g})
-	}
-	if le, ok := oc.lastEntity[x]; ok {
-		oc.queue = append(oc.queue, [2]int{le, g})
-	}
-	// Rule (b), future part: this step extends t's open segments, so it
-	// inherits every pinned successor obligation. Level 1 is included: a
-	// B(1) segment is the whole transaction, so level-1 pins persist until
-	// the transaction ends.
-	for lv := 1; lv <= oc.k; lv++ {
-		oc.pinned[ti][lv].forEach(func(b int) {
-			oc.queue = append(oc.queue, [2]int{g, b})
-		})
+	if !sink {
+		if seq > 1 {
+			oc.queue = append(oc.queue, [2]int{oc.perTxn[ti][seq-2], g})
+		}
+		if le, ok := oc.lastEntity[x]; ok {
+			oc.queue = append(oc.queue, [2]int{le, g})
+		}
+		// Rule (b), future part: this step extends t's open segments, so it
+		// inherits every pinned successor obligation. Level 1 is included: a
+		// B(1) segment is the whole transaction, so level-1 pins persist until
+		// the transaction ends.
+		for lv := 1; lv <= oc.k; lv++ {
+			oc.pinned[ti][lv].forEach(func(b int) {
+				oc.queue = append(oc.queue, [2]int{g, b})
+			})
+		}
 	}
 
 	oc.perTxn[ti] = append(oc.perTxn[ti], g)
 	oc.coarse[ti] = append(oc.coarse[ti], 0) // boundary after seq not yet known
 	oc.lastEntity[x] = g
 	oc.chains[x] = append(oc.chains[x], g)
-	oc.process()
+	if sink {
+		oc.linkSink(g)
+	} else {
+		oc.process()
+	}
+}
+
+// unpinned reports whether transaction ti owes no pinned successor at any
+// level, so that its next step starts with no out-edge.
+func (oc *Online) unpinned(ti int) bool {
+	for lv := 1; lv <= oc.k; lv++ {
+		for _, w := range oc.pinned[ti][lv] {
+			if w != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// linkSink inserts step g of an unpinned transaction in closed form, from
+// the set collectPreds just left in the preview scratch. With no pin to
+// inherit, every pair process would derive for g ends in g — its generator
+// edges point into it, and transitivity and rule (b) only ever replace the
+// tail of such a pair — so g reaches nothing, no cycle can pass through it,
+// and its predecessor set is exactly the previewed one. Rule (b)'s future
+// part pins g on every predecessor transaction u with a member in a still
+// open B(level(u,t)) segment; open segments are a suffix of u, so u's
+// latest member decides. Pins and rows are sets, so the order process
+// would have found the pairs in leaves no trace.
+func (oc *Online) linkSink(g int) {
+	oc.pred[g] = append(oc.pred[g], oc.pvVisited...)
+	oc.pvVisited.forEach(func(a int) { oc.reach[a].set(g) })
+	for _, u := range oc.pvTouched {
+		if lv := oc.pvLv[u]; oc.segmentOpen(u, oc.pvMax[u], lv) {
+			oc.pinned[u][lv].set(g)
+		}
+		oc.pvMax[u] = 0
+	}
 }
 
 func (oc *Online) applyCut(t model.TxnID, coarse int) {
@@ -774,72 +855,108 @@ func (oc *Online) Extent(t model.TxnID) int {
 	return len(oc.perTxn[ti])
 }
 
-// pvPush pushes step g onto the preview DFS stack if unvisited. Bound once
-// as pvPushFn so forEach calls do not allocate.
-func (oc *Online) pvPush(g int) {
-	if g >= 0 && !oc.pvVisited.has(g) {
-		oc.pvVisited.set(g)
-		oc.pvStack = append(oc.pvStack, g)
+// collectPreds leaves in pvVisited the steps that would precede a next step
+// of t on x in the coherent closure, WITHOUT mutating the closure. The
+// hypothetical step's in-edges are its program predecessor and x's last
+// accessor; rule (b) extends each predecessor α of another transaction u
+// with u's already-performed steps in α's B(level(u,t)) segment;
+// transitivity pulls in all their ancestors. Per such u it also leaves u's
+// index in pvTouched, its latest member's seq in pvMax and level(u,t) in
+// pvLv; the caller re-zeroes the pvMax entries.
+//
+// Only the seeds and the rule-(b) mates go through the stack. pred rows are
+// transitively closed, so a step first met in a popped step's row brings no
+// predecessor the row lacks — just its transaction's entry and its own
+// mates — and the row is merged by words, never re-walked member by member.
+func (oc *Online) collectPreds(t model.TxnID, x model.EntityID) {
+	words := (len(oc.stepTxn) + 63) >> 6
+	if cap(oc.pvVisited) < words {
+		oc.pvVisited = make(obitset, words)
+	}
+	oc.pvVisited = oc.pvVisited[:words]
+	clear(oc.pvVisited)
+	oc.pvStack = oc.pvStack[:0]
+	oc.pvTouched = oc.pvTouched[:0]
+	if n := len(oc.txns); len(oc.pvMax) < n {
+		oc.pvMax = append(oc.pvMax, make([]int, n-len(oc.pvMax))...)
+		oc.pvLv = append(oc.pvLv, make([]int, n-len(oc.pvLv))...)
+	}
+	self := -1
+	if ti, ok := oc.txnIdx[t]; ok {
+		self = ti
+		if n := len(oc.perTxn[ti]); n > 0 {
+			oc.pvVisit(oc.perTxn[ti][n-1])
+		}
+	}
+	if le, ok := oc.lastEntity[x]; ok && !oc.pvVisited.has(le) {
+		oc.pvVisit(le)
+	}
+	for len(oc.pvStack) > 0 {
+		g := oc.pvStack[len(oc.pvStack)-1]
+		oc.pvStack = oc.pvStack[:len(oc.pvStack)-1]
+		oc.pvNote(g, self, t)
+		for wi, w := range oc.pred[g] {
+			w &^= oc.pvVisited[wi]
+			oc.pvVisited[wi] |= w
+			for ; w != 0; w &= w - 1 {
+				oc.pvNote(wi<<6+bits.TrailingZeros64(w), self, t)
+			}
+		}
+	}
+}
+
+// pvVisit marks the unvisited step g and queues it for its pred row.
+func (oc *Online) pvVisit(g int) {
+	oc.pvVisited[g>>6] |= 1 << uint(g&63)
+	oc.pvStack = append(oc.pvStack, g)
+}
+
+// pvNote records visited step g under its transaction u and visits g's
+// rule-(b) mates: the performed steps after g in its B(level(u,t)) segment
+// would also precede the new step. The walk stops at a visited mate, whose
+// own walk covers the rest of the segment.
+func (oc *Online) pvNote(g, self int, t model.TxnID) {
+	u := oc.stepTxn[g]
+	if u == self {
+		return
+	}
+	seq := oc.stepSeq[g]
+	// seq is 1-based, so pvMax[u] == 0 means "not yet seen".
+	if oc.pvMax[u] == 0 {
+		oc.pvTouched = append(oc.pvTouched, u)
+		oc.pvLv[u] = oc.level(oc.txns[u], t)
+	}
+	if seq > oc.pvMax[u] {
+		oc.pvMax[u] = seq
+	}
+	lv := oc.pvLv[u]
+	for s := seq + 1; s <= len(oc.perTxn[u]); s++ {
+		if c := oc.coarse[u][s-2]; c != 0 && c <= lv {
+			break // boundary between s-1 and s closes the segment
+		}
+		m := oc.perTxn[u][s-1]
+		if oc.pvVisited.has(m) {
+			break
+		}
+		oc.pvVisit(m)
 	}
 }
 
 // ForEachPredOfNewStep reports, per transaction, the latest step (max seq)
 // that would precede a hypothetical next step of t on x in the coherent
 // closure, WITHOUT mutating the closure: it calls f once per predecessor
-// transaction with that seq, in no particular order. The hypothetical
-// step's in-edges are its program predecessor and x's last accessor; rule
-// (b) extends each predecessor α of another transaction u with u's
-// already-performed steps in α's still-open level(u,t) segment;
-// transitivity pulls in all their ancestors. The result is exactly the
-// predecessor set the step would have if added (successor pins do not
-// affect it). All traversal state lives in scratch on oc, so steady-state
-// calls allocate nothing; the callback must not re-enter oc.
+// transaction with that seq, in no particular order. The set is
+// collectPreds's — the very one linkSink inserts when the step is then
+// added — so what a control previews is what it gets (successor pins do not
+// affect a predecessor set). All traversal state lives in scratch on oc, so
+// steady-state calls allocate nothing; the callback must not re-enter oc.
 func (oc *Online) ForEachPredOfNewStep(t model.TxnID, x model.EntityID, f func(u model.TxnID, maxSeq int)) {
 	if len(oc.stepTxn) == 0 {
 		return
 	}
-	for i := range oc.pvVisited {
-		oc.pvVisited[i] = 0
-	}
-	oc.pvStack = oc.pvStack[:0]
-	oc.pvTouched = oc.pvTouched[:0]
-	if len(oc.pvMax) < len(oc.txns) {
-		oc.pvMax = append(oc.pvMax, make([]int, len(oc.txns)-len(oc.pvMax))...)
-	}
-	if ti, ok := oc.txnIdx[t]; ok && len(oc.perTxn[ti]) > 0 {
-		oc.pvPush(oc.perTxn[ti][len(oc.perTxn[ti])-1])
-	}
-	if le, ok := oc.lastEntity[x]; ok {
-		oc.pvPush(le)
-	}
-	for len(oc.pvStack) > 0 {
-		g := oc.pvStack[len(oc.pvStack)-1]
-		oc.pvStack = oc.pvStack[:len(oc.pvStack)-1]
-		gti := oc.stepTxn[g]
-		gt := oc.txns[gti]
-		if gt != t {
-			// seq is 1-based, so pvMax[gti] == 0 means "not yet seen".
-			if s := oc.stepSeq[g]; s > oc.pvMax[gti] {
-				if oc.pvMax[gti] == 0 {
-					oc.pvTouched = append(oc.pvTouched, gti)
-				}
-				oc.pvMax[gti] = s
-			}
-			// Rule (b): performed segment-mates after g, within g's
-			// still-open level(gt, t) segment, would also precede the new
-			// step.
-			lv := oc.level(gt, t)
-			for s := oc.stepSeq[g] + 1; s <= len(oc.perTxn[gti]); s++ {
-				if c := oc.coarse[gti][s-2]; c != 0 && c <= lv {
-					break
-				}
-				oc.pvPush(oc.perTxn[gti][s-1])
-			}
-		}
-		oc.pred[g].forEach(oc.pvPushFn)
-	}
-	for _, ti := range oc.pvTouched {
-		f(oc.txns[ti], oc.pvMax[ti])
-		oc.pvMax[ti] = 0
+	oc.collectPreds(t, x)
+	for _, u := range oc.pvTouched {
+		f(oc.txns[u], oc.pvMax[u])
+		oc.pvMax[u] = 0
 	}
 }

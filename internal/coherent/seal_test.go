@@ -9,16 +9,33 @@ import (
 	"mla/internal/nest"
 )
 
-// sealTwins is a sealing Online and a reference that only marks commits
-// (noSeal), driven through the same history. The reference keeps every
-// committed step, so it is the closure the sealing one must be
-// indistinguishable from — on everything a scheduler can still ask.
-type sealTwins struct {
-	t          *testing.T
-	seal, keep *Online
-	active     []model.TxnID // uncommitted transactions
-	ents       []model.EntityID
-	where      string
+// twins is two Onlines driven through the same history: got is the closure
+// under test, ref the reference it must be indistinguishable from — on
+// everything check compares.
+type twins struct {
+	t        *testing.T
+	got, ref *Online
+	active   []model.TxnID // uncommitted transactions
+	ents     []model.EntityID
+	where    string
+
+	// check compares the twins after an operation on focus; all asks for
+	// the costly parts too. step is addStep unless a test wraps it to look
+	// at the twins on either side of an insertion. burst > 0 makes a fresh
+	// transaction take that many steps in a row, twice per history.
+	check func(focus model.TxnID, all bool)
+	step  func(id model.TxnID, x model.EntityID) bool
+	burst int
+}
+
+// addStep appends the step to both twins and returns their common verdict.
+func (w *twins) addStep(id model.TxnID, x model.EntityID) bool {
+	w.t.Helper()
+	ok, okRef := w.got.AddStep(id, x), w.ref.AddStep(id, x)
+	if ok != okRef {
+		w.t.Fatalf("%s: AddStep(%s,%s) got=%v reference=%v", w.where, id, x, ok, okRef)
+	}
+	return ok
 }
 
 // stepOf finds the slot of t's seq-th step in oc, or -1.
@@ -30,12 +47,15 @@ func stepOf(oc *Online, t model.TxnID, seq int) int {
 	return oc.perTxn[ti][seq-1]
 }
 
-// compare checks every observable the twins must share after an operation.
-// The preview is the costly part: it always runs for focus (the transaction
+// compareSealed checks every observable a sealing closure (got) must share
+// with a reference that only marks commits (ref.noSeal): the reference
+// keeps every committed step, so it is the closure the sealing one must be
+// indistinguishable from — on everything a scheduler can still ask. The
+// preview is the costly part: it always runs for focus (the transaction
 // just operated on) and for the others only when all is set.
-func (w *sealTwins) compare(focus model.TxnID, all bool) {
+func (w *twins) compareSealed(focus model.TxnID, all bool) {
 	w.t.Helper()
-	s, k := w.seal, w.keep
+	s, k := w.got, w.ref
 	isActive := make(map[model.TxnID]bool, len(w.active))
 	for _, id := range w.active {
 		isActive[id] = true
@@ -111,116 +131,147 @@ func (w *sealTwins) compare(focus model.TxnID, all bool) {
 	}
 }
 
-// TestSealEquivalence drives the twins through randomized histories over
-// random nests: steps, cuts, commits at random points, rejected steps
+// historyTally counts what the randomized histories exercised, so a test can
+// show it was not vacuous.
+type historyTally struct {
+	sealed, lingered, deferred, afterAbort, rejected int
+}
+
+// playHistory drives fresh twins through the seed's randomized history over
+// a random nest: steps, cuts, commits at random points, rejected steps
 // (PopStep, sometimes with a commit arriving before the Rebuild), full
 // drops (sink retraction or replay) and partial keeps (always replay).
-// They must agree on every AddStep verdict and, after every operation, on
-// everything compare checks. The counters at the end keep it from being
-// vacuous: transactions were sealed while others stayed live, sweeps were
-// deferred behind a dirty relation, and rollbacks released lingering
+// configure sets the twins' test-only switches and hooks; check runs after
+// every operation. got must be a sealing closure: its seals feed the tally.
+func playHistory(t *testing.T, seed int64, tally *historyTally, configure func(w *twins)) {
+	rng := rand.New(rand.NewSource(seed))
+	k := 2 + rng.Intn(3)
+	n := nest.New(k)
+	born := 0
+	fresh := func() model.TxnID {
+		id := model.TxnID(fmt.Sprintf("t%d", born))
+		mid := make([]string, k-2)
+		for l := range mid {
+			mid[l] = fmt.Sprintf("c%d", rng.Intn(2+l))
+		}
+		n.Add(id, mid...)
+		born++
+		return id
+	}
+	w := &twins{t: t, got: NewOnline(k, n.Level), ref: NewOnline(k, n.Level)}
+	w.step = w.addStep
+	w.got.OnSeal = func(model.TxnID) { tally.sealed++ }
+	// Half the histories force every rollback down the replay path.
+	w.got.forceReplay = seed%2 == 0
+	w.ref.forceReplay = w.got.forceReplay
+	configure(w)
+	for i := 0; i < 3+rng.Intn(3); i++ {
+		w.ents = append(w.ents, model.EntityID(fmt.Sprintf("x%d", i)))
+	}
+	width := 2 + rng.Intn(4)
+	for len(w.active) < width {
+		w.active = append(w.active, fresh())
+	}
+	commit := func(i int) {
+		id := w.active[i]
+		w.active[i] = fresh()
+		before := tally.sealed
+		w.got.Retire(id)
+		w.ref.Retire(id)
+		if tally.sealed == before {
+			tally.lingered++
+		}
+	}
+	drop := func(id model.TxnID) {
+		before := tally.sealed
+		w.got.Rebuild(map[model.TxnID]bool{id: true})
+		w.ref.Rebuild(map[model.TxnID]bool{id: true})
+		if tally.sealed > before {
+			tally.afterAbort++
+		}
+	}
+	// step reports whether active[i]'s step was accepted; a rejected one
+	// is popped and its transaction dropped.
+	step := func(i int) bool {
+		id, x := w.active[i], w.ents[rng.Intn(len(w.ents))]
+		if w.step(id, x) {
+			return true
+		}
+		tally.rejected++
+		w.got.PopStep()
+		w.ref.PopStep()
+		if j := rng.Intn(len(w.active)); j != i && w.got.Extent(w.active[j]) > 0 {
+			// A commit lands between the rejection and the
+			// rollback: the sweep must wait for the Rebuild.
+			before := tally.sealed
+			commit(j)
+			if tally.sealed != before {
+				t.Fatalf("%s: sealed through a dirty relation", w.where)
+			}
+			tally.deferred++
+		}
+		drop(id) // the stepping transaction: a deterministic victim
+		return false
+	}
+
+	for op := 0; op < 120; op++ {
+		w.where = fmt.Sprintf("seed=%d op=%d", seed, op)
+		i := rng.Intn(len(w.active))
+		id := w.active[i]
+		switch r := rng.Intn(20); {
+		case w.burst > 0 && (op == 40 || op == 80): // a lone long transaction
+			commit(i)
+			for s := 0; s < w.burst && step(i); s++ {
+				if rng.Intn(4) == 0 {
+					c := 2 + rng.Intn(k)
+					w.got.AddCut(w.active[i], c)
+					w.ref.AddCut(w.active[i], c)
+				}
+				w.check(w.active[i], false)
+			}
+		case r <= 10:
+			step(i)
+		case r <= 13: // cut
+			c := 2 + rng.Intn(k)
+			w.got.AddCut(id, c)
+			w.ref.AddCut(id, c)
+		case r <= 16: // commit
+			commit(i)
+		case r <= 18: // full drop
+			drop(id)
+		default: // partial keep
+			keep := 0
+			if ext := w.got.Extent(id); ext > 0 {
+				keep = rng.Intn(ext)
+			}
+			w.got.RebuildPartial(map[model.TxnID]int{id: keep})
+			w.ref.RebuildPartial(map[model.TxnID]int{id: keep})
+		}
+		w.check(w.active[i], op%4 == 0)
+	}
+}
+
+// TestSealEquivalence drives a sealing Online and a reference that only
+// marks commits (noSeal) through randomized histories (playHistory). They
+// must agree on every AddStep verdict and, after every operation, on
+// everything compareSealed checks. The counters at the end keep it from
+// being vacuous: transactions were sealed while others stayed live, sweeps
+// were deferred behind a dirty relation, and rollbacks released lingering
 // commits. These histories go quiescent or replay too often for tombstones
 // to pile up; TestSealCompaction covers the compaction trigger.
 func TestSealEquivalence(t *testing.T) {
 	const histories = 2000
-	var sealedTxns, lingered, deferred, afterAbort, rejected int
+	var tally historyTally
 	for seed := int64(1); seed <= histories; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := 2 + rng.Intn(3)
-		n := nest.New(k)
-		born := 0
-		fresh := func() model.TxnID {
-			id := model.TxnID(fmt.Sprintf("t%d", born))
-			mid := make([]string, k-2)
-			for l := range mid {
-				mid[l] = fmt.Sprintf("c%d", rng.Intn(2+l))
-			}
-			n.Add(id, mid...)
-			born++
-			return id
-		}
-		w := &sealTwins{t: t, seal: NewOnline(k, n.Level), keep: NewOnline(k, n.Level)}
-		w.keep.noSeal = true
-		w.seal.OnSeal = func(model.TxnID) { sealedTxns++ }
-		// Half the histories force every rollback down the replay path.
-		w.seal.forceReplay = seed%2 == 0
-		w.keep.forceReplay = w.seal.forceReplay
-		for i := 0; i < 3+rng.Intn(3); i++ {
-			w.ents = append(w.ents, model.EntityID(fmt.Sprintf("x%d", i)))
-		}
-		width := 2 + rng.Intn(4)
-		for len(w.active) < width {
-			w.active = append(w.active, fresh())
-		}
-		commit := func(i int) {
-			id := w.active[i]
-			w.active[i] = fresh()
-			before := sealedTxns
-			w.seal.Retire(id)
-			w.keep.Retire(id)
-			if sealedTxns == before {
-				lingered++
-			}
-		}
-		drop := func(id model.TxnID) {
-			before := sealedTxns
-			w.seal.Rebuild(map[model.TxnID]bool{id: true})
-			w.keep.Rebuild(map[model.TxnID]bool{id: true})
-			if sealedTxns > before {
-				afterAbort++
-			}
-		}
-
-		for op := 0; op < 120; op++ {
-			w.where = fmt.Sprintf("seed=%d op=%d", seed, op)
-			i := rng.Intn(len(w.active))
-			id := w.active[i]
-			switch r := rng.Intn(20); {
-			case r <= 10: // step
-				x := w.ents[rng.Intn(len(w.ents))]
-				okS, okK := w.seal.AddStep(id, x), w.keep.AddStep(id, x)
-				if okS != okK {
-					t.Fatalf("%s: AddStep(%s,%s) sealing=%v reference=%v", w.where, id, x, okS, okK)
-				}
-				if !okS {
-					rejected++
-					w.seal.PopStep()
-					w.keep.PopStep()
-					if j := rng.Intn(len(w.active)); j != i && w.seal.Extent(w.active[j]) > 0 {
-						// A commit lands between the rejection and the
-						// rollback: the sweep must wait for the Rebuild.
-						before := sealedTxns
-						commit(j)
-						if sealedTxns != before {
-							t.Fatalf("%s: sealed through a dirty relation", w.where)
-						}
-						deferred++
-					}
-					drop(id) // the stepping transaction: a deterministic victim
-				}
-			case r <= 13: // cut
-				c := 2 + rng.Intn(k)
-				w.seal.AddCut(id, c)
-				w.keep.AddCut(id, c)
-			case r <= 16: // commit
-				commit(i)
-			case r <= 18: // full drop
-				drop(id)
-			default: // partial keep
-				keep := 0
-				if ext := w.seal.Extent(id); ext > 0 {
-					keep = rng.Intn(ext)
-				}
-				w.seal.RebuildPartial(map[model.TxnID]int{id: keep})
-				w.keep.RebuildPartial(map[model.TxnID]int{id: keep})
-			}
-			w.compare(w.active[i], op%4 == 0)
-		}
+		playHistory(t, seed, &tally, func(w *twins) {
+			w.ref.noSeal = true
+			w.check = w.compareSealed
+		})
 	}
 	t.Logf("%d histories: %d sealed, %d commits lingered, %d sweeps deferred, %d sealed after a rollback, %d rejected steps",
-		histories, sealedTxns, lingered, deferred, afterAbort, rejected)
-	for name, n := range map[string]int{"sealed": sealedTxns, "lingered": lingered, "deferred": deferred,
-		"sealed after a rollback": afterAbort, "rejected": rejected} {
+		histories, tally.sealed, tally.lingered, tally.deferred, tally.afterAbort, tally.rejected)
+	for name, n := range map[string]int{"sealed": tally.sealed, "lingered": tally.lingered, "deferred": tally.deferred,
+		"sealed after a rollback": tally.afterAbort, "rejected": tally.rejected} {
 		if n == 0 {
 			t.Errorf("no history exercised %q: the equivalence test is vacuous there", name)
 		}
@@ -238,9 +289,9 @@ func TestSealEquivalence(t *testing.T) {
 func TestSealCompaction(t *testing.T) {
 	const txns, twinned = 5000, 300
 	n := nest.New(2)
-	w := &sealTwins{t: t, seal: NewOnline(2, n.Level), keep: NewOnline(2, n.Level)}
-	w.keep.noSeal = true
-	oc := w.seal
+	w := &twins{t: t, got: NewOnline(2, n.Level), ref: NewOnline(2, n.Level)}
+	w.ref.noSeal = true
+	oc := w.got
 	sealed := 0
 	oc.OnSeal = func(model.TxnID) { sealed++ }
 	for e := 0; e < 8; e++ {
@@ -250,7 +301,7 @@ func TestSealCompaction(t *testing.T) {
 	step := func(i, e int) {
 		t.Helper()
 		x := w.ents[e%len(w.ents)]
-		if !oc.AddStep(id(i), x) || (i < twinned && !w.keep.AddStep(id(i), x)) {
+		if !oc.AddStep(id(i), x) || (i < twinned && !w.ref.AddStep(id(i), x)) {
 			t.Fatalf("pipeline step of t%d closed a cycle", i)
 		}
 	}
@@ -268,9 +319,9 @@ func TestSealCompaction(t *testing.T) {
 			compactions++
 		}
 		if i+1 < twinned {
-			w.keep.Retire(id(i))
+			w.ref.Retire(id(i))
 			w.active = []model.TxnID{id(i + 1)}
-			w.compare(id(i+1), true)
+			w.compareSealed(id(i+1), true)
 		}
 		if oc.Steps() != 1 || oc.Slots() > 2*oc.Steps()+compactSlack {
 			t.Fatalf("after retiring t%d: %d slots for %d live steps, want 1 live", i, oc.Slots(), oc.Steps())

@@ -12,6 +12,12 @@
 # spool to <outdir>/<scenario>.json (nightly audits those with mlacheck);
 # -check makes each run exit nonzero unless the execution is Theorem-2
 # correctable with exact audits.
+#
+# E5, E11, E12 and E16 ride along for internal/coherent: they are the
+# deterministic tables (no wall-clock column) that carry a `detect` row, and
+# the Detector's victim is the pair of transactions on which
+# coherent.Online's pairwise worklist (process) happens to close the cycle.
+# They pin the Detector's victim choice, i.e. process's visiting order.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 <outdir>" >&2; exit 2; }
 mkdir -p "$1"
@@ -34,6 +40,9 @@ shard() { # <scenario> <flags...>
 
 run E18 go run ./cmd/mlabench -exp E18 -scale 1 -seed 1
 run E13 go run ./cmd/mlabench -exp E13 -scale 1 -seed 1
+for e in E5 E11 E12 E16; do
+    run "$e" go run ./cmd/mlabench -exp "$e" -scale 1 -seed 1
+done
 run dist-storm go run ./cmd/mlasim -control dist -txns 96 -seed 17 -loss 0.05 -partition 600 -procfail 2 -check
 # Scenario grid: clean, lossy bus, long partition, and the full storm
 # (loss + partition + two processor crashes).

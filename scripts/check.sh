@@ -71,3 +71,8 @@ go run -race ./cmd/mlabench -exp E19 -scale 1 -telemetry -trace-out /tmp/mla_per
 # correctness smoke of the yardstick itself, not a perf gate (performance is
 # judged by alternating pairs, per benchmark/README.md).
 bash benchmark/run.sh --workload engine_uniform --seed 1 --seconds 1 --trace 0 > /dev/null
+# The same for the closure path: 12 epochs of bank_mla (about 0.1 s of load)
+# with every audit exact and every epoch history.Check-correctable. --seconds
+# 1 would be 4 epochs, too few samples for the benchmark's own
+# latency_windows check.
+bash benchmark/run.sh --workload bank_mla --seed 1 --seconds 3 --trace 0 > /dev/null
