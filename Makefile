@@ -2,8 +2,8 @@
 
 # Tier-1 gate: build + vet + lint + full suite under -race (includes the
 # engine goroutine-leak and cancellation tests), fuzz smoke, the E19 race
-# smoke and two short benchmark/ output-check smokes (engine_uniform,
-# bank_mla).
+# smoke and three short benchmark/ output-check smokes (engine_uniform,
+# bank_mla, serve_durable).
 check:
 	./scripts/check.sh
 
@@ -46,13 +46,15 @@ history-check:
 
 # The same smokes check.sh runs: E19 at scale 1 under -race with telemetry
 # on (the trace lands in /tmp), then one second of the benchmark's engine
-# workload and 12 epochs of bank_mla (the closure path) with their output
-# checks. None is a perf gate; performance is judged by alternating
+# workload, 12 epochs of bank_mla (the closure path) and one second of
+# serve_durable (acked ⇒ durable after reopen) with their output checks.
+# None is a perf gate; performance is judged by alternating
 # benchmark/ pairs (benchmark/README.md).
 perf:
 	go run -race ./cmd/mlabench -exp E19 -scale 1 -telemetry -trace-out /tmp/mla_perf_smoke_trace.json
 	bash benchmark/run.sh --workload engine_uniform --seed 1 --seconds 1 --trace 0 > /dev/null
 	bash benchmark/run.sh --workload bank_mla --seed 1 --seconds 3 --trace 0 > /dev/null
+	bash benchmark/run.sh --workload serve_durable --seed 1 --seconds 1 --trace 0 > /dev/null
 
 # Non-test Go source lines per internal/* package and in total (benchmark/
 # excluded): ROADMAP aim 2 wants the total to go down.

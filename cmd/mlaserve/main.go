@@ -202,6 +202,20 @@ func run() int {
 	return runServe(cfg, *addr, *drainTimeout)
 }
 
+// A client that opens connections and never finishes a request header, or
+// parks idle keep-alives, must not pin goroutines and descriptors forever:
+// overload degrades, it does not hang. Request bodies are ≤ 4 KiB and
+// bounded by the handler; the idle bound exceeds the load generator's own
+// 90 s so a client closes first.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // runServe is the long-lived mode: serve until SIGTERM/SIGINT, then drain
 // gracefully.
 //
@@ -216,7 +230,7 @@ func runServe(cfg serve.Config, addr string, drainTimeout time.Duration) int {
 		return 1
 	}
 	gate := &serve.Gate{}
-	hs := &http.Server{Handler: gate}
+	hs := newHTTPServer(gate)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Printf("mlaserve: listening on %s (control=%s, inflight=%d, queue=%d)\n",
@@ -230,7 +244,7 @@ func runServe(cfg serve.Config, addr string, drainTimeout time.Duration) int {
 		return 1
 	}
 	if info := srv.RecoveryInfo(); info.Epoch > 0 {
-		fmt.Printf("mlaserve: recovered %s in %v — epoch %d, %d records (%d past checkpoint, %d torn bytes, %d segments)\n",
+		fmt.Printf("mlaserve: recovered %s in %v — epoch %d, %d records (%d past checkpoint, %d torn or stale bytes, %d segments)\n",
 			cfg.DataDir, time.Since(start).Round(time.Millisecond), info.Epoch,
 			info.Records, info.SinceCheckpoint, info.TornBytes, info.Segments)
 	}

@@ -23,6 +23,8 @@ package bank
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 
 	"mla/internal/model"
 )
@@ -57,6 +59,54 @@ func (w World) FamilyAccounts(f int) []model.EntityID {
 		out = append(out, w.Account(f, i))
 	}
 	return out
+}
+
+// DrawTransfer draws one transfer's accounts from rng: up to 3 distinct
+// sources in family f, then two targets distinct from them (the paper
+// deposits into "two arbitrary other accounts"), in another family with
+// probability crossPct percent. accounts is w.Accounts(), passed in so that a
+// resident caller builds the names once; only sources is allocated.
+func (w World) DrawTransfer(rng *rand.Rand, accounts []model.EntityID, f, crossPct int) (sources []model.EntityID, targets [2]model.EntityID) {
+	per := w.AccountsPerFamily
+	var buf [16]int
+	perm := buf[:min(per, len(buf))]
+	if per > len(buf) {
+		perm = make([]int, per)
+	}
+	permInto(rng, perm)
+	sources = make([]model.EntityID, min(3, per))
+	for i := range sources {
+		sources[i] = accounts[f*per+perm[i]]
+	}
+	tf := f
+	if w.Families > 1 && rng.Intn(100) < crossPct {
+		for tf == f {
+			tf = rng.Intn(w.Families)
+		}
+	}
+	picked := 0
+	permInto(rng, perm)
+	for _, ai := range perm {
+		if cand := accounts[tf*per+ai]; picked < 2 && !slices.Contains(sources, cand) {
+			targets[picked] = cand
+			picked++
+		}
+	}
+	// Tiny families: fall back to any accounts of the target family, reusing
+	// a source if need be (still a valid transaction).
+	for ; picked < 2; picked++ {
+		targets[picked] = accounts[tf*per+rng.Intn(per)]
+	}
+	return sources, targets
+}
+
+// permInto fills m as rng.Perm(len(m)) would, with the same draws.
+func permInto(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // Init returns the initial entity values: every account at InitialBalance.

@@ -77,57 +77,12 @@ func Generate(p Params) *Workload {
 
 	n := nest.New(4)
 	var programs []model.Program
+	accounts := w.Accounts()
 
 	for i := 0; i < p.Transfers; i++ {
 		f := rng.Intn(p.Families)
 		id := model.TxnID(fmt.Sprintf("xfer-%03d", i))
-		// Sources: up to 3 distinct accounts of the originating family.
-		srcIdx := rng.Perm(p.AccountsPerFamily)
-		nsrc := 3
-		if nsrc > p.AccountsPerFamily {
-			nsrc = p.AccountsPerFamily
-		}
-		var sources []model.EntityID
-		for _, ai := range srcIdx[:nsrc] {
-			sources = append(sources, w.Account(f, ai))
-		}
-		// Targets: two distinct accounts, possibly in another family, and
-		// distinct from the sources (the paper deposits into "two arbitrary
-		// other accounts").
-		tf := f
-		if p.Families > 1 && rng.Intn(100) < p.CrossFamilyPct {
-			for tf == f {
-				tf = rng.Intn(p.Families)
-			}
-		}
-		var targets [2]model.EntityID
-		tIdx := rng.Perm(p.AccountsPerFamily)
-		picked := 0
-		for _, ai := range tIdx {
-			cand := w.Account(tf, ai)
-			dup := false
-			for _, s := range sources {
-				if s == cand {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				targets[picked] = cand
-				picked++
-				if picked == 2 {
-					break
-				}
-			}
-		}
-		if picked < 2 {
-			// Tiny families: fall back to any accounts of another family or
-			// reuse a source (still a valid transaction).
-			for picked < 2 {
-				targets[picked] = w.Account(tf, rng.Intn(p.AccountsPerFamily))
-				picked++
-			}
-		}
+		sources, targets := w.DrawTransfer(rng, accounts, f, p.CrossFamilyPct)
 		tr := &Transfer{Txn: id, Family: f, Sources: sources, Targets: targets, Amount: p.Amount, Reserve: p.Reserve}
 		wl.transfers[id] = tr
 		programs = append(programs, tr)

@@ -357,6 +357,14 @@ func (i *Injector) DiskSync() error {
 	return nil
 }
 
+// DiskOps returns how many write calls, fsync calls and persisted bytes the
+// injector has seen (counted only while the plan injects disk faults).
+func (i *Injector) DiskOps() (writes, syncs, bytes int64) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.diskWrites, i.diskSyncs, i.diskBytes
+}
+
 // coin flips a deterministic biased coin: true with probability rate.
 func (i *Injector) coin(rate float64, key string) bool {
 	if rate <= 0 {

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"mla/internal/engine"
@@ -67,6 +69,7 @@ type txnRequest struct {
 	DeadlineMS int64  `json:"deadline_ms"`
 }
 
+// txnResponse is the 200 body's schema: writeCommitted emits it by hand.
 type txnResponse struct {
 	Txn       string `json:"txn"`
 	Committed bool   `json:"committed"`
@@ -81,10 +84,30 @@ type errorResponse struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
+// bodies recycles the buffers POST bodies are read into and 200s encoded in.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+var jsonContentType = []string{"application/json"} // shared, never mutated
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeCommitted is writeJSON(w, 200, txnResponse{...}) for a transaction ID
+// json writes verbatim — every ID the server mints — without reflection or
+// an Encoder.
+func writeCommitted(w http.ResponseWriter, id model.TxnID, out engine.Outcome) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	b := append(append(buf.AvailableBuffer(), `{"txn":"`...), id...)
+	b = strconv.AppendInt(append(b, `","committed":true,"restarts":`...), int64(out.Restarts), 10)
+	b = strconv.AppendInt(append(b, `,"latency_us":`...), out.Latency.Microseconds(), 10)
+	b = strconv.AppendInt(append(b, `,"waited_us":`...), out.Waited.Microseconds(), 10)
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(append(b, '}', '\n'))
 }
 
 // writeRetryable writes an error with the Retry-After contract: the header
@@ -117,7 +140,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.ContentLength < 0 {
 		body = http.MaxBytesReader(w, body, maxBodyBytes)
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	_, err := buf.ReadFrom(body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
@@ -127,6 +157,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// writeError maps a refusal from OpenSession or Submit to its status code.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrOverload):
+		s.writeRetryable(w, http.StatusTooManyRequests, "overload", err.Error())
+	case errors.Is(err, ErrDraining):
+		s.writeRetryable(w, http.StatusServiceUnavailable, "draining", err.Error())
+	case errors.Is(err, wal.ErrDegraded):
+		// Checked before ErrSessionClosed: an engine that died OF the disk
+		// reports the disk, so clients and probes see "degraded", not a
+		// generic engine failure. Retry-After because an operator replacing
+		// the volume brings a restarted server back.
+		s.writeRetryable(w, http.StatusServiceUnavailable, "degraded", err.Error())
+	case errors.Is(err, engine.ErrSessionClosed):
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "engine_failed", Detail: err.Error()})
+	case errors.Is(err, ErrUnknownSession):
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown_session", Detail: err.Error()})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
+	}
 }
 
 func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
@@ -140,11 +192,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	}
 	cs, err := s.OpenSession(family)
 	if err != nil {
-		code := "draining"
-		if errors.Is(err, wal.ErrDegraded) {
-			code = "degraded"
-		}
-		s.writeRetryable(w, http.StatusServiceUnavailable, code, err.Error())
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, openSessionResponse{ID: cs.ID(), Family: cs.Family()})
@@ -168,42 +216,15 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		Kind:     req.Kind,
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 	})
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrOverload):
-		s.writeRetryable(w, http.StatusTooManyRequests, "overload", err.Error())
-		return
-	case errors.Is(err, ErrDraining):
-		s.writeRetryable(w, http.StatusServiceUnavailable, "draining", err.Error())
-		return
-	case errors.Is(err, wal.ErrDegraded):
-		// Checked before ErrSessionClosed: an engine that died OF the disk
-		// reports the disk, so clients and probes see "degraded", not a
-		// generic engine failure. Retry-After because an operator replacing
-		// the volume brings a restarted server back.
-		s.writeRetryable(w, http.StatusServiceUnavailable, "degraded", err.Error())
-		return
-	case errors.Is(err, engine.ErrSessionClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "engine_failed", Detail: err.Error()})
-		return
-	case errors.Is(err, ErrUnknownSession):
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown_session", Detail: err.Error()})
-		return
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 
 	out := res.Outcome
 	switch {
 	case out.Committed:
-		writeJSON(w, http.StatusOK, txnResponse{
-			Txn:       string(res.Txn),
-			Committed: true,
-			Restarts:  out.Restarts,
-			LatencyUS: out.Latency.Microseconds(),
-			WaitedUS:  out.Waited.Microseconds(),
-		})
+		writeCommitted(w, res.Txn, out)
 	case out.DeadlineExceeded:
 		writeJSON(w, http.StatusRequestTimeout, errorResponse{
 			Error:  "deadline_exceeded",

@@ -134,13 +134,17 @@ func (c *HTTPClient) CloseSession(id string) {
 	}
 }
 
+// txnBody is the POST /v1/txns request; fields in key order, so the bytes
+// are those of marshalling the same three keys as a map.
+type txnBody struct {
+	DeadlineMS int64  `json:"deadline_ms"`
+	Kind       string `json:"kind"`
+	Session    string `json:"session"`
+}
+
 // Do implements Client: one POST /v1/txns attempt, classified by status.
 func (c *HTTPClient) Do(ctx context.Context, r Request) Result {
-	body, _ := json.Marshal(map[string]any{
-		"session":     r.Session,
-		"kind":        r.Kind,
-		"deadline_ms": r.DeadlineMS,
-	})
+	body, _ := json.Marshal(txnBody{DeadlineMS: r.DeadlineMS, Kind: r.Kind, Session: r.Session})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/txns", bytes.NewReader(body))
 	if err != nil {
 		return Result{Status: StatusError, ErrDetail: err.Error()}

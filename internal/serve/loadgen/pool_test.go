@@ -1,8 +1,13 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,5 +134,34 @@ func TestOpenLoopSchedule(t *testing.T) {
 	want := float64(n) / rate
 	if span < want/2 || span > want*2 {
 		t.Errorf("schedule span %.3fs, want ~%.3fs for %d arrivals at %.0f/s", span, want, n, rate)
+	}
+}
+
+// TestTxnBodyBytes: what HTTPClient.Do puts on the wire is byte-identical to
+// the sorted-key map encoding it used to build, for all three kinds and for
+// ids json escapes.
+func TestTxnBodyBytes(t *testing.T) {
+	var got []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	c := NewHTTPClient(srv.URL, srv.Client())
+	for _, r := range []Request{
+		{Session: "e3-s000017", Kind: "transfer"},
+		{Session: "s000001", Kind: "audit", DeadlineMS: 250},
+		{Session: "s<&>\"\\é", Kind: "credit", DeadlineMS: -1},
+	} {
+		if res := c.Do(context.Background(), r); res.Status != StatusDraining {
+			t.Fatalf("request %+v: %+v", r, res)
+		}
+		want, err := json.Marshal(map[string]any{"session": r.Session, "kind": r.Kind, "deadline_ms": r.DeadlineMS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("request %+v\n sent %s\n want %s", r, got, want)
+		}
 	}
 }

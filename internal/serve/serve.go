@@ -42,6 +42,7 @@ import (
 	"io/fs"
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,8 +116,8 @@ type Config struct {
 
 	// CheckpointEvery enables compacting checkpoints: once the log grows
 	// this many records past the last checkpoint, the pipeline compacts at
-	// the next quiescent flush boundary, bounding both recovery replay and
-	// disk usage. 0 disables.
+	// the next quiescent flush boundary, bounding recovery replay and the
+	// segment files (the archive gains one small frame). 0 disables.
 	CheckpointEvery int
 
 	// DiskFaults injects deterministic disk faults (transient write/fsync
@@ -176,6 +177,12 @@ type Server struct {
 	epoch   int64 // boot count of DataDir; 0 when in-memory
 	start   time.Time
 
+	// accounts is every account entity, family-major, and famPath each
+	// family's nest class path: built once, shared read-only by every
+	// synthesized program and spool declaration.
+	accounts []model.EntityID
+	famPath  [][]string
+
 	// transfers carries each in-flight transfer's parameters for the
 	// breakpoint spec. Mutated only inside SubmitOpts.Prepare/Cleanup and
 	// read only from Spec.CutAfter — all under the engine mutex, so no
@@ -186,7 +193,7 @@ type Server struct {
 	gates  map[string]*gate // admission queue per nest class
 	global *gate            // engine-wide in-flight cap
 
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	state    int32 // accepting / draining / closed
 	sessions map[string]*clientSession
 	nextSess int64
@@ -233,10 +240,10 @@ type clientSession struct {
 	id     string
 	family int
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	budget int
-	txns   int
+	budget atomic.Int64 // restarts left
+
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // ID returns the session's stable identity.
@@ -280,13 +287,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: opening WAL: %w", err)
 	}
 	pipe := wal.NewPipeline(db, 0)
-	if cfg.CheckpointEvery > 0 {
-		pipe.AutoCheckpoint(cfg.CheckpointEvery)
-	}
+	pipe.AutoCheckpoint(cfg.CheckpointEvery)
 
 	s := &Server{
 		cfg:       cfg,
 		world:     w,
+		accounts:  w.Accounts(),
 		medium:    medium,
 		db:        db,
 		pipe:      pipe,
@@ -296,6 +302,9 @@ func New(cfg Config) (*Server, error) {
 		start:     time.Now(),
 		lat:       metrics.NewHistogram(),
 		waited:    metrics.NewHistogram(),
+	}
+	for f := 0; f < cfg.Families; f++ {
+		s.famPath = append(s.famPath, []string{classCust, fmt.Sprintf("fam-%02d", f)})
 	}
 	s.control = controlByName(cfg.Control, cfg.Shards)
 	if s.control == nil {
@@ -410,12 +419,8 @@ func (s *Server) OpenSession(family int) (*clientSession, error) {
 	if family < 0 || family >= s.cfg.Families {
 		family = int(s.nextSess) % s.cfg.Families
 	}
-	cs := &clientSession{
-		id:     id,
-		family: family,
-		rng:    rand.New(rand.NewSource(s.cfg.Seed ^ s.nextSess<<17)),
-		budget: s.cfg.SessionRetryBudget,
-	}
+	cs := &clientSession{id: id, family: family, rng: rand.New(rand.NewSource(s.cfg.Seed ^ s.nextSess<<17))}
+	cs.budget.Store(int64(s.cfg.SessionRetryBudget))
 	s.sessions[id] = cs
 	return cs, nil
 }
@@ -430,8 +435,8 @@ func (s *Server) CloseSession(id string) bool {
 }
 
 func (s *Server) lookupSession(id string) *clientSession {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.sessions[id]
 }
 
@@ -484,9 +489,7 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 	// Per-session retry budget: a session that has burned its restart
 	// allowance is shed before it can queue — its backlog of conflicts is
 	// the strongest overload signal a single client can emit.
-	cs.mu.Lock()
-	budgetLeft := cs.budget
-	cs.mu.Unlock()
+	budgetLeft := int(cs.budget.Load())
 	if budgetLeft <= 0 {
 		s.counters.budget.Add(1)
 		return TxnResult{}, fmt.Errorf("%w: session %s retry budget exhausted", ErrOverload, cs.id)
@@ -573,10 +576,7 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 		return TxnResult{}, err
 	}
 
-	cs.mu.Lock()
-	cs.budget -= out.Restarts
-	cs.txns++
-	cs.mu.Unlock()
+	cs.budget.Add(-int64(out.Restarts))
 
 	switch {
 	case out.Committed:
@@ -662,69 +662,46 @@ func (s *Server) RetryAfter() time.Duration {
 
 // synthesize builds the program for one request from the session's
 // deterministic rng, mirroring bank.Generate's shapes for an open
-// population. Returns the program, its nest class path, and (for
-// transfers) the parameters the breakpoint spec needs.
+// population. Returns the program, its nest class path (only when a spool
+// will declare it), and (for transfers) the parameters the breakpoint spec
+// needs.
 func (s *Server) synthesize(cs *clientSession, kind string) (model.Program, []string, *bank.Transfer, error) {
 	n := s.txnSeq.Add(1)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	rng := cs.rng
+	var path []string
 	switch kind {
 	case "", "transfer":
-		id := model.TxnID(fmt.Sprintf("xfer-%s-%07d", cs.id, n))
 		f := cs.family
-		nsrc := 3
-		if nsrc > s.cfg.AccountsPerFamily {
-			nsrc = s.cfg.AccountsPerFamily
-		}
-		var sources []model.EntityID
-		for _, ai := range rng.Perm(s.cfg.AccountsPerFamily)[:nsrc] {
-			sources = append(sources, s.world.Account(f, ai))
-		}
-		tf := f
-		if s.cfg.Families > 1 && rng.Intn(100) < s.cfg.CrossFamilyPct {
-			for tf == f {
-				tf = rng.Intn(s.cfg.Families)
-			}
-		}
-		var targets [2]model.EntityID
-		picked := 0
-		for _, ai := range rng.Perm(s.cfg.AccountsPerFamily) {
-			cand := s.world.Account(tf, ai)
-			dup := false
-			for _, src := range sources {
-				if src == cand {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				targets[picked] = cand
-				picked++
-				if picked == 2 {
-					break
-				}
-			}
-		}
-		for picked < 2 {
-			targets[picked] = s.world.Account(tf, rng.Intn(s.cfg.AccountsPerFamily))
-			picked++
-		}
-		tr := &bank.Transfer{
-			Txn: id, Family: f, Sources: sources, Targets: targets,
-			Amount: s.cfg.Amount, Reserve: s.cfg.Reserve,
-		}
-		return tr, []string{"cust", fmt.Sprintf("fam-%02d", f)}, tr, nil
+		tr := &bank.Transfer{Txn: mintID("xfer-", cs.id, n), Family: f, Amount: s.cfg.Amount, Reserve: s.cfg.Reserve}
+		cs.mu.Lock()
+		tr.Sources, tr.Targets = s.world.DrawTransfer(cs.rng, s.accounts, f, s.cfg.CrossFamilyPct)
+		cs.mu.Unlock()
+		return tr, s.famPath[f], tr, nil
 	case "audit":
-		id := model.TxnID(fmt.Sprintf("audit-%s-%07d", cs.id, n))
-		a := &bank.Audit{Txn: id, Accounts: s.world.Accounts(), Result: model.EntityID("auditres/" + string(id))}
-		return a, []string{"audit/" + string(id), "audit/" + string(id)}, nil, nil
+		id := mintID("audit-", cs.id, n)
+		a := &bank.Audit{Txn: id, Accounts: s.accounts, Result: model.EntityID("auditres/" + string(id))}
+		if s.spool != nil {
+			path = []string{"audit/" + string(id), "audit/" + string(id)}
+		}
+		return a, path, nil, nil
 	case "credit":
-		id := model.TxnID(fmt.Sprintf("cred-%s-%07d", cs.id, n))
-		a := &bank.Audit{Txn: id, Accounts: s.world.FamilyAccounts(cs.family), Result: model.EntityID("credres/" + string(id))}
-		return a, []string{"cust", "cred/" + string(id)}, nil, nil
+		id, per := mintID("cred-", cs.id, n), s.cfg.AccountsPerFamily
+		a := &bank.Audit{Txn: id, Accounts: s.accounts[cs.family*per:][:per], Result: model.EntityID("credres/" + string(id))}
+		if s.spool != nil {
+			path = []string{classCust, "cred/" + string(id)}
+		}
+		return a, path, nil, nil
 	}
 	return nil, nil, nil, fmt.Errorf("serve: unknown transaction kind %q", kind)
+}
+
+// mintID is fmt.Sprintf("%s%s-%07d", prefix, session, n) without fmt.
+func mintID(prefix, session string, n int64) model.TxnID {
+	var buf [48]byte
+	b := append(append(append(buf[:0], prefix...), session...), '-')
+	for pad := int64(1_000_000); pad > 1 && n < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return model.TxnID(strconv.AppendInt(b, n, 10))
 }
 
 func (s *Server) noteFailure(err error) {
@@ -748,8 +725,8 @@ func (s *Server) Degraded() bool { return atomic.LoadInt32(&s.state) == stDegrad
 
 // Err reports the first fatal engine error, if any (healthz turns red).
 func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.err
 }
 
@@ -761,8 +738,8 @@ func (s *Server) Accepting() bool { return atomic.LoadInt32(&s.state) == stAccep
 // and close the WAL pipeline, compact the log at the final quiescent
 // instant, and release the durable medium and the history spool. Every
 // committed acknowledgment issued before Shutdown returns is durable on
-// the WAL afterwards, and a clean shutdown leaves the log one checkpoint
-// long — the next boot's recovery replays (almost) nothing. Idempotent;
+// the WAL afterwards, and a clean shutdown leaves the log empty behind a
+// checkpoint — the next boot's recovery replays (almost) nothing. Idempotent;
 // the context bounds only the waiting (a timed-out drain still closes).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
@@ -799,9 +776,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Durable reports whether the transaction's commit record reached the WAL
 // — the selftest's ground truth for acknowledged commits, and (through
 // GET /v1/txns/{id}) the soak's restart re-verification oracle: after a
-// kill -9 the committed set is rebuilt from the on-disk log, checkpoint
-// Done-lists included, so every commit acked by ANY previous boot answers
-// true here.
+// kill -9 the committed set is rebuilt from the checkpoint archive and the
+// on-disk log, so every commit acked by ANY previous boot answers true here.
 func (s *Server) Durable(id model.TxnID) bool { return s.pipe.Committed(id) }
 
 // RecoveryInfo reports what this boot's WAL load found (zero value for an
@@ -867,9 +843,9 @@ type GateStats struct {
 
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
+	s.mu.RLock()
 	nSess := len(s.sessions)
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	st := Stats{
 		Uptime:       time.Since(s.start).Round(time.Millisecond).String(),
 		State:        [...]string{"accepting", "draining", "closed", "degraded"}[atomic.LoadInt32(&s.state)],

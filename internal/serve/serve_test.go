@@ -178,9 +178,7 @@ func TestServeRetryBudget(t *testing.T) {
 	srv, ts := startServer(t, cfg)
 	sess := openTestSession(t, ts.URL)
 	cs := srv.lookupSession(sess)
-	cs.mu.Lock()
-	cs.budget = 0
-	cs.mu.Unlock()
+	cs.budget.Store(0)
 	resp, body := postJSON(t, ts.URL+"/v1/txns", txnRequest{Session: sess, Kind: "transfer"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)

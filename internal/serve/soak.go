@@ -219,7 +219,7 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 		r.Reverified = len(acked)
 		r.Lost = len(lost)
 		rep.LostAcks = append(rep.LostAcks, lost...)
-		logf("boot %d: epoch %d, %d records (%d past checkpoint, %d torn bytes), reverified %d acks, %d lost",
+		logf("boot %d: epoch %d, %d records (%d past checkpoint, %d torn or stale bytes), reverified %d acks, %d lost",
 			round, r.Epoch, r.Records, r.SinceCheckpoint, r.TornBytes, r.Reverified, r.Lost)
 		return c, r, nil
 	}
@@ -321,9 +321,8 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	}
 	rep.Rounds = append(rep.Rounds, *r)
 
-	// Verification boot: a sealed log must make recovery nearly free —
-	// the checkpoint is the last record (plus at most the seal's own
-	// bookkeeping), NOT a replay of the whole history.
+	// Verification boot: a sealed log must make recovery nearly free — the
+	// state is folded from the checkpoint archive, NOT replayed from history.
 	c, r, err = boot(o.Rounds+2, true)
 	if err != nil {
 		return rep, fmt.Errorf("soak: verification boot: %w", err)

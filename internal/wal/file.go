@@ -1,24 +1,31 @@
 package wal
 
 // The file-backed durable medium: a directory of length-prefixed record
-// segments plus a boot-epoch counter. The format is deliberately dumb —
+// segments, the checkpoint archive (same framing, one frame per compaction,
+// append-only) and a boot-epoch counter. The format is deliberately dumb —
 // every frame is [u32 big-endian payload length][JSON payload], and the
 // payload carries the same per-record FNV checksum the in-memory medium
 // computes, so torn tails and bit rot are detected by the record's own
 // integrity machinery rather than a second framing CRC.
 //
 // Torn-tail policy (the etcd WAL discipline): an undecodable frame in the
-// LAST segment marks the write the process died inside — everything from
-// there on is truncated away and the log is a (consistent, by the WAL
-// rule) prefix. An undecodable frame in any EARLIER segment means bytes
+// LAST segment marks the write the process died inside, or where fresh
+// frames stop overwriting a recycled log (compact) — everything from there
+// on is truncated away and the log is a (consistent, by the WAL rule)
+// prefix. An undecodable frame in any EARLIER segment means bytes
 // the log already moved past went bad — that is corruption, and Open
 // fails loudly instead of replaying around it.
 //
-// Log buffer. append only encodes a frame into memory; sync (and rotate,
-// compact, close) swaps the buffer out, writes it as one chunk, then
-// fsyncs. The durability contract every caller relies on:
+// The archive gets the same policy within its one file: an undecodable
+// frame that runs to the end of the file is the compaction the process died
+// inside and is truncated; one with bytes after it is corruption.
 //
-//  1. File bytes are always a prefix of append (LSN) order.
+// Log buffer. append only encodes a frame into memory; sync (and rotate,
+// close) swaps the buffer out, writes it as one chunk, then fsyncs. The
+// durability contract every caller relies on:
+//
+//  1. A segment's bytes, up to the first frame that fails its checksum or
+//     the LSN order, are always a prefix of append (LSN) order.
 //  2. sync returns nil only after an fsync covering every record appended
 //     before the call: an ack covers its commit record and all earlier ones.
 //  3. A write or fsync failure surfaces at the flush, not at the append, and
@@ -27,6 +34,13 @@ package wal
 //  4. A retried chunk is rewritten whole at the same offset, so the only
 //     torn state is a partial tail frame, which the loader truncates.
 //  5. close flushes.
+//  6. An archive frame is written and fsynced BEFORE any segment it covers
+//     is deleted or overwritten, and segment bytes reach a file only
+//     together with their fsync: whatever a crash leaves, every record is
+//     in a segment or under a frame. The loader skips (never redoes) segment
+//     records at or below the archive's last LSN and requires the first one
+//     above it to be the very next LSN, so a lost frame fails the mount
+//     instead of leaving a hole.
 //
 // Every write and fsync passes through an optional fault.Injector, which
 // can fail it transiently, shorten it, stall it, or declare the disk
@@ -68,13 +82,14 @@ type RecoveryInfo struct {
 	// is bumped (durably) on every OpenFile, so identifiers derived from
 	// it never collide across restarts.
 	Epoch int64 `json:"epoch"`
-	// Records is how many durable records survived the load.
+	// Records is how many durable frames survived the load: the archive's
+	// plus the log records past it.
 	Records int `json:"records"`
-	// SinceCheckpoint is how many of those followed the latest checkpoint
-	// — the replay work recovery actually had to redo.
+	// SinceCheckpoint is how many of those are log records past the
+	// archive — the replay work recovery actually had to redo.
 	SinceCheckpoint int `json:"since_checkpoint"`
-	// TornBytes is how many trailing bytes of the last segment were
-	// truncated as a torn write.
+	// TornBytes is how many trailing bytes of the last segment (and of the
+	// archive) were truncated as a torn write or a recycled log's remainder.
 	TornBytes int64 `json:"torn_bytes"`
 	// Segments is the number of on-disk segments after the load.
 	Segments int `json:"segments"`
@@ -85,6 +100,7 @@ const (
 	maxFrameBytes       = 64 << 20 // sanity bound on a length prefix
 	segPrefix           = "seg-"
 	segSuffix           = ".wal"
+	archiveFile         = "archive.ckpt"
 	epochFile           = "epoch"
 
 	diskRetries    = 8
@@ -115,8 +131,8 @@ func OpenFile(dir string, o FileOptions) (*Medium, error) {
 	}
 	m.backing = b
 	m.info.Epoch = epoch
-	m.info.Records = len(m.records)
-	m.info.SinceCheckpoint = m.sinceCkpt
+	m.info.Records = len(m.archive) + len(m.records)
+	m.info.SinceCheckpoint = len(m.records)
 	m.info.Segments = len(b.segs)
 	m.info.TornBytes = b.tornBytes
 	return m, nil
@@ -178,14 +194,20 @@ type fileBacking struct {
 	segIndex  int64    // its index
 	off       int64    // good (fully framed) offset within it
 	segs      []int64  // all segment indices, ascending
+	arch      *os.File // checkpoint archive
+	archOff   int64    // good offset within it
 	tornBytes int64    // truncated at load
 }
 
 func segName(idx int64) string { return fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix) }
 
-// load reads every segment into m.records, truncating a torn tail of the
-// last segment and leaving the backing positioned to append after it.
+// load reads the archive into m.archive and every segment record past it
+// into m.records, truncating a torn tail of the archive and of the last
+// segment, and leaves the backing positioned to append after them.
 func (b *fileBacking) load(m *Medium) error {
+	if err := b.loadArchive(m); err != nil {
+		return err
+	}
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -203,7 +225,7 @@ func (b *fileBacking) load(m *Medium) error {
 	}
 	sort.Slice(b.segs, func(i, j int) bool { return b.segs[i] < b.segs[j] })
 
-	var prevLSN int64
+	archived, prevLSN := m.archived, int64(0)
 	for si, idx := range b.segs {
 		path := filepath.Join(b.dir, segName(idx))
 		data, err := os.ReadFile(path)
@@ -219,26 +241,31 @@ func (b *fileBacking) load(m *Medium) error {
 			// Torn tail of the final segment: truncate it away in place so
 			// the next append lands on a clean frame boundary and a second
 			// load sees an identical log (idempotent repair).
-			b.tornBytes = int64(len(data)) - good
+			b.tornBytes += int64(len(data)) - good
 			if err := os.Truncate(path, good); err != nil {
 				return fmt.Errorf("wal: truncating torn tail of %s: %w", segName(idx), err)
 			}
 		}
 		for _, r := range recs {
-			m.records = append(m.records, r)
-			m.nextLSN = r.LSN + 1
-			if r.Kind == Checkpoint {
-				m.sinceCkpt = 0
-			} else {
-				m.sinceCkpt++
-			}
 			prevLSN = r.LSN
+			if r.LSN <= archived {
+				// Behind the archive (invariant 6): a compaction that died
+				// before its unlinks, or a flush that raced one.
+				continue
+			}
+			if len(m.records) == 0 && r.LSN != archived+1 {
+				return fmt.Errorf("wal: segment %s resumes at lsn %d but the archive ends at %d: archive frames are missing",
+					segName(idx), r.LSN, archived)
+			}
+			m.records = append(m.records, r)
 		}
 		if last {
 			b.segIndex = idx
 			b.off = good
 		}
 	}
+	// An unsynced segment tail can be lost behind a durable archive frame.
+	m.nextLSN = max(prevLSN, archived) + 1
 	if len(b.segs) == 0 {
 		return b.create(1)
 	}
@@ -247,6 +274,38 @@ func (b *fileBacking) load(m *Medium) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	b.f = f
+	return nil
+}
+
+// loadArchive opens the checkpoint archive, creating it empty in a directory
+// that has none (compact syncs the directory with the first frame), and
+// reads it into m.archive.
+func (b *fileBacking) loadArchive(m *Medium) (err error) {
+	if b.arch, err = os.OpenFile(filepath.Join(b.dir, archiveFile), os.O_CREATE|os.O_RDWR, 0o644); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	data, err := io.ReadAll(b.arch)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	good, frames, derr := decodeFrames(data, 0)
+	if derr != nil {
+		// The frame that failed is torn only if nothing follows it.
+		rest := data[good:]
+		if len(rest) >= 4 {
+			if n := int64(binary.BigEndian.Uint32(rest)); n > 0 && 4+n < int64(len(rest)) {
+				return fmt.Errorf("wal: %s: %w (mid-archive, not a torn tail)", archiveFile, derr)
+			}
+		}
+		b.tornBytes = int64(len(rest))
+		if err := b.arch.Truncate(good); err != nil {
+			return fmt.Errorf("wal: truncating torn tail of %s: %w", archiveFile, err)
+		}
+	}
+	m.archive, b.archOff = frames, good
+	if n := len(frames); n > 0 {
+		m.archived = frames[n-1].LSN
+	}
 	return nil
 }
 
@@ -364,7 +423,7 @@ func (b *fileBacking) latch(err error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.failed == nil {
-		b.failed = fmt.Errorf("%w: segment %d offset %d: %w", ErrDegraded, b.segIndex, b.off, err)
+		b.failed = fmt.Errorf("%w: segment %d offset %d, archive offset %d: %w", ErrDegraded, b.segIndex, b.off, b.archOff, err)
 	}
 	return b.failed
 }
@@ -418,7 +477,7 @@ func (b *fileBacking) write() error {
 		}
 		// A retry rewrites the WHOLE chunk at the same offset, overwriting
 		// any partial bytes of the failed try.
-		if err := b.try(func() error { return b.writeOnce(rest[:n]) }); err != nil {
+		if err := b.try(func() error { return b.writeOnce(b.f, rest[:n], b.off) }); err != nil {
 			return err
 		}
 		b.off += int64(n)
@@ -427,9 +486,9 @@ func (b *fileBacking) write() error {
 	return nil
 }
 
-func (b *fileBacking) writeOnce(p []byte) error {
+func (b *fileBacking) writeOnce(f *os.File, p []byte, off int64) error {
 	allowed, err := b.inj.DiskWrite(len(p))
-	if _, werr := b.f.WriteAt(p[:allowed], b.off); werr != nil {
+	if _, werr := f.WriteAt(p[:allowed], off); werr != nil {
 		return werr // includes a real short write
 	}
 	if err == nil && allowed < len(p) {
@@ -438,37 +497,38 @@ func (b *fileBacking) writeOnce(p []byte) error {
 	return err
 }
 
-// syncActive fsyncs the active segment with fault-aware retries. An fsync
-// that keeps failing leaves the kernel's dirty state unknowable (the pages
-// may have been dropped); latch degraded rather than pretend a later
-// success covers this data.
-func (b *fileBacking) syncActive() error {
+// fsync syncs f with fault-aware retries. An fsync that keeps failing
+// leaves the kernel's dirty state unknowable (the pages may have been
+// dropped); latch degraded rather than pretend a later success covers this
+// data.
+func (b *fileBacking) fsync(f *os.File) error {
 	return b.try(func() error {
 		if err := b.inj.DiskSync(); err != nil {
 			return err
 		}
-		return b.f.Sync()
+		return f.Sync()
 	})
 }
 
-// flush writes the buffer and fsyncs. Called with b.io held.
-func (b *fileBacking) flush() error {
-	if err := b.write(); err != nil {
-		return err
-	}
-	return b.syncActive()
-}
-
+// sync writes the buffer and fsyncs.
 func (b *fileBacking) sync() error {
 	b.io.Lock()
 	defer b.io.Unlock()
-	return b.flush()
+	if err := b.write(); err != nil {
+		return err
+	}
+	return b.fsync(b.f)
 }
 
 // rotate seals the active segment (fsync, close) and opens the next one.
 // Called with b.io held.
 func (b *fileBacking) rotate() error {
-	if err := b.syncActive(); err != nil {
+	// A recycled segment may still end in stale frames (see compact), and
+	// only the last segment may end in anything but a whole fresh frame.
+	if err := b.f.Truncate(b.off); err != nil {
+		return fmt.Errorf("wal: sealing segment %d: %w", b.segIndex, err)
+	}
+	if err := b.fsync(b.f); err != nil {
 		return err
 	}
 	if err := b.f.Close(); err != nil {
@@ -493,37 +553,50 @@ func (b *fileBacking) create(idx int64) error {
 	return nil
 }
 
-// compact writes ckpt as the first frame of a brand-new segment, makes it
-// durable, then deletes every older segment. Called via
-// Medium.checkpointCompact with the checkpoint already checksummed, and
-// with no append running concurrently (the DB is single-threaded).
-func (b *fileBacking) compact(ckpt Record) error {
+// compact appends ck to the archive, makes it durable, then recycles the
+// log: the log buffer is not flushed here, so whatever the files hold was
+// written — and fsynced — by a flush that preceded ck's capture and is
+// behind it (invariant 6). Records still buffered land after it; the loader
+// skips those at or below ck.LSN. Appends may run concurrently; flushes may
+// not (the Pipeline's flusher is the only caller of both).
+func (b *fileBacking) compact(ck *Record) error {
+	if b == nil {
+		return nil // in-memory medium: capture already moved it
+	}
 	b.io.Lock()
 	defer b.io.Unlock()
-	// Seal whatever is buffered first (rotate fsyncs it): the checkpoint
-	// claims everything before it is durable, so it must not outrun an
-	// unsynced tail.
-	if err := b.write(); err != nil {
+	payload, err := appendPayload(make([]byte, 4, 256), ck)
+	if err != nil {
+		return fmt.Errorf("wal: encode checkpoint at lsn %d: %w", ck.LSN, err)
+	}
+	binary.BigEndian.PutUint32(payload, uint32(len(payload)-4))
+	if err := b.try(func() error { return b.writeOnce(b.arch, payload, b.archOff) }); err != nil {
 		return err
 	}
-	if err := b.rotate(); err != nil {
-		return b.latch(err)
-	}
-	if err := b.append(ckpt); err != nil {
+	if err := b.fsync(b.arch); err != nil {
 		return err
 	}
-	if err := b.flush(); err != nil {
-		return err
+	if b.archOff == 0 {
+		// The archive's first frame: its name must be durable as well.
+		if err := syncDir(b.dir); err != nil {
+			return b.latch(err)
+		}
 	}
-	// Only now is the prefix redundant. Deletion is best-effort: a
-	// leftover old segment is entirely behind the checkpoint the loader
-	// will pick, so it costs read work, never correctness.
+	b.archOff += int64(len(payload))
+	// Only now is the log redundant. The active segment is recycled in
+	// place — later flushes overwrite it from the start, as Postgres reuses
+	// WAL files: no name or size changes, so nothing for a directory sync or
+	// a journal commit to do — and sealed ones are unlinked, best-effort. A
+	// stale frame always carries a lower LSN than any newer one, so where
+	// the overwriting stopped the loader sees the LSN order break and cuts
+	// the rest off as a torn tail; stale frames it does read are skipped.
+	b.off = 0
 	last := len(b.segs) - 1
 	for _, idx := range b.segs[:last] {
 		os.Remove(filepath.Join(b.dir, segName(idx)))
 	}
 	b.segs = b.segs[last:]
-	return syncDir(b.dir)
+	return nil
 }
 
 func (b *fileBacking) close() error {
@@ -532,11 +605,18 @@ func (b *fileBacking) close() error {
 	if b.f == nil {
 		return nil
 	}
-	err := b.flush()
+	err := b.write()
+	if err == nil {
+		err = b.f.Truncate(b.off) // no stale frames for the next mount to call torn
+	}
+	if err == nil {
+		err = b.fsync(b.f)
+	}
 	if cerr := b.f.Close(); err == nil {
 		err = cerr
 	}
 	b.f = nil
+	b.arch.Close() // every frame was fsynced when written
 	return err
 }
 

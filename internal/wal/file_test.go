@@ -223,8 +223,8 @@ func TestFileMidLogCorruption(t *testing.T) {
 }
 
 // TestFileCheckpointCompact: compaction drops every segment behind the
-// checkpoint, the committed set survives in the checkpoint's Done list, and
-// the recovery replay distance restarts from the checkpoint.
+// checkpoint, the committed set survives in the archive, and the recovery
+// replay distance restarts from the checkpoint.
 func TestFileCheckpointCompact(t *testing.T) {
 	dir := t.TempDir()
 	m, db := openFileDB(t, dir, FileOptions{SegmentBytes: 256})
@@ -251,8 +251,8 @@ func TestFileCheckpointCompact(t *testing.T) {
 	if n := countSegments(t, dir); n != 1 {
 		t.Fatalf("%d segments after compaction, want 1", n)
 	}
-	if n := m.Len(); n != 1 {
-		t.Fatalf("%d cached records after compaction, want 1", n)
+	if n := m.Len(); n != 0 {
+		t.Fatalf("%d cached records after compaction, want 0", n)
 	}
 	// Post-checkpoint work.
 	if _, err := db.Perform("u0", 1, "b", func(v model.Value) (model.Value, string) {
@@ -277,7 +277,7 @@ func TestFileCheckpointCompact(t *testing.T) {
 	if got := db2.Values(); !sameValues(got, want) {
 		t.Fatalf("recovered %v, want %v", got, want)
 	}
-	// The compacted prefix's commits survived via the checkpoint's Done set.
+	// The compacted prefix's commits survived via the archive.
 	for i := 0; i < 10; i++ {
 		id := model.TxnID("t" + string(rune('0'+i)))
 		if !db2.Committed(id) {
@@ -500,17 +500,24 @@ func TestPipelineAutoCheckpoint(t *testing.T) {
 	}
 }
 
-// FuzzFileWALRecovery drives a random single-entity-per-transaction history
-// against a file-backed DB, then mangles the tail of the on-disk log
-// (arbitrary byte truncation or a bit flip) and asserts the etcd-style
-// repair contract: the mount succeeds, the surviving records are an exact
-// prefix of what was written, recovery restores init plus exactly the
-// commits inside that prefix (checked against the same oracle as the
-// in-memory fuzz), and the repair is idempotent across a further restart.
+// FuzzFileWALRecovery drives a random single-entity-per-transaction history,
+// compactions included, against a file-backed DB and an in-memory one, then
+// mangles the tail of the on-disk log or any byte of the checkpoint archive
+// (arbitrary truncation or a bit flip) and asserts the etcd-style repair
+// contract: the mount either fails loudly (rot before the archive's last
+// frame, or a lost frame whose segments are gone) or succeeds on an exact
+// prefix of what was written — archive frames, then log records — recovery
+// restores init plus exactly the commits inside that prefix (checked against
+// the same oracle as the in-memory fuzz, and against the in-memory medium cut
+// at the same LSN), and the repair is idempotent across a further restart.
 func FuzzFileWALRecovery(f *testing.F) {
 	f.Add([]byte{0, 3, 5, 0, 1, 4, 6, 2, 0, 1, 5, 9}, uint16(37), byte(0))
 	f.Add([]byte{2, 9, 7, 7, 0, 1, 6, 6, 4, 4, 5, 5, 1, 2}, uint16(211), byte(1))
 	f.Add([]byte{0, 0, 6, 0, 7, 0, 0, 1, 5, 1}, uint16(9999), byte(2))
+	f.Add([]byte{0, 0, 5, 0, 8, 0, 1, 1, 6, 1, 8, 1}, uint16(110), byte(16))        // archive's last frame torn
+	f.Add([]byte{0, 0, 5, 0, 8, 0, 1, 1, 6, 1, 8, 1, 2, 2}, uint16(60), byte(16))   // torn, its segments gone
+	f.Add([]byte{0, 0, 5, 0, 8, 0, 1, 1, 6, 1, 8, 1, 2, 2}, uint16(20), byte(19))   // rot in its first frame
+	f.Add([]byte{0, 0, 5, 0, 8, 0, 1, 1, 6, 1, 8, 1, 2, 2}, uint16(1000), byte(17)) // rot near its end
 	f.Fuzz(func(t *testing.T, data []byte, tamper uint16, mode byte) {
 		dir := t.TempDir()
 		m, err := OpenFile(dir, FileOptions{SegmentBytes: 1 << 20})
@@ -521,6 +528,10 @@ func FuzzFileWALRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mem, err := Open(NewMedium(), fuzzInit())
+		if err != nil {
+			t.Fatal(err)
+		}
 		// One entity per transaction: every singleton commit/abort is
 		// trivially dependency-closed, so the driver needs no closure
 		// tracking (FuzzWALRecovery covers the dependency-rich shapes on
@@ -528,52 +539,82 @@ func FuzzFileWALRecovery(f *testing.F) {
 		txns := []model.TxnID{"f0", "f1", "f2"}
 		ents := []model.EntityID{"a", "b", "c"}
 		seqs := make(map[model.TxnID]int)
+		live := make(map[model.TxnID]bool)
 		committed := make(map[model.TxnID]bool)
+		var recs []Record // everything ever logged: compaction drops it from the medium
 		ops := len(data) / 2
 		if ops > 100 {
 			ops = 100
 		}
 		for i := 0; i < ops; i++ {
-			op, arg := data[2*i]%8, data[2*i+1]
+			op, arg := data[2*i]%9, data[2*i+1]
 			ti := int(arg) % len(txns)
 			id, x := txns[ti], ents[ti]
-			switch {
-			case op <= 4: // perform
-				if committed[id] {
-					continue
-				}
-				delta := model.Value(int(arg%7) - 3)
-				seqs[id]++
-				if _, err := db.Perform(id, seqs[id], x, func(v model.Value) (model.Value, string) {
-					return v + delta, "add"
-				}); err != nil {
-					t.Fatalf("perform: %v", err)
-				}
-			case op <= 6: // commit
-				if committed[id] || seqs[id] == 0 {
-					continue
-				}
-				if err := db.Commit(id); err != nil {
-					t.Fatalf("commit: %v", err)
-				}
-				committed[id] = true
-			default: // abort (the txn may run again afterwards)
-				if committed[id] || seqs[id] == 0 {
-					continue
-				}
-				if err := db.Abort(map[model.TxnID]bool{id: true}); err != nil {
-					t.Fatalf("abort: %v", err)
+			for _, db := range []*DB{db, mem} {
+				switch {
+				case op <= 4: // perform
+					if committed[id] {
+						continue
+					}
+					delta := model.Value(int(arg%7) - 3)
+					if _, err := db.Perform(id, seqs[id]+1, x, func(v model.Value) (model.Value, string) {
+						return v + delta, "add"
+					}); err != nil {
+						t.Fatalf("perform: %v", err)
+					}
+				case op <= 6: // commit
+					if committed[id] || seqs[id] == 0 {
+						continue
+					}
+					if err := db.Commit(id); err != nil {
+						t.Fatalf("commit: %v", err)
+					}
+				case op == 7: // abort (the txn may run again afterwards)
+					if committed[id] || seqs[id] == 0 {
+						continue
+					}
+					if err := db.Abort(map[model.TxnID]bool{id: true}); err != nil {
+						t.Fatalf("abort: %v", err)
+					}
+				default: // compact, when quiescent
+					if len(live) > 0 {
+						continue
+					}
+					if db.medium == m {
+						recs = append(recs, m.Records()...)
+					}
+					if err := db.CheckpointCompact(); err != nil {
+						t.Fatalf("compact: %v", err)
+					}
 				}
 			}
+			switch {
+			case committed[id]:
+			case op <= 4:
+				seqs[id]++
+				live[id] = true
+			case op <= 6 && seqs[id] > 0:
+				committed[id] = true
+				delete(live, id)
+			case op == 7:
+				delete(live, id)
+			}
 		}
-		recs := m.Records()
-		if err := m.Close(); err != nil {
+		recs = append(recs, m.Records()...)
+		// Die like kill -9 after a last flush: no Close, so a recycled
+		// segment keeps whatever stale frames the new ones did not reach.
+		if err := db.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		m.backing.f.Close()
+		m.backing.arch.Close()
 
-		// Mangle the (single) segment's tail.
-		seg := lastSegment(t, dir)
-		raw, err := os.ReadFile(seg)
+		// Mangle the (single) segment's tail, or the archive anywhere.
+		target := lastSegment(t, dir)
+		if mode&16 != 0 && len(m.archive) > 0 {
+			target = filepath.Join(dir, archiveFile)
+		}
+		raw, err := os.ReadFile(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,14 +622,15 @@ func FuzzFileWALRecovery(f *testing.F) {
 			at := int(tamper) % (len(raw) + 1)
 			if mode%2 == 0 {
 				// Crash-style truncation at an arbitrary byte.
-				if err := os.Truncate(seg, int64(at)); err != nil {
+				if err := os.Truncate(target, int64(at)); err != nil {
 					t.Fatal(err)
 				}
 			} else if at < len(raw) {
-				// Bit rot within the last segment: the loader truncates from
-				// the first frame the flip made undecodable.
+				// Bit rot: in the last segment (or the archive's last frame)
+				// the loader truncates from the first frame the flip made
+				// undecodable; earlier in the archive it refuses the mount.
 				raw[at] ^= 1 << (mode % 8)
-				if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				if err := os.WriteFile(target, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -596,26 +638,37 @@ func FuzzFileWALRecovery(f *testing.F) {
 
 		m2, err := OpenFile(dir, FileOptions{SegmentBytes: 1 << 20})
 		if err != nil {
-			t.Fatalf("mount after tamper: %v", err)
+			if target == lastSegment(t, dir) {
+				t.Fatalf("mount after tampering with the last segment: %v", err)
+			}
+			return // archive damage may refuse the mount; it may not mount garbage
 		}
-		got := m2.Records()
-		if len(got) > len(recs) {
-			t.Fatalf("recovered %d records from a log of %d", len(got), len(recs))
+		// What survived: the archive up to some frame, then log records from
+		// the very next LSN. LSNs are consecutive from 1, so record i of the
+		// history has LSN i+1.
+		base, got := int(m2.archived), m2.Records()
+		if base+len(got) > len(recs) {
+			t.Fatalf("recovered through lsn %d from a log of %d", base+len(got), len(recs))
 		}
 		for i := range got {
-			if got[i].LSN != recs[i].LSN || got[i].Sum != recs[i].Sum {
+			if w := recs[base+i]; got[i].LSN != w.LSN || got[i].Sum != w.Sum {
 				t.Fatalf("record %d: recovered lsn %d sum %#x, wrote lsn %d sum %#x — not a prefix",
-					i, got[i].LSN, got[i].Sum, recs[i].LSN, recs[i].Sum)
+					i, got[i].LSN, got[i].Sum, w.LSN, w.Sum)
 			}
 		}
 		db2, err := Open(m2, fuzzInit())
 		if err != nil {
 			t.Fatalf("recovery after tamper: %v", err)
 		}
-		want := expectedAfterRecovery(recs[:len(got)], fuzzInit())
+		want := expectedAfterRecovery(recs[:base+len(got)], fuzzInit())
 		if v := db2.Values(); !sameValues(v, want) {
-			t.Fatalf("recovered %v, want %v (prefix of %d records)", v, want, len(got))
+			t.Fatalf("recovered %v, want %v (prefix of %d records, %d of them archived)", v, want, base+len(got), base)
 		}
+		memCut, err := Open(mem.medium.Prefix(int64(base+len(got))), fuzzInit())
+		if err != nil {
+			t.Fatalf("in-memory recovery at lsn %d: %v", base+len(got), err)
+		}
+		sameMount(t, "file medium vs in-memory medium", db2, memCut)
 		afterRecovery := db2.LogLen()
 		if err := m2.Close(); err != nil {
 			t.Fatal(err)

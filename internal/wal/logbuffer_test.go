@@ -1,8 +1,8 @@
 package wal
 
 // Tests of the file medium's log buffer contract (see the invariants at the
-// top of file.go), the reflection-free frame encoder, the incremental Done
-// set and the crash-atomic epoch bump.
+// top of file.go), the reflection-free frame encoder and the crash-atomic
+// epoch bump.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -299,91 +298,6 @@ func TestAppendPayloadMatchesJSON(t *testing.T) {
 		}
 		check(r)
 	}
-}
-
-// TestDoneIDsMatchesFullSort: the incrementally merged committed set is, at
-// every checkpoint, exactly the full sort of the committed map — across
-// commits, commit groups, stray duplicate commits, both checkpoint kinds and
-// reopens (ids recovered from a checkpoint's Done and from replayed Commit
-// records) — and so is the checkpoint record that carries it.
-func TestDoneIDsMatchesFullSort(t *testing.T) {
-	fullSort := func(db *DB) []model.TxnID {
-		ids := make([]model.TxnID, 0, len(db.committed))
-		for id := range db.committed {
-			ids = append(ids, id)
-		}
-		model.SortTxnIDs(ids)
-		return ids
-	}
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		m, db := openFileDB(t, dir, FileOptions{SegmentBytes: 2 << 10})
-		var ids []model.TxnID
-		fresh := func() model.TxnID {
-			// Not in commit order, varying widths: "e9-…" sorts after "e10-…".
-			id := model.TxnID(fmt.Sprintf("e%d-t%d", rng.Intn(12), len(ids)))
-			ids = append(ids, id)
-			return id
-		}
-		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5:
-				if err := db.Commit(fresh()); err != nil {
-					t.Fatal(err)
-				}
-			case op < 7:
-				group := []model.TxnID{fresh(), fresh(), fresh()}
-				if len(ids) > 3 && rng.Intn(3) == 0 {
-					group = append(group, ids[rng.Intn(len(ids))]) // stray duplicate
-				}
-				if err := db.CommitGroup(group); err != nil {
-					t.Fatal(err)
-				}
-			case op < 9:
-				want := fullSort(db)
-				var err error
-				if op == 7 {
-					err = db.Checkpoint()
-				} else {
-					err = db.CheckpointCompact()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				ckpt := m.records[len(m.records)-1]
-				if len(want) > 0 && !reflect.DeepEqual(ckpt.Done, want) {
-					t.Fatalf("seed %d step %d: checkpoint Done diverges from the full sort:\n got %v\nwant %v", seed, step, ckpt.Done, want)
-				}
-				ref := ckpt
-				ref.Done = want
-				if a, b := mustJSON(t, ckpt), mustJSON(t, ref); !bytes.Equal(a, b) || ckpt.Sum != ref.checksum() {
-					t.Fatalf("seed %d step %d: checkpoint record is not byte-identical to the full-sort one", seed, step)
-				}
-			default:
-				if err := m.Close(); err != nil {
-					t.Fatal(err)
-				}
-				m, db = openFileDB(t, dir, FileOptions{SegmentBytes: 2 << 10})
-				if len(db.committed) != len(ids) {
-					t.Fatalf("seed %d step %d: %d committed after reopen, want %d", seed, step, len(db.committed), len(ids))
-				}
-			}
-		}
-		if got, want := db.doneIDs(), fullSort(db); len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: final doneIDs diverges from the full sort", seed)
-		}
-		m.Close()
-	}
-}
-
-func mustJSON(t *testing.T, r Record) []byte {
-	t.Helper()
-	raw, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
 // BenchmarkFileGroupCommit is the microbenchmark of the stage between the

@@ -25,9 +25,10 @@ import (
 //
 // The Pipeline serializes all access to its DB: Perform, Abort, and the
 // flusher share one mutex, so the DB's single-threaded invariants hold
-// unchanged. The device sync happens outside that mutex and a Perform only
-// appends to the medium's log buffer, so a slow flush never stalls concurrent
-// Performs — except the quiescent-only checkpoint (see maybeCheckpoint).
+// unchanged. Every write, fsync, create and unlink — the device sync and the
+// checkpoint's persist step alike — happens outside that mutex, on the
+// flusher, and a Perform only appends to the medium's log buffer, so a slow
+// disk never stalls concurrent Performs.
 type Pipeline struct {
 	mu sync.Mutex // guards db, the current batch, stats
 	db *DB
@@ -51,9 +52,9 @@ type Pipeline struct {
 	err error
 
 	// ckptEvery, when positive, opportunistically compacts the log after
-	// a flush once RecordsSinceCheckpoint reaches it — only at quiescent
-	// instants (no live transactions), so the checkpoint discipline stays
-	// sound under load.
+	// a flush once RecordsSinceCheckpoint reaches it — captured only at
+	// quiescent instants (no live transactions), so the checkpoint
+	// discipline stays sound under load.
 	ckptEvery int
 
 	stats PipelineStats
@@ -160,25 +161,29 @@ func (p *Pipeline) flush() {
 	}
 }
 
-// maybeCheckpoint compacts the log at a quiescent instant once enough
-// records have accumulated since the last checkpoint. Holding mu through
-// the compaction (fsyncs included) stalls concurrent Performs briefly;
-// at checkpoint frequency that is the sound, simple trade.
+// maybeCheckpoint compacts the log once enough records have accumulated
+// since the last checkpoint and the instant is quiescent. Only the capture
+// runs under mu — it costs what changed since the last checkpoint and makes
+// no syscall; the flusher (this goroutine) then persists it while Performs
+// keep filling the log buffer.
 func (p *Pipeline) maybeCheckpoint() {
-	if p.ckptEvery <= 0 {
+	p.mu.Lock()
+	var ck *Record
+	if p.ckptEvery > 0 && p.err == nil && p.db.Live() == 0 && p.db.RecordsSinceCheckpoint() >= p.ckptEvery {
+		ck, _ = p.db.capture() // quiescent, so it cannot refuse
+	}
+	p.mu.Unlock()
+	if ck == nil {
 		return
 	}
+	err := p.db.medium.backing.compact(ck)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil || p.db.Live() > 0 || p.db.RecordsSinceCheckpoint() < p.ckptEvery {
-		return
+	if err == nil {
+		p.stats.Checkpoints++
+	} else if p.err == nil {
+		p.err, p.stats.Degraded = err, 1
 	}
-	if err := p.db.CheckpointCompact(); err != nil {
-		p.err = err
-		p.stats.Degraded = 1
-		return
-	}
-	p.stats.Checkpoints++
 }
 
 // AutoCheckpoint enables opportunistic compacting checkpoints after

@@ -53,7 +53,8 @@ const (
 	// Abort marks the completion of a rollback; Keep is the kept prefix
 	// length (0 = full abort).
 	Abort
-	// Checkpoint snapshots the full value state, bounding recovery work.
+	// Checkpoint is an archive frame, never a log record: what one
+	// compaction found changed since the previous one (see Medium.archive).
 	Checkpoint
 )
 
@@ -92,14 +93,14 @@ type Record struct {
 	// torn tail then keeps the whole group or none of it, never a winner
 	// depending on a loser.
 	Group []model.TxnID `json:"g,omitempty"`
-	// Snapshot is set on Checkpoint records.
+	// Snapshot and Done are set on Checkpoint frames, whose LSN is that of
+	// the last log record they cover: the value of every entity written,
+	// and every transaction committed, since the previous frame. Compaction
+	// deletes the Update and Commit records behind a frame, so the frames
+	// together carry the committed state — restart re-verification
+	// (Durable/Committed lookups) folds all of them, in order.
 	Snapshot map[model.EntityID]model.Value `json:"s,omitempty"`
-	// Done is set on Checkpoint records: every transaction durably
-	// committed at checkpoint time. Compaction deletes the Commit records
-	// behind the checkpoint, so the committed set must travel with it —
-	// restart re-verification (Durable/Committed lookups) depends on the
-	// full set surviving any number of checkpoints.
-	Done []model.TxnID `json:"d,omitempty"`
+	Done     []model.TxnID                  `json:"d,omitempty"`
 
 	// Sum is the record's integrity checksum, computed by the medium on
 	// append over every payload field (including the LSN, so a record
@@ -134,10 +135,9 @@ func mixStr(h uint64, s string) uint64 {
 	return mixInt(h, int64(len(s)))
 }
 
-// checksum folds every field that gives the record meaning. Allocation-free
-// for the hot kinds (Update/Compensation/Commit); Checkpoint sorts its
-// snapshot keys for a canonical order, which is fine at checkpoint
-// frequency.
+// checksum folds every field that gives the record meaning, without
+// allocating. Snapshot entries are hashed one by one and summed, so map
+// iteration order does not matter.
 func (r *Record) checksum() uint64 {
 	h := fnvOffset
 	h = mixInt(h, r.LSN)
@@ -156,23 +156,19 @@ func (r *Record) checksum() uint64 {
 	for _, d := range r.Done {
 		h = mixStr(h, string(d))
 	}
-	if r.Snapshot != nil {
-		keys := make([]model.EntityID, 0, len(r.Snapshot))
-		for k := range r.Snapshot {
-			keys = append(keys, k)
+	if len(r.Snapshot) > 0 {
+		var sum uint64
+		for k, v := range r.Snapshot {
+			sum += mixInt(mixStr(fnvOffset, string(k)), int64(v))
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			h = mixStr(h, string(k))
-			h = mixInt(h, int64(r.Snapshot[k]))
-		}
+		h = mixInt(mixInt(h, int64(len(r.Snapshot))), int64(sum))
 	}
 	return h
 }
 
 // Medium is the simulated durable device: an append-only record sequence
-// that survives Crash. Prefix returns a truncated copy for torn-crash
-// tests.
+// that survives Crash, plus the checkpoint archive behind it. Prefix
+// returns a truncated copy for torn-crash tests.
 //
 // Sync models the device flush (fsync): it costs SyncDelay of wall-clock
 // time and bumps a counter. Appended records are always recoverable in this
@@ -181,12 +177,14 @@ func (r *Record) checksum() uint64 {
 // group-commit Pipeline earns its throughput by amortizing exactly this
 // cost across a batch.
 type Medium struct {
-	records []Record
-	nextLSN int64
-
-	// sinceCkpt counts records appended since the latest Checkpoint (or
-	// since the start of the log) — the recovery replay bound.
-	sinceCkpt int
+	// archive is the append-only checkpoint archive: one Checkpoint frame
+	// per compaction, LSNs ascending, never rewritten; archived is the last
+	// one's LSN. records holds only the log past it — the records recovery
+	// has to redo — with consecutive LSNs (a frame consumes none).
+	archive  []Record
+	archived int64
+	records  []Record
+	nextLSN  int64
 
 	// backing, when non-nil, is the real on-disk segment log behind this
 	// medium (see file.go). Appends enter its log buffer BEFORE the
@@ -215,30 +213,7 @@ func (m *Medium) append(r Record) (Record, error) {
 	}
 	m.nextLSN++
 	m.records = append(m.records, r)
-	if r.Kind == Checkpoint {
-		m.sinceCkpt = 0
-	} else {
-		m.sinceCkpt++
-	}
 	return r, nil
-}
-
-// checkpointCompact appends a Checkpoint record as the FIRST record of a
-// fresh segment and drops everything before it — in memory and on disk.
-// The snapshot plus committed set subsume the deleted prefix, so recovery
-// replay (and the record cache) is bounded by the checkpoint.
-func (m *Medium) checkpointCompact(snap map[model.EntityID]model.Value, done []model.TxnID) error {
-	r := Record{LSN: m.nextLSN, Kind: Checkpoint, Snapshot: snap, Done: done}
-	r.Sum = r.checksum()
-	if m.backing != nil {
-		if err := m.backing.compact(r); err != nil {
-			return err
-		}
-	}
-	m.nextLSN++
-	m.records = append(m.records[:0:0], r)
-	m.sinceCkpt = 0
-	return nil
 }
 
 // Recovery reports what the last OpenFile load found: the boot epoch, how
@@ -295,22 +270,23 @@ func (m *Medium) Syncs() int64 { return m.syncs.Load() }
 // Records returns a copy of the durable log.
 func (m *Medium) Records() []Record { return append([]Record(nil), m.records...) }
 
-// Prefix returns a new medium holding only records with LSN ≤ lsn —
-// simulating a crash where later records never reached the device. Because
-// the DB appends each record before applying its effect (the WAL rule),
-// any prefix is a consistent recovery input.
+// Prefix returns a new medium holding only the archive frames and records
+// with LSN ≤ lsn — simulating a crash where everything later never reached
+// the device. Because the DB appends each record before applying its effect
+// (the WAL rule), any prefix is a consistent recovery input.
 func (m *Medium) Prefix(lsn int64) *Medium {
 	out := NewMedium()
 	out.SyncDelay = m.SyncDelay
+	for _, a := range m.archive {
+		if a.LSN <= lsn {
+			out.archive, out.archived = append(out.archive, a), a.LSN
+			out.nextLSN = a.LSN + 1
+		}
+	}
 	for _, r := range m.records {
 		if r.LSN <= lsn {
 			out.records = append(out.records, r)
 			out.nextLSN = r.LSN + 1
-			if r.Kind == Checkpoint {
-				out.sinceCkpt = 0
-			} else {
-				out.sinceCkpt++
-			}
 		}
 	}
 	return out
@@ -323,9 +299,10 @@ type DB struct {
 
 	vals      map[model.EntityID]model.Value
 	committed map[model.TxnID]bool
-	// done is the committed set sorted as of the last doneIDs call, fresh
-	// the ids committed since; a checkpoint sorts only fresh and merges.
-	done, fresh []model.TxnID
+	// The next archive frame's content: the ids committed and the entities
+	// written (one entry per Update, repeats included) since the last one.
+	fresh []model.TxnID
+	dirty []model.EntityID
 	// live: per transaction, the stack of update records not yet cancelled
 	// by a compensation (oldest first).
 	live map[model.TxnID][]Record
@@ -362,9 +339,9 @@ func (db *DB) retireLive(t model.TxnID) {
 	}
 }
 
-// Open mounts a DB on the medium, running recovery if the log is nonempty.
-// init provides the values of a fresh database (used when no checkpoint
-// precedes the replay point).
+// Open mounts a DB on the medium, running recovery if it is nonempty. init
+// provides the values of a fresh database; the archive overrides the
+// entities it names.
 func Open(m *Medium, init map[model.EntityID]model.Value) (*DB, error) {
 	db := &DB{
 		medium:    m,
@@ -387,32 +364,34 @@ func copyVals(in map[model.EntityID]model.Value) map[model.EntityID]model.Value 
 	return out
 }
 
-// recover replays the durable log: start from the latest checkpoint (or
-// init), redo every update and compensation in order, then undo the losers
-// (transactions with live updates but no Commit), newest-first, logging the
-// undo as fresh compensations plus Abort markers.
+// recover folds the checkpoint archive over init (values, committed set),
+// redoes every update and compensation of the log past it in order, then
+// undoes the losers (transactions with live updates but no Commit),
+// newest-first, logging the undo as fresh compensations plus Abort markers.
 func (db *DB) recover() error {
-	records := db.medium.records
-	// Integrity pass over the WHOLE durable log, before anything is
+	archive, records := db.medium.archive, db.medium.records
+	// Integrity pass over the WHOLE durable medium, before anything is
 	// replayed: a checksum mismatch means the medium holds a corrupted
 	// record (not a torn tail — truncation just shortens the sequence), and
 	// no replay decision downstream of it can be trusted. Detection, not
 	// repair: the operator (or test) gets an error naming the LSN.
-	for i := range records {
-		if got, want := records[i].Sum, records[i].checksum(); got != want {
-			return fmt.Errorf("wal: corrupted record at lsn %d (%s): checksum %#x, expected %#x",
-				records[i].LSN, records[i].Kind, got, want)
+	for _, rs := range [][]Record{archive, records} {
+		for i := range rs {
+			if got, want := rs[i].Sum, rs[i].checksum(); got != want {
+				return fmt.Errorf("wal: corrupted record at lsn %d (%s): checksum %#x, expected %#x",
+					rs[i].LSN, rs[i].Kind, got, want)
+			}
 		}
 	}
-	start := 0
-	for i := len(records) - 1; i >= 0; i-- {
-		if records[i].Kind == Checkpoint {
-			db.vals = copyVals(records[i].Snapshot)
-			start = i + 1
-			break
+	for _, a := range archive {
+		for x, v := range a.Snapshot {
+			db.vals[x] = v
+		}
+		for _, t := range a.Done {
+			db.committed[t] = true
 		}
 	}
-	for _, r := range records[start:] {
+	for _, r := range records {
 		switch r.Kind {
 		case Update:
 			if cur := db.vals[r.Entity]; cur != r.Before {
@@ -420,6 +399,7 @@ func (db *DB) recover() error {
 					r.LSN, r.Entity, r.Before, cur)
 			}
 			db.vals[r.Entity] = r.After
+			db.dirty = append(db.dirty, r.Entity)
 			db.live[r.Txn] = append(db.live[r.Txn], r)
 		case Compensation:
 			if r.Before != r.After {
@@ -453,15 +433,8 @@ func (db *DB) recover() error {
 			if len(db.live[r.Txn]) == 0 {
 				delete(db.live, r.Txn)
 			}
-		case Checkpoint:
-			// Only the latest checkpoint is used.
-		}
-	}
-	// The replay-start checkpoint carries the committed set of the deleted
-	// prefix (compaction dropped those Commit records).
-	if start > 0 {
-		for _, t := range records[start-1].Done {
-			db.markCommitted(t)
+		default:
+			return fmt.Errorf("wal: %s record at lsn %d does not belong in the log", r.Kind, r.LSN)
 		}
 	}
 	// Undo losers: all remaining live updates, newest first globally.
@@ -526,6 +499,7 @@ func (db *DB) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Val
 		return model.Step{}, err
 	}
 	db.vals[x] = after
+	db.dirty = append(db.dirty, x)
 	db.live[t] = append(db.liveStack(t), rec)
 	return model.Step{Txn: t, Seq: seq, Entity: x, Label: label, Before: before, After: after}, nil
 }
@@ -621,27 +595,49 @@ func (db *DB) AbortSuffix(keep map[model.TxnID]int) error {
 	return unsound
 }
 
-// Checkpoint writes a snapshot record; recovery after a checkpoint replays
-// only the suffix. The checkpoint is quiescent: it returns an error when
-// transactions are in flight (the simplest sound discipline).
-func (db *DB) Checkpoint() error {
-	if len(db.live) > 0 {
-		return fmt.Errorf("wal: checkpoint requires quiescence (%d active transactions)", len(db.live))
+// CheckpointCompact archives what changed since the previous checkpoint —
+// one frame, however much was ever committed — and truncates the log behind
+// it: on a file-backed medium every segment is deleted, in memory the record
+// cache dropped. Recovery replay is bounded by the distance to this
+// checkpoint from then on. The checkpoint is quiescent: it returns an error
+// when transactions are in flight (the simplest sound discipline).
+func (db *DB) CheckpointCompact() error {
+	ck, err := db.capture()
+	if ck == nil {
+		return err
 	}
-	_, err := db.medium.append(Record{Kind: Checkpoint, Snapshot: copyVals(db.vals), Done: db.doneIDs()})
-	return err
+	// A synchronous caller may not have flushed what it logged: written
+	// now, it is deleted with the rest instead of trailing the checkpoint
+	// into the fresh segment.
+	if err := db.Sync(); err != nil {
+		return err
+	}
+	return db.medium.backing.compact(ck)
 }
 
-// CheckpointCompact writes a quiescent checkpoint AND truncates the log
-// behind it: on a file-backed medium the checkpoint opens a fresh segment
-// and every older segment is deleted; in memory the record cache drops its
-// prefix. Recovery replay — and the resident record cache — is bounded by
-// the distance to this checkpoint from then on.
-func (db *DB) CheckpointCompact() error {
+// capture is the in-memory half of a checkpoint, O(what changed) and free
+// of I/O: it builds the archive frame for the current end of the log and
+// moves the medium's cache behind it; fileBacking.compact, the disk half,
+// touches no DB state. nil, nil when nothing was logged since the last
+// frame.
+func (db *DB) capture() (*Record, error) {
 	if len(db.live) > 0 {
-		return fmt.Errorf("wal: checkpoint requires quiescence (%d active transactions)", len(db.live))
+		return nil, fmt.Errorf("wal: checkpoint requires quiescence (%d active transactions)", len(db.live))
 	}
-	return db.medium.checkpointCompact(copyVals(db.vals), db.doneIDs())
+	m := db.medium
+	if len(m.records) == 0 {
+		return nil, nil
+	}
+	ck := &Record{LSN: m.nextLSN - 1, Kind: Checkpoint,
+		Snapshot: make(map[model.EntityID]model.Value), Done: append([]model.TxnID(nil), db.fresh...)}
+	for _, x := range db.dirty {
+		ck.Snapshot[x] = db.vals[x]
+	}
+	ck.Sum = ck.checksum()
+	db.fresh, db.dirty = db.fresh[:0], db.dirty[:0]
+	m.archive, m.archived = append(m.archive, *ck), ck.LSN
+	m.records = m.records[:0] // stale references are overwritten within a checkpoint interval
+	return ck, nil
 }
 
 func (db *DB) markCommitted(t model.TxnID) {
@@ -651,35 +647,14 @@ func (db *DB) markCommitted(t model.TxnID) {
 	}
 }
 
-// doneIDs returns every committed id, ascending. The result is shared with
-// the checkpoint record that carries it, so a merge builds a new slice.
-func (db *DB) doneIDs() []model.TxnID {
-	if len(db.fresh) == 0 {
-		return db.done
-	}
-	model.SortTxnIDs(db.fresh)
-	merged := make([]model.TxnID, 0, len(db.done)+len(db.fresh))
-	for i, j := 0, 0; len(merged) < cap(merged); {
-		if j == len(db.fresh) || (i < len(db.done) && db.done[i] < db.fresh[j]) {
-			merged = append(merged, db.done[i])
-			i++
-		} else {
-			merged = append(merged, db.fresh[j])
-			j++
-		}
-	}
-	db.done, db.fresh = merged, db.fresh[:0]
-	return merged
-}
-
 // Live returns the number of transactions with un-undone live updates —
 // zero means the log is quiescent and a checkpoint may run.
 func (db *DB) Live() int { return len(db.live) }
 
 // RecordsSinceCheckpoint is the recovery replay bound: how many records a
-// restart would redo before reaching the latest checkpoint (the whole log
-// if none exists).
-func (db *DB) RecordsSinceCheckpoint() int { return db.medium.sinceCkpt }
+// restart would redo past the latest checkpoint (the whole log if none
+// exists).
+func (db *DB) RecordsSinceCheckpoint() int { return len(db.medium.records) }
 
 // Crash simulates losing all volatile state: it returns the durable medium,
 // from which Open recovers a fresh DB. The old DB must not be used again.

@@ -76,3 +76,8 @@ bash benchmark/run.sh --workload engine_uniform --seed 1 --seconds 1 --trace 0 >
 # 1 would be 4 epochs, too few samples for the benchmark's own
 # latency_windows check.
 bash benchmark/run.sh --workload bank_mla --seed 1 --seconds 3 --trace 0 > /dev/null
+# And for the durable path a real client takes (HTTP → engine → commit group
+# → file-WAL fsync, compacting into the checkpoint archive every 512
+# records): about 5 s, nonzero unless every acked id is Durable after
+# shutdown + reopen.
+bash benchmark/run.sh --workload serve_durable --seed 1 --seconds 1 --trace 0 > /dev/null
