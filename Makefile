@@ -62,11 +62,13 @@ loc:
 	./scripts/loc.sh
 
 # Chaos replay oracle: the E13/E18 tables and the mlasim chaos scenarios
-# for both message-driven controls, plus the `detect`-carrying tables
-# E5/E11/E12/E16, one file per command. The controls are deterministic in
-# (seed, fault plan) and the Detector's victim in coherent.Online's
-# worklist order, so `diff -r` of this directory from two commits is the
-# regression check for any change to internal/net, internal/cluster,
-# internal/dist, internal/shard or internal/coherent.
+# for both message-driven controls, plus the other deterministic simulator
+# tables (E5–E7, E10–E12, E14–E16, E20), one file per command, diffed
+# against the committed scripts/testdata/chaos_replay/. The controls are
+# deterministic in (seed, fault plan), the Detector's victim in
+# coherent.Online's worklist order, and every abort/cascade/commit-group
+# column in the recovery ledger's closure, so this is the regression check
+# for any change to internal/net, internal/cluster, internal/dist,
+# internal/shard, internal/coherent, internal/storage or internal/sim.
 chaos-replay:
-	./scripts/chaos_replay.sh /tmp/mla_chaos_replay
+	./scripts/chaos_replay.sh

@@ -9,13 +9,11 @@
 //
 // The input is one history, named by -history, by the positional argument,
 // or read from stdin (no argument, or "-") — all the same path. Its shape
-// is sniffed from the content: a native mla-history/v1 document, a history
-// spool (the JSONL stream mlaserve -spool appends, any number of boots), or
-// a Chrome trace-event export from -trace-out (every process lane that
-// recorded step events is one run).
+// is sniffed from the content: a native mla-history/v1 document or a
+// history spool (the JSONL stream mlaserve -spool appends, any number of
+// boots).
 //
-// For every run the independent black-box checker (internal/history)
-// prints its verdict; on a violation the minimal witness cycle follows and
+// The independent black-box checker (internal/history) prints its verdict; on a violation the minimal witness cycle follows and
 // the exit status is 2. Malformed input exits 1 with a diagnostic.
 //
 // -witness, -tree, -timeline and -stats additionally rebuild the committed
@@ -103,86 +101,51 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mlacheck:", err)
 		return 1
 	}
-	runs, err := decode(data)
+	name, h, err := decode(data)
 	if err != nil {
 		fmt.Fprintln(stderr, "mlacheck:", err)
 		return 1
 	}
-
+	rep, err := history.Check(h)
+	if err != nil {
+		fmt.Fprintf(stderr, "mlacheck: %s: %v\n", name, err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "%-24s %s\n", name+":", rep.Summary())
 	status := 0
-	for _, r := range runs {
-		rep, err := history.Check(r.h)
-		if err != nil {
-			fmt.Fprintf(stderr, "mlacheck: %s: %v\n", r.name, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-24s %s\n", r.name+":", rep.Summary())
-		if rep.Witness != nil {
-			fmt.Fprint(stdout, rep.Witness)
-			status = 2
-		}
-		if v.any() {
-			if st := whiteBox(r.h, rep, v, stdout, stderr); st != 0 {
-				return st
-			}
+	if rep.Witness != nil {
+		fmt.Fprint(stdout, rep.Witness)
+		status = 2
+	}
+	if v.any() {
+		if st := whiteBox(h, rep, v, stdout, stderr); st != 0 {
+			return st
 		}
 	}
 	return status
 }
 
-// namedHistory is one run of the input: a file holds one, a Chrome export
-// one per step-recording process lane.
-type namedHistory struct {
-	name string
-	h    *history.History
-}
-
-// decode sniffs the input's shape and returns its runs.
-func decode(data []byte) ([]namedHistory, error) {
+// decode sniffs the input's shape and returns the history it holds, named
+// by that shape.
+func decode(data []byte) (string, *history.History, error) {
 	// A spool (JSONL, possibly many boots concatenated by crash-restarts)
 	// is sniffed from its header line BEFORE the single-document probe —
 	// a multi-line stream is not one JSON value.
 	if history.SniffSpool(data) {
 		h, err := history.ReadSpool(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return []namedHistory{{name: "spool", h: h}}, nil
+		return "spool", h, err
 	}
-
 	var probe struct {
-		Format      string          `json:"format"`
-		TraceEvents json.RawMessage `json:"traceEvents"`
+		Format string `json:"format"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("history input is not JSON: %w", err)
+		return "", nil, fmt.Errorf("history input is not JSON: %w", err)
 	}
-	switch {
-	case probe.Format == history.Format:
-		h, err := history.Decode(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return []namedHistory{{name: "history", h: h}}, nil
-	case probe.TraceEvents != nil:
-		lanes, err := history.ImportChrome(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		if len(lanes) == 0 {
-			return nil, fmt.Errorf("trace has no step-recording lanes (was it exported with telemetry on?)")
-		}
-		var runs []namedHistory
-		for _, l := range lanes {
-			name := l.Name
-			if name == "" {
-				name = fmt.Sprintf("pid %d", l.PID)
-			}
-			runs = append(runs, namedHistory{name: name, h: l.History})
-		}
-		return runs, nil
+	if probe.Format != history.Format {
+		return "", nil, fmt.Errorf("unrecognized history input (want format %q or a spool)", history.Format)
 	}
-	return nil, fmt.Errorf("unrecognized history input (want format %q, a spool, or a Chrome traceEvents export)", history.Format)
+	h, err := history.Decode(bytes.NewReader(data))
+	return "history", h, err
 }
 
 // whiteBox runs the Theorem 2 analysis on the execution the history replays

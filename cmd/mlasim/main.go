@@ -108,7 +108,7 @@ func printClosure(c sched.Control) {
 func run() int {
 	workload := flag.String("workload", "bank", "bank, sessions, cad, or conv")
 	configPath := flag.String("config", "", "run a JSON-defined workload instead (see internal/config)")
-	control := flag.String("control", "prevent", "prevent, detect, 2pl, tso, serial, none, dist, or shard")
+	control := flag.String("control", "prevent", "prevent, prevent-direct, detect, 2pl, 2pl-sharded, tso, serial, none, dist, or shard")
 	txns := flag.Int("txns", 24, "number of main transactions (transfers / sessions / modifications / conversations)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	partial := flag.Bool("partial", false, "enable breakpoint-granular partial recovery")
@@ -292,18 +292,6 @@ func run() int {
 	var shardCtl *shard.SimControl
 	mkCtl := func() sched.Control {
 		switch *control {
-		case "prevent":
-			return sched.NewPreventer(n, spec)
-		case "detect":
-			return sched.NewDetector(n, spec)
-		case "2pl":
-			return sched.NewTwoPhase()
-		case "tso":
-			return sched.NewTimestamp()
-		case "serial":
-			return sched.NewSerial()
-		case "none":
-			return sched.NewNone()
 		case "dist":
 			procs := sim.DefaultConfig().Processors
 			distCtl = dist.NewNet(n, spec, dist.Params{
@@ -326,9 +314,17 @@ func run() int {
 			})
 			return shardCtl
 		}
-		fmt.Fprintf(os.Stderr, "mlasim: unknown control %q\n", *control)
-		os.Exit(2)
-		return nil
+		kind, err := sched.ParseControlKind(*control)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mlasim: unknown control %q\n", *control)
+			os.Exit(2)
+		}
+		c, err := sched.New(kind, n, spec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			os.Exit(2)
+		}
+		return c
 	}
 	c := mkCtl()
 	if tel != nil && distCtl != nil {

@@ -53,27 +53,18 @@ func All() []Experiment {
 	}
 }
 
-// controlByName builds a fresh control for a simulation run.
+// controlByName builds a fresh control for a simulation run; the names are
+// sched.ControlKind's.
 func controlByName(name string, n *nest.Nest, spec breakpoint.Spec) sched.Control {
-	switch name {
-	case "serial":
-		return sched.NewSerial()
-	case "2pl":
-		return sched.NewTwoPhase()
-	case "tso":
-		return sched.NewTimestamp()
-	case "prevent":
-		return sched.NewPreventer(n, spec)
-	case "prevent-direct":
-		p := sched.NewPreventer(n, spec)
-		p.TrackTransitive = false
-		return p
-	case "detect":
-		return sched.NewDetector(n, spec)
-	case "none":
-		return sched.NewNone()
+	kind, err := sched.ParseControlKind(name)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	panic("bench: unknown control " + name)
+	c, err := sched.New(kind, n, spec)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return c
 }
 
 // runSim executes one simulation with the default configuration.

@@ -6,6 +6,7 @@ import (
 	"mla/internal/coherent"
 	"mla/internal/dist"
 	"mla/internal/fault"
+	"mla/internal/history"
 	"mla/internal/metrics"
 	"mla/internal/sim"
 )
@@ -15,8 +16,9 @@ import (
 // applied to the full banking workload on the bus-backed multi-node
 // control. The claim under test is the robustness contract of the
 // partition- and failure-tolerant design: every completed run still admits
-// only Theorem-2-correctable executions and preserves the banking
-// invariants; committed transactions are never lost or re-decided; and no
+// only correctable executions — by the Theorem 2 analysis and by the
+// independent history.Check, both against the true nest — and preserves the
+// banking invariants; committed transactions are never lost or re-decided; and no
 // schedule hangs the run — transactions stranded by a partition or crash
 // are aborted within the grace period and retried after the fault clears.
 // Failures cost throughput (waits, grace aborts, crash aborts,
@@ -100,6 +102,14 @@ func E18Chaos(o Config) (*metrics.Table, error) {
 			}
 			if !ok {
 				return nil, fmt.Errorf("E18 %s seed=%d: non-correctable execution admitted", scn.name, s)
+			}
+			// And by the independent checker, against the true level matrix.
+			h, err := history.FromExecution(res.Exec, wl.Nest, wl.Spec)
+			if err != nil {
+				return nil, fmt.Errorf("E18 %s seed=%d: %w", scn.name, s, err)
+			}
+			if rep, err := history.Check(h); err != nil || !rep.Correctable {
+				return nil, fmt.Errorf("E18 %s seed=%d: history.Check rejects the execution (err %v)", scn.name, s, err)
 			}
 			th += res.Throughput()
 			if v := res.LatencyPercentile(99); v > p99 {

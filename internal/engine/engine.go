@@ -2,10 +2,11 @@
 // goroutine per transaction — under a pluggable concurrency control. It is
 // the "real" counterpart of internal/sim's deterministic discrete-event
 // simulator: the same Control interface, the same undo-log store, the same
-// dependency-closed cascading rollback and group commit, but actual
-// parallel execution with wall-clock timing. Runs are not deterministic;
-// correctness is established per run by validating the surviving execution
-// (value chains) and, in tests, by the offline Theorem 2 checker.
+// recovery ledger (storage.Ledger: dependency-closed cascading rollback and
+// group commit), but actual parallel execution with wall-clock timing. Runs
+// are not deterministic; correctness is established per run by validating
+// the surviving execution (value chains) and, in tests, by the offline
+// Theorem 2 checker.
 //
 // Concurrency discipline: store and bookkeeping state is guarded by one
 // engine mutex, making each performed step atomic exactly as the model
@@ -24,10 +25,10 @@
 // Commit durability is synchronous by default (store.CommitGroup returns
 // durable). A store that additionally implements AsyncCommitter (see
 // PipelinedWALStore) gets group-commit pipelining: the engine submits the
-// group, marks its members "committing", and a finalizer goroutine marks
-// them committed only after the store acknowledges durability. Committing
-// transactions are immune to abort and count as satisfied dependencies —
-// safe because submission order bounds durability order.
+// group the ledger decided, and a finalizer goroutine reports it committed
+// only after the store acknowledges durability. Decided transactions are
+// immune to abort and count as satisfied dependencies — safe because
+// submission order bounds durability order.
 //
 // Lifecycle: there is one engine loop — Session.submit: admit, attempt,
 // restart on rollback, park on an exhausted budget, await the commit group —
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,6 +60,7 @@ import (
 	"mla/internal/metrics"
 	"mla/internal/model"
 	"mla/internal/sched"
+	"mla/internal/storage"
 )
 
 // DefaultTimeout is the whole-run deadline applied when Config.Timeout is
@@ -154,24 +157,21 @@ func summarizeDurations(ds []time.Duration) metrics.Summary {
 }
 
 type etxn struct {
-	prog     model.Program
-	id       model.TxnID
-	attempt  int
-	seq      int
-	steps    []model.Step
-	finished bool
-	commit   bool
-	// committing marks a transaction whose commit group was submitted to an
-	// AsyncCommitter and is awaiting the durability ack. It is immune to
-	// abort (its record may already be on the device) and counts as a
+	// Txn is the recovery-ledger entry: value dependencies, Finished, and
+	// the commit marks. Decided without Committed is a transaction whose
+	// group was submitted to an AsyncCommitter and awaits the durability
+	// ack: immune to abort (its record may already be on the device) and a
 	// satisfied dependency for later groups (submission order bounds
-	// durability order); the finalizer goroutine flips it to commit.
-	committing bool
-	gaveUp     bool // parked after exhausting the restart budget
-	prio       int64
-	deps       map[model.TxnID]bool
-	began      time.Time     // first Begin, for commit latency
-	waited     time.Duration // total time blocked on Wait decisions
+	// durability order); the finalizer goroutine reports it Committed.
+	storage.Txn
+	prog    model.Program
+	attempt int
+	seq     int
+	steps   []model.Step
+	gaveUp  bool // parked after exhausting the restart budget
+	prio    int64
+	began   time.Time     // first Begin, for commit latency
+	waited  time.Duration // total time blocked on Wait decisions
 
 	// lastCut is the coarseness of the breakpoint after the most recently
 	// performed step of the current attempt (0 while mid-unit or before the
@@ -246,28 +246,23 @@ type engine struct {
 	// step, like slice growth).
 	traceCap int
 
-	txns   map[model.TxnID]*etxn
-	trace  []traceEntry
-	author map[model.EntityID]model.TxnID
-
-	// commitScratch is tryCommitLocked's candidate set, reused across calls
-	// (always under mu, cleared on entry) so the commit probe that runs after
-	// every finish allocates nothing when no group forms.
-	commitScratch map[model.TxnID]bool
-	// abortSet/abortCasc/abortFrontier are abortLocked's closure scratch,
-	// reused the same way.
-	abortSet      map[model.TxnID]bool
-	abortCasc     map[model.TxnID]bool
-	abortFrontier []model.TxnID
-	abortNext     []model.TxnID
+	txns  map[model.TxnID]*etxn
+	trace []traceEntry
+	led   *storage.Ledger
+	// keep and undone are abortLocked's scratch, reused across calls (always
+	// under mu): the victims as the ledger takes them (kept seq, always 0 —
+	// the engine rolls back whole transactions) and the closed set as
+	// Store.Abort takes it.
+	keep   map[model.TxnID]int
+	undone map[model.TxnID]bool
 	// appliers recycles the per-attempt applier (program-state stepper +
 	// its bound store callback) across attempts and transactions.
 	appliers sync.Pool
-	// txnPool recycles retired submissions' etxn records (with their deps
-	// maps and steps slices) across the session's lifetime. Safe because a
-	// retired record is unreachable: the transaction table maps by id, trace
-	// entries carry ids, and the submission goroutine retires its record
-	// only after its outcome resolved.
+	// txnPool recycles retired submissions' etxn records (with their ledger
+	// entries' deps maps and their steps slices) across the session's
+	// lifetime. Safe because a retired record is unreachable: the transaction
+	// table and the ledger map by id, trace entries carry ids, and the
+	// submission goroutine retires its record only after its outcome resolved.
 	txnPool sync.Pool
 
 	stats       Result
@@ -321,16 +316,16 @@ func (e *engine) putApplier(a *applier) {
 	e.appliers.Put(a)
 }
 
-// getTxn returns a fresh transaction record for a submission, recycling a
-// retired one's deps map and steps slice when available.
+// getTxn returns a fresh transaction record for a submission, registered
+// with the ledger, recycling a retired one's deps map and steps slice when
+// available. Caller holds the mutex.
 func (e *engine) getTxn(p model.Program, id model.TxnID) *etxn {
 	t, _ := e.txnPool.Get().(*etxn)
 	if t == nil {
-		return &etxn{prog: p, id: id, deps: make(map[model.TxnID]bool)}
+		t = &etxn{}
 	}
-	steps, deps := t.steps[:0], t.deps
-	clear(deps)
-	*t = etxn{prog: p, id: id, steps: steps, deps: deps}
+	*t = etxn{Txn: t.Txn, prog: p, steps: t.steps[:0]}
+	e.led.Add(&t.Txn, id)
 	return t
 }
 
@@ -506,13 +501,7 @@ func (e *engine) jitter(base time.Duration, attempt int) time.Duration {
 func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 	t.seq = 0
 	t.steps = t.steps[:0] // superseded steps live on in e.trace, never here
-	t.finished = false
 	t.lastCut = 0
-	if t.deps == nil {
-		t.deps = make(map[model.TxnID]bool)
-	} else {
-		clear(t.deps)
-	}
 	if t.began.IsZero() {
 		t.began = time.Now()
 	}
@@ -522,9 +511,9 @@ func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 	} else if e.caps.NewPriority != nil {
 		// Timestamp ordering needs a fresh, larger timestamp on restart.
 		e.prioCounter++
-		t.prio = e.caps.NewPriority(t.id, t.prio, 1_000_000_000+e.prioCounter)
+		t.prio = e.caps.NewPriority(t.ID, t.prio, 1_000_000_000+e.prioCounter)
 	}
-	e.control.Begin(t.id, t.prio)
+	e.control.Begin(t.ID, t.prio)
 }
 
 // attempt runs one attempt of the transaction; it returns aborted=true when
@@ -609,7 +598,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.Prog
 			return true, nil // rolled back meanwhile
 		}
 		if !more {
-			t.finished = true
+			t.Finished = true
 			e.control.Finished(id)
 			e.tryCommitLocked()
 			e.bump()
@@ -664,12 +653,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.Prog
 				e.mu.Unlock()
 				return false, perr
 			}
-			if a, ok := e.author[x]; ok && a != id {
-				t.deps[a] = true
-			}
-			if step.After != step.Before {
-				e.author[x] = id
-			}
+			e.led.Observe(&t.Txn, step)
 			t.seq++
 			performed++
 			retries = 0
@@ -788,102 +772,68 @@ func (e *engine) killLocked(t *etxn, reason int8) {
 	t.killed = reason
 	e.stats.DeadlineAborts++
 	if e.caps.DeadlineAborted != nil {
-		e.caps.DeadlineAborted(t.id)
+		e.caps.DeadlineAborted(t.ID)
 	}
-	e.abortLocked([]model.TxnID{t.id})
+	e.abortLocked([]model.TxnID{t.ID})
 	e.bump()
 }
 
-// abortLocked rolls back the victims plus their value dependents. Caller
-// holds the mutex. The closure scratch (set/cascaded/frontiers) is engine
-// state reused across calls; only the sorted victim id slice is allocated
-// fresh, because the control and observer receive it.
+// abortLocked rolls back the victims plus their value dependents — the
+// ledger's closure with every victim kept at 0, since the engine's unit of
+// recovery is the whole transaction. Caller holds the mutex. Only the sorted
+// id slice is allocated fresh, because the control and observer receive it.
 func (e *engine) abortLocked(victims []model.TxnID) {
-	if e.abortSet == nil {
-		e.abortSet = make(map[model.TxnID]bool)
-		e.abortCasc = make(map[model.TxnID]bool)
-	}
-	set, cascaded := e.abortSet, e.abortCasc
-	clear(set)
-	clear(cascaded)
-	frontier := e.abortFrontier[:0]
+	clear(e.keep)
 	for _, v := range victims {
-		t := e.txns[v]
-		// Committing transactions are immune: their group is submitted and
-		// its record may already be durable. (Unreachable in practice — a
-		// committing transaction is finished, holds no locks, and its deps
-		// are all committed or committing — but the guard keeps the
-		// invariant local instead of spread over that argument.)
-		if t != nil && !t.commit && !t.committing && !t.gaveUp {
-			set[v] = true
-			frontier = append(frontier, v)
+		// Decided transactions are immune: their group is submitted and its
+		// record may already be durable. (Unreachable in practice — a decided
+		// transaction is finished, holds no locks, and its deps are all
+		// decided — but the guard keeps the invariant local instead of spread
+		// over that argument.)
+		if t := e.txns[v]; t != nil && !t.Decided && !t.gaveUp {
+			e.keep[v] = 0
 		}
 	}
-	next := e.abortNext[:0]
-	for len(frontier) > 0 {
-		next = next[:0]
-		for id, t := range e.txns {
-			if set[id] || t.commit || t.committing || t.gaveUp {
-				continue
-			}
-			for _, f := range frontier {
-				if t.deps[f] {
-					set[id] = true
-					cascaded[id] = true
-					next = append(next, id)
-					e.stats.Cascades++
-					break
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	e.abortFrontier, e.abortNext = frontier[:0], next[:0]
-	if len(set) == 0 {
+	if len(e.keep) == 0 {
 		return
 	}
-	if err := e.store.Abort(set); err != nil {
-		panic(err) // dependency closure above must make this unreachable
-	}
-	ids := make([]model.TxnID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	model.SortTxnIDs(ids)
+	named := len(e.keep)
+	ids := e.led.Close(e.keep)
+	e.stats.Cascades += len(ids) - named
+	clear(e.undone)
 	for _, id := range ids {
-		t := e.txns[id]
-		t.attempt++
-		t.finished = false
-		clear(t.deps)
+		e.undone[id] = true
+	}
+	if err := e.store.Abort(e.undone); err != nil {
+		panic(err) // the ledger's closure must make this unreachable
+	}
+	for _, id := range ids {
+		e.txns[id].attempt++
 		e.stats.Aborts++
 		e.stats.Restarts++
 		if e.obs != nil {
-			e.obs.TxnAborted(id, cascaded[id])
+			e.obs.TxnAborted(id, !slices.Contains(victims, id))
 		}
 	}
 	e.control.Aborted(ids)
-	e.rebuildAuthorsLocked()
+	e.led.RolledBack(e.keep, e.liveSteps)
 }
 
-func (e *engine) rebuildAuthorsLocked() {
-	clear(e.author)
+// liveSteps enumerates the uncommitted steps that survive in the store, in
+// performance order. A trace entry without a record belongs to a retired
+// resident transaction and has not been compacted away yet: committed or
+// fully rolled back either way, so never live.
+func (e *engine) liveSteps(yield func(model.Step)) {
 	for _, te := range e.trace {
-		t := e.txns[te.id]
-		// A nil t is a retired resident transaction whose trace entries
-		// haven't been compacted away yet: committed or fully rolled back
-		// either way, so never a live author.
-		if t == nil || te.attempt != t.attempt || t.commit {
-			continue
-		}
-		if te.step.After != te.step.Before {
-			e.author[te.step.Entity] = te.id
+		if t := e.txns[te.id]; t != nil && te.attempt == t.attempt && !t.Committed {
+			yield(te.step)
 		}
 	}
 }
 
-// tryCommitLocked commits the largest set of finished transactions whose
-// value dependencies stay within the set or the committed. Caller holds the
-// mutex.
+// tryCommitLocked commits the group the ledger decides, if one forms: the
+// largest set of finished transactions whose value dependencies stay within
+// the set or the decided. Caller holds the mutex.
 func (e *engine) tryCommitLocked() {
 	// After a crash the store silently discards writes; committing now
 	// would mark transactions committed in memory (and fire the observer)
@@ -899,56 +849,21 @@ func (e *engine) tryCommitLocked() {
 	if e.asyncErr != nil {
 		return
 	}
-	// The candidate set is engine scratch: this probe runs after every
-	// finish and usually commits either nothing or a small group, so it must
-	// not allocate a map per call. Only the sorted ids slice is fresh — it
-	// escapes into the async pipeline.
-	inS := e.commitScratch
-	if inS == nil {
-		inS = make(map[model.TxnID]bool)
-		e.commitScratch = inS
-	} else {
-		clear(inS)
-	}
-	for id, t := range e.txns {
-		if t.finished && !t.commit && !t.committing {
-			inS[id] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for id := range inS {
-			for dep := range e.txns[id].deps {
-				d := e.txns[dep]
-				// A committing dependency is as good as committed: it was
-				// submitted to the pipeline before this group will be, and
-				// the pipeline makes groups durable in submission order (a
-				// flush drains every pending group into one record), so our
-				// record can never become durable ahead of the value we read.
-				if d == nil || (!d.commit && !d.committing && !inS[dep]) {
-					delete(inS, id)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	if len(inS) == 0 {
+	// A decided dependency is as good as committed: it was submitted to the
+	// pipeline before this group will be, and the pipeline makes groups
+	// durable in submission order (a flush drains every pending group into
+	// one record), so our record can never become durable ahead of the value
+	// we read. The probe runs after every finish and allocates nothing when
+	// no group forms; the ids slice escapes into the async pipeline.
+	ids := e.led.Group()
+	if ids == nil {
 		return
 	}
-	ids := make([]model.TxnID, 0, len(inS))
-	for id := range inS {
-		ids = append(ids, id)
-	}
-	model.SortTxnIDs(ids)
 	if e.async != nil {
 		// Pipelined path: submit the group and let a finalizer goroutine
-		// mark it committed once the store acknowledges durability. Members
-		// are "committing" until then — immune to abort, valid as
-		// dependencies, not yet counted in stats or shown to the observer.
-		for _, id := range ids {
-			e.txns[id].committing = true
-		}
+		// report it committed once the store acknowledges durability. Until
+		// then members are decided — immune to abort, valid as dependencies
+		// — but not yet counted in stats or shown to the observer.
 		ack := e.async.SubmitGroup(ids)
 		// Queue under the mutex and nudge the finalizer.
 		e.finPending = append(e.finPending, asyncFin{ack: ack, ids: ids})
@@ -985,47 +900,28 @@ func (e *engine) ackHealthy() bool {
 	return false
 }
 
-// finalizeGroupLocked records a now-durable commit group: stats, retirement
-// hooks, observer, and the author/deps cleanup that releases the members'
-// dependents. (Latency and wait samples travel in each submission's Outcome.)
+// finalizeGroupLocked records a now-durable commit group: the ledger
+// releases the members' dependents, then stats, retirement hooks and
+// observer. (Latency and wait samples travel in each submission's Outcome.)
 // Caller holds the mutex.
 func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
+	e.led.Committed(ids)
 	if e.retain {
 		// One entry per group grows with the run: part of a batch run's
 		// retained history, a leak for a resident session.
 		e.stats.CommitGroups = append(e.stats.CommitGroups, len(ids))
 	}
 	for _, id := range ids {
-		t := e.txns[id]
-		if t == nil {
-			// Resident stop-path race: the submission was abandoned (Close
-			// without Drain) and retired its record while the ack was in
-			// flight. The commit is durable regardless; there is just no
-			// record left to flip.
-			e.stats.Committed++
-			continue
-		}
-		t.committing = false
-		t.commit = true
 		e.stats.Committed++
-		if e.caps.Retired != nil {
+		// A missing record is the resident stop-path race: the submission
+		// was abandoned (Close without Drain) and retired its record while
+		// the ack was in flight. The commit is durable regardless.
+		if e.txns[id] != nil && e.caps.Retired != nil {
 			e.caps.Retired(id)
 		}
 	}
 	if e.obs != nil {
 		e.obs.CommitGroup(ids)
-	}
-	for x, a := range e.author {
-		if t := e.txns[a]; t == nil || t.commit {
-			delete(e.author, x)
-		}
-	}
-	for _, t := range e.txns {
-		for dep := range t.deps {
-			if d := e.txns[dep]; d != nil && d.commit {
-				delete(t.deps, dep)
-			}
-		}
 	}
 }
 
@@ -1035,7 +931,7 @@ func (e *engine) survivors() model.Execution {
 	out := make(model.Execution, 0, len(e.trace))
 	for _, te := range e.trace {
 		t := e.txns[te.id]
-		if t != nil && t.commit && te.attempt == t.attempt {
+		if t != nil && t.Committed && te.attempt == t.attempt {
 			out = append(out, te.step)
 		}
 	}
@@ -1043,8 +939,8 @@ func (e *engine) survivors() model.Execution {
 }
 
 // compactTraceLocked drops trace entries that can no longer matter to
-// rebuildAuthorsLocked — entries of retired, committed, parked, or
-// superseded attempts — once the trace reaches the current threshold, then
+// liveSteps — entries of retired, committed, parked, or superseded
+// attempts — once the trace reaches the current threshold, then
 // doubles the threshold from the surviving length. A retaining (batch)
 // engine keeps its whole trace because survivors() is its Result.Exec.
 // Caller holds the mutex.
@@ -1055,7 +951,7 @@ func (e *engine) compactTraceLocked() {
 	kept := e.trace[:0]
 	for _, te := range e.trace {
 		t := e.txns[te.id]
-		if t != nil && !t.commit && !t.gaveUp && te.attempt == t.attempt {
+		if t != nil && !t.Committed && !t.gaveUp && te.attempt == t.attempt {
 			kept = append(kept, te)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"mla/internal/breakpoint"
 	"mla/internal/model"
 	"mla/internal/sched"
+	"mla/internal/storage"
 )
 
 // Session is the engine: one running scheduler whose transactions arrive
@@ -171,7 +172,9 @@ func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 		faults:   cfg.Faults,
 		obs:      cfg.Observer,
 		txns:     make(map[model.TxnID]*etxn),
-		author:   make(map[model.EntityID]model.TxnID),
+		led:      storage.NewLedger(),
+		keep:     make(map[model.TxnID]int),
+		undone:   make(map[model.TxnID]bool),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		retain:   retain,
 		finWake:  make(chan struct{}, 1),
@@ -333,7 +336,7 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 	e := s.e
 	for {
 		e.mu.Lock()
-		if err := e.asyncErr; err != nil && !t.commit {
+		if err := e.asyncErr; err != nil && !t.Committed {
 			// The durable medium failed while this group's ack was (or would
 			// be) in flight: its durability is indeterminate, and the session
 			// must not acknowledge it. Poison the session so every submission
@@ -343,7 +346,7 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 			s.fail(werr)
 			return Outcome{}, true, fmt.Errorf("%w: %w", ErrSessionClosed, werr)
 		}
-		if t.commit {
+		if t.Committed {
 			out := Outcome{
 				Committed: true,
 				Restarts:  attempt,
@@ -358,7 +361,7 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 			return Outcome{}, false, nil
 		}
 		ch := e.waitReg()
-		committing := t.committing
+		committing := t.Decided
 		e.mu.Unlock()
 		if committing {
 			// Durable-bound: the group was submitted and its record may
@@ -394,7 +397,7 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 			e.mu.Unlock()
 			continue
 		}
-		if t.attempt == attempt && !t.commit && !t.committing {
+		if t.attempt == attempt && !t.Decided {
 			// Finished but its group never formed (a dependency is still
 			// running) and the submission's bounds ran out: withdraw.
 			e.killLocked(t, reason)
@@ -430,6 +433,7 @@ func (s *Session) retire(id model.TxnID, cleanup func()) {
 	if e.caps.ReleaseAll != nil {
 		e.caps.ReleaseAll(id)
 	}
+	e.led.Remove(id)
 	if t, ok := e.txns[id]; ok && !e.retain {
 		delete(e.txns, id)
 		e.putTxn(t)

@@ -62,12 +62,8 @@ func NewVolatileStore(init map[model.EntityID]model.Value) Store {
 func (v volatileStore) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Value) (model.Value, string)) (model.Step, error) {
 	return v.s.Perform(t, seq, x, f), nil
 }
-func (v volatileStore) Abort(set map[model.TxnID]bool) error { return v.s.Abort(set) }
-func (v volatileStore) CommitGroup(ids []model.TxnID) {
-	for _, id := range ids {
-		v.s.Commit(id)
-	}
-}
+func (v volatileStore) Abort(set map[model.TxnID]bool) error   { return v.s.Abort(set) }
+func (v volatileStore) CommitGroup(ids []model.TxnID)          { v.s.CommitGroup(ids) }
 func (v volatileStore) Values() map[model.EntityID]model.Value { return v.s.Values() }
 
 // WALStore backs the engine with a recoverable wal.DB and threads every

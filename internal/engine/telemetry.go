@@ -135,8 +135,7 @@ func (o *TelemetryObserver) StepPerformed(t model.TxnID, seq int, x model.Entity
 		o.l.End(id)
 		delete(o.unit, t)
 	}
-	// The step instant makes the trace a replayable history: the importer
-	// in internal/history rebuilds the execution from these.
+	// The step instant puts every performed step on the trace's timeline.
 	o.l.Event("step", fmt.Sprintf("%s[%d]", t, seq), o.pid, o.lane(t), id,
 		"txn", string(t), "seq", fmt.Sprint(seq), "entity", string(x), "cut", fmt.Sprint(cut))
 }
@@ -185,8 +184,7 @@ func (o *TelemetryObserver) CommitGroup(txns []model.TxnID) {
 		o.pid, 0, o.ensureRun(), "size", fmt.Sprint(len(txns)), "txns", joinTxns(txns))
 }
 
-// joinTxns renders a commit group's members as one comma-joined arg value,
-// the form the history importer parses back.
+// joinTxns renders a commit group's members as one comma-joined arg value.
 func joinTxns(txns []model.TxnID) string {
 	var b []byte
 	for i, t := range txns {

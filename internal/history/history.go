@@ -15,11 +15,9 @@
 //
 // Histories are written as they happen by a resident server (Spool, the
 // crash-safe JSONL stream), recorded in memory from a batch engine run
-// (Recorder; both implement the engine's Observer shape), derived from a
-// simulator result (FromExecution), or imported from the Chrome trace-event
-// JSON that internal/telemetry exports (ImportChrome). Execution hands the
-// replayed result to the white-box analysis, so both deciders can judge
-// any file.
+// (Recorder; both implement the engine's Observer shape), or derived from a
+// simulator result (FromExecution). Execution hands the replayed result to
+// the white-box analysis, so both deciders can judge any file.
 package history
 
 import (

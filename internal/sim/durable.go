@@ -16,7 +16,7 @@ import (
 type Store interface {
 	Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Value) (model.Value, string)) model.Step
 	AbortSuffix(keep map[model.TxnID]int) error
-	Commit(t model.TxnID)
+	CommitGroup(ids []model.TxnID)
 	Values() map[model.EntityID]model.Value
 }
 
@@ -34,7 +34,6 @@ func (d durableStore) Perform(t model.TxnID, seq int, x model.EntityID, f func(m
 }
 
 func (d durableStore) AbortSuffix(keep map[model.TxnID]int) error { return d.db.AbortSuffix(keep) }
-func (d durableStore) Commit(t model.TxnID)                       { d.db.Commit(t) }
 func (d durableStore) CommitGroup(ids []model.TxnID)              { d.db.CommitGroup(ids) }
 func (d durableStore) Values() map[model.EntityID]model.Value     { return d.db.Values() }
 

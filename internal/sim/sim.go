@@ -5,11 +5,12 @@
 // (p,t,s) messages; the total order of the system's execution is the order
 // in which steps are actually performed, i.e. real clock time.
 //
-// The simulator drives a pluggable concurrency control (internal/sched),
-// maintains the undo-log store (internal/storage), closes abort sets under
-// value dependencies before rolling back, performs cascading restarts, and
-// records the surviving execution for offline verification against
-// Theorem 2 (internal/coherent).
+// The simulator drives a pluggable concurrency control (internal/sched) over
+// the undo-log store and the recovery ledger (internal/storage): the ledger
+// closes each abort set under value dependencies and forms the commit
+// groups, the simulator chooses victims' keep points, performs the cascading
+// restarts, and records the surviving execution for offline verification
+// against Theorem 2 (internal/coherent).
 package sim
 
 import (
@@ -159,9 +160,9 @@ const (
 )
 
 type txn struct {
+	storage.Txn   // recovery-ledger entry: dependencies, commit marks
 	prog          model.Program
 	cur           model.ProgState
-	id            model.TxnID
 	seq           int
 	prio          int64
 	begun         int64 // time of first Begin (for latency)
@@ -170,24 +171,16 @@ type txn struct {
 	loc           int // current processor
 	home          int
 	status        txnStatus
-	bound2        int                 // last class-wide (coarseness-2) breakpoint position
-	deps          map[model.TxnID]int // uncommitted author -> max author seq observed
-	states        []model.ProgState   // states[i] = program state before step i+1 (for resume)
-	lastKeep      int                 // keep point of the previous partial rollback
-	partialStreak int                 // consecutive partial rollbacks at the same keep point
+	bound2        int               // last class-wide (coarseness-2) breakpoint position
+	states        []model.ProgState // states[i] = program state before step i+1 (for resume)
+	lastKeep      int               // keep point of the previous partial rollback
+	partialStreak int               // consecutive partial rollbacks at the same keep point
 }
 
 type traceEntry struct {
 	txn     int
 	attempt int
 	step    model.Step
-}
-
-// authorRef identifies the uncommitted step that wrote an entity's current
-// value.
-type authorRef struct {
-	txn model.TxnID
-	seq int
 }
 
 // Runner executes one simulation.
@@ -197,6 +190,7 @@ type Runner struct {
 	caps    sched.Capabilities // the control's optional hooks, probed once
 	spec    breakpoint.Spec
 	store   Store
+	led     *storage.Ledger
 	init    map[model.EntityID]model.Value
 
 	txns  []*txn
@@ -207,7 +201,6 @@ type Runner struct {
 	evSeq   int64
 	now     int64
 	waiters map[int]bool
-	author  map[model.EntityID]authorRef // uncommitted writer of the current value
 
 	stats        Stats
 	lastCommit   int64
@@ -247,14 +240,15 @@ func New(cfg Config, programs []model.Program, control sched.Control, spec break
 		caps:    sched.CapabilitiesOf(control),
 		spec:    spec,
 		store:   storage.New(init),
+		led:     storage.NewLedger(),
 		init:    init,
 		byID:    make(map[model.TxnID]int),
 		waiters: make(map[int]bool),
-		author:  make(map[model.EntityID]authorRef),
 	}
 	for i, p := range programs {
-		t := &txn{prog: p, id: p.ID(), home: hashString(string(p.ID())) % cfg.Processors}
+		t := &txn{prog: p, home: hashString(string(p.ID())) % cfg.Processors}
 		t.loc = t.home
+		r.led.Add(&t.Txn, p.ID())
 		r.txns = append(r.txns, t)
 		r.byID[p.ID()] = i
 		r.push(int64(i)*cfg.InterArrival, evBegin, i, 0)
@@ -380,17 +374,16 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 				// Controls like timestamp ordering need a fresh timestamp on
 				// restart; wound-wait controls keep the original so aged
 				// transactions eventually win.
-				t.prio = r.caps.NewPriority(t.id, t.prio, fresh)
+				t.prio = r.caps.NewPriority(t.ID, t.prio, fresh)
 			}
 			t.cur = t.prog.Init()
 			t.seq = 0
 			t.bound2 = 0
 			t.steps = nil
 			t.states = nil
-			t.deps = make(map[model.TxnID]int)
 			t.lastKeep = -1
 			t.loc = t.home
-			r.control.Begin(t.id, t.prio)
+			r.control.Begin(t.ID, t.prio)
 			r.decide(ev.txn)
 		case evArrive:
 			r.decide(ev.txn)
@@ -446,7 +439,7 @@ func (r *Runner) decide(ti int) {
 			r.finish(ti)
 			return
 		}
-		d := r.control.Request(t.id, t.seq+1, x)
+		d := r.control.Request(t.ID, t.seq+1, x)
 		switch d.Kind {
 		case sched.Grant:
 			r.perform(ti, x)
@@ -480,21 +473,12 @@ func (r *Runner) perform(ti int, x model.EntityID) {
 	}
 	t.states = append(t.states, t.cur)
 	var next model.ProgState
-	step := r.store.Perform(t.id, t.seq+1, x, func(v model.Value) (model.Value, string) {
+	step := r.store.Perform(t.ID, t.seq+1, x, func(v model.Value) (model.Value, string) {
 		w, label, ns := t.cur.Apply(v)
 		next = ns
 		return w, label
 	})
-	// Value dependency: observing a value authored by an uncommitted
-	// transaction ties our fate to it.
-	if a, ok := r.author[x]; ok && a.txn != t.id {
-		if a.seq > t.deps[a.txn] {
-			t.deps[a.txn] = a.seq
-		}
-	}
-	if step.After != step.Before {
-		r.author[x] = authorRef{txn: t.id, seq: t.seq + 1}
-	}
+	r.led.Observe(&t.Txn, step)
 	t.seq++
 	t.cur = next
 	t.steps = append(t.steps, step)
@@ -503,20 +487,19 @@ func (r *Runner) perform(ti int, x model.EntityID) {
 
 	cut := 0
 	if _, more := next.Next(); more && r.spec != nil {
-		cut = r.spec.CutAfter(t.id, t.steps)
+		cut = r.spec.CutAfter(t.ID, t.steps)
 	}
 	if cut == 2 {
 		t.bound2 = t.seq
 	}
 	if r.tele != nil {
-		// Step instants make the exported trace a replayable history for the
-		// black-box checker (internal/history's Chrome importer).
+		// The step instant puts every performed step on the trace's timeline.
 		r.tele.RecordAt(telemetry.SimUnit(r.now), 0, "step",
-			fmt.Sprintf("%s[%d]", t.id, t.seq), r.telePID, int64(t.home)+1, r.runSpan,
-			"txn", string(t.id), "seq", fmt.Sprint(t.seq),
+			fmt.Sprintf("%s[%d]", t.ID, t.seq), r.telePID, int64(t.home)+1, r.runSpan,
+			"txn", string(t.ID), "seq", fmt.Sprint(t.seq),
 			"entity", string(x), "cut", fmt.Sprint(cut))
 	}
-	r.control.Performed(t.id, t.seq, x, cut)
+	r.control.Performed(t.ID, t.seq, x, cut)
 
 	t.status = stRunning
 	r.push(r.now+r.cfg.ServiceTime, evDone, ti, t.attempt)
@@ -540,63 +523,27 @@ func (r *Runner) finish(ti int) {
 		return
 	}
 	t.status = stFinished
+	t.Finished = true
 	r.stats.Messages++ // result returns to the originator
-	r.control.Finished(t.id)
+	r.control.Finished(t.ID)
 	r.tryCommit()
 	r.offerWaiters()
 }
 
-// tryCommit commits the largest set S of finished transactions whose value
-// dependencies lie within S ∪ committed. Dependencies can form cycles
-// (t1 read from t2 and t2 from t1 on different entities), which is exactly
-// the paper's observation that commitment under multilevel atomicity can
-// chain; such groups commit together.
+// tryCommit commits the group the ledger decides, if one forms: the largest
+// set of finished transactions whose value dependencies lie within the set
+// or the committed.
 func (r *Runner) tryCommit() {
-	inS := make(map[model.TxnID]bool)
-	for _, t := range r.txns {
-		if t.status == stFinished {
-			inS[t.id] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for id := range inS {
-			t := r.txns[r.byID[id]]
-			for dep := range t.deps {
-				di, ok := r.byID[dep]
-				if !ok {
-					continue
-				}
-				d := r.txns[di]
-				if d.status != stCommitted && !inS[dep] {
-					delete(inS, id)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	if len(inS) == 0 {
+	ids := r.led.Group()
+	if ids == nil {
 		return
 	}
-	ids := make([]model.TxnID, 0, len(inS))
-	for id := range inS {
-		ids = append(ids, id)
-	}
-	model.SortTxnIDs(ids)
 	r.commitGroups = append(r.commitGroups, len(ids))
 	// Group members may have observed each other's values (commitment
 	// chaining, paper Section 6), so a durable store must make the whole
 	// group durable atomically — one log record, not one per member —
 	// or a torn log tail could keep half a cycle.
-	type groupCommitter interface{ CommitGroup(ids []model.TxnID) }
-	if gc, ok := r.store.(groupCommitter); ok {
-		gc.CommitGroup(ids)
-	} else {
-		for _, id := range ids {
-			r.store.Commit(id)
-		}
-	}
+	r.store.CommitGroup(ids)
 	if r.tele != nil {
 		joined := make([]byte, 0, 16*len(ids))
 		for i, id := range ids {
@@ -627,19 +574,7 @@ func (r *Runner) tryCommit() {
 				"attempts", fmt.Sprint(t.attempt+1), "steps", fmt.Sprint(t.seq))
 		}
 	}
-	// Committed authors no longer create dependencies.
-	for x, a := range r.author {
-		if r.txns[r.byID[a.txn]].status == stCommitted {
-			delete(r.author, x)
-		}
-	}
-	for _, t := range r.txns {
-		for dep := range t.deps {
-			if di, ok := r.byID[dep]; ok && r.txns[di].status == stCommitted {
-				delete(t.deps, dep)
-			}
-		}
-	}
+	r.led.Committed(ids)
 }
 
 // abort rolls back the victims plus everything that observed their values,
@@ -657,7 +592,6 @@ func (r *Runner) abort(victims []model.TxnID, stall bool) {
 	canPartial := r.caps.AbortedTo != nil && r.cfg.PartialRecovery
 
 	keep := make(map[model.TxnID]int) // victim -> kept seq (0 = full)
-	var frontier []model.TxnID
 	for _, v := range victims {
 		vi, ok := r.byID[v]
 		if !ok {
@@ -684,37 +618,17 @@ func (r *Runner) abort(victims []model.TxnID, stall bool) {
 			}
 		}
 		keep[v] = k
-		frontier = append(frontier, v)
-	}
-	// Close under value dependents of the undone suffixes: anyone who
-	// observed a value authored at a seq beyond the kept prefix must fully
-	// abort.
-	for len(frontier) > 0 {
-		var next []model.TxnID
-		for _, t := range r.txns {
-			if t.status == stCommitted || (t.status == stIdle && t.seq == 0) {
-				continue // committed, or holds no live records
-			}
-			if k, hit := keep[t.id]; hit && k == 0 {
-				continue // already a full victim
-			}
-			for _, f := range frontier {
-				if d, ok := t.deps[f]; ok && d > keep[f] {
-					if _, already := keep[t.id]; !already && !stall {
-						r.stats.Cascades++
-					}
-					if k, had := keep[t.id]; !had || k > 0 {
-						keep[t.id] = 0 // cascades are full aborts
-						next = append(next, t.id)
-					}
-					break
-				}
-			}
-		}
-		frontier = next
 	}
 	if len(keep) == 0 {
 		return
+	}
+	// Anyone who observed a value authored beyond a kept prefix must fully
+	// abort with the victims; cascades forced by a stall break are not
+	// counted.
+	named := len(keep)
+	ids := r.led.Close(keep)
+	if !stall {
+		r.stats.Cascades += len(ids) - named
 	}
 	if err := r.store.AbortSuffix(keep); err != nil {
 		// The dependency closure above should make this unreachable; an
@@ -722,11 +636,6 @@ func (r *Runner) abort(victims []model.TxnID, stall bool) {
 		// via the trace validation; keep running.
 		panic(err)
 	}
-	ids := make([]model.TxnID, 0, len(keep))
-	for id := range keep {
-		ids = append(ids, id)
-	}
-	model.SortTxnIDs(ids)
 	var fullIDs []model.TxnID
 	rank := 0
 	for _, id := range ids {
@@ -760,7 +669,7 @@ func (r *Runner) abort(victims []model.TxnID, stall bool) {
 	if len(fullIDs) > 0 {
 		r.control.Aborted(fullIDs)
 	}
-	r.rebuildAuthors()
+	r.led.RolledBack(keep, r.liveSteps)
 	r.offerWaiters()
 }
 
@@ -775,7 +684,6 @@ func (r *Runner) fullRollback(ti, rank int) {
 	t.bound2 = 0
 	t.lastKeep = -1
 	t.partialStreak = 0
-	t.deps = make(map[model.TxnID]int)
 	delete(r.waiters, ti)
 	r.stats.Aborts++
 	r.stats.Restarts++
@@ -788,7 +696,7 @@ func (r *Runner) fullRollback(ti, rank int) {
 		exp = 4
 	}
 	window := r.cfg.RestartDelay << uint(exp)
-	jitter := int64(hashString(fmt.Sprintf("%s/%d", t.id, t.attempt))) % window
+	jitter := int64(hashString(fmt.Sprintf("%s/%d", t.ID, t.attempt))) % window
 	delay := r.cfg.RestartDelay*(int64(rank)+1) + jitter
 	r.push(r.now+delay, evBegin, ti, t.attempt)
 }
@@ -821,10 +729,6 @@ func (r *Runner) partialRollback(ti, keepSeq int) {
 	if t.bound2 > keepSeq {
 		t.bound2 = keepSeq
 	}
-	// Dependencies on undone suffixes of OTHER transactions cannot remain:
-	// if they existed, this transaction would have cascaded to a full
-	// abort. Its own deps stay valid for the kept prefix... conservatively
-	// keep them (over-approximation is safe for commit ordering).
 	t.status = stIdle
 	delete(r.waiters, ti)
 	r.stats.Aborts++
@@ -836,24 +740,17 @@ func (r *Runner) partialRollback(ti, keepSeq int) {
 		streak = 4
 	}
 	window := r.cfg.RestartDelay << uint(streak)
-	jitter := int64(hashString(fmt.Sprintf("%s@%d/%d", t.id, keepSeq, t.partialStreak))) % window
+	jitter := int64(hashString(fmt.Sprintf("%s@%d/%d", t.ID, keepSeq, t.partialStreak))) % window
 	r.push(r.now+r.cfg.RestartDelay+jitter, evArrive, ti, t.attempt)
 }
 
-// rebuildAuthors recomputes, after a rollback, which uncommitted
-// transaction authored each entity's current value.
-func (r *Runner) rebuildAuthors() {
-	r.author = make(map[model.EntityID]authorRef)
+// liveSteps enumerates the uncommitted steps that survive in the store, in
+// performance order (a rolled-back attempt's entries no longer carry their
+// transaction's attempt number).
+func (r *Runner) liveSteps(yield func(model.Step)) {
 	for _, te := range r.trace {
-		t := r.txns[te.txn]
-		if te.attempt != t.attempt || t.status == stCommitted {
-			continue
-		}
-		if t.status == stIdle && t.seq == 0 {
-			continue // fully aborted, awaiting restart
-		}
-		if te.step.After != te.step.Before {
-			r.author[te.step.Entity] = authorRef{txn: t.id, seq: te.step.Seq}
+		if t := r.txns[te.txn]; te.attempt == t.attempt && t.status != stCommitted {
+			yield(te.step)
 		}
 	}
 }
@@ -937,7 +834,7 @@ func (r *Runner) breakStall() bool {
 	}
 	victims := make([]model.TxnID, 0, nv)
 	for _, ti := range order[:nv] {
-		victims = append(victims, r.txns[ti].id)
+		victims = append(victims, r.txns[ti].ID)
 	}
 	r.stats.StallBreaks++
 	r.abort(victims, true)

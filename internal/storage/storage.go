@@ -6,9 +6,10 @@
 // Rollback restores before-images by walking the log backwards. That is
 // correct only when the aborted set is closed under value dependencies:
 // every transaction that observed a value written by an aborted transaction
-// must itself be in the set. The scheduler layer (internal/sched and
-// internal/sim) maintains that closure; Store checks the resulting value
-// chain and reports violations rather than silently corrupting state.
+// must itself be in the set. The Ledger in this package computes that
+// closure (and the commit groups the same dependencies force) for both
+// executors; Store checks the resulting value chain and reports violations
+// rather than silently corrupting state.
 package storage
 
 import (
@@ -72,37 +73,13 @@ func (s *Store) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.V
 // dependency-closed); the store is still left with the set's effects
 // removed, but the caller's schedule is unsound.
 func (s *Store) Abort(set map[model.TxnID]bool) error {
-	var unsound error
-	for i := len(s.log) - 1; i >= 0; i-- {
-		r := &s.log[i]
-		if r.dead || !set[r.txn] {
-			continue
-		}
-		if r.before == r.after {
-			// A value-preserving access (pure read, zero-amount deposit)
-			// needs no undo, and later writers legitimately do not depend
-			// on it — restoring would clobber their values.
-			r.dead = true
-			s.live--
-			continue
-		}
-		if cur := s.vals[r.entity]; cur != r.after && unsound == nil {
-			// Someone outside the set overwrote after us and was not undone
-			// first: dependency closure was violated.
-			unsound = fmt.Errorf("storage: abort set not dependency-closed at %s seq %d entity %s (value %d, expected %d)",
-				r.txn, r.seq, r.entity, cur, r.after)
-		}
-		s.vals[r.entity] = r.before
-		r.dead = true
-		s.live--
-	}
+	err := s.undo(func(r *record) bool { return set[r.txn] })
 	// A full abort kills every record of the set, so the index entries
 	// are all dead; drop them (restarts re-index from scratch).
 	for t := range set {
 		delete(s.byTxn, t)
 	}
-	s.maybeCompact()
-	return unsound
+	return err
 }
 
 // AbortSuffix rolls back each transaction in keep to its given sequence
@@ -113,25 +90,36 @@ func (s *Store) Abort(set map[model.TxnID]bool) error {
 // every surviving step that observed an undone value must itself be in the
 // undone suffix of its transaction, or the error is reported.
 func (s *Store) AbortSuffix(keep map[model.TxnID]int) error {
+	return s.undo(func(r *record) bool {
+		k, ok := keep[r.txn]
+		return ok && r.seq > k
+	})
+}
+
+// undo is the one rollback loop: it walks the log backwards and restores
+// the before-image of every live record the caller selects.
+func (s *Store) undo(selected func(*record) bool) error {
 	var unsound error
 	for i := len(s.log) - 1; i >= 0; i-- {
 		r := &s.log[i]
-		k, ok := keep[r.txn]
-		if r.dead || !ok || r.seq <= k {
+		if r.dead || !selected(r) {
 			continue
 		}
+		r.dead = true
+		s.live--
 		if r.before == r.after {
-			r.dead = true
-			s.live--
+			// A value-preserving access (pure read, zero-amount deposit)
+			// needs no undo, and later writers legitimately do not depend
+			// on it — restoring would clobber their values.
 			continue
 		}
 		if cur := s.vals[r.entity]; cur != r.after && unsound == nil {
-			unsound = fmt.Errorf("storage: partial abort not dependency-closed at %s seq %d entity %s (value %d, expected %d)",
+			// Someone outside the undone set overwrote after us and was not
+			// undone first: dependency closure was violated.
+			unsound = fmt.Errorf("storage: rollback not dependency-closed at %s seq %d entity %s (value %d, expected %d)",
 				r.txn, r.seq, r.entity, cur, r.after)
 		}
 		s.vals[r.entity] = r.before
-		r.dead = true
-		s.live--
 	}
 	s.maybeCompact()
 	return unsound
@@ -149,6 +137,13 @@ func (s *Store) Commit(t model.TxnID) {
 	}
 	delete(s.byTxn, t)
 	s.maybeCompact()
+}
+
+// CommitGroup commits every member of a commit group (see Ledger.Group).
+func (s *Store) CommitGroup(ids []model.TxnID) {
+	for _, t := range ids {
+		s.Commit(t)
+	}
 }
 
 func (s *Store) maybeCompact() {

@@ -576,7 +576,11 @@ func (db *DB) AbortSuffix(keep map[model.TxnID]int) error {
 			return err
 		}
 	}
-	for t, k := range keep {
+	// Markers in id order, not map order: the log of a rollback must be a
+	// function of the run, or a crash point counted into the middle of the
+	// markers would not replay from its seed.
+	for _, t := range model.SortedKeys(keep) {
+		k := keep[t]
 		var kept []Record
 		for _, r := range db.live[t] {
 			if r.Seq <= k {

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mla/internal/model"
@@ -259,6 +261,36 @@ func TestAbortSuffixPartialThenCrash(t *testing.T) {
 	}
 	if db2.Get("x") != 0 || db2.Get("y") != 0 {
 		t.Errorf("loser prefix survived: x=%d y=%d", db2.Get("x"), db2.Get("y"))
+	}
+}
+
+// TestAbortSuffixLogIsDeterministic: the log of a cascading rollback is a
+// function of the operations — the same eight victims rolled back twice
+// write the same record stream (the Abort markers once followed keep's map
+// order) — so a crash point counted into the rollback replays from its seed.
+func TestAbortSuffixLogIsDeterministic(t *testing.T) {
+	run := func() []Record {
+		db, err := Open(NewMedium(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := make(map[model.TxnID]int)
+		for i := 0; i < 8; i++ {
+			id := model.TxnID(fmt.Sprintf("t%d", i))
+			mustPerform(t, db, id, 1, model.EntityID(fmt.Sprintf("x%d", i)), 1)
+			mustPerform(t, db, id, 2, model.EntityID(fmt.Sprintf("y%d", i)), 1)
+			keep[id] = i % 2 // whole and suffix-only victims alike
+		}
+		if err := db.AbortSuffix(keep); err != nil {
+			t.Fatal(err)
+		}
+		return db.Crash().Records()
+	}
+	want := run()
+	for i := 0; i < 10; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("repeat %d of the same rollback wrote a different log", i)
+		}
 	}
 }
 

@@ -41,6 +41,9 @@ if go run ./cmd/mlabench -exp E99 > /dev/null 2>&1; then
     echo "check.sh: mlabench -exp E99 should have been rejected" >&2
     exit 1
 fi
+# Replay oracle: the deterministic simulator tables and chaos scenarios must
+# be byte-identical to the committed golden (scripts/testdata/chaos_replay/).
+./scripts/chaos_replay.sh
 # Service front-end smoke: mlaserve serves a real listener, its own load
 # client offers an open-loop Poisson load with injected disconnects, a real
 # SIGTERM lands mid-run, and the drain is audited — every 200-acked
