@@ -598,7 +598,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.Prog
 			return true, nil // rolled back meanwhile
 		}
 		if !more {
-			t.Finished = true
+			e.led.Finish(&t.Txn)
 			e.control.Finished(id)
 			e.tryCommitLocked()
 			e.bump()

@@ -423,7 +423,7 @@ func killedOutcome(reason int8, restarts int) Outcome {
 // a retaining batch engine keeps it for survivors()) and runs the caller's
 // Cleanup hook under the engine mutex. It also discards any lock residue
 // unconditionally: on the clean outcomes the control already released
-// everything (Finished/Aborted), so this is a no-op, but a submission
+// everything (Finished/Aborted), so this releases nothing, but a submission
 // abandoned mid-attempt by Close — or a racing concurrent-control grant to
 // the dead attempt — must not leave a lock behind for a session that keeps
 // running other tenants.

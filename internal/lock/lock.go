@@ -77,26 +77,21 @@ func NewManager() *Manager {
 // Wound, victim is the current holder, which the caller must abort (its
 // locks are released by Release) before retrying.
 func (m *Manager) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID) int64) (Outcome, model.TxnID) {
-	ok, h := m.TryAcquire(t, x)
-	if ok {
-		return Granted, ""
-	}
-	if prio(t) < prio(h) {
-		return Wound, h
-	}
-	return Wait, h
+	out, h, _ := m.acquire(t, x, prio)
+	return out, h
 }
 
-// TryAcquire takes the lock when it is free or already held by t, otherwise
-// reporting the current holder. Callers that prefer deadlock detection over
-// wound-wait use this directly.
-func (m *Manager) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID) {
-	h, locked := m.holder[x]
-	if locked {
-		if h == t {
-			return true, ""
+// acquire is Acquire that also reports whether the grant is t's first lock
+// in this table, which Striped records in its held-stripe index.
+func (m *Manager) acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID) int64) (Outcome, model.TxnID, bool) {
+	if h, locked := m.holder[x]; locked {
+		switch {
+		case h == t:
+			return Granted, "", false
+		case prio(t) < prio(h):
+			return Wound, h, false
 		}
-		return false, h
+		return Wait, h, false
 	}
 	m.holder[x] = t
 	hs, have := m.held[t]
@@ -105,7 +100,15 @@ func (m *Manager) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID
 		m.free = m.free[:len(m.free)-1]
 	}
 	m.held[t] = append(hs, x)
-	return true, ""
+	return Granted, "", !have
+}
+
+// TryAcquire takes the lock when it is free or already held by t, otherwise
+// reporting the current holder. Callers that prefer deadlock detection over
+// wound-wait use this directly.
+func (m *Manager) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID) {
+	out, h := m.Acquire(t, x, func(model.TxnID) int64 { return 0 }) // equal priorities never wound
+	return out == Granted, h
 }
 
 // Holds reports whether t holds the lock on x.
@@ -128,9 +131,7 @@ func (m *Manager) Release(t model.TxnID) {
 		return
 	}
 	for _, x := range hs {
-		if m.holder[x] == t {
-			delete(m.holder, x)
-		}
+		delete(m.holder, x) // held[t] lists exactly the entities t holds
 	}
 	delete(m.held, t)
 	if cap(hs) > 0 && len(m.free) < maxFreeHeld {

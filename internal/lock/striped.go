@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"math/bits"
 	"sync"
 
 	"mla/internal/model"
@@ -21,12 +22,23 @@ import (
 type Striped struct {
 	shards []stripe
 	mask   uint32
+	// index is the held-stripe index: per transaction, a mask of the shards
+	// where it holds a lock (shard i is bit i%64), striped by transaction
+	// hash (≥ 16 wide) so no mutex is shared by all transactions. A
+	// one-shard table has none: its only shard to visit is shard 0.
+	index []indexStripe
 }
 
 type stripe struct {
 	mu sync.Mutex
 	m  *Manager
-	_  [40]byte // pad to a cache line so shard mutexes don't false-share
+	_  [48]byte // pad to a 64-byte cache line so shard mutexes don't false-share
+}
+
+type indexStripe struct {
+	mu   sync.Mutex
+	held map[model.TxnID]uint64
+	_    [48]byte // as stripe
 }
 
 // NewStriped returns a manager with the given number of shards, rounded up
@@ -37,40 +49,53 @@ func NewStriped(shards int) *Striped {
 		n <<= 1
 	}
 	s := &Striped{shards: make([]stripe, n), mask: uint32(n - 1)}
+	if n > 1 {
+		s.index = make([]indexStripe, max(n, 16))
+	}
 	for i := range s.shards {
 		s.shards[i].m = NewManager()
+	}
+	for i := range s.index {
+		s.index[i].held = make(map[model.TxnID]uint64)
 	}
 	return s
 }
 
-// Shards returns the shard count.
-func (s *Striped) Shards() int { return len(s.shards) }
-
-// shardOf hashes an entity to its shard (FNV-1a).
-func (s *Striped) shardOf(x model.EntityID) *stripe {
+// fnv is FNV-1a: entities hash to shards, transactions to index stripes.
+func fnv[T ~string](x T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(x); i++ {
 		h = (h ^ uint32(x[i])) * 16777619
 	}
-	return &s.shards[h&s.mask]
+	return h
 }
 
+// shardOf hashes an entity to its shard.
+func (s *Striped) shardOf(x model.EntityID) *stripe { return &s.shards[fnv(x)&s.mask] }
+
 // Acquire attempts to take the exclusive lock on x for t under the
-// wound-wait rule; see Manager.Acquire. Only x's shard is locked.
+// wound-wait rule; see Manager.Acquire. Only x's shard is locked, and on
+// t's first lock there t's index stripe, to set the shard's bit.
 func (s *Striped) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID) int64) (Outcome, model.TxnID) {
-	sh := s.shardOf(x)
+	i := fnv(x) & s.mask
+	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.m.Acquire(t, x, prio)
+	out, h, first := sh.m.acquire(t, x, prio)
+	if first && s.index != nil {
+		ix := &s.index[fnv(t)&uint32(len(s.index)-1)]
+		ix.mu.Lock()
+		ix.held[t] |= 1 << (i % 64)
+		ix.mu.Unlock()
+	}
+	return out, h
 }
 
 // TryAcquire takes the lock when free or already held by t; see
 // Manager.TryAcquire.
 func (s *Striped) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID) {
-	sh := s.shardOf(x)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.m.TryAcquire(t, x)
+	out, h := s.Acquire(t, x, func(model.TxnID) int64 { return 0 }) // equal priorities never wound
+	return out == Granted, h
 }
 
 // Holds reports whether t holds the lock on x.
@@ -81,35 +106,36 @@ func (s *Striped) Holds(t model.TxnID, x model.EntityID) bool {
 	return sh.m.Holds(t, x)
 }
 
-// Release frees every lock held by t across all shards (strict 2PL). Each
-// shard's work is O(locks t holds there); shards where t holds nothing cost
-// one uncontended lock/unlock.
+// Release frees every lock held by t (strict 2PL): it takes t's mask out of
+// the index and visits only the shards it names, so holding nothing costs
+// one index probe. An Acquire by t racing it lands in a shard still to be
+// visited, or sets a fresh bit that the next Release of t consumes.
 func (s *Striped) Release(t model.TxnID) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m.Release(t)
-		sh.mu.Unlock()
+	held := uint64(1) // a one-shard table has no index and visits shard 0
+	if s.index != nil {
+		ix := &s.index[fnv(t)&uint32(len(s.index)-1)]
+		ix.mu.Lock()
+		held = ix.held[t]
+		delete(ix.held, t)
+		ix.mu.Unlock()
+	}
+	for ; held != 0; held &= held - 1 {
+		for i := bits.TrailingZeros64(held); i < len(s.shards); i += 64 {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			sh.m.Release(t)
+			sh.mu.Unlock()
+		}
 	}
 }
 
-// Locked returns the number of currently locked entities, summed over
-// shards. The count is a consistent-per-shard snapshot, not a global one:
-// concurrent acquisitions may land between shard reads.
-func (s *Striped) Locked() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m.holder)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// Locked returns the number of currently locked entities; see Snapshot.
+func (s *Striped) Locked() int { return s.Snapshot().Locked }
 
 // Snapshot returns a value-copy of the table's counters summed over shards;
 // see Stats for the immutability contract. Holders counts per-shard holder
-// entries, so a transaction holding locks in k shards contributes k.
+// entries, so a transaction holding locks in k shards contributes k. Sums
+// are consistent per shard only: acquisitions may land between shard reads.
 func (s *Striped) Snapshot() Stats {
 	out := Stats{Shards: len(s.shards)}
 	for i := range s.shards {

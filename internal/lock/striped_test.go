@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"mla/internal/model"
 )
@@ -162,7 +163,9 @@ func TestStripedPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 // decisions an unsharded Manager makes — striping changes where state lives,
 // never what is decided. Every outcome (grant/wait/wound, reported holders,
 // victims, lock counts) is appended to a decision log per manager and the
-// logs are compared.
+// logs are compared. Releases include non-holders (a second release, a
+// transaction that never locked) and are followed by re-acquisition, the
+// sequences that exercise the held-stripe index.
 func TestStripedDecisionEquivalence(t *testing.T) {
 	txns := make([]model.TxnID, 7)
 	for i := range txns {
@@ -182,7 +185,7 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 		mgrs := []locker{NewManager(), NewStriped(1), NewStriped(8)}
 		logs := make([][]string, len(mgrs))
 		for op := 0; op < 500; op++ {
-			kind := rng.Intn(10)
+			kind := rng.Intn(12)
 			tx := txns[rng.Intn(len(txns))]
 			x := entities[rng.Intn(len(entities))]
 			for i, m := range mgrs {
@@ -191,6 +194,14 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 				case kind == 0:
 					m.Release(tx)
 					entry = fmt.Sprintf("release %s locked=%d", tx, m.Locked())
+				case kind == 10:
+					m.Release(tx)
+					m.Release(tx) // now a non-holder
+					out, victim := m.Acquire(tx, x, prio)
+					entry = fmt.Sprintf("release twice, reacquire %s %s -> %d %s locked=%d", tx, x, out, victim, m.Locked())
+				case kind == 11:
+					m.Release("never-locked")
+					entry = fmt.Sprintf("release stranger locked=%d", m.Locked())
 				case kind <= 5:
 					out, victim := m.Acquire(tx, x, prio)
 					entry = fmt.Sprintf("acquire %s %s -> %d %s", tx, x, out, victim)
@@ -213,6 +224,108 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 				t.Fatalf("seed=%d: final Locked %d vs %d", seed, a.Locked, b.Locked)
 			}
 		}
+		for _, m := range mgrs[1:] {
+			for _, tx := range txns {
+				m.Release(tx)
+			}
+			if n := indexLen(m.(*Striped)); n != 0 || m.Locked() != 0 {
+				t.Fatalf("seed=%d: after releasing everyone, %d index entries and %d locks", seed, n, m.Locked())
+			}
+		}
+	}
+}
+
+// indexLen counts the held-stripe index's entries.
+func indexLen(s *Striped) int {
+	n := 0
+	for i := range s.index {
+		ix := &s.index[i]
+		ix.mu.Lock()
+		n += len(ix.held)
+		ix.mu.Unlock()
+	}
+	return n
+}
+
+// TestStripePadding pins the cache-line padding the stripe comments promise:
+// neighbouring shard (and index) mutexes must not share a 64-byte line.
+func TestStripePadding(t *testing.T) {
+	if n := unsafe.Sizeof(stripe{}); n != 64 {
+		t.Errorf("stripe is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(indexStripe{}); n != 64 {
+		t.Errorf("indexStripe is %d bytes, want 64", n)
+	}
+}
+
+// TestStripedAcquireRacesRelease races Acquire against Release for the same
+// transaction — the engine's stale-grant case — and checks the residue
+// contract: whatever the race left, one more Release of t leaves no shard
+// holding t, no locked entity, and an empty held-stripe index.
+func TestStripedAcquireRacesRelease(t *testing.T) {
+	s := NewStriped(8)
+	entities := make([]model.EntityID, 24)
+	for i := range entities {
+		entities[i] = model.EntityID(fmt.Sprintf("e%d", i))
+	}
+	prio := func(model.TxnID) int64 { return 1 }
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		tx := model.TxnID(fmt.Sprintf("w%d", w))
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for op := 0; op < 3000; op++ {
+				s.Acquire(tx, entities[(op*7+w)%len(entities)], prio)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for op := 0; op < 3000; op++ {
+				s.Release(tx)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 0; w < 4; w++ {
+		tx := model.TxnID(fmt.Sprintf("w%d", w))
+		s.Release(tx)
+		for i := range s.shards {
+			if _, held := s.shards[i].m.held[tx]; held {
+				t.Fatalf("shard %d still holds locks of %s after the final Release", i, tx)
+			}
+		}
+	}
+	if st := s.Snapshot(); st.Locked != 0 || st.Holders != 0 {
+		t.Fatalf("non-empty final snapshot: %+v", st)
+	}
+	if n := indexLen(s); n != 0 {
+		t.Fatalf("held-stripe index keeps %d entries", n)
+	}
+}
+
+// TestStripedIndexBoundedByConcurrency churns many distinct transaction ids
+// through a window of 8 in flight, as a resident session does: the index
+// holds at most the window, and nothing once the window drains.
+func TestStripedIndexBoundedByConcurrency(t *testing.T) {
+	const window, churn = 8, 1 << 18
+	s := NewStriped(16)
+	id := func(i int) model.TxnID { return model.TxnID(fmt.Sprintf("s1-t%d", i)) }
+	for i := 0; i < churn+window; i++ {
+		if i < churn {
+			s.TryAcquire(id(i), model.EntityID(fmt.Sprintf("x%d", i%1000)))
+		}
+		if i >= window {
+			s.Release(id(i - window))
+		}
+		if i%4096 == 0 {
+			if n := indexLen(s); n > window {
+				t.Fatalf("after %d ids the index holds %d entries, window %d", i, n, window)
+			}
+		}
+	}
+	if n := indexLen(s); n != 0 || s.Locked() != 0 {
+		t.Fatalf("drained: %d index entries, %d locks", n, s.Locked())
 	}
 }
 

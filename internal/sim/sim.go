@@ -523,7 +523,7 @@ func (r *Runner) finish(ti int) {
 		return
 	}
 	t.status = stFinished
-	t.Finished = true
+	r.led.Finish(&t.Txn)
 	r.stats.Messages++ // result returns to the originator
 	r.control.Finished(t.ID)
 	r.tryCommit()

@@ -16,18 +16,19 @@ import "mla/internal/model"
 type Ledger struct {
 	txns   map[model.TxnID]*Txn
 	author map[model.EntityID]authorRef
-	// Scratch reused across calls, so the commit probe that follows every
-	// finish and the closure of an abort allocate nothing but their result.
-	group          map[model.TxnID]*Txn
+	// fin is the finished queue, with stale entries Group drops.
+	fin []*Txn
+	// Scratch reused across calls, so the closure of an abort allocates
+	// nothing but its result.
 	frontier, next []model.TxnID
 }
 
 // Txn is one transaction's entry in a Ledger. A host embeds it in its own
-// per-transaction record, sets Finished when the program has run to
-// completion, and reads the two marks the ledger sets.
+// per-transaction record, reports completion through Finish, and reads the
+// marks the ledger sets.
 type Txn struct {
 	ID       model.TxnID
-	Finished bool // wants to commit; cleared by a whole-transaction rollback
+	Finished bool // wants to commit; set by Finish, cleared by a whole-transaction rollback
 	// Decided: a commit group containing the transaction has formed. The
 	// decision is irrevocable — the transaction is immune to rollback and
 	// satisfies its dependents' dependencies — even while the host is still
@@ -37,6 +38,11 @@ type Txn struct {
 	Committed bool
 
 	deps map[model.TxnID]int // uncommitted author -> max author seq observed
+	// Entities it authored and transactions that depend on it (the reverse
+	// index); stale entries are checked against the live maps on use.
+	authored   []model.EntityID
+	dependents []model.TxnID
+	cand       bool // Group's candidate mark, false outside Group
 }
 
 // authorRef identifies the uncommitted step that wrote an entity's current
@@ -51,15 +57,14 @@ func NewLedger() *Ledger {
 	return &Ledger{
 		txns:   make(map[model.TxnID]*Txn),
 		author: make(map[model.EntityID]authorRef),
-		group:  make(map[model.TxnID]*Txn),
 	}
 }
 
-// Add registers t, reset, under id. The record's dependency map is kept for
-// reuse, so a host that recycles its records recycles the map with them.
+// Add registers t, reset, under id. The record's dependency map and lists
+// are kept for reuse, so a host that recycles its records recycles them too.
 func (l *Ledger) Add(t *Txn, id model.TxnID) {
 	clear(t.deps)
-	*t = Txn{ID: id, deps: t.deps}
+	*t = Txn{ID: id, deps: t.deps, authored: t.authored[:0], dependents: t.dependents[:0]}
 	l.txns[id] = t
 }
 
@@ -72,11 +77,18 @@ func (l *Ledger) Remove(id model.TxnID) { delete(l.txns, id) }
 // another uncommitted transaction ties t's fate to that step, and a step
 // that changed the value becomes its author.
 func (l *Ledger) Observe(t *Txn, s model.Step) {
-	if a, ok := l.author[s.Entity]; ok && a.txn != t.ID && a.seq > t.deps[a.txn] {
+	a, ok := l.author[s.Entity]
+	if seq, had := t.deps[a.txn]; ok && a.txn != t.ID && a.seq > seq {
 		if t.deps == nil {
 			t.deps = make(map[model.TxnID]int)
 		}
 		t.deps[a.txn] = a.seq
+		if at := l.txns[a.txn]; !had && at != nil {
+			at.dependents = append(at.dependents, t.ID)
+		}
+	}
+	if s.After != s.Before && (!ok || a.txn != t.ID) {
+		t.authored = append(t.authored, s.Entity)
 	}
 	l.wrote(s)
 }
@@ -87,6 +99,12 @@ func (l *Ledger) wrote(s model.Step) {
 	}
 }
 
+// Finish records that t ran to completion and wants to commit.
+func (l *Ledger) Finish(t *Txn) {
+	t.Finished = true
+	l.fin = append(l.fin, t)
+}
+
 // Group decides the next commit group: the largest set of finished,
 // undecided transactions whose every dependency lies in the set or is
 // already decided. Dependencies can cycle (t1 read from t2 and t2 from t1 on
@@ -94,56 +112,64 @@ func (l *Ledger) wrote(s model.Step) {
 // under multilevel atomicity chains; such transactions commit together. A
 // dependency on an author the ledger no longer knows blocks: only a host
 // that abandoned an attempt without rolling it back leaves one. Group
-// returns the members' ids sorted and marks them Decided, or nil when no
-// group forms.
+// returns the members' ids sorted and marks them Decided, or nil (and no
+// allocation) when no group forms. Only the finished queue is visited.
 func (l *Ledger) Group() []model.TxnID {
-	in := l.group
-	clear(in)
-	for id, t := range l.txns {
-		if t.Finished && !t.Decided {
-			in[id] = t
+	all, q := l.fin, l.fin[:0]
+	for _, t := range all {
+		if t.Finished && !t.Decided && !t.cand && l.txns[t.ID] == t {
+			t.cand = true
+			q = append(q, t)
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for id, t := range in {
+		for _, t := range q {
+			if !t.cand {
+				continue
+			}
 			for dep := range t.deps {
-				if d := l.txns[dep]; d == nil || !(d.Decided || in[dep] != nil) {
-					delete(in, id)
-					changed = true
+				if d := l.txns[dep]; d == nil || !(d.Decided || d.cand) {
+					t.cand, changed = false, true
 					break
 				}
 			}
 		}
 	}
-	if len(in) == 0 {
-		return nil
+	var ids []model.TxnID
+	l.fin = q[:0]
+	for _, t := range q {
+		if !t.cand {
+			l.fin = append(l.fin, t)
+			continue
+		}
+		t.cand, t.Decided = false, true
+		ids = append(ids, t.ID)
 	}
-	for _, t := range in {
-		t.Decided = true
-	}
-	return model.SortedKeys(in)
+	clear(all[len(l.fin):])
+	model.SortTxnIDs(ids)
+	return ids
 }
 
 // Committed records that the group ids is durable: its members are marked
 // and leave the ledger, and since a committed author no longer creates
-// dependencies, the values they authored and the dependencies on them go
-// too. Ids the host already removed are skipped.
+// dependencies, the values they authored and their dependents' dependencies
+// on them go too. Ids the host already removed are skipped.
 func (l *Ledger) Committed(ids []model.TxnID) {
 	for _, id := range ids {
 		if t := l.txns[id]; t != nil {
 			t.Committed = true
 			delete(l.txns, id)
-		}
-	}
-	for x, a := range l.author {
-		if l.txns[a.txn] == nil {
-			delete(l.author, x)
-		}
-	}
-	for _, t := range l.txns {
-		for _, id := range ids {
-			delete(t.deps, id)
+			for _, x := range t.authored {
+				if l.author[x].txn == id {
+					delete(l.author, x)
+				}
+			}
+			for _, d := range t.dependents {
+				if dt := l.txns[d]; dt != nil {
+					delete(dt.deps, id)
+				}
+			}
 		}
 	}
 }
@@ -161,15 +187,19 @@ func (l *Ledger) Close(keep map[model.TxnID]int) []model.TxnID {
 	}
 	for len(frontier) > 0 {
 		next = next[:0]
-		for id, t := range l.txns {
-			if k, victim := keep[id]; t.Decided || (victim && k == 0) {
+		for _, f := range frontier {
+			ft := l.txns[f]
+			if ft == nil {
 				continue
 			}
-			for _, f := range frontier {
+			for _, id := range ft.dependents {
+				t := l.txns[id]
+				if k, victim := keep[id]; t == nil || t.Decided || (victim && k == 0) {
+					continue
+				}
 				if seq, ok := t.deps[f]; ok && seq > keep[f] {
 					keep[id] = 0
 					next = append(next, id)
-					break
 				}
 			}
 		}
@@ -190,6 +220,7 @@ func (l *Ledger) RolledBack(keep map[model.TxnID]int, surviving func(yield func(
 		if t := l.txns[id]; t != nil && k == 0 {
 			clear(t.deps)
 			t.Finished = false
+			t.authored, t.dependents = t.authored[:0], t.dependents[:0]
 		}
 	}
 	clear(l.author)

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mla/internal/model"
@@ -67,7 +69,9 @@ func (c *ledgerCase) build() (*Ledger, map[model.TxnID]*Txn) {
 		l.Observe(recs[s.Txn], s)
 	}
 	for _, id := range c.ids {
-		recs[id].Finished = c.finished[id]
+		if c.finished[id] {
+			l.Finish(recs[id])
+		}
 		recs[id].Decided = c.decided[id]
 		if c.gone[id] {
 			l.Remove(id)
@@ -250,4 +254,314 @@ func nonEmpty(m map[model.TxnID]int) map[model.TxnID]int {
 		return nil
 	}
 	return m
+}
+
+// wholeMapLedger is the ledger before the finished queue and the reverse
+// index, kept as the oracle for TestLedgerAgainstWholeMap: Group scans every
+// transaction, Committed scans every author and every dependency map, Close
+// scans every transaction each round.
+type wholeMapLedger struct {
+	txns   map[model.TxnID]*wholeMapTxn
+	author map[model.EntityID]authorRef
+}
+
+type wholeMapTxn struct {
+	finished, decided bool
+	deps              map[model.TxnID]int
+}
+
+func (o *wholeMapLedger) observe(id model.TxnID, s model.Step) {
+	t := o.txns[id]
+	if a, ok := o.author[s.Entity]; ok && a.txn != id && a.seq > t.deps[a.txn] {
+		t.deps[a.txn] = a.seq
+	}
+	o.wrote(s)
+}
+
+func (o *wholeMapLedger) wrote(s model.Step) {
+	if s.After != s.Before {
+		o.author[s.Entity] = authorRef{txn: s.Txn, seq: s.Seq}
+	}
+}
+
+func (o *wholeMapLedger) group() []model.TxnID {
+	in := map[model.TxnID]bool{}
+	for id, t := range o.txns {
+		if t.finished && !t.decided {
+			in[id] = true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for id := range in {
+			for dep := range o.txns[id].deps {
+				if d := o.txns[dep]; d == nil || !(d.decided || in[dep]) {
+					delete(in, id)
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	if len(in) == 0 {
+		return nil
+	}
+	for id := range in {
+		o.txns[id].decided = true
+	}
+	return model.SortedKeys(in)
+}
+
+func (o *wholeMapLedger) committed(ids []model.TxnID) {
+	for _, id := range ids {
+		delete(o.txns, id)
+	}
+	for x, a := range o.author {
+		if o.txns[a.txn] == nil {
+			delete(o.author, x)
+		}
+	}
+	for _, t := range o.txns {
+		for _, id := range ids {
+			delete(t.deps, id)
+		}
+	}
+}
+
+func (o *wholeMapLedger) close(keep map[model.TxnID]int) []model.TxnID {
+	frontier := model.SortedKeys(keep)
+	for len(frontier) > 0 {
+		var next []model.TxnID
+		for id, t := range o.txns {
+			if k, victim := keep[id]; t.decided || (victim && k == 0) {
+				continue
+			}
+			for _, f := range frontier {
+				if seq, ok := t.deps[f]; ok && seq > keep[f] {
+					keep[id] = 0
+					next = append(next, id)
+					break
+				}
+			}
+		}
+		frontier = next
+	}
+	return model.SortedKeys(keep)
+}
+
+func (o *wholeMapLedger) rolledBack(keep map[model.TxnID]int, surviving []model.Step) {
+	for id, k := range keep {
+		if t := o.txns[id]; t != nil && k == 0 {
+			clear(t.deps)
+			t.finished = false
+		}
+	}
+	clear(o.author)
+	for _, s := range surviving {
+		o.wrote(s)
+	}
+}
+
+// TestLedgerAgainstWholeMap drives the ledger and the whole-map oracle
+// through random host histories — Add (recycling retired records and
+// reusing retired ids), Observe, Finish, Group, Committed (in decision
+// order, as a pipelined store acknowledges), Close with whole and partial
+// victims, RolledBack, Remove — and compares them call by call: the same
+// groups, the same closures, the same authors, dependencies and marks. After
+// every call it also checks what the per-footprint bookkeeping must
+// preserve: no author or dependency names a committed or removed id, every
+// dependency is in its author's reverse index, and every finished,
+// undecided transaction is in the finished queue.
+func TestLedgerAgainstWholeMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var groups, cascades, partials, recycled int
+	for trial := 0; trial < 300; trial++ {
+		l := NewLedger()
+		o := &wholeMapLedger{txns: map[model.TxnID]*wholeMapTxn{}, author: map[model.EntityID]authorRef{}}
+		recs := map[model.TxnID]*Txn{}
+		seq := map[model.TxnID]int{}
+		var free []*Txn
+		var trace []model.Step      // the uncommitted steps that survive, in order
+		var pending [][]model.TxnID // decided groups awaiting Committed
+		vals := map[model.EntityID]model.Value{}
+		next := 0
+
+		live := func(ok func(*Txn) bool) []model.TxnID {
+			var ids []model.TxnID
+			for id, r := range recs {
+				if ok(r) {
+					ids = append(ids, id)
+				}
+			}
+			model.SortTxnIDs(ids)
+			return ids
+		}
+		pick := func(ids []model.TxnID) model.TxnID { return ids[rng.Intn(len(ids))] }
+		check := func(op string) {
+			t.Helper()
+			for x, a := range l.author {
+				if l.txns[a.txn] == nil {
+					t.Fatalf("trial %d after %s: %s authored by %s, which left the ledger", trial, op, x, a.txn)
+				}
+			}
+			if !reflect.DeepEqual(l.author, o.author) {
+				t.Fatalf("trial %d after %s: authors %v, oracle %v", trial, op, l.author, o.author)
+			}
+			if len(l.txns) != len(o.txns) {
+				t.Fatalf("trial %d after %s: %d transactions, oracle %d", trial, op, len(l.txns), len(o.txns))
+			}
+			for id, r := range l.txns {
+				ot := o.txns[id]
+				if ot == nil || r.Finished != ot.finished || r.Decided != ot.decided ||
+					!reflect.DeepEqual(nonEmpty(r.deps), nonEmpty(ot.deps)) {
+					t.Fatalf("trial %d after %s: %s is %+v, oracle %+v", trial, op, id, r, ot)
+				}
+				for dep := range r.deps {
+					if l.txns[dep] == nil {
+						t.Fatalf("trial %d after %s: %s depends on %s, which left the ledger", trial, op, id, dep)
+					}
+					if !slices.Contains(l.txns[dep].dependents, id) {
+						t.Fatalf("trial %d after %s: %s depends on %s but is not in its reverse index", trial, op, id, dep)
+					}
+				}
+				if r.Finished && !r.Decided && !slices.Contains(l.fin, r) {
+					t.Fatalf("trial %d after %s: finished %s is not queued", trial, op, id)
+				}
+			}
+		}
+
+		for op := 0; op < 200; op++ {
+			switch k := rng.Intn(20); {
+			case k < 3 || len(recs) == 0: // Add, reusing a retired id and record when there is one
+				id := model.TxnID(fmt.Sprintf("t%d", next%12))
+				next++
+				if recs[id] != nil {
+					continue
+				}
+				r := new(Txn)
+				if len(free) > 0 {
+					r, free = free[len(free)-1], free[:len(free)-1]
+					recycled++
+				}
+				l.Add(r, id)
+				o.txns[id] = &wholeMapTxn{deps: map[model.TxnID]int{}}
+				recs[id], seq[id] = r, 0
+				check("add " + string(id))
+			case k < 10: // Observe a step of a running transaction
+				ids := live(func(r *Txn) bool { return !r.Finished && !r.Decided && !r.Committed })
+				if len(ids) == 0 {
+					continue
+				}
+				id := pick(ids)
+				x := model.EntityID(fmt.Sprintf("x%d", rng.Intn(5)))
+				s := model.Step{Txn: id, Seq: seq[id] + 1, Entity: x, Before: vals[x], After: vals[x] + model.Value(rng.Intn(2))}
+				vals[x] = s.After
+				seq[id]++
+				trace = append(trace, s)
+				l.Observe(recs[id], s)
+				o.observe(id, s)
+				check("observe " + string(id))
+			case k < 12: // Finish
+				ids := live(func(r *Txn) bool { return !r.Finished && !r.Decided && !r.Committed })
+				if len(ids) == 0 {
+					continue
+				}
+				id := pick(ids)
+				l.Finish(recs[id])
+				o.txns[id].finished = true
+				check("finish " + string(id))
+			case k < 14: // Group
+				got, want := l.Group(), o.group()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: Group = %v, oracle %v", trial, got, want)
+				}
+				if got != nil {
+					pending = append(pending, got)
+					if len(got) > 1 {
+						groups++
+					}
+				}
+				// Group leaves only live candidates in the queue, each once.
+				seen := map[*Txn]bool{}
+				for _, r := range l.fin {
+					if seen[r] || !r.Finished || r.Decided || l.txns[r.ID] != r {
+						t.Fatalf("trial %d: after Group the queue holds %+v (duplicate %v)", trial, r, seen[r])
+					}
+					seen[r] = true
+				}
+				check("group")
+			case k < 16: // Committed, oldest decided group first; sometimes retire the members
+				if len(pending) == 0 {
+					continue
+				}
+				ids := pending[0]
+				pending = pending[1:]
+				l.Committed(ids)
+				o.committed(ids)
+				trace = slices.DeleteFunc(trace, func(s model.Step) bool { return slices.Contains(ids, s.Txn) })
+				for _, id := range ids {
+					if !recs[id].Committed {
+						t.Fatalf("trial %d: committed %s not marked", trial, id)
+					}
+					if rng.Intn(2) == 0 {
+						l.Remove(id)
+						free = append(free, recs[id])
+						delete(recs, id)
+					}
+				}
+				check("committed")
+			case k < 18: // Close + RolledBack over random undecided victims
+				ids := live(func(r *Txn) bool { return !r.Decided })
+				keep := map[model.TxnID]int{}
+				for _, id := range ids {
+					if rng.Intn(3) == 0 {
+						keep[id] = 0
+						if !recs[id].Finished && seq[id] > 1 && rng.Intn(2) == 0 {
+							keep[id] = 1 + rng.Intn(seq[id]-1)
+							partials++
+						}
+					}
+				}
+				if len(keep) == 0 {
+					continue
+				}
+				named := len(keep)
+				okeep := maps.Clone(keep)
+				got, want := l.Close(keep), o.close(okeep)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(keep, okeep) {
+					t.Fatalf("trial %d: Close = %v %v, oracle %v %v", trial, got, keep, want, okeep)
+				}
+				cascades += len(keep) - named
+				trace = slices.DeleteFunc(trace, func(s model.Step) bool {
+					k, undone := keep[s.Txn]
+					return undone && s.Seq > k
+				})
+				for id, k := range keep {
+					seq[id] = k
+				}
+				l.RolledBack(keep, func(yield func(model.Step)) {
+					for _, s := range trace {
+						yield(s)
+					}
+				})
+				o.rolledBack(keep, trace)
+				check("rollback")
+			default: // Remove a wholly rolled-back transaction that has not restarted
+				ids := live(func(r *Txn) bool { return !r.Finished && !r.Decided && seq[r.ID] == 0 })
+				if len(ids) == 0 {
+					continue
+				}
+				id := pick(ids)
+				l.Remove(id)
+				delete(o.txns, id)
+				free = append(free, recs[id])
+				delete(recs, id)
+				check("remove " + string(id))
+			}
+		}
+	}
+	if groups == 0 || cascades == 0 || partials == 0 || recycled == 0 {
+		t.Fatalf("vacuous run: %d multi-member groups, %d cascades, %d partial victims, %d recycled records",
+			groups, cascades, partials, recycled)
+	}
 }
