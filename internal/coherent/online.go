@@ -2,6 +2,7 @@ package coherent
 
 import (
 	"math/bits"
+	"slices"
 
 	"mla/internal/model"
 )
@@ -57,16 +58,20 @@ type Online struct {
 	// Replayable state below; reset by rebuild.
 	txns    []model.TxnID
 	txnIdx  map[model.TxnID]int
-	stepTxn []int            // global step -> txn index
-	stepSeq []int            // global step -> 1-based seq
-	stepEnt []model.EntityID // global step -> entity
+	stepTxn []int // global step -> txn index
+	stepSeq []int // global step -> 1-based seq
+	stepEnt []int // global step -> entity row (chains)
 	perTxn  [][]int
 	coarse  [][]int // per txn: coarse[pos-1] = coarseness of cut after step pos (0 = none yet)
 
 	reach, pred []obitset
-	lastEntity  map[model.EntityID]int
-	chains      map[model.EntityID][]int // per entity: live accessor steps, in order
-	pinned      [][]obitset              // per txn, per level 2..k
+	pinned      [][]obitset // per txn, per level 2..k
+
+	// Per-entity access chains: entSlot maps an entity to its row of the
+	// chains slab, whose tail is the entity's last live accessor. A row
+	// that sealing or retraction empties stays mapped until a reset.
+	entSlot map[model.EntityID]int
+	chains  [][]int // per entity row: live accessor steps, in order
 
 	// Retraction bookkeeping: dead marks tombstoned step slots (indices are
 	// never reused between rebuilds), liveSteps counts the rest, dirty is
@@ -99,15 +104,24 @@ type Online struct {
 	// Preview scratch, reused across collectPreds calls. Online is driven
 	// under its owner's serialization (the engine mutex or the simulator
 	// loop), so struct-owned scratch needs no locking. pvMax holds, per
-	// transaction index, the max seq seen during the current preview; its
-	// entries are zero between calls (touched entries are re-zeroed by the
-	// caller), so growing it lazily never needs a wipe. pvLv[u] is
+	// transaction index, the max seq seen during the last preview; only the
+	// entries pvTouched lists are nonzero (linkSink or the next collectPreds
+	// re-zeroes them), so growing it lazily never needs a wipe. pvLv[u] is
 	// level(u, t), valid while pvMax[u] != 0.
 	pvVisited obitset
 	pvStack   []int
 	pvMax     []int
 	pvLv      []int
 	pvTouched []int
+
+	// The preview handoff: the scratch previews a next step of pvTxn on
+	// pvEnt, and while pvFresh is set applyStep links that step from it
+	// instead of traversing again. applyStep, Retire and RebuildPartial
+	// clear it; AddCut need not (a cut lands after a transaction's latest
+	// step, which no mate walk reaches), and PopStep follows an applyStep.
+	pvTxn   model.TxnID
+	pvEnt   model.EntityID
+	pvFresh bool
 
 	// noSink (tests only) sends every step down process, so the closed-form
 	// insertion can be compared with the general rule.
@@ -233,6 +247,14 @@ func regrow[R ~[]E, E any](rows []R) []R {
 	return rows
 }
 
+// truncate empties every row, keeping each row's storage.
+func truncate[R ~[]E, E any](rows []R) []R {
+	for i := range rows {
+		rows[i] = rows[i][:0]
+	}
+	return rows
+}
+
 // reset empties the replayable state, keeping its storage: a sealing
 // closure resets every time it goes quiescent, so fresh maps and slices per
 // reset would be the dominant allocation of a steady run.
@@ -248,14 +270,13 @@ func (oc *Online) reset() {
 	oc.pinned = oc.pinned[:0]
 	oc.committed = oc.committed[:0]
 	oc.dead = oc.dead[:0]
+	oc.chains = oc.chains[:0]
 	if oc.txnIdx == nil {
 		oc.txnIdx = make(map[model.TxnID]int)
-		oc.lastEntity = make(map[model.EntityID]int)
-		oc.chains = make(map[model.EntityID][]int)
+		oc.entSlot = make(map[model.EntityID]int)
 	} else {
 		clear(oc.txnIdx)
-		clear(oc.lastEntity)
-		clear(oc.chains)
+		clear(oc.entSlot)
 	}
 	oc.nCommitted = 0
 	oc.liveSteps = 0
@@ -273,9 +294,20 @@ func (oc *Online) txn(t model.TxnID) int {
 	oc.perTxn = regrow(oc.perTxn)
 	oc.coarse = regrow(oc.coarse)
 	oc.pinned = regrow(oc.pinned)
-	oc.pinned[ti] = append(oc.pinned[ti], make([]obitset, oc.k+1)...)
+	oc.pinned[ti] = truncate(slices.Grow(oc.pinned[ti], oc.k+1)[:oc.k+1])
 	oc.committed = append(oc.committed, false)
 	return ti
+}
+
+// entity returns x's row of the chains slab, adding one on first sight.
+func (oc *Online) entity(x model.EntityID) int {
+	e, ok := oc.entSlot[x]
+	if !ok {
+		e = len(oc.chains)
+		oc.chains = regrow(oc.chains)
+		oc.entSlot[x] = e
+	}
+	return e
 }
 
 // AddStep appends a step of t on x, returning false when it closes a cycle
@@ -322,6 +354,7 @@ func (oc *Online) Rebuild(drop map[model.TxnID]bool) {
 // path (see tryRetract) and never replay; partial keeps, dirty relations,
 // and drops with live closure-successors fall back to filter-and-replay.
 func (oc *Online) RebuildPartial(keep map[model.TxnID]int) {
+	oc.pvFresh = false
 	if !oc.tryRetract(keep) {
 		seen := make(map[model.TxnID]int, len(keep))
 		kept := oc.events[:0]
@@ -447,24 +480,17 @@ func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
 			continue
 		}
 		for _, g := range oc.perTxn[ti] {
-			x := oc.stepEnt[g]
-			ch := oc.chains[x]
+			ch := oc.chains[oc.stepEnt[g]]
 			for len(ch) > 0 && (dying.has(ch[len(ch)-1]) || oc.dead.has(ch[len(ch)-1])) {
 				ch = ch[:len(ch)-1]
 			}
-			if len(ch) == 0 {
-				delete(oc.chains, x)
-				delete(oc.lastEntity, x)
-			} else {
-				oc.chains[x] = ch
-				oc.lastEntity[x] = ch[len(ch)-1]
-			}
+			oc.chains[oc.stepEnt[g]] = ch
 		}
 		// 3. The victim's per-transaction state resets; its txn slot is kept
 		// for reuse by a restarted attempt.
-		oc.perTxn[ti] = nil
-		oc.coarse[ti] = nil
-		oc.pinned[ti] = make([]obitset, oc.k+1)
+		oc.perTxn[ti] = oc.perTxn[ti][:0]
+		oc.coarse[ti] = oc.coarse[ti][:0]
+		truncate(oc.pinned[ti])
 	}
 	// 4. Tombstone the slots and mask the dead bits out of every live set.
 	// pred of a live step cannot contain a dying bit (that edge would make
@@ -481,8 +507,8 @@ func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
 func (oc *Online) bury(dying obitset, total int) {
 	dying.forEach(func(g int) {
 		oc.dead.set(g)
-		oc.reach[g] = nil
-		oc.pred[g] = nil
+		oc.reach[g] = oc.reach[g][:0]
+		oc.pred[g] = oc.pred[g][:0]
 	})
 	oc.liveSteps -= total
 	for g := range oc.stepTxn {
@@ -506,6 +532,7 @@ const compactSlack = 64
 // Retire records that t committed — it performs no further step and is
 // never rolled back — and seals whatever that makes reclaimable.
 func (oc *Online) Retire(t model.TxnID) {
+	oc.pvFresh = false
 	if _, ok := oc.txnIdx[t]; !ok {
 		// Nothing of t is in the closure (it never stepped, or was already
 		// sealed): there is nothing to hold on to.
@@ -587,18 +614,16 @@ func (oc *Online) seal() {
 		if !c || oc.evicted(ti, sealing) {
 			continue
 		}
-		// Per-entity chains lose their sealed prefixes.
+		// Per-entity chains lose their sealed prefixes, shifted out so
+		// that each row keeps the start of its storage.
 		for _, g := range oc.perTxn[ti] {
-			x := oc.stepEnt[g]
-			ch := oc.chains[x]
-			for len(ch) > 0 && sealing.has(ch[0]) {
-				ch = ch[1:]
+			ch := oc.chains[oc.stepEnt[g]]
+			n := 0
+			for n < len(ch) && sealing.has(ch[n]) {
+				n++
 			}
-			if len(ch) == 0 {
-				delete(oc.chains, x)
-				delete(oc.lastEntity, x)
-			} else {
-				oc.chains[x] = ch
+			if n > 0 {
+				oc.chains[oc.stepEnt[g]] = ch[:copy(ch, ch[n:])]
 			}
 		}
 		total += len(oc.perTxn[ti])
@@ -608,7 +633,7 @@ func (oc *Online) seal() {
 		// Emptied, not dropped: the slot is dead until a reset, which hands
 		// the rows' storage to whoever takes the slot next (regrow).
 		oc.perTxn[ti], oc.coarse[ti] = oc.perTxn[ti][:0], oc.coarse[ti][:0]
-		clear(oc.pinned[ti])
+		truncate(oc.pinned[ti])
 		oc.committed[ti] = false
 		oc.nCommitted--
 		if oc.OnSeal != nil {
@@ -677,16 +702,19 @@ func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 	ti := oc.txn(t)
 	// A transaction that owes no pinned successor gains a closure sink: see
 	// linkSink. The traversal must run before g becomes t's last step and
-	// x's last accessor.
+	// x's last accessor, unless a preview of this very step already ran it
+	// and nothing has changed since.
 	sink := !oc.noSink && oc.unpinned(ti)
-	if sink {
+	if sink && !(oc.pvFresh && oc.pvTxn == t && oc.pvEnt == x) {
 		oc.collectPreds(t, x)
 	}
+	oc.pvFresh = false
+	e := oc.entity(x)
 	g := len(oc.stepTxn)
 	seq := len(oc.perTxn[ti]) + 1
 	oc.stepTxn = append(oc.stepTxn, ti)
 	oc.stepSeq = append(oc.stepSeq, seq)
-	oc.stepEnt = append(oc.stepEnt, x)
+	oc.stepEnt = append(oc.stepEnt, e)
 	oc.reach = regrow(oc.reach)
 	oc.pred = regrow(oc.pred)
 	oc.liveSteps++
@@ -696,8 +724,8 @@ func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 		if seq > 1 {
 			oc.queue = append(oc.queue, [2]int{oc.perTxn[ti][seq-2], g})
 		}
-		if le, ok := oc.lastEntity[x]; ok {
-			oc.queue = append(oc.queue, [2]int{le, g})
+		if ch := oc.chains[e]; len(ch) > 0 {
+			oc.queue = append(oc.queue, [2]int{ch[len(ch)-1], g})
 		}
 		// Rule (b), future part: this step extends t's open segments, so it
 		// inherits every pinned successor obligation. Level 1 is included: a
@@ -712,8 +740,7 @@ func (oc *Online) applyStep(t model.TxnID, x model.EntityID) {
 
 	oc.perTxn[ti] = append(oc.perTxn[ti], g)
 	oc.coarse[ti] = append(oc.coarse[ti], 0) // boundary after seq not yet known
-	oc.lastEntity[x] = g
-	oc.chains[x] = append(oc.chains[x], g)
+	oc.chains[e] = append(oc.chains[e], g)
 	if sink {
 		oc.linkSink(g)
 	} else {
@@ -735,7 +762,7 @@ func (oc *Online) unpinned(ti int) bool {
 }
 
 // linkSink inserts step g of an unpinned transaction in closed form, from
-// the set collectPreds just left in the preview scratch. With no pin to
+// the set collectPreds left in the preview scratch. With no pin to
 // inherit, every pair process would derive for g ends in g — its generator
 // edges point into it, and transitivity and rule (b) only ever replace the
 // tail of such a pair — so g reaches nothing, no cycle can pass through it,
@@ -753,6 +780,7 @@ func (oc *Online) linkSink(g int) {
 		}
 		oc.pvMax[u] = 0
 	}
+	oc.pvTouched = oc.pvTouched[:0]
 }
 
 func (oc *Online) applyCut(t model.TxnID, coarse int) {
@@ -766,7 +794,7 @@ func (oc *Online) applyCut(t model.TxnID, coarse int) {
 	}
 	oc.coarse[ti][n-1] = coarse
 	for lv := coarse; lv <= oc.k; lv++ {
-		oc.pinned[ti][lv] = nil
+		oc.pinned[ti][lv] = oc.pinned[ti][lv][:0]
 	}
 }
 
@@ -862,7 +890,7 @@ func (oc *Online) Extent(t model.TxnID) int {
 // with u's already-performed steps in α's B(level(u,t)) segment;
 // transitivity pulls in all their ancestors. Per such u it also leaves u's
 // index in pvTouched, its latest member's seq in pvMax and level(u,t) in
-// pvLv; the caller re-zeroes the pvMax entries.
+// pvLv, and it marks the scratch a fresh preview of (t, x).
 //
 // Only the seeds and the rule-(b) mates go through the stack. pred rows are
 // transitively closed, so a step first met in a popped step's row brings no
@@ -876,7 +904,11 @@ func (oc *Online) collectPreds(t model.TxnID, x model.EntityID) {
 	oc.pvVisited = oc.pvVisited[:words]
 	clear(oc.pvVisited)
 	oc.pvStack = oc.pvStack[:0]
+	for _, u := range oc.pvTouched {
+		oc.pvMax[u] = 0
+	}
 	oc.pvTouched = oc.pvTouched[:0]
+	oc.pvTxn, oc.pvEnt, oc.pvFresh = t, x, true
 	if n := len(oc.txns); len(oc.pvMax) < n {
 		oc.pvMax = append(oc.pvMax, make([]int, n-len(oc.pvMax))...)
 		oc.pvLv = append(oc.pvLv, make([]int, n-len(oc.pvLv))...)
@@ -888,8 +920,10 @@ func (oc *Online) collectPreds(t model.TxnID, x model.EntityID) {
 			oc.pvVisit(oc.perTxn[ti][n-1])
 		}
 	}
-	if le, ok := oc.lastEntity[x]; ok && !oc.pvVisited.has(le) {
-		oc.pvVisit(le)
+	if e, ok := oc.entSlot[x]; ok {
+		if ch := oc.chains[e]; len(ch) > 0 && !oc.pvVisited.has(ch[len(ch)-1]) {
+			oc.pvVisit(ch[len(ch)-1])
+		}
 	}
 	for len(oc.pvStack) > 0 {
 		g := oc.pvStack[len(oc.pvStack)-1]
@@ -946,10 +980,11 @@ func (oc *Online) pvNote(g, self int, t model.TxnID) {
 // that would precede a hypothetical next step of t on x in the coherent
 // closure, WITHOUT mutating the closure: it calls f once per predecessor
 // transaction with that seq, in no particular order. The set is
-// collectPreds's — the very one linkSink inserts when the step is then
-// added — so what a control previews is what it gets (successor pins do not
-// affect a predecessor set). All traversal state lives in scratch on oc, so
-// steady-state calls allocate nothing; the callback must not re-enter oc.
+// collectPreds's, and an AddStep of this step with no mutation in between
+// inserts it from the same traversal, so what a control previews is what
+// it gets (successor pins do not affect a predecessor set). All traversal
+// state lives in scratch on oc, so steady-state calls allocate nothing; the
+// callback may read oc but must neither mutate it nor preview again.
 func (oc *Online) ForEachPredOfNewStep(t model.TxnID, x model.EntityID, f func(u model.TxnID, maxSeq int)) {
 	if len(oc.stepTxn) == 0 {
 		return
@@ -957,6 +992,5 @@ func (oc *Online) ForEachPredOfNewStep(t model.TxnID, x model.EntityID, f func(u
 	oc.collectPreds(t, x)
 	for _, u := range oc.pvTouched {
 		f(oc.txns[u], oc.pvMax[u])
-		oc.pvMax[u] = 0
 	}
 }

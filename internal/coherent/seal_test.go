@@ -22,10 +22,13 @@ type twins struct {
 	// check compares the twins after an operation on focus; all asks for
 	// the costly parts too. step is addStep unless a test wraps it to look
 	// at the twins on either side of an insertion. burst > 0 makes a fresh
-	// transaction take that many steps in a row, twice per history.
-	check func(focus model.TxnID, all bool)
-	step  func(id model.TxnID, x model.EntityID) bool
-	burst int
+	// transaction take that many steps in a row, twice per history. commit
+	// retires active[i] on both twins and puts a fresh transaction in its
+	// place.
+	check  func(focus model.TxnID, all bool)
+	step   func(id model.TxnID, x model.EntityID) bool
+	burst  int
+	commit func(i int)
 }
 
 // addStep appends the step to both twins and returns their common verdict.
@@ -182,6 +185,7 @@ func playHistory(t *testing.T, seed int64, tally *historyTally, configure func(w
 			tally.lingered++
 		}
 	}
+	w.commit = commit
 	drop := func(id model.TxnID) {
 		before := tally.sealed
 		w.got.Rebuild(map[model.TxnID]bool{id: true})

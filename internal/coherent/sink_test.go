@@ -2,6 +2,7 @@ package coherent
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -53,11 +54,17 @@ type sinkTally struct {
 	closedForm, pairwise int
 }
 
+// sinkStep reports whether oc inserts t's next step in closed form.
+func sinkStep(oc *Online, t model.TxnID) bool {
+	ti, known := oc.txnIdx[t]
+	return !known || oc.unpinned(ti)
+}
+
 // playSinkHistories drives a closure that inserts unpinned transactions'
 // steps in closed form (linkSink) and a twin sent down process always
 // (noSink) through playHistory's histories, with lone 64-step transactions
 // added. Every insertion is classified by the path got takes; preview,
-// when set, also runs around each one.
+// when set, also runs around each one, and may mutate both twins first.
 func playSinkHistories(t *testing.T, histories int, preview func(w *twins, id model.TxnID, x model.EntityID, closedForm bool) func()) sinkTally {
 	var tally sinkTally
 	for seed := int64(1); seed <= int64(histories); seed++ {
@@ -66,12 +73,11 @@ func playSinkHistories(t *testing.T, histories int, preview func(w *twins, id mo
 			w.burst = 64
 			w.check = w.compareSlots
 			w.step = func(id model.TxnID, x model.EntityID) bool {
-				ti, known := w.got.txnIdx[id]
-				closedForm := !known || w.got.unpinned(ti)
 				var after func()
 				if preview != nil {
-					after = preview(w, id, x, closedForm)
+					after = preview(w, id, x, sinkStep(w.got, id))
 				}
+				closedForm := sinkStep(w.got, id)
 				ok := w.addStep(id, x)
 				switch {
 				case !ok:
@@ -118,8 +124,9 @@ func TestSinkInsertEquivalence(t *testing.T) {
 // inserts. For every closed-form insert, the (transaction, max seq) pairs
 // ForEachPredOfNewStep reported immediately before equal the
 // per-transaction max over the new step's pred row immediately after; the
-// pairwise twin's preview must agree too. It holds by construction while
-// the preview and linkSink share collectPreds.
+// pairwise twin's preview must agree too. The insert links the preview's
+// own traversal here, so this checks the handoff with nothing in between;
+// TestStalePreviewEquivalence puts mutations between the two.
 func TestPreviewIsInsertedPred(t *testing.T) {
 	checked := 0
 	playSinkHistories(t, 100, func(w *twins, id model.TxnID, x model.EntityID, closedForm bool) func() {
@@ -148,6 +155,72 @@ func TestPreviewIsInsertedPred(t *testing.T) {
 		t.Fatal("no closed-form insert was checked")
 	}
 	t.Logf("%d closed-form inserts checked", checked)
+}
+
+// TestStalePreviewEquivalence: an insert stays exact whatever falls between
+// it and its preview. got previews every step; then, some of the time,
+// one mutation lands on both twins before the previewed step is added:
+// another transaction's step (popped and rolled back if it closes a cycle),
+// a cut, another transaction's commit, or a rollback. ref never previews.
+// After every operation the twins agree slot for slot, as in
+// TestSinkInsertEquivalence, and the counters keep every kind non-vacuous.
+func TestStalePreviewEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	kinds := map[string]int{}
+	tally := playSinkHistories(t, 400, func(w *twins, id model.TxnID, x model.EntityID, _ bool) func() {
+		w.got.ForEachPredOfNewStep(id, x, func(model.TxnID, int) {})
+		j := rng.Intn(len(w.active))
+		for w.active[j] == id {
+			j = (j + 1) % len(w.active)
+		}
+		other, either := w.active[j], id
+		if rng.Intn(2) == 0 {
+			either = w.active[j]
+		}
+		switch rng.Intn(10) {
+		case 0: // another transaction's step, often on the previewed entity
+			y := x
+			if rng.Intn(2) == 0 {
+				y = w.ents[rng.Intn(len(w.ents))]
+			}
+			if w.addStep(other, y) {
+				kinds["step"]++
+				break
+			}
+			w.got.PopStep()
+			w.ref.PopStep()
+			w.got.Rebuild(map[model.TxnID]bool{other: true})
+			w.ref.Rebuild(map[model.TxnID]bool{other: true})
+			kinds["rejected step"]++
+		case 1:
+			c := 2 + rng.Intn(w.got.k)
+			w.got.AddCut(either, c)
+			w.ref.AddCut(either, c)
+			kinds["cut"]++
+		case 2:
+			w.commit(j)
+			kinds["commit"]++
+		case 3:
+			keep := 0
+			if ext := w.got.Extent(either); ext > 0 {
+				keep = rng.Intn(ext)
+			}
+			w.got.RebuildPartial(map[model.TxnID]int{either: keep})
+			w.ref.RebuildPartial(map[model.TxnID]int{either: keep})
+			kinds["rollback"]++
+		default:
+			return nil
+		}
+		w.check(id, false)
+		return nil
+	})
+	t.Logf("%d closed-form inserts, %d pairwise; mutations between a preview and its insert: %v",
+		tally.closedForm, tally.pairwise, kinds)
+	for _, kind := range []string{"step", "rejected step", "cut", "commit", "rollback"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no preview was separated from its insert by a %s: the test is vacuous there", kind)
+		}
+	}
 }
 
 // transferFeed is the benchmark/probes.go closure feed: transfer j withdraws
@@ -189,12 +262,11 @@ func playTransfer(tb testing.TB, oc *Online, t model.TxnID, ents [5]model.Entity
 
 // TestOnlineAllocBudget pins the row reuse: a closure that goes quiescent
 // after every transaction — preview, five steps with their cuts, Retire —
-// must keep the rows, tables and scratch of the transaction before. What
-// is left is the per-entity chain slices, which the quiescent reset drops
-// with their map. (The feed's nest and names are set up outside the
-// measured function.)
+// must keep the rows, tables, entity chains and scratch of the transaction
+// before, so a warm transfer allocates nothing at all. (The feed's nest and
+// names are set up outside the measured function.)
 func TestOnlineAllocBudget(t *testing.T) {
-	const allocCeiling = 6 // measured steady state: 5, one chain per entity
+	const allocCeiling = 0
 	f := &transferFeed{nest: nest.New(4)}
 	oc := NewOnline(4, f.nest.Level)
 	type prepared struct {
@@ -219,7 +291,7 @@ func TestOnlineAllocBudget(t *testing.T) {
 		run() // warm-up: rows and scratch reach their steady size
 	}
 	if got := testing.AllocsPerRun(100, run); got > allocCeiling {
-		t.Fatalf("%.1f allocations per quiescent transfer, budget %d: row storage is not surviving the reset", got, allocCeiling)
+		t.Fatalf("%.1f allocations per quiescent transfer, budget %d: storage is not surviving the reset", got, allocCeiling)
 	}
 }
 

@@ -45,16 +45,17 @@ func (p *pooledInc) Apply(v model.Value) (model.Value, string, model.ProgState) 
 // allocation-budget section points at: a resident Session under sharded 2PL
 // over a volatile store, fed pooled 2-step increment programs from several
 // goroutines, must commit every transaction, land exactly on the acked
-// increment counts, and spend at most 25 heap allocations per committed
-// transaction. The measured steady state is ~5, so a trip here means
-// pooling or interning regressed, not noise.
+// increment counts, and spend at most 5 heap allocations per committed
+// transaction. The measured steady state is 2.0, and 3.8 under -race (whose
+// sync.Pool drops items at random), so a trip here means pooling,
+// interning or the store's index recycling regressed, not noise.
 func TestSessionAllocBudget(t *testing.T) {
 	const (
 		workers      = 4
 		warmup       = 250 // per worker, before the MemStats baseline
 		measured     = 750 // per worker: 3,000 measured transactions
 		entities     = 2048
-		allocCeiling = 25
+		allocCeiling = 5
 	)
 	ents := make([]model.EntityID, entities)
 	init := make(map[model.EntityID]model.Value, entities)

@@ -35,8 +35,10 @@ type Store struct {
 	// byTxn indexes each transaction's log positions so Commit touches
 	// only the transaction's own records instead of scanning the whole
 	// log. Entries may point at dead records (aborts kill records without
-	// maintaining the index); readers skip those.
+	// maintaining the index); readers skip those. The map is cleared, never
+	// replaced, so it keeps the buckets of its peak in-flight count.
 	byTxn map[model.TxnID][]int
+	spare [][]int // emptied byTxn slices (at most 64) for new transactions
 }
 
 // New creates a store with the given initial values (copied).
@@ -61,10 +63,27 @@ func (s *Store) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.V
 	before := s.vals[x]
 	after, label := f(before)
 	s.log = append(s.log, record{txn: t, seq: seq, entity: x, before: before, after: after})
-	s.byTxn[t] = append(s.byTxn[t], len(s.log)-1)
+	s.index(t, len(s.log)-1)
 	s.live++
 	s.vals[x] = after
 	return model.Step{Txn: t, Seq: seq, Entity: x, Label: label, Before: before, After: after}
+}
+
+// index appends log position i to t's index; a new transaction's slice
+// comes from the spare list.
+func (s *Store) index(t model.TxnID, i int) {
+	idx, ok := s.byTxn[t]
+	if n := len(s.spare); !ok && n > 0 {
+		idx, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	s.byTxn[t] = append(idx, i)
+}
+
+// recycle hands an index slice leaving byTxn to the spare list.
+func (s *Store) recycle(idx []int) {
+	if idx != nil && len(s.spare) < 64 {
+		s.spare = append(s.spare, idx[:0])
+	}
 }
 
 // Abort rolls back every logged step of the transactions in set, newest
@@ -77,6 +96,7 @@ func (s *Store) Abort(set map[model.TxnID]bool) error {
 	// A full abort kills every record of the set, so the index entries
 	// are all dead; drop them (restarts re-index from scratch).
 	for t := range set {
+		s.recycle(s.byTxn[t])
 		delete(s.byTxn, t)
 	}
 	return err
@@ -129,13 +149,15 @@ func (s *Store) undo(selected func(*record) bool) error {
 // The per-transaction index makes this proportional to t's own records
 // rather than the whole undo log.
 func (s *Store) Commit(t model.TxnID) {
-	for _, i := range s.byTxn[t] {
+	idx := s.byTxn[t]
+	for _, i := range idx {
 		if !s.log[i].dead {
 			s.log[i].dead = true
 			s.live--
 		}
 	}
 	delete(s.byTxn, t)
+	s.recycle(idx)
 	s.maybeCompact()
 }
 
@@ -157,9 +179,12 @@ func (s *Store) maybeCompact() {
 		}
 	}
 	s.log = out
-	s.byTxn = make(map[model.TxnID][]int)
+	for _, idx := range s.byTxn {
+		s.recycle(idx)
+	}
+	clear(s.byTxn)
 	for i, r := range s.log {
-		s.byTxn[r.txn] = append(s.byTxn[r.txn], i)
+		s.index(r.txn, i)
 	}
 }
 

@@ -204,6 +204,51 @@ func TestQuickAbortAllRestoresInit(t *testing.T) {
 	}
 }
 
+// TestStoreAllocBudget pins the per-transaction index recycling: once warm,
+// a Perform/Commit cycle allocates nothing, and neither does an Abort or a
+// compaction pass (the measured cycles cross several). Names and abort sets
+// are built outside the measured function.
+func TestStoreAllocBudget(t *testing.T) {
+	s := New(map[model.EntityID]model.Value{"x": 0, "y": 0})
+	ids := make([]model.TxnID, 64)
+	sets := make([]map[model.TxnID]bool, len(ids))
+	for i := range ids {
+		ids[i] = model.TxnID(fmt.Sprintf("t%d", i))
+		sets[i] = map[model.TxnID]bool{ids[i]: true}
+	}
+	inc := add(1)
+	i, aborts, compactions := 0, 0, 0
+	cycle := func() {
+		j := i % len(ids)
+		i++
+		s.Perform(ids[j], 1, "x", inc)
+		s.Perform(ids[j], 2, "y", inc)
+		before := len(s.log)
+		if i%4 == 0 {
+			if err := s.Abort(sets[j]); err != nil {
+				t.Fatal(err)
+			}
+			aborts++
+		} else {
+			s.Commit(ids[j])
+		}
+		if len(s.log) < before {
+			compactions++
+		}
+	}
+	for i < 2000 {
+		cycle() // warm-up: the log and the spare list reach their steady size
+	}
+	aborts, compactions = 0, 0
+	if got := testing.AllocsPerRun(2000, cycle); got != 0 {
+		t.Fatalf("%.2f allocations per transaction, want 0: index slices are not recycled", got)
+	}
+	if aborts == 0 || compactions == 0 || s.PendingRecords() != 0 {
+		t.Fatalf("measured %d aborts, %d compactions, %d pending records: want both kinds and nothing pending",
+			aborts, compactions, s.PendingRecords())
+	}
+}
+
 // TestCommitIndexAcrossCompactionAndAborts: Commit uses the per-transaction
 // position index; it must stay correct after abort-killed records, restarts
 // that re-append under the same ID, and log compaction (which renumbers

@@ -11,11 +11,14 @@ go vet ./...
 # warn-and-skip unless MLA_REQUIRE_LINT=1 (CI sets it).
 ./scripts/lint.sh
 go test -race ./...
-# The per-commit microbenchmarks (a Release that visits only the stripes a
-# transaction took; a ledger commit flat in the in-flight count), run once
-# each so they keep compiling and running.
+# The per-commit and per-step microbenchmarks (a Release that visits only
+# the stripes a transaction took; a ledger commit flat in the in-flight
+# count; a closure insert linear in the transaction's length, and the
+# preview on a 1024-step closure), run once each so they keep compiling and
+# running.
 go test ./internal/lock/ -run '^$' -bench BenchmarkStripedAcquireRelease -benchtime 1x > /dev/null
 go test ./internal/storage/ -run '^$' -bench BenchmarkLedgerCommit -benchtime 1x > /dev/null
+go test ./internal/coherent/ -run '^$' -bench 'BenchmarkOnlineLongTxn|BenchmarkOnlinePreviewAt1024' -benchtime 1x > /dev/null
 go test ./internal/wal/ -run FuzzWALRecovery -fuzz FuzzWALRecovery -fuzztime 10s
 # Same recovery law over the real medium: a file-backed log whose tail is
 # truncated or bit-flipped at an arbitrary point must mount to a consistent
