@@ -95,7 +95,7 @@ func newMixedWorkload(sessions, rounds, analytics, audits, accounts int, seed in
 
 // E20MixedHistory drives the mixed-level workload through serial,
 // serializable, multilevel, and distributed controls on the simulator plus
-// the multilevel control on the concurrent engine (with a live history
+// the multilevel control on a resident engine session (with a live history
 // recorder attached), and cross-checks every admitted execution twice: the
 // white-box Theorem 2 analysis on the execution, and the black-box history
 // checker on the recorded event log. A disagreement fails the experiment —
@@ -135,18 +135,29 @@ func E20MixedHistory(o Config) (*metrics.Table, error) {
 		}
 	}
 
-	// The engine path records the history live — every attempt, wait, and
-	// commit lands in the recorder as it happens, not reconstructed after
-	// the fact.
+	// The engine path records the history live, and the white-box analysis
+	// judges the execution the recorder saw committed. The programs go in
+	// one at a time: submitted concurrently, goroutine timing decided whether
+	// the run came out serial, and with it the atomic cell. The row gives up
+	// its concurrency to be a function of the seed, like the others.
 	w := newMixedWorkload(sessions, rounds, analytics, audits, accounts, o.Seed)
 	rec := history.NewRecorder(w.n)
-	cfg := engine.Config{Seed: o.Seed, Observer: rec}
-	res, err := engine.Run(o.ctx(), cfg, w.progs, sched.NewPreventer(w.n, w.spec), w.spec, w.init)
-	if err != nil {
+	s := engine.NewSession(engine.Config{Seed: o.Seed, Observer: rec}, sched.NewPreventer(w.n, w.spec), w.spec, engine.NewVolatileStore(w.init))
+	for _, p := range w.progs {
+		if out, err := s.Submit(o.ctx(), p, engine.SubmitOpts{}); err != nil || !out.Committed {
+			s.Close()
+			return nil, fmt.Errorf("E20 engine: %s did not commit (%+v): %v", p.ID(), out, err)
+		}
+	}
+	if err := s.Close(); err != nil {
 		return nil, fmt.Errorf("E20 engine: %w", err)
 	}
-	rn := w.n.Restrict(res.Exec.Txns())
-	if err := e20row(t, "prevent", "engine", res.Exec, rn, w.spec, rec.History()); err != nil {
+	h := rec.History()
+	exec, _, err := h.Committed()
+	if err != nil {
+		return nil, fmt.Errorf("E20 engine: history: %w", err)
+	}
+	if err := e20row(t, "prevent", "engine", exec, w.n.Restrict(exec.Txns()), w.spec, h); err != nil {
 		return nil, err
 	}
 	return t, nil

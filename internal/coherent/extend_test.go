@@ -74,22 +74,25 @@ func TestBitsetOps(t *testing.T) {
 	}
 	o := newBitset(130)
 	o.set(0)
-	diff := b.andNot(o)
-	if diff.has(0) || !diff.has(64) {
-		t.Error("andNot broken")
-	}
-	c := b.clone()
-	c.set(1)
-	if b.has(1) {
-		t.Error("clone shares storage")
-	}
-	if !b.orWith(o) && b.count() != 3 {
+	if b.orWith(o) || b.count() != 3 {
 		t.Error("orWith of subset should not change")
 	}
 	o2 := newBitset(130)
 	o2.set(99)
 	if !b.orWith(o2) || !b.has(99) {
 		t.Error("orWith missed new element")
+	}
+	// orWith grows a shorter receiver to the argument's width.
+	var short bitset
+	if !short.orWith(o2) || !short.has(99) || short.count() != 1 {
+		t.Error("orWith did not grow its receiver")
+	}
+	b.andNot(o)
+	if b.has(0) || !b.has(64) || b.count() != 3 {
+		t.Error("andNot broken")
+	}
+	if !short.subsetOf(b) || o.subsetOf(b) {
+		t.Error("subsetOf broken")
 	}
 }
 

@@ -64,8 +64,8 @@ type Online struct {
 	perTxn  [][]int
 	coarse  [][]int // per txn: coarse[pos-1] = coarseness of cut after step pos (0 = none yet)
 
-	reach, pred []obitset
-	pinned      [][]obitset // per txn, per level 2..k
+	reach, pred []bitset
+	pinned      [][]bitset // per txn, per level 2..k
 
 	// Per-entity access chains: entSlot maps an entity to its row of the
 	// chains slab, whose tail is the entity's last live accessor. A row
@@ -78,7 +78,7 @@ type Online struct {
 	// set by PopStep — the relation then contains a rejected step's edges
 	// and only a replay can remove them. forceReplay (tests only) disables
 	// the incremental path so replay and retraction can be compared.
-	dead        obitset
+	dead        bitset
 	liveSteps   int
 	dirty       bool
 	forceReplay bool
@@ -99,7 +99,7 @@ type Online struct {
 	// Scratch kept for its capacity: applyStep's edge work list and seal's
 	// candidate set.
 	queue   [][2]int
-	sealing obitset
+	sealing bitset
 
 	// Preview scratch, reused across collectPreds calls. Online is driven
 	// under its owner's serialization (the engine mutex or the simulator
@@ -108,7 +108,7 @@ type Online struct {
 	// entries pvTouched lists are nonzero (linkSink or the next collectPreds
 	// re-zeroes them), so growing it lazily never needs a wipe. pvLv[u] is
 	// level(u, t), valid while pvMax[u] != 0.
-	pvVisited obitset
+	pvVisited bitset
 	pvStack   []int
 	pvMax     []int
 	pvLv      []int
@@ -146,10 +146,14 @@ const (
 	evCommit
 )
 
-// obitset is a growable bitset.
-type obitset []uint64
+// bitset is the package's one set of small non-negative integers (step
+// slots, segment indices): growable, so the Online's rows widen as steps
+// arrive, while Relation preallocates its rows at the instance's size.
+type bitset []uint64
 
-func (b *obitset) set(i int) {
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b *bitset) set(i int) {
 	w := i >> 6
 	for len(*b) <= w {
 		*b = append(*b, 0)
@@ -157,13 +161,13 @@ func (b *obitset) set(i int) {
 	(*b)[w] |= 1 << uint(i&63)
 }
 
-func (b obitset) has(i int) bool {
+func (b bitset) has(i int) bool {
 	w := i >> 6
 	return w < len(b) && b[w]&(1<<uint(i&63)) != 0
 }
 
 // forEachNotIn calls f for every element of b that is absent from other.
-func (b obitset) forEachNotIn(other obitset, f func(i int)) {
+func (b bitset) forEachNotIn(other bitset, f func(i int)) {
 	for wi, w := range b {
 		if wi < len(other) {
 			w &^= other[wi]
@@ -175,7 +179,7 @@ func (b obitset) forEachNotIn(other obitset, f func(i int)) {
 	}
 }
 
-func (b obitset) forEach(f func(i int)) {
+func (b bitset) forEach(f func(i int)) {
 	for wi, w := range b {
 		for w != 0 {
 			f(wi<<6 + bits.TrailingZeros64(w))
@@ -184,14 +188,14 @@ func (b obitset) forEach(f func(i int)) {
 	}
 }
 
-func (b obitset) clear(i int) {
+func (b bitset) clear(i int) {
 	if w := i >> 6; w < len(b) {
 		b[w] &^= 1 << uint(i&63)
 	}
 }
 
 // subsetOf reports whether every element of b is in other.
-func (b obitset) subsetOf(other obitset) bool {
+func (b bitset) subsetOf(other bitset) bool {
 	for wi, w := range b {
 		if wi < len(other) {
 			w &^= other[wi]
@@ -204,7 +208,7 @@ func (b obitset) subsetOf(other obitset) bool {
 }
 
 // andNot clears every bit of other from b.
-func (b obitset) andNot(other obitset) {
+func (b bitset) andNot(other bitset) {
 	n := len(b)
 	if len(other) < n {
 		n = len(other)
@@ -214,18 +218,28 @@ func (b obitset) andNot(other obitset) {
 	}
 }
 
-// intersects reports whether b and other share a set bit.
-func (b obitset) intersects(other obitset) bool {
-	n := len(b)
-	if len(other) < n {
-		n = len(other)
+// orWith sets b |= other, growing b as needed, and reports whether b changed.
+func (b *bitset) orWith(other bitset) bool {
+	for len(*b) < len(other) {
+		*b = append(*b, 0)
 	}
-	for i := 0; i < n; i++ {
-		if b[i]&other[i] != 0 {
-			return true
+	changed := false
+	for i, w := range other {
+		if (*b)[i]|w != (*b)[i] {
+			(*b)[i] |= w
+			changed = true
 		}
 	}
-	return false
+	return changed
+}
+
+// count returns the number of elements.
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func NewOnline(k int, level func(a, b model.TxnID) int) *Online {
@@ -428,7 +442,7 @@ func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
 			return false
 		}
 	}
-	var dying obitset
+	var dying bitset
 	total := 0
 	for t := range keep {
 		ti, ok := oc.txnIdx[t]
@@ -504,7 +518,7 @@ func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
 // bury tombstones the step slots in dying (total of them) and masks their
 // bits out of every live reach/pred/pinned set — the common tail of
 // retraction and sealing.
-func (oc *Online) bury(dying obitset, total int) {
+func (oc *Online) bury(dying bitset, total int) {
 	dying.forEach(func(g int) {
 		oc.dead.set(g)
 		oc.reach[g] = oc.reach[g][:0]
@@ -662,7 +676,7 @@ func (oc *Online) seal() {
 // evicted reports whether committed transaction ti has been thrown out of
 // the candidate set: a member keeps all its steps in it, an evicted one
 // none. A committed transaction without steps is trivially a member.
-func (oc *Online) evicted(ti int, sealing obitset) bool {
+func (oc *Online) evicted(ti int, sealing bitset) bool {
 	return len(oc.perTxn[ti]) > 0 && !sealing.has(oc.perTxn[ti][0])
 }
 
@@ -775,8 +789,8 @@ func (oc *Online) linkSink(g int) {
 	oc.pred[g] = append(oc.pred[g], oc.pvVisited...)
 	oc.pvVisited.forEach(func(a int) { oc.reach[a].set(g) })
 	for _, u := range oc.pvTouched {
-		if lv := oc.pvLv[u]; oc.segmentOpen(u, oc.pvMax[u], lv) {
-			oc.pinned[u][lv].set(g)
+		if oc.pvOpen(u) {
+			oc.pinned[u][oc.pvLv[u]].set(g)
 		}
 		oc.pvMax[u] = 0
 	}
@@ -899,7 +913,7 @@ func (oc *Online) Extent(t model.TxnID) int {
 func (oc *Online) collectPreds(t model.TxnID, x model.EntityID) {
 	words := (len(oc.stepTxn) + 63) >> 6
 	if cap(oc.pvVisited) < words {
-		oc.pvVisited = make(obitset, words)
+		oc.pvVisited = make(bitset, words)
 	}
 	oc.pvVisited = oc.pvVisited[:words]
 	clear(oc.pvVisited)
@@ -993,4 +1007,35 @@ func (oc *Online) ForEachPredOfNewStep(t model.TxnID, x model.EntityID, f func(u
 	for _, u := range oc.pvTouched {
 		f(oc.txns[u], oc.pvMax[u])
 	}
+}
+
+// ForEachOpenPred is the Section 6 delay rule's test, written once for every
+// closure gate: it calls f once per transaction u with a step that would
+// precede a next step of t on x in the coherent closure, and whose latest
+// such step is still in an open B(level(u,t)) segment — the predecessors t
+// must wait for. Whether u has finished is the caller's to decide. t itself
+// is never reported, and neither is a transaction with no live steps (it
+// has nothing to wait for, as in SegmentClosedAfter). The traversal is
+// ForEachPredOfNewStep's, with the same contract: no allocation in steady
+// state, and the callback may read oc but must neither mutate it nor
+// preview again.
+func (oc *Online) ForEachOpenPred(t model.TxnID, x model.EntityID, f func(u model.TxnID)) {
+	if len(oc.stepTxn) == 0 {
+		return
+	}
+	oc.collectPreds(t, x)
+	for _, u := range oc.pvTouched {
+		if oc.pvOpen(u) {
+			f(oc.txns[u])
+		}
+	}
+}
+
+// pvOpen reports whether the latest step of transaction u in the current
+// preview is still in an open B(level(u,t)) segment: the step u would pin
+// the previewed one behind (linkSink), and the step the delay rule waits on
+// (ForEachOpenPred). A previewed transaction has live steps, since only live
+// steps are visited.
+func (oc *Online) pvOpen(u int) bool {
+	return oc.segmentOpen(u, oc.pvMax[u], oc.pvLv[u])
 }

@@ -161,8 +161,10 @@ func TestOnlineClosureCycleTxns(t *testing.T) {
 	}
 }
 
+// TestObitset covers the bitset as the Online grows it: from nil, with
+// unequal widths.
 func TestObitset(t *testing.T) {
-	var b obitset
+	var b bitset
 	if b.has(5) {
 		t.Error("empty set has nothing")
 	}
@@ -177,7 +179,7 @@ func TestObitset(t *testing.T) {
 	if len(got) != 3 || got[0] != 5 || got[2] != 129 {
 		t.Errorf("forEach = %v", got)
 	}
-	var other obitset
+	var other bitset
 	other.set(5)
 	var diff []int
 	b.forEachNotIn(other, func(i int) { diff = append(diff, i) })

@@ -12,7 +12,7 @@ import (
 
 // sameSet reports whether two bitsets hold the same elements (their lengths
 // may differ by trailing zero words).
-func sameSet(a, b obitset) bool {
+func sameSet(a, b bitset) bool {
 	return a.subsetOf(b) && b.subsetOf(a)
 }
 
@@ -220,6 +220,63 @@ func TestStalePreviewEquivalence(t *testing.T) {
 		if kinds[kind] == 0 {
 			t.Errorf("no preview was separated from its insert by a %s: the test is vacuous there", kind)
 		}
+	}
+}
+
+// delayRuleReference is the delay rule as the closure gates wrote it before
+// ForEachOpenPred: every previewed predecessor u ≠ t whose latest preceding
+// step is not closed off at level(u,t).
+func delayRuleReference(oc *Online, t model.TxnID, x model.EntityID) map[model.TxnID]bool {
+	open := map[model.TxnID]bool{}
+	oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) {
+		if u != t && !oc.SegmentClosedAfter(u, s, oc.level(u, t)) {
+			open[u] = true
+		}
+	})
+	return open
+}
+
+// TestOpenPredIsDelayRule: before every step of playHistory's histories, on
+// both twins (a sealing closure and one that keeps every commit),
+// ForEachOpenPred reports each transaction at most once and reports exactly
+// the reference rule's set. The counters keep it from being vacuous: some
+// previews had open predecessors, and some had predecessors the rule lets
+// through because their segment is closed.
+func TestOpenPredIsDelayRule(t *testing.T) {
+	const histories = 600
+	var tally historyTally
+	blocked, passed := 0, 0
+	for seed := int64(1); seed <= histories; seed++ {
+		playHistory(t, seed, &tally, func(w *twins) {
+			w.ref.noSeal = true
+			w.check = func(model.TxnID, bool) {}
+			w.step = func(id model.TxnID, x model.EntityID) bool {
+				for _, oc := range []*Online{w.got, w.ref} {
+					want := delayRuleReference(oc, id, x)
+					got := map[model.TxnID]bool{}
+					oc.ForEachOpenPred(id, x, func(u model.TxnID) {
+						if got[u] {
+							t.Fatalf("%s: ForEachOpenPred(%s,%s) reported %s twice", w.where, id, x, u)
+						}
+						got[u] = true
+					})
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: ForEachOpenPred(%s,%s) = %v, reference %v", w.where, id, x, got, want)
+					}
+					if len(want) > 0 {
+						blocked++
+					}
+					if len(predOfNewStep(oc, id, x)) > len(want) {
+						passed++
+					}
+				}
+				return w.addStep(id, x)
+			}
+		})
+	}
+	t.Logf("%d histories: %d previews with open predecessors, %d with closed ones", histories, blocked, passed)
+	if blocked == 0 || passed == 0 {
+		t.Fatalf("vacuous: %d previews blocked, %d passed closed predecessors", blocked, passed)
 	}
 }
 

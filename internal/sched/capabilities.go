@@ -166,8 +166,8 @@ const (
 	KindTimestamp
 	// KindPrevent is the paper's cycle-prevention control.
 	KindPrevent
-	// KindPreventDirect is prevention without transitive tracking (the
-	// ablation).
+	// KindPreventDirect is prevention over direct conflicts only, without
+	// the coherent closure (the E10 ablation; direct.go).
 	KindPreventDirect
 	// KindDetect is the paper's cycle-detection control.
 	KindDetect
@@ -221,18 +221,17 @@ func New(kind ControlKind, n *nest.Nest, spec breakpoint.Spec) (Control, error) 
 		return NewShardedTwoPhase(0), nil
 	case KindTimestamp:
 		return NewTimestamp(), nil
-	case KindPrevent, KindPreventDirect:
-		if n == nil || spec == nil {
-			return nil, fmt.Errorf("sched: %s requires a nest and a breakpoint spec", kind)
+	case KindPrevent, KindPreventDirect, KindDetect:
+		if n == nil || spec == nil || n.K() != spec.K() {
+			return nil, fmt.Errorf("sched: %s requires a nest and a breakpoint spec that agree on k", kind)
 		}
-		p := NewPreventer(n, spec)
-		p.TrackTransitive = kind == KindPrevent
-		return p, nil
-	case KindDetect:
-		if n == nil || spec == nil {
-			return nil, fmt.Errorf("sched: detect requires a nest and a breakpoint spec")
+		switch kind {
+		case KindPrevent:
+			return NewPreventer(n, spec), nil
+		case KindDetect:
+			return NewDetector(n, spec), nil
 		}
-		return NewDetector(n, spec), nil
+		return newDirectPreventer(n), nil
 	}
 	return nil, fmt.Errorf("sched: unknown control kind %d", int(kind))
 }

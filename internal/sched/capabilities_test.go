@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,9 +60,43 @@ func TestCapabilitiesDiscovery(t *testing.T) {
 	var _ Concurrent = f
 }
 
+// capabilityNames lists the hooks caps declares, in Capabilities' field
+// order.
+func capabilityNames(caps Capabilities) []string {
+	var out []string
+	for _, c := range []struct {
+		name string
+		has  bool
+	}{
+		{"Tick", caps.Tick != nil}, {"NextWake", caps.NextWake != nil}, {"TakeVictims", caps.TakeVictims != nil},
+		{"NewPriority", caps.NewPriority != nil}, {"AbortedTo", caps.AbortedTo != nil}, {"Retired", caps.Retired != nil},
+		{"ReleaseAll", caps.ReleaseAll != nil}, {"DeadlineAborted", caps.DeadlineAborted != nil},
+		{"Concurrent", caps.Concurrent}, {"QuiescentSteps", caps.QuiescentSteps},
+	} {
+		if c.has {
+			out = append(out, c.name)
+		}
+	}
+	return out
+}
+
+// TestControlKindRoundTrip builds every kind through New: its name must
+// round-trip, and its capabilities must be the ones harnesses have always
+// discovered on it (a decorator in benchmark/ must declare the same set).
 func TestControlKindRoundTrip(t *testing.T) {
 	n := nest.New(2)
 	spec := breakpoint.Func{Levels: 2, Fn: func(model.TxnID, []model.Step) int { return 2 }}
+	closure := "AbortedTo Retired DeadlineAborted"
+	wantCaps := map[ControlKind]string{
+		KindNone:            "DeadlineAborted",
+		KindSerial:          "DeadlineAborted",
+		KindTwoPhase:        "DeadlineAborted",
+		KindShardedTwoPhase: "ReleaseAll DeadlineAborted Concurrent QuiescentSteps",
+		KindTimestamp:       "NewPriority DeadlineAborted",
+		KindPrevent:         closure,
+		KindPreventDirect:   closure,
+		KindDetect:          closure,
+	}
 	for k := KindNone; k <= KindDetect; k++ {
 		parsed, err := ParseControlKind(k.String())
 		if err != nil || parsed != k {
@@ -73,6 +108,9 @@ func TestControlKindRoundTrip(t *testing.T) {
 		}
 		if c.Name() != k.String() {
 			t.Fatalf("New(%v).Name() = %q", k, c.Name())
+		}
+		if got := strings.Join(capabilityNames(CapabilitiesOf(c)), " "); got != wantCaps[k] {
+			t.Fatalf("New(%v) declares %q, want %q", k, got, wantCaps[k])
 		}
 	}
 	if _, err := ParseControlKind("bogus"); err == nil {

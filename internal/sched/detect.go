@@ -2,7 +2,6 @@ package sched
 
 import (
 	"mla/internal/breakpoint"
-	"mla/internal/coherent"
 	"mla/internal/model"
 	"mla/internal/nest"
 )
@@ -21,41 +20,19 @@ import (
 // this by running the Detector with an MLA specification versus the k=2
 // serializability specification on identical workloads.
 type Detector struct {
-	nest *nest.Nest
-	spec breakpoint.Spec
-	oc   *coherent.Online
-
-	prio     map[model.TxnID]int64
-	finished map[model.TxnID]bool
-
-	stats Stats
+	closureHost
 }
 
 // NewDetector builds the detection control for the given nest and
-// breakpoint specification.
+// breakpoint specification (they must share k).
 func NewDetector(n *nest.Nest, spec breakpoint.Spec) *Detector {
-	if n.K() != spec.K() {
-		panic("sched: nest and breakpoint spec disagree on k")
-	}
-	d := &Detector{
-		nest:     n,
-		spec:     spec,
-		oc:       coherent.NewOnline(n.K(), n.Level),
-		prio:     make(map[model.TxnID]int64),
-		finished: make(map[model.TxnID]bool),
-	}
-	d.oc.OnSeal = d.forget
+	d := &Detector{}
+	d.init(n, spec)
 	return d
 }
 
 // Name implements Control.
 func (d *Detector) Name() string { return "detect" }
-
-// Begin implements Control.
-func (d *Detector) Begin(t model.TxnID, prio int64) {
-	d.prio[t] = prio
-	delete(d.finished, t)
-}
 
 // Request implements Control. The step is tentatively added to the closure;
 // on a cycle it is withdrawn and the youngest transaction involved is
@@ -99,51 +76,3 @@ func (d *Detector) Performed(t model.TxnID, _ int, _ model.EntityID, cut int) {
 		d.oc.AddCut(t, cut)
 	}
 }
-
-// Finished implements Control.
-func (d *Detector) Finished(t model.TxnID) { d.finished[t] = true }
-
-// Retired implements the Retirer capability: t committed, so the closure
-// may seal it (coherent.Online.Retire). A sealed transaction is in no
-// future cycle and so is never a victim candidate again.
-func (d *Detector) Retired(t model.TxnID) { d.oc.Retire(t) }
-
-// forget frees the per-transaction state of a transaction that left the
-// closure.
-func (d *Detector) forget(t model.TxnID) {
-	delete(d.prio, t)
-	delete(d.finished, t)
-	d.stats.Sealed++
-}
-
-// ClosureSteps and ClosureSlots report the closure's width; see Preventer.
-func (d *Detector) ClosureSteps() int { return d.oc.Steps() }
-func (d *Detector) ClosureSlots() int { return d.oc.Slots() }
-
-// AbortedTo implements the simulator's partial-recovery hook: transaction
-// t's events beyond seq = keep are removed and the closure replayed; t
-// resumes from the kept prefix.
-func (d *Detector) AbortedTo(t model.TxnID, keep int) {
-	delete(d.finished, t)
-	d.stats.Aborts++
-	d.oc.RebuildPartial(map[model.TxnID]int{t: keep})
-}
-
-// Aborted implements Control: the victims' events are removed and the
-// closure replayed. This also cleans the dirty state left by a rejected
-// AddStep.
-func (d *Detector) Aborted(victims []model.TxnID) {
-	d.stats.Aborts += len(victims)
-	drop := make(map[model.TxnID]bool, len(victims))
-	for _, t := range victims {
-		drop[t] = true
-		delete(d.finished, t)
-	}
-	d.oc.Rebuild(drop)
-}
-
-// DeadlineAborted implements the DeadlineAborter capability.
-func (d *Detector) DeadlineAborted(model.TxnID) { d.stats.Deadlines++ }
-
-// Stats implements Control.
-func (d *Detector) Stats() *Stats { return &d.stats }

@@ -192,10 +192,15 @@ func TestPreventerTransitiveDependencies(t *testing.T) {
 	}
 }
 
+// TestPreventerDirectModeMissesTransitive runs TestPreventerTransitiveDependencies's
+// history through the direct-only ablation, built as New builds it.
 func TestPreventerDirectModeMissesTransitive(t *testing.T) {
 	n, spec := preventerFixture()
-	p := NewPreventer(n, spec)
-	p.TrackTransitive = false
+	c, err := New(KindPreventDirect, n, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.(*directPreventer)
 	p.Begin("t1", 1)
 	p.Begin("t2", 2)
 	p.Begin("t3", 3)
@@ -244,8 +249,27 @@ func TestPreventerRetired(t *testing.T) {
 	if p.ClosureSteps() != 0 || p.ClosureSlots() != 0 || p.Stats().Sealed != 1 {
 		t.Fatalf("after the retire: %d live steps, %d slots, %d sealed", p.ClosureSteps(), p.ClosureSlots(), p.Stats().Sealed)
 	}
-	if len(p.prio)+len(p.finished)+len(p.direct) != 0 {
-		t.Fatalf("retired transaction still tracked: prio=%v finished=%v direct=%v", p.prio, p.finished, p.direct)
+	if len(p.prio)+len(p.finished) != 0 {
+		t.Fatalf("retired transaction still tracked: prio=%v finished=%v", p.prio, p.finished)
+	}
+	p.Begin("t3", 3)
+	if d := p.Request("t3", 1, "x"); d.Kind != Grant {
+		t.Fatal("retired transactions impose no constraints")
+	}
+}
+
+// TestPreventerDirectRetired is TestPreventerRetired for the direct-only
+// ablation: a retire drops the transaction's record and counts it sealed.
+func TestPreventerDirectRetired(t *testing.T) {
+	n, _ := preventerFixture()
+	p := newDirectPreventer(n)
+	p.Begin("t1", 1)
+	p.Request("t1", 1, "x")
+	p.Performed("t1", 1, "x", 3)
+	p.Finished("t1")
+	p.Retired("t1")
+	if len(p.prio)+len(p.txns) != 0 || p.Stats().Sealed != 1 {
+		t.Fatalf("retired transaction still tracked: prio=%v txns=%v, %d sealed", p.prio, p.txns, p.Stats().Sealed)
 	}
 	p.Begin("t3", 3)
 	if d := p.Request("t3", 1, "x"); d.Kind != Grant {

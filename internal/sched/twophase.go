@@ -43,17 +43,7 @@ func (tp *TwoPhase) Request(t model.TxnID, _ int, x model.EntityID) Decision {
 		tp.stats.Grants++
 		return grant
 	}
-	tp.waitFor.setWaits(t, map[model.TxnID]bool{holder: true})
-	if cycle := tp.waitFor.cycleThrough(t); len(cycle) > 0 {
-		victim := Youngest(cycle, func(u model.TxnID) int64 { return tp.prio[u] })
-		tp.waitFor.clear(t)
-		if victim != t {
-			tp.stats.Wounds++
-		}
-		return Decision{Kind: Abort, Victims: []model.TxnID{victim}}
-	}
-	tp.stats.Waits++
-	return wait
+	return tp.waitFor.block(t, map[model.TxnID]bool{holder: true}, tp.prio, &tp.stats)
 }
 
 // Performed implements Control.

@@ -3,9 +3,9 @@ package sched
 import "mla/internal/model"
 
 // waitGraph is the waits-for graph shared by the blocking controls
-// (Preventer, TwoPhase): an edge t → u means t's pending request cannot
-// proceed until u changes state. A cycle is a deadlock; victims are chosen
-// by priority elsewhere.
+// (Preventer, its direct-only ablation, TwoPhase): an edge t → u means t's
+// pending request cannot proceed until u changes state. A cycle is a
+// deadlock.
 type waitGraph struct {
 	edges map[model.TxnID]map[model.TxnID]bool
 }
@@ -14,9 +14,28 @@ func newWaitGraph() *waitGraph {
 	return &waitGraph{edges: make(map[model.TxnID]map[model.TxnID]bool)}
 }
 
-// setWaits replaces t's outgoing edges.
-func (g *waitGraph) setWaits(t model.TxnID, blockers map[model.TxnID]bool) {
+// block is the blocking controls' answer to a request of t that must wait
+// for blockers (which the graph then owns): when the wait closes a waits-for
+// cycle, the cycle's youngest member by prio is rolled back (an untracked
+// one counts as oldest), otherwise t waits. It counts the wound or the wait
+// in stats.
+func (g *waitGraph) block(t model.TxnID, blockers map[model.TxnID]bool, prio map[model.TxnID]int64, stats *Stats) Decision {
 	g.edges[t] = blockers
+	if cycle := g.cycleThrough(t); len(cycle) > 0 {
+		victim := Youngest(cycle, func(u model.TxnID) int64 {
+			if pr, ok := prio[u]; ok {
+				return pr
+			}
+			return -1
+		})
+		g.clear(t)
+		if victim != t {
+			stats.Wounds++
+		}
+		return Decision{Kind: Abort, Victims: []model.TxnID{victim}}
+	}
+	stats.Waits++
+	return wait
 }
 
 // clear removes t's outgoing edges.

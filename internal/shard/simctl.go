@@ -143,8 +143,7 @@ type SimControl struct {
 	// lock/shot plane owns distribution — who holds what, where, through
 	// which failures — while the closure is the ground-truth conflict
 	// oracle that keeps early release at shot boundaries sound.
-	nest *nest.Nest
-	oc   *coherent.Online
+	oc *coherent.Online
 
 	// kit is the failure-handling machinery over bus: clock, chaos
 	// schedule, failure detector, wait table, probes, grace, abort queue.
@@ -196,7 +195,6 @@ func NewSimControl(pr SimParams) *SimControl {
 		crossed:     make(map[model.TxnID]bool),
 	}
 	if pr.Nest != nil {
-		c.nest = pr.Nest
 		// Never sealed (no Retired hook): with delayed announcements
 		// "committed ⇒ no step of t will arrive later" is not yet established.
 		c.oc = coherent.NewOnline(pr.Nest.K(), pr.Nest.Level)
@@ -343,16 +341,13 @@ func (c *SimControl) Request(t model.TxnID, seq int, x model.EntityID) sched.Dec
 	return sched.Decision{Kind: sched.Wait}
 }
 
-// closureBlockers previews the coherent-closure predecessors of t's
-// would-be step on x and returns the open ones whose segment is not yet
-// closed at the pair level — exactly sched.Preventer's delay rule.
+// closureBlockers returns the unfinished closure predecessors of t's
+// would-be step on x whose segment is still open at the pair level: the
+// delay rule sched.Preventer grants through (coherent.Online.ForEachOpenPred).
 func (c *SimControl) closureBlockers(t model.TxnID, x model.EntityID) map[model.TxnID]bool {
 	var blk map[model.TxnID]bool
-	c.oc.ForEachPredOfNewStep(t, x, func(u model.TxnID, s int) {
-		if u == t || c.finished[u] {
-			return
-		}
-		if !c.oc.SegmentClosedAfter(u, s, c.nest.Level(u, t)) {
+	c.oc.ForEachOpenPred(t, x, func(u model.TxnID) {
+		if !c.finished[u] {
 			if blk == nil {
 				blk = make(map[model.TxnID]bool)
 			}
