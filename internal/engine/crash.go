@@ -13,12 +13,13 @@ import (
 )
 
 // CrashPlan runs a workload to completion across injected crashes, the
-// concurrent counterpart of sim.CrashPlan: the engine executes on a
-// WAL-backed store until the fault injector kills it (at a configured
-// append count or after a wall-clock budget), the volatile state —
-// control, in-flight transactions, program states — is lost, optionally
-// the durable tail is torn, the WAL recovers the committed state, and a
-// fresh round restarts every transaction without a durable commit.
+// concurrent counterpart of sim.CrashPlan: the engine executes on the
+// group-commit pipeline mlaserve serves (PipelinedWALStore) until the fault
+// injector kills it (the medium latching at a configured append count, or a
+// wall-clock budget running out), the volatile state — control, in-flight
+// transactions, program states — is lost, optionally the durable tail is
+// torn, the WAL recovers the committed state, and a fresh round restarts
+// every transaction without a durable commit.
 type CrashPlan struct {
 	Cfg  Config
 	Spec breakpoint.Spec
@@ -67,13 +68,15 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 	}
 	inj := fault.New(plan.Faults)
 	medium := wal.NewMedium()
+	medium.Faults = inj
 	out := &CrashResult{Final: map[model.EntityID]model.Value{}}
 	obs := plan.Cfg.Observer
 	maxRounds := plan.Faults.Crashes() + 8
 
-	// pending holds the crashed round's in-memory committed steps; they
-	// join Exec only after the next recovery confirms the commits survived
-	// the torn tail.
+	// pending holds the crashed round's steps of decided transactions —
+	// acked, or submitted and unacked; they join Exec only after the next
+	// recovery confirms the commit record is durable and survived the torn
+	// tail.
 	var pending model.Execution
 	prevTodo, prevDurable := 0, 0
 	for round := 0; ; round++ {
@@ -85,8 +88,9 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 			return nil, fmt.Errorf("engine: recovery before round %d: %w", round, err)
 		}
 		// Keep only steps whose transaction is durably committed; the rest
-		// belonged to commit groups lost with the torn tail and will be
-		// re-executed (and re-recorded) by a later round.
+		// belonged to commit groups that never reached the medium or were
+		// lost with the torn tail, and will be re-executed (and re-recorded)
+		// by a later round.
 		for _, s := range pending {
 			if db.Committed(s.Txn) {
 				out.Exec = append(out.Exec, s)
@@ -123,9 +127,12 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 
 		cfg := plan.Cfg
 		cfg.Faults = inj
-		store := NewWALStore(db, inj)
 		base := db.LogLen()
-		res, err := RunOnStore(ctx, cfg, todo, plan.NewControl(), plan.Spec, store)
+		pipe := wal.NewPipeline(db, 0)
+		res, err := RunOnStore(ctx, cfg, todo, plan.NewControl(), plan.Spec, NewPipelinedWALStore(pipe))
+		// Stop the flusher before the medium is read: it flushes what was
+		// submitted, or — once the medium has crashed — acks it unwritten.
+		pipe.Close()
 		switch {
 		case err == nil:
 			// Clean completion: every commit this round is durable and the

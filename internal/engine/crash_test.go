@@ -286,3 +286,84 @@ func TestEngineCrashGiveUpTerminal(t *testing.T) {
 		t.Fatalf("gaveUp=%d committed=%d, want %d/0", out.GaveUp, out.Committed, len(progs))
 	}
 }
+
+// crashLog counts performed steps per step id and remembers the committed
+// count the last recovery found.
+type crashLog struct {
+	NopObserver
+	performed map[model.StepID]int
+	recovered int
+}
+
+func (c *crashLog) StepPerformed(t model.TxnID, seq int, _ model.EntityID, _, _ int) {
+	c.performed[model.StepID{Txn: t, Seq: seq}]++
+}
+
+func (c *crashLog) Recovered(_ int, committed int) { c.recovered = committed }
+
+// TestEngineCrashAtCommitRecord puts the crash point on the flusher's
+// commit-group record: the group is durable but never acked. Its members are
+// handed over as decided, kept exactly once by the recovery filter, and never
+// re-run, and Committed is the count recovery found.
+func TestEngineCrashAtCommitRecord(t *testing.T) {
+	prog := &model.Scripted{Txn: "t", Ops: []model.Op{model.Add("x", 1), model.Add("y", 2), model.Add("z", 3)}}
+	log := &crashLog{performed: make(map[model.StepID]int)}
+	plan := CrashPlan{
+		Cfg:  Config{Seed: 4, Observer: log},
+		Spec: breakpoint.Uniform{Levels: 2, C: 2},
+		Init: map[model.EntityID]model.Value{"x": 0, "y": 0, "z": 0},
+		// Three update records, then the commit record: the fourth append.
+		Faults:     fault.Plan{Seed: 4, CrashAppends: []int64{4}},
+		NewControl: func() sched.Control { return sched.NewTwoPhase() },
+	}
+	out, err := RunWithCrashes(context.Background(), plan, []model.Program{prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Crashes != 1 || out.Rounds != 2 || out.RedoneTxns != 0 {
+		t.Fatalf("crashes=%d rounds=%d redone=%d, want 1/2/0", out.Crashes, out.Rounds, out.RedoneTxns)
+	}
+	if out.Committed != 1 || log.recovered != out.Committed {
+		t.Fatalf("committed %d, recovery found %d, want 1", out.Committed, log.recovered)
+	}
+	seen := make(map[model.StepID]bool)
+	for _, s := range out.Exec {
+		if seen[s.ID()] {
+			t.Fatalf("step %v appears twice in the stitched execution", s.ID())
+		}
+		seen[s.ID()] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("stitched execution holds %d steps, want 3", len(seen))
+	}
+	for id, n := range log.performed {
+		if n != 1 {
+			t.Errorf("step %v performed %d times: the durable commit re-ran", id, n)
+		}
+	}
+	if f := out.Final; f["x"] != 1 || f["y"] != 2 || f["z"] != 3 {
+		t.Errorf("final state %v, want x=1 y=2 z=3", f)
+	}
+}
+
+// TestEngineCrashInRollbackOfParkedTxn: the crash point is the Abort marker
+// of a transaction rolled back after its step kept failing, and it then
+// parks. No submission fails on the dead medium, yet the round did not end
+// durably: it must count as a crash and re-run in a fresh round.
+func TestEngineCrashInRollbackOfParkedTxn(t *testing.T) {
+	plan := CrashPlan{
+		Cfg:        Config{Seed: 6, MaxRestarts: 1, MaxStepRetries: 1},
+		Spec:       breakpoint.Uniform{Levels: 2, C: 2},
+		Init:       map[model.EntityID]model.Value{"x": 0},
+		Faults:     fault.Plan{Seed: 6, StepErrorRate: 1.0, CrashAppends: []int64{1}},
+		NewControl: func() sched.Control { return sched.NewTwoPhase() },
+	}
+	prog := &model.Scripted{Txn: "a", Ops: []model.Op{model.Add("x", 1)}}
+	out, err := RunWithCrashes(context.Background(), plan, []model.Program{prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Crashes != 1 || out.Rounds != 2 || out.GaveUp != 1 {
+		t.Fatalf("crashes=%d rounds=%d gaveUp=%d, want 1/2/1", out.Crashes, out.Rounds, out.GaveUp)
+	}
+}

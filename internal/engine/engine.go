@@ -28,7 +28,10 @@
 // group the ledger decided, and a finalizer goroutine reports it committed
 // only after the store acknowledges durability. Decided transactions are
 // immune to abort and count as satisfied dependencies — safe because
-// submission order bounds durability order.
+// submission order bounds durability order. An injected crash is a medium
+// failure like a degraded disk: the medium latches at its crash point, the
+// pipeline latches what the medium returned, and the engine learns of it
+// from a failed Perform or, after an ack, through CommitErrer.
 //
 // Lifecycle: there is one engine loop — Session.submit: admit, attempt,
 // restart on rollback, park on an exhausted budget, await the commit group —
@@ -90,9 +93,10 @@ type Config struct {
 	Observer Observer
 
 	// Faults, when non-nil, injects deterministic failures: transient step
-	// errors the engine retries with capped exponential backoff, and — on
-	// a WAL-backed store — crashes at configured append counts or after a
-	// wall-clock budget (see internal/fault and RunWithCrashes).
+	// errors the engine retries with capped exponential backoff, and a
+	// crash after a wall-clock budget. Crashes at configured append counts
+	// fire in the WAL medium that holds the same injector
+	// (wal.Medium.Faults; see internal/fault and RunWithCrashes).
 	Faults *fault.Injector
 	// MaxRestarts is the per-transaction restart budget: a transaction
 	// rolled back more than this many times is parked and reported in
@@ -404,10 +408,15 @@ func RunOnStore(ctx context.Context, cfg Config, programs []model.Program, contr
 	// joined, so it is provably the last per-run event an observer sees
 	// before the recovery loop's Crashed/Recovered.
 	runErr := s.Close()
+	e := s.e
+	if runErr == nil && e.cerr != nil {
+		// A medium that failed inside a rollback fails no submission when
+		// every victim then parks: the run still did not finish durably.
+		runErr = e.cerr.CommitErr()
+	}
 	if runErr != nil && !errors.Is(runErr, fault.ErrCrash) {
 		return nil, runErr
 	}
-	e := s.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res := e.stats
@@ -835,17 +844,9 @@ func (e *engine) liveSteps(yield func(model.Step)) {
 // largest set of finished transactions whose value dependencies stay within
 // the set or the decided. Caller holds the mutex.
 func (e *engine) tryCommitLocked() {
-	// After a crash the store silently discards writes; committing now
-	// would mark transactions committed in memory (and fire the observer)
-	// with no durable record behind them, so the next recovery round would
-	// expose the lie. Workers still mid-flight when another worker hits
-	// the crash point simply stop committing.
-	type crashedStore interface{ Crashed() bool }
-	if cs, ok := e.store.(crashedStore); ok && cs.Crashed() {
-		return
-	}
-	// Same logic for a degraded durable medium: submitting more groups
-	// into a pipeline that can no longer flush would only queue lies.
+	// A failed durable medium (degraded, or crashed at an injected crash
+	// point): submitting more groups into a pipeline that can no longer
+	// flush would only queue lies.
 	if e.asyncErr != nil {
 		return
 	}
@@ -925,13 +926,15 @@ func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
 	}
 }
 
-// survivors returns the committed steps in performance order. Caller holds
-// the mutex.
+// survivors returns the steps of decided transactions in performance order:
+// the committed ones, plus — after a crash — those whose group was submitted
+// but never acked, whose record may already be durable (RunWithCrashes keeps
+// the ones recovery finds committed). Caller holds the mutex.
 func (e *engine) survivors() model.Execution {
 	out := make(model.Execution, 0, len(e.trace))
 	for _, te := range e.trace {
 		t := e.txns[te.id]
-		if t != nil && t.Committed && te.attempt == t.attempt {
+		if t != nil && t.Decided && te.attempt == t.attempt {
 			out = append(out, te.step)
 		}
 	}

@@ -303,11 +303,12 @@ func TestSessionPrepareCleanup(t *testing.T) {
 }
 
 // TestSessionCrashRace is the robustness test the service front-end rests
-// on: N goroutines submit through the session while an injected crash kills
-// the store mid-run. Every submission must return (committed, or failed with
-// the session's cause — never hang), every outcome acknowledged Committed
-// must be durable on the recovered medium, and the wreck must leave no lock
-// residue and no goroutines behind.
+// on: N goroutines submit through the session, over the group-commit
+// pipeline the service serves, while an injected crash kills the medium
+// mid-run — on a worker's append or on the flusher's. Every submission must
+// return (committed, or failed with the session's cause — never hang), every
+// outcome acknowledged Committed must be durable on the recovered medium,
+// and the wreck must leave no lock residue and no goroutines behind.
 func TestSessionCrashRace(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ents := []model.EntityID{"a", "b", "c", "d", "e", "f"}
@@ -315,16 +316,18 @@ func TestSessionCrashRace(t *testing.T) {
 	for _, x := range ents {
 		init[x] = 1000
 	}
-	db, err := wal.Open(wal.NewMedium(), init)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Crash at the 150th durable append: mid-run with 96 transactions of
 	// ~4 appends each, so a healthy prefix commits and a healthy suffix
 	// slams into the dead store from many goroutines at once.
-	ws := NewWALStore(db, fault.New(fault.Plan{Seed: 9, CrashAppends: []int64{150}}))
+	m := wal.NewMedium()
+	m.Faults = fault.New(fault.Plan{Seed: 9, CrashAppends: []int64{150}})
+	db, err := wal.Open(m, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := wal.NewPipeline(db, 0)
 	stp := sched.NewShardedTwoPhase(8)
-	s := NewSession(Config{Seed: 5, MaxRestarts: 64}, stp, breakpoint.Uniform{Levels: 2, C: 2}, ws)
+	s := NewSession(Config{Seed: 5, MaxRestarts: 64}, stp, breakpoint.Uniform{Levels: 2, C: 2}, NewPipelinedWALStore(pipe))
 
 	const workers, perWorker = 24, 4
 	var (
@@ -375,8 +378,9 @@ func TestSessionCrashRace(t *testing.T) {
 	}
 
 	// The durability contract: recovery of the crashed medium succeeds and
-	// every acknowledged commit survives it. (No torn tail in this plan:
-	// WALStore acknowledges only records that reached the medium.)
+	// every acknowledged commit survives it. (No torn tail in this plan: the
+	// pipeline acknowledges only records that reached the medium.)
+	pipe.Close()
 	rdb, err := wal.Open(db.Crash(), init)
 	if err != nil {
 		t.Fatalf("recovery after crash: %v", err)

@@ -69,9 +69,11 @@ type Plan struct {
 	Seed int64
 
 	// CrashAppends lists cumulative WAL-append counts at which the system
-	// crashes: the Nth durable append (update and commit records alike,
-	// counted across recovery rounds) triggers ErrCrash. Each entry fires
-	// once; entries are sorted internally.
+	// crashes: the Nth durable append (update, compensation, abort and
+	// commit records alike, counted across recovery rounds by the WAL
+	// medium that holds the injector; recovery's own appends excluded)
+	// triggers ErrCrash. Each entry fires once; entries are sorted
+	// internally.
 	CrashAppends []int64
 
 	// CrashAfter, when positive, crashes the system once after this much
@@ -212,7 +214,8 @@ func New(p Plan) *Injector {
 func (i *Injector) Plan() Plan { return i.plan }
 
 // OnAppend counts one durable WAL append and reports whether the system
-// crashes now. Each configured crash point fires exactly once.
+// crashes now. Each configured crash point fires exactly once. The WAL
+// medium (wal.Medium.Faults) is its caller.
 func (i *Injector) OnAppend() bool {
 	if i == nil {
 		return false

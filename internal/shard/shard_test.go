@@ -226,6 +226,7 @@ func TestGroupWALPipelinedShots(t *testing.T) {
 func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
 	init := map[model.EntityID]model.Value{"a": 0, "b": 0, "c": 0}
 	var dbs []*wal.DB
+	var pipes []*wal.Pipeline
 	g := NewGroup(GroupConfig{
 		Shards: 2,
 		NewStore: func(i int, part map[model.EntityID]model.Value) engine.Store {
@@ -233,8 +234,9 @@ func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shard %d wal: %v", i, err)
 			}
-			dbs = append(dbs, db)
-			return engine.NewWALStore(db, nil)
+			pipe := wal.NewPipeline(db, 0)
+			dbs, pipes = append(dbs, db), append(pipes, pipe)
+			return engine.NewPipelinedWALStore(pipe)
 		},
 	}, init)
 	inc := func(v model.Value) (model.Value, string) { return v + 1, "inc" }
@@ -278,15 +280,20 @@ func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
 			t.Fatalf("%s = %d, want 0 (aborted unit)", x, v)
 		}
 	}
-	for i, db := range dbs {
-		if live := db.Live(); live != 0 {
-			t.Errorf("shard %d: %d transactions with live updates after the rollback", i, live)
-		}
-	}
 	// The shards stay serviceable after the torn submission.
 	blocker := Txn{ID: "after", Units: []Unit{{Steps: []Step{{Entity: "b", Apply: inc}}}}}
 	if out, err := g.Submit(context.Background(), blocker); err != nil || !out.Committed {
 		t.Fatalf("post-cancel submit: %+v, %v", out, err)
+	}
+	// Read the logs once their flushers have stopped. The committed "after"
+	// retired its own records, so anything live is the rollback's residue.
+	for _, p := range pipes {
+		p.Close()
+	}
+	for i, db := range dbs {
+		if live := db.Live(); live != 0 {
+			t.Errorf("shard %d: %d transactions with live updates after the rollback", i, live)
+		}
 	}
 }
 

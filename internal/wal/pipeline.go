@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"sync"
 	"time"
 
+	"mla/internal/fault"
 	"mla/internal/model"
 )
 
@@ -45,9 +47,10 @@ type Pipeline struct {
 	batchAck    chan struct{}
 	batchGroups int
 
-	// err latches the first durable-medium failure (wrapping
-	// wal.ErrDegraded). Once set, every flush closes its ack without
-	// committing and every Perform/Submit fails fast: a medium that lost
+	// err latches the first durable-medium failure from any DB call
+	// (wrapping ErrDegraded, or fault.ErrCrash at an injected crash point).
+	// Once set, every flush closes its ack without committing, every
+	// Perform/Submit fails fast, and Abort does nothing: a medium that lost
 	// a write cannot be trusted with the next one.
 	err error
 
@@ -79,7 +82,8 @@ type PipelineStats struct {
 	// Checkpoints is the number of opportunistic compacting checkpoints
 	// taken (see Pipeline.AutoCheckpoint).
 	Checkpoints int64
-	// Degraded is 1 once the durable medium has persistently failed.
+	// Degraded is 1 once the durable medium has persistently failed or
+	// reached an injected crash point.
 	Degraded int
 }
 
@@ -148,10 +152,7 @@ func (p *Pipeline) flush() {
 		}
 		if cerr != nil {
 			p.mu.Lock()
-			if p.err == nil {
-				p.err = cerr
-				p.stats.Degraded = 1
-			}
+			p.failLocked(cerr)
 			p.mu.Unlock()
 		}
 		close(ack)
@@ -181,8 +182,8 @@ func (p *Pipeline) maybeCheckpoint() {
 	defer p.mu.Unlock()
 	if err == nil {
 		p.stats.Checkpoints++
-	} else if p.err == nil {
-		p.err, p.stats.Degraded = err, 1
+	} else {
+		p.failLocked(err)
 	}
 }
 
@@ -226,6 +227,20 @@ func (p *Pipeline) Submit(ids []model.TxnID) <-chan struct{} {
 	return ack
 }
 
+// failLocked latches err unless a failure is latched already. Caller holds
+// mu.
+func (p *Pipeline) failLocked(err error) {
+	if p.err == nil {
+		p.err, p.stats.Degraded = err, 1
+	}
+}
+
+// mediumFailed tells a durable-medium failure from a caller's mistake (a
+// step of a committed transaction, an abort set that is not closed).
+func mediumFailed(err error) bool {
+	return errors.Is(err, ErrDegraded) || errors.Is(err, fault.ErrCrash)
+}
+
 // Perform executes one step WAL-first under the pipeline's lock; see
 // DB.Perform.
 func (p *Pipeline) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Value) (model.Value, string)) (model.Step, error) {
@@ -234,17 +249,30 @@ func (p *Pipeline) Perform(t model.TxnID, seq int, x model.EntityID, f func(mode
 	if p.err != nil {
 		return model.Step{}, p.err
 	}
-	return p.db.Perform(t, seq, x, f)
+	step, err := p.db.Perform(t, seq, x, f)
+	if mediumFailed(err) {
+		p.failLocked(err)
+	}
+	return step, err
 }
 
 // Abort rolls back a dependency-closed set under the pipeline's lock; see
 // DB.Abort. Transactions with an unflushed Submit in flight must not be
 // aborted — the engine guarantees that by never wounding a committing
-// transaction.
+// transaction. Once the medium has failed, Abort is a no-op that returns
+// nil: the device is gone, and recovery undoes every uncommitted update.
 func (p *Pipeline) Abort(set map[model.TxnID]bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.db.Abort(set)
+	if p.err != nil {
+		return nil
+	}
+	err := p.db.Abort(set)
+	if mediumFailed(err) {
+		p.failLocked(err)
+		return nil
+	}
+	return err
 }
 
 // Values returns a copy of the current volatile state.
@@ -259,13 +287,6 @@ func (p *Pipeline) Committed(t model.TxnID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.db.Committed(t)
-}
-
-// LogLen returns the durable log length.
-func (p *Pipeline) LogLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.db.LogLen()
 }
 
 // RecordsSinceCheckpoint returns the current recovery replay bound; see

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mla/internal/fault"
 	"mla/internal/model"
 )
 
@@ -278,5 +279,60 @@ func TestSubmitSteadyStateAllocations(t *testing.T) {
 	// allocation crept back into Submit.
 	if allocs >= 1 {
 		t.Errorf("Submit allocates %.2f objects per group in steady state, want < 1", allocs)
+	}
+}
+
+// TestPipelineFailedMediumAbortIsNoop: once the medium has failed, Abort
+// returns nil and appends nothing — not even for a victim with no steps,
+// whose Abort marker would be an append. The engine treats an Abort error as
+// a bug, and a wound or deadline rollback can land between the medium
+// failing and the session noticing.
+func TestPipelineFailedMediumAbortIsNoop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		medium func(t *testing.T) *Medium
+	}{
+		{"degraded file", func(t *testing.T) *Medium {
+			m, err := OpenFile(t.TempDir(), FileOptions{Faults: fault.New(fault.Plan{Seed: 11, DiskFullAfter: 400})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			return m
+		}},
+		{"crashed memory", func(t *testing.T) *Medium {
+			m := NewMedium()
+			m.Faults = fault.New(fault.Plan{CrashAppends: []int64{40}})
+			return m
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(tc.medium(t), fuzzInit())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := NewPipeline(db, 0)
+			defer p.Close()
+			if _, err := p.Perform("victim", 1, "a", add(1)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100 && p.Err() == nil; i++ {
+				id := model.TxnID(fmt.Sprintf("t%d", i))
+				if _, err := p.Perform(id, 1, "b", add(1)); err != nil {
+					break
+				}
+				<-p.Submit([]model.TxnID{id})
+			}
+			if p.Err() == nil {
+				t.Fatal("the medium never failed")
+			}
+			n := db.LogLen()
+			if err := p.Abort(map[model.TxnID]bool{"victim": true, "idle": true}); err != nil {
+				t.Fatalf("Abort on a failed medium = %v, want nil", err)
+			}
+			if got := db.LogLen(); got != n {
+				t.Fatalf("Abort on a failed medium appended %d records", got-n)
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mla/internal/fault"
 	"mla/internal/model"
 )
 
@@ -198,12 +199,34 @@ type Medium struct {
 	// safe to change concurrently with Sync.
 	SyncDelay time.Duration
 	syncs     atomic.Int64
+
+	// Faults, when non-nil, counts appends toward its crash points
+	// (fault.Plan.CrashAppends). The append that reaches one is durable;
+	// then the medium latches, and every later append fails fast with
+	// fault.ErrCrash until Open mounts it again. Recovery's own appends are
+	// not counted. Set before use; Prefix carries it over.
+	Faults  *fault.Injector
+	crashed bool
 }
 
 // NewMedium returns an empty in-memory durable medium.
 func NewMedium() *Medium { return &Medium{nextLSN: 1} }
 
+// append logs r and counts it against the crash points; see Faults.
 func (m *Medium) append(r Record) (Record, error) {
+	if m.crashed {
+		return Record{}, fault.ErrCrash
+	}
+	r, err := m.put(r)
+	if err == nil && m.Faults != nil && m.Faults.OnAppend() {
+		m.crashed = true
+		return r, fault.ErrCrash
+	}
+	return r, err
+}
+
+// put logs r, uncounted.
+func (m *Medium) put(r Record) (Record, error) {
 	r.LSN = m.nextLSN
 	r.Sum = r.checksum()
 	if m.backing != nil {
@@ -276,7 +299,7 @@ func (m *Medium) Records() []Record { return append([]Record(nil), m.records...)
 // (the WAL rule), any prefix is a consistent recovery input.
 func (m *Medium) Prefix(lsn int64) *Medium {
 	out := NewMedium()
-	out.SyncDelay = m.SyncDelay
+	out.SyncDelay, out.Faults = m.SyncDelay, m.Faults
 	for _, a := range m.archive {
 		if a.LSN <= lsn {
 			out.archive, out.archived = append(out.archive, a), a.LSN
@@ -341,8 +364,9 @@ func (db *DB) retireLive(t model.TxnID) {
 
 // Open mounts a DB on the medium, running recovery if it is nonempty. init
 // provides the values of a fresh database; the archive overrides the
-// entities it names.
+// entities it names. Mounting is a reboot: a crash latch is cleared.
 func Open(m *Medium, init map[model.EntityID]model.Value) (*DB, error) {
+	m.crashed = false
 	db := &DB{
 		medium:    m,
 		init:      copyVals(init),
@@ -454,7 +478,7 @@ func (db *DB) recover() error {
 			}
 			db.vals[u.Entity] = u.Before
 		}
-		if _, err := db.medium.append(Record{Kind: Compensation, Txn: u.Txn, Seq: u.Seq, Entity: u.Entity, Before: u.After, After: u.Before}); err != nil {
+		if _, err := db.medium.put(Record{Kind: Compensation, Txn: u.Txn, Seq: u.Seq, Entity: u.Entity, Before: u.After, After: u.Before}); err != nil {
 			return fmt.Errorf("wal: recovery undo: %w", err)
 		}
 	}
@@ -462,7 +486,7 @@ func (db *DB) recover() error {
 	for _, u := range loserRecs {
 		if !seen[u.Txn] {
 			seen[u.Txn] = true
-			if _, err := db.medium.append(Record{Kind: Abort, Txn: u.Txn}); err != nil {
+			if _, err := db.medium.put(Record{Kind: Abort, Txn: u.Txn}); err != nil {
 				return fmt.Errorf("wal: recovery abort marker: %w", err)
 			}
 			delete(db.live, u.Txn)
@@ -495,7 +519,8 @@ func (db *DB) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Val
 	rec, err := db.medium.append(Record{Kind: Update, Txn: t, Seq: seq, Entity: x, Before: before, After: after})
 	if err != nil {
 		// WAL-first means a failed append changes nothing volatile: the
-		// step simply did not happen.
+		// step did not happen (or, at a crash point, the system died with
+		// its record durable, and recovery undoes it).
 		return model.Step{}, err
 	}
 	db.vals[x] = after
@@ -665,7 +690,7 @@ func (db *DB) RecordsSinceCheckpoint() int { return len(db.medium.records) }
 func (db *DB) Crash() *Medium { return db.medium }
 
 // LogLen returns the number of durable records, without the copying of
-// Records(); fault injectors use it to attribute appends.
+// Records(); a crash's torn tail is capped by what the round appended.
 func (db *DB) LogLen() int { return db.medium.Len() }
 
 // Sync flushes the underlying medium; see Medium.Sync. Unbatched commit

@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"mla/internal/fault"
 	"mla/internal/model"
 )
 
@@ -471,5 +473,45 @@ func TestCorruptMissingLSN(t *testing.T) {
 	m := NewMedium()
 	if m.Corrupt(7) {
 		t.Error("Corrupt reported success on an empty medium")
+	}
+}
+
+// TestMediumCrashPoint: the append that reaches a crash point is durable,
+// every later append fails fast with fault.ErrCrash, and Open reboots the
+// medium without counting recovery's own appends, so the next crash point
+// fires exactly where the plan puts it.
+func TestMediumCrashPoint(t *testing.T) {
+	init := map[model.EntityID]model.Value{"x": 0, "y": 0}
+	inj := fault.New(fault.Plan{CrashAppends: []int64{3, 5}})
+	m := NewMedium()
+	m.Faults = inj
+	db, err := Open(m, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPerform(t, db, "t1", 1, "x", 1)
+	mustPerform(t, db, "t2", 1, "y", 1) // a loser at the crash
+	if err := db.CommitGroup([]model.TxnID{"t1"}); !errors.Is(err, fault.ErrCrash) {
+		t.Fatalf("third append = %v, want fault.ErrCrash", err)
+	}
+	if recs := m.Records(); len(recs) != 3 || recs[2].Kind != Commit {
+		t.Fatalf("the crash point's commit record is not durable: %d records", len(recs))
+	}
+	if _, err := db.Perform("t3", 1, "x", add(1)); !errors.Is(err, fault.ErrCrash) || m.Len() != 3 {
+		t.Fatalf("append after the crash = %v with %d records, want fault.ErrCrash and 3", err, m.Len())
+	}
+	db2, err := Open(db.Crash(), init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db2.Committed("t1") || db2.Get("x") != 1 || db2.Get("y") != 0 {
+		t.Fatalf("recovered x=%d y=%d committed(t1)=%v", db2.Get("x"), db2.Get("y"), db2.Committed("t1"))
+	}
+	mustPerform(t, db2, "t3", 1, "x", 1)
+	if _, err := db2.Perform("t3", 2, "x", add(1)); !errors.Is(err, fault.ErrCrash) {
+		t.Fatalf("fifth counted append = %v, want fault.ErrCrash", err)
+	}
+	if got := inj.Appends(); got != 5 {
+		t.Fatalf("injector counted %d appends, want 5 (recovery's undo uncounted)", got)
 	}
 }

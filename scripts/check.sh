@@ -10,6 +10,9 @@ go vet ./...
 # Pinned staticcheck + govulncheck; MLA_SKIP_LINT=1 skips, offline machines
 # warn-and-skip unless MLA_REQUIRE_LINT=1 (CI sets it).
 ./scripts/lint.sh
+# Includes the crash-recovery tests ('Crash' in internal/engine and
+# internal/wal), whose injected crash lands on a worker or on the
+# group-commit flusher goroutine; the nightly repeats them fifty times.
 go test -race ./...
 # The per-commit and per-step microbenchmarks (a Release that visits only
 # the stripes a transaction took; a ledger commit flat in the in-flight
