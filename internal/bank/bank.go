@@ -205,11 +205,8 @@ func (s xferState) Apply(v model.Value) (model.Value, string, model.ProgState) {
 }
 
 // WithdrawDone reports whether the prefix completes the withdrawal phase:
-// the collected amount reached the goal or every source was scanned. The
-// workload's breakpoint specification uses it to place the phase boundary
-// online, and a service front-end admitting transfers one at a time
-// (internal/serve) needs the same boundary for transfers the batch
-// workload never saw — which is why it is exported.
+// the collected amount reached the goal or every source was scanned.
+// Population's Spec uses it to place the phase boundary online.
 func (t *Transfer) WithdrawDone(prefix []model.Step) bool {
 	var got model.Value
 	withdrawals := 0

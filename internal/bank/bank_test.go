@@ -201,7 +201,7 @@ func TestGenerateWorkloadShape(t *testing.T) {
 	// Transfers of a common family relate at level 3; audits at level 1.
 	var xferIDs []model.TxnID
 	for _, pr := range wl.Programs {
-		if tr, ok := wl.Transfer(pr.ID()); ok && tr != nil {
+		if _, ok := pr.(*Transfer); ok {
 			xferIDs = append(xferIDs, pr.ID())
 		}
 	}
@@ -266,7 +266,7 @@ func TestCutAfterPlacesPhaseBoundary(t *testing.T) {
 	wl := Generate(p)
 	var tr *Transfer
 	for _, pr := range wl.Programs {
-		if x, ok := wl.Transfer(pr.ID()); ok {
+		if x, ok := pr.(*Transfer); ok {
 			tr = x
 			break
 		}

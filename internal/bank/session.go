@@ -125,37 +125,27 @@ type SessionWorkload struct {
 	Spec     breakpoint.Spec
 	Init     map[model.EntityID]model.Value
 
-	sessions map[model.TxnID]*Session
-	audits   map[model.TxnID]*Audit
+	audits []*Audit
 }
 
 // GenerateSessions builds a deterministic sessioned workload.
 func GenerateSessions(p SessionParams) *SessionWorkload {
 	rng := rand.New(rand.NewSource(p.Seed))
 	w := World{Families: p.Families, AccountsPerFamily: p.AccountsPerFamily, InitialBalance: p.InitialBalance}
-	wl := &SessionWorkload{
-		World:    w,
-		Params:   p,
-		Init:     w.Init(),
-		sessions: make(map[model.TxnID]*Session),
-		audits:   make(map[model.TxnID]*Audit),
+	pop := NewPopulation(w, p.Amount, p.Reserve, nest.New(4), true)
+	wl := &SessionWorkload{World: w, Params: p, Init: w.Init(), Nest: pop.Nest, Spec: pop.Spec}
+	add := func(prog model.Program, path []string) {
+		pop.Prepare(prog, path)
+		wl.Programs = append(wl.Programs, prog)
 	}
-	n := nest.New(4)
-	var programs []model.Program
 	for i := 0; i < p.Sessions; i++ {
 		f := rng.Intn(p.Families)
-		id := model.TxnID(fmt.Sprintf("sess-%03d", i))
-		s := &Session{Txn: id, Family: f}
-		for j := 0; j < p.SessionLength; j++ {
+		transfers := make([]Transfer, p.SessionLength)
+		for j := range transfers {
 			// Sources within the family; targets anywhere.
-			srcIdx := rng.Perm(p.AccountsPerFamily)
-			nsrc := 3
-			if nsrc > p.AccountsPerFamily {
-				nsrc = p.AccountsPerFamily
-			}
-			var sources []model.EntityID
-			for _, ai := range srcIdx[:nsrc] {
-				sources = append(sources, w.Account(f, ai))
+			tr := &transfers[j]
+			for _, ai := range rng.Perm(p.AccountsPerFamily)[:min(3, p.AccountsPerFamily)] {
+				tr.Sources = append(tr.Sources, w.Account(f, ai))
 			}
 			tf := f
 			if p.Families > 1 && rng.Intn(100) < p.CrossFamilyPct {
@@ -163,76 +153,40 @@ func GenerateSessions(p SessionParams) *SessionWorkload {
 					tf = rng.Intn(p.Families)
 				}
 			}
-			targets := [2]model.EntityID{
+			tr.Targets = [2]model.EntityID{
 				w.Account(tf, rng.Intn(p.AccountsPerFamily)),
 				w.Account(tf, rng.Intn(p.AccountsPerFamily)),
 			}
-			s.Transfers = append(s.Transfers, Transfer{
-				Txn: id, Family: f, Sources: sources, Targets: targets,
-				Amount: p.Amount, Reserve: p.Reserve,
-			})
 		}
-		wl.sessions[id] = s
-		programs = append(programs, s)
-		n.Add(id, "cust", fmt.Sprintf("fam-%02d", f))
+		add(pop.Session(model.TxnID(fmt.Sprintf("sess-%03d", i)), f, transfers))
 	}
 	for i := 0; i < p.BankAudits; i++ {
-		id := model.TxnID(fmt.Sprintf("audit-%03d", i))
-		a := &Audit{Txn: id, Accounts: w.Accounts(), Result: model.EntityID("auditres/" + string(id))}
-		wl.audits[id] = a
+		a, path := pop.Audit(model.TxnID(fmt.Sprintf("audit-%03d", i)))
+		wl.audits = append(wl.audits, a)
 		wl.Init[a.Result] = 0
-		programs = append(programs, a)
 		// Audits live beside the customers at level 2: they may interleave
 		// at session transfer boundaries (consistent totals) but never
 		// inside a transfer.
-		n.Add(id, "cust", "audit/"+string(id))
+		add(a, []string{classCust, path[1]})
 	}
-	rng.Shuffle(len(programs), func(i, j int) { programs[i], programs[j] = programs[j], programs[i] })
-	wl.Programs = programs
-	wl.Nest = n
-	wl.Spec = breakpoint.Func{Levels: 4, Fn: wl.cutAfter}
+	rng.Shuffle(len(wl.Programs), func(i, j int) { wl.Programs[i], wl.Programs[j] = wl.Programs[j], wl.Programs[i] })
 	return wl
-}
-
-// cutAfter: the boundary after a completed transfer ("xfer-end") is
-// class-wide (2); every other interior boundary of a session is
-// family-level (3); audits expose no interior breakpoints.
-func (wl *SessionWorkload) cutAfter(t model.TxnID, prefix []model.Step) int {
-	if _, ok := wl.sessions[t]; ok {
-		if prefix[len(prefix)-1].Label == "xfer-end" {
-			return 2
-		}
-		return 3
-	}
-	return 4
 }
 
 // Check evaluates the sessioned invariants: conservation, audit exactness
 // (audits interleave only where no money is in transit), and value-chain
 // validity.
 func (wl *SessionWorkload) Check(exec model.Execution, final map[model.EntityID]model.Value) Invariants {
-	inv := Invariants{Expected: wl.World.Total()}
-	var total model.Value
-	for _, x := range wl.World.Accounts() {
-		total += final[x]
-	}
-	inv.ConservationOK = total == inv.Expected
-	for _, a := range wl.audits {
-		if final[a.Result] == inv.Expected {
-			inv.AuditsExact++
-		} else {
-			inv.AuditsInexact++
-		}
-	}
-	inv.TraceValid = exec.Validate(wl.Init)
-	return inv
+	return check(wl.World, wl.Init, wl.audits, exec, final)
 }
 
 // SessionIDs returns the session transaction IDs, sorted.
 func (wl *SessionWorkload) SessionIDs() []model.TxnID {
 	var out []model.TxnID
-	for id := range wl.sessions {
-		out = append(out, id)
+	for _, p := range wl.Programs {
+		if s, ok := p.(*Session); ok {
+			out = append(out, s.Txn)
+		}
 	}
 	model.SortTxnIDs(out)
 	return out

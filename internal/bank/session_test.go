@@ -3,7 +3,6 @@ package bank
 import (
 	"testing"
 
-	"mla/internal/breakpoint"
 	"mla/internal/coherent"
 	"mla/internal/model"
 	"mla/internal/nest"
@@ -84,13 +83,7 @@ func TestSessionNestLevels(t *testing.T) {
 	if len(sess) != p.Sessions {
 		t.Fatalf("sessions = %d", len(sess))
 	}
-	var audit model.TxnID
-	for _, pr := range wl.Programs {
-		if _, ok := wl.audits[pr.ID()]; ok {
-			audit = pr.ID()
-			break
-		}
-	}
+	audit := wl.audits[0].Txn
 	// Audits share the customers' level-2 class (unlike the plain banking
 	// workload, where they are isolated at level 1).
 	if lv := wl.Nest.Level(sess[0], audit); lv != 2 {
@@ -106,9 +99,9 @@ func TestSessionCutPlacement(t *testing.T) {
 	if got := wl.Spec.CutAfter(id, end); got != 2 {
 		t.Errorf("after xfer-end = %d, want 2", got)
 	}
-	mid := []model.Step{{Txn: id, Seq: 1, Label: "withdraw"}}
+	mid := []model.Step{{Txn: id, Seq: 1, Label: "withdraw", Before: 500, After: 500 - p.Amount}}
 	if got := wl.Spec.CutAfter(id, mid); got != 3 {
-		t.Errorf("mid-transfer = %d, want 3", got)
+		t.Errorf("after an inner transfer's completed withdrawal = %d, want 3", got)
 	}
 }
 
@@ -121,14 +114,10 @@ func TestAuditBetweenTransfersIsAtomic(t *testing.T) {
 		{Txn: "s1", Sources: []model.EntityID{"A"}, Targets: [2]model.EntityID{"C", "X"}, Amount: 10, Reserve: 1 << 30},
 	}}
 	audit := &Audit{Txn: "a1", Accounts: []model.EntityID{"A", "B", "C"}, Result: "res"}
-	wl := &SessionWorkload{
-		sessions: map[model.TxnID]*Session{"s1": s},
-		audits:   map[model.TxnID]*Audit{"a1": audit},
-	}
-	n := nest.New(4)
-	n.Add("s1", "cust", "fam-0")
-	n.Add("a1", "cust", "audit")
-	spec := breakpoint.Func{Levels: 4, Fn: wl.cutAfter}
+	pop := NewPopulation(World{}, 0, 0, nest.New(4), false)
+	pop.Prepare(s, []string{"cust", "fam-0"})
+	pop.Prepare(audit, []string{"cust", "audit"})
+	n, spec := pop.Nest, pop.Spec
 	init := map[model.EntityID]model.Value{"A": 100, "B": 0, "C": 0, "X": 0, "res": 0}
 
 	run := func(order []int) model.Execution {

@@ -57,80 +57,40 @@ type Workload struct {
 	Spec     breakpoint.Spec
 	Init     map[model.EntityID]model.Value
 
-	transfers map[model.TxnID]*Transfer
-	audits    map[model.TxnID]*Audit // bank audits
-	creditors map[model.TxnID]*Audit // creditor (family) audits
+	audits []*Audit // bank audits
 }
 
 // Generate builds a deterministic banking workload from the parameters.
 func Generate(p Params) *Workload {
 	rng := rand.New(rand.NewSource(p.Seed))
 	w := World{Families: p.Families, AccountsPerFamily: p.AccountsPerFamily, InitialBalance: p.InitialBalance}
-	wl := &Workload{
-		World:     w,
-		Params:    p,
-		Init:      w.Init(),
-		transfers: make(map[model.TxnID]*Transfer),
-		audits:    make(map[model.TxnID]*Audit),
-		creditors: make(map[model.TxnID]*Audit),
+	pop := NewPopulation(w, p.Amount, p.Reserve, nest.New(4), true)
+	wl := &Workload{World: w, Params: p, Init: w.Init(), Nest: pop.Nest, Spec: pop.Spec}
+	add := func(prog model.Program, path []string) {
+		pop.Prepare(prog, path)
+		wl.Programs = append(wl.Programs, prog)
 	}
-
-	n := nest.New(4)
-	var programs []model.Program
-	accounts := w.Accounts()
 
 	for i := 0; i < p.Transfers; i++ {
 		f := rng.Intn(p.Families)
-		id := model.TxnID(fmt.Sprintf("xfer-%03d", i))
-		sources, targets := w.DrawTransfer(rng, accounts, f, p.CrossFamilyPct)
-		tr := &Transfer{Txn: id, Family: f, Sources: sources, Targets: targets, Amount: p.Amount, Reserve: p.Reserve}
-		wl.transfers[id] = tr
-		programs = append(programs, tr)
-		n.Add(id, "cust", fmt.Sprintf("fam-%02d", f))
+		sources, targets := w.DrawTransfer(rng, pop.Accounts, f, p.CrossFamilyPct)
+		add(pop.Transfer(model.TxnID(fmt.Sprintf("xfer-%03d", i)), f, sources, targets))
 	}
-
 	for i := 0; i < p.BankAudits; i++ {
-		id := model.TxnID(fmt.Sprintf("audit-%03d", i))
-		a := &Audit{Txn: id, Accounts: w.Accounts(), Result: model.EntityID("auditres/" + string(id))}
-		wl.audits[id] = a
+		a, path := pop.Audit(model.TxnID(fmt.Sprintf("audit-%03d", i)))
+		wl.audits = append(wl.audits, a)
 		wl.Init[a.Result] = 0
-		programs = append(programs, a)
-		n.Add(id, "audit/"+string(id), "audit/"+string(id))
+		add(a, path)
 	}
-
 	for i := 0; i < p.CreditorAudits; i++ {
-		f := rng.Intn(p.Families)
-		id := model.TxnID(fmt.Sprintf("cred-%03d", i))
-		a := &Audit{Txn: id, Accounts: w.FamilyAccounts(f), Result: model.EntityID("credres/" + string(id))}
-		wl.creditors[id] = a
+		a, path := pop.Credit(model.TxnID(fmt.Sprintf("cred-%03d", i)), rng.Intn(p.Families))
 		wl.Init[a.Result] = 0
-		programs = append(programs, a)
-		n.Add(id, "cust", "cred/"+string(id))
+		add(a, path)
 	}
 
 	// Shuffle arrival order so audits are interspersed among transfers.
-	rng.Shuffle(len(programs), func(i, j int) { programs[i], programs[j] = programs[j], programs[i] })
-	wl.Programs = programs
-	wl.Nest = n
-	wl.Spec = breakpoint.Func{Levels: 4, Fn: wl.cutAfter}
+	rng.Shuffle(len(wl.Programs), func(i, j int) { wl.Programs[i], wl.Programs[j] = wl.Programs[j], wl.Programs[i] })
 	return wl
-}
-
-// cutAfter implements the banking breakpoint description of Section 4.2:
-// for transfers, the boundary after the withdrawal phase completes has
-// coarseness 2 (customers and creditors may interleave there, bank audits
-// may not) and every other interior boundary has coarseness 3 (only family
-// members interleave). Audits and creditor audits have no interior
-// breakpoints below the singleton level.
-func (wl *Workload) cutAfter(t model.TxnID, prefix []model.Step) int {
-	if tr, ok := wl.transfers[t]; ok {
-		last := prefix[len(prefix)-1]
-		if last.Label == "withdraw" && tr.WithdrawDone(prefix) {
-			return 2
-		}
-		return 3
-	}
-	return 4
 }
 
 // SerializabilitySpec returns the k=2 spec over the same transactions, for
@@ -145,13 +105,11 @@ func (wl *Workload) SerializabilitySpec() (*nest.Nest, breakpoint.Spec) {
 
 // Invariants summarizes the correctness checks of a finished run.
 type Invariants struct {
-	ConservationOK   bool // account total equals the initial supply
-	AuditsExact      int  // bank audits whose recorded total is exact
-	AuditsInexact    int
-	CreditorsExact   int // creditor audits matching their family's final... see doc
-	CreditorsChecked int
-	TraceValid       error       // value-chain validation of the surviving execution
-	Expected         model.Value // the conserved total
+	ConservationOK bool        // account total equals the initial supply
+	AuditsExact    int         // bank audits whose recorded total is exact
+	AuditsInexact  int         // bank audits that recorded anything else
+	TraceValid     error       // value-chain validation of the surviving execution
+	Expected       model.Value // the conserved total
 }
 
 // Check evaluates the banking invariants against a run's result:
@@ -166,37 +124,36 @@ type Invariants struct {
 //
 // Creditor audits record one family's total; since transfers legitimately
 // interleave with them at phase boundaries (level-2 breakpoints), their
-// recorded totals are reported but not required to match anything.
+// recorded totals are not required to match anything.
 func (wl *Workload) Check(exec model.Execution, final map[model.EntityID]model.Value) Invariants {
-	inv := Invariants{Expected: wl.World.Total()}
+	return check(wl.World, wl.Init, wl.audits, exec, final)
+}
+
+// check evaluates conservation, the exactness of the given bank audits, and
+// value-chain validity from init.
+func check(w World, init map[model.EntityID]model.Value, audits []*Audit, exec model.Execution, final map[model.EntityID]model.Value) Invariants {
+	inv := Invariants{Expected: w.Total()}
 	var total model.Value
-	for _, x := range wl.World.Accounts() {
+	for _, x := range w.Accounts() {
 		total += final[x]
 	}
 	inv.ConservationOK = total == inv.Expected
-	for _, a := range wl.audits {
+	for _, a := range audits {
 		if final[a.Result] == inv.Expected {
 			inv.AuditsExact++
 		} else {
 			inv.AuditsInexact++
 		}
 	}
-	inv.CreditorsChecked = len(wl.creditors)
-	inv.TraceValid = exec.Validate(wl.Init)
+	inv.TraceValid = exec.Validate(init)
 	return inv
-}
-
-// Transfer returns the transfer program registered under id, if any.
-func (wl *Workload) Transfer(id model.TxnID) (*Transfer, bool) {
-	t, ok := wl.transfers[id]
-	return t, ok
 }
 
 // BankAuditIDs returns the bank audit transaction IDs, sorted by ID.
 func (wl *Workload) BankAuditIDs() []model.TxnID {
 	var out []model.TxnID
-	for id := range wl.audits {
-		out = append(out, id)
+	for _, a := range wl.audits {
+		out = append(out, a.Txn)
 	}
 	model.SortTxnIDs(out)
 	return out

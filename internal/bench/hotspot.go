@@ -82,7 +82,7 @@ func hotify(wl *bank.Workload, hotPct int) {
 	wl.Init[fee] = 0
 	i := 0
 	for _, p := range wl.Programs {
-		tr, ok := wl.Transfer(p.ID())
+		tr, ok := p.(*bank.Transfer)
 		if !ok {
 			continue
 		}
@@ -96,7 +96,7 @@ func hotify(wl *bank.Workload, hotPct int) {
 func countTransfers(wl *bank.Workload) int {
 	n := 0
 	for _, p := range wl.Programs {
-		if _, ok := wl.Transfer(p.ID()); ok {
+		if _, ok := p.(*bank.Transfer); ok {
 			n++
 		}
 	}

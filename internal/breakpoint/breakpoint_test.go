@@ -212,18 +212,6 @@ func TestUniformSpecs(t *testing.T) {
 	}
 }
 
-func TestByLabelSpec(t *testing.T) {
-	b := ByLabel{Levels: 4, Default: 3, Rules: map[string]int{"withdraw/*": 2}}
-	wd := []model.Step{{Txn: "t", Seq: 1, Label: "withdraw"}}
-	dep := []model.Step{{Txn: "t", Seq: 1, Label: "deposit"}}
-	if got := b.CutAfter("t", wd); got != 2 {
-		t.Errorf("after withdraw = %d", got)
-	}
-	if got := b.CutAfter("t", dep); got != 3 {
-		t.Errorf("after deposit = %d", got)
-	}
-}
-
 func TestDescriptionPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -75,45 +75,6 @@ func (f Func) K() int { return f.Levels }
 // CutAfter implements Spec.
 func (f Func) CutAfter(t model.TxnID, prefix []model.Step) int { return f.Fn(t, prefix) }
 
-// ByLabel assigns coarseness from the labels of the steps flanking the
-// boundary: the coarsest matching rule wins, falling back to Default. It
-// captures patterns like the paper's banking description, where the single
-// level-2 breakpoint of a transfer sits between the last withdrawal and the
-// first deposit.
-type ByLabel struct {
-	Levels  int
-	Default int
-	// Rules maps "beforeLabel/afterLabel" to a coarseness. Either side may
-	// be "*" to match any label.
-	Rules map[string]int
-}
-
-// K implements Spec.
-func (b ByLabel) K() int { return b.Levels }
-
-// CutAfter implements Spec.
-func (b ByLabel) CutAfter(t model.TxnID, prefix []model.Step) int {
-	// The label after the boundary is unknowable online (the next step has
-	// not happened); ByLabel therefore keys on the label *before* the
-	// boundary plus a wildcard, which keeps it compatible in the Section 6
-	// sense. Rules of the form "label/*" and "*/*" are honored.
-	last := prefix[len(prefix)-1].Label
-	best := b.Default
-	if c, ok := b.Rules[last+"/*"]; ok && c < best {
-		best = c
-	}
-	if c, ok := b.Rules["*/*"]; ok && c < best {
-		best = c
-	}
-	if best < 2 {
-		best = 2
-	}
-	if best > b.Levels {
-		best = b.Levels
-	}
-	return best
-}
-
 // Clamp restricts a specification to fewer levels: coarseness values above
 // k are clamped to k (a boundary nobody may use) and K() reports k. It is
 // the generic form of "flattening" a hierarchy — see the CAD workload's

@@ -58,24 +58,13 @@ func TestPreventerResidentBounded(t *testing.T) {
 		// audit, plus a generous allowance for commits lingering behind them.
 		maxLive = callers * 65 * 4
 	)
-	world := bank.World{Families: 16, AccountsPerFamily: 4, InitialBalance: 1000}
-	all := world.Accounts()
-	n := nest.New(4)
-	transfers := make(map[model.TxnID]*bank.Transfer) // touched under the engine mutex only
-	spec := breakpoint.Func{Levels: 4, Fn: func(id model.TxnID, prefix []model.Step) int {
-		if tr, ok := transfers[id]; ok {
-			if last := prefix[len(prefix)-1]; last.Label == "withdraw" && tr.WithdrawDone(prefix) {
-				return 2
-			}
-			return 3
-		}
-		return 4
-	}}
-	p := sched.NewPreventer(n, spec)
+	pop := bank.NewPopulation(bank.World{Families: 16, AccountsPerFamily: 4, InitialBalance: 1000}, 100, 125, nest.New(4), true)
+	world := pop.World
+	p := sched.NewPreventer(pop.Nest, pop.Spec)
 	obs := &windowRecorder{p: p}
-	obs.rec.Store(history.NewRecorder(n))
+	obs.rec.Store(history.NewRecorder(pop.Nest))
 	store := NewVolatileStore(world.Init())
-	s := NewSession(Config{Seed: 1, Observer: obs}, p, spec, store)
+	s := NewSession(Config{Seed: 1, Observer: obs}, p, pop.Spec, store)
 
 	var auditMu sync.Mutex
 	var audits []model.EntityID
@@ -83,41 +72,27 @@ func TestPreventerResidentBounded(t *testing.T) {
 		fam := rng.Intn(world.Families)
 		var (
 			prog model.Program
-			tr   *bank.Transfer
 			path []string
 		)
 		switch m := i % 110; {
 		case m%55 == 27: // 2 bank audits per 110
-			id := model.TxnID(fmt.Sprintf("a%d", i))
-			res := model.EntityID("auditres/" + string(id))
-			prog, path = &bank.Audit{Txn: id, Accounts: all, Result: res}, []string{"audit/" + string(id), "audit/" + string(id)}
+			prog, path = pop.Audit(model.TxnID(fmt.Sprintf("a%d", i)))
 			auditMu.Lock()
-			audits = append(audits, res)
+			audits = append(audits, prog.(*bank.Audit).Result)
 			auditMu.Unlock()
 		case m%14 == 3: // 8 creditor audits
-			id := model.TxnID(fmt.Sprintf("c%d", i))
-			prog = &bank.Audit{Txn: id, Accounts: world.FamilyAccounts(fam), Result: model.EntityID("credres/" + string(id))}
-			path = []string{"cust", "cred/" + string(id)}
+			prog, path = pop.Credit(model.TxnID(fmt.Sprintf("c%d", i)), fam)
 		default: // 100 transfers
 			src, dst := world.FamilyAccounts(fam), world.FamilyAccounts((fam+1+rng.Intn(world.Families-1))%world.Families)
 			o := rng.Intn(4)
-			tr = &bank.Transfer{
-				Txn: model.TxnID(fmt.Sprintf("x%d", i)), Family: fam,
-				Sources: []model.EntityID{src[o], src[(o+1)%4], src[(o+2)%4]},
-				Targets: [2]model.EntityID{dst[rng.Intn(4)], dst[rng.Intn(4)]},
-				Amount:  100, Reserve: 125,
-			}
-			prog, path = tr, []string{"cust", fmt.Sprintf("fam-%02d", fam)}
+			prog, path = pop.Transfer(model.TxnID(fmt.Sprintf("x%d", i)), fam,
+				[]model.EntityID{src[o], src[(o+1)%4], src[(o+2)%4]},
+				[2]model.EntityID{dst[rng.Intn(4)], dst[rng.Intn(4)]})
 		}
 		id := prog.ID()
 		out, err := s.Submit(context.Background(), prog, SubmitOpts{
-			Prepare: func() {
-				if tr != nil {
-					transfers[id] = tr
-				}
-				n.Add(id, path...)
-			},
-			Cleanup: func() { delete(transfers, id) },
+			Prepare: func() { pop.Prepare(prog, path) },
+			Cleanup: func() { pop.Cleanup(id) },
 		})
 		if err == nil && !out.Committed {
 			err = fmt.Errorf("%s resolved without committing: %+v", id, out)
@@ -157,7 +132,7 @@ func TestPreventerResidentBounded(t *testing.T) {
 		if p.ClosureSteps() != 0 || p.ClosureSlots() != 0 {
 			t.Fatalf("window %d: %d live steps in %d slots at a quiescent point", w, p.ClosureSteps(), p.ClosureSlots())
 		}
-		rec := obs.rec.Swap(history.NewRecorder(n))
+		rec := obs.rec.Swap(history.NewRecorder(pop.Nest))
 		if w == 0 || w == windows/2 || w == windows-1 {
 			rep, err := history.Check(rec.History())
 			if err != nil {
@@ -194,7 +169,7 @@ func TestPreventerResidentBounded(t *testing.T) {
 		t.Errorf("the last windows take %v, the first %v: cost grows with the run", last, first)
 	}
 	var total model.Value
-	for _, x := range all {
+	for _, x := range pop.Accounts {
 		total += final[x]
 	}
 	if total != world.Total() {

@@ -83,11 +83,12 @@ func TestSynthesizeGolden(t *testing.T) {
 			cs := &clientSession{id: fmt.Sprintf("e2-s%06d", seed), family: f, rng: rand.New(rand.NewSource(seed))}
 			ref := rand.New(rand.NewSource(seed))
 			for k := 0; k < 3; k++ {
-				p, path, tr, err := srv.synthesize(cs, "transfer")
+				p, path, err := srv.synthesize(cs, "transfer")
 				if err != nil {
 					t.Fatal(err)
 				}
-				sources, targets := referenceTransfer(cfg, srv.world, ref, f)
+				tr := p.(*bank.Transfer)
+				sources, targets := referenceTransfer(cfg, srv.pop.World, ref, f)
 				if !reflect.DeepEqual(tr.Sources, sources) || tr.Targets != targets {
 					t.Fatalf("per %d seed %d transfer %d: %v -> %v, the rng.Perm version picks %v -> %v",
 						per, seed, k, tr.Sources, tr.Targets, sources, targets)
@@ -102,10 +103,10 @@ func TestSynthesizeGolden(t *testing.T) {
 				accounts       []model.EntityID
 				path           func(id string) []string
 			}{
-				"audit":  {"audit", "auditres/", srv.world.Accounts(), func(id string) []string { return []string{"audit/" + id, "audit/" + id} }},
-				"credit": {"cred", "credres/", srv.world.FamilyAccounts(f), func(id string) []string { return []string{"cust", "cred/" + id} }},
+				"audit":  {"audit", "auditres/", srv.pop.World.Accounts(), func(id string) []string { return []string{"audit/" + id, "audit/" + id} }},
+				"credit": {"cred", "credres/", srv.pop.World.FamilyAccounts(f), func(id string) []string { return []string{"cust", "cred/" + id} }},
 			} {
-				p, path, _, err := srv.synthesize(cs, kind)
+				p, path, err := srv.synthesize(cs, kind)
 				if err != nil {
 					t.Fatal(err)
 				}

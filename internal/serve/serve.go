@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"mla/internal/bank"
-	"mla/internal/breakpoint"
 	"mla/internal/engine"
 	"mla/internal/fault"
 	"mla/internal/history"
@@ -167,7 +166,6 @@ func DefaultConfig() Config {
 // stop with Shutdown. All methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
-	world   bank.World
 	session *engine.Session
 	control sched.Control
 	medium  *wal.Medium
@@ -177,18 +175,9 @@ type Server struct {
 	epoch   int64 // boot count of DataDir; 0 when in-memory
 	start   time.Time
 
-	// accounts is every account entity, family-major, and famPath each
-	// family's nest class path: built once, shared read-only by every
-	// synthesized program and spool declaration.
-	accounts []model.EntityID
-	famPath  [][]string
-
-	// transfers carries each in-flight transfer's parameters for the
-	// breakpoint spec. Mutated only inside SubmitOpts.Prepare/Cleanup and
-	// read only from Spec.CutAfter — all under the engine mutex, so no
-	// lock of its own (the same discipline bank.Workload gets for free
-	// from its fixed population).
-	transfers map[model.TxnID]*bank.Transfer
+	// pop builds every synthesized program with its class path; its Spec is
+	// the engine's breakpoint rule.
+	pop *bank.Population
 
 	gates  map[string]*gate // admission queue per nest class
 	global *gate            // engine-wide in-flight cap
@@ -290,21 +279,17 @@ func New(cfg Config) (*Server, error) {
 	pipe.AutoCheckpoint(cfg.CheckpointEvery)
 
 	s := &Server{
-		cfg:       cfg,
-		world:     w,
-		accounts:  w.Accounts(),
-		medium:    medium,
-		db:        db,
-		pipe:      pipe,
-		epoch:     medium.Recovery().Epoch,
-		transfers: make(map[model.TxnID]*bank.Transfer),
-		sessions:  make(map[string]*clientSession),
-		start:     time.Now(),
-		lat:       metrics.NewHistogram(),
-		waited:    metrics.NewHistogram(),
-	}
-	for f := 0; f < cfg.Families; f++ {
-		s.famPath = append(s.famPath, []string{classCust, fmt.Sprintf("fam-%02d", f)})
+		cfg: cfg,
+		// No control reads classes, so no nest; a spool declares them.
+		pop:      bank.NewPopulation(w, cfg.Amount, cfg.Reserve, nil, cfg.SpoolPath != ""),
+		medium:   medium,
+		db:       db,
+		pipe:     pipe,
+		epoch:    medium.Recovery().Epoch,
+		sessions: make(map[string]*clientSession),
+		start:    time.Now(),
+		lat:      metrics.NewHistogram(),
+		waited:   metrics.NewHistogram(),
 	}
 	s.control = controlByName(cfg.Control, cfg.Shards)
 	if s.control == nil {
@@ -341,12 +326,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.Telemetry.Trace.NameLane(s.pid, 0, "requests")
 	}
 
-	spec := breakpoint.Func{Levels: 4, Fn: s.cutAfter}
 	s.session = engine.NewSession(engine.Config{
 		Seed:        cfg.Seed,
 		Observer:    engine.Tee(obs...),
 		MaxRestarts: cfg.MaxRestarts,
-	}, s.control, spec, engine.NewPipelinedWALStore(pipe))
+	}, s.control, s.pop.Spec, engine.NewPipelinedWALStore(pipe))
 	return s, nil
 }
 
@@ -379,21 +363,6 @@ func controlByName(name string, shards int) sched.Control {
 		return sched.NewNone()
 	}
 	return nil
-}
-
-// cutAfter is the banking breakpoint description of Section 4.2 applied to
-// an open population: transfers get a level-2 boundary after the withdrawal
-// phase and level-3 boundaries elsewhere; audits get no interior boundary
-// below the singleton level. Runs under the engine mutex (see transfers).
-func (s *Server) cutAfter(t model.TxnID, prefix []model.Step) int {
-	if tr, ok := s.transfers[t]; ok {
-		last := prefix[len(prefix)-1]
-		if last.Label == "withdraw" && tr.WithdrawDone(prefix) {
-			return 2
-		}
-		return 3
-	}
-	return 4
 }
 
 // OpenSession registers a client session pinned to the given family (< 0
@@ -511,7 +480,7 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 	}
 	defer s.global.release()
 
-	p, path, tr, err := s.synthesize(cs, req.Kind)
+	p, path, err := s.synthesize(cs, req.Kind)
 	if err != nil {
 		return TxnResult{}, err
 	}
@@ -543,14 +512,12 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 		Prepare: func() {
 			// Under the engine mutex: the spec and the spool see the
 			// transaction's class before its first step.
-			if tr != nil {
-				s.transfers[id] = tr
-			}
+			s.pop.Prepare(p, path)
 			if s.spool != nil {
 				s.spool.Declare(id, path)
 			}
 		},
-		Cleanup: func() { delete(s.transfers, id) },
+		Cleanup: func() { s.pop.Cleanup(id) },
 	})
 	if s.spans != nil {
 		s.spanMu.Lock()
@@ -660,38 +627,27 @@ func (s *Server) RetryAfter() time.Duration {
 	return d
 }
 
-// synthesize builds the program for one request from the session's
-// deterministic rng, mirroring bank.Generate's shapes for an open
-// population. Returns the program, its nest class path (only when a spool
-// will declare it), and (for transfers) the parameters the breakpoint spec
-// needs.
-func (s *Server) synthesize(cs *clientSession, kind string) (model.Program, []string, *bank.Transfer, error) {
+// synthesize builds the program for one request through the banking
+// application, drawing a transfer's accounts from the session's
+// deterministic rng. Returns the program and its nest class path (for an
+// audit or credit, only when a spool will declare it).
+func (s *Server) synthesize(cs *clientSession, kind string) (model.Program, []string, error) {
 	n := s.txnSeq.Add(1)
-	var path []string
 	switch kind {
 	case "", "transfer":
-		f := cs.family
-		tr := &bank.Transfer{Txn: mintID("xfer-", cs.id, n), Family: f, Amount: s.cfg.Amount, Reserve: s.cfg.Reserve}
 		cs.mu.Lock()
-		tr.Sources, tr.Targets = s.world.DrawTransfer(cs.rng, s.accounts, f, s.cfg.CrossFamilyPct)
+		sources, targets := s.pop.World.DrawTransfer(cs.rng, s.pop.Accounts, cs.family, s.cfg.CrossFamilyPct)
 		cs.mu.Unlock()
-		return tr, s.famPath[f], tr, nil
+		tr, path := s.pop.Transfer(mintID("xfer-", cs.id, n), cs.family, sources, targets)
+		return tr, path, nil
 	case "audit":
-		id := mintID("audit-", cs.id, n)
-		a := &bank.Audit{Txn: id, Accounts: s.accounts, Result: model.EntityID("auditres/" + string(id))}
-		if s.spool != nil {
-			path = []string{"audit/" + string(id), "audit/" + string(id)}
-		}
-		return a, path, nil, nil
+		a, path := s.pop.Audit(mintID("audit-", cs.id, n))
+		return a, path, nil
 	case "credit":
-		id, per := mintID("cred-", cs.id, n), s.cfg.AccountsPerFamily
-		a := &bank.Audit{Txn: id, Accounts: s.accounts[cs.family*per:][:per], Result: model.EntityID("credres/" + string(id))}
-		if s.spool != nil {
-			path = []string{classCust, "cred/" + string(id)}
-		}
-		return a, path, nil, nil
+		a, path := s.pop.Credit(mintID("cred-", cs.id, n), cs.family)
+		return a, path, nil
 	}
-	return nil, nil, nil, fmt.Errorf("serve: unknown transaction kind %q", kind)
+	return nil, nil, fmt.Errorf("serve: unknown transaction kind %q", kind)
 }
 
 // mintID is fmt.Sprintf("%s%s-%07d", prefix, session, n) without fmt.

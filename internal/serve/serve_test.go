@@ -6,15 +6,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mla/internal/bank"
+	"mla/internal/breakpoint"
+	"mla/internal/history"
 	"mla/internal/model"
 )
 
@@ -291,6 +296,94 @@ func TestServeHistoryAudit(t *testing.T) {
 	}
 }
 
+// TestServeRecordsBankCuts: the cut the server records after each step is
+// the one bank.Population's Spec gives that step's prefix. One client
+// submits transfers, credits and audits one at a time, so the run is serial
+// and replaying the same programs in submission order reproduces every
+// step's values: each committed transaction's recorded description must be
+// breakpoint.Describe over its replayed steps, and some transfer must show
+// its withdrawal-phase boundary (coarseness 2).
+func TestServeRecordsBankCuts(t *testing.T) {
+	cfg := testConfig()
+	cfg.InitialBalance = 60 // below the goal: a phase takes one to three withdrawals
+	cfg.SpoolPath = filepath.Join(t.TempDir(), "history.spool")
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := srv.OpenSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test repeats the session's draws to rebuild each transfer.
+	cs.rng = rand.New(rand.NewSource(7))
+	twin := rand.New(rand.NewSource(7))
+	pop := srv.pop
+	var programs []model.Program
+	for i := 0; i < 20; i++ {
+		kind := [...]string{"transfer", "transfer", "credit", "transfer", "audit"}[i%5]
+		res, err := srv.Submit(context.Background(), TxnRequest{Session: cs.ID(), Kind: kind})
+		if err != nil || !res.Outcome.Committed {
+			t.Fatalf("%s %d: %+v %v", kind, i, res, err)
+		}
+		var prog model.Program
+		switch kind {
+		case "transfer":
+			sources, targets := pop.World.DrawTransfer(twin, pop.Accounts, cs.family, cfg.CrossFamilyPct)
+			prog, _ = pop.Transfer(res.Txn, cs.family, sources, targets)
+		case "credit":
+			prog, _ = pop.Credit(res.Txn, cs.family)
+		default:
+			prog, _ = pop.Audit(res.Txn)
+		}
+		programs = append(programs, prog)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	h, err := history.ReadSpoolFile(cfg.SpoolPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, recorded, err := h.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := model.RunSerial(programs, pop.World.Init())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != len(exec) {
+		t.Fatalf("served %d committed steps, the replay %d", len(exec), len(replay))
+	}
+	steps := make(map[model.TxnID][]model.Step)
+	for i, st := range replay {
+		if exec[i].Txn != st.Txn || exec[i].Entity != st.Entity {
+			t.Fatalf("step %d: served %s on %s, replayed %s on %s", i, exec[i].Txn, exec[i].Entity, st.Txn, st.Entity)
+		}
+		steps[st.Txn] = append(steps[st.Txn], st)
+	}
+	phases := 0
+	for _, prog := range programs {
+		id := prog.ID()
+		pop.Prepare(prog, nil) // the server is down: the table is the test's
+		if want := breakpoint.Describe(pop.Spec, id, steps[id]); !reflect.DeepEqual(recorded[id], want) {
+			t.Errorf("%s recorded %v, the bank's rule gives %v", id, recorded[id], want)
+		}
+		if _, ok := prog.(*bank.Transfer); ok {
+			for p := 1; p < recorded[id].Len(); p++ {
+				if recorded[id].Coarseness(p) == 2 {
+					phases++
+				}
+			}
+		}
+	}
+	if phases == 0 {
+		t.Error("no transfer recorded its withdrawal-phase boundary")
+	}
+}
+
 // TestServeInMemoryStartsNewHistory: without a data directory there is no
 // boot epoch, so a second server mints the first one's identifiers again.
 // Pointed at the same spool it must start a new history, not append a run
@@ -414,12 +507,11 @@ func TestServeConcurrentLoadNoLeaks(t *testing.T) {
 	// entities live outside the account space.
 	var sum model.Value
 	for x, v := range srv.db.Values() {
-		if w := srv.world; len(x) >= 4 && x[:4] != "audi" && x[:4] != "cred" {
-			_ = w
+		if len(x) >= 4 && x[:4] != "audi" && x[:4] != "cred" {
 			sum += v
 		}
 	}
-	want := srv.world.Total()
+	want := srv.pop.World.Total()
 	if sum != want {
 		t.Errorf("accounts sum to %d, want %d", sum, want)
 	}

@@ -7,6 +7,12 @@ set -eu
 cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
+# The Section 4.2 breakpoint rule lives once, in bank.Population: a copy elsewhere drifts (benchmark/ keeps one until ROADMAP 4(g)).
+if grep -rn --include='*.go' --exclude='*_test.go' -E 'WithdrawDone\(|(==|!=) *"xfer-end"|"xfer-end" *(==|!=)|case +"xfer-end"' . |
+    grep -v -E '^\./(internal/bank|benchmark)/'; then
+    echo "check.sh: the Section 4.2 breakpoint rule is restated outside internal/bank" >&2
+    exit 1
+fi
 # Pinned staticcheck + govulncheck; MLA_SKIP_LINT=1 skips, offline machines
 # warn-and-skip unless MLA_REQUIRE_LINT=1 (CI sets it).
 ./scripts/lint.sh
