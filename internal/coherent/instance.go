@@ -153,15 +153,6 @@ func (inst *Instance) Index(t model.TxnID, seq int) (int, bool) {
 	return inst.stepsOf[ti][seq-1], true
 }
 
-// Desc returns the breakpoint description of t.
-func (inst *Instance) Desc(t model.TxnID) *breakpoint.Description {
-	ti, ok := inst.txnIdx[t]
-	if !ok {
-		return nil
-	}
-	return inst.desc[ti]
-}
-
 // programEdges returns the generator edges of the <t orders: consecutive
 // steps of each transaction.
 func (inst *Instance) programEdges() [][2]int {

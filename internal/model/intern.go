@@ -90,14 +90,6 @@ func (in *Interner[K]) Release(k K) {
 	in.mu.Unlock()
 }
 
-// Cap returns the size any slice indexed by this interner's handles must
-// have: one past the highest handle ever assigned.
-func (in *Interner[K]) Cap() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return int(in.next)
-}
-
 // Len returns the number of currently interned keys.
 func (in *Interner[K]) Len() int {
 	in.mu.RLock()

@@ -30,6 +30,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"mla/internal/metrics"
 )
 
 // Options configures one load run.
@@ -73,17 +75,19 @@ type Options struct {
 // (one logical transaction shed three times and then acked counts once in
 // Acked and three in Retries).
 type Report struct {
-	Offered   int // logical transactions offered
-	Acked     int // 200: committed and durable
-	AckedIDs  []string
-	Deadline  int     // 408 deadline_exceeded
-	Shed      int     // 429 that exhausted retries (or retrying disabled)
-	Draining  int     // 503 during drain
-	Canceled  int     // client-side disconnects injected
-	Down      int     // transport-level failures: the server was unreachable
-	Errors    int     // unexpected statuses, protocol violations
-	Retries   int     // 429s that were retried
-	Latencies []int64 // µs, acked transactions only (server-reported)
+	Offered  int // logical transactions offered
+	Acked    int // 200: committed and durable
+	AckedIDs []string
+	Deadline int // 408 deadline_exceeded
+	Shed     int // 429 that exhausted retries (or retrying disabled)
+	Draining int // 503 during drain
+	Canceled int // client-side disconnects injected
+	Down     int // transport-level failures: the server was unreachable
+	Errors   int // unexpected statuses, protocol violations
+	Retries  int // 429s that were retried
+	// Latencies is the histogram of server-reported latencies (µs) of
+	// acked transactions.
+	Latencies *metrics.Histogram
 
 	// ErrorSamples holds the first few error details (transport error
 	// strings, unexpected status lines) so a failed run is diagnosable
@@ -116,7 +120,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 	client := NewHTTPClient(o.BaseURL, o.Client)
 
-	rep := &Report{}
+	rep := &Report{Latencies: metrics.NewHistogram()}
 	var sessions []string
 	for si := 0; si < o.Sessions; si++ {
 		id, err := client.OpenSession(ctx)
@@ -169,7 +173,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		Observe: func(res Result, _ int64) {
 			if res.Status == StatusAcked {
 				mu.Lock()
-				rep.Latencies = append(rep.Latencies, res.LatencyUS)
+				rep.Latencies.Record(res.LatencyUS)
 				mu.Unlock()
 			}
 		},

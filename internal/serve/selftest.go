@@ -251,12 +251,8 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 	if o.DrainAfter > 0 && load.Draining == 0 {
 		problem("mid-run drain produced no 503s — drain raced past the load")
 	}
-	if len(load.Latencies) > 0 {
-		lat := metrics.NewHistogram()
-		for _, us := range load.Latencies {
-			lat.Record(us)
-		}
-		rep.P99 = time.Duration(lat.Percentile(99)) * time.Microsecond
+	if load.Latencies.Count() > 0 {
+		rep.P99 = time.Duration(load.Latencies.Percentile(99)) * time.Microsecond
 		if o.P99SLO > 0 && rep.P99 > o.P99SLO {
 			problem("acked p99 %v exceeds SLO %v", rep.P99, o.P99SLO)
 		}

@@ -1,5 +1,6 @@
 // Package storage provides the in-memory entity store used by the
-// concurrency controls: current values plus a global undo log supporting
+// concurrency controls, and by wal.DB beneath its log: current values plus
+// a global undo log supporting
 // rollback of an arbitrary *dependency-closed* set of transactions (the
 // paper's unit of recovery, Section 1; cascading rollback, Section 6).
 //
@@ -34,11 +35,19 @@ type Store struct {
 	live int // number of non-dead records
 	// byTxn indexes each transaction's log positions so Commit touches
 	// only the transaction's own records instead of scanning the whole
-	// log. Entries may point at dead records (aborts kill records without
-	// maintaining the index); readers skip those. The map is cleared, never
-	// replaced, so it keeps the buckets of its peak in-flight count.
+	// log. It holds exactly the transactions with a live record; an entry
+	// may also point at dead records (a suffix rollback kills records
+	// without maintaining the index), which readers skip. The map is
+	// cleared, never replaced, so it keeps the buckets of its peak in-flight
+	// count.
 	byTxn map[model.TxnID][]int
 	spare [][]int // emptied byTxn slices (at most 64) for new transactions
+
+	// OnUndo, when non-nil, is called by the rollback loop with each record
+	// it is about to undo, newest first — value-preserving ones included —
+	// before the record dies. An error stops the loop and is returned. The
+	// WAL logs its compensation records here.
+	OnUndo func(model.Step) error
 }
 
 // New creates a store with the given initial values (copied).
@@ -93,11 +102,8 @@ func (s *Store) recycle(idx []int) {
 // removed, but the caller's schedule is unsound.
 func (s *Store) Abort(set map[model.TxnID]bool) error {
 	err := s.undo(func(r *record) bool { return set[r.txn] })
-	// A full abort kills every record of the set, so the index entries
-	// are all dead; drop them (restarts re-index from scratch).
 	for t := range set {
-		s.recycle(s.byTxn[t])
-		delete(s.byTxn, t)
+		s.forget(t)
 	}
 	return err
 }
@@ -110,10 +116,30 @@ func (s *Store) Abort(set map[model.TxnID]bool) error {
 // every surviving step that observed an undone value must itself be in the
 // undone suffix of its transaction, or the error is reported.
 func (s *Store) AbortSuffix(keep map[model.TxnID]int) error {
-	return s.undo(func(r *record) bool {
+	err := s.undo(func(r *record) bool {
 		k, ok := keep[r.txn]
 		return ok && r.seq > k
 	})
+	for t := range keep {
+		s.forget(t)
+	}
+	return err
+}
+
+// forget drops t's index entry once a rollback has left it no live record
+// (a restart re-indexes from scratch).
+func (s *Store) forget(t model.TxnID) {
+	idx, ok := s.byTxn[t]
+	if !ok {
+		return
+	}
+	for _, i := range idx {
+		if !s.log[i].dead {
+			return
+		}
+	}
+	s.recycle(idx)
+	delete(s.byTxn, t)
 }
 
 // undo is the one rollback loop: it walks the log backwards and restores
@@ -124,6 +150,11 @@ func (s *Store) undo(selected func(*record) bool) error {
 		r := &s.log[i]
 		if r.dead || !selected(r) {
 			continue
+		}
+		if s.OnUndo != nil {
+			if err := s.OnUndo(model.Step{Txn: r.txn, Seq: r.seq, Entity: r.entity, Before: r.before, After: r.after}); err != nil {
+				return err
+			}
 		}
 		r.dead = true
 		s.live--
@@ -191,6 +222,12 @@ func (s *Store) maybeCompact() {
 // PendingRecords returns the number of live (uncommitted, not undone) log
 // records.
 func (s *Store) PendingRecords() int { return s.live }
+
+// PendingTxns returns the number of transactions with a live record.
+func (s *Store) PendingTxns() int { return len(s.byTxn) }
+
+// InFlight returns the transactions with a live record, in id order.
+func (s *Store) InFlight() []model.TxnID { return model.SortedKeys(s.byTxn) }
 
 // Values returns a copy of the current entity values.
 func (s *Store) Values() map[model.EntityID]model.Value {

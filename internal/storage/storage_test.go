@@ -181,6 +181,70 @@ func TestAbortSuffixMultipleTxns(t *testing.T) {
 	}
 }
 
+// TestOnUndoHook: the hook sees every record the rollback loop undoes,
+// newest first and value-preserving ones included, before it dies; an error
+// stops the loop there and is returned.
+func TestOnUndoHook(t *testing.T) {
+	s := New(map[model.EntityID]model.Value{"x": 0, "y": 0})
+	s.Perform("t1", 1, "x", add(1))
+	s.Perform("t2", 1, "y", add(2))
+	s.Perform("t1", 2, "y", add(0)) // value-preserving
+	var seen []model.Step
+	s.OnUndo = func(u model.Step) error {
+		seen = append(seen, u)
+		return nil
+	}
+	if err := s.AbortSuffix(map[model.TxnID]int{"t1": 0}); err != nil {
+		t.Fatal(err)
+	}
+	want := []model.Step{
+		{Txn: "t1", Seq: 2, Entity: "y", Before: 2, After: 2},
+		{Txn: "t1", Seq: 1, Entity: "x", Before: 0, After: 1},
+	}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("hook saw %v, want %v", seen, want)
+	}
+	stop := fmt.Errorf("stop")
+	s.OnUndo = func(model.Step) error { return stop }
+	if err := s.Abort(map[model.TxnID]bool{"t2": true}); err != stop {
+		t.Fatalf("Abort = %v, want the hook's error", err)
+	}
+	if s.Get("y") != 2 || s.PendingRecords() != 1 || s.PendingTxns() != 1 {
+		t.Fatalf("a stopped rollback undid its record: y=%d pending=%d/%d", s.Get("y"), s.PendingRecords(), s.PendingTxns())
+	}
+}
+
+// TestPendingTxnsIsExact: a transaction counts as pending exactly while it
+// has a live record — a suffix rollback past its first record, a full
+// abort and a commit all end it.
+func TestPendingTxnsIsExact(t *testing.T) {
+	s := New(nil)
+	for _, id := range []model.TxnID{"a", "b", "c", "d"} {
+		s.Perform(id, 1, "x", add(1))
+		s.Perform(id, 2, "y", add(1))
+	}
+	check := func(want ...model.TxnID) {
+		t.Helper()
+		if got := s.InFlight(); fmt.Sprint(got) != fmt.Sprint(want) || s.PendingTxns() != len(want) {
+			t.Fatalf("in flight %v (%d), want %v", got, s.PendingTxns(), want)
+		}
+	}
+	check("a", "b", "c", "d")
+	if err := s.AbortSuffix(map[model.TxnID]int{"d": 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "b", "c", "d")
+	if err := s.AbortSuffix(map[model.TxnID]int{"d": 0, "c": 0}); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "b")
+	if err := s.Abort(map[model.TxnID]bool{"b": true}); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit("a")
+	check()
+}
+
 // Property: perform k ops then abort all transactions → initial state.
 func TestQuickAbortAllRestoresInit(t *testing.T) {
 	prop := func(deltas []int8) bool {

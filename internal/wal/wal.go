@@ -1,17 +1,18 @@
 // Package wal adds durability to the entity store: a write-ahead log on a
-// simulated durable medium, a volatile value cache, checkpoints, crash
-// injection, and restart recovery. The paper's Section 1 separates three
-// roles of a transaction — logical unit, unit of atomicity, unit of
-// recovery — and this package realizes the recovery role across crashes:
-// committed transactions survive, in-flight transactions are rolled back on
-// restart.
+// simulated durable medium, checkpoints, crash injection, and restart
+// recovery. The volatile state is a storage.Store; the log records what it
+// does. The paper's Section 1 separates three roles of a transaction —
+// logical unit, unit of atomicity, unit of recovery — and this package
+// realizes the recovery role across crashes: committed transactions
+// survive, in-flight transactions are rolled back on restart.
 //
 // The design follows the standard write-ahead discipline with compensation
-// log records (CLRs): every physical undo performed by a rollback is itself
-// logged, so recovery is a single forward redo pass (updates and
-// compensations alike) followed by undo of the remaining live updates of
-// loser transactions. Recovery is idempotent — recovering an
-// already-recovered log changes nothing.
+// log records (CLRs): every physical undo performed by the store's rollback
+// loop is itself logged, so recovery is a single forward redo pass (updates
+// as store steps, compensations as one-record rollbacks) followed by the
+// rollback of loser transactions, through the same loop Abort runs.
+// Recovery is idempotent — recovering an already-recovered log changes
+// nothing.
 //
 // The commit discipline is the scheduler layer's: a transaction may commit
 // only when every transaction whose values it observed has committed (group
@@ -23,12 +24,13 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
 	"sync/atomic"
 	"time"
 
 	"mla/internal/fault"
 	"mla/internal/model"
+	"mla/internal/storage"
 )
 
 // ErrDegraded marks a durable medium that has persistently failed: a
@@ -315,51 +317,21 @@ func (m *Medium) Prefix(lsn int64) *Medium {
 	return out
 }
 
-// DB is the recoverable store.
+// DB is the recoverable store: the log around a storage.Store, which holds
+// the volatile state — the values and every live update — and runs the one
+// rollback loop.
 type DB struct {
-	medium *Medium
-	init   map[model.EntityID]model.Value
-
-	vals      map[model.EntityID]model.Value
+	medium    *Medium
+	store     *storage.Store
 	committed map[model.TxnID]bool
 	// The next archive frame's content: the ids committed and the entities
 	// written (one entry per Update, repeats included) since the last one.
 	fresh []model.TxnID
 	dirty []model.EntityID
-	// live: per transaction, the stack of update records not yet cancelled
-	// by a compensation (oldest first).
-	live map[model.TxnID][]Record
-	// freeStacks recycles live-update stacks of retired transactions: a
-	// committed transaction's stack goes back in the pool instead of to the
-	// GC, so the steady-state Perform path of a long run stops allocating
-	// per-transaction slices.
-	freeStacks [][]Record
-}
-
-// maxFreeStacks caps the recycled stack pool (it only needs to cover peak
-// concurrent transactions).
-const maxFreeStacks = 64
-
-// liveStack returns t's live stack, reusing a pooled one for a transaction's
-// first update.
-func (db *DB) liveStack(t model.TxnID) []Record {
-	stack, ok := db.live[t]
-	if !ok && len(db.freeStacks) > 0 {
-		stack = db.freeStacks[len(db.freeStacks)-1]
-		db.freeStacks = db.freeStacks[:len(db.freeStacks)-1]
-	}
-	return stack
-}
-
-// retireLive deletes t's live stack and pools its backing array.
-func (db *DB) retireLive(t model.TxnID) {
-	if stack, ok := db.live[t]; ok {
-		delete(db.live, t)
-		if cap(stack) > 0 && len(db.freeStacks) < maxFreeStacks {
-			clear(stack) // drop record references (entity strings, group slices)
-			db.freeStacks = append(db.freeStacks, stack[:0])
-		}
-	}
+	// logged hands the store the after-image of an update already in the
+	// log, so installing the step does not call its function a second time.
+	after  model.Value
+	logged func(model.Value) (model.Value, string)
 }
 
 // Open mounts a DB on the medium, running recovery if it is nonempty. init
@@ -367,32 +339,19 @@ func (db *DB) retireLive(t model.TxnID) {
 // entities it names. Mounting is a reboot: a crash latch is cleared.
 func Open(m *Medium, init map[model.EntityID]model.Value) (*DB, error) {
 	m.crashed = false
-	db := &DB{
-		medium:    m,
-		init:      copyVals(init),
-		vals:      copyVals(init),
-		committed: make(map[model.TxnID]bool),
-		live:      make(map[model.TxnID][]Record),
-	}
-	if err := db.recover(); err != nil {
+	db := &DB{medium: m, committed: make(map[model.TxnID]bool)}
+	db.logged = func(model.Value) (model.Value, string) { return db.after, "" }
+	if err := db.recover(init); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-func copyVals(in map[model.EntityID]model.Value) map[model.EntityID]model.Value {
-	out := make(map[model.EntityID]model.Value, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-// recover folds the checkpoint archive over init (values, committed set),
-// redoes every update and compensation of the log past it in order, then
-// undoes the losers (transactions with live updates but no Commit),
-// newest-first, logging the undo as fresh compensations plus Abort markers.
-func (db *DB) recover() error {
+// recover folds the checkpoint archive over init (values, committed set)
+// into the store, redoes every update and compensation of the log past it
+// in order, then rolls back the losers (transactions with live updates but
+// no Commit) as Abort does, logging fresh compensations plus Abort markers.
+func (db *DB) recover(init map[model.EntityID]model.Value) error {
 	archive, records := db.medium.archive, db.medium.records
 	// Integrity pass over the WHOLE durable medium, before anything is
 	// replayed: a checksum mismatch means the medium holds a corrupted
@@ -407,126 +366,118 @@ func (db *DB) recover() error {
 			}
 		}
 	}
+	vals := make(map[model.EntityID]model.Value, len(init))
+	maps.Copy(vals, init)
 	for _, a := range archive {
-		for x, v := range a.Snapshot {
-			db.vals[x] = v
-		}
+		maps.Copy(vals, a.Snapshot)
 		for _, t := range a.Done {
 			db.committed[t] = true
 		}
 	}
+	db.store = storage.New(vals)
 	for _, r := range records {
 		switch r.Kind {
 		case Update:
-			if cur := db.vals[r.Entity]; cur != r.Before {
+			if cur := db.store.Get(r.Entity); cur != r.Before {
 				return fmt.Errorf("wal: redo mismatch at lsn %d: %s expected %d, found %d",
 					r.LSN, r.Entity, r.Before, cur)
 			}
-			db.vals[r.Entity] = r.After
-			db.dirty = append(db.dirty, r.Entity)
-			db.live[r.Txn] = append(db.live[r.Txn], r)
+			db.install(r.Txn, r.Seq, r.Entity, r.After)
 		case Compensation:
-			if r.Before != r.After {
-				// Value-preserving updates compensate as pure stack pops.
-				if cur := db.vals[r.Entity]; cur != r.Before {
-					return fmt.Errorf("wal: compensation redo mismatch at lsn %d: %s expected %d, found %d",
-						r.LSN, r.Entity, r.Before, cur)
-				}
-				db.vals[r.Entity] = r.After
+			if err := db.redoCompensation(r); err != nil {
+				return err
 			}
-			// Cancel the transaction's most recent live update.
-			stack := db.live[r.Txn]
-			if len(stack) == 0 {
-				return fmt.Errorf("wal: compensation at lsn %d without a live update for %s", r.LSN, r.Txn)
-			}
-			top := stack[len(stack)-1]
-			if top.Entity != r.Entity {
-				return fmt.Errorf("wal: compensation at lsn %d cancels %s but top of stack is %s",
-					r.LSN, r.Entity, top.Entity)
-			}
-			db.live[r.Txn] = stack[:len(stack)-1]
 		case Commit:
-			db.markCommitted(r.Txn)
-			delete(db.live, r.Txn)
+			db.commit(r.Txn)
 			for _, t := range r.Group {
-				db.markCommitted(t)
-				delete(db.live, t)
+				db.commit(t)
 			}
 		case Abort:
 			// Marker only; the physical work was logged as compensations.
-			if len(db.live[r.Txn]) == 0 {
-				delete(db.live, r.Txn)
-			}
 		default:
 			return fmt.Errorf("wal: %s record at lsn %d does not belong in the log", r.Kind, r.LSN)
 		}
 	}
-	// Undo losers: all remaining live updates, newest first globally.
-	var loserRecs []Record
-	for t, stack := range db.live {
+	losers := make(map[model.TxnID]int)
+	for _, t := range db.store.InFlight() {
 		if db.committed[t] {
 			return fmt.Errorf("wal: committed transaction %s has live updates", t)
 		}
-		loserRecs = append(loserRecs, stack...)
+		losers[t] = 0
 	}
-	sortByLSNDesc(loserRecs)
-	for _, u := range loserRecs {
-		if u.Before != u.After {
-			if cur := db.vals[u.Entity]; cur != u.After {
-				return fmt.Errorf("wal: loser undo mismatch at lsn %d (%s on %s): a committed transaction observed an uncommitted value",
-					u.LSN, u.Txn, u.Entity)
-			}
-			db.vals[u.Entity] = u.Before
-		}
-		if _, err := db.medium.put(Record{Kind: Compensation, Txn: u.Txn, Seq: u.Seq, Entity: u.Entity, Before: u.After, After: u.Before}); err != nil {
-			return fmt.Errorf("wal: recovery undo: %w", err)
-		}
+	if len(losers) == 0 {
+		return nil
 	}
-	seen := make(map[model.TxnID]bool)
-	for _, u := range loserRecs {
-		if !seen[u.Txn] {
-			seen[u.Txn] = true
-			if _, err := db.medium.put(Record{Kind: Abort, Txn: u.Txn}); err != nil {
-				return fmt.Errorf("wal: recovery abort marker: %w", err)
-			}
-			delete(db.live, u.Txn)
-		}
+	unsound, err := db.rollback(losers, db.medium.put)
+	if err != nil {
+		return fmt.Errorf("wal: recovery undo: %w", err)
+	}
+	if unsound != nil {
+		return fmt.Errorf("wal: loser undo mismatch, a committed transaction observed an uncommitted value: %w", unsound)
 	}
 	return nil
 }
 
-func sortByLSNDesc(rs []Record) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].LSN > rs[j].LSN })
+// redoCompensation redoes one logged undo as a one-record suffix rollback of
+// its transaction, which must reach exactly the update the record names.
+func (db *DB) redoCompensation(c Record) error {
+	var mismatch error
+	cancelled := false
+	db.store.OnUndo = func(u model.Step) error {
+		if cancelled || u.Seq != c.Seq || u.Entity != c.Entity || u.Before != c.After || u.After != c.Before {
+			mismatch = fmt.Errorf("wal: compensation at lsn %d cancels %s seq %d on %s but the rollback reached seq %d on %s",
+				c.LSN, c.Txn, c.Seq, c.Entity, u.Seq, u.Entity)
+			return mismatch
+		}
+		cancelled = true
+		return nil
+	}
+	err := db.store.AbortSuffix(map[model.TxnID]int{c.Txn: c.Seq - 1})
+	db.store.OnUndo = nil
+	switch {
+	case mismatch != nil:
+		return mismatch
+	case err != nil:
+		return fmt.Errorf("wal: compensation redo mismatch at lsn %d: %w", c.LSN, err)
+	case !cancelled:
+		return fmt.Errorf("wal: compensation at lsn %d without a live update for %s", c.LSN, c.Txn)
+	}
+	return nil
 }
 
 // Get returns the current value of x.
-func (db *DB) Get(x model.EntityID) model.Value { return db.vals[x] }
+func (db *DB) Get(x model.EntityID) model.Value { return db.store.Get(x) }
 
 // Values returns a copy of the current state.
-func (db *DB) Values() map[model.EntityID]model.Value { return copyVals(db.vals) }
+func (db *DB) Values() map[model.EntityID]model.Value { return db.store.Values() }
 
 // Committed reports whether t has a durable commit.
 func (db *DB) Committed(t model.TxnID) bool { return db.committed[t] }
 
 // Perform executes one atomic step WAL-first: the update record is logged
-// (so durable no later than any later record) before the value changes.
+// (so durable no later than any later record) before the step enters the
+// store.
 func (db *DB) Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Value) (model.Value, string)) (model.Step, error) {
 	if db.committed[t] {
 		return model.Step{}, fmt.Errorf("wal: %s already committed", t)
 	}
-	before := db.vals[x]
+	before := db.store.Get(x)
 	after, label := f(before)
-	rec, err := db.medium.append(Record{Kind: Update, Txn: t, Seq: seq, Entity: x, Before: before, After: after})
-	if err != nil {
+	if _, err := db.medium.append(Record{Kind: Update, Txn: t, Seq: seq, Entity: x, Before: before, After: after}); err != nil {
 		// WAL-first means a failed append changes nothing volatile: the
 		// step did not happen (or, at a crash point, the system died with
 		// its record durable, and recovery undoes it).
 		return model.Step{}, err
 	}
-	db.vals[x] = after
-	db.dirty = append(db.dirty, x)
-	db.live[t] = append(db.liveStack(t), rec)
+	db.install(t, seq, x, after)
 	return model.Step{Txn: t, Seq: seq, Entity: x, Label: label, Before: before, After: after}, nil
+}
+
+// install enters a logged update into the store as a step of t.
+func (db *DB) install(t model.TxnID, seq int, x model.EntityID, after model.Value) {
+	db.after = after
+	db.store.Perform(t, seq, x, db.logged)
+	db.dirty = append(db.dirty, x)
 }
 
 // Commit makes t durable. On a file-backed medium the append can fail; the
@@ -535,8 +486,7 @@ func (db *DB) Commit(t model.TxnID) error {
 	if _, err := db.medium.append(Record{Kind: Commit, Txn: t}); err != nil {
 		return err
 	}
-	db.markCommitted(t)
-	db.retireLive(t)
+	db.commit(t)
 	return nil
 }
 
@@ -555,8 +505,7 @@ func (db *DB) CommitGroup(ids []model.TxnID) error {
 		return err
 	}
 	for _, t := range ids {
-		db.markCommitted(t)
-		db.retireLive(t)
+		db.commit(t)
 	}
 	return nil
 }
@@ -572,56 +521,43 @@ func (db *DB) Abort(set map[model.TxnID]bool) error {
 }
 
 // AbortSuffix rolls each transaction in keep back to its given sequence
-// number (0 = full abort), logging each physical undo as a compensation
-// record and finishing with an Abort marker. The step-granular
-// dependency-closure requirement of storage.Store.AbortSuffix applies.
+// number (0 = full abort) through storage.Store.AbortSuffix, whose
+// step-granular dependency-closure check applies, logging each physical undo
+// as a compensation record and finishing with Abort markers.
 func (db *DB) AbortSuffix(keep map[model.TxnID]int) error {
-	var recs []Record
-	for t, k := range keep {
-		for _, r := range db.live[t] {
-			if r.Seq > k {
-				recs = append(recs, r)
-			}
-		}
+	unsound, err := db.rollback(keep, db.medium.append)
+	if err != nil {
+		return err
 	}
-	sortByLSNDesc(recs)
-	var unsound error
-	for _, u := range recs {
-		if u.Before != u.After {
-			if cur := db.vals[u.Entity]; cur != u.After && unsound == nil {
-				unsound = fmt.Errorf("wal: abort set not dependency-closed at %s seq %d", u.Txn, u.Seq)
-			}
-			db.vals[u.Entity] = u.Before
-		}
-		if _, err := db.medium.append(Record{Kind: Compensation, Txn: u.Txn, Seq: u.Seq, Entity: u.Entity, Before: u.After, After: u.Before}); err != nil {
-			// The volatile undo already happened; the CLR is lost. The
-			// medium is degraded — a crash now re-undoes from the original
-			// updates, which is idempotent for recovery, so surfacing the
-			// error (and stopping all further writes) is the right move.
-			return err
-		}
+	return unsound
+}
+
+// rollback is what AbortSuffix and recovery's loser pass share: the store's
+// undo loop over keep, logging each undo through write (Medium.append
+// online, the uncounted Medium.put in recovery) as a compensation just
+// before the loop performs it, then one Abort marker per transaction. A
+// failed write stops it: the medium is degraded, and a crash re-undoes from
+// the original updates, which recovery does idempotently. unsound is the
+// store's dependency-closure error.
+func (db *DB) rollback(keep map[model.TxnID]int, write func(Record) (Record, error)) (unsound, err error) {
+	db.store.OnUndo = func(u model.Step) error {
+		_, err = write(Record{Kind: Compensation, Txn: u.Txn, Seq: u.Seq, Entity: u.Entity, Before: u.After, After: u.Before})
+		return err
+	}
+	unsound = db.store.AbortSuffix(keep)
+	db.store.OnUndo = nil
+	if err != nil {
+		return nil, err
 	}
 	// Markers in id order, not map order: the log of a rollback must be a
 	// function of the run, or a crash point counted into the middle of the
 	// markers would not replay from its seed.
 	for _, t := range model.SortedKeys(keep) {
-		k := keep[t]
-		var kept []Record
-		for _, r := range db.live[t] {
-			if r.Seq <= k {
-				kept = append(kept, r)
-			}
-		}
-		if _, err := db.medium.append(Record{Kind: Abort, Txn: t, Keep: k}); err != nil {
-			return err
-		}
-		if len(kept) == 0 {
-			db.retireLive(t)
-		} else {
-			db.live[t] = kept
+		if _, err := write(Record{Kind: Abort, Txn: t, Keep: keep[t]}); err != nil {
+			return nil, err
 		}
 	}
-	return unsound
+	return unsound, nil
 }
 
 // CheckpointCompact archives what changed since the previous checkpoint —
@@ -650,8 +586,8 @@ func (db *DB) CheckpointCompact() error {
 // touches no DB state. nil, nil when nothing was logged since the last
 // frame.
 func (db *DB) capture() (*Record, error) {
-	if len(db.live) > 0 {
-		return nil, fmt.Errorf("wal: checkpoint requires quiescence (%d active transactions)", len(db.live))
+	if n := db.Live(); n > 0 {
+		return nil, fmt.Errorf("wal: checkpoint requires quiescence (%d active transactions)", n)
 	}
 	m := db.medium
 	if len(m.records) == 0 {
@@ -660,7 +596,7 @@ func (db *DB) capture() (*Record, error) {
 	ck := &Record{LSN: m.nextLSN - 1, Kind: Checkpoint,
 		Snapshot: make(map[model.EntityID]model.Value), Done: append([]model.TxnID(nil), db.fresh...)}
 	for _, x := range db.dirty {
-		ck.Snapshot[x] = db.vals[x]
+		ck.Snapshot[x] = db.store.Get(x)
 	}
 	ck.Sum = ck.checksum()
 	db.fresh, db.dirty = db.fresh[:0], db.dirty[:0]
@@ -669,7 +605,10 @@ func (db *DB) capture() (*Record, error) {
 	return ck, nil
 }
 
-func (db *DB) markCommitted(t model.TxnID) {
+// commit marks t durably committed and makes its updates permanent in the
+// store.
+func (db *DB) commit(t model.TxnID) {
+	db.store.Commit(t)
 	if !db.committed[t] {
 		db.committed[t] = true
 		db.fresh = append(db.fresh, t)
@@ -678,7 +617,7 @@ func (db *DB) markCommitted(t model.TxnID) {
 
 // Live returns the number of transactions with un-undone live updates —
 // zero means the log is quiescent and a checkpoint may run.
-func (db *DB) Live() int { return len(db.live) }
+func (db *DB) Live() int { return db.store.PendingTxns() }
 
 // RecordsSinceCheckpoint is the recovery replay bound: how many records a
 // restart would redo past the latest checkpoint (the whole log if none
@@ -719,7 +658,7 @@ func (db *DB) Snapshot() Stats {
 	return Stats{
 		Records: db.medium.Len(),
 		Commits: len(db.committed),
-		Live:    len(db.live),
+		Live:    db.Live(),
 		Syncs:   db.medium.Syncs(),
 	}
 }
