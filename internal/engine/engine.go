@@ -38,15 +38,16 @@
 // and two drivers of it. A service keeps a Session open and calls Submit as
 // requests arrive; Run/RunOnStore opens a session, submits every program
 // from its own goroutine, joins them, closes the session, and assembles a
-// Result. The two differ in retention only: a batch run keeps its whole step
-// trace and transaction table (they become Result.Exec), a resident session
-// retires and compacts them. A batch run ends when all transactions resolve,
-// the caller's context is cancelled, the configured timeout expires, a
-// worker fails, or an injected crash fires; every cause but the first fails
-// the session, which closes the stop channel all blocking points
-// (generation waits, backoff sleeps, commit waits) select on. Close joins
-// the finalizer; Run joins its workers first. No goroutine outlives Run or
-// Close — the regression tests count them.
+// Result. The two differ in retention only: a batch run keeps a step trace
+// and its whole transaction table (they become Result.Exec), a resident
+// session keeps no trace (the recovery ledger restores a rollback from its
+// own records) and retires each record as its submission resolves. A batch
+// run ends when all transactions resolve, the caller's context is cancelled,
+// the configured timeout expires, a worker fails, or an injected crash
+// fires; every cause but the first fails the session, which closes the stop
+// channel all blocking points (generation waits, backoff sleeps, commit
+// waits) select on. Close joins the finalizer; Run joins its workers first.
+// No goroutine outlives Run or Close — the regression tests count them.
 package engine
 
 import (
@@ -240,18 +241,13 @@ type engine struct {
 	// trace, the transaction records, the commit-group sizes — is kept
 	// whole, because it becomes Result.Exec and Result.CommitGroups. A
 	// resident session (retain false) serves transactions indefinitely, so
-	// it retires records as submissions resolve and compacts the trace.
+	// it keeps no trace and retires records as submissions resolve.
 	// Retention is the only thing the flag decides; the run loop, the
 	// finalizer, and the commit hand-off are the same for both.
 	retain bool
-	// traceCap is the trace-compaction threshold: when the step trace
-	// reaches it, entries of committed/retired attempts are dropped and the
-	// threshold is reset to twice the surviving length (amortized O(1) per
-	// step, like slice growth).
-	traceCap int
 
 	txns  map[model.TxnID]*etxn
-	trace []traceEntry
+	trace []traceEntry // every performed step, kept by a batch run only
 	led   *storage.Ledger
 	// keep and undone are abortLocked's scratch, reused across calls (always
 	// under mu): the victims as the ledger takes them (kept seq, always 0 —
@@ -265,8 +261,8 @@ type engine struct {
 	// txnPool recycles retired submissions' etxn records (with their ledger
 	// entries' deps maps and their steps slices) across the session's
 	// lifetime. Safe because a retired record is unreachable: the transaction
-	// table and the ledger map by id, trace entries carry ids, and the
-	// submission goroutine retires its record only after its outcome resolved.
+	// table and the ledger map by id, and the submission goroutine retires its
+	// record only after its outcome resolved.
 	txnPool sync.Pool
 
 	stats       Result
@@ -509,7 +505,7 @@ func (e *engine) jitter(base time.Duration, attempt int) time.Duration {
 // decides age). Caller holds the mutex.
 func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 	t.seq = 0
-	t.steps = t.steps[:0] // superseded steps live on in e.trace, never here
+	t.steps = t.steps[:0]
 	t.lastCut = 0
 	if t.began.IsZero() {
 		t.began = time.Now()
@@ -667,7 +663,9 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.Prog
 			performed++
 			retries = 0
 			t.steps = append(t.steps, step)
-			e.trace = append(e.trace, traceEntry{id: id, attempt: attempt, step: step})
+			if e.retain {
+				e.trace = append(e.trace, traceEntry{id: id, attempt: attempt, step: step})
+			}
 			cut := 0
 			if _, m := ap.next.Next(); m && e.spec != nil {
 				cut = e.spec.CutAfter(id, t.steps)
@@ -825,19 +823,7 @@ func (e *engine) abortLocked(victims []model.TxnID) {
 		}
 	}
 	e.control.Aborted(ids)
-	e.led.RolledBack(e.keep, e.liveSteps)
-}
-
-// liveSteps enumerates the uncommitted steps that survive in the store, in
-// performance order. A trace entry without a record belongs to a retired
-// resident transaction and has not been compacted away yet: committed or
-// fully rolled back either way, so never live.
-func (e *engine) liveSteps(yield func(model.Step)) {
-	for _, te := range e.trace {
-		if t := e.txns[te.id]; t != nil && te.attempt == t.attempt && !t.Committed {
-			yield(te.step)
-		}
-	}
+	e.led.RolledBack(e.keep)
 }
 
 // tryCommitLocked commits the group the ledger decides, if one forms: the
@@ -939,31 +925,6 @@ func (e *engine) survivors() model.Execution {
 		}
 	}
 	return out
-}
-
-// compactTraceLocked drops trace entries that can no longer matter to
-// liveSteps — entries of retired, committed, parked, or superseded
-// attempts — once the trace reaches the current threshold, then
-// doubles the threshold from the surviving length. A retaining (batch)
-// engine keeps its whole trace because survivors() is its Result.Exec.
-// Caller holds the mutex.
-func (e *engine) compactTraceLocked() {
-	if e.retain || len(e.trace) < e.traceCap {
-		return
-	}
-	kept := e.trace[:0]
-	for _, te := range e.trace {
-		t := e.txns[te.id]
-		if t != nil && !t.Committed && !t.gaveUp && te.attempt == t.attempt {
-			kept = append(kept, te)
-		}
-	}
-	clear(e.trace[len(kept):]) // release retired steps for GC
-	e.trace = kept
-	e.traceCap = 2 * len(kept)
-	if e.traceCap < 1024 {
-		e.traceCap = 1024
-	}
 }
 
 // finalizer marks each submitted group committed once the store

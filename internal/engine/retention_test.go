@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,16 +12,17 @@ import (
 	"mla/internal/model"
 	"mla/internal/nest"
 	"mla/internal/sched"
+	"mla/internal/storage"
 	"mla/internal/wal"
 )
 
 // TestBatchRunRetainsWholeTrace pins the one thing that differs between the
 // engine's two drivers: a batch Run must keep its whole step trace and
 // transaction table, because they become Result.Exec, while a resident
-// session compacts them once the trace passes traceCap (1024). The run here
-// performs several thousand steps, with restarts, so a batch driver that
-// forgot to switch compaction off would hand back a silently truncated Exec
-// — and still pass every small batch test.
+// session keeps no trace and retires its records. The run here performs
+// several thousand steps, with restarts, so a batch driver that dropped
+// steps the way a resident session does would hand back a silently
+// truncated Exec — and still pass every small batch test.
 func TestBatchRunRetainsWholeTrace(t *testing.T) {
 	const nTxn, nSteps, nEnt = 400, 8, 800 // 3,200 committed steps; neighbouring programs share 5 of their 8 entities
 	stores := map[string]func(t *testing.T, init map[model.EntityID]model.Value) Store{
@@ -86,6 +89,84 @@ func TestBatchRunRetainsWholeTrace(t *testing.T) {
 			if total != res.Committed {
 				t.Errorf("commit groups cover %d of %d commits", total, res.Committed)
 			}
+		})
+	}
+}
+
+// TestResidentSessionKeepsNoTrace serves the same kind of overlapping
+// workload through a resident session, with restarts — wounds under sharded
+// 2PL, cascading rollbacks under the Detector — and finds no step trace: a
+// rollback takes the authors it restores from the recovery ledger, not from
+// a replay. Once drained, every transaction has committed, so no entity may
+// still name an author: a reader of every entity must commit alone.
+func TestResidentSessionKeepsNoTrace(t *testing.T) {
+	const nTxn, nSteps, nEnt = 200, 8, 400
+	progs, init, want := incWorkload(nTxn, nSteps, nEnt)
+	n := nest.New(2)
+	for _, p := range progs {
+		n.Add(p.ID())
+	}
+	spec := breakpoint.Uniform{Levels: 2, C: 2}
+	for name, control := range map[string]sched.Control{
+		"2pl-sharded": sched.NewShardedTwoPhase(8),
+		"detect":      sched.NewDetector(n, spec),
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := NewVolatileStore(init)
+			s := NewSession(Config{Seed: 9, StepDelay: 50 * time.Microsecond}, control, spec, store)
+			errs := make(chan error, len(progs))
+			var wg sync.WaitGroup
+			for _, p := range progs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if out, err := s.Submit(context.Background(), p, SubmitOpts{}); err != nil || !out.Committed {
+						errs <- fmt.Errorf("%s resolved %+v, %v", p.ID(), out, err)
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.Restarts == 0 {
+				t.Fatal("workload produced no restarts; no rollback restored an author")
+			}
+			e := s.e
+			e.mu.Lock()
+			if len(e.trace) != 0 {
+				t.Errorf("a resident session kept %d trace entries", len(e.trace))
+			}
+			// An author left behind — a committed transaction the ledger
+			// failed to drop — would give the reader a dependency on a
+			// transaction it no longer knows, which blocks its group.
+			reader := new(storage.Txn)
+			e.led.Add(reader, "reader")
+			seq := 0
+			for x, v := range want {
+				seq++
+				e.led.Observe(reader, model.Step{Txn: "reader", Seq: seq, Entity: x, Before: v, After: v})
+			}
+			e.led.Finish(reader)
+			if g := e.led.Group(); len(g) != 1 {
+				t.Errorf("a reader of every entity commits in group %v: an entity still names an author", g)
+			}
+			e.mu.Unlock()
+			final := store.Values()
+			for x, v := range want {
+				if final[x] != v {
+					t.Errorf("final[%s] = %d, want %d", x, final[x], v)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d restarts, %d cascades", st.Restarts, st.Cascades)
 		})
 	}
 }

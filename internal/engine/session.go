@@ -34,10 +34,10 @@ import (
 //     batch driver sets none.
 //   - Per-commit samples (latency, wait time) are returned in each Outcome;
 //     the batch driver collects them into its Result.
-//   - The drivers differ in retention only. A service's session bounds what
-//     grows per transaction — retired transactions are deleted from the
-//     table, the step trace is compacted amortized — while a batch run
-//     keeps both whole, because the surviving trace is its Result.Exec.
+//   - The drivers differ in retention only. A service's session keeps no
+//     step trace and deletes retired transactions from the table, while a
+//     batch run keeps both whole, because the surviving trace is its
+//     Result.Exec.
 //
 // Lifecycle: NewSession → Submit (any number, concurrently) → Drain (stop
 // admitting, wait for in-flight submissions to resolve) → Close (stop the
@@ -154,7 +154,7 @@ func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 }
 
 // newSession builds the engine for either driver; retain is the batch
-// driver's request to keep the whole trace and transaction table.
+// driver's request to keep a step trace and the whole transaction table.
 func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store, retain bool) *Session {
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 100 * time.Microsecond
@@ -163,22 +163,21 @@ func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 		cfg.MaxStepRetries = 6
 	}
 	e := &engine{
-		waitGen:  make(chan struct{}),
-		stop:     make(chan struct{}),
-		control:  control,
-		caps:     sched.CapabilitiesOf(control),
-		spec:     spec,
-		store:    store,
-		faults:   cfg.Faults,
-		obs:      cfg.Observer,
-		txns:     make(map[model.TxnID]*etxn),
-		led:      storage.NewLedger(),
-		keep:     make(map[model.TxnID]int),
-		undone:   make(map[model.TxnID]bool),
-		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
-		retain:   retain,
-		finWake:  make(chan struct{}, 1),
-		traceCap: 1024,
+		waitGen: make(chan struct{}),
+		stop:    make(chan struct{}),
+		control: control,
+		caps:    sched.CapabilitiesOf(control),
+		spec:    spec,
+		store:   store,
+		faults:  cfg.Faults,
+		obs:     cfg.Observer,
+		txns:    make(map[model.TxnID]*etxn),
+		led:     storage.NewLedger(),
+		keep:    make(map[model.TxnID]int),
+		undone:  make(map[model.TxnID]bool),
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		retain:  retain,
+		finWake: make(chan struct{}, 1),
 	}
 	e.start = time.Now()
 	e.async, _ = store.(AsyncCommitter)
@@ -441,7 +440,6 @@ func (s *Session) retire(id model.TxnID, cleanup func()) {
 	if cleanup != nil {
 		cleanup()
 	}
-	e.compactTraceLocked()
 	// ReleaseAll may have just freed residue locks a racing grant gave the
 	// dead attempt; anyone waiting on them must re-request now — with lazy
 	// (waiter-counted) wakeups there is no later bump to piggyback on in a

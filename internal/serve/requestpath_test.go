@@ -34,7 +34,7 @@ func referenceTransfer(cfg Config, w bank.World, rng *rand.Rand, f int) (sources
 		sources = append(sources, w.Account(f, ai))
 	}
 	tf := f
-	if cfg.Families > 1 && rng.Intn(100) < cfg.CrossFamilyPct {
+	if cfg.Families > 1 && rng.Intn(100) < crossFamilyPct {
 		for tf == f {
 			tf = rng.Intn(cfg.Families)
 		}

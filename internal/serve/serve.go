@@ -68,13 +68,6 @@ type Config struct {
 	AccountsPerFamily int
 	InitialBalance    model.Value
 
-	// Amount and Reserve parameterize synthesized transfers exactly as
-	// bank.Params does; CrossFamilyPct is the chance a transfer deposits
-	// into another family.
-	Amount         model.Value
-	Reserve        model.Value
-	CrossFamilyPct int
-
 	// Control selects the concurrency control: "2pl-sharded" (default),
 	// "2pl", "tso", or "none" (unsound; for demonstration only). Shards
 	// sizes the sharded control's lock table.
@@ -139,6 +132,13 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 }
 
+// Synthesized transfers move the paper's $100 and top the first deposit up
+// to $125, as bank.Params does; crossFamilyPct percent go to another family.
+const (
+	transferAmount, transferReserve model.Value = 100, 125
+	crossFamilyPct                              = 50
+)
+
 // DefaultConfig returns a small-but-real configuration: contended enough
 // to exercise waits and wounds, bounded enough for CI.
 func DefaultConfig() Config {
@@ -146,9 +146,6 @@ func DefaultConfig() Config {
 		Families:           8,
 		AccountsPerFamily:  4,
 		InitialBalance:     1000,
-		Amount:             100,
-		Reserve:            125,
-		CrossFamilyPct:     50,
 		Control:            "2pl-sharded",
 		Shards:             16,
 		MaxInflight:        64,
@@ -250,6 +247,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight <= 0 {
 		return nil, fmt.Errorf("serve: MaxInflight must be positive, got %d", cfg.MaxInflight)
 	}
+	// Before DataDir is mounted: a refused boot must not bump its epoch.
+	control := controlByName(cfg.Control, cfg.Shards)
+	if control == nil {
+		return nil, fmt.Errorf("serve: unknown control %q", cfg.Control)
+	}
 	w := bank.World{
 		Families:          cfg.Families,
 		AccountsPerFamily: cfg.AccountsPerFamily,
@@ -281,7 +283,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg: cfg,
 		// No control reads classes, so no nest; a spool declares them.
-		pop:      bank.NewPopulation(w, cfg.Amount, cfg.Reserve, nil, cfg.SpoolPath != ""),
+		pop:      bank.NewPopulation(w, transferAmount, transferReserve, nil, cfg.SpoolPath != ""),
+		control:  control,
 		medium:   medium,
 		db:       db,
 		pipe:     pipe,
@@ -291,12 +294,6 @@ func New(cfg Config) (*Server, error) {
 		lat:      metrics.NewHistogram(),
 		waited:   metrics.NewHistogram(),
 	}
-	s.control = controlByName(cfg.Control, cfg.Shards)
-	if s.control == nil {
-		pipe.Close()
-		return nil, fmt.Errorf("serve: unknown control %q", cfg.Control)
-	}
-
 	// Admission: one bounded queue per nest class — "cust" admits the
 	// level-2/3 interleavers (transfers and creditor audits), "audit" the
 	// level-1 bank audits — plus the global in-flight cap underneath.
@@ -338,6 +335,9 @@ const (
 	classCust  = "cust"
 	classAudit = "audit"
 )
+
+// kindClass maps each transaction kind synthesize builds to its admission class.
+var kindClass = map[string]string{"": classCust, "transfer": classCust, "credit": classCust, "audit": classAudit}
 
 // openSpool opens the history spool, emptied first for an in-memory server
 // (see Config.SpoolPath: without a boot epoch an earlier run left in the file
@@ -455,6 +455,13 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 		return TxnResult{}, ErrDraining
 	}
 
+	// Malformed input is answered at once, even on a saturated server: an
+	// unknown kind neither queues nor takes a transaction number.
+	class, ok := kindClass[req.Kind]
+	if !ok {
+		return TxnResult{}, fmt.Errorf("serve: unknown transaction kind %q", req.Kind)
+	}
+
 	// Per-session retry budget: a session that has burned its restart
 	// allowance is shed before it can queue — its backlog of conflicts is
 	// the strongest overload signal a single client can emit.
@@ -464,10 +471,6 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 		return TxnResult{}, fmt.Errorf("%w: session %s retry budget exhausted", ErrOverload, cs.id)
 	}
 
-	class := classCust
-	if req.Kind == "audit" {
-		class = classAudit
-	}
 	g := s.gates[class]
 	if !g.acquire(ctx, s.cfg.AdmitWait) {
 		s.counters.shed.Add(1)
@@ -636,7 +639,7 @@ func (s *Server) synthesize(cs *clientSession, kind string) (model.Program, []st
 	switch kind {
 	case "", "transfer":
 		cs.mu.Lock()
-		sources, targets := s.pop.World.DrawTransfer(cs.rng, s.pop.Accounts, cs.family, s.cfg.CrossFamilyPct)
+		sources, targets := s.pop.World.DrawTransfer(cs.rng, s.pop.Accounts, cs.family, crossFamilyPct)
 		cs.mu.Unlock()
 		tr, path := s.pop.Transfer(mintID("xfer-", cs.id, n), cs.family, sources, targets)
 		return tr, path, nil

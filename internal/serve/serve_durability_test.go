@@ -16,6 +16,28 @@ import (
 	"mla/internal/wal"
 )
 
+// TestServeUnknownControlMountsNothing: a New refused for its control must
+// not have mounted the data directory, so the first boot that succeeds there
+// is epoch 1.
+func TestServeUnknownControlMountsNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = filepath.Join(t.TempDir(), "wal")
+	cfg.Control = "bogus"
+	if srv, err := New(cfg); err == nil {
+		srv.Shutdown(context.Background())
+		t.Fatal("New accepted control \"bogus\"")
+	}
+	cfg.Control = ""
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	if e := srv.RecoveryInfo().Epoch; e != 1 {
+		t.Fatalf("first successful boot is epoch %d, want 1", e)
+	}
+}
+
 // TestServeDurabilityRoundTrip: the tentpole contract end to end — a server
 // with a data directory acks transactions, shuts down, and a second server
 // opened over the same directory recovers every ack, answers the durability

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -116,6 +117,38 @@ func TestServeUnknownSessionAndKind(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/txns", txnRequest{Session: sess, Kind: "heist"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown kind: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeUnknownKindBeforeAdmission: with the engine's one admission slot
+// held, an unknown kind is still refused at once with the kind error — not
+// shed as overload after AdmitWait — and takes no transaction number.
+func TestServeUnknownKindBeforeAdmission(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxInflight = 1
+	cfg.AdmitWait = 5 * time.Second
+	srv, _ := startServer(t, cfg)
+	cs, err := srv.OpenSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.global.acquire(context.Background(), time.Second) {
+		t.Fatal("could not take the global slot")
+	}
+	defer srv.global.release()
+	start := time.Now()
+	_, err = srv.Submit(context.Background(), TxnRequest{Session: cs.ID(), Kind: "bogus"})
+	if err == nil || errors.Is(err, ErrOverload) || !strings.Contains(err.Error(), "unknown transaction kind") {
+		t.Fatalf("Submit(bogus) = %v, want the unknown-kind error", err)
+	}
+	if d := time.Since(start); d > cfg.AdmitWait/2 {
+		t.Errorf("refused after %v: the request waited for admission", d)
+	}
+	if st := srv.Stats(); st.Shed != 0 {
+		t.Errorf("shed %d, want 0", st.Shed)
+	}
+	if n := srv.txnSeq.Load(); n != 0 {
+		t.Errorf("the refused request took transaction number %d", n)
 	}
 }
 
@@ -329,7 +362,7 @@ func TestServeRecordsBankCuts(t *testing.T) {
 		var prog model.Program
 		switch kind {
 		case "transfer":
-			sources, targets := pop.World.DrawTransfer(twin, pop.Accounts, cs.family, cfg.CrossFamilyPct)
+			sources, targets := pop.World.DrawTransfer(twin, pop.Accounts, cs.family, crossFamilyPct)
 			prog, _ = pop.Transfer(res.Txn, cs.family, sources, targets)
 		case "credit":
 			prog, _ = pop.Credit(res.Txn, cs.family)

@@ -669,7 +669,7 @@ func (r *Runner) abort(victims []model.TxnID, stall bool) {
 	if len(fullIDs) > 0 {
 		r.control.Aborted(fullIDs)
 	}
-	r.led.RolledBack(keep, r.liveSteps)
+	r.led.RolledBack(keep)
 	r.offerWaiters()
 }
 
@@ -742,17 +742,6 @@ func (r *Runner) partialRollback(ti, keepSeq int) {
 	window := r.cfg.RestartDelay << uint(streak)
 	jitter := int64(hashString(fmt.Sprintf("%s@%d/%d", t.ID, keepSeq, t.partialStreak))) % window
 	r.push(r.now+r.cfg.RestartDelay+jitter, evArrive, ti, t.attempt)
-}
-
-// liveSteps enumerates the uncommitted steps that survive in the store, in
-// performance order (a rolled-back attempt's entries no longer carry their
-// transaction's attempt number).
-func (r *Runner) liveSteps(yield func(model.Step)) {
-	for _, te := range r.trace {
-		if t := r.txns[te.txn]; te.attempt == t.attempt && t.status != stCommitted {
-			yield(te.step)
-		}
-	}
 }
 
 // offerWaiters re-presents every waiting request, oldest priority first.

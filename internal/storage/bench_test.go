@@ -57,3 +57,38 @@ func BenchmarkLedgerCommit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLedgerRollback measures one whole-transaction rollback — Add,
+// three observed writes (the last over its own first), Close, RolledBack,
+// Remove — beside n running transactions that each author one entity. The
+// ledger walks back only the entities the victim wrote, so ns/op must not
+// grow with n, and only Close's result is allocated.
+func BenchmarkLedgerRollback(b *testing.B) {
+	for _, inflight := range []int{64, 4096} {
+		l := NewLedger()
+		for i := 0; i < inflight; i++ {
+			id := model.TxnID(fmt.Sprintf("run-%d", i))
+			t := new(Txn)
+			l.Add(t, id)
+			x := model.EntityID(fmt.Sprintf("run-x%d", i))
+			l.Observe(t, model.Step{Txn: id, Seq: 1, Entity: x, Before: 0, After: 1})
+		}
+		xs := []model.EntityID{"a", "b", "a"}
+		keep := map[model.TxnID]int{}
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
+			rec := new(Txn)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Add(rec, "victim")
+				for j, x := range xs {
+					l.Observe(rec, model.Step{Txn: "victim", Seq: j + 1, Entity: x, Before: model.Value(j), After: model.Value(j + 1)})
+				}
+				keep["victim"] = 0
+				l.Close(keep)
+				l.RolledBack(keep)
+				l.Remove("victim")
+				clear(keep)
+			}
+		})
+	}
+}

@@ -1,15 +1,19 @@
 package storage
 
-import "mla/internal/model"
+import (
+	"slices"
+
+	"mla/internal/model"
+)
 
 // Ledger is the recovery bookkeeping both hosts (internal/sim and
-// internal/engine) drive: which uncommitted step authored each entity's
-// current value, which authors each transaction has observed, and the two
-// fixpoints those facts decide — the abort closure (who must roll back with
-// a victim, Section 6's cascading rollback) and the commit group (who may
-// commit together, Section 6's commitment chaining). Policy stays in the
+// internal/engine) drive: which uncommitted steps authored each entity's
+// values, newest first, which authors each transaction has observed, and the
+// two fixpoints those facts decide — the abort closure (who must roll back
+// with a victim, Section 6's cascading rollback) and the commit group (who
+// may commit together, Section 6's commitment chaining). Policy stays in the
 // host and arrives as arguments: which victims, how much of each to keep,
-// when a group is handed to the store, which steps survived a rollback.
+// when a group is handed to the store.
 //
 // A Ledger is not safe for concurrent use; the engine calls it under its
 // mutex, the simulator is single-threaded.
@@ -21,6 +25,7 @@ type Ledger struct {
 	// Scratch reused across calls, so the closure of an abort allocates
 	// nothing but its result.
 	frontier, next []model.TxnID
+	adds           uint64 // Add calls so far; each registration's mark
 }
 
 // Txn is one transaction's entry in a Ledger. A host embeds it in its own
@@ -38,11 +43,12 @@ type Txn struct {
 	Committed bool
 
 	deps map[model.TxnID]int // uncommitted author -> max author seq observed
-	// Entities it authored and transactions that depend on it (the reverse
-	// index); stale entries are checked against the live maps on use.
-	authored   []model.EntityID
+	// Its value-changing steps and the transactions that depend on it (the
+	// reverse index); stale entries are checked against the live maps on use.
+	writes     []write
 	dependents []model.TxnID
-	cand       bool // Group's candidate mark, false outside Group
+	inc        uint64 // which Add registered the record
+	cand       bool   // Group's candidate mark, false outside Group
 }
 
 // authorRef identifies the uncommitted step that wrote an entity's current
@@ -50,6 +56,15 @@ type Txn struct {
 type authorRef struct {
 	txn model.TxnID
 	seq int
+}
+
+// write is a value-changing step and the author it displaced, registered by
+// Add call inc: an id re-added after a commit must not pass for the old step.
+type write struct {
+	x    model.EntityID
+	seq  int
+	prev authorRef
+	inc  uint64
 }
 
 // NewLedger returns an empty ledger.
@@ -64,37 +79,45 @@ func NewLedger() *Ledger {
 // are kept for reuse, so a host that recycles its records recycles them too.
 func (l *Ledger) Add(t *Txn, id model.TxnID) {
 	clear(t.deps)
-	*t = Txn{ID: id, deps: t.deps, authored: t.authored[:0], dependents: t.dependents[:0]}
+	l.adds++
+	*t = Txn{ID: id, deps: t.deps, writes: t.writes[:0], dependents: t.dependents[:0], inc: l.adds}
 	l.txns[id] = t
 }
 
-// Remove forgets a transaction that will take no further part: one that
-// committed is already gone, one that was wholly rolled back has neither
-// dependents nor authored values left.
-func (l *Ledger) Remove(id model.TxnID) { delete(l.txns, id) }
+// Remove forgets a transaction that will take no further part, and the
+// values it still authors with it: one that committed is already gone, one
+// that was wholly rolled back authors nothing.
+func (l *Ledger) Remove(id model.TxnID) {
+	if t := l.txns[id]; t != nil {
+		delete(l.txns, id)
+		for _, w := range t.writes {
+			if l.author[w.x].txn == id {
+				delete(l.author, w.x)
+			}
+		}
+	}
+}
 
 // Observe records a performed step of t: observing a value authored by
 // another uncommitted transaction ties t's fate to that step, and a step
 // that changed the value becomes its author.
 func (l *Ledger) Observe(t *Txn, s model.Step) {
 	a, ok := l.author[s.Entity]
-	if seq, had := t.deps[a.txn]; ok && a.txn != t.ID && a.seq > seq {
-		if t.deps == nil {
-			t.deps = make(map[model.TxnID]int)
-		}
-		t.deps[a.txn] = a.seq
-		if at := l.txns[a.txn]; !had && at != nil {
-			at.dependents = append(at.dependents, t.ID)
+	at := t // a's record; with no author, the empty prev never matches one
+	if ok && a.txn != t.ID {
+		at = l.txns[a.txn]
+		if seq, had := t.deps[a.txn]; a.seq > seq {
+			if t.deps == nil {
+				t.deps = make(map[model.TxnID]int)
+			}
+			t.deps[a.txn] = a.seq
+			if !had {
+				at.dependents = append(at.dependents, t.ID)
+			}
 		}
 	}
-	if s.After != s.Before && (!ok || a.txn != t.ID) {
-		t.authored = append(t.authored, s.Entity)
-	}
-	l.wrote(s)
-}
-
-func (l *Ledger) wrote(s model.Step) {
 	if s.After != s.Before {
+		t.writes = append(t.writes, write{x: s.Entity, seq: s.Seq, prev: a, inc: at.inc})
 		l.author[s.Entity] = authorRef{txn: s.Txn, seq: s.Seq}
 	}
 }
@@ -159,12 +182,7 @@ func (l *Ledger) Committed(ids []model.TxnID) {
 	for _, id := range ids {
 		if t := l.txns[id]; t != nil {
 			t.Committed = true
-			delete(l.txns, id)
-			for _, x := range t.authored {
-				if l.author[x].txn == id {
-					delete(l.author, x)
-				}
-			}
+			l.Remove(id)
 			for _, d := range t.dependents {
 				if dt := l.txns[d]; dt != nil {
 					delete(dt.deps, id)
@@ -213,16 +231,44 @@ func (l *Ledger) Close(keep map[model.TxnID]int) []model.TxnID {
 // host has reset its records: a wholly rolled-back transaction starts over
 // with no dependencies and unfinished (one rolled back to a breakpoint keeps
 // its dependencies — an over-approximation that only delays its commit), and
-// the authors are what a replay of the surviving uncommitted steps, which
-// the host enumerates in performance order, makes them.
-func (l *Ledger) RolledBack(keep map[model.TxnID]int, surviving func(yield func(model.Step))) {
-	for id, k := range keep {
-		if t := l.txns[id]; t != nil && k == 0 {
-			clear(t.deps)
-			t.Finished = false
-			t.authored, t.dependents = t.authored[:0], t.dependents[:0]
+// each entity an undone step wrote goes back to its newest surviving author.
+// Undone authors are an entity's newest: every later value-changing step
+// observed them, so Close rolled its transaction back too.
+func (l *Ledger) RolledBack(keep map[model.TxnID]int) {
+	for id := range keep {
+		if t := l.txns[id]; t != nil {
+			for _, w := range t.writes {
+				l.restore(w.x, keep)
+			}
 		}
 	}
-	clear(l.author)
-	surviving(l.wrote)
+	for id, k := range keep {
+		if t := l.txns[id]; t != nil {
+			if i := slices.IndexFunc(t.writes, func(w write) bool { return w.seq > k }); i >= 0 {
+				t.writes = t.writes[:i]
+			}
+			if k == 0 {
+				clear(t.deps)
+				t.Finished = false
+				t.dependents = t.dependents[:0]
+			}
+		}
+	}
+}
+
+// restore walks x's author down past the steps keep undoes, each to the
+// author it displaced. One that has left the ledger committed, and commits
+// are an entity's oldest authors.
+func (l *Ledger) restore(x model.EntityID, keep map[model.TxnID]int) {
+	for a, ok := l.author[x]; ok; {
+		if k, undone := keep[a.txn]; !undone || a.seq <= k {
+			l.author[x] = a
+			return
+		}
+		ws := l.txns[a.txn].writes
+		w := ws[slices.IndexFunc(ws, func(w write) bool { return w.seq == a.seq })]
+		p := l.txns[w.prev.txn]
+		a, ok = w.prev, p != nil && p.inc == w.inc
+	}
+	delete(l.author, x)
 }

@@ -219,13 +219,7 @@ func TestLedgerAgainstBruteForce(t *testing.T) {
 			k, undone := want[s.Txn]
 			return !c.gone[s.Txn] && (!undone || s.Seq <= k)
 		}
-		l.RolledBack(gotKeep, func(yield func(model.Step)) {
-			for _, s := range c.trace {
-				if survives(s) {
-					yield(s)
-				}
-			}
-		})
+		l.RolledBack(gotKeep)
 		wantAuthor := map[model.EntityID]authorRef{}
 		for _, s := range c.trace {
 			if survives(s) && s.After != s.Before {
@@ -539,11 +533,7 @@ func TestLedgerAgainstWholeMap(t *testing.T) {
 				for id, k := range keep {
 					seq[id] = k
 				}
-				l.RolledBack(keep, func(yield func(model.Step)) {
-					for _, s := range trace {
-						yield(s)
-					}
-				})
+				l.RolledBack(keep)
 				o.rolledBack(keep, trace)
 				check("rollback")
 			default: // Remove a wholly rolled-back transaction that has not restarted
