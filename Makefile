@@ -25,15 +25,18 @@ fuzz:
 	go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzztime 10s
 	go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
 
-# The history-oracle slice of check.sh: record a live engine run as an
-# event history, check it offline with the black-box checker and then with
-# both deciders, verify the known-violating histories are rejected, run the
-# E20 checker-vs-scheduler cross-check, and verify an unknown experiment ID
-# is rejected.
+# The history-oracle slice of check.sh: record a live engine run (and one
+# with two injected crashes) as an event history, check it offline with the
+# black-box checker and then with both deciders, verify the known-violating
+# histories are rejected, run the E20 checker-vs-scheduler cross-check, and
+# verify an unknown experiment ID is rejected.
 history-check:
 	go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
 	go run ./cmd/mlacheck -history /tmp/mla_check_history.json
 	go run ./cmd/mlacheck -witness -history /tmp/mla_check_history.json > /dev/null
+	go run ./cmd/mlasim -engine -crashes 2 -history /tmp/mla_crash_history.json > /dev/null
+	go run ./cmd/mlacheck -history /tmp/mla_crash_history.json
+	go run ./cmd/mlacheck -witness -history /tmp/mla_crash_history.json > /dev/null
 	@for v in internal/history/testdata/violation_*.json; do \
 		if go run ./cmd/mlacheck -history "$$v" > /dev/null 2>&1; then \
 			echo "$$v should have been rejected" >&2; exit 1; \

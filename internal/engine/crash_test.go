@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"mla/internal/breakpoint"
 	"mla/internal/coherent"
 	"mla/internal/fault"
+	"mla/internal/history"
 	"mla/internal/model"
 	"mla/internal/sched"
 )
@@ -365,5 +368,86 @@ func TestEngineCrashInRollbackOfParkedTxn(t *testing.T) {
 	}
 	if out.Crashes != 1 || out.Rounds != 2 || out.GaveUp != 1 {
 		t.Fatalf("crashes=%d rounds=%d gaveUp=%d, want 1/2/1", out.Crashes, out.Rounds, out.GaveUp)
+	}
+}
+
+// TestCaptureEquivalence: one crash plan recorded in memory and into a
+// spool file through the same Tee yields the same history — the same
+// events, the same verdict, the same committed set — so what the batch
+// paths check is what a server writes, crashes and torn commits included.
+func TestCaptureEquivalence(t *testing.T) {
+	params := bank.DefaultParams()
+	params.Transfers = 10
+	params.BankAudits = 1
+	params.CreditorAudits = 1
+	wl := bank.Generate(params)
+	mem := history.NewRecorder(wl.Nest)
+	path := filepath.Join(t.TempDir(), "history.spool")
+	spool, err := history.OpenSpoolFile(path, wl.Nest.K())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txns []model.TxnID
+	for _, p := range wl.Programs {
+		txns = append(txns, p.ID())
+	}
+	for id, levels := range history.LevelPaths(wl.Nest, txns) {
+		spool.Declare(id, levels)
+	}
+	var ev EventCounts
+	plan := CrashPlan{
+		Cfg:  Config{Seed: 21, StepDelay: 20 * time.Microsecond, Observer: Tee(&ev, mem, spool)},
+		Spec: wl.Spec,
+		Init: wl.Init,
+		Faults: fault.Plan{
+			Seed:         21,
+			CrashAppends: []int64{5, 14},
+			TearTail:     2,
+		},
+		NewControl: func() sched.Control { return sched.NewPreventer(wl.Nest, wl.Spec) },
+	}
+	out, err := RunWithCrashes(context.Background(), plan, wl.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Crashes != 2 || ev.Crashes != 2 {
+		t.Fatalf("crashes = %d (observed %d), want 2", out.Crashes, ev.Crashes)
+	}
+	if err := spool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hm := mem.History()
+	hs, err := history.ReadSpoolFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hm.Events, hs.Events) {
+		t.Fatalf("in-memory history has %d events, spool %d, and they differ", len(hm.Events), len(hs.Events))
+	}
+	rm, err := history.Check(hm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := history.Check(hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.Correctable != rs.Correctable || rm.Txns != rs.Txns || !rm.Correctable {
+		t.Fatalf("verdicts differ or fail: in memory %s, spool %s", rm.Summary(), rs.Summary())
+	}
+	committed := func(h *history.History) map[model.TxnID]bool {
+		exec, _, err := h.Committed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := make(map[model.TxnID]bool)
+		for _, s := range exec {
+			set[s.Txn] = true
+		}
+		return set
+	}
+	cm, cs := committed(hm), committed(hs)
+	if !reflect.DeepEqual(cm, cs) || len(cm) != out.Committed {
+		t.Fatalf("committed sets differ: %d in memory, %d in the spool, %d by the run", len(cm), len(cs), out.Committed)
 	}
 }

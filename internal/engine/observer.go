@@ -154,16 +154,9 @@ func (c *EventCounts) RunEnded(int, int, time.Duration) { c.Runs++ }
 func Tee(obs ...Observer) Observer {
 	var live []Observer
 	for _, o := range obs {
-		if o == nil {
-			continue
+		if o != nil {
+			live = append(live, o)
 		}
-		// A disabled TelemetryObserver arrives as a typed nil (the
-		// constructor returns *TelemetryObserver), which an interface
-		// comparison alone would not catch.
-		if to, ok := o.(*TelemetryObserver); ok && to == nil {
-			continue
-		}
-		live = append(live, o)
 	}
 	switch len(live) {
 	case 0:

@@ -42,8 +42,9 @@ type TelemetryObserver struct {
 // NewTelemetryObserver returns an observer recording into tel. label names
 // the process lane in the exported trace (e.g. "hotspot/optimized@8");
 // each observer gets its own lane, so several runs export side by side.
-// A nil tel returns nil, which Config.Observer treats as disabled.
-func NewTelemetryObserver(tel *telemetry.Telemetry, label string) *TelemetryObserver {
+// A nil tel returns a nil Observer, which Config.Observer treats as
+// disabled.
+func NewTelemetryObserver(tel *telemetry.Telemetry, label string) Observer {
 	if tel == nil {
 		return nil
 	}

@@ -181,9 +181,9 @@ func TestTelemetryObserverCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestTeeFiltersDisabledTelemetry: a nil sink produces a typed-nil
-// *TelemetryObserver; Tee must drop it (and collapse to the sole live
-// observer) rather than hand the engine a nil receiver.
+// TestTeeFiltersDisabledTelemetry: a nil sink produces a nil Observer; Tee
+// must drop it and collapse to the sole live observer, and a run given it
+// directly must treat it as disabled.
 func TestTeeFiltersDisabledTelemetry(t *testing.T) {
 	var ev EventCounts
 	obs := Tee(&ev, NewTelemetryObserver(nil, ""))
@@ -203,5 +203,15 @@ func TestTeeFiltersDisabledTelemetry(t *testing.T) {
 	}
 	if res.Committed != 1 || ev.Runs != 1 {
 		t.Fatalf("committed %d, runs %d", res.Committed, ev.Runs)
+	}
+	// Straight into Config.Observer, with no Tee to drop it.
+	direct := NewTelemetryObserver(nil, "")
+	if direct != nil {
+		t.Fatalf("a nil sink gave a non-nil %T", direct)
+	}
+	res, err = Run(context.Background(), Config{Seed: 1, Observer: direct}, progs,
+		sched.NewTwoPhase(), nil, map[model.EntityID]model.Value{})
+	if err != nil || res.Committed != 1 {
+		t.Fatalf("committed %d, err %v", res.Committed, err)
 	}
 }

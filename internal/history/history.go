@@ -13,9 +13,9 @@
 // sharing only the data types (model, nest, breakpoint) with the scheduler
 // and the Theorem 2 machinery it cross-examines, none of the logic.
 //
-// Histories are written as they happen by a resident server (Spool, the
-// crash-safe JSONL stream), recorded in memory from a batch engine run
-// (Recorder; both implement the engine's Observer shape), or derived from a
+// Histories are recorded as they happen by a Recorder (the engine's
+// Observer shape), in memory for a batch engine run or appended to the
+// crash-safe JSONL spool a resident server writes, or derived from a
 // simulator result (FromExecution). Execution hands the replayed result to
 // the white-box analysis, so both deciders can judge any file.
 package history
@@ -310,18 +310,19 @@ func FromExecution(e model.Execution, n *nest.Nest, spec breakpoint.Spec) (*Hist
 // API does not expose raw paths, so stable labels are synthesized from
 // class indices. Two transactions get equal labels at a level exactly when
 // they share that level's class, which is all the level matrix encodes.
+// txns may repeat a transaction.
 func LevelPaths(n *nest.Nest, txns []model.TxnID) map[model.TxnID][]string {
-	out := make(map[model.TxnID][]string, len(txns))
-	want := make(map[model.TxnID]bool, len(txns))
+	out := make(map[model.TxnID][]string)
 	for _, t := range txns {
-		want[t] = true
-		out[t] = make([]string, 0, n.K()-2)
+		if out[t] == nil {
+			out[t] = make([]string, 0, n.K()-2)
+		}
 	}
 	for lv := 2; lv < n.K(); lv++ {
 		for ci, class := range n.Classes(lv) {
 			for _, t := range class {
-				if want[t] {
-					out[t] = append(out[t], fmt.Sprintf("L%d-C%d", lv, ci))
+				if path, ok := out[t]; ok {
+					out[t] = append(path, fmt.Sprintf("L%d-C%d", lv, ci))
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package history
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -13,84 +16,112 @@ import (
 // an engine dependency); pass it to engine.Tee alongside any other
 // observers.
 //
-// The engine serializes the per-run hooks under its mutex, so most methods
-// need no locking of their own; Crashed/Recovered fire from the recovery
-// loop between rounds, when no workers are live. A single mutex still
-// guards the event log so a Recorder is safe even if a future caller
-// relaxes those guarantees, and so History() can be called concurrently
-// with a run for a consistent snapshot.
+// A Recorder either keeps its events in memory (NewRecorder; read back with
+// History) or appends each one to a spool file as it happens (OpenSpoolFile;
+// read back with ReadSpoolFile). Both record the same events: a step, an
+// abort, a commit group. A crash records nothing — the replay discards an
+// attempt that never commits and restarts a transaction whose seq-1 step
+// lands over a pending attempt — so what a killed process leaves behind and
+// what an injected crash leaves in memory are the same history.
+//
+// The engine serializes the per-run hooks under its mutex; a single mutex
+// still guards the log so History can snapshot a run in progress and a
+// file-backed recorder can take declarations from request goroutines.
+//
+// Errors are sticky: the first failed write latches, every later call is a
+// cheap no-op, and Err reports it — a history spool must never be able to
+// wedge the server it observes.
 type Recorder struct {
+	// n is the nest History labels the level matrix from. A file-backed
+	// recorder has none: it writes every event as a spool line and never
+	// holds one in memory, also after Close.
 	n *nest.Nest
 
-	mu      sync.Mutex
-	events  []Event
-	pending map[model.TxnID]bool // txns with a live (uncommitted) attempt
-	seen    map[model.TxnID]bool
+	mu     sync.Mutex
+	next   int64 // TS counter
+	events []Event
+	f      *os.File
+	buf    []byte // the line being written, reused
+	err    error
 }
 
-// NewRecorder returns a Recorder for runs over the given nest. Every
-// transaction the engine reports must be present in the nest.
+// NewRecorder returns an in-memory Recorder for runs over the given nest.
+// Every transaction the engine reports must be present in the nest.
 func NewRecorder(n *nest.Nest) *Recorder {
-	return &Recorder{
-		n:       n,
-		pending: make(map[model.TxnID]bool),
-		seen:    make(map[model.TxnID]bool),
+	return &Recorder{n: n}
+}
+
+// record stamps ev with the next TS and appends it to the log.
+func (r *Recorder) record(ev Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ev.TS = r.next
+	r.next++
+	if r.n != nil {
+		r.events = append(r.events, ev)
+		return
 	}
+	r.writeLocked(ev)
+}
+
+// writeLocked marshals one spool line and hands it to the kernel in a
+// single write. Called with r.mu held.
+func (r *Recorder) writeLocked(l any) {
+	if r.err != nil {
+		return
+	}
+	payload, err := json.Marshal(l)
+	if err != nil {
+		r.err = fmt.Errorf("history: spool encode: %w", err)
+		return
+	}
+	r.buf = append(append(r.buf[:0], payload...), '\n')
+	if _, err := r.f.Write(r.buf); err != nil {
+		r.err = fmt.Errorf("history: spool write: %w", err)
+	}
+}
+
+// Declare records one transaction's intermediate level labels (len k-2)
+// for a file-backed recorder; it must precede the transaction's first event
+// line, and redeclaring is harmless (the reader keeps the latest). An
+// in-memory recorder labels every row from its nest, so there it is a no-op.
+func (r *Recorder) Declare(t model.TxnID, levels []string) {
+	if r.n != nil {
+		return
+	}
+	if levels == nil {
+		levels = []string{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.writeLocked(spoolDecl{Decl: t, Levels: levels})
 }
 
 // StepPerformed implements the engine Observer shape.
 func (r *Recorder) StepPerformed(t model.TxnID, seq int, x model.EntityID, attempt, cut int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pending[t] = true
-	r.seen[t] = true
-	r.events = append(r.events, Event{
-		TS: int64(len(r.events)), Kind: KindStep,
-		Txn: t, Seq: seq, Entity: x, Cut: cut,
-	})
+	r.record(Event{Kind: KindStep, Txn: t, Seq: seq, Entity: x, Cut: cut})
 }
 
 // TxnAborted implements the engine Observer shape. Engine rollbacks are
-// always full (partial rollback is a simulator feature), so Kept is 0.
+// always full (partial rollback is a simulator feature), so Kept is 0. A
+// transaction withdrawn while still waiting for its first grant is aborted
+// having performed nothing: the abort is its only event.
 func (r *Recorder) TxnAborted(t model.TxnID, cascade bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.pending, t)
-	// A transaction withdrawn while still waiting for its first grant is
-	// aborted having performed nothing: the abort is its only event.
-	r.seen[t] = true
-	r.events = append(r.events, Event{TS: int64(len(r.events)), Kind: KindAbort, Txn: t})
+	r.record(Event{Kind: KindAbort, Txn: t})
 }
 
-// CommitGroup implements the engine Observer shape.
+// CommitGroup implements the engine Observer shape. The engine fires it
+// when the group forms — BEFORE a server acknowledges any member — so an
+// acked transaction always has its commit in the history: the soak's
+// lost-ack audit rests on that ordering.
 func (r *Recorder) CommitGroup(txns []model.TxnID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := append([]model.TxnID(nil), txns...)
-	for _, t := range ids {
-		delete(r.pending, t)
-		r.seen[t] = true
-	}
-	r.events = append(r.events, Event{TS: int64(len(r.events)), Kind: KindCommit, Txns: ids})
+	r.record(Event{Kind: KindCommit, Txns: append([]model.TxnID(nil), txns...)})
 }
 
-// Crashed implements the engine Observer shape: a crash discards every live
-// attempt (volatile state is gone). Transactions whose commit record the
-// crash tore off the log tail are re-executed by the recovery loop, and the
-// replay's last-commit-wins rule handles their reappearing steps.
-func (r *Recorder) Crashed(round, torn int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	victims := make([]model.TxnID, 0, len(r.pending))
-	for t := range r.pending {
-		victims = append(victims, t)
-	}
-	model.SortTxnIDs(victims)
-	for _, t := range victims {
-		r.events = append(r.events, Event{TS: int64(len(r.events)), Kind: KindAbort, Txn: t})
-		delete(r.pending, t)
-	}
-}
+// Crashed implements the engine Observer shape and records nothing: a
+// crash leaves its victims' attempts pending, which the replay discards
+// unless they recommit, exactly as after a process kill.
+func (r *Recorder) Crashed(round, torn int) {}
 
 // WaitBegin implements the engine Observer shape (not part of a history).
 func (r *Recorder) WaitBegin(model.TxnID, model.EntityID) {}
@@ -112,21 +143,43 @@ func (r *Recorder) Recovered(int, int) {}
 // RunEnded implements the engine Observer shape (not part of a history).
 func (r *Recorder) RunEnded(int, int, time.Duration) {}
 
-// History snapshots the recorded events into a checkable history. The level
-// matrix covers exactly the transactions that appeared in events, labeled
-// consistently from the full nest's class structure.
-func (r *Recorder) History() *History {
+// Err returns the latched write failure, nil while healthy.
+func (r *Recorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	txns := make([]model.TxnID, 0, len(r.seen))
-	for t := range r.seen {
-		txns = append(txns, t)
+	return r.err
+}
+
+// Close closes a file-backed recorder's spool; it must not record
+// afterwards. Closing an in-memory recorder does nothing.
+func (r *Recorder) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.f == nil {
+		return r.err
 	}
-	model.SortTxnIDs(txns)
-	return &History{
-		Format: Format,
-		K:      r.n.K(),
-		Levels: LevelPaths(r.n, txns),
-		Events: append([]Event(nil), r.events...),
+	err := r.f.Close()
+	r.f = nil
+	if r.err == nil && err != nil {
+		r.err = fmt.Errorf("history: spool close: %w", err)
 	}
+	return r.err
+}
+
+// History snapshots an in-memory recorder's events into a checkable
+// history. The level matrix covers exactly the transactions that appear in
+// the snapshot, labeled consistently from the full nest's class structure.
+func (r *Recorder) History() *History {
+	r.mu.Lock()
+	events := append([]Event(nil), r.events...)
+	r.mu.Unlock()
+	txns := make([]model.TxnID, 0, len(events))
+	for _, ev := range events {
+		if ev.Kind == KindCommit {
+			txns = append(txns, ev.Txns...)
+		} else {
+			txns = append(txns, ev.Txn)
+		}
+	}
+	return &History{Format: Format, K: r.n.K(), Levels: LevelPaths(r.n, txns), Events: events}
 }

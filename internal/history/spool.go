@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"mla/internal/model"
 )
@@ -27,7 +25,8 @@ import (
 // the history, is the durability authority; the spool is the black-box
 // witness used to CHECK the WAL's story.
 //
-// Line shapes, distinguished by their keys:
+// A file-backed Recorder (OpenSpoolFile) writes it. Line shapes,
+// distinguished by their keys:
 //
 //	{"spool":"mla-history-spool/v1","k":4}        header (one per boot)
 //	{"decl":"e3-s000017","levels":["L2-C0",...]}  level-matrix row
@@ -61,163 +60,64 @@ type spoolDecl struct {
 	Levels []string    `json:"levels"`
 }
 
-// Spool is the writer. It implements the engine Observer shape (pass it to
-// engine.Tee next to a Recorder); Declare must be called once per
-// transaction before its first step reaches the log, mirroring the level
-// matrix a Recorder derives from its nest.
-//
-// Errors are sticky: the first failed write latches, every later call is a
-// cheap no-op, and Err reports it — a history spool must never be able to
-// wedge the server it observes.
-type Spool struct {
-	mu   sync.Mutex
-	f    *os.File
-	err  error
-	buf  []byte
-	next int64 // TS counter for this boot
-}
-
-// OpenSpoolFile opens (creating if needed) the spool at path in append
-// mode, self-heals a torn final line left by a previous kill, and writes
-// this boot's header. k is the level count of every history in the file;
-// reopening with a different k fails.
-func OpenSpoolFile(path string, k int) (*Spool, error) {
+// OpenSpoolFile returns a file-backed Recorder: it opens (creating if
+// needed) the spool at path in append mode, self-heals a torn final line
+// left by a previous kill, and writes this boot's header. k is the level
+// count of every history in the file; reopening with a different k fails.
+// Only the first line and the tail are read, so reopening costs the same
+// whatever the spool has accumulated over earlier boots.
+func OpenSpoolFile(path string, k int) (*Recorder, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("history: spool k=%d out of range", k)
 	}
-	if raw, err := os.ReadFile(path); err == nil && len(raw) > 0 {
-		if cut := int64(bytes.LastIndexByte(raw, '\n') + 1); cut < int64(len(raw)) {
-			if err := os.Truncate(path, cut); err != nil {
-				return nil, fmt.Errorf("history: healing torn spool tail: %w", err)
-			}
-		}
-		// The existing stream must agree on k.
-		if first := bytes.IndexByte(raw, '\n'); first > 0 {
-			var hdr spoolLine
-			if err := json.Unmarshal(raw[:first], &hdr); err == nil && hdr.Spool == SpoolFormat && hdr.K != k {
-				return nil, fmt.Errorf("history: spool %s has k=%d, reopened with k=%d", path, hdr.K, k)
-			}
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("history: %w", err)
 	}
-	s := &Spool{f: f}
-	s.mu.Lock()
-	s.writeLocked(spoolHeader{Spool: SpoolFormat, K: k})
-	err = s.err
-	s.mu.Unlock()
-	if err != nil {
+	r := &Recorder{f: f}
+	if r.err = healSpool(f, path, k); r.err == nil {
+		r.writeLocked(spoolHeader{Spool: SpoolFormat, K: k})
+	}
+	if r.err != nil {
 		f.Close()
-		return nil, err
+		return nil, r.err
 	}
-	return s, nil
+	return r, nil
 }
 
-// writeLocked marshals one line and hands it to the kernel in a single
-// write. Called with s.mu held.
-func (s *Spool) writeLocked(l any) {
-	if s.err != nil {
-		return
-	}
-	payload, err := json.Marshal(l)
+// healSpool checks that an existing stream's first header agrees on k and
+// truncates whatever follows its last newline (the line a kill tore).
+func healSpool(f *os.File, path string, k int) error {
+	st, err := f.Stat()
 	if err != nil {
-		s.err = fmt.Errorf("history: spool encode: %w", err)
-		return
+		return fmt.Errorf("history: %w", err)
 	}
-	s.buf = append(s.buf[:0], payload...)
-	s.buf = append(s.buf, '\n')
-	if _, err := s.f.Write(s.buf); err != nil {
-		s.err = fmt.Errorf("history: spool write: %w", err)
+	buf := make([]byte, 4096)
+	head := buf[:min(st.Size(), int64(len(buf)))]
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return fmt.Errorf("history: %w", err)
 	}
-}
-
-// Declare records one transaction's intermediate level labels (len k-2).
-// Must precede the transaction's first step line; redeclaring is harmless
-// (the reader keeps the latest).
-func (s *Spool) Declare(t model.TxnID, levels []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if levels == nil {
-		levels = []string{}
+	if first := bytes.IndexByte(head, '\n'); first > 0 {
+		var hdr spoolLine
+		if err := json.Unmarshal(head[:first], &hdr); err == nil && hdr.Spool == SpoolFormat && hdr.K != k {
+			return fmt.Errorf("history: spool %s has k=%d, reopened with k=%d", path, hdr.K, k)
+		}
 	}
-	s.writeLocked(spoolDecl{Decl: t, Levels: levels})
-}
-
-// event appends one Event line with this boot's monotonic TS.
-func (s *Spool) event(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ev.TS = s.next
-	s.next++
-	s.writeLocked(ev)
-}
-
-// StepPerformed implements the engine Observer shape.
-func (s *Spool) StepPerformed(t model.TxnID, seq int, x model.EntityID, attempt, cut int) {
-	s.event(Event{Kind: KindStep, Txn: t, Seq: seq, Entity: x, Cut: cut})
-}
-
-// TxnAborted implements the engine Observer shape (full rollback: Kept 0).
-func (s *Spool) TxnAborted(t model.TxnID, cascade bool) {
-	s.event(Event{Kind: KindAbort, Txn: t})
-}
-
-// CommitGroup implements the engine Observer shape. The engine fires it
-// when the group forms — BEFORE the server acknowledges any member — so an
-// acked transaction always has its commit line in the spool: the soak's
-// lost-ack audit rests on that ordering.
-func (s *Spool) CommitGroup(txns []model.TxnID) {
-	s.event(Event{Kind: KindCommit, Txns: append([]model.TxnID(nil), txns...)})
-}
-
-// Crashed implements the engine Observer shape. A process kill writes
-// nothing (that is the point of the format); an in-process injected crash
-// leaves its victims' attempts pending, which replay discards unless they
-// recommit.
-func (s *Spool) Crashed(round, torn int) {}
-
-// WaitBegin implements the engine Observer shape (not part of a history).
-func (s *Spool) WaitBegin(model.TxnID, model.EntityID) {}
-
-// WaitEnd implements the engine Observer shape (not part of a history).
-func (s *Spool) WaitEnd(model.TxnID, model.EntityID, time.Duration) {}
-
-// FaultInjected implements the engine Observer shape (no history event).
-func (s *Spool) FaultInjected(model.TxnID, int, int) {}
-
-// TxnGaveUp implements the engine Observer shape (no history event).
-func (s *Spool) TxnGaveUp(model.TxnID, int) {}
-
-// Recovered implements the engine Observer shape (not part of a history).
-func (s *Spool) Recovered(int, int) {}
-
-// RunEnded implements the engine Observer shape (not part of a history).
-func (s *Spool) RunEnded(int, int, time.Duration) {}
-
-// Err returns the latched write failure, nil while healthy.
-func (s *Spool) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close closes the file. The spool must not be used afterwards.
-func (s *Spool) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return s.err
+	cut := int64(0) // just past the last newline, found block by block from the end
+	for end := st.Size(); end > 0 && cut == 0; end -= int64(len(buf)) {
+		start := max(end-int64(len(buf)), 0)
+		chunk := buf[:end-start]
+		if _, err := f.ReadAt(chunk, start); err != nil {
+			return fmt.Errorf("history: %w", err)
+		}
+		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
+			cut = start + int64(i) + 1
+		}
 	}
-	err := s.f.Close()
-	s.f = nil
-	if s.err == nil && err != nil {
-		s.err = fmt.Errorf("history: spool close: %w", err)
+	if err := f.Truncate(cut); err != nil {
+		return fmt.Errorf("history: healing torn spool tail: %w", err)
 	}
-	return s.err
+	return nil
 }
 
 // SniffSpool reports whether data starts with a spool header line — how

@@ -1,8 +1,10 @@
 package history
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -151,5 +153,43 @@ func TestSpoolValidateFailures(t *testing.T) {
 	s.Close()
 	if _, err := ReadSpoolFile(path); err == nil || !strings.Contains(err.Error(), "missing from the level matrix") {
 		t.Fatalf("undeclared step accepted (err %v)", err)
+	}
+}
+
+// TestSpoolReopenReadsOnlyEnds: reopening a large spool with a torn tail
+// reads its first line and its tail, not the whole file, and still heals.
+func TestSpoolReopenReadsOnlyEnds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.spool")
+	writeBoot(t, path, 3, []model.TxnID{"e1-t0"}, nil)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := []byte(`{"ts":1,"kind":"step","txn":"e1-t0","seq":1,"entity":"a"}` + "\n")
+	raw = append(raw, bytes.Repeat(line, 8<<20/len(line))...)
+	whole := int64(len(raw))
+	if err := os.WriteFile(path, append(raw, `{"ts":9,"kind":"st`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := OpenSpoolFile(path, 3)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reopening an 8 MiB spool allocated %d bytes", alloc)
+	}
+	healed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := `{"spool":"mla-history-spool/v1","k":3}` + "\n"
+	if int64(len(healed)) != whole+int64(len(header)) || !strings.HasSuffix(string(healed), "\n"+header) {
+		t.Fatalf("torn tail not healed: %d bytes, want %d ending in a new header", len(healed), whole+int64(len(header)))
 	}
 }

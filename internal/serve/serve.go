@@ -30,9 +30,10 @@
 //     WAL before the acknowledgment is written.
 //
 // With Config.SpoolPath the server appends the full execution history to a
-// history.Spool as it happens, so `mlacheck -history` can audit a run —
-// live, drained, or killed: the black-box checker either blesses the
-// multiplexed execution as multilevel atomic or produces a witness cycle.
+// file-backed history.Recorder (the type the batch paths keep in memory)
+// as it happens, so `mlacheck -history` can audit a run — live, drained, or
+// killed: the black-box checker either blesses the multiplexed execution as
+// multilevel atomic or produces a witness cycle.
 package serve
 
 import (
@@ -118,7 +119,8 @@ type Config struct {
 	DiskFaults fault.Plan
 
 	// SpoolPath, when non-empty, appends every history event to a durable
-	// JSONL spool (history.SpoolFormat) as it happens — the black-box
+	// JSONL spool (history.SpoolFormat) as it happens, through the same
+	// history.Recorder the batch paths check in memory — the black-box
 	// witness mlacheck audits, in O(1) memory, whether the process drained
 	// or died by kill -9. With DataDir the file accumulates across boots
 	// (the boot epoch keeps identifiers apart); without it every boot mints
@@ -168,7 +170,7 @@ type Server struct {
 	medium  *wal.Medium
 	db      *wal.DB
 	pipe    *wal.Pipeline
-	spool   *history.Spool
+	spool   *history.Recorder
 	epoch   int64 // boot count of DataDir; 0 when in-memory
 	start   time.Time
 
@@ -342,7 +344,7 @@ var kindClass = map[string]string{"": classCust, "transfer": classCust, "credit"
 // openSpool opens the history spool, emptied first for an in-memory server
 // (see Config.SpoolPath: without a boot epoch an earlier run left in the file
 // would replay as "committed twice").
-func openSpool(cfg Config) (*history.Spool, error) {
+func openSpool(cfg Config) (*history.Recorder, error) {
 	if cfg.DataDir == "" {
 		if err := os.Truncate(cfg.SpoolPath, 0); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("starting a new history spool: %w", err)

@@ -46,6 +46,11 @@ go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzzti
 go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
 go run ./cmd/mlacheck -history /tmp/mla_check_history.json
 go run ./cmd/mlacheck -witness -history /tmp/mla_check_history.json > /dev/null
+# The same over a run with two injected crashes: a crash records nothing,
+# so the replay alone must discard the attempts each crash killed.
+go run ./cmd/mlasim -engine -crashes 2 -history /tmp/mla_crash_history.json > /dev/null
+go run ./cmd/mlacheck -history /tmp/mla_crash_history.json
+go run ./cmd/mlacheck -witness -history /tmp/mla_crash_history.json > /dev/null
 for v in internal/history/testdata/violation_*.json; do
     if go run ./cmd/mlacheck -history "$v" > /dev/null 2>&1; then
         echo "check.sh: $v should have been rejected" >&2
