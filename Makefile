@@ -25,8 +25,8 @@ fuzz:
 	go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzztime 10s
 	go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
 
-# The history-oracle slice of check.sh: record a live engine run (and one
-# with two injected crashes) as an event history, check it offline with the
+# The history-oracle slice of check.sh: record a live engine run (and three
+# seeds with two injected crashes) as an event history, check it offline with the
 # black-box checker and then with both deciders, verify the known-violating
 # histories are rejected, run the E20 checker-vs-scheduler cross-check, and
 # verify an unknown experiment ID is rejected.
@@ -34,8 +34,10 @@ history-check:
 	go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
 	go run ./cmd/mlacheck -history /tmp/mla_check_history.json
 	go run ./cmd/mlacheck -witness -history /tmp/mla_check_history.json > /dev/null
-	go run ./cmd/mlasim -engine -crashes 2 -history /tmp/mla_crash_history.json > /dev/null
-	go run ./cmd/mlacheck -history /tmp/mla_crash_history.json
+	@for seed in 1 2 3; do \
+		go run ./cmd/mlasim -engine -crashes 2 -seed $$seed -history /tmp/mla_crash_history.json > /dev/null && \
+		go run ./cmd/mlacheck -history /tmp/mla_crash_history.json || exit 1; \
+	done
 	go run ./cmd/mlacheck -witness -history /tmp/mla_crash_history.json > /dev/null
 	@for v in internal/history/testdata/violation_*.json; do \
 		if go run ./cmd/mlacheck -history "$$v" > /dev/null 2>&1; then \

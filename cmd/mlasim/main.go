@@ -23,7 +23,8 @@
 // -history writes the run as an mla-history event log, the one format
 // mlacheck reads (`mlacheck -witness out.json` judges it with both
 // deciders). On the engine it records live — every attempt, abort, and
-// injected crash appears as an event; on the simulator it materializes the
+// commit appears as an event, and the run exits 1 unless the history
+// replays to the run's committed set; on the simulator it materializes the
 // committed execution.
 //
 // -crashes and -errrate enable the deterministic fault-injection layer
@@ -67,6 +68,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 
 	"mla/internal/bank"
 	"mla/internal/breakpoint"
@@ -508,6 +510,22 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("history written: %s\n", *historyOut)
+		if rec != nil {
+			// What is checked must be what ran: the recorded history has to
+			// replay to the run's committed set, crashes included.
+			replayed, _, err := h.Committed()
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "mlasim: history:", err)
+				return 1
+			}
+			got, want := replayed.Txns(), exec.Txns()
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				fmt.Fprintf(os.Stderr, "mlasim: history commits %d transactions, the run %d\n", len(got), len(want))
+				return 1
+			}
+		}
 	}
 	return 0
 }

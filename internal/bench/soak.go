@@ -36,8 +36,6 @@ func E22CrashSoak(o Config) (*metrics.Table, error) {
 		Dir:                filepath.Join(dir, "data"),
 		Rounds:             5,
 		TxnsPerRound:       200 * sc,
-		Sessions:           12,
-		Rate:               120,
 		CheckpointEvery:    64,
 		DiskWriteErrRate:   0.02,
 		DiskShortWriteRate: 0.02,

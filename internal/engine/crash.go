@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mla/internal/breakpoint"
 	"mla/internal/fault"
@@ -76,8 +77,10 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 	// pending holds the crashed round's steps of decided transactions —
 	// acked, or submitted and unacked; they join Exec only after the next
 	// recovery confirms the commit record is durable and survived the torn
-	// tail.
+	// tail. seen holds the transactions whose commit the crashed round's
+	// observer saw.
 	var pending model.Execution
+	var seen announced
 	prevTodo, prevDurable := 0, 0
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -96,6 +99,15 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 				out.Exec = append(out.Exec, s)
 			}
 		}
+		// The durable ones the observer never saw are announced after
+		// Recovered, so a recorded history names every durable commit.
+		var late []model.TxnID
+		for _, id := range pending.Txns() {
+			if db.Committed(id) && !seen.ids[id] {
+				late = append(late, id)
+			}
+		}
+		slices.Sort(late)
 		pending = nil
 
 		// Restart every transaction without a durable commit. Give-ups are
@@ -116,6 +128,9 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 			out.RedoneTxns += prevTodo - (durable - prevDurable)
 			if obs != nil {
 				obs.Recovered(round, durable)
+				if len(late) > 0 {
+					obs.CommitGroup(late)
+				}
 			}
 		}
 		out.Rounds = round + 1
@@ -127,6 +142,10 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 
 		cfg := plan.Cfg
 		cfg.Faults = inj
+		if obs != nil {
+			seen = announced{ids: make(map[model.TxnID]bool)}
+			cfg.Observer = Tee(obs, &seen)
+		}
 		base := db.LogLen()
 		pipe := wal.NewPipeline(db, 0)
 		res, err := RunOnStore(ctx, cfg, todo, plan.NewControl(), plan.Spec, NewPipelinedWALStore(pipe))
@@ -176,5 +195,18 @@ func RunWithCrashes(ctx context.Context, plan CrashPlan, programs []model.Progra
 		default:
 			return nil, fmt.Errorf("engine: round %d: %w", round, err)
 		}
+	}
+}
+
+// announced records the transactions whose commit group a round's observer
+// saw; the recovery loop announces the durable rest.
+type announced struct {
+	NopObserver
+	ids map[model.TxnID]bool
+}
+
+func (a *announced) CommitGroup(ids []model.TxnID) {
+	for _, id := range ids {
+		a.ids[id] = true
 	}
 }

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"mla/internal/fault"
 	"mla/internal/history"
 	"mla/internal/model"
+	"mla/internal/nest"
 	"mla/internal/sched"
 )
 
@@ -232,12 +235,10 @@ func TestEngineGiveUpInsteadOfLivelock(t *testing.T) {
 	}
 	var ev EventCounts
 	cfg := Config{
-		Seed:           1,
-		Timeout:        10 * time.Second,
-		MaxRestarts:    2,
-		MaxStepRetries: 2,
-		Observer:       &ev,
-		Faults:         fault.New(fault.Plan{Seed: 1, StepErrorRate: 1.0}),
+		Seed:        1,
+		MaxRestarts: 2,
+		Observer:    &ev,
+		Faults:      fault.New(fault.Plan{Seed: 1, StepErrorRate: 1.0}),
 	}
 	spec := breakpoint.Uniform{Levels: 2, C: 2}
 	start := time.Now()
@@ -270,12 +271,7 @@ func TestEngineCrashGiveUpTerminal(t *testing.T) {
 		&model.Scripted{Txn: "b", Ops: []model.Op{model.Add("y", 2)}},
 	}
 	plan := CrashPlan{
-		Cfg: Config{
-			Seed:           2,
-			Timeout:        10 * time.Second,
-			MaxRestarts:    2,
-			MaxStepRetries: 2,
-		},
+		Cfg:        Config{Seed: 2, MaxRestarts: 2},
 		Spec:       breakpoint.Uniform{Levels: 2, C: 2},
 		Init:       map[model.EntityID]model.Value{},
 		Faults:     fault.Plan{Seed: 2, StepErrorRate: 1.0},
@@ -355,7 +351,7 @@ func TestEngineCrashAtCommitRecord(t *testing.T) {
 // durably: it must count as a crash and re-run in a fresh round.
 func TestEngineCrashInRollbackOfParkedTxn(t *testing.T) {
 	plan := CrashPlan{
-		Cfg:        Config{Seed: 6, MaxRestarts: 1, MaxStepRetries: 1},
+		Cfg:        Config{Seed: 6, MaxRestarts: 1},
 		Spec:       breakpoint.Uniform{Levels: 2, C: 2},
 		Init:       map[model.EntityID]model.Value{"x": 0},
 		Faults:     fault.Plan{Seed: 6, StepErrorRate: 1.0, CrashAppends: []int64{1}},
@@ -450,4 +446,61 @@ func TestCaptureEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(cm, cs) || len(cm) != out.Committed {
 		t.Fatalf("committed sets differ: %d in memory, %d in the spool, %d by the run", len(cm), len(cs), out.Committed)
 	}
+}
+
+// TestCrashHistoryNamesDurableCommits: a history recorded across crashes
+// commits exactly the transactions the run made durable, including those
+// whose commit record reached the WAL but whose ack a crash swallowed.
+func TestCrashHistoryNamesDurableCommits(t *testing.T) {
+	check := func(t *testing.T, plan string, rec *history.Recorder, out *CrashResult) {
+		t.Helper()
+		exec, _, err := rec.History().Committed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := exec.Txns(), out.Exec.Txns()
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) || len(want) != out.Committed {
+			t.Errorf("%s: history commits %d transactions, the run %d (%d durable)", plan, len(got), len(want), out.Committed)
+		}
+	}
+	t.Run("commit-record", func(t *testing.T) {
+		n := nest.New(2)
+		n.Add("t")
+		rec := history.NewRecorder(n)
+		plan := CrashPlan{
+			Cfg:        Config{Seed: 4, Observer: rec},
+			Spec:       breakpoint.Uniform{Levels: 2, C: 2},
+			Init:       map[model.EntityID]model.Value{"x": 0, "y": 0, "z": 0},
+			Faults:     fault.Plan{Seed: 4, CrashAppends: []int64{4}},
+			NewControl: func() sched.Control { return sched.NewTwoPhase() },
+		}
+		prog := &model.Scripted{Txn: "t", Ops: []model.Op{model.Add("x", 1), model.Add("y", 2), model.Add("z", 3)}}
+		out, err := RunWithCrashes(context.Background(), plan, []model.Program{prog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "commit record", rec, out)
+	})
+	t.Run("bank", func(t *testing.T) {
+		for seed := int64(1); seed <= 30; seed++ {
+			params := bank.DefaultParams()
+			params.Seed = seed
+			wl := bank.Generate(params)
+			rec := history.NewRecorder(wl.Nest)
+			plan := CrashPlan{
+				Cfg:        Config{Seed: seed, Observer: rec},
+				Spec:       wl.Spec,
+				Init:       wl.Init,
+				Faults:     fault.Plan{Seed: seed, CrashAppends: []int64{10, 20}, TearTail: 2},
+				NewControl: func() sched.Control { return sched.NewPreventer(wl.Nest, wl.Spec) },
+			}
+			out, err := RunWithCrashes(context.Background(), plan, wl.Programs)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			check(t, fmt.Sprintf("seed %d", seed), rec, out)
+		}
+	})
 }

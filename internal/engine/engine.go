@@ -42,11 +42,11 @@
 // and its whole transaction table (they become Result.Exec), a resident
 // session keeps no trace (the recovery ledger restores a rollback from its
 // own records) and retires each record as its submission resolves. A batch
-// run ends when all transactions resolve, the caller's context is cancelled,
-// the configured timeout expires, a worker fails, or an injected crash
-// fires; every cause but the first fails the session, which closes the stop
-// channel all blocking points (generation waits, backoff sleeps, commit
-// waits) select on. Close joins the finalizer; Run joins its workers first.
+// run ends when all transactions resolve, the caller's context is cancelled
+// or past its deadline, a worker fails, or an injected crash fires; every
+// cause but the first fails the session, which closes the stop channel all
+// blocking points (generation waits, backoff sleeps, commit waits) select
+// on. Close joins the finalizer; Run joins its workers first.
 // No goroutine outlives Run or Close — the regression tests count them.
 package engine
 
@@ -67,22 +67,23 @@ import (
 	"mla/internal/storage"
 )
 
-// DefaultTimeout is the whole-run deadline applied when Config.Timeout is
-// zero. It bounds a *batch* run (Run/RunOnStore/RunWithCrashes): long enough
-// that no experiment in internal/bench ever hits it on a healthy machine,
-// short enough that a livelocked or leaked run fails fast in CI instead of
-// hanging a job. Resident sessions (NewSession) have no whole-run deadline —
-// they are bounded per transaction by SubmitOpts.Deadline instead.
-const DefaultTimeout = 30 * time.Second
+const (
+	// DefaultTimeout is the deadline a *batch* run (Run/RunOnStore, each
+	// round of RunWithCrashes) gives a context that has none: long enough
+	// that no experiment in internal/bench ever hits it on a healthy
+	// machine, short enough that a livelocked or leaked run fails fast in
+	// CI. Resident sessions (NewSession) have no whole-run deadline — they
+	// are bounded per transaction by SubmitOpts.Deadline instead.
+	DefaultTimeout = 30 * time.Second
+	// backoffBase starts every restart and step-retry backoff; a failing
+	// step is retried in place maxStepRetries times, then its transaction
+	// aborts itself and restarts.
+	backoffBase    = 100 * time.Microsecond
+	maxStepRetries = 6
+)
 
 // Config bounds a run.
 type Config struct {
-	// Timeout aborts the whole run if it has not completed; defaults to
-	// DefaultTimeout. It composes with the caller's context: whichever
-	// expires first stops the run. Ignored by resident sessions.
-	Timeout time.Duration
-	// BackoffBase is the initial restart backoff; defaults to 100µs.
-	BackoffBase time.Duration
 	// StepDelay simulates per-step service time (slept outside the engine
 	// lock after each performed step), forcing real overlap between
 	// transactions. Zero means full speed.
@@ -103,10 +104,6 @@ type Config struct {
 	// rolled back more than this many times is parked and reported in
 	// Result.GaveUp instead of livelocking the run. 0 means unlimited.
 	MaxRestarts int
-	// MaxStepRetries caps in-place retries of a transiently failing step
-	// before the transaction aborts itself and restarts (consuming one
-	// unit of the restart budget); defaults to 6.
-	MaxStepRetries int
 }
 
 // Result mirrors sim.Result for the concurrent engine.
@@ -341,10 +338,10 @@ func (e *engine) putTxn(t *etxn) {
 // error). It never escapes Submit.
 var errStopped = errors.New("engine: run stopped")
 
-// Run executes the programs concurrently to completion. Cancelling ctx (or
-// exceeding cfg.Timeout, whichever comes first) stops every transaction
-// goroutine deterministically; Run joins all of them before returning, so
-// no goroutine it started outlives it.
+// Run executes the programs concurrently to completion. Cancelling ctx, or
+// passing its deadline (DefaultTimeout when it has none), stops every
+// transaction goroutine deterministically; Run joins all of them before
+// returning, so no goroutine it started outlives it.
 func Run(ctx context.Context, cfg Config, programs []model.Program, control sched.Control, spec breakpoint.Spec, init map[model.EntityID]model.Value) (*Result, error) {
 	res, err := RunOnStore(ctx, cfg, programs, control, spec, NewVolatileStore(init))
 	if err != nil {
@@ -363,18 +360,18 @@ func RunOnStore(ctx context.Context, cfg Config, programs []model.Program, contr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultTimeout
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
+		defer cancel()
 	}
-	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-	defer cancel()
 	s := newSession(cfg, control, spec, store, true)
-	// Whatever ends the run early — the caller, the whole-run timeout, the
+	// Whatever ends the run early — the caller, the whole-run deadline, the
 	// injected wall-clock crash, a worker's fatal error — fails the session:
 	// the first cause is recorded and every submission unblocks.
 	unwatch := context.AfterFunc(ctx, func() {
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.fail(fmt.Errorf("engine: timeout after %v", cfg.Timeout))
+			s.fail(fmt.Errorf("engine: run timed out: %w", ctx.Err()))
 		} else {
 			s.fail(fmt.Errorf("engine: run cancelled: %w", ctx.Err()))
 		}
@@ -488,15 +485,15 @@ func (e *engine) sleep(d time.Duration) bool {
 	}
 }
 
-func (e *engine) jitter(base time.Duration, attempt int) time.Duration {
+func (e *engine) jitter(attempt int) time.Duration {
 	if attempt > 8 {
 		attempt = 8
 	}
-	window := base << uint(attempt)
+	window := backoffBase << uint(attempt)
 	e.rngMu.Lock()
 	j := time.Duration(e.rng.Int63n(int64(window) + 1))
 	e.rngMu.Unlock()
-	return base + j
+	return backoffBase + j
 }
 
 // beginAttemptLocked resets t for a fresh attempt and registers it with the
@@ -581,7 +578,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.Prog
 					e.obs.FaultInjected(id, performed+1, retries)
 				}
 				retries++
-				exhausted := retries > cfg.MaxStepRetries
+				exhausted := retries > maxStepRetries
 				if exhausted {
 					e.abortLocked([]model.TxnID{id})
 					e.bump()
@@ -590,7 +587,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.Prog
 				if exhausted {
 					return true, nil
 				}
-				if !e.sleep(e.jitter(cfg.BackoffBase, retries)) {
+				if !e.sleep(e.jitter(retries)) {
 					return false, errStopped
 				}
 				continue

@@ -206,9 +206,11 @@ func TestEngineTimeout(t *testing.T) {
 		&model.Scripted{Txn: "t", Ops: []model.Op{model.Add("x", 1)}},
 	}
 	spec := breakpoint.Uniform{Levels: 2, C: 2}
-	_, err := Run(context.Background(), Config{Timeout: 50 * time.Millisecond}, progs, &stuckControl{}, spec, nil)
-	if err == nil {
-		t.Fatal("a permanently waiting control must time out")
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := Run(ctx, Config{}, progs, &stuckControl{}, spec, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a permanently waiting control must time out, got %v", err)
 	}
 }
 
@@ -229,7 +231,9 @@ func stuckProgs(n int) []model.Program {
 func TestEngineTimeoutLeaksNoGoroutines(t *testing.T) {
 	spec := breakpoint.Uniform{Levels: 2, C: 2}
 	before := runtime.NumGoroutine()
-	_, err := Run(context.Background(), Config{Timeout: 50 * time.Millisecond}, stuckProgs(8), &stuckControl{}, spec, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := Run(ctx, Config{}, stuckProgs(8), &stuckControl{}, spec, nil)
 	if err == nil {
 		t.Fatal("a permanently waiting control must time out")
 	}
@@ -254,7 +258,7 @@ func TestEngineCancelStopsRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Run(ctx, Config{Timeout: 30 * time.Second}, stuckProgs(4), &stuckControl{}, spec, nil)
+	_, err := Run(ctx, Config{}, stuckProgs(4), &stuckControl{}, spec, nil)
 	if err == nil {
 		t.Fatal("a cancelled run must fail")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"testing"
-	"time"
 
 	"mla/internal/model"
 	"mla/internal/sched"
@@ -102,7 +101,7 @@ func TestLedgerScenarioOnBothHosts(t *testing.T) {
 	}
 
 	c = script()
-	eres, err := Run(context.Background(), Config{Timeout: 10 * time.Second}, programs, c, nil, init)
+	eres, err := Run(context.Background(), Config{}, programs, c, nil, init)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

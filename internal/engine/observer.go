@@ -29,6 +29,9 @@ type Observer interface {
 	// named by the control's decision.
 	TxnAborted(t model.TxnID, cascade bool)
 	// CommitGroup fires when a commit group forms, with the sorted members.
+	// RunWithCrashes also fires it between rounds, right after Recovered,
+	// for the crashed round's commits that recovery found durable but whose
+	// ack the crash swallowed.
 	CommitGroup(txns []model.TxnID)
 
 	// FaultInjected fires when the fault injector fails a step attempt

@@ -146,7 +146,7 @@ type SessionStats struct {
 }
 
 // NewSession starts a resident engine over the given control, spec, and
-// store. Config.Timeout is ignored (bounds are per submission); the other
+// store. It has no whole-run deadline (bounds are per submission); the
 // Config fields keep their Run semantics. The caller owns the store and the
 // control and must not share them with another run.
 func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store) *Session {
@@ -156,12 +156,6 @@ func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 // newSession builds the engine for either driver; retain is the batch
 // driver's request to keep a step trace and the whole transaction table.
 func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store, retain bool) *Session {
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 100 * time.Microsecond
-	}
-	if cfg.MaxStepRetries == 0 {
-		cfg.MaxStepRetries = 6
-	}
 	e := &engine{
 		waitGen: make(chan struct{}),
 		stop:    make(chan struct{}),
@@ -321,7 +315,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 		if killed != killNone {
 			return killedOutcome(killed, attempt), nil
 		}
-		if !e.sleep(e.jitter(s.cfg.BackoffBase, att)) {
+		if !e.sleep(e.jitter(att)) {
 			return Outcome{}, s.failure()
 		}
 	}

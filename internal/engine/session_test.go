@@ -185,7 +185,7 @@ func TestSessionGiveUp(t *testing.T) {
 	// burns its in-place retries and restarts until the budget runs out.
 	inj := fault.New(fault.Plan{Seed: 3, StepErrorRate: 1.0})
 	s := NewSession(
-		Config{Faults: inj, BackoffBase: time.Microsecond, MaxStepRetries: 1},
+		Config{Faults: inj},
 		sched.NewNone(), breakpoint.Uniform{Levels: 2, C: 2}, NewVolatileStore(nil),
 	)
 	p := &model.Scripted{Txn: "g", Ops: []model.Op{model.Add("x", 1)}}

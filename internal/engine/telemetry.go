@@ -17,8 +17,9 @@ import (
 // bracket the recovery spans between rounds.
 //
 // Concurrency: the engine serializes every hook (under its mutex during a
-// run; between rounds for Crashed/Recovered), so the observer appends to
-// one lock-free telemetry.Local and adds no locking of its own — enabled
+// run; between rounds for Crashed/Recovered and late commit groups), so the
+// observer appends to one lock-free telemetry.Local and adds no locking of
+// its own — enabled
 // telemetry costs the engine nothing beyond the work recorded here, and
 // disabled telemetry (nil Config.Observer) stays one nil check.
 type TelemetryObserver struct {
@@ -174,15 +175,21 @@ func (o *TelemetryObserver) TxnAborted(t model.TxnID, cascade bool) {
 		"txn", string(t), "cascade", fmt.Sprint(cascade))
 }
 
-// CommitGroup implements Observer.
+// CommitGroup implements Observer. A group announced between rounds (the
+// crashed round's durable commits, after Recovered) is a root instant: it
+// opens no run span.
 func (o *TelemetryObserver) CommitGroup(txns []model.TxnID) {
 	o.c("engine.commit_groups").Inc()
 	o.c("engine.committed").Add(int64(len(txns)))
 	for _, t := range txns {
 		o.closeTxn(t, "commit")
 	}
+	var parent telemetry.SpanID
+	if o.runOpen {
+		parent = o.run
+	}
 	o.l.Event("commit-group", fmt.Sprintf("commit group (%d)", len(txns)),
-		o.pid, 0, o.ensureRun(), "size", fmt.Sprint(len(txns)), "txns", joinTxns(txns))
+		o.pid, 0, parent, "size", fmt.Sprint(len(txns)), "txns", joinTxns(txns))
 }
 
 // joinTxns renders a commit group's members as one comma-joined arg value.

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"mla/internal/breakpoint"
 	"mla/internal/model"
@@ -212,7 +213,7 @@ func (h *History) Committed() (model.Execution, map[model.TxnID]*breakpoint.Desc
 	for _, evIdxs := range committed {
 		idxs = append(idxs, evIdxs...)
 	}
-	sortInts(idxs)
+	slices.Sort(idxs)
 	exec := make(model.Execution, 0, len(idxs))
 	perTxn := make(map[model.TxnID][]Event)
 	for _, i := range idxs {
@@ -253,14 +254,6 @@ func (h *History) Execution() (model.Execution, *nest.Nest, breakpoint.Spec, err
 		return h.K
 	}}
 	return exec, n, spec, nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // FromExecution derives the history of an already-surviving execution: one

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // EntityID names a database entity (the paper's "variable").
@@ -219,27 +218,12 @@ func (e Execution) Entities() []EntityID {
 	for x := range seen {
 		out = append(out, x)
 	}
-	sortOrdered(out)
+	slices.Sort(out)
 	return out
 }
 
-// SortTxnIDs sorts transaction IDs ascending. Victim sets, commit groups,
-// and announcement fan-outs are tiny almost everywhere, so small slices use
-// insertion sort — no interface calls, no closure — and only larger ones
-// fall back to sort.Slice.
-func SortTxnIDs(ids []TxnID) { sortOrdered(ids) }
-
-func sortOrdered[T ~string](xs []T) {
-	if len(xs) <= 24 {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-		return
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
+// SortTxnIDs sorts transaction IDs ascending.
+func SortTxnIDs(ids []TxnID) { slices.Sort(ids) }
 
 // SortedKeys returns m's keys ascending: the deterministic iteration order
 // for anything that sends messages or makes decisions off a map.

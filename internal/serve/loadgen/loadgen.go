@@ -15,7 +15,8 @@
 //     goroutine per request.
 //   - Run (this file) is the batteries-included entry point the selftest
 //     and soak harnesses use: Poisson arrivals, workload mix, injected
-//     mid-flight disconnects, 429 retry with capped backoff.
+//     mid-flight disconnects, 429 retry with capped backoff. It returns the
+//     pool's report.
 //
 // The generator injects client misbehavior on purpose: a fraction of
 // requests disconnect mid-flight (the context is cancelled while the
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"mla/internal/metrics"
@@ -49,9 +49,6 @@ type Options struct {
 	// AuditPct and CreditPct set the kind mix; the rest are transfers.
 	AuditPct  int
 	CreditPct int
-	// DeadlineMS is the per-transaction deadline passed to the server
-	// (0 = server default).
-	DeadlineMS int64
 	// DisconnectPct is the percentage of requests abandoned mid-flight:
 	// the client cancels its context a few milliseconds in, simulating a
 	// dropped connection.
@@ -60,82 +57,38 @@ type Options struct {
 	// (fault-style: base doubles per try with jitter, capped). 0 disables
 	// retrying.
 	MaxRetries int
-	// BackoffBase is the initial retry backoff (default 20ms, cap 64×).
-	BackoffBase time.Duration
 	// Seed drives arrivals, mix, disconnects, and backoff jitter.
 	Seed int64
 	// Client overrides the HTTP client (tests inject httptest transports).
 	Client *http.Client
-	// Workers bounds the concurrent in-flight requests (default
-	// 4×Sessions, clamped to [8, 128]).
-	Workers int
 }
 
-// Report tallies one load run. Counters sum over requests, not retries
-// (one logical transaction shed three times and then acked counts once in
-// Acked and three in Retries).
-type Report struct {
-	Offered  int // logical transactions offered
-	Acked    int // 200: committed and durable
-	AckedIDs []string
-	Deadline int // 408 deadline_exceeded
-	Shed     int // 429 that exhausted retries (or retrying disabled)
-	Draining int // 503 during drain
-	Canceled int // client-side disconnects injected
-	Down     int // transport-level failures: the server was unreachable
-	Errors   int // unexpected statuses, protocol violations
-	Retries  int // 429s that were retried
-	// Latencies is the histogram of server-reported latencies (µs) of
-	// acked transactions.
-	Latencies *metrics.Histogram
-
-	// ErrorSamples holds the first few error details (transport error
-	// strings, unexpected status lines) so a failed run is diagnosable
-	// from the report alone.
-	ErrorSamples []string
-}
-
-// Run drives the load through a worker Pool and blocks until every offered
-// transaction resolved or ctx is cancelled. The returned report is
-// complete either way.
-func Run(ctx context.Context, o Options) (*Report, error) {
+// Run drives the load through a worker Pool — four workers per session,
+// within [8, 128] — and blocks until every offered transaction resolved or
+// ctx is cancelled. The returned report is the pool's, complete either way;
+// a session that fails to open charges its share of Txns to Errors.
+func Run(ctx context.Context, o Options) (*PoolReport, error) {
 	if o.Sessions <= 0 || o.Txns <= 0 {
 		return nil, fmt.Errorf("loadgen: need sessions and txns, got %d/%d", o.Sessions, o.Txns)
 	}
 	if o.Rate <= 0 {
 		o.Rate = 200
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 20 * time.Millisecond
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = 4 * o.Sessions
-		if workers < 8 {
-			workers = 8
-		}
-		if workers > 128 {
-			workers = 128
-		}
-	}
 	client := NewHTTPClient(o.BaseURL, o.Client)
 
-	rep := &Report{Latencies: metrics.NewHistogram()}
+	rep := &PoolReport{Latency: metrics.NewHistogram()}
 	var sessions []string
 	for si := 0; si < o.Sessions; si++ {
 		id, err := client.OpenSession(ctx)
 		if err != nil {
 			// This session's share of the load cannot be offered; charge it
-			// to Errors so the accounting stays visible, like the old
-			// per-session driver did.
+			// to Errors so the accounting stays visible.
 			share := o.Txns / o.Sessions
 			if si < o.Txns%o.Sessions {
 				share++
 			}
 			rep.Errors += share
-			if len(rep.ErrorSamples) < 8 {
-				rep.ErrorSamples = append(rep.ErrorSamples, "open session: "+err.Error())
-			}
+			rep.note("open session: " + err.Error())
 			continue
 		}
 		sessions = append(sessions, id)
@@ -157,51 +110,25 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		return Request{
 			Session:    sessions[i%len(sessions)],
 			Kind:       kind,
-			DeadlineMS: o.DeadlineMS,
 			Disconnect: rng.Intn(100) < o.DisconnectPct,
-			Jitter:     time.Duration(rng.Int63n(int64(o.BackoffBase) + 1)),
+			Jitter:     time.Duration(rng.Int63n(int64(backoffBase) + 1)),
 		}
 	}
 
-	var mu sync.Mutex
 	pool := &Pool{
-		Client:      client,
-		Workers:     workers,
-		MaxRetries:  o.MaxRetries,
-		BackoffBase: o.BackoffBase,
-		KeepIDs:     true, // the soak's Reverify audit consumes AckedIDs
-		Observe: func(res Result, _ int64) {
-			if res.Status == StatusAcked {
-				mu.Lock()
-				rep.Latencies.Record(res.LatencyUS)
-				mu.Unlock()
-			}
-		},
+		Client:     client,
+		Workers:    min(max(4*o.Sessions, 8), 128),
+		MaxRetries: o.MaxRetries,
+		KeepIDs:    true, // the soak's Reverify audit consumes AckedIDs
 	}
 	rate := o.Rate * float64(len(sessions))
-	pr := pool.Run(ctx, OpenLoop(ctx, Wall, txns, rate, rng, mk))
+	rep.merge(pool.Run(ctx, OpenLoop(ctx, Wall, txns, rate, rng, mk)))
 
 	// Sessions are closed only now: requests (and their backoff retries)
 	// outlive the arrival schedule, and closing the session under them
 	// would turn live work into 404s.
 	for _, id := range sessions {
 		client.CloseSession(id)
-	}
-
-	rep.Offered = pr.Offered
-	rep.Acked = pr.Acked
-	rep.AckedIDs = pr.AckedIDs
-	rep.Deadline = pr.Deadline
-	rep.Shed = pr.Shed
-	rep.Draining = pr.Draining
-	rep.Canceled = pr.Canceled
-	rep.Down = pr.Down
-	rep.Errors += pr.Errors
-	rep.Retries = pr.Retries
-	for _, s := range pr.ErrorSamples {
-		if len(rep.ErrorSamples) < 8 {
-			rep.ErrorSamples = append(rep.ErrorSamples, s)
-		}
 	}
 	return rep, nil
 }

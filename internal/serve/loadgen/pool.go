@@ -9,8 +9,8 @@ import (
 	"mla/internal/metrics"
 )
 
-// Clock abstracts time for the pool so tests (and deterministic harnesses)
-// can inject one. Wall is the real-time default.
+// Clock abstracts time for an arrival schedule (OpenLoop's anchor). Wall is
+// the real-time Clock, and the one the Pool runs on.
 type Clock interface {
 	Now() time.Time
 	// Sleep blocks for d or until ctx is done, returning ctx.Err() in the
@@ -39,6 +39,10 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
 // Wall is the real-time Clock.
 var Wall Clock = wallClock{}
 
+// backoffBase is the initial backoff of a shed (429) retry; it doubles per
+// try, capped at 64×.
+const backoffBase = 20 * time.Millisecond
+
 // Arrival is one scheduled transaction. At is the arrival's scheduled time
 // under the open-loop model: the worker waits until At, executes, and
 // measures latency FROM At — so time an arrival spends queued behind busy
@@ -63,10 +67,6 @@ type Pool struct {
 	Workers int
 	// MaxRetries bounds capped-backoff retries of shed (429) attempts.
 	MaxRetries int
-	// BackoffBase is the initial retry backoff (default 20ms, cap 64×).
-	BackoffBase time.Duration
-	// Clock defaults to Wall.
-	Clock Clock
 	// Observe, when non-nil, is called by workers after each logical
 	// transaction resolves, with the open-loop latency in nanoseconds
 	// (acked transactions only; -1 otherwise). It runs on worker
@@ -135,17 +135,9 @@ func (r *PoolReport) merge(o *PoolReport) {
 // private histogram, merged once at the end — the record path shares
 // nothing.
 func (p *Pool) Run(ctx context.Context, arrivals <-chan Arrival) *PoolReport {
-	clk := p.Clock
-	if clk == nil {
-		clk = Wall
-	}
 	workers := p.Workers
 	if workers <= 0 {
 		workers = 16
-	}
-	backoffBase := p.BackoffBase
-	if backoffBase <= 0 {
-		backoffBase = 20 * time.Millisecond
 	}
 	locals := make([]*PoolReport, workers)
 	var wg sync.WaitGroup
@@ -164,20 +156,20 @@ func (p *Pool) Run(ctx context.Context, arrivals <-chan Arrival) *PoolReport {
 				}
 				start := a.At
 				if start.IsZero() {
-					start = clk.Now()
-				} else if d := start.Sub(clk.Now()); d > 0 {
-					if clk.Sleep(ctx, d) != nil {
+					start = Wall.Now()
+				} else if d := start.Sub(Wall.Now()); d > 0 {
+					if Wall.Sleep(ctx, d) != nil {
 						local.Offered++
 						local.Errors++
 						continue
 					}
 				}
-				res, retries := p.oneTxn(ctx, clk, backoffBase, a.Req)
+				res, retries := p.oneTxn(ctx, a.Req)
 				local.Offered++
 				local.Retries += retries
 				openLat := int64(-1)
 				if res.Status == StatusAcked {
-					openLat = clk.Now().Sub(start).Nanoseconds()
+					openLat = Wall.Now().Sub(start).Nanoseconds()
 				}
 				if p.Observe != nil {
 					p.Observe(res, openLat)
@@ -223,7 +215,7 @@ func (p *Pool) Run(ctx context.Context, arrivals <-chan Arrival) *PoolReport {
 // oneTxn runs one logical transaction to resolution, retrying 429s with
 // capped exponential backoff (the same discipline the engine applies to
 // transient step faults, moved to the client side of the contract).
-func (p *Pool) oneTxn(ctx context.Context, clk Clock, backoffBase time.Duration, r Request) (Result, int) {
+func (p *Pool) oneTxn(ctx context.Context, r Request) (Result, int) {
 	backoff := backoffBase + r.Jitter
 	retries := 0
 	for try := 0; ; try++ {
@@ -249,7 +241,7 @@ func (p *Pool) oneTxn(ctx context.Context, clk Clock, backoffBase time.Duration,
 			return res, retries
 		}
 		retries++
-		if clk.Sleep(ctx, backoff) != nil {
+		if Wall.Sleep(ctx, backoff) != nil {
 			res.Status = StatusShed
 			return res, retries
 		}

@@ -29,7 +29,6 @@ type SelfTestOptions struct {
 	AuditPct      int
 	CreditPct     int
 	DisconnectPct int
-	DeadlineMS    int64
 
 	// DrainAfter triggers the mid-run graceful drain this long into the
 	// load; 0 drains only after the load completes. Transactions offered
@@ -56,9 +55,11 @@ type SelfTestOptions struct {
 }
 
 // SelfTestReport is the verdict: the load report, the server's final
-// stats, the history-checker result, and every assertion that failed.
+// stats, the history-checker result, and every assertion that failed. P99
+// is the acked transactions' open-loop latency, timed from the scheduled
+// arrival.
 type SelfTestReport struct {
-	Load     *loadgen.Report
+	Load     *loadgen.PoolReport
 	Stats    Stats
 	History  *history.Report
 	P99      time.Duration
@@ -102,8 +103,8 @@ func (r *SelfTestReport) Summary() *metrics.Table {
 //   - the spooled history passes the black-box MLA checker;
 //   - under forced overload, requests were genuinely shed with 429 and
 //     the engine stayed within its admission bounds;
-//   - the drain left no transaction half-done and the acked p99 is inside
-//     the SLO (the deadline bounds it structurally).
+//   - the drain left no transaction half-done and the acked p99, timed
+//     from each scheduled arrival, is inside the SLO.
 //
 // It returns an error only for harness failures (listen, load transport);
 // assertion failures land in Report.Problems so callers can print all of
@@ -194,7 +195,6 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 		Rate:          o.Rate,
 		AuditPct:      o.AuditPct,
 		CreditPct:     o.CreditPct,
-		DeadlineMS:    o.DeadlineMS,
 		DisconnectPct: o.DisconnectPct,
 		MaxRetries:    3,
 		Seed:          o.Config.Seed + 17,
@@ -251,8 +251,8 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 	if o.DrainAfter > 0 && load.Draining == 0 {
 		problem("mid-run drain produced no 503s — drain raced past the load")
 	}
-	if load.Latencies.Count() > 0 {
-		rep.P99 = time.Duration(load.Latencies.Percentile(99)) * time.Microsecond
+	if load.Latency.Count() > 0 {
+		rep.P99 = time.Duration(load.Latency.Percentile(99))
 		if o.P99SLO > 0 && rep.P99 > o.P99SLO {
 			problem("acked p99 %v exceeds SLO %v", rep.P99, o.P99SLO)
 		}

@@ -20,6 +20,15 @@ import (
 	"mla/internal/serve/loadgen"
 )
 
+// The soak's fixed load shape and boot bound: soakSessions client sessions
+// each offer soakRate arrivals/second, and soakStartTimeout bounds each boot
+// (spawn → listening → ready) and each graceful drain.
+const (
+	soakSessions     = 12
+	soakRate         = 120.0
+	soakStartTimeout = 30 * time.Second
+)
+
 // SoakOptions shapes one crash-restart soak (see Soak). The soak runs a
 // REAL mlaserve process — durability claims about SIGKILL are only worth
 // anything against a separate process whose death this one cannot soften.
@@ -33,11 +42,9 @@ type SoakOptions struct {
 	// Rounds is the number of SIGKILL rounds (the final graceful round and
 	// the post-seal verification boot come on top). Default 5.
 	Rounds int
-	// TxnsPerRound / Sessions / Rate shape each round's open-loop load.
-	// Defaults: 300 txns, 12 sessions, 120 arrivals/sec/session.
+	// TxnsPerRound is each round's open-loop load (default 300), offered
+	// by soakSessions sessions at soakRate arrivals/sec each.
 	TxnsPerRound int
-	Sessions     int
-	Rate         float64
 	// KillAfter is how long into each round's load the SIGKILL lands.
 	// Default: half the expected load duration — late enough to bank
 	// acks, early enough that the kill interrupts live traffic.
@@ -56,8 +63,6 @@ type SoakOptions struct {
 
 	// Seed drives the load generator and the child's fault injection.
 	Seed int64
-	// StartTimeout bounds each boot: spawn → listening → ready. Default 30s.
-	StartTimeout time.Duration
 	// Out, when non-nil, receives progress lines (child output included).
 	Out io.Writer
 }
@@ -152,14 +157,8 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	if o.TxnsPerRound <= 0 {
 		o.TxnsPerRound = 300
 	}
-	if o.Sessions <= 0 {
-		o.Sessions = 12
-	}
-	if o.Rate <= 0 {
-		o.Rate = 120
-	}
 	if o.KillAfter <= 0 {
-		loadSecs := float64(o.TxnsPerRound) / float64(o.Sessions) / o.Rate
+		loadSecs := float64(o.TxnsPerRound) / soakSessions / soakRate
 		o.KillAfter = time.Duration(loadSecs / 2 * float64(time.Second))
 		if o.KillAfter < 20*time.Millisecond {
 			o.KillAfter = 20 * time.Millisecond
@@ -167,9 +166,6 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 64
-	}
-	if o.StartTimeout <= 0 {
-		o.StartTimeout = 30 * time.Second
 	}
 	logf := func(format string, args ...any) {
 		if o.Out != nil {
@@ -194,7 +190,7 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := awaitReady(ctx, client, c, o.StartTimeout); err != nil {
+		if err := awaitReady(ctx, client, c, soakStartTimeout); err != nil {
 			c.cmd.Process.Kill()
 			<-c.done
 			return nil, nil, err
@@ -227,9 +223,9 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	load := func(c *soakChild, r *SoakRound, round int) error {
 		lrep, err := loadgen.Run(ctx, loadgen.Options{
 			BaseURL:   c.base,
-			Sessions:  o.Sessions,
+			Sessions:  soakSessions,
 			Txns:      o.TxnsPerRound,
-			Rate:      o.Rate,
+			Rate:      soakRate,
 			CreditPct: 8,
 			AuditPct:  2,
 			Seed:      o.Seed + int64(round)*1009,
@@ -314,10 +310,10 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 		if err != nil {
 			problem("graceful drain exited with: %v", err)
 		}
-	case <-time.After(o.StartTimeout):
+	case <-time.After(soakStartTimeout):
 		c.cmd.Process.Kill()
 		<-c.done
-		problem("graceful drain timed out after %v", o.StartTimeout)
+		problem("graceful drain timed out after %v", soakStartTimeout)
 	}
 	rep.Rounds = append(rep.Rounds, *r)
 
@@ -333,7 +329,7 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	c.cmd.Process.Signal(syscall.SIGTERM)
 	select {
 	case <-c.done:
-	case <-time.After(o.StartTimeout):
+	case <-time.After(soakStartTimeout):
 		c.cmd.Process.Kill()
 		<-c.done
 	}
@@ -413,10 +409,10 @@ func (o SoakOptions) startChild(round int) (*soakChild, error) {
 			return nil, fmt.Errorf("child exited before listening")
 		}
 		return &soakChild{cmd: cmd, base: "http://" + addr, done: done}, nil
-	case <-time.After(o.StartTimeout):
+	case <-time.After(soakStartTimeout):
 		cmd.Process.Kill()
 		<-done
-		return nil, fmt.Errorf("child did not report listening within %v", o.StartTimeout)
+		return nil, fmt.Errorf("child did not report listening within %v", soakStartTimeout)
 	}
 }
 

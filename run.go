@@ -97,8 +97,8 @@ func WithTelemetry(cfg RunConfig, tel *Telemetry, label string) RunConfig {
 	return cfg
 }
 
-// RunConfig bounds a concurrent run: timeout, backoff, per-step delay,
-// seed, observer, restart budget, fault injection.
+// RunConfig shapes a concurrent run: per-step delay, seed, observer,
+// restart budget, fault injection. The whole-run deadline is the context's.
 type RunConfig = engine.Config
 
 // RunResult reports a concurrent run: the committed execution, final
@@ -119,8 +119,8 @@ type FaultPlan = fault.Plan
 
 // Run executes the programs concurrently — one goroutine per transaction —
 // under the control, against an in-memory store initialized with init.
-// Cancelling ctx (or exceeding cfg.Timeout, whichever is first) stops every
-// goroutine before Run returns. The returned execution contains exactly the
+// Cancelling ctx, or passing its deadline (engine.DefaultTimeout when it has
+// none), stops every goroutine before Run returns. The returned execution contains exactly the
 // committed steps; validate it with Spec.Atomic or Spec.Correctable.
 func Run(ctx context.Context, cfg RunConfig, programs []Program, control Control, bp BreakpointSpec, init map[EntityID]Value) (*RunResult, error) {
 	return engine.Run(ctx, cfg, programs, control, bp, init)

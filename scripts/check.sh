@@ -46,10 +46,14 @@ go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzzti
 go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
 go run ./cmd/mlacheck -history /tmp/mla_check_history.json
 go run ./cmd/mlacheck -witness -history /tmp/mla_check_history.json > /dev/null
-# The same over a run with two injected crashes: a crash records nothing,
-# so the replay alone must discard the attempts each crash killed.
-go run ./cmd/mlasim -engine -crashes 2 -history /tmp/mla_crash_history.json > /dev/null
-go run ./cmd/mlacheck -history /tmp/mla_crash_history.json
+# The same over runs with two injected crashes, at three seeds: a crash
+# records nothing, so the replay alone must discard the attempts each crash
+# killed, and mlasim exits 1 unless the history commits exactly what the run
+# made durable (a commit whose ack the crash swallowed included).
+for seed in 1 2 3; do
+    go run ./cmd/mlasim -engine -crashes 2 -seed "$seed" -history /tmp/mla_crash_history.json > /dev/null
+    go run ./cmd/mlacheck -history /tmp/mla_crash_history.json
+done
 go run ./cmd/mlacheck -witness -history /tmp/mla_crash_history.json > /dev/null
 for v in internal/history/testdata/violation_*.json; do
     if go run ./cmd/mlacheck -history "$v" > /dev/null 2>&1; then
