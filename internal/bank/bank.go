@@ -141,17 +141,26 @@ type Transfer struct {
 // ID implements model.Program.
 func (t *Transfer) ID() model.TxnID { return t.Txn }
 
-// Init implements model.Program.
-func (t *Transfer) Init() model.ProgState { return xferState{t: t, phase: 0, idx: 0} }
+// Init implements model.Program. The attempt's states live in one slab,
+// allocated here: a transfer takes at most len(Sources)+2 steps, the state
+// after n steps is slab[n], and Apply writes its successor in place, so
+// stepping boxes nothing.
+func (t *Transfer) Init() model.ProgState {
+	slab := make([]xferState, len(t.Sources)+3)
+	slab[0] = xferState{t: t, slab: slab}
+	return &slab[0]
+}
 
 type xferState struct {
 	t     *Transfer
-	phase int // 0 withdrawing, 1 first deposit, 2 second deposit, 3 done
-	idx   int // next source index
+	slab  []xferState // the attempt's states; this one is slab[n]
+	n     int         // steps taken
+	phase int         // 0 withdrawing, 1 first deposit, 2 second deposit, 3 done
+	idx   int         // next source index
 	got   model.Value
 }
 
-func (s xferState) Next() (model.EntityID, bool) {
+func (s *xferState) Next() (model.EntityID, bool) {
 	switch s.phase {
 	case 0:
 		return s.t.Sources[s.idx], true
@@ -163,14 +172,16 @@ func (s xferState) Next() (model.EntityID, bool) {
 	return "", false
 }
 
-func (s xferState) Apply(v model.Value) (model.Value, string, model.ProgState) {
+func (s *xferState) Apply(v model.Value) (model.Value, string, model.ProgState) {
+	if s.phase == 3 {
+		return v, "", s
+	}
+	ns := &s.slab[s.n+1]
+	*ns = *s
+	ns.n++
 	switch s.phase {
 	case 0:
-		take := s.t.Amount - s.got
-		if take > v {
-			take = v
-		}
-		ns := s
+		take := min(s.t.Amount-s.got, v)
 		ns.got += take
 		ns.idx++
 		if ns.got >= s.t.Amount || ns.idx >= len(s.t.Sources) {
@@ -178,15 +189,7 @@ func (s xferState) Apply(v model.Value) (model.Value, string, model.ProgState) {
 		}
 		return v - take, "withdraw", ns
 	case 1:
-		need := s.t.Reserve - v
-		if need < 0 {
-			need = 0
-		}
-		put := s.got
-		if put > need {
-			put = need
-		}
-		ns := s
+		put := min(s.got, max(s.t.Reserve-v, 0))
 		ns.got -= put
 		if ns.got > 0 {
 			ns.phase = 2
@@ -194,14 +197,11 @@ func (s xferState) Apply(v model.Value) (model.Value, string, model.ProgState) {
 			ns.phase = 3
 		}
 		return v + put, "deposit", ns
-	case 2:
-		ns := s
-		put := ns.got
-		ns.got = 0
-		ns.phase = 3
-		return v + put, "deposit", ns
 	}
-	return v, "", s
+	// Phase 2: the second deposit takes the rest.
+	ns.got = 0
+	ns.phase = 3
+	return v + s.got, "deposit", ns
 }
 
 // WithdrawDone reports whether the prefix completes the withdrawal phase:
@@ -233,16 +233,23 @@ type Audit struct {
 // ID implements model.Program.
 func (a *Audit) ID() model.TxnID { return a.Txn }
 
-// Init implements model.Program.
-func (a *Audit) Init() model.ProgState { return auditState{a: a} }
-
-type auditState struct {
-	a   *Audit
-	idx int
-	sum model.Value
+// Init implements model.Program. As for a transfer, the attempt's states
+// live in one slab: an audit takes len(Accounts)+1 steps, and the state
+// after n steps is slab[n].
+func (a *Audit) Init() model.ProgState {
+	slab := make([]auditState, len(a.Accounts)+2)
+	slab[0] = auditState{a: a, slab: slab}
+	return &slab[0]
 }
 
-func (s auditState) Next() (model.EntityID, bool) {
+type auditState struct {
+	a    *Audit
+	slab []auditState // the attempt's states; this one is slab[idx]
+	idx  int
+	sum  model.Value
+}
+
+func (s *auditState) Next() (model.EntityID, bool) {
 	if s.idx < len(s.a.Accounts) {
 		return s.a.Accounts[s.idx], true
 	}
@@ -252,8 +259,12 @@ func (s auditState) Next() (model.EntityID, bool) {
 	return "", false
 }
 
-func (s auditState) Apply(v model.Value) (model.Value, string, model.ProgState) {
-	ns := s
+func (s *auditState) Apply(v model.Value) (model.Value, string, model.ProgState) {
+	if s.idx > len(s.a.Accounts) {
+		return v, "", s
+	}
+	ns := &s.slab[s.idx+1]
+	*ns = *s
 	ns.idx++
 	if s.idx < len(s.a.Accounts) {
 		ns.sum += v

@@ -31,47 +31,46 @@ type Session struct {
 // ID implements model.Program.
 func (s *Session) ID() model.TxnID { return s.Txn }
 
-// Init implements model.Program.
+// Init implements model.Program. The session's own states live in one
+// slab, as a transfer's do, sized for every step of every transfer; each
+// transfer's slab is allocated when the session reaches it, so an attempt of
+// L transfers allocates 1 + L times.
 func (s *Session) Init() model.ProgState {
-	return sessionState{s: s, inner: s.Transfers[0].Init()}
+	n := 1
+	for i := range s.Transfers {
+		n += len(s.Transfers[i].Sources) + 2
+	}
+	slab := make([]sessionState, n)
+	slab[0] = sessionState{s: s, slab: slab, inner: s.Transfers[0].Init()}
+	return &slab[0]
 }
 
 type sessionState struct {
 	s     *Session
-	idx   int // current transfer
+	slab  []sessionState // the attempt's states; this one is slab[n]
+	n     int            // steps taken
+	idx   int            // current transfer
 	inner model.ProgState
 }
 
-func (st sessionState) Next() (model.EntityID, bool) {
-	if x, ok := st.inner.Next(); ok {
-		return x, true
-	}
-	// Current transfer finished; more to come?
-	if st.idx+1 < len(st.s.Transfers) {
-		ns := st.advance()
-		return ns.Next()
-	}
-	return "", false
-}
+// Next is the current transfer's: Apply moves on to the next transfer as
+// soon as one finishes, so only the last one ever ends the session.
+func (st *sessionState) Next() (model.EntityID, bool) { return st.inner.Next() }
 
-func (st sessionState) advance() sessionState {
-	return sessionState{s: st.s, idx: st.idx + 1, inner: st.s.Transfers[st.idx+1].Init()}
-}
-
-func (st sessionState) Apply(v model.Value) (model.Value, string, model.ProgState) {
+func (st *sessionState) Apply(v model.Value) (model.Value, string, model.ProgState) {
 	if _, ok := st.inner.Next(); !ok {
-		// The exposed Next() already advanced past a finished transfer;
-		// keep Apply consistent by advancing here too.
-		return st.advance().Apply(v)
+		return v, "", st
 	}
 	w, label, ni := st.inner.Apply(v)
-	ns := sessionState{s: st.s, idx: st.idx, inner: ni}
+	ns := &st.slab[st.n+1]
+	*ns = sessionState{s: st.s, slab: st.slab, n: st.n + 1, idx: st.idx, inner: ni}
 	if _, more := ni.Next(); !more {
 		// Last step of the current transfer: mark the step so the
 		// breakpoint specification can place the class-wide boundary.
 		label = "xfer-end"
 		if st.idx+1 < len(st.s.Transfers) {
-			ns = ns.advance()
+			ns.idx++
+			ns.inner = st.s.Transfers[ns.idx].Init()
 		}
 	}
 	return w, label, ns

@@ -185,6 +185,8 @@ type etxn struct {
 	// client's context was cancelled). The session run loop reads it to
 	// stop restarting and report the outcome.
 	killed int8
+
+	ap applier // the submitting goroutine's stepper; not guarded by mu
 }
 
 const (
@@ -252,15 +254,17 @@ type engine struct {
 	// Store.Abort takes it.
 	keep   map[model.TxnID]int
 	undone map[model.TxnID]bool
-	// appliers recycles the per-attempt applier (program-state stepper +
-	// its bound store callback) across attempts and transactions.
-	appliers sync.Pool
-	// txnPool recycles retired submissions' etxn records (with their ledger
-	// entries' deps maps and their steps slices) across the session's
-	// lifetime. Safe because a retired record is unreachable: the transaction
-	// table and the ledger map by id, and the submission goroutine retires its
-	// record only after its outcome resolved.
-	txnPool sync.Pool
+	// group is tryCommitLocked's commit-group buffer (always under mu): the
+	// store and the observer read a group during the call, and copy what
+	// they keep.
+	group []model.TxnID
+	// free recycles retired submissions' etxn records (with their ledger
+	// entries' deps maps, their steps slices and their appliers) across the
+	// session's lifetime; guarded by mu. Safe because a retired record is
+	// unreachable: the transaction table and the ledger map by id, and the
+	// submission goroutine retires its record only after its outcome
+	// resolved.
+	free []*etxn
 
 	stats       Result
 	start       time.Time
@@ -281,12 +285,12 @@ type asyncFin struct {
 	ids []model.TxnID
 }
 
-// applier carries one attempt's program state across store callbacks. The
+// applier carries an attempt's program state across store callbacks. The
 // store's Perform takes a func(Value) (Value, string); building that func as
 // a closure per step made every step pay two heap allocations (the closure
-// and the escaping next-state variable). The applier is allocated once per
-// attempt (from a pool, so in steady state not at all) and its bound method
-// value fn is reused for every step of the attempt.
+// and the escaping next-state variable). Each transaction record holds one
+// applier, whose bound method value fn is made with the record and reused
+// for every step of every attempt; only the submitting goroutine touches it.
 type applier struct {
 	cur, next model.ProgState
 	fn        func(model.Value) (model.Value, string)
@@ -298,39 +302,28 @@ func (a *applier) apply(v model.Value) (model.Value, string) {
 	return w, label
 }
 
-func (e *engine) getApplier(cur model.ProgState) *applier {
-	a, _ := e.appliers.Get().(*applier)
-	if a == nil {
-		a = &applier{}
-		a.fn = a.apply
-	}
-	a.cur = cur
-	return a
-}
-
-func (e *engine) putApplier(a *applier) {
-	a.cur, a.next = nil, nil // don't retain program state across attempts
-	e.appliers.Put(a)
-}
-
 // getTxn returns a fresh transaction record for a submission, registered
-// with the ledger, recycling a retired one's deps map and steps slice when
-// available. Caller holds the mutex.
+// with the ledger, recycling a retired one's deps map, steps slice and
+// applier when available. Caller holds the mutex.
 func (e *engine) getTxn(p model.Program, id model.TxnID) *etxn {
-	t, _ := e.txnPool.Get().(*etxn)
-	if t == nil {
+	var t *etxn
+	if n := len(e.free); n > 0 {
+		t, e.free = e.free[n-1], e.free[:n-1]
+	} else {
 		t = &etxn{}
+		t.ap.fn = t.ap.apply
 	}
-	*t = etxn{Txn: t.Txn, prog: p, steps: t.steps[:0]}
+	*t = etxn{Txn: t.Txn, prog: p, steps: t.steps[:0], ap: applier{fn: t.ap.fn}}
 	e.led.Add(&t.Txn, id)
 	return t
 }
 
-// putTxn recycles a retired record. Caller must have removed it from the
-// transaction table first.
+// putTxn recycles a retired record. Caller holds the mutex and has removed
+// the record from the transaction table.
 func (e *engine) putTxn(t *etxn) {
-	t.prog = nil // don't retain the program across tenants
-	e.txnPool.Put(t)
+	// Don't retain the program or its states across tenants.
+	t.prog, t.ap.cur, t.ap.next = nil, nil, nil
+	e.free = append(e.free, t)
 }
 
 // errStopped is attempt's signal that the session was stopped (closed, or
@@ -529,11 +522,9 @@ func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 // never mid-unit while runnable, so granted steps always run to the next
 // breakpoint — or immediately when blocked on a Wait decision, where the
 // whole attempt rolls back and nothing partial survives either way.
-func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, cur model.ProgState, deadline time.Time, quit <-chan struct{}) (bool, error) {
+func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, ap *applier, deadline time.Time, quit <-chan struct{}) (bool, error) {
 	performed := 0 // this attempt's step count (local mirror of t.seq)
 	retries := 0   // in-place retries of the current step after transient faults
-	ap := e.getApplier(cur)
-	defer e.putApplier(ap)
 	for {
 		if e.stopped() {
 			return false, errStopped
@@ -837,17 +828,21 @@ func (e *engine) tryCommitLocked() {
 	// pipeline before this group will be, and the pipeline makes groups
 	// durable in submission order (a flush drains every pending group into
 	// one record), so our record can never become durable ahead of the value
-	// we read. The probe runs after every finish and allocates nothing when
-	// no group forms; the ids slice escapes into the async pipeline.
-	ids := e.led.Group()
-	if ids == nil {
+	// we read. The probe runs after every finish into the engine's one group
+	// buffer, so it allocates nothing once the buffer has grown.
+	e.group = e.led.Group(e.group)
+	ids := e.group
+	if len(ids) == 0 {
 		return
 	}
 	if e.async != nil {
 		// Pipelined path: submit the group and let a finalizer goroutine
 		// report it committed once the store acknowledges durability. Until
 		// then members are decided — immune to abort, valid as dependencies
-		// — but not yet counted in stats or shown to the observer.
+		// — but not yet counted in stats or shown to the observer. The
+		// finalizer reads the ids after the buffer has moved on: it keeps a
+		// copy.
+		ids = slices.Clone(ids)
 		ack := e.async.SubmitGroup(ids)
 		// Queue under the mutex and nudge the finalizer.
 		e.finPending = append(e.finPending, asyncFin{ack: ack, ids: ids})

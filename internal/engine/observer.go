@@ -31,7 +31,8 @@ type Observer interface {
 	// CommitGroup fires when a commit group forms, with the sorted members.
 	// RunWithCrashes also fires it between rounds, right after Recovered,
 	// for the crashed round's commits that recovery found durable but whose
-	// ack the crash swallowed.
+	// ack the crash swallowed. txns is valid only during the call: an
+	// observer copies what it keeps.
 	CommitGroup(txns []model.TxnID)
 
 	// FaultInjected fires when the fault injector fails a step attempt

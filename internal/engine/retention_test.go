@@ -153,7 +153,7 @@ func TestResidentSessionKeepsNoTrace(t *testing.T) {
 				e.led.Observe(reader, model.Step{Txn: "reader", Seq: seq, Entity: x, Before: v, After: v})
 			}
 			e.led.Finish(reader)
-			if g := e.led.Group(); len(g) != 1 {
+			if g := e.led.Group(nil); len(g) != 1 {
 				t.Errorf("a reader of every entity commits in group %v: an entity still names an author", g)
 			}
 			e.mu.Unlock()

@@ -287,10 +287,10 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 		}
 		attempt := t.attempt
 		e.beginAttemptLocked(t, prio)
-		cur := p.Init()
+		t.ap.cur = p.Init()
 		e.mu.Unlock()
 
-		aborted, err := e.attempt(s.cfg, id, attempt, cur, deadline, quit)
+		aborted, err := e.attempt(s.cfg, id, attempt, &t.ap, deadline, quit)
 		if err != nil {
 			if errors.Is(err, errStopped) {
 				return Outcome{}, s.failure()

@@ -16,7 +16,8 @@ import (
 // engine abandons the run (RunWithCrashes then recovers from the durable
 // medium). Commit is group-at-a-time — members of a commit group may have
 // observed each other's values, so their durability must be atomic (one log
-// record; see wal.DB.CommitGroup).
+// record; see wal.DB.CommitGroup). The ids CommitGroup receives are valid
+// only during the call: a store copies what it keeps.
 type Store interface {
 	Perform(t model.TxnID, seq int, x model.EntityID, f func(model.Value) (model.Value, string)) (model.Step, error)
 	Abort(set map[model.TxnID]bool) error
@@ -36,6 +37,9 @@ type Store interface {
 // fine; reordering is not): the engine lets a submitted-but-unacked
 // transaction satisfy dependencies, which is sound only if its record can
 // never land after its dependents'.
+//
+// As for Store.CommitGroup, the ids are valid only during the call: the
+// store copies what it keeps past the return.
 type AsyncCommitter interface {
 	SubmitGroup(ids []model.TxnID) <-chan struct{}
 }

@@ -247,7 +247,13 @@ type Program interface {
 	Init() ProgState
 }
 
-// ProgState is one local state of a transaction automaton.
+// ProgState is one local state of a transaction automaton. A driver may
+// keep the states a run returns and step an earlier one again: the
+// simulator's partial rollback resumes from the state before the first
+// undone step. So a returned state never changes, and an earlier state may
+// be stepped again; doing so abandons the states that followed it, whose
+// storage the implementation may then reuse. Each Init starts a run of its
+// own, sharing nothing with another.
 type ProgState interface {
 	// Next returns the entity the transaction accesses from this state.
 	// ok=false means the state is final: the transaction has finished.

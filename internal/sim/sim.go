@@ -534,8 +534,8 @@ func (r *Runner) finish(ti int) {
 // set of finished transactions whose value dependencies lie within the set
 // or the committed.
 func (r *Runner) tryCommit() {
-	ids := r.led.Group()
-	if ids == nil {
+	ids := r.led.Group(nil)
+	if len(ids) == 0 {
 		return
 	}
 	r.commitGroups = append(r.commitGroups, len(ids))

@@ -135,9 +135,13 @@ func (l *Ledger) Finish(t *Txn) {
 // under multilevel atomicity chains; such transactions commit together. A
 // dependency on an author the ledger no longer knows blocks: only a host
 // that abandoned an attempt without rolling it back leaves one. Group
-// returns the members' ids sorted and marks them Decided, or nil (and no
-// allocation) when no group forms. Only the finished queue is visited.
-func (l *Ledger) Group() []model.TxnID {
+// marks the members Decided and appends their ids, sorted, to buf[:0]; the
+// result is empty when no group forms. Only the finished queue is visited.
+//
+// The ids are the caller's buffer: a host that passes the same buffer every
+// time allocates nothing once it has grown, and whoever it hands the group
+// to reads the ids during the call and copies what it keeps.
+func (l *Ledger) Group(buf []model.TxnID) []model.TxnID {
 	all, q := l.fin, l.fin[:0]
 	for _, t := range all {
 		if t.Finished && !t.Decided && !t.cand && l.txns[t.ID] == t {
@@ -159,7 +163,7 @@ func (l *Ledger) Group() []model.TxnID {
 			}
 		}
 	}
-	var ids []model.TxnID
+	ids := buf[:0]
 	l.fin = q[:0]
 	for _, t := range q {
 		if !t.cand {
