@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -31,20 +32,25 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run keeps the real logic defer-safe: os.Exit in main would skip the
-// telemetry export and pprof stop otherwise.
-func run() int {
-	exp := flag.String("exp", "", "run only this experiment (E1..E22)")
-	scale := flag.Int("scale", 2, "workload scale multiplier (1 = quick)")
-	seed := flag.Int64("seed", 1, "random seed")
-	markdown := flag.Bool("md", false, "render tables as markdown")
-	useTel := flag.Bool("telemetry", false, "record spans and counters; print the metrics table at exit")
-	traceOut := flag.String("trace-out", "", "write the recorded spans as Chrome trace-event JSON (implies -telemetry)")
-	pprofPrefix := flag.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-	flag.Parse()
+// run is main without the process exit, so tests can drive it and the
+// telemetry export and pprof stop still run as defers; the return value is
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mlabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "run only this experiment (E1..E22)")
+	scale := fs.Int("scale", 2, "workload scale multiplier (1 = quick)")
+	seed := fs.Int64("seed", 1, "random seed")
+	markdown := fs.Bool("md", false, "render tables as markdown")
+	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics table at exit")
+	traceOut := fs.String("trace-out", "", "write the recorded spans as Chrome trace-event JSON (implies -telemetry)")
+	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// An -exp that matches nothing is a usage error, not an empty success: a
 	// mistyped or renumbered ID must not let a gate pass vacuously.
@@ -59,7 +65,7 @@ func run() int {
 			}
 		}
 		if len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "mlabench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(ids, " "))
+			fmt.Fprintf(stderr, "mlabench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(ids, " "))
 			return 2
 		}
 		exps = sel
@@ -76,12 +82,12 @@ func run() int {
 	if *pprofPrefix != "" {
 		stop, err := telemetry.StartPprof(*pprofPrefix)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlabench: pprof: %v\n", err)
+			fmt.Fprintf(stderr, "mlabench: pprof: %v\n", err)
 			return 1
 		}
 		defer func() {
 			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "mlabench: pprof: %v\n", err)
+				fmt.Fprintf(stderr, "mlabench: pprof: %v\n", err)
 			}
 		}()
 	}
@@ -93,35 +99,35 @@ func run() int {
 		}
 		if *traceOut != "" {
 			if err := tel.WriteTrace(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "mlabench: trace: %v\n", err)
+				fmt.Fprintf(stderr, "mlabench: trace: %v\n", err)
 			} else {
-				fmt.Printf("wrote %s (load in ui.perfetto.dev)\n", *traceOut)
+				fmt.Fprintf(stdout, "wrote %s (load in ui.perfetto.dev)\n", *traceOut)
 			}
 		}
-		tel.Table().Render(os.Stdout)
+		tel.Table().Render(stdout)
 	}()
 
 	opts := bench.Config{Scale: *scale, Seed: *seed, Context: ctx, Telemetry: tel}
 	failed := 0
 	for _, ex := range exps {
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "mlabench: interrupted")
+			fmt.Fprintln(stderr, "mlabench: interrupted")
 			return 1
 		}
 		start := time.Now()
 		tbl, err := ex.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", ex.ID, err)
+			fmt.Fprintf(stderr, "%s: %v\n", ex.ID, err)
 			failed++
 			continue
 		}
-		fmt.Printf("%s — %s  (%.1fs)\n", ex.ID, ex.Claim, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "%s — %s  (%.1fs)\n", ex.ID, ex.Claim, time.Since(start).Seconds())
 		if *markdown {
-			tbl.RenderMarkdown(os.Stdout)
+			tbl.RenderMarkdown(stdout)
 		} else {
-			tbl.Render(os.Stdout)
+			tbl.Render(stdout)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if failed > 0 {
 		return 1

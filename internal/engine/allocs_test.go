@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"mla/internal/bank"
+	"mla/internal/history"
 	"mla/internal/model"
+	"mla/internal/nest"
 	"mla/internal/sched"
 )
 
@@ -178,5 +181,84 @@ func TestSessionSubmitAllocatesNothing(t *testing.T) {
 	}
 	if got := store.Values(); got["x"]+got["y"]+got["z"] != model.Value(2*n) {
 		t.Fatalf("final values %v after %d two-step increments", got, n)
+	}
+}
+
+// TestPreventerSubmitAllocatesOnlyTheProgram pins the closure path's steady
+// state: a resident Session under sched.Preventer, with an in-memory
+// history.Recorder attached, fed prebuilt Section 4.2 programs (one bank
+// audit per 55 submits, transfers otherwise) through bank.Population,
+// allocates at most one object per Submit — the program's state slab. The
+// nest's row slab, the recorder's id arena and the closure's tables all
+// reach a steady size, so none of them allocates per transaction, including
+// under -race.
+func TestPreventerSubmitAllocatesOnlyTheProgram(t *testing.T) {
+	const runs = 1100
+	pop := bank.NewPopulation(bank.World{Families: 16, AccountsPerFamily: 4, InitialBalance: 1000}, 100, 125, nest.New(4), true)
+	world := pop.World
+	p := sched.NewPreventer(pop.Nest, pop.Spec)
+	rec := history.NewRecorder(pop.Nest)
+	store := NewVolatileStore(world.Init())
+	s := NewSession(Config{Seed: 1, Observer: rec}, p, pop.Spec, store)
+	defer s.Close()
+
+	progs := make([]model.Program, 2*runs+1)
+	paths := make([][]string, len(progs))
+	var audits []model.EntityID
+	for i := range progs {
+		if i%55 == 27 {
+			a, path := pop.Audit(model.TxnID("a" + strconv.Itoa(i)))
+			progs[i], paths[i] = a, path
+			audits = append(audits, a.Result)
+			continue
+		}
+		f := i % world.Families
+		src, dst := world.FamilyAccounts(f), world.FamilyAccounts((f+1+i%7)%world.Families)
+		o := i % 4
+		progs[i], paths[i] = pop.Transfer(model.TxnID("x"+strconv.Itoa(i)), f,
+			[]model.EntityID{src[o], src[(o+1)%4], src[(o+2)%4]},
+			[2]model.EntityID{dst[i%4], dst[(i+1)%4]})
+	}
+	n := 0
+	opts := SubmitOpts{
+		Prepare: func() { pop.Prepare(progs[n], paths[n]) },
+		Cleanup: func() { pop.Cleanup(progs[n].ID()) },
+	}
+	submit := func() {
+		out, err := s.Submit(context.Background(), progs[n], opts)
+		if err != nil || !out.Committed {
+			t.Fatalf("%s: %+v, %v", progs[n].ID(), out, err)
+		}
+		n++
+	}
+	for n < runs {
+		submit() // warm-up: the closure's tables, the maps and the slabs reach their steady size
+	}
+	if got := testing.AllocsPerRun(runs, submit); got > 1 {
+		t.Fatalf("%.2f allocations per Submit, want at most 1 (the program's state slab)", got)
+	}
+
+	if st := p.Stats(); st.Sealed != n {
+		t.Errorf("sealed %d of %d committed transactions", st.Sealed, n)
+	}
+	final := store.Values()
+	var total model.Value
+	for _, x := range pop.Accounts {
+		total += final[x]
+	}
+	if total != world.Total() {
+		t.Errorf("accounts hold %d, the bank started with %d", total, world.Total())
+	}
+	for _, res := range audits {
+		if final[res] != world.Total() {
+			t.Errorf("%s recorded %d, the bank holds %d", res, final[res], world.Total())
+		}
+	}
+	committed := 0
+	for _, ev := range rec.History().Events {
+		committed += len(ev.Txns)
+	}
+	if committed != n {
+		t.Errorf("the history commits %d of %d transactions", committed, n)
 	}
 }

@@ -40,6 +40,7 @@ type Recorder struct {
 	mu     sync.Mutex
 	next   int64 // TS counter
 	events []Event
+	ids    []model.TxnID // the chunk commit groups' members are kept in
 	f      *os.File
 	buf    []byte // the line being written, reused
 	err    error
@@ -51,17 +52,30 @@ func NewRecorder(n *nest.Nest) *Recorder {
 	return &Recorder{n: n}
 }
 
-// record stamps ev with the next TS and appends it to the log.
+// record stamps ev with the next TS and appends it to the log. A commit
+// group's Txns is borrowed for the call only: a file-backed recorder writes
+// the line before returning, and an in-memory one copies the members into
+// its current id chunk (a new one when they do not fit) and keeps a slice
+// capped at its own end, so appending to one event's Txns never reaches the
+// next one's.
 func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ev.TS = r.next
 	r.next++
-	if r.n != nil {
-		r.events = append(r.events, ev)
+	if r.n == nil {
+		r.writeLocked(ev)
 		return
 	}
-	r.writeLocked(ev)
+	if ev.Kind == KindCommit {
+		if cap(r.ids)-len(r.ids) < len(ev.Txns) {
+			r.ids = make([]model.TxnID, 0, max(1024, len(ev.Txns)))
+		}
+		i := len(r.ids)
+		r.ids = append(r.ids, ev.Txns...)
+		ev.Txns = r.ids[i:len(r.ids):len(r.ids)]
+	}
+	r.events = append(r.events, ev)
 }
 
 // writeLocked marshals one spool line and hands it to the kernel in a
@@ -115,7 +129,7 @@ func (r *Recorder) TxnAborted(t model.TxnID, cascade bool) {
 // acked transaction always has its commit in the history: the soak's
 // lost-ack audit rests on that ordering.
 func (r *Recorder) CommitGroup(txns []model.TxnID) {
-	r.record(Event{Kind: KindCommit, Txns: append([]model.TxnID(nil), txns...)})
+	r.record(Event{Kind: KindCommit, Txns: txns})
 }
 
 // Crashed implements the engine Observer shape and records nothing: a

@@ -1,6 +1,11 @@
 package nest
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,5 +179,152 @@ func TestSameLabelUnderDifferentParents(t *testing.T) {
 	n.Add("b", "spec2", "team1")
 	if n.Level("a", "b") != 1 {
 		t.Errorf("Level = %d, want 1: shared leaf label must not merge", n.Level("a", "b"))
+	}
+}
+
+// pathNest is the full-path representation the row slab replaced, kept as
+// the reference: each transaction's path is "*", its intermediate labels,
+// then "t:"+id, and every answer is read off the paths.
+type pathNest struct {
+	k     int
+	paths map[model.TxnID][]string
+}
+
+func (r *pathNest) add(t model.TxnID, mid []string) {
+	r.paths[t] = append(append([]string{"*"}, mid...), "t:"+string(t))
+}
+
+func (r *pathNest) level(t, u model.TxnID) int {
+	pt, pu := r.paths[t], r.paths[u]
+	lvl := 0
+	for i := 0; i < r.k && pt[i] == pu[i]; i++ {
+		lvl = i + 1
+	}
+	return lvl
+}
+
+func (r *pathNest) classes(level int) [][]model.TxnID {
+	byKey := make(map[string][]model.TxnID)
+	for t, p := range r.paths {
+		key := strings.Join(p[:level], "\x00")
+		byKey[key] = append(byKey[key], t)
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([][]model.TxnID, 0, len(keys))
+	for _, k := range keys {
+		c := byKey[k]
+		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+		out = append(out, c)
+	}
+	return out
+}
+
+// randomNest builds a k-nest and its reference over a small label alphabet,
+// so labels recur under different parents ("team1" in two specialties) and
+// one label may be a prefix of another.
+func randomNest(rng *rand.Rand, k int) (*Nest, *pathNest) {
+	alphabet := []string{"team1", "team", "spec1", "spec2", "a", "b"}
+	n, ref := New(k), &pathNest{k: k, paths: make(map[model.TxnID][]string)}
+	mid := make([]string, k-2)
+	for i, size := 0, 1+rng.Intn(30); i < size; i++ {
+		t := model.TxnID(fmt.Sprintf("t%02d", rng.Intn(100)))
+		if n.Has(t) {
+			continue
+		}
+		for j := range mid {
+			mid[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		n.Add(t, mid...)
+		ref.add(t, mid)
+		// The nest keeps a copy: the caller's slice is reused at once.
+		for j := range mid {
+			mid[j] = "clobbered"
+		}
+	}
+	return n, ref
+}
+
+// TestRowsMatchFullPaths: over random k-nests, k ∈ 2..5, every query on the
+// row slab answers what the full-path representation does — Level,
+// SameClass, Classes at every level (contents and order), Txns, and the
+// same again on a Restrict to a random subset.
+func TestRowsMatchFullPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(n *Nest, ref *pathNest) {
+		t.Helper()
+		txns := n.Txns()
+		want := make([]model.TxnID, 0, len(ref.paths))
+		for id := range ref.paths {
+			want = append(want, id)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if !reflect.DeepEqual(txns, want) {
+			t.Fatalf("Txns = %v, want %v", txns, want)
+		}
+		for _, a := range txns {
+			for _, b := range txns {
+				lvl := ref.level(a, b)
+				if got := n.Level(a, b); got != lvl {
+					t.Fatalf("k=%d: Level(%s,%s) = %d, want %d", n.K(), a, b, got, lvl)
+				}
+				for i := 1; i <= n.K(); i++ {
+					if n.SameClass(a, b, i) != (lvl >= i) {
+						t.Fatalf("k=%d: SameClass(%s,%s,%d) disagrees with level %d", n.K(), a, b, i, lvl)
+					}
+				}
+			}
+		}
+		for lvl := 1; lvl <= n.K(); lvl++ {
+			if got, want := n.Classes(lvl), ref.classes(lvl); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d: Classes(%d) = %v, want %v", n.K(), lvl, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		k := 2 + trial%4
+		n, ref := randomNest(rng, k)
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		check(n, ref)
+
+		var keep []model.TxnID
+		sub := &pathNest{k: k, paths: make(map[model.TxnID][]string)}
+		for _, id := range n.Txns() {
+			if rng.Intn(2) == 0 {
+				keep = append(keep, id, id) // a repeated id is kept once
+				sub.paths[id] = ref.paths[id]
+			}
+		}
+		keep = append(keep, "absent")
+		if len(sub.paths) > 0 {
+			check(n.Restrict(keep), sub)
+		}
+	}
+}
+
+// TestAddAllocatesNothing: a row goes into the shared slab, so registering
+// a transaction allocates only as the slab and the offset map grow.
+func TestAddAllocatesNothing(t *testing.T) {
+	const runs = 10000
+	ids := make([]model.TxnID, runs+1)
+	for i := range ids {
+		ids[i] = model.TxnID(fmt.Sprintf("x%d", i))
+	}
+	n := New(4)
+	path := []string{"cust", "fam-01"}
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		n.Add(ids[i], path...)
+		i++
+	}); got != 0 {
+		t.Fatalf("%.2f allocations per Add, want 0", got)
+	}
+	if n.Level(ids[0], ids[runs]) != 3 {
+		t.Fatal("transactions of one family must share level 3")
 	}
 }
