@@ -7,7 +7,6 @@ import (
 
 	"mla/internal/breakpoint"
 	"mla/internal/model"
-	"mla/internal/nest"
 )
 
 // Witness edge kinds.
@@ -99,33 +98,42 @@ type edge struct {
 // disagree and expose each other's bugs.
 type checker struct {
 	exec    model.Execution
-	n       *nest.Nest
-	descs   map[model.TxnID]*breakpoint.Description
+	k       int
+	descs   []*breakpoint.Description // txn index -> recorded description
 	txns    []model.TxnID
 	txnIdx  map[model.TxnID]int
-	txnOf   []int     // global step -> txn index
-	seqOf   []int     // global step -> 1-based seq
-	stepsOf [][]int   // txn index -> global steps in seq order
-	level   [][]uint8 // txn pair -> level (k is tiny; uint8 keeps T² bearable)
-	maxLv   int
+	txnOf   []int   // global step -> txn index
+	seqOf   []int   // global step -> 1-based seq
+	stepsOf [][]int // txn index -> global steps in seq order
 
-	edges   []edge
-	out     [][]int // adjacency: global step -> indices into edges
-	edgeSet map[[2]int]bool
+	// class[ti*k+lv-1] is the id of txns[ti]'s π(lv) class, lv = 1..k. Id 0
+	// is π(1)'s one class and every π(k) singleton has an id of its own; an
+	// intermediate class is keyed by its parent class and its label, since a
+	// label may recur under different parents. level(a,b) is then the length
+	// of the common prefix of the two rows.
+	class   []int32
+	members [][]int // class id -> its transactions
+	maxLv   int     // deepest level with a class of two or more
+
+	edges []edge
+	out   [][]int // adjacency: global step -> indices into edges
 
 	// unitLast[lv][g] is the global index of the last step of g's B(lv)
 	// unit — the one step that carries all of the unit's derived edges.
 	unitLast [][]int32
-	// masks[ti][lv] is the lazily-built set of steps b of other
-	// transactions u with level(txns[ti], u) == lv.
-	masks  [][]bitset
-	reach  []bitset
-	cyclic bool
+	// classSteps[id] (the steps of class id) and masks[id] (for id a
+	// π(lv+1) class: the steps of its π(lv) parent outside it, i.e. those
+	// at level exactly lv from every member) are built lazily.
+	classSteps []bitset
+	masks      []bitset
+	reach      []bitset
+	cyclic     bool
 
-	// Scratch state for ruleInto's per-transaction absorption dedup.
-	tmp      bitset
-	txnStamp []int
-	stampGen int
+	// Scratch state for ruleInto's per-transaction absorption dedup, and
+	// forEachSucc's per-level seen/new target sets.
+	tmp, seen, diff bitset
+	txnStamp        []int
+	stampGen        int
 }
 
 // Check replays the history and decides multilevel atomicity of the
@@ -133,6 +141,19 @@ type checker struct {
 // breakpoint descriptions. It is a black-box oracle: nothing about the
 // scheduler that produced the history is trusted or consulted.
 func Check(h *History) (*Report, error) {
+	c, err := newChecker(h)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Steps: len(c.exec), Txns: len(c.txns), K: h.K, Atomic: c.atomic(), Correctable: !c.cyclic}
+	if c.cyclic {
+		rep.Witness = c.witness()
+	}
+	return rep, nil
+}
+
+// newChecker replays h and drives its coherent closure to the fixpoint.
+func newChecker(h *History) (*checker, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,26 +161,20 @@ func Check(h *History) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := h.Nest()
-	if err != nil {
-		return nil, err
-	}
-	c := &checker{exec: exec, n: n, descs: descs, txnIdx: make(map[model.TxnID]int), edgeSet: make(map[[2]int]bool)}
-	c.index()
+	c := &checker{exec: exec, k: h.K, txnIdx: make(map[model.TxnID]int)}
+	c.index(descs)
+	c.classify(h.Levels)
 	c.baseEdges()
 	c.closure()
-	rep := &Report{Steps: len(exec), Txns: len(c.txns), K: h.K, Atomic: c.atomic(), Correctable: !c.cyclic}
-	if c.cyclic {
-		rep.Witness = c.witness()
-	}
-	return rep, nil
+	return c, nil
 }
 
-func (c *checker) index() {
+func (c *checker) index(descs map[model.TxnID]*breakpoint.Description) {
 	for _, s := range c.exec {
 		if _, ok := c.txnIdx[s.Txn]; !ok {
 			c.txnIdx[s.Txn] = len(c.txns)
 			c.txns = append(c.txns, s.Txn)
+			c.descs = append(c.descs, descs[s.Txn])
 		}
 	}
 	c.stepsOf = make([][]int, len(c.txns))
@@ -171,27 +186,76 @@ func (c *checker) index() {
 		c.stepsOf[ti] = append(c.stepsOf[ti], g)
 		c.seqOf[g] = s.Seq
 	}
-	c.level = make([][]uint8, len(c.txns))
-	for i, t := range c.txns {
-		c.level[i] = make([]uint8, len(c.txns))
-		for j, u := range c.txns {
-			if i != j {
-				lv := c.n.Level(t, u)
-				c.level[i][j] = uint8(lv)
-				if lv > c.maxLv {
-					c.maxLv = lv
-				}
+}
+
+// classify gives every transaction its row of class ids and every class its
+// members, from one read of the level labels.
+func (c *checker) classify(levels map[model.TxnID][]string) {
+	type key struct {
+		parent int32
+		label  string
+	}
+	ids := make(map[key]int32)
+	c.class = make([]int32, len(c.txns)*c.k)
+	next := int32(1)
+	for ti, t := range c.txns {
+		row := c.row(ti)
+		for lv := 2; lv < c.k; lv++ {
+			kk := key{row[lv-2], levels[t][lv-2]}
+			id, ok := ids[kk]
+			if !ok {
+				id, next = next, next+1
+				ids[kk] = id
 			}
+			row[lv-1] = id
+		}
+		row[c.k-1], next = next, next+1
+	}
+	size := make([]int, next)
+	for _, id := range c.class {
+		size[id]++
+	}
+	c.members = make([][]int, len(size))
+	slab := make([]int, len(c.class))
+	for id, n := range size {
+		c.members[id], slab = slab[:0:n], slab[n:]
+	}
+	for i, id := range c.class {
+		c.members[id] = append(c.members[id], i/c.k)
+		if lv := i%c.k + 1; size[id] >= 2 && lv > c.maxLv {
+			c.maxLv = lv
 		}
 	}
-	c.out = make([][]int, len(c.exec))
+	c.classSteps = make([]bitset, len(size))
+	c.masks = make([]bitset, len(size))
+}
+
+// row returns transaction ti's class ids, level 1 first.
+func (c *checker) row(ti int) []int32 { return c.class[ti*c.k : ti*c.k+c.k] }
+
+// level returns level(txns[a], txns[b]): k when a == b.
+func (c *checker) level(a, b int) int {
+	ra, rb := c.row(a), c.row(b)
+	lv := 0
+	for lv < c.k && ra[lv] == rb[lv] {
+		lv++
+	}
+	return lv
 }
 
 // baseEdges seeds G with the generators of the dependency order ≤e:
 // program-order consecutive steps and consecutive accesses to the same
 // entity (cross-transaction; within a transaction the program chain already
-// implies them).
+// implies them). A step has at most one successor of each kind, so no edge
+// repeats and every step has room for two.
 func (c *checker) baseEdges() {
+	n := len(c.exec)
+	c.edges = make([]edge, 0, 2*n)
+	c.out = make([][]int, n)
+	slab := make([]int, 2*n)
+	for g := range c.out {
+		c.out[g] = slab[2*g : 2*g : 2*g+2]
+	}
 	for _, idxs := range c.stepsOf {
 		for i := 1; i < len(idxs); i++ {
 			c.addEdge(edge{from: idxs[i-1], to: idxs[i], kind: EdgeProgram})
@@ -206,15 +270,9 @@ func (c *checker) baseEdges() {
 	}
 }
 
-func (c *checker) addEdge(e edge) bool {
-	key := [2]int{e.from, e.to}
-	if c.edgeSet[key] {
-		return false
-	}
-	c.edgeSet[key] = true
+func (c *checker) addEdge(e edge) {
 	c.out[e.from] = append(c.out[e.from], len(c.edges))
 	c.edges = append(c.edges, e)
-	return true
 }
 
 // closure computes the coherent closure R as per-step reachability
@@ -239,12 +297,13 @@ func (c *checker) addEdge(e edge) bool {
 // extracts a concrete cycle.
 func (c *checker) closure() {
 	nSteps := len(c.exec)
+	words := len(newBitset(nSteps))
+	slab := make([]uint64, nSteps*words)
 	c.reach = make([]bitset, nSteps)
 	for i := range c.reach {
-		c.reach[i] = newBitset(nSteps)
+		c.reach[i] = slab[i*words : (i+1)*words : (i+1)*words]
 	}
 	c.indexUnits()
-	c.masks = make([][]bitset, len(c.txns))
 	c.tmp = newBitset(nSteps)
 	c.txnStamp = make([]int, len(c.txns))
 	scratch := newBitset(nSteps)
@@ -276,15 +335,19 @@ func (c *checker) closure() {
 }
 
 // indexUnits precomputes, per level, the global index of the last step of
-// every step's unit at that level.
+// every step's unit at that level, in one backward pass per transaction.
+// No pair of transactions has level 0, so level 0 has no units to index.
 func (c *checker) indexUnits() {
 	c.unitLast = make([][]int32, c.maxLv+1)
-	for lv := 0; lv <= c.maxLv; lv++ {
+	for lv := 1; lv <= c.maxLv; lv++ {
 		ul := make([]int32, len(c.exec))
 		for ti, idxs := range c.stepsOf {
-			d := c.descs[c.txns[ti]]
-			for _, g := range idxs {
-				ul[g] = int32(idxs[d.SegmentEnd(c.seqOf[g], lv)-1])
+			last := idxs[len(idxs)-1]
+			for p := len(idxs); p >= 1; p-- {
+				if p < len(idxs) && c.descs[ti].IsCut(p, lv) {
+					last = idxs[p-1]
+				}
+				ul[idxs[p-1]] = int32(last)
 			}
 		}
 		c.unitLast[lv] = ul
@@ -300,8 +363,8 @@ func (c *checker) indexUnits() {
 // transaction the earliest target's reach subsumes the later ones'.
 func (c *checker) ruleInto(v int, acc bitset) {
 	tv := c.txnOf[v]
-	d := c.descs[c.txns[tv]]
-	for lv := 0; lv <= c.maxLv; lv++ {
+	d := c.descs[tv]
+	for lv := 1; lv <= c.maxLv; lv++ {
 		if c.unitLast[lv][v] != int32(v) {
 			continue
 		}
@@ -325,45 +388,67 @@ func (c *checker) ruleInto(v int, acc bitset) {
 	}
 }
 
-// levelMask returns (building lazily) the set of steps of transactions u
-// with level(txns[ti], u) == lv, excluding ti's own steps.
+// levelMask returns the set of steps of transactions u with
+// level(txns[ti], u) == lv: ti's π(lv) class minus its π(lv+1) class (at
+// lv = k-1, minus ti itself). Transactions sharing their π(lv+1) class
+// share the mask.
 func (c *checker) levelMask(ti, lv int) bitset {
-	if c.masks[ti] == nil {
-		c.masks[ti] = make([]bitset, c.maxLv+1)
-	}
-	if m := c.masks[ti][lv]; m != nil {
+	row := c.row(ti)
+	sub := row[lv]
+	if m := c.masks[sub]; m != nil {
 		return m
 	}
 	m := newBitset(len(c.exec))
-	for g, tg := range c.txnOf {
-		if tg != ti && int(c.level[ti][tg]) == lv {
-			m.set(g)
+	copy(m, c.stepSet(row[lv-1]))
+	for _, u := range c.members[sub] {
+		for _, g := range c.stepsOf[u] {
+			m[g>>6] &^= 1 << uint(g&63)
 		}
 	}
-	c.masks[ti][lv] = m
+	c.masks[sub] = m
 	return m
+}
+
+// stepSet returns (building lazily) the steps of class id's transactions.
+func (c *checker) stepSet(id int32) bitset {
+	if s := c.classSteps[id]; s != nil {
+		return s
+	}
+	s := newBitset(len(c.exec))
+	for _, u := range c.members[id] {
+		for _, g := range c.stepsOf[u] {
+			s.set(g)
+		}
+	}
+	c.classSteps[id] = s
+	return s
 }
 
 // atomic decides whether the recorded total order is itself coherent: every
 // interruption of a transaction t by a step of t′ must fall on a boundary
-// of Bt(level(t,t′)).
+// of Bt(level(t,t′)). Only open transactions — started, not finished — can
+// be interrupted, so only they are visited.
 func (c *checker) atomic() bool {
 	placed := make([]int, len(c.txns))
+	at := make([]int, len(c.txns)) // txn index -> its position in open
+	var open []int
 	for g := range c.exec {
 		tb := c.txnOf[g]
-		for ti := range c.txns {
-			if ti == tb {
-				continue
-			}
-			p := placed[ti]
-			if p == 0 || p == len(c.stepsOf[ti]) {
-				continue
-			}
-			if c.descs[c.txns[ti]].SameSegment(p, p+1, int(c.level[ti][tb])) {
+		for _, ti := range open {
+			if p := placed[ti]; ti != tb && c.descs[ti].SameSegment(p, p+1, c.level(ti, tb)) {
 				return false
 			}
 		}
 		placed[tb]++
+		switch p := placed[tb]; {
+		case p == len(c.stepsOf[tb]) && p > 1:
+			last := open[len(open)-1]
+			open[at[tb]], at[last] = last, at[tb]
+			open = open[:len(open)-1]
+		case p == 1 && p < len(c.stepsOf[tb]):
+			at[tb] = len(open)
+			open = append(open, tb)
+		}
 	}
 	return true
 }
@@ -380,10 +465,9 @@ func (c *checker) forEachSucc(v int, yield func(edge)) {
 		yield(c.edges[ei])
 	}
 	tv := c.txnOf[v]
-	d := c.descs[c.txns[tv]]
-	seen := newBitset(len(c.exec))
-	diff := newBitset(len(c.exec))
-	for lv := 0; lv <= c.maxLv; lv++ {
+	d := c.descs[tv]
+	seen, diff := c.seen, c.diff
+	for lv := 1; lv <= c.maxLv; lv++ {
 		if c.unitLast[lv][v] != int32(v) {
 			continue
 		}
@@ -421,6 +505,8 @@ func (c *checker) witness() *Witness {
 	parentOK := make([]bool, n)
 	depth := make([]int, n)
 	visited := make([]bool, n)
+	c.seen, c.diff = newBitset(n), newBitset(n)
+	q := make([]int, 0, n)
 	for start := 0; start < n; start++ {
 		if !c.reach[start].has(start) {
 			continue
@@ -431,13 +517,12 @@ func (c *checker) witness() *Witness {
 			parentOK[i] = false
 			depth[i] = 0
 		}
-		q := []int{start}
+		q = append(q[:0], start)
 		visited[start] = true
 		var closing edge
 		closed := false
-		for len(q) > 0 && !closed {
-			v := q[0]
-			q = q[1:]
+		for head := 0; head < len(q) && !closed; head++ {
+			v := q[head]
 			if depth[v]+1 >= bestLen {
 				continue
 			}
@@ -491,7 +576,7 @@ func (c *checker) witness() *Witness {
 		case EdgeCoherence:
 			we.Level = e.level
 			we.Premise = [2]model.StepID{c.exec[e.premise[0]].ID(), c.exec[e.premise[1]].ID()}
-			d := c.descs[c.exec[e.from].Txn]
+			d := c.descs[c.txnOf[e.from]]
 			seq := c.seqOf[e.premise[0]]
 			we.Unit = [2]int{d.SegmentStart(seq, e.level), d.SegmentEnd(seq, e.level)}
 		}
@@ -513,13 +598,6 @@ func (b bitset) set(i int) { b[i>>6] |= 1 << uint(i&63) }
 func (b bitset) or(other bitset) {
 	for i := range b {
 		b[i] |= other[i]
-	}
-}
-
-// orAnd ORs (x AND y) into b, word-wise.
-func (b bitset) orAnd(x, y bitset) {
-	for i := range b {
-		b[i] |= x[i] & y[i]
 	}
 }
 

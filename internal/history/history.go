@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"mla/internal/breakpoint"
 	"mla/internal/model"
@@ -174,62 +173,77 @@ func (h *History) Nest() (*nest.Nest, error) {
 // already-committed transaction demotes it back to pending (a torn commit
 // re-executed after crash recovery: the last commit wins).
 func (h *History) Committed() (model.Execution, map[model.TxnID]*breakpoint.Description, error) {
-	pending := make(map[model.TxnID][]int)   // txn -> event indices of the pending attempt
-	committed := make(map[model.TxnID][]int) // txn -> event indices of the committed attempt
+	type attempts struct {
+		txn       model.TxnID
+		pending   []int // event indices of the pending attempt
+		committed []int // event indices of the committed attempt
+		done      bool  // committed holds the last commit
+	}
+	var logs []attempts
+	ix := make(map[model.TxnID]int)
+	log := func(t model.TxnID) *attempts {
+		i, ok := ix[t]
+		if !ok {
+			i = len(logs)
+			ix[t] = i
+			logs = append(logs, attempts{txn: t})
+		}
+		return &logs[i]
+	}
 	for i, ev := range h.Events {
 		switch ev.Kind {
 		case KindStep:
-			t := ev.Txn
-			if _, done := committed[t]; done {
-				delete(committed, t) // re-execution after a torn commit
-				pending[t] = nil
+			a := log(ev.Txn)
+			if a.done {
+				a.done, a.committed = false, nil // re-execution after a torn commit
 			}
-			if ev.Seq == 1 && len(pending[t]) > 0 {
-				pending[t] = nil // implicit restart
+			if ev.Seq == 1 && len(a.pending) > 0 {
+				a.pending = a.pending[:0] // implicit restart
 			}
-			if ev.Seq != len(pending[t])+1 {
+			if ev.Seq != len(a.pending)+1 {
 				return nil, nil, fmt.Errorf("history: event %d: %s step seq %d, want %d (gap in the attempt)",
-					i, t, ev.Seq, len(pending[t])+1)
+					i, ev.Txn, ev.Seq, len(a.pending)+1)
 			}
-			pending[t] = append(pending[t], i)
+			a.pending = append(a.pending, i)
 		case KindAbort:
-			t := ev.Txn
-			if ev.Kept > len(pending[t]) {
+			a := log(ev.Txn)
+			if ev.Kept > len(a.pending) {
 				return nil, nil, fmt.Errorf("history: event %d: abort keeps %d steps but %s performed %d",
-					i, ev.Kept, t, len(pending[t]))
+					i, ev.Kept, ev.Txn, len(a.pending))
 			}
-			pending[t] = pending[t][:ev.Kept]
+			a.pending = a.pending[:ev.Kept]
 		case KindCommit:
 			for _, t := range ev.Txns {
-				if _, done := committed[t]; done {
+				a := log(t)
+				if a.done {
 					return nil, nil, fmt.Errorf("history: event %d: %s committed twice", i, t)
 				}
-				committed[t] = pending[t]
-				delete(pending, t)
+				a.done, a.committed, a.pending = true, a.pending, nil
 			}
 		}
 	}
-	var idxs []int
-	for _, evIdxs := range committed {
-		idxs = append(idxs, evIdxs...)
-	}
-	slices.Sort(idxs)
-	exec := make(model.Execution, 0, len(idxs))
-	perTxn := make(map[model.TxnID][]Event)
-	for _, i := range idxs {
-		ev := h.Events[i]
-		exec = append(exec, model.Step{Txn: ev.Txn, Seq: ev.Seq, Entity: ev.Entity, Label: ev.Label})
-		perTxn[ev.Txn] = append(perTxn[ev.Txn], ev)
-	}
-	descs := make(map[model.TxnID]*breakpoint.Description, len(perTxn))
-	for t, evs := range perTxn {
-		d := breakpoint.NewDescription(h.K, len(evs))
-		for p := 1; p < len(evs); p++ {
-			if c := evs[p-1].Cut; c >= 2 && c <= h.K {
-				d.SetCut(p, c)
+	keep := make([]bool, len(h.Events))
+	n := 0
+	descs := make(map[model.TxnID]*breakpoint.Description)
+	for _, a := range logs {
+		if !a.done || len(a.committed) == 0 {
+			continue
+		}
+		d := breakpoint.NewDescription(h.K, len(a.committed))
+		for p, i := range a.committed {
+			keep[i] = true
+			if c := h.Events[i].Cut; p+1 < len(a.committed) && c >= 2 && c <= h.K {
+				d.SetCut(p+1, c)
 			}
 		}
-		descs[t] = d
+		descs[a.txn] = d
+		n += len(a.committed)
+	}
+	exec := make(model.Execution, 0, n)
+	for i, ev := range h.Events {
+		if keep[i] {
+			exec = append(exec, model.Step{Txn: ev.Txn, Seq: ev.Seq, Entity: ev.Entity, Label: ev.Label})
+		}
 	}
 	return exec, descs, nil
 }

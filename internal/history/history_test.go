@@ -134,20 +134,7 @@ func TestWitnessIsClosedCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := rep.Witness
-	if w == nil || len(w.Edges) < 2 {
-		t.Fatalf("want a cycle of >= 2 edges, got %+v", w)
-	}
-	for i, e := range w.Edges {
-		next := w.Edges[(i+1)%len(w.Edges)]
-		if e.To != next.From {
-			t.Errorf("edge %d ends at %s but edge %d starts at %s", i, e.To, i+1, next.From)
-		}
-		switch e.Kind {
-		case EdgeProgram, EdgeConflict, EdgeCoherence:
-		default:
-			t.Errorf("edge %d has unknown kind %q", i, e.Kind)
-		}
-	}
+	checkClosedCycle(t, w)
 	if s := w.String(); !strings.Contains(s, "witness cycle") {
 		t.Errorf("witness rendering: %q", s)
 	}
