@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mla/internal/history"
+	"mla/internal/model"
 )
 
 // execCLI runs the CLI with captured output and returns (status, stdout, stderr).
@@ -222,5 +225,43 @@ func TestSpoolInput(t *testing.T) {
 	}
 	if !strings.Contains(out, "spool:") || !strings.Contains(out, "t1[1]") {
 		t.Errorf("spool verdict or witness missing:\n%s", out)
+	}
+}
+
+// TestMultiBootSpoolInput: a spool written by history.OpenSpoolFile over
+// two boots, the second reopening the file the first closed, and ending in
+// a line a kill tore mid-write, is sniffed as a spool and checked as one
+// merged history — the pending transaction of the first boot never
+// committed.
+func TestMultiBootSpoolInput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.spool")
+	for _, boot := range [][]model.TxnID{{"e1-t0", "e1-t1"}, {"e2-t0"}} {
+		r, err := history.OpenSpoolFile(path, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range boot {
+			r.Declare(id, []string{"L2-C0"})
+			r.StepPerformed(id, 1, "a", 0, 0)
+		}
+		r.CommitGroup(boot[:1])
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString(`{"ts":9,"kind":"st`)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, out, errs := execCLI(t, path)
+	if status != 0 || !strings.HasPrefix(out, "spool:") || !strings.Contains(out, "2 txns") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 0 and a spool: verdict over 2 committed txns", status, out, errs)
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -197,7 +198,7 @@ func run() int {
 			Overload:      *overload,
 			P99SLO:        *p99SLO,
 			Out:           os.Stderr,
-		})
+		}, os.Stdout, os.Stderr)
 	}
 	return runServe(cfg, *addr, *drainTimeout)
 }
@@ -330,36 +331,36 @@ func runSoak(dir string, rounds, txns int, killAfter time.Duration, checkpointEv
 // runSelfTest drives serve.SelfTest with the drain routed through a REAL
 // SIGTERM against our own process, so the signal path itself is under test
 // rather than simulated.
-func runSelfTest(o serve.SelfTestOptions) int {
+func runSelfTest(o serve.SelfTestOptions, stdout, stderr io.Writer) int {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM)
 	defer signal.Stop(sig)
 	o.TriggerDrain = func(shutdown func()) {
 		go func() {
 			<-sig
-			fmt.Fprintln(os.Stderr, "mlaserve: selftest: SIGTERM received — draining")
+			fmt.Fprintln(stderr, "mlaserve: selftest: SIGTERM received — draining")
 			shutdown()
 		}()
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 			// Signal delivery failed (exotic platform); drain directly so
 			// the run still finishes.
-			fmt.Fprintf(os.Stderr, "mlaserve: selftest: kill: %v — draining directly\n", err)
+			fmt.Fprintf(stderr, "mlaserve: selftest: kill: %v — draining directly\n", err)
 			shutdown()
 		}
 	}
 
 	rep, err := serve.SelfTest(context.Background(), o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: selftest: %v\n", err)
+		fmt.Fprintf(stderr, "mlaserve: selftest: %v\n", err)
 		return 1
 	}
-	rep.Summary().Render(os.Stdout)
+	rep.Summary().Render(stdout)
 	if o.Config.SpoolPath != "" {
-		fmt.Printf("selftest spool: %s (audit with: mlacheck -history %s)\n", o.Config.SpoolPath, o.Config.SpoolPath)
+		fmt.Fprintf(stdout, "selftest spool: %s (audit with: mlacheck -history %s)\n", o.Config.SpoolPath, o.Config.SpoolPath)
 	}
 	if !rep.OK() {
 		for _, p := range rep.Problems {
-			fmt.Fprintf(os.Stderr, "mlaserve: selftest: FAIL: %s\n", p)
+			fmt.Fprintf(stderr, "mlaserve: selftest: FAIL: %s\n", p)
 		}
 		return 1
 	}

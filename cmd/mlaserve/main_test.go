@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,5 +61,37 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	}
 	if took := time.Since(start); took < readHeaderTimeout-time.Second {
 		t.Fatalf("connection closed after %v, before the %v header timeout", took, readHeaderTimeout)
+	}
+}
+
+// TestSelfTestDrainsOnSIGTERM runs the acceptance loop at smoke scale — 20
+// sessions offering 400 transactions at 40/s each with 5 % disconnects —
+// through runSelfTest, so the mid-run drain 250 ms in arrives as a real
+// SIGTERM against this process. serve.TestSelfTestSmoke runs the same load
+// with a direct drain; the verdict rests on the audited history spool either
+// way.
+func TestSelfTestDrainsOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("selftest loop in -short mode")
+	}
+	cfg := serve.DefaultConfig()
+	cfg.SpoolPath = filepath.Join(t.TempDir(), "history.spool")
+	var out, errb bytes.Buffer
+	status := runSelfTest(serve.SelfTestOptions{
+		Config:        cfg,
+		Sessions:      20,
+		Txns:          400,
+		Rate:          40,
+		AuditPct:      2,
+		CreditPct:     8,
+		DisconnectPct: 5,
+		DrainAfter:    250 * time.Millisecond,
+		P99SLO:        5 * time.Second,
+	}, &out, &errb)
+	if status != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", status, errb.String())
+	}
+	if !strings.Contains(errb.String(), "SIGTERM received") {
+		t.Errorf("the drain did not come through the signal path, stderr:\n%s", errb.String())
 	}
 }

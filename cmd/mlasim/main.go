@@ -66,6 +66,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -90,47 +91,78 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // printClosure reports, for the closure controls (prevent, detect), how
 // wide the coherent closure is when the run ends: with every committed
 // transaction sealed (Stats.Sealed) it holds only what was still in flight.
-func printClosure(c sched.Control) {
+func printClosure(stdout io.Writer, c sched.Control) {
 	if w, ok := c.(interface {
 		ClosureSteps() int
 		ClosureSlots() int
 	}); ok {
-		fmt.Printf("closure:        %d live steps in %d slots\n", w.ClosureSteps(), w.ClosureSlots())
+		fmt.Fprintf(stdout, "closure:        %d live steps in %d slots\n", w.ClosureSteps(), w.ClosureSlots())
 	}
 }
 
-// run keeps the real logic defer-safe: os.Exit in main would skip the
-// telemetry export and pprof stop otherwise.
-func run() int {
-	workload := flag.String("workload", "bank", "bank, sessions, cad, or conv")
-	configPath := flag.String("config", "", "run a JSON-defined workload instead (see internal/config)")
-	control := flag.String("control", "prevent", "prevent, prevent-direct, detect, 2pl, 2pl-sharded, tso, serial, none, dist, or shard")
-	txns := flag.Int("txns", 24, "number of main transactions (transfers / sessions / modifications / conversations)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	partial := flag.Bool("partial", false, "enable breakpoint-granular partial recovery")
-	useEngine := flag.Bool("engine", false, "run on the concurrent engine instead of the simulator")
-	check := flag.Bool("check", false, "verify the execution against Theorem 2")
-	historyOut := flag.String("history", "", "write the run's event history (mla-history JSON, the format mlacheck reads) to this file")
-	crashes := flag.Int("crashes", 0, "engine only: inject this many crashes on a WAL-backed store, recovering between rounds")
-	tear := flag.Int("tear", 2, "records torn off the durable tail at each injected crash")
-	errRate := flag.Float64("errrate", 0, "engine only: transient step-error rate in [0,1]")
-	shards := flag.Int("shards", 4, "shard control: partition count (per-shard lock tables on the simulated bus)")
-	delay := flag.Int64("delay", 5, "dist/shard controls: one-hop bus latency in simulated time units")
-	loss := flag.Float64("loss", 0, "dist/shard controls: per-message drop probability in [0,1]")
-	reorder := flag.Float64("reorder", 0, "dist/shard controls: per-message extra-delay probability in [0,1] (60 extra units, reorders)")
-	partTime := flag.Int64("partition", 0, "dist/shard controls: split the processors into two halves at this time (0 = never)")
-	healTime := flag.Int64("heal", 0, "dist/shard controls: heal the partition at this time (0 = partition+300)")
-	procFail := flag.Int("procfail", 0, "dist/shard controls: crash this many processors in sequence, each rejoining 400 units later")
-	useTel := flag.Bool("telemetry", false, "record spans and counters; print the metrics table at exit")
-	telOut := flag.String("trace-out", "", "write recorded spans as Chrome trace-event JSON (implies -telemetry)")
-	pprofPrefix := flag.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-	flag.Parse()
+// run is main without the process exit, so tests can drive it and the
+// telemetry export and pprof stop still run as defers; the return value is
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mlasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "bank", "bank, sessions, cad, or conv")
+	configPath := fs.String("config", "", "run a JSON-defined workload instead (see internal/config)")
+	control := fs.String("control", "prevent", "prevent, prevent-direct, detect, 2pl, 2pl-sharded, tso, serial, none, dist, or shard")
+	txns := fs.Int("txns", 24, "number of main transactions (transfers / sessions / modifications / conversations)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	partial := fs.Bool("partial", false, "enable breakpoint-granular partial recovery")
+	useEngine := fs.Bool("engine", false, "run on the concurrent engine instead of the simulator")
+	check := fs.Bool("check", false, "verify the execution against Theorem 2")
+	historyOut := fs.String("history", "", "write the run's event history (mla-history JSON, the format mlacheck reads) to this file")
+	crashes := fs.Int("crashes", 0, "engine only: inject this many crashes on a WAL-backed store, recovering between rounds")
+	tear := fs.Int("tear", 2, "records torn off the durable tail at each injected crash")
+	errRate := fs.Float64("errrate", 0, "engine only: transient step-error rate in [0,1]")
+	shards := fs.Int("shards", 4, "shard control: partition count (per-shard lock tables on the simulated bus)")
+	delay := fs.Int64("delay", 5, "dist/shard controls: one-hop bus latency in simulated time units")
+	loss := fs.Float64("loss", 0, "dist/shard controls: per-message drop probability in [0,1]")
+	reorder := fs.Float64("reorder", 0, "dist/shard controls: per-message extra-delay probability in [0,1] (60 extra units, reorders)")
+	partTime := fs.Int64("partition", 0, "dist/shard controls: split the processors into two halves at this time (0 = never)")
+	healTime := fs.Int64("heal", 0, "dist/shard controls: heal the partition at this time (0 = partition+300)")
+	procFail := fs.Int("procfail", 0, "dist/shard controls: crash this many processors in sequence, each rejoining 400 units later")
+	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics table at exit")
+	telOut := fs.String("trace-out", "", "write recorded spans as Chrome trace-event JSON (implies -telemetry)")
+	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	// Every usage rule is checked before the first side effect (the profile
+	// file, the telemetry export), so a usage error leaves nothing behind.
+	busCtl := *control == "dist" || *control == "shard"
+	kind, kindErr := sched.ParseControlKind(*control)
+	usage := ""
+	switch {
+	case *configPath == "" && !slices.Contains([]string{"bank", "sessions", "conv", "cad"}, *workload):
+		usage = fmt.Sprintf("unknown workload %q", *workload)
+	case !busCtl && kindErr != nil:
+		usage = fmt.Sprintf("unknown control %q", *control)
+	case *control == "shard" && *shards < 1:
+		usage = "-shards must be at least 1"
+	case !busCtl && (*loss > 0 || *reorder > 0 || *partTime > 0 || *healTime > 0 || *procFail > 0):
+		usage = "-loss, -reorder, -partition, -heal, and -procfail apply to -control dist and shard only"
+	case busCtl && *useEngine:
+		usage = fmt.Sprintf("-control %s is simulator-only (the engine has no message-bus clock)", *control)
+	case !*useEngine && (*crashes > 0 || *errRate > 0):
+		usage = "-crashes and -errrate require -engine (the simulator's crash path is sim.RunWithCrashes)"
+	case *useEngine && *partial:
+		usage = "-partial is simulator-only (the engine rolls back whole transactions)"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, "mlasim:", usage)
+		return 2
+	}
 
 	var tel *telemetry.Telemetry
 	if *useTel || *telOut != "" {
@@ -139,12 +171,12 @@ func run() int {
 	if *pprofPrefix != "" {
 		stop, err := telemetry.StartPprof(*pprofPrefix)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim: pprof:", err)
+			fmt.Fprintln(stderr, "mlasim: pprof:", err)
 			return 1
 		}
 		defer func() {
 			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "mlasim: pprof:", err)
+				fmt.Fprintln(stderr, "mlasim: pprof:", err)
 			}
 		}()
 	}
@@ -156,12 +188,12 @@ func run() int {
 		}
 		if *telOut != "" {
 			if err := tel.WriteTrace(*telOut); err != nil {
-				fmt.Fprintln(os.Stderr, "mlasim: trace-out:", err)
+				fmt.Fprintln(stderr, "mlasim: trace-out:", err)
 			} else {
-				fmt.Printf("spans written:  %s (load in ui.perfetto.dev)\n", *telOut)
+				fmt.Fprintf(stdout, "spans written:  %s (load in ui.perfetto.dev)\n", *telOut)
 			}
 		}
-		tel.Table().Render(os.Stdout)
+		tel.Table().Render(stdout)
 	}()
 
 	var (
@@ -176,19 +208,19 @@ func run() int {
 	if *configPath != "" {
 		f, err := os.Open(*configPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
 		}
 		wl, err := config.Load(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
 		}
 		programs, n, spec, init = wl.Programs, wl.Nest, wl.Spec, wl.Init
 		report = func(exec model.Execution, _ map[model.EntityID]model.Value) {
 			if err := exec.Validate(init); err != nil {
-				fmt.Printf("TRACE INVALID:  %v\n", err)
+				fmt.Fprintf(stdout, "TRACE INVALID:  %v\n", err)
 			}
 		}
 		*workload = "config:" + *configPath
@@ -202,10 +234,10 @@ func run() int {
 			programs, n, spec, init = wl.Programs, wl.Nest, wl.Spec, wl.Init
 			report = func(exec model.Execution, final map[model.EntityID]model.Value) {
 				inv := wl.Check(exec, final)
-				fmt.Printf("conservation:   %v (total %d)\n", inv.ConservationOK, inv.Expected)
-				fmt.Printf("audits exact:   %d, inexact: %d\n", inv.AuditsExact, inv.AuditsInexact)
+				fmt.Fprintf(stdout, "conservation:   %v (total %d)\n", inv.ConservationOK, inv.Expected)
+				fmt.Fprintf(stdout, "audits exact:   %d, inexact: %d\n", inv.AuditsExact, inv.AuditsInexact)
 				if inv.TraceValid != nil {
-					fmt.Printf("TRACE INVALID:  %v\n", inv.TraceValid)
+					fmt.Fprintf(stdout, "TRACE INVALID:  %v\n", inv.TraceValid)
 				}
 			}
 		case "sessions":
@@ -216,10 +248,10 @@ func run() int {
 			programs, n, spec, init = wl.Programs, wl.Nest, wl.Spec, wl.Init
 			report = func(exec model.Execution, final map[model.EntityID]model.Value) {
 				inv := wl.Check(exec, final)
-				fmt.Printf("conservation:   %v (total %d)\n", inv.ConservationOK, inv.Expected)
-				fmt.Printf("audits exact:   %d, inexact: %d\n", inv.AuditsExact, inv.AuditsInexact)
+				fmt.Fprintf(stdout, "conservation:   %v (total %d)\n", inv.ConservationOK, inv.Expected)
+				fmt.Fprintf(stdout, "audits exact:   %d, inexact: %d\n", inv.AuditsExact, inv.AuditsInexact)
 				if inv.TraceValid != nil {
-					fmt.Printf("TRACE INVALID:  %v\n", inv.TraceValid)
+					fmt.Fprintf(stdout, "TRACE INVALID:  %v\n", inv.TraceValid)
 				}
 			}
 		case "conv":
@@ -230,7 +262,7 @@ func run() int {
 			programs, n, spec, init = wl.Programs, wl.Nest, wl.Spec, wl.Init
 			report = func(_ model.Execution, final map[model.EntityID]model.Value) {
 				out := wl.Check(final)
-				fmt.Printf("conversations:  %d completed, %d failed\n", out.Completed, out.Failed)
+				fmt.Fprintf(stdout, "conversations:  %d completed, %d failed\n", out.Completed, out.Failed)
 			}
 		case "cad":
 			p := cad.DefaultParams()
@@ -240,27 +272,13 @@ func run() int {
 			programs, n, spec, init = wl.Programs, wl.Nest, wl.Spec, wl.Init
 			report = func(exec model.Execution, final map[model.EntityID]model.Value) {
 				inv := wl.Check(exec, final)
-				fmt.Printf("totals consistent: %v\n", inv.TotalsConsistent)
-				fmt.Printf("snapshots clean:   %d, dirty: %d\n", inv.SnapshotsClean, inv.SnapshotsDirty)
+				fmt.Fprintf(stdout, "totals consistent: %v\n", inv.TotalsConsistent)
+				fmt.Fprintf(stdout, "snapshots clean:   %d, dirty: %d\n", inv.SnapshotsClean, inv.SnapshotsDirty)
 				if inv.TraceValid != nil {
-					fmt.Printf("TRACE INVALID:     %v\n", inv.TraceValid)
+					fmt.Fprintf(stdout, "TRACE INVALID:     %v\n", inv.TraceValid)
 				}
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "mlasim: unknown workload %q\n", *workload)
-			return 2
 		}
-	}
-
-	chaosFlags := *loss > 0 || *reorder > 0 || *partTime > 0 || *healTime > 0 || *procFail > 0
-	busCtl := *control == "dist" || *control == "shard"
-	if !busCtl && chaosFlags {
-		fmt.Fprintln(os.Stderr, "mlasim: -loss, -reorder, -partition, -heal, and -procfail apply to -control dist and shard only")
-		return 2
-	}
-	if busCtl && *useEngine {
-		fmt.Fprintf(os.Stderr, "mlasim: -control %s is simulator-only (the engine has no message-bus clock)\n", *control)
-		return 2
 	}
 
 	// busChaos builds the shared chaos schedule for the bus-backed controls
@@ -292,7 +310,7 @@ func run() int {
 	// round, everything else uses a single instance.
 	var distCtl *dist.Preventer
 	var shardCtl *shard.SimControl
-	mkCtl := func() sched.Control {
+	mkCtl := func() (sched.Control, error) {
 		switch *control {
 		case "dist":
 			procs := sim.DefaultConfig().Processors
@@ -302,33 +320,23 @@ func run() int {
 				Delay:  *delay,
 				Faults: fault.New(busChaos(procs)),
 			})
-			return distCtl
+			return distCtl, nil
 		case "shard":
-			if *shards < 1 {
-				fmt.Fprintln(os.Stderr, "mlasim: -shards must be at least 1")
-				os.Exit(2)
-			}
 			shardCtl = shard.NewSimControl(shard.SimParams{
 				Shards: *shards,
 				Delay:  *delay,
 				Faults: fault.New(busChaos(*shards)),
 				Nest:   n,
 			})
-			return shardCtl
+			return shardCtl, nil
 		}
-		kind, err := sched.ParseControlKind(*control)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlasim: unknown control %q\n", *control)
-			os.Exit(2)
-		}
-		c, err := sched.New(kind, n, spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
-			os.Exit(2)
-		}
-		return c
+		return sched.New(kind, n, spec)
 	}
-	c := mkCtl()
+	c, err := mkCtl()
+	if err != nil {
+		fmt.Fprintln(stderr, "mlasim:", err)
+		return 2
+	}
 	if tel != nil && distCtl != nil {
 		distCtl.AttachTelemetry(tel)
 	}
@@ -353,15 +361,7 @@ func run() int {
 		exec  model.Execution
 		final map[model.EntityID]model.Value
 	)
-	if !*useEngine && (*crashes > 0 || *errRate > 0) {
-		fmt.Fprintln(os.Stderr, "mlasim: -crashes and -errrate require -engine (the simulator's crash path is sim.RunWithCrashes)")
-		return 2
-	}
 	if *useEngine && (*crashes > 0 || *errRate > 0) {
-		if *partial {
-			fmt.Fprintln(os.Stderr, "mlasim: -partial is simulator-only (the engine rolls back whole transactions)")
-			return 2
-		}
 		var ev engine.EventCounts
 		appends := make([]int64, *crashes)
 		for i := range appends {
@@ -380,25 +380,22 @@ func run() int {
 				TearTail:      *tear,
 				StepErrorRate: *errRate,
 			},
-			NewControl: mkCtl,
+			// The first mkCtl call succeeded, so every later one does.
+			NewControl: func() sched.Control { c, _ := mkCtl(); return c },
 		}
 		res, err := engine.RunWithCrashes(ctx, plan, programs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
 		}
 		exec, final = res.Exec, res.Final
-		fmt.Printf("workload=%s control=%s txns=%d seed=%d executor=engine+faults\n", *workload, c.Name(), *txns, *seed)
-		fmt.Printf("committed:      %d (%d gave up) across %d rounds\n", res.Committed, res.GaveUp, res.Rounds)
-		fmt.Printf("crashes:        %d (%d records torn, %d txn attempts redone)\n", res.Crashes, res.TornTotal, res.RedoneTxns)
-		fmt.Printf("faults:         %d transient step errors injected, %d restarts\n", res.FaultsInjected, res.Restarts)
-		fmt.Printf("events:         %d steps, %d commit groups, %d crashes, %d recoveries observed\n",
+		fmt.Fprintf(stdout, "workload=%s control=%s txns=%d seed=%d executor=engine+faults\n", *workload, c.Name(), *txns, *seed)
+		fmt.Fprintf(stdout, "committed:      %d (%d gave up) across %d rounds\n", res.Committed, res.GaveUp, res.Rounds)
+		fmt.Fprintf(stdout, "crashes:        %d (%d records torn, %d txn attempts redone)\n", res.Crashes, res.TornTotal, res.RedoneTxns)
+		fmt.Fprintf(stdout, "faults:         %d transient step errors injected, %d restarts\n", res.FaultsInjected, res.Restarts)
+		fmt.Fprintf(stdout, "events:         %d steps, %d commit groups, %d crashes, %d recoveries observed\n",
 			ev.Steps, ev.Groups, ev.Crashes, ev.Recoveries)
 	} else if *useEngine {
-		if *partial {
-			fmt.Fprintln(os.Stderr, "mlasim: -partial is simulator-only (the engine rolls back whole transactions)")
-			return 2
-		}
 		var ev engine.EventCounts
 		cfg := engine.Config{
 			Seed:     *seed,
@@ -406,20 +403,20 @@ func run() int {
 		}
 		res, err := engine.Run(ctx, cfg, programs, c, spec, init)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
 		}
 		exec, final = res.Exec, res.Final
 		lat, wt := res.LatencySummary(), res.WaitSummary()
-		fmt.Printf("workload=%s control=%s txns=%d seed=%d executor=engine\n", *workload, c.Name(), *txns, *seed)
-		fmt.Printf("committed:      %d in %v (%d restarts)\n", res.Committed, res.Elapsed, res.Restarts)
-		fmt.Printf("latency:        p50=%dµs p95=%dµs p99=%dµs mean=%.1fµs\n", lat.P50, lat.P95, lat.P99, lat.Mean)
-		fmt.Printf("lock wait:      p50=%dµs p95=%dµs p99=%dµs mean=%.1fµs\n", wt.P50, wt.P95, wt.P99, wt.Mean)
-		fmt.Printf("events:         %d steps, %d waits (%v waiting), %d commit groups\n",
+		fmt.Fprintf(stdout, "workload=%s control=%s txns=%d seed=%d executor=engine\n", *workload, c.Name(), *txns, *seed)
+		fmt.Fprintf(stdout, "committed:      %d in %v (%d restarts)\n", res.Committed, res.Elapsed, res.Restarts)
+		fmt.Fprintf(stdout, "latency:        p50=%dµs p95=%dµs p99=%dµs mean=%.1fµs\n", lat.P50, lat.P95, lat.P99, lat.Mean)
+		fmt.Fprintf(stdout, "lock wait:      p50=%dµs p95=%dµs p99=%dµs mean=%.1fµs\n", wt.P50, wt.P95, wt.P99, wt.Mean)
+		fmt.Fprintf(stdout, "events:         %d steps, %d waits (%v waiting), %d commit groups\n",
 			ev.Steps, ev.Waits, ev.WaitTime, ev.Groups)
-		fmt.Printf("aborts:         %d (%d cascades)\n", res.Aborts, res.Cascades)
-		fmt.Printf("control:        %+v\n", *c.Stats())
-		printClosure(c)
+		fmt.Fprintf(stdout, "aborts:         %d (%d cascades)\n", res.Aborts, res.Cascades)
+		fmt.Fprintf(stdout, "control:        %+v\n", *c.Stats())
+		printClosure(stdout, c)
 		if tel != nil {
 			tel.Metrics.ObserveSnapshot("control."+c.Name(), c.Stats().Snapshot())
 		}
@@ -429,7 +426,7 @@ func run() int {
 		cfg.Telemetry = tel
 		res, err := sim.RunContext(ctx, cfg, programs, c, spec, init)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
 		}
 		exec, final = res.Exec, res.Final
@@ -438,21 +435,21 @@ func run() int {
 			h.Record(v)
 		}
 		lat := h.Summary()
-		fmt.Printf("workload=%s control=%s txns=%d seed=%d\n", *workload, c.Name(), *txns, *seed)
-		fmt.Printf("committed:      %d in %d time units (throughput %.2f/1000u)\n",
+		fmt.Fprintf(stdout, "workload=%s control=%s txns=%d seed=%d\n", *workload, c.Name(), *txns, *seed)
+		fmt.Fprintf(stdout, "committed:      %d in %d time units (throughput %.2f/1000u)\n",
 			res.Stats.Committed, res.Time, res.Throughput())
-		fmt.Printf("latency:        p50=%d p95=%d p99=%d mean=%.1f\n", lat.P50, lat.P95, lat.P99, lat.Mean)
-		fmt.Printf("steps:          %d (%d messages)\n", res.Stats.Steps, res.Stats.Messages)
-		fmt.Printf("aborts:         %d (%d cascades, %d partial, %d stall breaks)\n",
+		fmt.Fprintf(stdout, "latency:        p50=%d p95=%d p99=%d mean=%.1f\n", lat.P50, lat.P95, lat.P99, lat.Mean)
+		fmt.Fprintf(stdout, "steps:          %d (%d messages)\n", res.Stats.Steps, res.Stats.Messages)
+		fmt.Fprintf(stdout, "aborts:         %d (%d cascades, %d partial, %d stall breaks)\n",
 			res.Stats.Aborts, res.Stats.Cascades, res.Stats.PartialRollbacks, res.Stats.StallBreaks)
-		fmt.Printf("control:        %+v\n", *res.Control)
-		printClosure(c)
+		fmt.Fprintf(stdout, "control:        %+v\n", *res.Control)
+		printClosure(stdout, c)
 		if distCtl != nil {
 			ns := distCtl.NetStats()
-			fmt.Printf("network:        %d sent, %d delivered, %d dropped (%d fault, %d link, %d crash)\n",
+			fmt.Fprintf(stdout, "network:        %d sent, %d delivered, %d dropped (%d fault, %d link, %d crash)\n",
 				ns.Sent, ns.Delivered, ns.Dropped+ns.DroppedLink+ns.DroppedCrash,
 				ns.Dropped, ns.DroppedLink, ns.DroppedCrash)
-			fmt.Printf("chaos:          %d stale waits, %d grace aborts, %d crash aborts, %d probe deadlocks, %d retransmits\n",
+			fmt.Fprintf(stdout, "chaos:          %d stale waits, %d grace aborts, %d crash aborts, %d probe deadlocks, %d retransmits\n",
 				distCtl.StaleWaits, distCtl.GraceAborts, distCtl.CrashAborts,
 				distCtl.ProbeDeadlocks, distCtl.Retransmits)
 			if tel != nil {
@@ -461,12 +458,12 @@ func run() int {
 		}
 		if shardCtl != nil {
 			ns := shardCtl.NetStats()
-			fmt.Printf("network:        %d sent, %d delivered, %d dropped (%d fault, %d link, %d crash)\n",
+			fmt.Fprintf(stdout, "network:        %d sent, %d delivered, %d dropped (%d fault, %d link, %d crash)\n",
 				ns.Sent, ns.Delivered, ns.Dropped+ns.DroppedLink+ns.DroppedCrash,
 				ns.Dropped, ns.DroppedLink, ns.DroppedCrash)
-			fmt.Printf("shards:         %d shots committed, %d cross-shard txns, %d probe deadlocks\n",
+			fmt.Fprintf(stdout, "shards:         %d shots committed, %d cross-shard txns, %d probe deadlocks\n",
 				shardCtl.Shots, shardCtl.CrossShard, shardCtl.ProbeDeadlocks)
-			fmt.Printf("chaos:          %d grace aborts, %d crash aborts, %d retransmits\n",
+			fmt.Fprintf(stdout, "chaos:          %d grace aborts, %d crash aborts, %d retransmits\n",
 				shardCtl.GraceAborts, shardCtl.CrashAborts, shardCtl.Retransmits)
 		}
 	}
@@ -475,12 +472,12 @@ func run() int {
 	if *check {
 		chk, err := coherent.CheckExecution(exec, n, spec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim: check:", err)
+			fmt.Fprintln(stderr, "mlasim: check:", err)
 			return 1
 		}
-		fmt.Printf("theorem 2:      atomic=%v correctable=%v\n", chk.Atomic, chk.Correctable)
+		fmt.Fprintf(stdout, "theorem 2:      atomic=%v correctable=%v\n", chk.Atomic, chk.Correctable)
 		if !chk.Correctable && c.Name() != "none" {
-			fmt.Fprintln(os.Stderr, "mlasim: control admitted a non-correctable execution")
+			fmt.Fprintln(stderr, "mlasim: control admitted a non-correctable execution")
 			return 1
 		}
 	}
@@ -492,13 +489,13 @@ func run() int {
 			var err error
 			h, err = history.FromExecution(exec, n.Restrict(exec.Txns()), spec)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mlasim: history:", err)
+				fmt.Fprintln(stderr, "mlasim: history:", err)
 				return 1
 			}
 		}
 		f, err := os.Create(*historyOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim:", err)
+			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
 		}
 		err = h.Encode(f)
@@ -506,23 +503,23 @@ func run() int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlasim: history:", err)
+			fmt.Fprintln(stderr, "mlasim: history:", err)
 			return 1
 		}
-		fmt.Printf("history written: %s\n", *historyOut)
+		fmt.Fprintf(stdout, "history written: %s\n", *historyOut)
 		if rec != nil {
 			// What is checked must be what ran: the recorded history has to
 			// replay to the run's committed set, crashes included.
 			replayed, _, err := h.Committed()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mlasim: history:", err)
+				fmt.Fprintln(stderr, "mlasim: history:", err)
 				return 1
 			}
 			got, want := replayed.Txns(), exec.Txns()
 			slices.Sort(got)
 			slices.Sort(want)
 			if !slices.Equal(got, want) {
-				fmt.Fprintf(os.Stderr, "mlasim: history commits %d transactions, the run %d\n", len(got), len(want))
+				fmt.Fprintf(stderr, "mlasim: history commits %d transactions, the run %d\n", len(got), len(want))
 				return 1
 			}
 		}

@@ -2,16 +2,24 @@ package bench
 
 import (
 	"context"
+	"errors"
+	"flag"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.txt from this run")
 
 // TestAllExperimentsRun executes every experiment at scale 1 and sanity
 // checks the tables. This doubles as the end-to-end regression test for the
 // harness: several experiments fail loudly (return an error) when a
 // soundness property breaks, e.g. E4's "serializable but not
 // MLA-correctable", E5/E7's invariant checks, or E10's sound-preventer
-// check.
+// check. The tables without a wall-clock column (E5–E7, E10–E16, E18, E20)
+// are also pinned byte for byte by testdata/<ID>.txt.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short mode")
@@ -28,6 +36,21 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 			if tbl.String() == "" {
 				t.Fatal("empty rendering")
+			}
+			path := filepath.Join("testdata", ex.ID+".txt")
+			want, err := os.ReadFile(path)
+			if errors.Is(err, fs.ErrNotExist) {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			got := ex.ID + " — " + ex.Claim + "\n" + tbl.String() + "\n"
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if got != string(want) {
+				t.Errorf("table differs from %s (rerun with -update if the change is meant):\n--- got\n%s--- want\n%s", path, got, want)
 			}
 		})
 	}

@@ -690,8 +690,8 @@ func (oc *Online) Retractions() int { return oc.retractions }
 // many cycles; the witness is the last cycle-closing pair process's LIFO
 // worklist visited, so it is defined by that visiting order and by nothing
 // more canonical. The Detector's victim choice, and with it every `detect`
-// row of EXPERIMENTS.md, is a function of it: scripts/chaos_replay.sh pins
-// the order through tables E5, E11, E12 and E16.
+// row of EXPERIMENTS.md, is a function of it: internal/bench's golden
+// tables E5, E11, E12 and E16 pin the order.
 func (oc *Online) CycleTxns() []model.TxnID {
 	if !oc.cyclic {
 		return nil

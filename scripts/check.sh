@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Tier-1 gate: build, vet, lint, and the full test suite under the race
-# detector (which exercises the engine's leak-free shutdown guarantees),
-# then a short coverage-guided fuzz smoke over WAL recovery (every log
-# prefix must be a consistent recovery input; recovery must be idempotent).
+# Full gate: tier-1's suite under the race detector (which exercises the
+# engine's leak-free shutdown guarantees), plus vet, lint, the microbenchmark
+# and fuzz smokes, the soak (child processes), the E19 race smoke and the
+# benchmark/run.sh output-check smokes.
 set -eu
 cd "$(dirname "$0")/.."
 go build ./...
@@ -10,9 +10,10 @@ go vet ./...
 # Pinned staticcheck + govulncheck; MLA_SKIP_LINT=1 skips, offline machines
 # warn-and-skip unless MLA_REQUIRE_LINT=1 (CI sets it).
 ./scripts/lint.sh
-# Includes the crash-recovery tests ('Crash' in internal/engine and
-# internal/wal), whose injected crash lands on a worker or on the
-# group-commit flusher goroutine; the nightly repeats them fifty times.
+# Includes the golden tables, chaos scenarios and history audits, and the
+# crash-recovery tests ('Crash' in internal/engine and internal/wal), whose
+# injected crash lands on a worker or on the group-commit flusher goroutine;
+# the nightly repeats them fifty times.
 go test -race ./...
 # The per-commit and per-step microbenchmarks (a Release that visits only
 # the stripes a transaction took; a ledger commit and a ledger rollback flat
@@ -34,38 +35,6 @@ go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzz
 # with the Theorem 2 analysis on random interleavings of the banking
 # workload.
 go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
-# History oracle, end to end: a live engine run recorded as an event
-# history must check clean offline — under the black-box checker alone and
-# under both deciders (-witness adds the Theorem 2 analysis and fails on a
-# disagreement). The known-violating histories' rejection (exit 2) is
-# cmd/mlacheck's TestHistoryViolationsExitTwo, and E20's cross-check of both
-# checkers on every control, with the rejection of an -exp that names no
-# experiment, is cmd/mlabench's tests; go test above runs them all.
-go run ./cmd/mlasim -engine -history /tmp/mla_check_history.json > /dev/null
-go run ./cmd/mlacheck -history /tmp/mla_check_history.json
-go run ./cmd/mlacheck -witness -history /tmp/mla_check_history.json > /dev/null
-# The same over runs with two injected crashes, at three seeds: a crash
-# records nothing, so the replay alone must discard the attempts each crash
-# killed, and mlasim exits 1 unless the history commits exactly what the run
-# made durable (a commit whose ack the crash swallowed included).
-for seed in 1 2 3; do
-    go run ./cmd/mlasim -engine -crashes 2 -seed "$seed" -history /tmp/mla_crash_history.json > /dev/null
-    go run ./cmd/mlacheck -history /tmp/mla_crash_history.json
-done
-go run ./cmd/mlacheck -witness -history /tmp/mla_crash_history.json > /dev/null
-# Replay oracle: the deterministic simulator tables and chaos scenarios must
-# be byte-identical to the committed golden (scripts/testdata/chaos_replay/).
-./scripts/chaos_replay.sh
-# Service front-end smoke: mlaserve serves a real listener, its own load
-# client offers an open-loop Poisson load with injected disconnects, a real
-# SIGTERM lands mid-run, and the drain is audited — every 200-acked
-# transaction durable and committed in the history spool (the same capture
-# path production runs), which must then pass the black-box checker
-# standalone.
-rm -f /tmp/mla_serve_history.spool
-go run ./cmd/mlaserve -selftest -sessions 20 -txns 400 -rate 40 \
-    -disconnect-pct 5 -drain-after 250ms -spool /tmp/mla_serve_history.spool > /dev/null
-go run ./cmd/mlacheck -history /tmp/mla_serve_history.spool
 # Crash-restart durability smoke: a real mlaserve process over an on-disk
 # WAL, SIGKILLed mid-load twice with injected disk faults; every 200-acked
 # transaction must be re-verifiable after each restart and the multi-boot
