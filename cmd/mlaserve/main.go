@@ -45,12 +45,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -71,7 +69,7 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	families := flag.Int("families", 0, "account families (0 = default)")
 	accounts := flag.Int("accounts", 0, "accounts per family (0 = default)")
-	control := flag.String("control", "", "concurrency control: 2pl-sharded, 2pl, tso, none")
+	control := flag.String("control", "", "concurrency control: 2pl-sharded, 2pl, or tso")
 	shards := flag.Int("shards", 0, "lock shards for 2pl-sharded (0 = default)")
 	maxInflight := flag.Int("max-inflight", 0, "transactions admitted into the engine at once")
 	queueDepth := flag.Int("queue-depth", 0, "bounded admission queue depth per class")
@@ -200,84 +198,59 @@ func run() int {
 			Out:           os.Stderr,
 		}, os.Stdout, os.Stderr)
 	}
-	return runServe(cfg, *addr, *drainTimeout)
+	return runServe(cfg, *addr, *drainTimeout, os.Stdout, os.Stderr)
 }
 
-// A client that opens connections and never finishes a request header, or
-// parks idle keep-alives, must not pin goroutines and descriptors forever:
-// overload degrades, it does not hang. Request bodies are ≤ 4 KiB and
-// bounded by the handler; the idle bound exceeds the load generator's own
-// 90 s so a client closes first.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-}
-
-// runServe is the long-lived mode: serve until SIGTERM/SIGINT, then drain
-// gracefully.
-//
-// The listener binds and announces BEFORE serve.New runs — WAL recovery
-// happens inside New and its duration grows with the unreplayed log, so the
-// recovery window must be observable from outside (probes get 503
-// "recovering" through the gate) rather than a connection-refused blackout.
-func runServe(cfg serve.Config, addr string, drainTimeout time.Duration) int {
+// runServe is the long-lived mode: serve until SIGTERM/SIGINT (or until
+// the listener fails), then drain gracefully. The listener answers and is
+// announced BEFORE serve.New runs its WAL recovery (see serve.Front), and
+// the signal handler is installed before the announcement, so a supervisor
+// that signals as soon as it reads "listening on" gets a drain, not a kill.
+func runServe(cfg serve.Config, addr string, drainTimeout time.Duration, stdout, stderr io.Writer) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: %v\n", err)
+		fmt.Fprintf(stderr, "mlaserve: %v\n", err)
 		return 1
 	}
-	gate := &serve.Gate{}
-	hs := newHTTPServer(gate)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Printf("mlaserve: listening on %s (control=%s, inflight=%d, queue=%d)\n",
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sig)
+	front := serve.Listen(ln)
+	fmt.Fprintf(stdout, "mlaserve: listening on %s (control=%s, inflight=%d, queue=%d)\n",
 		ln.Addr(), cfg.Control, cfg.MaxInflight, cfg.QueueDepth)
 
 	start := time.Now()
 	srv, err := serve.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: %v\n", err)
-		hs.Close()
+		fmt.Fprintf(stderr, "mlaserve: %v\n", err)
+		front.Close(context.Background())
 		return 1
 	}
 	if info := srv.RecoveryInfo(); info.Epoch > 0 {
-		fmt.Printf("mlaserve: recovered %s in %v — epoch %d, %d records (%d past checkpoint, %d torn or stale bytes, %d segments)\n",
+		fmt.Fprintf(stdout, "mlaserve: recovered %s in %v — epoch %d, %d records (%d past checkpoint, %d torn or stale bytes, %d segments)\n",
 			cfg.DataDir, time.Since(start).Round(time.Millisecond), info.Epoch,
 			info.Records, info.SinceCheckpoint, info.TornBytes, info.Segments)
 	}
-	gate.Set(srv.Handler())
+	front.Mount(srv)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	select {
 	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "mlaserve: %v — draining (in-flight transactions run to a breakpoint)\n", s)
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "mlaserve: serve: %v\n", err)
-		return 1
+		fmt.Fprintf(stderr, "mlaserve: %v — draining (in-flight transactions run to a breakpoint)\n", s)
+	case <-front.Stopped():
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	code := 0
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: drain: %v\n", err)
+	if err := front.Drain(ctx); err != nil {
+		fmt.Fprintf(stderr, "mlaserve: drain: %v\n", err)
 		code = 1
 	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "mlaserve: http shutdown: %v\n", err)
-	}
-	<-serveErr
-	if err := srv.SpoolErr(); err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: history spool: %v\n", err)
+	if err := front.Close(ctx); err != nil {
+		fmt.Fprintf(stderr, "mlaserve: %v\n", err)
 		code = 1
 	}
 	st := srv.Stats()
-	fmt.Printf("mlaserve: drained clean — %d committed, %d shed, %d deadline-aborted\n",
+	fmt.Fprintf(stdout, "mlaserve: drained clean — %d committed, %d shed, %d deadline-aborted\n",
 		st.Acked, st.Shed, st.Deadline)
 	return code
 }
@@ -335,17 +308,17 @@ func runSelfTest(o serve.SelfTestOptions, stdout, stderr io.Writer) int {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	o.TriggerDrain = func(shutdown func()) {
+	o.TriggerDrain = func(drain func()) {
 		go func() {
 			<-sig
 			fmt.Fprintln(stderr, "mlaserve: selftest: SIGTERM received — draining")
-			shutdown()
+			drain()
 		}()
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 			// Signal delivery failed (exotic platform); drain directly so
 			// the run still finishes.
 			fmt.Fprintf(stderr, "mlaserve: selftest: kill: %v — draining directly\n", err)
-			shutdown()
+			drain()
 		}
 	}
 

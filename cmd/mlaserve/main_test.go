@@ -1,38 +1,46 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"mla/internal/history"
+	"mla/internal/model"
 	"mla/internal/serve"
 )
 
 // TestStalledHeaderIsClosed: a connection that stops mid-header is closed by
-// the server once readHeaderTimeout passes — it does not pin a goroutine and
-// a descriptor forever — and /healthz keeps answering on other connections
-// while it is stalled.
+// the front once serve.ReadHeaderTimeout passes — it does not pin a goroutine
+// and a descriptor forever — and /healthz keeps answering on other
+// connections while it is stalled.
 func TestStalledHeaderIsClosed(t *testing.T) {
-	srv, err := serve.New(serve.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &serve.Gate{}
-	gate.Set(srv.Handler())
-	hs := newHTTPServer(gate)
-	go hs.Serve(ln)
-	defer hs.Close()
+	front := serve.Listen(ln)
+	srv, err := serve.New(serve.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	front.Mount(srv)
+	defer func() {
+		front.Drain(context.Background())
+		front.Close(context.Background())
+	}()
 
 	stalled, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -55,12 +63,12 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	}
 
 	// The server hangs up: whatever it writes first, the stream ends.
-	stalled.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	stalled.SetReadDeadline(start.Add(serve.ReadHeaderTimeout + 5*time.Second))
 	if _, err := io.Copy(io.Discard, stalled); err != nil {
 		t.Fatalf("stalled connection still open %v after the header began: %v", time.Since(start).Round(time.Millisecond), err)
 	}
-	if took := time.Since(start); took < readHeaderTimeout-time.Second {
-		t.Fatalf("connection closed after %v, before the %v header timeout", took, readHeaderTimeout)
+	if took := time.Since(start); took < serve.ReadHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout", took, serve.ReadHeaderTimeout)
 	}
 }
 
@@ -93,5 +101,107 @@ func TestSelfTestDrainsOnSIGTERM(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "SIGTERM received") {
 		t.Errorf("the drain did not come through the signal path, stderr:\n%s", errb.String())
+	}
+}
+
+// TestServeModeDrainsOnSIGTERM runs serve mode itself — listen, announce,
+// recover, mount — on a free port with a spool, commits a few transfers over
+// HTTP once /readyz answers, and raises a real SIGTERM against this process.
+// The drain must exit 0 and report the commits, and the spool must be a
+// history the checker accepts with every acked transaction committed.
+func TestServeModeDrainsOnSIGTERM(t *testing.T) {
+	cfg := serve.DefaultConfig()
+	cfg.SpoolPath = filepath.Join(t.TempDir(), "history.spool")
+	pr, pw := io.Pipe()
+	lines := make(chan string, 16)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	var errb bytes.Buffer
+	status := make(chan int, 1)
+	go func() {
+		status <- runServe(cfg, "127.0.0.1:0", 30*time.Second, pw, &errb)
+		pw.Close()
+	}()
+
+	m := regexp.MustCompile(`listening on (\S+)`).FindStringSubmatch(<-lines)
+	if m == nil {
+		t.Fatalf("no listening line; stderr:\n%s", errb.String())
+	}
+	base := "http://" + m[1]
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get(base + "/readyz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never answered 200")
+		}
+	}
+	post := func(path, body string, into any) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sess struct{ ID string }
+	post("/v1/sessions", `{}`, &sess)
+	var acked []model.TxnID
+	for i := 0; i < 5; i++ {
+		var res struct{ Txn string }
+		post("/v1/txns", `{"session":"`+sess.ID+`","kind":"transfer"}`, &res)
+		acked = append(acked, model.TxnID(res.Txn))
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-status:
+		if code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve mode did not exit after SIGTERM")
+	}
+	var out strings.Builder
+	for line := range lines {
+		out.WriteString(line + "\n")
+	}
+	if want := fmt.Sprintf("drained clean — %d committed", len(acked)); !strings.Contains(out.String(), want) {
+		t.Errorf("stdout lacks %q:\n%s", want, out.String())
+	}
+
+	h, err := history.ReadSpoolFile(cfg.SpoolPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := history.Check(h)
+	if err != nil || !rep.Correctable {
+		t.Fatalf("spool rejected: %v %+v", err, rep)
+	}
+	steps, _, _ := h.Committed()
+	committed := make(map[model.TxnID]bool)
+	for _, st := range steps {
+		committed[st.Txn] = true
+	}
+	for _, id := range acked {
+		if !committed[id] {
+			t.Errorf("acked %s is not committed in the spool", id)
+		}
 	}
 }

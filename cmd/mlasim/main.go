@@ -123,10 +123,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	historyOut := fs.String("history", "", "write the run's event history (mla-history JSON, the format mlacheck reads) to this file")
 	crashes := fs.Int("crashes", 0, "engine only: inject this many crashes on a WAL-backed store, recovering between rounds")
 	tear := fs.Int("tear", 2, "records torn off the durable tail at each injected crash")
-	errRate := fs.Float64("errrate", 0, "engine only: transient step-error rate in [0,1]")
+	errRate := fs.Float64("errrate", 0, "engine only: transient step-error rate in [0,1)")
 	shards := fs.Int("shards", 4, "shard control: partition count (per-shard lock tables on the simulated bus)")
 	delay := fs.Int64("delay", 5, "dist/shard controls: one-hop bus latency in simulated time units")
-	loss := fs.Float64("loss", 0, "dist/shard controls: per-message drop probability in [0,1]")
+	loss := fs.Float64("loss", 0, "dist/shard controls: per-message drop probability in [0,1)")
 	reorder := fs.Float64("reorder", 0, "dist/shard controls: per-message extra-delay probability in [0,1] (60 extra units, reorders)")
 	partTime := fs.Int64("partition", 0, "dist/shard controls: split the processors into two halves at this time (0 = never)")
 	healTime := fs.Int64("heal", 0, "dist/shard controls: heal the partition at this time (0 = partition+300)")
@@ -148,6 +148,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage = fmt.Sprintf("unknown workload %q", *workload)
 	case !busCtl && kindErr != nil:
 		usage = fmt.Sprintf("unknown control %q", *control)
+	case *txns < 0 || *delay < 0 || *tear < 0 || *crashes < 0 || *procFail < 0:
+		usage = "-txns, -delay, -tear, -crashes, and -procfail must not be negative"
+	case *loss < 0 || *loss >= 1 || *errRate < 0 || *errRate >= 1 || *reorder < 0 || *reorder > 1:
+		usage = "-loss and -errrate must be in [0,1) (at 1 nothing ever commits), -reorder in [0,1]"
 	case *control == "shard" && *shards < 1:
 		usage = "-shards must be at least 1"
 	case !busCtl && (*loss > 0 || *reorder > 0 || *partTime > 0 || *healTime > 0 || *procFail > 0):

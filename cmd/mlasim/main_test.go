@@ -115,6 +115,20 @@ func TestUsageErrorsLeaveNothingBehind(t *testing.T) {
 		"-crashes 1",
 		"-errrate 0.1",
 		"-engine -partial",
+		"-control dist -loss 1",
+		"-control dist -loss 2",
+		"-control shard -loss 2",
+		"-control dist -loss -0.1",
+		"-control dist -reorder 1.5",
+		"-control dist -reorder -0.1",
+		"-engine -errrate 1",
+		"-engine -errrate 5",
+		"-engine -errrate -0.1",
+		"-txns -3",
+		"-delay -1",
+		"-tear -4",
+		"-crashes -2",
+		"-procfail -1",
 	} {
 		dir := t.TempDir()
 		var out, errb bytes.Buffer

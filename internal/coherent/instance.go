@@ -135,9 +135,6 @@ func (inst *Instance) N() int { return len(inst.ids) }
 // K returns the number of levels.
 func (inst *Instance) K() int { return inst.nest.K() }
 
-// Txns returns the transactions, in global-index order.
-func (inst *Instance) Txns() []model.TxnID { return inst.txns }
-
 // ID returns the identity of the step at global index g.
 func (inst *Instance) ID(g int) model.StepID { return inst.ids[g] }
 

@@ -31,16 +31,16 @@ const (
 	Wound
 )
 
-// Stats is a point-in-time snapshot of a lock table, returned by the
-// Snapshot methods. Like every Snapshot() in this codebase (sched, wal,
+// Stats is a point-in-time snapshot of a lock table, returned by
+// Striped.Snapshot. Like every Snapshot() in this codebase (sched, wal,
 // net), the returned struct is a value copy: it never aliases live state,
-// stays valid forever, and mutating it has no effect on the manager.
+// stays valid forever, and mutating it has no effect on the table.
 type Stats struct {
 	// Locked is the number of currently locked entities.
 	Locked int
 	// Holders is the number of transactions holding at least one lock.
 	Holders int
-	// Shards is the stripe count (1 for the unsharded Manager).
+	// Shards is the stripe count.
 	Shards int
 }
 
@@ -142,9 +142,3 @@ func (m *Manager) Release(t model.TxnID) {
 
 // Locked returns the number of currently locked entities.
 func (m *Manager) Locked() int { return len(m.holder) }
-
-// Snapshot returns a value-copy of the table's counters; see Stats for the
-// immutability contract.
-func (m *Manager) Snapshot() Stats {
-	return Stats{Locked: len(m.holder), Holders: len(m.held), Shards: 1}
-}

@@ -18,7 +18,6 @@ type locker interface {
 	Holds(model.TxnID, model.EntityID) bool
 	Release(model.TxnID)
 	Locked() int
-	Snapshot() Stats
 }
 
 // TestStripedPropertyExclusiveHolder reruns the exclusive-holder property
@@ -219,9 +218,8 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 						seed, j, i, logs[0][j], logs[i][j])
 				}
 			}
-			a, b := mgrs[0].Snapshot(), mgrs[i].Snapshot()
-			if a.Locked != b.Locked {
-				t.Fatalf("seed=%d: final Locked %d vs %d", seed, a.Locked, b.Locked)
+			if a, b := mgrs[0].Locked(), mgrs[i].Locked(); a != b {
+				t.Fatalf("seed=%d: final Locked %d vs %d", seed, a, b)
 			}
 		}
 		for _, m := range mgrs[1:] {

@@ -207,9 +207,6 @@ func New(procs int, latency int64, policy Policy) *Bus {
 // OnDeliver installs the delivery callback. Must be set before any Send.
 func (b *Bus) OnDeliver(f func(Message)) { b.deliver = f }
 
-// Procs returns the processor count.
-func (b *Bus) Procs() int { return b.procs }
-
 // Stats returns a copy of the traffic counters.
 func (b *Bus) Stats() Stats { return b.stats }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -44,11 +43,11 @@ type SelfTestOptions struct {
 	P99SLO time.Duration
 
 	// TriggerDrain, when non-nil, is invoked (once, from its own
-	// goroutine) when the drain moment arrives, instead of calling
-	// shutdown directly — cmd/mlaserve routes this through a real SIGTERM
-	// so the signal path itself is under test. The callback must
-	// eventually cause shutdown() to run.
-	TriggerDrain func(shutdown func())
+	// goroutine) when the drain moment arrives, instead of calling drain
+	// directly — cmd/mlaserve routes this through a real SIGTERM so the
+	// signal path itself is under test. The callback must eventually cause
+	// drain() to run; drain is the Front's Drain.
+	TriggerDrain func(drain func())
 
 	// Out, when non-nil, receives progress lines.
 	Out io.Writer
@@ -93,10 +92,10 @@ func (r *SelfTestReport) Summary() *metrics.Table {
 	return t
 }
 
-// SelfTest runs the full service loop against a real TCP listener: start
-// the server, offer an open-loop Poisson load from many concurrent client
-// sessions (with injected disconnects), drain gracefully mid-run, and then
-// audit the wreckage:
+// SelfTest runs the served lifecycle — the Front serve mode runs — against a
+// real TCP listener: listen, start the server, mount it, offer an open-loop
+// Poisson load from many concurrent client sessions (with injected
+// disconnects), drain gracefully mid-run, close, and then audit the wreckage:
 //
 //   - every transaction acknowledged with 200 is durably committed on the
 //     WAL and committed in the spooled history — zero lost acks;
@@ -137,14 +136,19 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 		o.Config.QueueDepth = 2
 		o.Config.AdmitWait = time.Millisecond
 	}
-	logf := func(format string, args ...any) {
-		if o.Out != nil {
-			fmt.Fprintf(o.Out, format+"\n", args...)
-		}
+	if o.Out == nil {
+		o.Out = io.Discard
 	}
+	logf := func(format string, args ...any) { fmt.Fprintf(o.Out, format+"\n", args...) }
 
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("selftest: listen: %w", err)
+	}
+	front := Listen(ln)
 	srv, err := New(o.Config)
 	if err != nil {
+		front.Close(ctx)
 		return nil, err
 	}
 	if o.Overload {
@@ -152,22 +156,16 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 		// two slots on a free device keep up with any load offered here.
 		srv.medium.SyncDelay = 2 * time.Millisecond
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("selftest: listen: %w", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	front.Mount(srv)
 	base := "http://" + ln.Addr().String()
 	logf("selftest: serving on %s (%d sessions, %d txns, %.0f/s each)", base, o.Sessions, o.Txns, o.Rate)
 
 	// The drain trigger: directly, or through the caller's signal path.
 	drained := make(chan struct{})
-	shutdown := func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	drain := func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
+		if err := front.Drain(dctx); err != nil {
 			logf("selftest: drain: %v", err)
 		}
 		close(drained)
@@ -181,9 +179,9 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 			}
 			logf("selftest: triggering mid-run drain")
 			if o.TriggerDrain != nil {
-				o.TriggerDrain(shutdown)
+				o.TriggerDrain(drain)
 			} else {
-				shutdown()
+				drain()
 			}
 		}()
 	}
@@ -199,17 +197,20 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 		MaxRetries:    3,
 		Seed:          o.Config.Seed + 17,
 	})
+	switch {
+	case err != nil:
+	case o.DrainAfter > 0:
+		<-drained
+	default:
+		drain()
+	}
+	cctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	front.Drain(cctx) // a no-op unless the load failed before the drain
+	closeErr := front.Close(cctx)
 	if err != nil {
-		hs.Close()
 		return nil, err
 	}
-	if o.DrainAfter > 0 {
-		<-drained
-	} else {
-		shutdown()
-	}
-	hs.Close()
-	<-serveErr
 
 	rep := &SelfTestReport{Load: load, Stats: srv.Stats()}
 	problem := func(format string, args ...any) {
@@ -229,8 +230,8 @@ func SelfTest(ctx context.Context, o SelfTestOptions) (*SelfTestReport, error) {
 	if lostWAL > 0 {
 		problem("%d acked transactions not durable on the WAL", lostWAL)
 	}
-	if err := srv.SpoolErr(); err != nil {
-		problem("history spool: %v", err)
+	if closeErr != nil {
+		problem("%v", closeErr)
 	}
 	rep.History = auditSpool(o.Config.SpoolPath, load.AckedIDs, problem)
 

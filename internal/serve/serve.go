@@ -70,8 +70,7 @@ type Config struct {
 	InitialBalance    model.Value
 
 	// Control selects the concurrency control: "2pl-sharded" (default),
-	// "2pl", "tso", or "none" (unsound; for demonstration only). Shards
-	// sizes the sharded control's lock table.
+	// "2pl", or "tso". Shards sizes the sharded control's lock table.
 	Control string
 	Shards  int
 
@@ -161,8 +160,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server is the resident front-end. Create with New, serve its Handler,
-// stop with Shutdown. All methods are safe for concurrent use.
+// Server is the resident front-end. Create with New, serve it through a
+// Front (whose Drain is Shutdown). All methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
 	session *engine.Session
@@ -361,8 +360,6 @@ func controlByName(name string, shards int) sched.Control {
 		return sched.NewTwoPhase()
 	case "tso":
 		return sched.NewTimestamp()
-	case "none":
-		return sched.NewNone()
 	}
 	return nil
 }
@@ -372,7 +369,7 @@ func controlByName(name string, shards int) sched.Control {
 func (s *Server) OpenSession(family int) (*clientSession, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch s.state {
+	switch atomic.LoadInt32(&s.state) { // Shutdown and noteFailure write it without mu
 	case stAccepting:
 	case stDegraded:
 		return nil, fmt.Errorf("serve: read-only: %w", wal.ErrDegraded)
@@ -745,15 +742,6 @@ func (s *Server) Durable(id model.TxnID) bool { return s.pipe.Committed(id) }
 // in-memory server): the epoch, the records replayed, the replay distance
 // from the last checkpoint, and any torn bytes truncated.
 func (s *Server) RecoveryInfo() wal.RecoveryInfo { return s.medium.Recovery() }
-
-// SpoolErr reports the history spool's latched write failure, nil while
-// healthy (or when no spool is configured).
-func (s *Server) SpoolErr() error {
-	if s.spool == nil {
-		return nil
-	}
-	return s.spool.Err()
-}
 
 // Stats is the /statz payload: engine, scheduler, lock table, admission,
 // and latency state in one JSON-serializable snapshot.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,14 +19,17 @@ import (
 
 // TestServeUnknownControlMountsNothing: a New refused for its control must
 // not have mounted the data directory, so the first boot that succeeds there
-// is epoch 1.
+// is epoch 1. The unsound "none" is refused like any unknown name: a served
+// control must never ack a commit the history checker may reject.
 func TestServeUnknownControlMountsNothing(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = filepath.Join(t.TempDir(), "wal")
-	cfg.Control = "bogus"
-	if srv, err := New(cfg); err == nil {
-		srv.Shutdown(context.Background())
-		t.Fatal("New accepted control \"bogus\"")
+	for _, name := range []string{"bogus", "none"} {
+		cfg.Control = name
+		if srv, err := New(cfg); err == nil {
+			srv.Shutdown(context.Background())
+			t.Fatalf("New accepted control %q", name)
+		}
 	}
 	cfg.Control = ""
 	srv, err := New(cfg)
@@ -244,17 +248,21 @@ func TestServeDegradedMode(t *testing.T) {
 	}
 }
 
-// TestGateRecoveryWindow: before Set, the gate serves liveness and refuses
-// everything else with 503 "recovering"; after Set, it is the real handler.
+// TestGateRecoveryWindow: before Mount, the front serves liveness and
+// refuses everything else with 503 "recovering"; after Mount, it is the real
+// handler; after Drain, it still answers, with 503; Close ends the serve loop.
 func TestGateRecoveryWindow(t *testing.T) {
-	var g Gate
-	ts := httptest.NewServer(&g)
-	defer ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Listen(ln)
+	base := "http://" + ln.Addr().String()
 
-	if resp, _ := http.Get(ts.URL + "/healthz"); resp.StatusCode != http.StatusOK {
+	if resp, _ := http.Get(base + "/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("gated healthz: status %d, want 200", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
+	resp, err := http.Get(base + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +274,7 @@ func TestGateRecoveryWindow(t *testing.T) {
 		t.Errorf("gated readyz code %q, want recovering", er.Error)
 	}
 	resp.Body.Close()
-	if resp, _ := postJSON(t, ts.URL+"/v1/txns", txnRequest{Session: "x", Kind: "transfer"}); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, _ := postJSON(t, base+"/v1/txns", txnRequest{Session: "x", Kind: "transfer"}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("gated txn: status %d, want 503", resp.StatusCode)
 	}
 
@@ -274,17 +282,29 @@ func TestGateRecoveryWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	g.Set(srv.Handler())
-	if resp, _ := http.Get(ts.URL + "/readyz"); resp.StatusCode != http.StatusOK {
-		t.Errorf("post-Set readyz: status %d, want 200", resp.StatusCode)
+	f.Mount(srv)
+	if resp, _ := http.Get(base + "/readyz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("post-Mount readyz: status %d, want 200", resp.StatusCode)
 	}
-	sess := openTestSession(t, ts.URL)
-	if resp, _ := postJSON(t, ts.URL+"/v1/txns", txnRequest{Session: sess, Kind: "transfer"}); resp.StatusCode != http.StatusOK {
-		t.Errorf("post-Set txn: status %d, want 200", resp.StatusCode)
+	sess := openTestSession(t, base)
+	if resp, _ := postJSON(t, base+"/v1/txns", txnRequest{Session: sess, Kind: "transfer"}); resp.StatusCode != http.StatusOK {
+		t.Errorf("post-Mount txn: status %d, want 200", resp.StatusCode)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postJSON(t, base+"/v1/txns", txnRequest{Session: sess, Kind: "transfer"}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("post-Drain txn: status %d, want 503", resp.StatusCode)
+	}
+	if err := f.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-f.Stopped():
+	default:
+		t.Error("serve loop still running after Close")
 	}
 }

@@ -311,7 +311,7 @@ func TestServeHistoryAudit(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if err := srv.SpoolErr(); err != nil {
+	if err := srv.spool.Err(); err != nil {
 		t.Fatalf("spool: %v", err)
 	}
 

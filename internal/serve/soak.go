@@ -137,6 +137,20 @@ type soakChild struct {
 	done chan error
 }
 
+// stop SIGTERMs the child and waits out its drain, SIGKILLing it if the
+// drain takes longer than soakStartTimeout.
+func (c *soakChild) stop() error {
+	c.cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case err := <-c.done:
+		return err
+	case <-time.After(soakStartTimeout):
+		c.cmd.Process.Kill()
+		<-c.done
+		return fmt.Errorf("timed out after %v", soakStartTimeout)
+	}
+}
+
 var listenRE = regexp.MustCompile(`listening on ([0-9.]+:[0-9]+)`)
 
 // Soak is the crash-restart durability soak: it boots a real mlaserve
@@ -304,16 +318,8 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	if st, err := fetchStatz(ctx, client, c.base); err == nil && st.WAL.Checkpoints > rep.Checkpoints {
 		rep.Checkpoints = st.WAL.Checkpoints
 	}
-	c.cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case err := <-c.done:
-		if err != nil {
-			problem("graceful drain exited with: %v", err)
-		}
-	case <-time.After(soakStartTimeout):
-		c.cmd.Process.Kill()
-		<-c.done
-		problem("graceful drain timed out after %v", soakStartTimeout)
+	if err := c.stop(); err != nil {
+		problem("graceful drain: %v", err)
 	}
 	rep.Rounds = append(rep.Rounds, *r)
 
@@ -326,13 +332,7 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 	if r.SinceCheckpoint > 2 {
 		problem("after a sealed shutdown, recovery replayed %d records past the checkpoint (want <= 2)", r.SinceCheckpoint)
 	}
-	c.cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case <-c.done:
-	case <-time.After(soakStartTimeout):
-		c.cmd.Process.Kill()
-		<-c.done
-	}
+	c.stop()
 	rep.Rounds = append(rep.Rounds, *r)
 
 	// Verdicts that span the whole soak.

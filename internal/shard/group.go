@@ -190,9 +190,6 @@ func NewGroup(cfg GroupConfig, init map[model.EntityID]model.Value) *Group {
 // shards with it; bench builds shard-affine workloads with it).
 func (g *Group) Router() *Router { return g.router }
 
-// Shards returns the partition count.
-func (g *Group) Shards() int { return len(g.nodes) }
-
 // Values merges the per-shard stores into one state. Entities are routed
 // to exactly one shard, so the merge is a disjoint union.
 func (g *Group) Values() map[model.EntityID]model.Value {

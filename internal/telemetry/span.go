@@ -29,9 +29,6 @@ type Span struct {
 	Args   map[string]string
 }
 
-// Dur returns the span's duration in nanoseconds.
-func (s Span) Dur() int64 { return s.End - s.Start }
-
 // Tracer collects spans from any number of goroutines with no locking on
 // the record path: each producer asks for a Local once (a mutex-guarded
 // registration) and then appends spans to it without synchronization.
