@@ -60,54 +60,87 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run keeps the real logic defer-safe: os.Exit in main would skip the
-// telemetry export otherwise.
-func run() int {
-	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	families := flag.Int("families", 0, "account families (0 = default)")
-	accounts := flag.Int("accounts", 0, "accounts per family (0 = default)")
-	control := flag.String("control", "", "concurrency control: 2pl-sharded, 2pl, or tso")
-	shards := flag.Int("shards", 0, "lock shards for 2pl-sharded (0 = default)")
-	maxInflight := flag.Int("max-inflight", 0, "transactions admitted into the engine at once")
-	queueDepth := flag.Int("queue-depth", 0, "bounded admission queue depth per class")
-	admitWait := flag.Duration("admit-wait", 0, "how long admission may queue before shedding")
-	deadline := flag.Duration("deadline", 0, "default per-transaction deadline")
-	maxDeadline := flag.Duration("max-deadline", 0, "clamp for client-supplied deadlines")
-	seed := flag.Int64("seed", 1, "seed for synthesized workload choices")
-	traceOut := flag.String("trace-out", "", "write telemetry spans as Chrome trace-event JSON on exit")
-	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics snapshot as JSON on exit")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long the SIGTERM drain may take")
+// run is main without the process exit, so tests can drive it and the
+// telemetry export still runs as a defer; the return value is the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mlaserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
+	families := fs.Int("families", 0, "account families (0 = default)")
+	accounts := fs.Int("accounts", 0, "accounts per family (0 = default)")
+	control := fs.String("control", "", "concurrency control: 2pl-sharded, 2pl, or tso (default 2pl-sharded)")
+	shards := fs.Int("shards", 0, "lock shards for 2pl-sharded (0 = default)")
+	maxInflight := fs.Int("max-inflight", 0, "transactions admitted into the engine at once (0 = default)")
+	queueDepth := fs.Int("queue-depth", 0, "bounded admission queue depth per class (0 = default)")
+	admitWait := fs.Duration("admit-wait", 0, "how long admission may queue before shedding (0 = default)")
+	deadline := fs.Duration("deadline", 0, "default per-transaction deadline (0 = default)")
+	maxDeadline := fs.Duration("max-deadline", 0, "clamp for client-supplied deadlines (0 = default)")
+	seed := fs.Int64("seed", 1, "seed for synthesized workload choices")
+	traceOut := fs.String("trace-out", "", "write telemetry spans as Chrome trace-event JSON on exit")
+	metricsOut := fs.String("metrics-out", "", "write the telemetry metrics snapshot as JSON on exit")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long the SIGTERM drain may take")
 
-	dataDir := flag.String("data-dir", "", "persist the WAL as a segmented on-disk log here; restarts recover from it")
-	spoolPath := flag.String("spool", "", "append the execution history here as it happens (mlacheck -history audits it; accumulates across restarts with -data-dir)")
-	checkpointEvery := flag.Int("checkpoint-every", 512, "compact the on-disk log after this many records (0 = never)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "on-disk WAL segment rotation size (0 = default)")
-	diskWriteErr := flag.Float64("disk-write-err", 0, "inject: probability a WAL write fails transiently")
-	diskShortWrite := flag.Float64("disk-short-write", 0, "inject: probability a WAL write lands torn (then retried)")
-	diskSyncErr := flag.Float64("disk-sync-err", 0, "inject: probability an fsync fails transiently")
-	diskFullAfter := flag.Int64("disk-full-after", 0, "inject: device byte budget; writes past it fail with ENOSPC (0 = unlimited)")
-	diskFaultSeed := flag.Int64("disk-fault-seed", 1, "inject: seed for the disk fault coins")
+	dataDir := fs.String("data-dir", "", "persist the WAL as a segmented on-disk log here; restarts recover from it")
+	spoolPath := fs.String("spool", "", "append the execution history here as it happens (mlacheck -history audits it; accumulates across restarts with -data-dir)")
+	checkpointEvery := fs.Int("checkpoint-every", 512, "compact the on-disk log after this many records (0 = never; -soak needs at least 1)")
+	segmentBytes := fs.Int64("segment-bytes", 0, "on-disk WAL segment rotation size in bytes (0 = default)")
+	diskWriteErr := fs.Float64("disk-write-err", 0, "inject: probability in [0,1] that a WAL write fails transiently")
+	diskShortWrite := fs.Float64("disk-short-write", 0, "inject: probability in [0,1] that a WAL write lands torn (then retried)")
+	diskSyncErr := fs.Float64("disk-sync-err", 0, "inject: probability in [0,1] that an fsync fails transiently")
+	diskFullAfter := fs.Int64("disk-full-after", 0, "inject: device byte budget; writes past it fail with ENOSPC (0 = unlimited)")
+	diskFaultSeed := fs.Int64("disk-fault-seed", 1, "inject: seed for the disk fault coins")
 
-	selftest := flag.Bool("selftest", false, "run the end-to-end selftest (server + open-loop load + mid-run SIGTERM) and exit")
-	sessions := flag.Int("sessions", 100, "selftest: concurrent client sessions")
-	txns := flag.Int("txns", 10000, "selftest: total transactions offered")
-	rate := flag.Float64("rate", 150, "selftest: Poisson arrivals/sec per session")
-	auditPct := flag.Int("audit-pct", 2, "selftest: percent of transactions that are audits")
-	creditPct := flag.Int("credit-pct", 8, "selftest: percent of transactions that are credits")
-	disconnectPct := flag.Int("disconnect-pct", 5, "selftest: percent of requests abandoned mid-flight")
-	drainAfter := flag.Duration("drain-after", 2*time.Second, "selftest: raise SIGTERM this long into the load (0 = drain after load)")
-	overload := flag.Bool("overload", false, "selftest: shrink admission capacity so shedding must engage")
-	p99SLO := flag.Duration("p99-slo", 5*time.Second, "selftest: acked p99 latency bound (0 = unchecked)")
+	selftest := fs.Bool("selftest", false, "run the end-to-end selftest (server + open-loop load + mid-run SIGTERM) and exit")
+	sessions := fs.Int("sessions", 100, "selftest: concurrent client sessions (at least 1)")
+	txns := fs.Int("txns", 10000, "selftest: total transactions offered (at least 1)")
+	rate := fs.Float64("rate", 150, "selftest: Poisson arrivals/sec per session (positive)")
+	auditPct := fs.Int("audit-pct", 2, "selftest: percent of transactions that are audits (audit + credit at most 100)")
+	creditPct := fs.Int("credit-pct", 8, "selftest: percent of transactions that are credits")
+	disconnectPct := fs.Int("disconnect-pct", 5, "selftest: percent of requests abandoned mid-flight")
+	drainAfter := fs.Duration("drain-after", 2*time.Second, "selftest: raise SIGTERM this long into the load (0 = drain after load)")
+	overload := fs.Bool("overload", false, "selftest: shrink admission capacity so shedding must engage")
+	p99SLO := fs.Duration("p99-slo", 5*time.Second, "selftest: acked p99 latency bound (0 = unchecked)")
 
-	soak := flag.Bool("soak", false, "run the crash-restart durability soak (spawns this binary as a child server) and exit")
-	soakDir := flag.String("soak-dir", "", "soak: data directory shared across restarts (default: a temp dir)")
-	soakRounds := flag.Int("soak-rounds", 5, "soak: number of SIGKILL rounds")
-	soakTxns := flag.Int("soak-txns", 300, "soak: transactions offered per round")
-	soakKillAfter := flag.Duration("soak-kill-after", 0, "soak: how long into each round's load the SIGKILL lands (0 = half the expected load duration)")
-	flag.Parse()
+	soak := fs.Bool("soak", false, "run the crash-restart durability soak (spawns this binary as a child server) and exit")
+	soakDir := fs.String("soak-dir", "", "soak: data directory shared across restarts (default: a temp dir)")
+	soakRounds := fs.Int("soak-rounds", 5, "soak: number of SIGKILL rounds (at least 1)")
+	soakTxns := fs.Int("soak-txns", 300, "soak: transactions offered per round (at least 1)")
+	soakKillAfter := fs.Duration("soak-kill-after", 0, "soak: how long into each round's load the SIGKILL lands (0 = half the expected load duration)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	// Every usage rule is checked before anything listens, forks or writes,
+	// so a usage error leaves nothing behind. A documented 0 keeps its
+	// meaning (default, never, unlimited, unchecked), and no other value is
+	// replaced by one the command was not given.
+	prob := func(p float64) bool { return p >= 0 && p <= 1 } // false for NaN
+	pct := func(p int) bool { return p >= 0 && p <= 100 }
+	usage := ""
+	switch {
+	case *families < 0 || *accounts < 0 || *shards < 0 || *maxInflight < 0 || *queueDepth < 0 ||
+		*checkpointEvery < 0 || *segmentBytes < 0 || *diskFullAfter < 0:
+		usage = "-families, -accounts, -shards, -max-inflight, -queue-depth, -checkpoint-every, -segment-bytes and -disk-full-after must not be negative"
+	case *admitWait < 0 || *deadline < 0 || *maxDeadline < 0 || *drainTimeout < 0 ||
+		*drainAfter < 0 || *p99SLO < 0 || *soakKillAfter < 0:
+		usage = "-admit-wait, -deadline, -max-deadline, -drain-timeout, -drain-after, -p99-slo and -soak-kill-after must not be negative"
+	case *sessions < 1 || *txns < 1 || *soakRounds < 1 || *soakTxns < 1 || !(*rate > 0):
+		usage = "-sessions, -txns, -soak-rounds, -soak-txns and -rate must be positive"
+	case !prob(*diskWriteErr) || !prob(*diskShortWrite) || !prob(*diskSyncErr):
+		usage = "-disk-write-err, -disk-short-write and -disk-sync-err must be in [0,1]"
+	case !pct(*auditPct) || !pct(*creditPct) || !pct(*disconnectPct) || *auditPct+*creditPct > 100:
+		usage = "-audit-pct, -credit-pct and -disconnect-pct must be in [0,100], and -audit-pct + -credit-pct at most 100"
+	case *soak && *checkpointEvery < 1:
+		usage = "-soak needs -checkpoint-every of at least 1"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, "mlaserve:", usage)
+		return 2
+	}
 
 	cfg := serve.DefaultConfig()
 	if *families > 0 {
@@ -165,23 +198,33 @@ func run() int {
 		}
 		if *traceOut != "" {
 			if err := tel.WriteTrace(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "mlaserve: trace: %v\n", err)
+				fmt.Fprintf(stderr, "mlaserve: trace: %v\n", err)
 			} else {
-				fmt.Printf("wrote %s (load in ui.perfetto.dev)\n", *traceOut)
+				fmt.Fprintf(stdout, "wrote %s (load in ui.perfetto.dev)\n", *traceOut)
 			}
 		}
 		if *metricsOut != "" {
 			if err := tel.WriteMetrics(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "mlaserve: metrics: %v\n", err)
+				fmt.Fprintf(stderr, "mlaserve: metrics: %v\n", err)
 			} else {
-				fmt.Printf("wrote %s\n", *metricsOut)
+				fmt.Fprintf(stdout, "wrote %s\n", *metricsOut)
 			}
 		}
 	}()
 
 	if *soak {
-		return runSoak(*soakDir, *soakRounds, *soakTxns, *soakKillAfter, *checkpointEvery, *seed,
-			*diskWriteErr, *diskShortWrite, *diskSyncErr)
+		return runSoak(serve.SoakOptions{
+			Dir:                *soakDir,
+			Rounds:             *soakRounds,
+			TxnsPerRound:       *soakTxns,
+			KillAfter:          *soakKillAfter,
+			CheckpointEvery:    *checkpointEvery,
+			DiskWriteErrRate:   *diskWriteErr,
+			DiskShortWriteRate: *diskShortWrite,
+			DiskSyncErrRate:    *diskSyncErr,
+			Seed:               *seed,
+			Out:                stderr,
+		}, stdout, stderr)
 	}
 	if *selftest {
 		return runSelfTest(serve.SelfTestOptions{
@@ -195,10 +238,10 @@ func run() int {
 			DrainAfter:    *drainAfter,
 			Overload:      *overload,
 			P99SLO:        *p99SLO,
-			Out:           os.Stderr,
-		}, os.Stdout, os.Stderr)
+			Out:           stderr,
+		}, stdout, stderr)
 	}
-	return runServe(cfg, *addr, *drainTimeout, os.Stdout, os.Stderr)
+	return runServe(cfg, *addr, *drainTimeout, stdout, stderr)
 }
 
 // runServe is the long-lived mode: serve until SIGTERM/SIGINT (or until
@@ -258,43 +301,31 @@ func runServe(cfg serve.Config, addr string, drainTimeout time.Duration, stdout,
 // runSoak spawns this very binary as the child server: the soak's verdict
 // is only meaningful against a process whose SIGKILL this one cannot
 // intercept.
-func runSoak(dir string, rounds, txns int, killAfter time.Duration, checkpointEvery int, seed int64,
-	writeErr, shortWrite, syncErr float64) int {
+func runSoak(o serve.SoakOptions, stdout, stderr io.Writer) int {
 	bin, err := os.Executable()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: soak: %v\n", err)
+		fmt.Fprintf(stderr, "mlaserve: soak: %v\n", err)
 		return 1
 	}
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "mlaserve-soak-")
+	o.Bin = bin
+	if o.Dir == "" {
+		o.Dir, err = os.MkdirTemp("", "mlaserve-soak-")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlaserve: soak: %v\n", err)
+			fmt.Fprintf(stderr, "mlaserve: soak: %v\n", err)
 			return 1
 		}
-		fmt.Printf("mlaserve: soak dir %s\n", dir)
+		fmt.Fprintf(stdout, "mlaserve: soak dir %s\n", o.Dir)
 	}
-	rep, err := serve.Soak(context.Background(), serve.SoakOptions{
-		Bin:                bin,
-		Dir:                dir,
-		Rounds:             rounds,
-		TxnsPerRound:       txns,
-		KillAfter:          killAfter,
-		CheckpointEvery:    checkpointEvery,
-		DiskWriteErrRate:   writeErr,
-		DiskShortWriteRate: shortWrite,
-		DiskSyncErrRate:    syncErr,
-		Seed:               seed,
-		Out:                os.Stderr,
-	})
+	rep, err := serve.Soak(context.Background(), o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlaserve: soak: %v\n", err)
+		fmt.Fprintf(stderr, "mlaserve: soak: %v\n", err)
 		return 1
 	}
-	rep.Summary().Render(os.Stdout)
-	fmt.Printf("soak spool: %s (audit with: mlacheck -history %s)\n", rep.SpoolPath, rep.SpoolPath)
+	rep.Summary().Render(stdout)
+	fmt.Fprintf(stdout, "soak spool: %s (audit with: mlacheck -history %s)\n", rep.SpoolPath, rep.SpoolPath)
 	if !rep.OK() {
 		for _, p := range rep.Problems {
-			fmt.Fprintf(os.Stderr, "mlaserve: soak: FAIL: %s\n", p)
+			fmt.Fprintf(stderr, "mlaserve: soak: FAIL: %s\n", p)
 		}
 		return 1
 	}

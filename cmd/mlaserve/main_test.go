@@ -72,6 +72,42 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	}
 }
 
+// TestUsageErrorsLeaveNothingBehind: a flag value outside its documented
+// range exits 2 before anything listens, forks or writes — only a
+// diagnostic on stderr, no spool, WAL, soak directory or telemetry file —
+// instead of running with a value the command was not given.
+func TestUsageErrorsLeaveNothingBehind(t *testing.T) {
+	for _, flags := range []string{
+		"-selftest -sessions 0",
+		"-selftest -rate 0",
+		"-selftest -rate -3",
+		"-selftest -txns -5",
+		"-selftest -audit-pct 80 -credit-pct 80",
+		"-selftest -audit-pct -10",
+		"-selftest -disconnect-pct 150",
+		"-selftest -p99-slo -1s",
+		"-data-dir DIR/wal -checkpoint-every -5",
+		"-data-dir DIR/wal -segment-bytes -1",
+		"-shards -4",
+		"-max-inflight -2",
+		"-disk-sync-err 1.5",
+		"-soak -soak-rounds 0",
+		"-soak -soak-txns -1",
+		"-soak -checkpoint-every 0",
+	} {
+		dir := t.TempDir()
+		args := strings.Fields(strings.ReplaceAll(flags, "DIR", dir))
+		args = append(args, "-addr", "127.0.0.1:0", "-spool", filepath.Join(dir, "h.spool"),
+			"-soak-dir", filepath.Join(dir, "soak"),
+			"-trace-out", filepath.Join(dir, "t.json"), "-metrics-out", filepath.Join(dir, "m.json"))
+		var out, errb bytes.Buffer
+		status := run(args, &out, &errb)
+		if left, _ := os.ReadDir(dir); status != 2 || out.Len() != 0 || !strings.HasPrefix(errb.String(), "mlaserve: ") || len(left) != 0 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q, %d files left; want exit 2 and only a diagnostic", flags, status, out.String(), errb.String(), len(left))
+		}
+	}
+}
+
 // TestSelfTestDrainsOnSIGTERM runs the acceptance loop at smoke scale — 20
 // sessions offering 400 transactions at 40/s each with 5 % disconnects —
 // through runSelfTest, so the mid-run drain 250 ms in arrives as a real

@@ -62,11 +62,12 @@ func (w World) FamilyAccounts(f int) []model.EntityID {
 }
 
 // DrawTransfer draws one transfer's accounts from rng: up to 3 distinct
-// sources in family f, then two targets distinct from them (the paper
-// deposits into "two arbitrary other accounts"), in another family with
-// probability crossPct percent. accounts is w.Accounts(), passed in so that a
-// resident caller builds the names once; only sources is allocated.
-func (w World) DrawTransfer(rng *rand.Rand, accounts []model.EntityID, f, crossPct int) (sources []model.EntityID, targets [2]model.EntityID) {
+// sources in family f, appended to sources, then two targets distinct from
+// them (the paper deposits into "two arbitrary other accounts"), in another
+// family with probability crossPct percent. accounts is w.Accounts(), passed
+// in so that a resident caller builds the names once; a sources slice with
+// room for three allocates nothing.
+func (w World) DrawTransfer(rng *rand.Rand, accounts []model.EntityID, f, crossPct int, sources []model.EntityID) ([]model.EntityID, [2]model.EntityID) {
 	per := w.AccountsPerFamily
 	var buf [16]int
 	perm := buf[:min(per, len(buf))]
@@ -74,9 +75,8 @@ func (w World) DrawTransfer(rng *rand.Rand, accounts []model.EntityID, f, crossP
 		perm = make([]int, per)
 	}
 	permInto(rng, perm)
-	sources = make([]model.EntityID, min(3, per))
-	for i := range sources {
-		sources[i] = accounts[f*per+perm[i]]
+	for i := range min(3, per) {
+		sources = append(sources, accounts[f*per+perm[i]])
 	}
 	tf := f
 	if w.Families > 1 && rng.Intn(100) < crossPct {
@@ -84,6 +84,7 @@ func (w World) DrawTransfer(rng *rand.Rand, accounts []model.EntityID, f, crossP
 			tf = rng.Intn(w.Families)
 		}
 	}
+	var targets [2]model.EntityID
 	picked := 0
 	permInto(rng, perm)
 	for _, ai := range perm {

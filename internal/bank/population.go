@@ -2,6 +2,7 @@ package bank
 
 import (
 	"fmt"
+	"math/rand"
 
 	"mla/internal/breakpoint"
 	"mla/internal/model"
@@ -77,6 +78,22 @@ func (p *Population) cutAfter(t model.TxnID, prefix []model.Step) int {
 // its family's, among the customers.
 func (p *Population) Transfer(id model.TxnID, f int, sources []model.EntityID, targets [2]model.EntityID) (*Transfer, []string) {
 	return &Transfer{Txn: id, Family: f, Sources: sources, Targets: targets, Amount: p.amount, Reserve: p.reserve}, p.famPath[f]
+}
+
+// drawnTransfer is a Transfer with room for its sources beside it, so that
+// DrawTransfer allocates once without every Transfer carrying the room.
+type drawnTransfer struct {
+	Transfer
+	src [3]model.EntityID
+}
+
+// DrawTransfer builds transfer id of family f over accounts drawn from rng
+// as World.DrawTransfer draws them, in one allocation: the sources sit in
+// the same object as the transfer.
+func (p *Population) DrawTransfer(rng *rand.Rand, id model.TxnID, f, crossPct int) (*Transfer, []string) {
+	d := &drawnTransfer{Transfer: Transfer{Txn: id, Family: f, Amount: p.amount, Reserve: p.reserve}}
+	d.Sources, d.Targets = p.World.DrawTransfer(rng, p.Accounts, f, crossPct, d.src[:0])
+	return &d.Transfer, p.famPath[f]
 }
 
 // Session builds session id of family f running transfers in order. The

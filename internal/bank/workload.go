@@ -73,8 +73,7 @@ func Generate(p Params) *Workload {
 
 	for i := 0; i < p.Transfers; i++ {
 		f := rng.Intn(p.Families)
-		sources, targets := w.DrawTransfer(rng, pop.Accounts, f, p.CrossFamilyPct)
-		add(pop.Transfer(model.TxnID(fmt.Sprintf("xfer-%03d", i)), f, sources, targets))
+		add(pop.DrawTransfer(rng, model.TxnID(fmt.Sprintf("xfer-%03d", i)), f, p.CrossFamilyPct))
 	}
 	for i := 0; i < p.BankAudits; i++ {
 		a, path := pop.Audit(model.TxnID(fmt.Sprintf("audit-%03d", i)))

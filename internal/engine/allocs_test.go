@@ -13,6 +13,7 @@ import (
 	"mla/internal/model"
 	"mla/internal/nest"
 	"mla/internal/sched"
+	"mla/internal/wal"
 )
 
 // pooledInc is a tuned client program: one per submitting goroutine, reused
@@ -151,11 +152,34 @@ func TestSessionAllocBudget(t *testing.T) {
 // heap allocations per transaction: a resident Session under sharded 2PL
 // over a volatile store, fed one caller-owned program whose ids are built
 // before measuring, allocates nothing in Submit — no record, stepper or
-// commit group — including under -race.
+// commit group — including under -race. Over the group-commit pipeline on an
+// in-memory medium the one allocation left is the flush's ack channel: the
+// pending-group queue and its id copies reuse their storage, and the
+// submission waits on the ack itself instead of on a generation channel.
 func TestSessionSubmitAllocatesNothing(t *testing.T) {
+	init := map[model.EntityID]model.Value{"x": 0, "y": 0, "z": 0}
+	t.Run("volatile", func(t *testing.T) {
+		store := NewVolatileStore(init)
+		submitAllocs(t, store, 0)
+	})
+	t.Run("pipelined", func(t *testing.T) {
+		db, err := wal.Open(wal.NewMedium(), init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := wal.NewPipeline(db, 0)
+		defer pipe.Close()
+		submitAllocs(t, NewPipelinedWALStore(pipe), 1)
+	})
+}
+
+// submitAllocs submits two-step increments over x, y and z one at a time
+// through a resident session over store and fails when the steady state
+// allocates more than ceiling objects per Submit.
+func submitAllocs(t *testing.T, store Store, ceiling float64) {
+	t.Helper()
 	const runs = 2000
 	ents := []model.EntityID{"x", "y", "z"}
-	store := NewVolatileStore(map[model.EntityID]model.Value{"x": 0, "y": 0, "z": 0})
 	s := NewSession(Config{Seed: 3}, sched.NewShardedTwoPhase(16), nil, store)
 	defer s.Close()
 
@@ -176,8 +200,8 @@ func TestSessionSubmitAllocatesNothing(t *testing.T) {
 	for n < runs {
 		submit() // warm-up: tables, maps and free lists reach their steady size
 	}
-	if got := testing.AllocsPerRun(runs, submit); got != 0 {
-		t.Fatalf("%.2f allocations per Submit, want 0", got)
+	if got := testing.AllocsPerRun(runs, submit); got > ceiling {
+		t.Fatalf("%.2f allocations per Submit, want at most %.0f", got, ceiling)
 	}
 	if got := store.Values(); got["x"]+got["y"]+got["z"] != model.Value(2*n) {
 		t.Fatalf("final values %v after %d two-step increments", got, n)

@@ -25,13 +25,15 @@
 // Commit durability is synchronous by default (store.CommitGroup returns
 // durable). A store that additionally implements AsyncCommitter (see
 // PipelinedWALStore) gets group-commit pipelining: the engine submits the
-// group the ledger decided, and a finalizer goroutine reports it committed
-// only after the store acknowledges durability. Decided transactions are
-// immune to abort and count as satisfied dependencies — safe because
-// submission order bounds durability order. An injected crash is a medium
-// failure like a degraded disk: the medium latches at its crash point, the
-// pipeline latches what the medium returned, and the engine learns of it
-// from a failed Perform or, after an ack, through CommitErrer.
+// group the ledger decided and queues its ack, and each decided submission
+// waits on the ack of the oldest queued group — its own or an earlier one.
+// The first waiter to wake marks every queued group whose ack has closed
+// committed, in submission order, under the engine mutex. Decided
+// transactions are immune to abort and count as satisfied dependencies —
+// safe because submission order bounds durability order. An injected crash
+// is a medium failure like a degraded disk: the medium latches at its crash
+// point, the pipeline latches what the medium returned, and the engine
+// learns of it from a failed Perform or, after an ack, through CommitErrer.
 //
 // Lifecycle: there is one engine loop — Session.submit: admit, attempt,
 // restart on rollback, park on an exhausted budget, await the commit group —
@@ -46,7 +48,8 @@
 // or past its deadline, a worker fails, or an injected crash fires; every
 // cause but the first fails the session, which closes the stop channel all
 // blocking points (generation waits, backoff sleeps, commit waits) select
-// on. Close joins the finalizer; Run joins its workers first.
+// on. A session starts no goroutine of its own; Run joins the workers it
+// starts.
 // No goroutine outlives Run or Close — the regression tests count them.
 package engine
 
@@ -164,7 +167,7 @@ type etxn struct {
 	// group was submitted to an AsyncCommitter and awaits the durability
 	// ack: immune to abort (its record may already be on the device) and a
 	// satisfied dependency for later groups (submission order bounds
-	// durability order); the finalizer goroutine reports it Committed.
+	// durability order); a waiter on the ack reports it Committed.
 	storage.Txn
 	prog    model.Program
 	attempt int
@@ -226,23 +229,20 @@ type engine struct {
 	// wait path surfaces the error instead of an ack.
 	asyncErr error
 
-	// committers tracks the commit-finalizer goroutine (one per engine,
-	// started only for an AsyncCommitter store); Close joins it so no
-	// goroutine outlives the session.
-	committers sync.WaitGroup
-	// finPending queues submitted commit groups for the finalizer, which
-	// drains it in append (= submission) order; finWake (1-buffered) wakes
-	// the finalizer when the queue goes non-empty. Guarded by mu.
-	finPending []asyncFin
-	finWake    chan struct{}
+	// pending queues the commit groups submitted to the AsyncCommitter and
+	// not yet finalized, oldest first; pendingIDs holds their members back
+	// to back in the same order. Both keep their storage across groups.
+	// Guarded by mu.
+	pending    []pendingGroup
+	pendingIDs []model.TxnID
 
 	// retain marks a batch run's engine: the run's history — the step
 	// trace, the transaction records, the commit-group sizes — is kept
 	// whole, because it becomes Result.Exec and Result.CommitGroups. A
 	// resident session (retain false) serves transactions indefinitely, so
 	// it keeps no trace and retires records as submissions resolve.
-	// Retention is the only thing the flag decides; the run loop, the
-	// finalizer, and the commit hand-off are the same for both.
+	// Retention is the only thing the flag decides; the run loop and the
+	// commit hand-off are the same for both.
 	retain bool
 
 	txns  map[model.TxnID]*etxn
@@ -279,10 +279,11 @@ type traceEntry struct {
 	step    model.Step
 }
 
-// asyncFin is one submitted commit group awaiting its durability ack.
-type asyncFin struct {
+// pendingGroup is one submitted commit group awaiting its durability ack;
+// its n members are the next n entries of engine.pendingIDs.
+type pendingGroup struct {
 	ack <-chan struct{}
-	ids []model.TxnID
+	n   int
 }
 
 // applier carries an attempt's program state across store callbacks. The
@@ -390,9 +391,9 @@ func RunOnStore(ctx context.Context, cfg Config, programs []model.Program, contr
 	}
 	wg.Wait()
 	unwatch()
-	// Close joins the finalizer and fires RunEnded — after every worker
-	// joined, so it is provably the last per-run event an observer sees
-	// before the recovery loop's Crashed/Recovered.
+	// Close fires RunEnded — after every worker joined, so it is provably
+	// the last per-run event an observer sees before the recovery loop's
+	// Crashed/Recovered.
 	runErr := s.Close()
 	e := s.e
 	if runErr == nil && e.cerr != nil {
@@ -457,14 +458,7 @@ func (e *engine) waitDereg(ch chan struct{}) {
 }
 
 // stopped reports whether the run has been abandoned.
-func (e *engine) stopped() bool {
-	select {
-	case <-e.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (e *engine) stopped() bool { return closed(e.stop) }
 
 // sleep blocks for d or until the run stops; it reports false on stop.
 func (e *engine) sleep(d time.Duration) bool {
@@ -516,13 +510,15 @@ func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 // errStopped when the run was abandoned. Non-errStopped errors (an injected
 // crash, a store failure) abandon the whole run.
 //
-// deadline and quit carry a resident submission's bounds (zero/nil for
-// batch runs): when the deadline passes or quit (the client context's Done
-// channel) closes, the attempt is rolled back at the next unit boundary —
-// never mid-unit while runnable, so granted steps always run to the next
-// breakpoint — or immediately when blocked on a Wait decision, where the
-// whole attempt rolls back and nothing partial survives either way.
-func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, ap *applier, deadline time.Time, quit <-chan struct{}) (bool, error) {
+// ctx and deadline carry a resident submission's bounds (Background and
+// zero for batch runs): when the deadline passes or ctx is cancelled, the
+// attempt is rolled back at the next unit boundary — never mid-unit while
+// runnable, so granted steps always run to the next breakpoint — or
+// immediately when blocked on a Wait decision, where the whole attempt rolls
+// back and nothing partial survives either way. Only the blocked case reads
+// ctx.Done(): a request context makes its done channel on first use, so a
+// submission that never blocks never makes one.
+func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attempt int, ap *applier, deadline time.Time) (bool, error) {
 	performed := 0 // this attempt's step count (local mirror of t.seq)
 	retries := 0   // in-place retries of the current step after transient faults
 	for {
@@ -537,7 +533,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, ap *applier, d
 		// the breakpoint, which is exactly where MLA lets the schedule
 		// change its mind about a transaction cheaply.
 		if more {
-			if reason := expired(deadline, quit); reason != killNone {
+			if reason := expired(ctx, deadline); reason != killNone {
 				e.mu.Lock()
 				t := e.txns[id]
 				if t == nil || t.attempt != attempt {
@@ -706,7 +702,7 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, ap *applier, d
 				return false, errStopped
 			case <-timerC:
 				reason = killDeadline
-			case <-quit:
+			case <-ctx.Done():
 				reason = killCanceled
 			}
 			if tm != nil {
@@ -739,17 +735,13 @@ func (e *engine) attempt(cfg Config, id model.TxnID, attempt int, ap *applier, d
 	}
 }
 
-// expired reports why a submission should stop: killCanceled when quit (the
-// client context's Done channel) is closed, killDeadline when the deadline
-// has passed, killNone otherwise. Batch runs pass zero values and take the
-// two cheap branches — no clock read.
-func expired(deadline time.Time, quit <-chan struct{}) int8 {
-	if quit != nil {
-		select {
-		case <-quit:
-			return killCanceled
-		default:
-		}
+// expired reports why a submission should stop: killCanceled when the
+// client's context is done, killDeadline when the deadline has passed,
+// killNone otherwise. Batch runs pass Background and a zero deadline and
+// take the two cheap branches — no clock read.
+func expired(ctx context.Context, deadline time.Time) int8 {
+	if ctx.Err() != nil {
+		return killCanceled
 	}
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		return killDeadline
@@ -836,20 +828,14 @@ func (e *engine) tryCommitLocked() {
 		return
 	}
 	if e.async != nil {
-		// Pipelined path: submit the group and let a finalizer goroutine
-		// report it committed once the store acknowledges durability. Until
-		// then members are decided — immune to abort, valid as dependencies
-		// — but not yet counted in stats or shown to the observer. The
-		// finalizer reads the ids after the buffer has moved on: it keeps a
-		// copy.
-		ids = slices.Clone(ids)
-		ack := e.async.SubmitGroup(ids)
-		// Queue under the mutex and nudge the finalizer.
-		e.finPending = append(e.finPending, asyncFin{ack: ack, ids: ids})
-		select {
-		case e.finWake <- struct{}{}:
-		default: // already signalled; the finalizer re-checks the queue
-		}
+		// Pipelined path: submit the group and queue its ack; the members'
+		// submissions report it committed once the store acknowledges
+		// durability (finalizeAckedLocked). Until then members are decided —
+		// immune to abort, valid as dependencies — but not yet counted in
+		// stats or shown to the observer. The queue copies the ids, because
+		// the group buffer moves on.
+		e.pending = append(e.pending, pendingGroup{ack: e.async.SubmitGroup(ids), n: len(ids)})
+		e.pendingIDs = append(e.pendingIDs, ids...)
 		return
 	}
 	// One store call for the whole group: members may have observed each
@@ -858,25 +844,50 @@ func (e *engine) tryCommitLocked() {
 	e.finalizeGroupLocked(ids)
 }
 
-// ackHealthy checks the store's durable-failure latch after an ack. On
-// failure it latches asyncErr, wakes every waiter, and reports false — the
-// finalizer must stop finalizing: once one flush failed, no later ack can
-// be trusted either.
-func (e *engine) ackHealthy() bool {
-	if e.cerr == nil {
-		return true
+// finalizeAckedLocked reports committed, in submission order, every queued
+// group whose ack has closed, stopping at the first still in flight. The
+// store's durable-failure latch is read after the acks were seen closed — a
+// pipeline latches a failed flush before it closes that flush's ack — and a
+// failure latches asyncErr and finalizes nothing: the ack of a degraded
+// flush is a wake-up, not a durability promise, and once one flush failed
+// no later ack can be trusted either. Caller holds the mutex and has checked
+// that the session has not stopped: an abandoned session's acks are
+// discarded, so Observer.RunEnded stays the last event.
+func (e *engine) finalizeAckedLocked() {
+	k := 0
+	for k < len(e.pending) && closed(e.pending[k].ack) {
+		k++
 	}
-	err := e.cerr.CommitErr()
-	if err == nil {
-		return true
+	if k == 0 || e.asyncErr != nil {
+		return
 	}
-	e.mu.Lock()
-	if e.asyncErr == nil {
-		e.asyncErr = err
+	if e.cerr != nil {
+		if err := e.cerr.CommitErr(); err != nil {
+			e.asyncErr = err
+			e.bump()
+			return
+		}
 	}
+	off := 0
+	for _, g := range e.pending[:k] {
+		e.finalizeGroupLocked(e.pendingIDs[off : off+g.n])
+		off += g.n
+	}
+	n := copy(e.pending, e.pending[k:])
+	clear(e.pending[n:])
+	e.pending = e.pending[:n]
+	e.pendingIDs = e.pendingIDs[:copy(e.pendingIDs, e.pendingIDs[off:])]
 	e.bump()
-	e.mu.Unlock()
-	return false
+}
+
+// closed reports whether ch is closed, without blocking.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // finalizeGroupLocked records a now-durable commit group: the ledger
@@ -892,10 +903,7 @@ func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
 	}
 	for _, id := range ids {
 		e.stats.Committed++
-		// A missing record is the resident stop-path race: the submission
-		// was abandoned (Close without Drain) and retired its record while
-		// the ack was in flight. The commit is durable regardless.
-		if e.txns[id] != nil && e.caps.Retired != nil {
+		if e.caps.Retired != nil {
 			e.caps.Retired(id)
 		}
 	}
@@ -917,44 +925,4 @@ func (e *engine) survivors() model.Execution {
 		}
 	}
 	return out
-}
-
-// finalizer marks each submitted group committed once the store
-// acknowledges its durability: it drains finPending in submission order —
-// groups become durable in that order (a flush drains the pipeline's whole
-// batch), so waiting on acks sequentially adds no latency — and parks on
-// finWake when the queue is empty. It exits when the session stops
-// (abandoned acks are discarded with it) or when the store reports the
-// durable medium failed — the ack of a degraded flush is a wake-up, not a
-// durability promise.
-func (e *engine) finalizer() {
-	defer e.committers.Done()
-	for {
-		e.mu.Lock()
-		pending := e.finPending
-		e.finPending = nil
-		e.mu.Unlock()
-		for _, f := range pending {
-			select {
-			case <-f.ack:
-			case <-e.stop:
-				return // session abandoned; the ack is discarded
-			}
-			if !e.ackHealthy() {
-				return
-			}
-			e.mu.Lock()
-			e.finalizeGroupLocked(f.ids)
-			e.bump()
-			e.mu.Unlock()
-		}
-		if len(pending) > 0 {
-			continue // more may have queued while we waited on acks
-		}
-		select {
-		case <-e.finWake:
-		case <-e.stop:
-			return
-		}
-	}
 }

@@ -41,7 +41,9 @@ import (
 //
 // Lifecycle: NewSession → Submit (any number, concurrently) → Drain (stop
 // admitting, wait for in-flight submissions to resolve) → Close (stop the
-// engine, join its goroutines, fire Observer.RunEnded). Close without Drain
+// engine, fire Observer.RunEnded). The session starts no goroutine: each
+// submission runs on its caller's, and waits there on its own commit group's
+// durability ack. Close without Drain
 // abandons in-flight submissions: they return ErrSessionClosed promptly and
 // no goroutine leaks, but their transactions' outcomes are unreported (a
 // transaction whose commit group was already submitted may still be durable
@@ -171,17 +173,11 @@ func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 		undone:  make(map[model.TxnID]bool),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 		retain:  retain,
-		finWake: make(chan struct{}, 1),
 	}
 	e.start = time.Now()
 	e.async, _ = store.(AsyncCommitter)
 	e.cerr, _ = store.(CommitErrer)
-	s := &Session{cfg: cfg, e: e, idle: make(chan struct{})}
-	if e.async != nil {
-		e.committers.Add(1)
-		go e.finalizer()
-	}
-	return s
+	return &Session{cfg: cfg, e: e, idle: make(chan struct{})}
 }
 
 // Submit admits p into the running scheduler and blocks until it resolves;
@@ -215,7 +211,6 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	quit := ctx.Done()
 	maxRestarts := opts.MaxRestarts
 	if maxRestarts == 0 {
 		maxRestarts = s.cfg.MaxRestarts
@@ -257,7 +252,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 		// refuse to begin another attempt. Nothing is live to abort — the
 		// previous attempt was fully rolled back — so this is a refusal,
 		// not a rollback, and is not counted in DeadlineAborts.
-		if reason := expired(deadline, quit); reason != killNone {
+		if reason := expired(ctx, deadline); reason != killNone {
 			e.mu.Lock()
 			att := t.attempt
 			e.mu.Unlock()
@@ -290,7 +285,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 		t.ap.cur = p.Init()
 		e.mu.Unlock()
 
-		aborted, err := e.attempt(s.cfg, id, attempt, &t.ap, deadline, quit)
+		aborted, err := e.attempt(ctx, s.cfg, id, attempt, &t.ap, deadline)
 		if err != nil {
 			if errors.Is(err, errStopped) {
 				return Outcome{}, s.failure()
@@ -302,7 +297,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 			return Outcome{}, fmt.Errorf("%w: %w", ErrSessionClosed, err)
 		}
 		if !aborted {
-			out, resolved, rerr := s.awaitCommit(t, attempt, deadline, quit)
+			out, resolved, rerr := s.awaitCommit(ctx, t, attempt, deadline)
 			if resolved || rerr != nil {
 				return out, rerr
 			}
@@ -325,7 +320,12 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 // committed Outcome), the attempt is rolled back by a cascade (not resolved
 // — the caller restarts), the deadline/client gives up on a group that has
 // not been submitted yet (resolved, killed), or the session stops.
-func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-chan struct{}) (Outcome, bool, error) {
+//
+// A decided transaction of a pipelined store waits on the ack of the oldest
+// group still queued — its own group's or an earlier one's, since acks close
+// in submission order — and on waking finalizes every group whose ack has
+// closed (finalizeAckedLocked), unless the session stopped meanwhile.
+func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadline time.Time) (Outcome, bool, error) {
 	e := s.e
 	for {
 		e.mu.Lock()
@@ -353,15 +353,30 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 			e.mu.Unlock()
 			return Outcome{}, false, nil
 		}
-		ch := e.waitReg()
-		committing := t.Decided
-		e.mu.Unlock()
-		if committing {
+		if t.Decided {
 			// Durable-bound: the group was submitted and its record may
 			// already be on the device, so the client's deadline no longer
 			// applies — see the ack through and report the truth.
-			deadline, quit = time.Time{}, nil
+			ack := e.pending[0].ack
+			e.mu.Unlock()
+			select {
+			case <-ack:
+			case <-e.stop:
+				return Outcome{}, false, s.failure()
+			}
+			e.mu.Lock()
+			if e.stopped() {
+				// The stop raced the ack: an abandoned session's acks
+				// are discarded.
+				e.mu.Unlock()
+				return Outcome{}, false, s.failure()
+			}
+			e.finalizeAckedLocked()
+			e.mu.Unlock()
+			continue
 		}
+		ch := e.waitReg()
+		e.mu.Unlock()
 		var tm *time.Timer
 		var timerC <-chan time.Time
 		if !deadline.IsZero() {
@@ -378,7 +393,7 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 			return Outcome{}, false, s.failure()
 		case <-timerC:
 			reason = killDeadline
-		case <-quit:
+		case <-ctx.Done():
 			reason = killCanceled
 		}
 		if tm != nil {
@@ -400,7 +415,7 @@ func (s *Session) awaitCommit(t *etxn, attempt int, deadline time.Time, quit <-c
 		e.mu.Unlock()
 		// Committing, committed, or already rolled back meanwhile: stop
 		// watching the client and resolve on the engine's terms.
-		deadline, quit = time.Time{}, nil
+		deadline, ctx = time.Time{}, context.Background()
 	}
 }
 
@@ -509,16 +524,16 @@ func (s *Session) Drain(ctx context.Context) error {
 }
 
 // Close stops the engine (abandoning any submissions still in flight —
-// Drain first for a clean shutdown), joins every goroutine the session
-// started, and fires Observer.RunEnded exactly once. It returns the
-// session's failure cause, if any. Safe to call more than once.
+// Drain first for a clean shutdown) and fires Observer.RunEnded exactly
+// once; no commit group is finalized after the stop, so RunEnded is the
+// observer's last event. It returns the session's failure cause, if any.
+// Safe to call more than once.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	s.state = sessClosed
 	cause := s.cause
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.e.stop) })
-	s.e.committers.Wait()
 	s.endOnce.Do(func() {
 		e := s.e
 		e.mu.Lock()

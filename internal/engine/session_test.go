@@ -19,8 +19,8 @@ import (
 
 // waitGoroutines retries until the goroutine count returns to the baseline
 // or the deadline passes — shared leak check for every session lifecycle
-// test (workers, finalizers, and timer goroutines must all be joined or
-// retired by Close).
+// test (workers and timer goroutines must all be joined or retired by
+// Close).
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -397,8 +397,9 @@ func TestSessionCrashRace(t *testing.T) {
 }
 
 // TestSessionPipelinedDurability runs the session over the group-commit
-// pipeline — the resident finalizer path — and checks every acknowledged
-// commit is durable once the pipeline is flushed and closed.
+// pipeline — each submission waiting on its group's durability ack — and
+// checks every acknowledged commit is durable once the pipeline is flushed
+// and closed.
 func TestSessionPipelinedDurability(t *testing.T) {
 	before := runtime.NumGoroutine()
 	init := map[model.EntityID]model.Value{"x": 0, "y": 0}
@@ -478,4 +479,87 @@ func TestSessionCloseAbandonsInflight(t *testing.T) {
 		t.Fatal("abandoned submission never returned")
 	}
 	waitGoroutines(t, before)
+}
+
+// heldAckStore is a volatile store with an AsyncCommitter whose every group
+// waits on one ack channel the test holds; submitted closes when the first
+// group arrives.
+type heldAckStore struct {
+	Store
+	ack       chan struct{}
+	submitted chan struct{}
+	once      sync.Once
+}
+
+func (h *heldAckStore) SubmitGroup([]model.TxnID) <-chan struct{} {
+	h.once.Do(func() { close(h.submitted) })
+	return h.ack
+}
+
+// eventLog records the names of the observer events it receives.
+type eventLog struct {
+	NopObserver
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *eventLog) add(ev string) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) CommitGroup([]model.TxnID)        { l.add("CommitGroup") }
+func (l *eventLog) RunEnded(int, int, time.Duration) { l.add("RunEnded") }
+
+// TestSessionCloseWithAckInFlight: a decided transaction whose group's ack
+// lands only after Close is abandoned, not finalized. The submission returns
+// ErrSessionClosed, RunEnded stays the observer's last event (no
+// CommitGroup follows it), the session over an async store starts no
+// goroutine of its own, and nothing leaks.
+func TestSessionCloseWithAckInFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	store := &heldAckStore{
+		Store:     NewVolatileStore(map[model.EntityID]model.Value{"x": 0}),
+		ack:       make(chan struct{}),
+		submitted: make(chan struct{}),
+	}
+	obs := &eventLog{}
+	s := NewSession(Config{Observer: obs}, sched.NewShardedTwoPhase(4), nil, store)
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("NewSession over an async store: %d goroutines, %d before", n, before)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), &model.Scripted{Txn: "a", Ops: []model.Op{model.Add("x", 1)}}, SubmitOpts{})
+		done <- err
+	}()
+	select {
+	case <-store.submitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the transaction's group was never submitted")
+	}
+	time.Sleep(20 * time.Millisecond) // let it park on the ack
+	if err := s.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	close(store.ack)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrSessionClosed) {
+			t.Errorf("abandoned submission error = %v, want ErrSessionClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("abandoned submission never returned")
+	}
+	waitGoroutines(t, before)
+
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	if n := len(obs.events); n == 0 || obs.events[n-1] != "RunEnded" {
+		t.Errorf("observer events %v, want RunEnded last", obs.events)
+	}
+	if st := s.Stats(); st.Committed != 0 {
+		t.Errorf("%d commits finalized after Close", st.Committed)
+	}
 }

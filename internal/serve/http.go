@@ -87,6 +87,11 @@ type errorResponse struct {
 // bodies recycles the buffers POST bodies are read into and 200s encoded in.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// txnRequests recycles the values POST /v1/txns bodies decode into:
+// json.Unmarshal takes a pointer it cannot prove stays on the stack, so a
+// local would move to the heap on every request.
+var txnRequests = sync.Pool{New: func() any { return new(txnRequest) }}
+
 var jsonContentType = []string{"application/json"} // shared, never mutated
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -130,7 +135,9 @@ const maxBodyBytes = 4 << 10
 // decodeBody decodes the JSON request body into v. A declared length over
 // the bound is refused with 413 before anything is read; a body of unknown
 // length (chunked) is cut off at the bound, so the common fixed-length path
-// pays one comparison. False means the error response is already written.
+// pays one comparison. A body read to EOF is closed, so net/http has nothing
+// left to drain before it writes the response. False means the error
+// response is already written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.ContentLength > maxBodyBytes {
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
@@ -145,6 +152,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf.Reset()
 	_, err := buf.ReadFrom(body)
 	if err == nil {
+		body.Close()
 		err = json.Unmarshal(buf.Bytes(), v)
 	}
 	if err != nil {
@@ -207,15 +215,19 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	var req txnRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	res, err := s.Submit(r.Context(), TxnRequest{
+	req := txnRequests.Get().(*txnRequest)
+	*req = txnRequest{}
+	ok := decodeBody(w, r, req)
+	tr := TxnRequest{
 		Session:  req.Session,
 		Kind:     req.Kind,
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
-	})
+	}
+	txnRequests.Put(req)
+	if !ok {
+		return
+	}
+	res, err := s.Submit(r.Context(), tr)
 	if err != nil {
 		s.writeError(w, err)
 		return

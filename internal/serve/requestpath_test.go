@@ -167,12 +167,16 @@ func (w *nullResponse) Write(b []byte) (int, error) {
 // TestHandleTxnAllocBudget: one uncontended POST /v1/txns transfer through
 // Handler().ServeHTTP on an in-memory server — body decode, admission,
 // synthesize, the engine's 5–6 steps, the group commit and its ack, the
-// response — spends at most 25 heap allocations. The measured steady state
-// is 19 (it was 37 with rng.Perm, fmt-minted names and a json.Decoder and
-// Encoder per request), so a trip here means pooling or the precomputed
-// tables regressed, not noise.
+// response — spends at most 14 heap allocations. The measured steady state
+// is 10, and 13 or 14 under -race, whose sync.Pool drops a share of what it
+// is given: encoding/json's decode state and the two strings it decodes, the
+// id, the transfer, its state slab and the flush's ack. It was 37 with
+// rng.Perm, fmt-minted names and a json.Decoder and Encoder per request, and
+// 15 while a finalizer goroutine woke every commit waiter through a fresh
+// channel. A trip here means pooling, the precomputed tables or the engine's
+// reuse of its commit queue regressed, not noise.
 func TestHandleTxnAllocBudget(t *testing.T) {
-	const allocCeiling = 25
+	const allocCeiling = 14
 	srv, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -637,10 +637,10 @@ func (s *Server) synthesize(cs *clientSession, kind string) (model.Program, []st
 	n := s.txnSeq.Add(1)
 	switch kind {
 	case "", "transfer":
+		id := mintID("xfer-", cs.id, n)
 		cs.mu.Lock()
-		sources, targets := s.pop.World.DrawTransfer(cs.rng, s.pop.Accounts, cs.family, crossFamilyPct)
+		tr, path := s.pop.DrawTransfer(cs.rng, id, cs.family, crossFamilyPct)
 		cs.mu.Unlock()
-		tr, path := s.pop.Transfer(mintID("xfer-", cs.id, n), cs.family, sources, targets)
 		return tr, path, nil
 	case "audit":
 		a, path := s.pop.Audit(mintID("audit-", cs.id, n))

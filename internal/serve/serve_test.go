@@ -362,8 +362,7 @@ func TestServeRecordsBankCuts(t *testing.T) {
 		var prog model.Program
 		switch kind {
 		case "transfer":
-			sources, targets := pop.World.DrawTransfer(twin, pop.Accounts, cs.family, crossFamilyPct)
-			prog, _ = pop.Transfer(res.Txn, cs.family, sources, targets)
+			prog, _ = pop.DrawTransfer(twin, res.Txn, cs.family, crossFamilyPct)
 		case "credit":
 			prog, _ = pop.Credit(res.Txn, cs.family)
 		default:
