@@ -40,16 +40,15 @@
 // and two drivers of it. A service keeps a Session open and calls Submit as
 // requests arrive; Run/RunOnStore opens a session, submits every program
 // from its own goroutine, joins them, closes the session, and assembles a
-// Result. The two differ in retention only: a batch run keeps a step trace
-// and its whole transaction table (they become Result.Exec), a resident
-// session keeps no trace (the recovery ledger restores a rollback from its
-// own records) and retires each record as its submission resolves. A batch
-// run ends when all transactions resolve, the caller's context is cancelled
-// or past its deadline, a worker fails, or an injected crash fires; every
-// cause but the first fails the session, which closes the stop channel all
-// blocking points (generation waits, backoff sleeps, commit waits) select
-// on. A session starts no goroutine of its own; Run joins the workers it
-// starts.
+// Result. Both retire each transaction record as its submission resolves.
+// The one difference is that a batch run turns on the recovery ledger's
+// record (storage.Ledger.Record), whose committed execution becomes
+// Result.Exec; a resident session records nothing. A batch run ends when
+// all transactions resolve, the caller's context is cancelled or past its
+// deadline, a worker fails, or an injected crash fires; every cause but the
+// first fails the session, which closes the stop channel all blocking
+// points (generation waits, backoff sleeps, commit waits) select on. A
+// session starts no goroutine of its own; Run joins the workers it starts.
 // No goroutine outlives Run or Close — the regression tests count them.
 package engine
 
@@ -111,12 +110,15 @@ type Config struct {
 
 // Result mirrors sim.Result for the concurrent engine.
 type Result struct {
-	Exec         model.Execution
-	Final        map[model.EntityID]model.Value
-	Committed    int
-	Aborts       int
-	Cascades     int
-	Restarts     int
+	Exec      model.Execution
+	Final     map[model.EntityID]model.Value
+	Committed int
+	Aborts    int
+	Cascades  int
+	Restarts  int
+	// CommitGroups holds each commit group's size in decision order. After
+	// an injected crash it also lists the groups decided but never acked,
+	// whose steps Exec holds too.
 	CommitGroups []int
 	Elapsed      time.Duration
 
@@ -236,18 +238,8 @@ type engine struct {
 	pending    []pendingGroup
 	pendingIDs []model.TxnID
 
-	// retain marks a batch run's engine: the run's history — the step
-	// trace, the transaction records, the commit-group sizes — is kept
-	// whole, because it becomes Result.Exec and Result.CommitGroups. A
-	// resident session (retain false) serves transactions indefinitely, so
-	// it keeps no trace and retires records as submissions resolve.
-	// Retention is the only thing the flag decides; the run loop and the
-	// commit hand-off are the same for both.
-	retain bool
-
-	txns  map[model.TxnID]*etxn
-	trace []traceEntry // every performed step, kept by a batch run only
-	led   *storage.Ledger
+	txns map[model.TxnID]*etxn
+	led  *storage.Ledger // records the run's execution in a batch run only
 	// keep and undone are abortLocked's scratch, reused across calls (always
 	// under mu): the victims as the ledger takes them (kept seq, always 0 —
 	// the engine rolls back whole transactions) and the closed set as
@@ -271,12 +263,6 @@ type engine struct {
 	prioCounter int64
 	rng         *rand.Rand
 	rngMu       sync.Mutex
-}
-
-type traceEntry struct {
-	id      model.TxnID
-	attempt int
-	step    model.Step
 }
 
 // pendingGroup is one submitted commit group awaiting its durability ack;
@@ -359,7 +345,8 @@ func RunOnStore(ctx context.Context, cfg Config, programs []model.Program, contr
 		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
 	}
-	s := newSession(cfg, control, spec, store, true)
+	s := NewSession(cfg, control, spec, store)
+	s.e.led.Record()
 	// Whatever ends the run early — the caller, the whole-run deadline, the
 	// injected wall-clock crash, a worker's fatal error — fails the session:
 	// the first cause is recorded and every submission unblocks.
@@ -407,7 +394,10 @@ func RunOnStore(ctx context.Context, cfg Config, programs []model.Program, contr
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res := e.stats
-	res.Exec = e.survivors()
+	// After a crash Exec also holds the groups submitted but never acked,
+	// whose record may be durable: RunWithCrashes keeps the ones that are.
+	res.Exec = e.led.Execution()
+	res.CommitGroups = e.led.Groups()
 	res.Final = e.store.Values()
 	res.Elapsed = time.Since(e.start)
 	for _, o := range outs {
@@ -518,7 +508,8 @@ func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 // back and nothing partial survives either way. Only the blocked case reads
 // ctx.Done(): a request context makes its done channel on first use, so a
 // submission that never blocks never makes one.
-func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attempt int, ap *applier, deadline time.Time) (bool, error) {
+func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, deadline time.Time) (bool, error) {
+	id, ap := t.ID, &t.ap
 	performed := 0 // this attempt's step count (local mirror of t.seq)
 	retries := 0   // in-place retries of the current step after transient faults
 	for {
@@ -535,8 +526,7 @@ func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attemp
 		if more {
 			if reason := expired(ctx, deadline); reason != killNone {
 				e.mu.Lock()
-				t := e.txns[id]
-				if t == nil || t.attempt != attempt {
+				if t.attempt != attempt {
 					e.mu.Unlock()
 					return true, nil // rolled back meanwhile
 				}
@@ -556,7 +546,7 @@ func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attemp
 		if more && e.faults != nil {
 			if ferr := e.faults.StepError(id, performed+1, attempt, retries); ferr != nil {
 				e.mu.Lock()
-				if e.txns[id].attempt != attempt {
+				if t.attempt != attempt {
 					e.mu.Unlock()
 					return true, nil // rolled back meanwhile
 				}
@@ -581,7 +571,6 @@ func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attemp
 			}
 		}
 		e.mu.Lock()
-		t := e.txns[id]
 		if t.attempt != attempt {
 			e.mu.Unlock()
 			return true, nil // rolled back meanwhile
@@ -647,9 +636,6 @@ func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attemp
 			performed++
 			retries = 0
 			t.steps = append(t.steps, step)
-			if e.retain {
-				e.trace = append(e.trace, traceEntry{id: id, attempt: attempt, step: step})
-			}
 			cut := 0
 			if _, m := ap.next.Next(); m && e.spec != nil {
 				cut = e.spec.CutAfter(id, t.steps)
@@ -725,7 +711,7 @@ func (e *engine) attempt(ctx context.Context, cfg Config, id model.TxnID, attemp
 			e.mu.Unlock()
 		case sched.Abort:
 			e.abortLocked(d.Victims)
-			selfDead := e.txns[id].attempt != attempt
+			selfDead := t.attempt != attempt
 			e.bump()
 			e.mu.Unlock()
 			if selfDead {
@@ -896,11 +882,6 @@ func closed(ch <-chan struct{}) bool {
 // Caller holds the mutex.
 func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
 	e.led.Committed(ids)
-	if e.retain {
-		// One entry per group grows with the run: part of a batch run's
-		// retained history, a leak for a resident session.
-		e.stats.CommitGroups = append(e.stats.CommitGroups, len(ids))
-	}
 	for _, id := range ids {
 		e.stats.Committed++
 		if e.caps.Retired != nil {
@@ -910,19 +891,4 @@ func (e *engine) finalizeGroupLocked(ids []model.TxnID) {
 	if e.obs != nil {
 		e.obs.CommitGroup(ids)
 	}
-}
-
-// survivors returns the steps of decided transactions in performance order:
-// the committed ones, plus — after a crash — those whose group was submitted
-// but never acked, whose record may already be durable (RunWithCrashes keeps
-// the ones recovery finds committed). Caller holds the mutex.
-func (e *engine) survivors() model.Execution {
-	out := make(model.Execution, 0, len(e.trace))
-	for _, te := range e.trace {
-		t := e.txns[te.id]
-		if t != nil && t.Decided && te.attempt == t.attempt {
-			out = append(out, te.step)
-		}
-	}
-	return out
 }

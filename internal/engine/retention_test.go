@@ -17,12 +17,12 @@ import (
 )
 
 // TestBatchRunRetainsWholeTrace pins the one thing that differs between the
-// engine's two drivers: a batch Run must keep its whole step trace and
-// transaction table, because they become Result.Exec, while a resident
-// session keeps no trace and retires its records. The run here performs
-// several thousand steps, with restarts, so a batch driver that dropped
-// steps the way a resident session does would hand back a silently
-// truncated Exec — and still pass every small batch test.
+// engine's two drivers: a batch Run turns on the recovery ledger's record,
+// whose committed execution becomes Result.Exec, while a resident session
+// records nothing. The run here performs several thousand steps, with
+// restarts, so a batch driver that lost steps — or kept a rolled-back
+// attempt's — would hand back a silently wrong Exec and still pass every
+// small batch test.
 func TestBatchRunRetainsWholeTrace(t *testing.T) {
 	const nTxn, nSteps, nEnt = 400, 8, 800 // 3,200 committed steps; neighbouring programs share 5 of their 8 entities
 	stores := map[string]func(t *testing.T, init map[model.EntityID]model.Value) Store{
@@ -93,6 +93,70 @@ func TestBatchRunRetainsWholeTrace(t *testing.T) {
 	}
 }
 
+// TestBatchRunKeepsOnlyTheRecord runs a batch the way RunOnStore does — a
+// session whose ledger records, every program submitted from its own
+// goroutine — with restarts, and finds that the record is all it keeps:
+// every submission retired its transaction record into the free list, and
+// the ledger's execution still holds every committed step.
+func TestBatchRunKeepsOnlyTheRecord(t *testing.T) {
+	const nTxn, nSteps, nEnt = 200, 8, 400
+	progs, init, want := incWorkload(nTxn, nSteps, nEnt)
+	store := NewVolatileStore(init)
+	s := NewSession(Config{Seed: 9, StepDelay: 50 * time.Microsecond}, sched.NewShardedTwoPhase(8), breakpoint.Uniform{Levels: 2, C: 2}, store)
+	s.e.led.Record()
+	errs := make(chan error, len(progs))
+	var wg sync.WaitGroup
+	for i, p := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if out, err := s.submit(context.Background(), p, SubmitOpts{}, int64(i)); err != nil || !out.Committed {
+				errs <- fmt.Errorf("%s resolved %+v, %v", p.ID(), out, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Restarts == 0 {
+		t.Fatal("workload produced no restarts; the record holds no superseded attempts to drop")
+	}
+	e := s.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.txns) != 0 {
+		t.Errorf("%d transaction records left in the table", len(e.txns))
+	}
+	if len(e.free) == 0 {
+		t.Error("no record was recycled into the free list")
+	}
+	exec := e.led.Execution()
+	if len(exec) != nTxn*nSteps {
+		t.Fatalf("len(Execution) = %d, want %d committed steps", len(exec), nTxn*nSteps)
+	}
+	if err := exec.Validate(init); err != nil {
+		t.Errorf("value chain: %v", err)
+	}
+	total := 0
+	for _, g := range e.led.Groups() {
+		total += g
+	}
+	if total != nTxn {
+		t.Errorf("commit groups cover %d of %d commits", total, nTxn)
+	}
+	final := store.Values()
+	for x, v := range want {
+		if final[x] != v {
+			t.Errorf("final[%s] = %d, want %d", x, final[x], v)
+		}
+	}
+}
+
 // TestResidentSessionKeepsNoTrace serves the same kind of overlapping
 // workload through a resident session, with restarts — wounds under sharded
 // 2PL, cascading rollbacks under the Detector — and finds no step trace: a
@@ -139,8 +203,8 @@ func TestResidentSessionKeepsNoTrace(t *testing.T) {
 			}
 			e := s.e
 			e.mu.Lock()
-			if len(e.trace) != 0 {
-				t.Errorf("a resident session kept %d trace entries", len(e.trace))
+			if e.led.Execution() != nil {
+				t.Errorf("a resident session kept a record of %d steps", len(e.led.Execution()))
 			}
 			// An author left behind — a committed transaction the ledger
 			// failed to drop — would give the reader a dependency on a

@@ -34,10 +34,10 @@ import (
 //     batch driver sets none.
 //   - Per-commit samples (latency, wait time) are returned in each Outcome;
 //     the batch driver collects them into its Result.
-//   - The drivers differ in retention only. A service's session keeps no
-//     step trace and deletes retired transactions from the table, while a
-//     batch run keeps both whole, because the surviving trace is its
-//     Result.Exec.
+//   - Both drivers retire each transaction's record as its submission
+//     resolves. The batch driver also turns on the recovery ledger's record,
+//     whose committed execution is its Result.Exec; a service's session
+//     records nothing.
 //
 // Lifecycle: NewSession → Submit (any number, concurrently) → Drain (stop
 // admitting, wait for in-flight submissions to resolve) → Close (stop the
@@ -152,12 +152,6 @@ type SessionStats struct {
 // Config fields keep their Run semantics. The caller owns the store and the
 // control and must not share them with another run.
 func NewSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store) *Session {
-	return newSession(cfg, control, spec, store, false)
-}
-
-// newSession builds the engine for either driver; retain is the batch
-// driver's request to keep a step trace and the whole transaction table.
-func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store Store, retain bool) *Session {
 	e := &engine{
 		waitGen: make(chan struct{}),
 		stop:    make(chan struct{}),
@@ -172,7 +166,6 @@ func newSession(cfg Config, control sched.Control, spec breakpoint.Spec, store S
 		keep:    make(map[model.TxnID]int),
 		undone:  make(map[model.TxnID]bool),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-		retain:  retain,
 	}
 	e.start = time.Now()
 	e.async, _ = store.(AsyncCommitter)
@@ -242,7 +235,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 	t := e.getTxn(p, id)
 	e.txns[id] = t
 	e.mu.Unlock()
-	defer s.retire(id, opts.Cleanup)
+	defer s.retire(t, opts.Cleanup)
 
 	for {
 		if e.stopped() {
@@ -285,7 +278,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 		t.ap.cur = p.Init()
 		e.mu.Unlock()
 
-		aborted, err := e.attempt(ctx, s.cfg, id, attempt, &t.ap, deadline)
+		aborted, err := e.attempt(ctx, s.cfg, t, attempt, deadline)
 		if err != nil {
 			if errors.Is(err, errStopped) {
 				return Outcome{}, s.failure()
@@ -427,25 +420,22 @@ func killedOutcome(reason int8, restarts int) Outcome {
 	}
 }
 
-// retire deletes the submission's transaction record (bounding the table;
-// a retaining batch engine keeps it for survivors()) and runs the caller's
-// Cleanup hook under the engine mutex. It also discards any lock residue
-// unconditionally: on the clean outcomes the control already released
-// everything (Finished/Aborted), so this releases nothing, but a submission
-// abandoned mid-attempt by Close — or a racing concurrent-control grant to
-// the dead attempt — must not leave a lock behind for a session that keeps
-// running other tenants.
-func (s *Session) retire(id model.TxnID, cleanup func()) {
+// retire deletes and recycles the submission's transaction record and runs
+// the caller's Cleanup hook under the engine mutex. It also discards any
+// lock residue unconditionally: on the clean outcomes the control already
+// released everything (Finished/Aborted), so this releases nothing, but a
+// submission abandoned mid-attempt by Close — or a racing concurrent-control
+// grant to the dead attempt — must not leave a lock behind for a session
+// that keeps running other tenants.
+func (s *Session) retire(t *etxn, cleanup func()) {
 	e := s.e
 	e.mu.Lock()
 	if e.caps.ReleaseAll != nil {
-		e.caps.ReleaseAll(id)
+		e.caps.ReleaseAll(t.ID)
 	}
-	e.led.Remove(id)
-	if t, ok := e.txns[id]; ok && !e.retain {
-		delete(e.txns, id)
-		e.putTxn(t)
-	}
+	e.led.Remove(t.ID)
+	delete(e.txns, t.ID)
+	e.putTxn(t)
 	if cleanup != nil {
 		cleanup()
 	}

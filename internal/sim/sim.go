@@ -7,10 +7,10 @@
 //
 // The simulator drives a pluggable concurrency control (internal/sched) over
 // the undo-log store and the recovery ledger (internal/storage): the ledger
-// closes each abort set under value dependencies and forms the commit
-// groups, the simulator chooses victims' keep points, performs the cascading
-// restarts, and records the surviving execution for offline verification
-// against Theorem 2 (internal/coherent).
+// closes each abort set under value dependencies, forms the commit groups and
+// records the surviving execution for offline verification against Theorem 2
+// (internal/coherent); the simulator chooses victims' keep points and
+// performs the cascading restarts.
 package sim
 
 import (
@@ -155,12 +155,10 @@ const (
 	stReady                  // request being decided / in flight
 	stWaiting
 	stRunning // step in service
-	stFinished
-	stCommitted
 )
 
 type txn struct {
-	storage.Txn   // recovery-ledger entry: dependencies, commit marks
+	storage.Txn   // recovery-ledger entry: dependencies, Finished and Committed marks
 	prog          model.Program
 	cur           model.ProgState
 	seq           int
@@ -177,12 +175,6 @@ type txn struct {
 	partialStreak int               // consecutive partial rollbacks at the same keep point
 }
 
-type traceEntry struct {
-	txn     int
-	attempt int
-	step    model.Step
-}
-
 // Runner executes one simulation.
 type Runner struct {
 	cfg     Config
@@ -193,19 +185,17 @@ type Runner struct {
 	led     *storage.Ledger
 	init    map[model.EntityID]model.Value
 
-	txns  []*txn
-	byID  map[model.TxnID]int
-	trace []traceEntry
+	txns []*txn
+	byID map[model.TxnID]int
 
 	queue   eventHeap
 	evSeq   int64
 	now     int64
 	waiters map[int]bool
 
-	stats        Stats
-	lastCommit   int64
-	latencies    []int64
-	commitGroups []int
+	stats      Stats
+	lastCommit int64
+	latencies  []int64
 
 	offering     bool // reentrancy guard for offerWaiters
 	offerPending bool
@@ -245,6 +235,7 @@ func New(cfg Config, programs []model.Program, control sched.Control, spec break
 		byID:    make(map[model.TxnID]int),
 		waiters: make(map[int]bool),
 	}
+	r.led.Record()
 	for i, p := range programs {
 		t := &txn{prog: p, home: hashString(string(p.ID())) % cfg.Processors}
 		t.loc = t.home
@@ -316,7 +307,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		events++
-		if r.allCommitted() {
+		if r.incomplete() == 0 {
 			break
 		}
 		if len(r.queue) == 0 {
@@ -417,17 +408,7 @@ func (r *Runner) scheduleWake() {
 	r.push(at, evTick, -1, 0)
 }
 
-func (r *Runner) incomplete() int {
-	n := 0
-	for _, t := range r.txns {
-		if t.status != stCommitted {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *Runner) allCommitted() bool { return r.incomplete() == 0 }
+func (r *Runner) incomplete() int { return len(r.txns) - r.stats.Committed }
 
 // decide asks the control about the transaction's next step and acts on the
 // decision.
@@ -482,7 +463,6 @@ func (r *Runner) perform(ti int, x model.EntityID) {
 	t.seq++
 	t.cur = next
 	t.steps = append(t.steps, step)
-	r.trace = append(r.trace, traceEntry{txn: ti, attempt: t.attempt, step: step})
 	r.stats.Steps++
 
 	cut := 0
@@ -519,10 +499,9 @@ func (r *Runner) stepDone(ti int) {
 
 func (r *Runner) finish(ti int) {
 	t := r.txns[ti]
-	if t.status == stFinished || t.status == stCommitted {
+	if t.Finished {
 		return
 	}
-	t.status = stFinished
 	r.led.Finish(&t.Txn)
 	r.stats.Messages++ // result returns to the originator
 	r.control.Finished(t.ID)
@@ -538,7 +517,6 @@ func (r *Runner) tryCommit() {
 	if len(ids) == 0 {
 		return
 	}
-	r.commitGroups = append(r.commitGroups, len(ids))
 	// Group members may have observed each other's values (commitment
 	// chaining, paper Section 6), so a durable store must make the whole
 	// group durable atomically — one log record, not one per member —
@@ -558,7 +536,6 @@ func (r *Runner) tryCommit() {
 	}
 	for _, id := range ids {
 		t := r.txns[r.byID[id]]
-		t.status = stCommitted
 		r.stats.Committed++
 		r.latencies = append(r.latencies, r.now-t.begun)
 		if r.now > r.lastCommit {
@@ -598,11 +575,11 @@ func (r *Runner) abort(victims []model.TxnID, stall bool) {
 			continue
 		}
 		t := r.txns[vi]
-		if t.status == stCommitted || (t.status == stIdle && t.seq == 0) {
+		if t.Committed || (t.status == stIdle && t.seq == 0) {
 			continue // committed, or fully rolled back already
 		}
 		k := 0
-		if canPartial && t.status != stFinished {
+		if canPartial && !t.Finished {
 			k = t.bound2
 			if k > t.seq {
 				k = t.seq
@@ -701,21 +678,13 @@ func (r *Runner) fullRollback(ti, rank int) {
 	r.push(r.now+delay, evBegin, ti, t.attempt)
 }
 
-// partialRollback rewinds a transaction to seq = keep: the undone suffix's
-// trace entries are retagged out of the surviving execution, the program
-// state is restored from the saved snapshot, and the transaction resumes
-// after a short delay under the same logical identity and priority.
+// partialRollback rewinds a transaction to seq = keep: the program state is
+// restored from the saved snapshot, and the transaction resumes after a
+// short delay under the same logical identity and priority. (The ledger's
+// record drops the undone suffix from the surviving execution.)
 func (r *Runner) partialRollback(ti, keepSeq int) {
 	t := r.txns[ti]
-	oldAttempt := t.attempt
-	t.attempt++ // invalidates in-flight events for the undone suffix
-	// Re-tag the kept prefix so it survives the attempt bump.
-	for i := range r.trace {
-		te := &r.trace[i]
-		if te.txn == ti && te.attempt == oldAttempt && te.step.Seq <= keepSeq {
-			te.attempt = t.attempt
-		}
-	}
+	t.attempt++               // invalidates in-flight events for the undone suffix
 	t.cur = t.states[keepSeq] // state before step keepSeq+1
 	t.states = t.states[:keepSeq]
 	t.steps = t.steps[:keepSeq]
@@ -841,21 +810,14 @@ func (r *Runner) result() *Result {
 		tel.Metrics.ObserveSnapshot("sim", r.stats)
 		tel.Metrics.ObserveSnapshot("control."+r.control.Name(), r.control.Stats().Snapshot())
 	}
-	exec := make(model.Execution, 0, len(r.trace))
-	for _, te := range r.trace {
-		t := r.txns[te.txn]
-		if t.status == stCommitted && te.attempt == t.attempt {
-			exec = append(exec, te.step)
-		}
-	}
 	return &Result{
-		Exec:         exec,
+		Exec:         r.led.Execution(),
 		Stats:        r.stats,
 		Control:      r.control.Stats(),
 		Time:         r.lastCommit,
 		Latencies:    r.latencies,
 		Final:        r.store.Values(),
-		CommitGroups: r.commitGroups,
+		CommitGroups: r.led.Groups(),
 	}
 }
 

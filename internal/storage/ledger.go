@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"slices"
 
 	"mla/internal/model"
@@ -15,6 +16,10 @@ import (
 // host and arrives as arguments: which victims, how much of each to keep,
 // when a group is handed to the store.
 //
+// The ledger sees every performed step with its values, every rollback
+// with its kept prefix and every irrevocable commit decision, so it is also
+// the one record of a run (Record, Execution): no host keeps a trace.
+//
 // A Ledger is not safe for concurrent use; the engine calls it under its
 // mutex, the simulator is single-threaded.
 type Ledger struct {
@@ -26,7 +31,22 @@ type Ledger struct {
 	// nothing but its result.
 	frontier, next []model.TxnID
 	adds           uint64 // Add calls so far; each registration's mark
+	// The record, kept only after Record: every observed step in order, a
+	// note per rolled-back or decided transaction, each group's size.
+	recording bool
+	steps     []model.Step
+	notes     []note
+	groups    []int
 }
+
+// note records that after the first at recorded steps, id was rolled back
+// to keep (0: wholly) or, with keep == decided, its commit group formed.
+type note struct {
+	at, keep int
+	id       model.TxnID
+}
+
+const decided = -1
 
 // Txn is one transaction's entry in a Ledger. A host embeds it in its own
 // per-transaction record, reports completion through Finish, and reads the
@@ -120,6 +140,9 @@ func (l *Ledger) Observe(t *Txn, s model.Step) {
 		t.writes = append(t.writes, write{x: s.Entity, seq: s.Seq, prev: a, inc: at.inc})
 		l.author[s.Entity] = authorRef{txn: s.Txn, seq: s.Seq}
 	}
+	if l.recording {
+		l.steps = append(l.steps, s)
+	}
 }
 
 // Finish records that t ran to completion and wants to commit.
@@ -172,9 +195,13 @@ func (l *Ledger) Group(buf []model.TxnID) []model.TxnID {
 		}
 		t.cand, t.Decided = false, true
 		ids = append(ids, t.ID)
+		l.note(t.ID, decided)
 	}
 	clear(all[len(l.fin):])
 	model.SortTxnIDs(ids)
+	if l.recording && len(ids) > 0 {
+		l.groups = append(l.groups, len(ids))
+	}
 	return ids
 }
 
@@ -247,6 +274,7 @@ func (l *Ledger) RolledBack(keep map[model.TxnID]int) {
 		}
 	}
 	for id, k := range keep {
+		l.note(id, k)
 		if t := l.txns[id]; t != nil {
 			if i := slices.IndexFunc(t.writes, func(w write) bool { return w.seq > k }); i >= 0 {
 				t.writes = t.writes[:i]
@@ -276,3 +304,47 @@ func (l *Ledger) restore(x model.EntityID, keep map[model.TxnID]int) {
 	}
 	delete(l.author, x)
 }
+
+// Record turns on the run's record, read back through Execution and Groups.
+// A host that serves indefinitely leaves it off: the record grows per step.
+func (l *Ledger) Record() { l.recording = true }
+
+func (l *Ledger) note(id model.TxnID, keep int) {
+	if l.recording {
+		l.notes = append(l.notes, note{at: len(l.steps), keep: keep, id: id})
+	}
+}
+
+// Execution returns the recorded steps of decided transactions that no later
+// rollback undid, in performance order — the committed execution, groups
+// decided but not yet durable included — or nil unless Record was called.
+// It replays the notes backwards, keeping per transaction the highest
+// sequence number that survives: none until its decision, all at it, then
+// no more than each earlier rollback kept. An id's decision starts afresh,
+// since its later rollbacks belong to a later registration.
+func (l *Ledger) Execution() model.Execution {
+	if !l.recording {
+		return nil
+	}
+	cut := make(map[model.TxnID]int) // 0, the absent value, keeps nothing
+	out := make(model.Execution, 0, len(l.steps))
+	j := len(l.notes)
+	for i := len(l.steps) - 1; i >= 0; i-- {
+		for ; j > 0 && l.notes[j-1].at > i; j-- {
+			if n := l.notes[j-1]; n.keep == decided {
+				cut[n.id] = math.MaxInt
+			} else {
+				cut[n.id] = min(cut[n.id], n.keep)
+			}
+		}
+		if s := l.steps[i]; s.Seq <= cut[s.Txn] {
+			out = append(out, s)
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// Groups returns each decided group's size in decision order (the ledger's
+// own slice), nil unless Record was called.
+func (l *Ledger) Groups() []int { return l.groups }

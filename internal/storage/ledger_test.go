@@ -365,12 +365,29 @@ func (o *wholeMapLedger) rolledBack(keep map[model.TxnID]int, surviving []model.
 // every call it also checks what the per-footprint bookkeeping must
 // preserve: no author or dependency names a committed or removed id, every
 // dependency is in its author's reverse index, and every finished,
-// undecided transaction is in the finished queue.
+// undecided transaction is in the finished queue. Every other trial records,
+// and at its end Execution must hold the surviving steps of each decided
+// registration, told apart by registration as a host's trace would be.
 func TestLedgerAgainstWholeMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	var groups, cascades, partials, recycled int
+	var groups, cascades, partials, recycled, dropped int
 	for trial := 0; trial < 300; trial++ {
 		l := NewLedger()
+		record := trial%2 == 0
+		if record {
+			l.Record()
+		}
+		// The record's oracle: every observed step with the registration
+		// that performed it, whether a rollback undid it, which
+		// registrations were decided, and the decided groups' sizes.
+		type recStep struct {
+			s    model.Step
+			reg  int
+			dead bool
+		}
+		var recorded []recStep
+		reg, decidedReg, regs := map[model.TxnID]int{}, map[int]bool{}, 0
+		var wantGroups []int
 		o := &wholeMapLedger{txns: map[model.TxnID]*wholeMapTxn{}, author: map[model.EntityID]authorRef{}}
 		recs := map[model.TxnID]*Txn{}
 		seq := map[model.TxnID]int{}
@@ -439,6 +456,8 @@ func TestLedgerAgainstWholeMap(t *testing.T) {
 					recycled++
 				}
 				l.Add(r, id)
+				regs++
+				reg[id] = regs
 				o.txns[id] = &wholeMapTxn{deps: map[model.TxnID]int{}}
 				recs[id], seq[id] = r, 0
 				check("add " + string(id))
@@ -454,6 +473,7 @@ func TestLedgerAgainstWholeMap(t *testing.T) {
 				seq[id]++
 				trace = append(trace, s)
 				l.Observe(recs[id], s)
+				recorded = append(recorded, recStep{s: s, reg: reg[id]})
 				o.observe(id, s)
 				check("observe " + string(id))
 			case k < 12: // Finish
@@ -474,6 +494,10 @@ func TestLedgerAgainstWholeMap(t *testing.T) {
 					t.Fatalf("trial %d: Group = %v, oracle %v", trial, got, want)
 				}
 				if len(got) > 0 {
+					for _, id := range got {
+						decidedReg[reg[id]] = true
+					}
+					wantGroups = append(wantGroups, len(got))
 					pending = append(pending, slices.Clone(got))
 					if len(got) > 1 {
 						groups++
@@ -537,6 +561,11 @@ func TestLedgerAgainstWholeMap(t *testing.T) {
 				for id, k := range keep {
 					seq[id] = k
 				}
+				for i, r := range recorded {
+					if k, undone := keep[r.s.Txn]; undone && r.reg == reg[r.s.Txn] && r.s.Seq > k {
+						recorded[i].dead = true
+					}
+				}
 				l.RolledBack(keep)
 				o.rolledBack(keep, trace)
 				check("rollback")
@@ -553,9 +582,138 @@ func TestLedgerAgainstWholeMap(t *testing.T) {
 				check("remove " + string(id))
 			}
 		}
+		var wantExec model.Execution
+		if record {
+			wantExec = model.Execution{}
+			for _, r := range recorded {
+				switch {
+				case !decidedReg[r.reg]:
+				case r.dead:
+					dropped++
+				default:
+					wantExec = append(wantExec, r.s)
+				}
+			}
+		} else {
+			wantGroups = nil
+		}
+		if got := l.Execution(); !reflect.DeepEqual(got, wantExec) {
+			t.Fatalf("trial %d: Execution = %v, oracle %v", trial, got, wantExec)
+		}
+		if got := l.Groups(); !reflect.DeepEqual(got, wantGroups) {
+			t.Fatalf("trial %d: Groups = %v, oracle %v", trial, got, wantGroups)
+		}
 	}
-	if groups == 0 || cascades == 0 || partials == 0 || recycled == 0 {
-		t.Fatalf("vacuous run: %d multi-member groups, %d cascades, %d partial victims, %d recycled records",
-			groups, cascades, partials, recycled)
+	if groups == 0 || cascades == 0 || partials == 0 || recycled == 0 || dropped == 0 {
+		t.Fatalf("vacuous run: %d multi-member groups, %d cascades, %d partial victims, %d recycled records, %d undone steps of decided transactions",
+			groups, cascades, partials, recycled, dropped)
+	}
+}
+
+// recHost drives a Ledger as a host does, numbering each transaction's
+// steps and rolling back its sequence numbers with the ledger.
+type recHost struct {
+	l   *Ledger
+	txn map[model.TxnID]*Txn
+	seq map[model.TxnID]int
+}
+
+func (h *recHost) step(id model.TxnID, x model.EntityID, before, after model.Value) model.Step {
+	if h.txn[id] == nil {
+		h.txn[id] = new(Txn)
+		h.l.Add(h.txn[id], id)
+	}
+	h.seq[id]++
+	s := model.Step{Txn: id, Seq: h.seq[id], Entity: x, Before: before, After: after}
+	h.l.Observe(h.txn[id], s)
+	return s
+}
+
+func (h *recHost) rollback(id model.TxnID, keep int) {
+	h.seq[id] = keep
+	h.l.RolledBack(map[model.TxnID]int{id: keep})
+}
+
+// decide finishes ids and forms the next commit group.
+func (h *recHost) decide(ids ...model.TxnID) []model.TxnID {
+	for _, id := range ids {
+		h.l.Finish(h.txn[id])
+	}
+	return h.l.Group(nil)
+}
+
+// TestLedgerRecord pins the record a host reads back as its committed
+// execution: which recorded steps survive rollbacks and undecided
+// transactions, and the decided groups' sizes.
+func TestLedgerRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		off    bool // leave Record uncalled
+		run    func(h *recHost) model.Execution
+		groups []int
+	}{
+		{name: "a partial rollback keeps the prefix and drops the suffix", run: func(h *recHost) model.Execution {
+			a1 := h.step("a", "x", 0, 1)
+			h.step("a", "y", 0, 1)
+			h.rollback("a", 1)
+			a2 := h.step("a", "z", 0, 1)
+			h.l.Committed(h.decide("a"))
+			return model.Execution{a1, a2}
+		}, groups: []int{1}},
+		{name: "a later whole rollback drops the rest", run: func(h *recHost) model.Execution {
+			h.step("a", "x", 0, 1)
+			h.step("a", "y", 0, 1)
+			h.rollback("a", 1)
+			h.step("a", "z", 0, 1)
+			h.rollback("a", 0)
+			a1 := h.step("a", "w", 0, 1)
+			h.l.Committed(h.decide("a"))
+			return model.Execution{a1}
+		}, groups: []int{1}},
+		{name: "an undecided transaction never appears", run: func(h *recHost) model.Execution {
+			h.step("c", "x", 0, 1) // c never finishes
+			h.step("b", "x", 1, 2) // b read c's value: finished, it waits on c
+			a1 := h.step("a", "y", 0, 1)
+			if g := h.decide("b", "a"); !reflect.DeepEqual(g, []model.TxnID{"a"}) {
+				t.Fatalf("group %v, want [a]", g)
+			}
+			h.l.Committed([]model.TxnID{"a"})
+			return model.Execution{a1}
+		}, groups: []int{1}},
+		{name: "a decided transaction appears before Committed", run: func(h *recHost) model.Execution {
+			a1 := h.step("a", "x", 0, 1)
+			h.decide("a")
+			return model.Execution{a1}
+		}, groups: []int{1}},
+		{name: "Groups lists the decided sizes in order", run: func(h *recHost) model.Execution {
+			// a and b read each other's writes, so they commit together.
+			a1 := h.step("a", "x", 0, 1)
+			b1 := h.step("b", "x", 1, 2)
+			b2 := h.step("b", "y", 0, 1)
+			a2 := h.step("a", "y", 1, 2)
+			h.l.Committed(h.decide("a", "b"))
+			c1 := h.step("c", "z", 0, 1)
+			h.l.Committed(h.decide("c"))
+			return model.Execution{a1, b1, b2, a2, c1}
+		}, groups: []int{2, 1}},
+		{name: "without Record both are nil", off: true, run: func(h *recHost) model.Execution {
+			h.step("a", "x", 0, 1)
+			h.l.Committed(h.decide("a"))
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &recHost{l: NewLedger(), txn: map[model.TxnID]*Txn{}, seq: map[model.TxnID]int{}}
+			if !tc.off {
+				h.l.Record()
+			}
+			want := tc.run(h)
+			if got := h.l.Execution(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Execution = %v, want %v", got, want)
+			}
+			if got := h.l.Groups(); !reflect.DeepEqual(got, tc.groups) {
+				t.Errorf("Groups = %v, want %v", got, tc.groups)
+			}
+		})
 	}
 }

@@ -13,8 +13,8 @@ go vet ./...
 # Includes the golden tables, chaos scenarios and history audits, and the
 # crash-recovery tests ('Crash' in internal/engine and internal/wal), whose
 # injected crash lands on a worker or on the group-commit flusher goroutine;
-# the nightly repeats them, the pipelined-commit tests and the
-# close-with-ack-in-flight test fifty times.
+# the nightly repeats them, the pipelined-commit tests, the
+# close-with-ack-in-flight test and the batch-run tests fifty times.
 go test -race ./...
 # The per-commit and per-step microbenchmarks (a Release that visits only
 # the stripes a transaction took; a ledger commit and a ledger rollback flat
