@@ -8,17 +8,24 @@
 // the surviving execution (value chains) and, in tests, by the offline
 // Theorem 2 checker.
 //
-// Concurrency discipline: store and bookkeeping state is guarded by one
-// engine mutex, making each performed step atomic exactly as the model
-// requires. Control calls are serialized under that same mutex UNLESS the
-// control declares the sched.Concurrent capability: then Request — the
+// Concurrency discipline: store, bookkeeping and session state is guarded
+// by one engine mutex, making each performed step atomic exactly as the
+// model requires. Control calls are serialized under that same mutex UNLESS
+// the control declares the sched.Concurrent capability: then Request — the
 // contended part, where lock waits and wound decisions happen — runs
 // outside the engine mutex, on the control's own per-entity (per-shard)
 // critical sections. That is sound exactly because such a control's
 // decision provably depends only on the requested entity's state and the
 // requester's fixed priority (see sched.ShardedTwoPhase); the engine
 // revalidates the attempt afterwards and discards stale grants through the
-// Releaser capability. Blocked transactions wait on a generation channel
+// Releaser capability. Such a submission holds the mutex from one Request
+// to the next: admission begins the first attempt, each granted step's
+// section runs on to the next Request, and the last step's section also
+// finishes the transaction and, under a synchronous store, commits and
+// retires it — k+1 acquisitions for a k-step transaction that never waits.
+// On two vCPUs the number of acquisitions, not the work done under them,
+// bounds throughput. Under a serial control each phase keeps a section of
+// its own (see turn). Blocked transactions wait on a generation channel
 // that is closed whenever any state changes; aborted transactions observe
 // their bumped attempt counter, back off, and restart.
 //
@@ -262,7 +269,6 @@ type engine struct {
 	start       time.Time
 	prioCounter int64
 	rng         *rand.Rand
-	rngMu       sync.Mutex
 }
 
 // pendingGroup is one submitted commit group awaiting its durability ack;
@@ -450,27 +456,41 @@ func (e *engine) waitDereg(ch chan struct{}) {
 // stopped reports whether the run has been abandoned.
 func (e *engine) stopped() bool { return closed(e.stop) }
 
-// sleep blocks for d or until the run stops; it reports false on stop.
-func (e *engine) sleep(d time.Duration) bool {
+// sleepUnlocked lets the mutex go, blocks for d or until the run stops, and
+// takes the mutex again; the caller, who holds the mutex, checks stopped.
+func (e *engine) sleepUnlocked(d time.Duration) {
+	e.mu.Unlock()
+	defer e.mu.Lock()
 	tm := time.NewTimer(d)
 	defer tm.Stop()
 	select {
 	case <-tm.C:
-		return true
 	case <-e.stop:
-		return false
 	}
 }
 
+// turn ends the caller's section and starts another under a serial
+// control, which decides under the mutex: its submissions take one section
+// per phase — admission, begin, each Request, the finish, each commit
+// check, retire — so that the steps of other submissions interleave between
+// them. A Concurrent control's submissions fold them (k+1 sections for k
+// steps) and let the mutex go around each Request instead. Caller holds the
+// mutex.
+func (e *engine) turn() {
+	if !e.caps.Concurrent {
+		e.mu.Unlock()
+		e.mu.Lock()
+	}
+}
+
+// jitter returns a restart or step-retry backoff. Caller holds the mutex,
+// which guards rng.
 func (e *engine) jitter(attempt int) time.Duration {
 	if attempt > 8 {
 		attempt = 8
 	}
 	window := backoffBase << uint(attempt)
-	e.rngMu.Lock()
-	j := time.Duration(e.rng.Int63n(int64(window) + 1))
-	e.rngMu.Unlock()
-	return backoffBase + j
+	return backoffBase + time.Duration(e.rng.Int63n(int64(window)+1))
 }
 
 // beginAttemptLocked resets t for a fresh attempt and registers it with the
@@ -498,7 +518,11 @@ func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 // attempt runs one attempt of the transaction; it returns aborted=true when
 // the attempt was rolled back (by itself, a cascade, or its deadline), and
 // errStopped when the run was abandoned. Non-errStopped errors (an injected
-// crash, a store failure) abandon the whole run.
+// crash, a store failure) abandon the whole run. It is called, and returns,
+// with the mutex held, and lets it go only around a Concurrent control's
+// Request, a wait, a sleep and a serial control's turns: under a Concurrent
+// control the section of the last step also finishes the attempt and tries
+// its commit.
 //
 // ctx and deadline carry a resident submission's bounds (Background and
 // zero for batch runs): when the deadline passes or ctx is cancelled, the
@@ -512,67 +536,20 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 	id, ap := t.ID, &t.ap
 	performed := 0 // this attempt's step count (local mirror of t.seq)
 	retries := 0   // in-place retries of the current step after transient faults
+	x, more := ap.cur.Next()
+	// Under a serial control the finish and each Request take a section of
+	// their own (see turn): requested says that this section, or the one
+	// that began the attempt, is spent.
+	requested := true
 	for {
+		if requested {
+			e.turn()
+			requested = false
+		}
 		if e.stopped() {
 			return false, errStopped
 		}
-		x, more := ap.cur.Next()
-		// Deadline/cancel check, at step granularity but acted on only at a
-		// unit boundary (nothing performed yet, or the previous step was
-		// followed by a breakpoint): a runnable transaction is never cut
-		// down mid-unit — it finishes the unit it started, then aborts at
-		// the breakpoint, which is exactly where MLA lets the schedule
-		// change its mind about a transaction cheaply.
-		if more {
-			if reason := expired(ctx, deadline); reason != killNone {
-				e.mu.Lock()
-				if t.attempt != attempt {
-					e.mu.Unlock()
-					return true, nil // rolled back meanwhile
-				}
-				if performed == 0 || t.lastCut > 0 {
-					e.killLocked(t, reason)
-					e.mu.Unlock()
-					return true, nil
-				}
-				e.mu.Unlock()
-			}
-		}
-		// Transient fault injection: the step request fails before it
-		// reaches the control or the store (a lost message, a timed-out
-		// I/O). The engine retries in place with capped exponential
-		// backoff; a step that keeps failing escalates to a self-abort and
-		// restart, which consumes one unit of the restart budget.
-		if more && e.faults != nil {
-			if ferr := e.faults.StepError(id, performed+1, attempt, retries); ferr != nil {
-				e.mu.Lock()
-				if t.attempt != attempt {
-					e.mu.Unlock()
-					return true, nil // rolled back meanwhile
-				}
-				e.stats.FaultsInjected++
-				if e.obs != nil {
-					e.obs.FaultInjected(id, performed+1, retries)
-				}
-				retries++
-				exhausted := retries > maxStepRetries
-				if exhausted {
-					e.abortLocked([]model.TxnID{id})
-					e.bump()
-				}
-				e.mu.Unlock()
-				if exhausted {
-					return true, nil
-				}
-				if !e.sleep(e.jitter(retries)) {
-					return false, errStopped
-				}
-				continue
-			}
-		}
-		e.mu.Lock()
 		if t.attempt != attempt {
-			e.mu.Unlock()
 			return true, nil // rolled back meanwhile
 		}
 		if !more {
@@ -580,8 +557,38 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			e.control.Finished(id)
 			e.tryCommitLocked()
 			e.bump()
-			e.mu.Unlock()
 			return false, nil
+		}
+		// Deadline/cancel check, at step granularity but acted on only at a
+		// unit boundary (nothing performed yet, or the previous step was
+		// followed by a breakpoint): a runnable transaction is never cut
+		// down mid-unit — it finishes the unit it started, then aborts at
+		// the breakpoint, which is exactly where MLA lets the schedule
+		// change its mind about a transaction cheaply.
+		if reason := expired(ctx, deadline); reason != killNone && (performed == 0 || t.lastCut > 0) {
+			e.killLocked(t, reason)
+			return true, nil
+		}
+		// Transient fault injection: the step request fails before it
+		// reaches the control or the store (a lost message, a timed-out
+		// I/O). The engine retries in place with capped exponential
+		// backoff; a step that keeps failing escalates to a self-abort and
+		// restart, which consumes one unit of the restart budget.
+		if e.faults != nil {
+			if ferr := e.faults.StepError(id, performed+1, attempt, retries); ferr != nil {
+				e.stats.FaultsInjected++
+				if e.obs != nil {
+					e.obs.FaultInjected(id, performed+1, retries)
+				}
+				retries++
+				if retries > maxStepRetries {
+					e.abortLocked([]model.TxnID{id})
+					e.bump()
+					return true, nil
+				}
+				e.sleepUnlocked(e.jitter(retries))
+				continue
+			}
 		}
 		var d sched.Decision
 		if e.caps.Concurrent {
@@ -593,17 +600,18 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			// can race with the request, in which case any lock the dead
 			// attempt just acquired is residue to discard.
 			//
-			// Capture the wait generation SEQUENCE before requesting: a Wait
-			// decision made outside the mutex can be stale by the time we'd
-			// block — the holder may release (and bump) in the gap — and a
-			// sleeper who missed that bump would sleep on a wakeup that never
-			// comes. If genSeq moved while the decision was out, the decision
-			// is re-made instead of slept on (seqlock style); if it did not
-			// move, no release happened since the decision, so registering
-			// now (under the same mutex genSeq is read under) cannot miss
-			// one.
-			seq := t.seq + 1
-			gen0 := e.genSeq
+			// gen0 is the wait generation SEQUENCE as of this section — the
+			// last one this attempt held: begin, the previous step, a wake-up
+			// or a re-request. A Wait decision made outside the mutex can be
+			// stale by the time we'd block — the holder may release (and
+			// bump) in the gap — and a sleeper who missed that bump would
+			// sleep on a wakeup that never comes. If genSeq moved while the
+			// decision was out, the decision is re-made instead of slept on
+			// (seqlock style); if it did not move, no release happened since
+			// the decision, so registering now (under the same mutex genSeq
+			// is read under) cannot miss one. An older gen0 can only cause a
+			// re-request, never a lost wakeup.
+			seq, gen0 := t.seq+1, e.genSeq
 			e.mu.Unlock()
 			d = e.control.Request(id, seq, x)
 			e.mu.Lock()
@@ -611,15 +619,16 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 				if e.caps.ReleaseAll != nil {
 					e.caps.ReleaseAll(id)
 				}
-				e.mu.Unlock()
+				// As in retire: the residue just freed may have a waiter.
+				e.bump()
 				return true, nil
 			}
 			if d.Kind == sched.Wait && e.genSeq != gen0 {
-				e.mu.Unlock()
 				continue
 			}
 		} else {
 			d = e.control.Request(id, t.seq+1, x)
+			requested = true
 		}
 		switch d.Kind {
 		case sched.Grant:
@@ -628,7 +637,6 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 				// An injected crash (or a fatal store error): the volatile
 				// system is dead. Abandon the run; RunWithCrashes recovers
 				// from the durable medium.
-				e.mu.Unlock()
 				return false, perr
 			}
 			e.led.Observe(&t.Txn, step)
@@ -636,8 +644,9 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			performed++
 			retries = 0
 			t.steps = append(t.steps, step)
+			nx, nmore := ap.next.Next()
 			cut := 0
-			if _, m := ap.next.Next(); m && e.spec != nil {
+			if nmore && e.spec != nil {
 				cut = e.spec.CutAfter(id, t.steps)
 			}
 			t.lastCut = cut
@@ -646,6 +655,7 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 				e.obs.StepPerformed(id, t.seq, x, attempt, cut)
 			}
 			ap.cur = ap.next
+			x, more = nx, nmore
 			if cut > 0 || !e.caps.QuiescentSteps {
 				// A performed step can unblock someone only under a control
 				// whose decisions observe step progress (closure previews,
@@ -654,11 +664,9 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 				// sleeper per step is pure thundering herd — skip it.
 				e.bump()
 			}
-			e.mu.Unlock()
 			if cfg.StepDelay > 0 {
-				if !e.sleep(cfg.StepDelay) {
-					return false, errStopped
-				}
+				e.sleepUnlocked(cfg.StepDelay)
+				requested = false
 			}
 		case sched.Wait:
 			if e.obs != nil {
@@ -682,10 +690,6 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			select {
 			case <-ch:
 			case <-e.stop:
-				if tm != nil {
-					tm.Stop()
-				}
-				return false, errStopped
 			case <-timerC:
 				reason = killDeadline
 			case <-ctx.Done():
@@ -696,6 +700,9 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			}
 			waited := time.Since(t0)
 			e.mu.Lock()
+			if e.stopped() {
+				return false, errStopped
+			}
 			e.waitDereg(ch)
 			t.waited += waited
 			if e.obs != nil {
@@ -705,18 +712,11 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 				if t.attempt == attempt {
 					e.killLocked(t, reason)
 				}
-				e.mu.Unlock()
 				return true, nil
 			}
-			e.mu.Unlock()
 		case sched.Abort:
 			e.abortLocked(d.Victims)
-			selfDead := t.attempt != attempt
 			e.bump()
-			e.mu.Unlock()
-			if selfDead {
-				return true, nil
-			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mla/internal/breakpoint"
@@ -53,19 +52,21 @@ import (
 // error is recorded, every blocked submission returns ErrSessionClosed
 // wrapping it, and new submissions are rejected. Commits acknowledged
 // before the failure remain durable.
+//
+// The session has no mutex of its own: its state, in-flight count and
+// failure cause are guarded by the engine mutex, which the sections that
+// admit and retire a submission hold anyway.
 type Session struct {
 	cfg Config
 	e   *engine
 
-	stopOnce sync.Once
-	endOnce  sync.Once
-
-	mu         sync.Mutex
+	// Guarded by the engine mutex.
 	state      int
 	inflight   int
 	idle       chan struct{} // closed when draining/closed and inflight hits 0
 	idleClosed bool
 	cause      error // first fatal engine error; session fails closed
+	ended      bool  // Observer.RunEnded has fired
 }
 
 const (
@@ -209,49 +210,50 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 		maxRestarts = s.cfg.MaxRestarts
 	}
 
-	s.mu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	switch s.state {
 	case sessAccepting:
 	case sessDraining:
-		s.mu.Unlock()
 		return Outcome{}, ErrDraining
 	default:
-		err := s.causeLocked()
-		s.mu.Unlock()
-		return Outcome{}, err
+		return Outcome{}, s.causeLocked()
 	}
-	s.inflight++
-	s.mu.Unlock()
-	defer s.endInflight()
-
-	e.mu.Lock()
 	if _, dup := e.txns[id]; dup {
-		e.mu.Unlock()
 		return Outcome{}, fmt.Errorf("engine: session: duplicate in-flight transaction %q", id)
 	}
+	s.inflight++
 	if opts.Prepare != nil {
 		opts.Prepare()
 	}
 	t := e.getTxn(p, id)
 	e.txns[id] = t
-	e.mu.Unlock()
-	defer s.retire(t, opts.Cleanup)
+	e.turn()
+	out, err := s.run(ctx, t, prio, deadline, maxRestarts)
+	e.turn()
+	s.retireLocked(t, opts.Cleanup)
+	return out, err
+}
 
+// run drives t's attempts until the submission resolves. Under a
+// Concurrent control the admission section that registered t also begins
+// its first attempt, and when an attempt commits at once, the section of
+// its last step also builds the Outcome and, back in submit, retires t;
+// a serial control takes a turn between these phases. Called, and returns,
+// with the mutex held; a restart takes its own section after the backoff.
+func (s *Session) run(ctx context.Context, t *etxn, prio int64, deadline time.Time, maxRestarts int) (Outcome, error) {
+	e := s.e
 	for {
 		if e.stopped() {
-			return Outcome{}, s.failure()
+			return Outcome{}, s.causeLocked()
 		}
 		// Restart boundary: a spent deadline or a gone client means we
 		// refuse to begin another attempt. Nothing is live to abort — the
 		// previous attempt was fully rolled back — so this is a refusal,
 		// not a rollback, and is not counted in DeadlineAborts.
 		if reason := expired(ctx, deadline); reason != killNone {
-			e.mu.Lock()
-			att := t.attempt
-			e.mu.Unlock()
-			return killedOutcome(reason, att), nil
+			return killedOutcome(reason, t.attempt), nil
 		}
-		e.mu.Lock()
 		if maxRestarts > 0 && t.attempt > maxRestarts {
 			// Restart budget exhausted: park instead of livelocking. The
 			// transaction was fully rolled back by its last abort, so it
@@ -262,57 +264,51 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 			// parked transaction provably blocks no one.
 			t.gaveUp = true
 			if e.caps.ReleaseAll != nil {
-				e.caps.ReleaseAll(id)
+				e.caps.ReleaseAll(t.ID)
 			}
 			e.stats.GaveUp++
 			if e.obs != nil {
-				e.obs.TxnGaveUp(id, t.attempt)
+				e.obs.TxnGaveUp(t.ID, t.attempt)
 			}
 			e.bump()
-			restarts := t.attempt
-			e.mu.Unlock()
-			return Outcome{GaveUp: true, Restarts: restarts}, nil
+			return Outcome{GaveUp: true, Restarts: t.attempt}, nil
 		}
 		attempt := t.attempt
 		e.beginAttemptLocked(t, prio)
-		t.ap.cur = p.Init()
-		e.mu.Unlock()
+		t.ap.cur = t.prog.Init()
 
 		aborted, err := e.attempt(ctx, s.cfg, t, attempt, deadline)
 		if err != nil {
 			if errors.Is(err, errStopped) {
-				return Outcome{}, s.failure()
+				return Outcome{}, s.causeLocked()
 			}
 			// A store failure or injected crash kills the engine, not just
 			// this submission: poison the session so every other submission
 			// unblocks with the cause.
-			s.fail(err)
+			s.failLocked(err)
 			return Outcome{}, fmt.Errorf("%w: %w", ErrSessionClosed, err)
 		}
 		if !aborted {
+			e.turn()
 			out, resolved, rerr := s.awaitCommit(ctx, t, attempt, deadline)
 			if resolved || rerr != nil {
 				return out, rerr
 			}
 			// Cascaded abort after finishing: fall through to restart.
 		}
-		e.mu.Lock()
-		killed := t.killed
-		att := t.attempt
-		e.mu.Unlock()
-		if killed != killNone {
-			return killedOutcome(killed, attempt), nil
+		if t.killed != killNone {
+			return killedOutcome(t.killed, attempt), nil
 		}
-		if !e.sleep(e.jitter(att)) {
-			return Outcome{}, s.failure()
-		}
+		e.sleepUnlocked(e.jitter(t.attempt))
 	}
 }
 
 // awaitCommit blocks until t's commit group is durable (resolved, with the
 // committed Outcome), the attempt is rolled back by a cascade (not resolved
 // — the caller restarts), the deadline/client gives up on a group that has
-// not been submitted yet (resolved, killed), or the session stops.
+// not been submitted yet (resolved, killed), or the session stops. Called,
+// and returns, with the mutex held: under a synchronous store a group that
+// formed at the finish is already committed, and nothing is waited for.
 //
 // A decided transaction of a pipelined store waits on the ack of the oldest
 // group still queued — its own group's or an earlier one's, since acks close
@@ -321,29 +317,24 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadline time.Time) (Outcome, bool, error) {
 	e := s.e
 	for {
-		e.mu.Lock()
 		if err := e.asyncErr; err != nil && !t.Committed {
 			// The durable medium failed while this group's ack was (or would
 			// be) in flight: its durability is indeterminate, and the session
 			// must not acknowledge it. Poison the session so every submission
 			// resolves with the cause.
-			e.mu.Unlock()
 			werr := fmt.Errorf("engine: commit durability lost: %w", err)
-			s.fail(werr)
+			s.failLocked(werr)
 			return Outcome{}, true, fmt.Errorf("%w: %w", ErrSessionClosed, werr)
 		}
 		if t.Committed {
-			out := Outcome{
+			return Outcome{
 				Committed: true,
 				Restarts:  attempt,
 				Latency:   time.Since(t.began),
 				Waited:    t.waited,
-			}
-			e.mu.Unlock()
-			return out, true, nil
+			}, true, nil
 		}
 		if t.attempt != attempt {
-			e.mu.Unlock()
 			return Outcome{}, false, nil
 		}
 		if t.Decided {
@@ -355,17 +346,14 @@ func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadlin
 			select {
 			case <-ack:
 			case <-e.stop:
-				return Outcome{}, false, s.failure()
 			}
 			e.mu.Lock()
 			if e.stopped() {
-				// The stop raced the ack: an abandoned session's acks
-				// are discarded.
-				e.mu.Unlock()
-				return Outcome{}, false, s.failure()
+				// An abandoned session's acks are discarded, also when the
+				// stop raced the ack.
+				return Outcome{}, false, s.causeLocked()
 			}
 			e.finalizeAckedLocked()
-			e.mu.Unlock()
 			continue
 		}
 		ch := e.waitReg()
@@ -380,10 +368,6 @@ func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadlin
 		select {
 		case <-ch:
 		case <-e.stop:
-			if tm != nil {
-				tm.Stop()
-			}
-			return Outcome{}, false, s.failure()
 		case <-timerC:
 			reason = killDeadline
 		case <-ctx.Done():
@@ -393,19 +377,20 @@ func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadlin
 			tm.Stop()
 		}
 		e.mu.Lock()
+		if e.stopped() {
+			return Outcome{}, false, s.causeLocked()
+		}
 		e.waitDereg(ch)
 		if reason == killNone {
-			e.mu.Unlock()
+			e.turn()
 			continue
 		}
 		if t.attempt == attempt && !t.Decided {
 			// Finished but its group never formed (a dependency is still
 			// running) and the submission's bounds ran out: withdraw.
 			e.killLocked(t, reason)
-			e.mu.Unlock()
 			return killedOutcome(reason, attempt), true, nil
 		}
-		e.mu.Unlock()
 		// Committing, committed, or already rolled back meanwhile: stop
 		// watching the client and resolve on the engine's terms.
 		deadline, ctx = time.Time{}, context.Background()
@@ -420,16 +405,16 @@ func killedOutcome(reason int8, restarts int) Outcome {
 	}
 }
 
-// retire deletes and recycles the submission's transaction record and runs
-// the caller's Cleanup hook under the engine mutex. It also discards any
-// lock residue unconditionally: on the clean outcomes the control already
-// released everything (Finished/Aborted), so this releases nothing, but a
-// submission abandoned mid-attempt by Close — or a racing concurrent-control
-// grant to the dead attempt — must not leave a lock behind for a session
-// that keeps running other tenants.
-func (s *Session) retire(t *etxn, cleanup func()) {
+// retireLocked deletes and recycles the submission's transaction record,
+// runs the caller's Cleanup hook and ends the submission's inflight count.
+// It also discards any lock residue unconditionally: on the clean outcomes
+// the control already released everything (Finished/Aborted), so this
+// releases nothing, but a submission abandoned mid-attempt by Close — or a
+// racing concurrent-control grant to the dead attempt — must not leave a
+// lock behind for a session that keeps running other tenants. Caller holds
+// the mutex.
+func (s *Session) retireLocked(t *etxn, cleanup func()) {
 	e := s.e
-	e.mu.Lock()
 	if e.caps.ReleaseAll != nil {
 		e.caps.ReleaseAll(t.ID)
 	}
@@ -444,19 +429,15 @@ func (s *Session) retire(t *etxn, cleanup func()) {
 	// (waiter-counted) wakeups there is no later bump to piggyback on in a
 	// quiet session.
 	e.bump()
-	e.mu.Unlock()
-}
-
-func (s *Session) endInflight() {
-	s.mu.Lock()
 	s.inflight--
 	if s.inflight == 0 && s.state != sessAccepting && !s.idleClosed {
 		close(s.idle)
 		s.idleClosed = true
 	}
-	s.mu.Unlock()
 }
 
+// causeLocked returns the error in-flight submissions resolve with once the
+// session stopped. Caller holds the mutex.
 func (s *Session) causeLocked() error {
 	if s.cause != nil {
 		return fmt.Errorf("%w: %w", ErrSessionClosed, s.cause)
@@ -464,23 +445,28 @@ func (s *Session) causeLocked() error {
 	return ErrSessionClosed
 }
 
-// failure returns the error in-flight submissions resolve with once the
-// session stopped.
-func (s *Session) failure() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.causeLocked()
-}
-
 // fail poisons the session with the first fatal engine error and stops it.
 func (s *Session) fail(err error) {
-	s.mu.Lock()
+	s.e.mu.Lock()
+	s.failLocked(err)
+	s.e.mu.Unlock()
+}
+
+// failLocked is fail with the mutex held.
+func (s *Session) failLocked(err error) {
 	if s.cause == nil {
 		s.cause = err
 	}
+	s.stopLocked()
+}
+
+// stopLocked closes the session and the stop channel every blocking point
+// selects on. Caller holds the mutex.
+func (s *Session) stopLocked() {
 	s.state = sessClosed
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.e.stop) })
+	if !s.e.stopped() {
+		close(s.e.stop)
+	}
 }
 
 // Drain stops admitting (new Submits return ErrDraining) and waits for
@@ -493,7 +479,8 @@ func (s *Session) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.mu.Lock()
+	e := s.e
+	e.mu.Lock()
 	if s.state == sessAccepting {
 		s.state = sessDraining
 	}
@@ -501,13 +488,14 @@ func (s *Session) Drain(ctx context.Context) error {
 		close(s.idle)
 		s.idleClosed = true
 	}
-	idle := s.idle
-	s.mu.Unlock()
+	e.mu.Unlock()
 	select {
-	case <-idle:
+	case <-s.idle:
 		return nil
-	case <-s.e.stop:
-		return s.failure()
+	case <-e.stop:
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return s.causeLocked()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -519,20 +507,15 @@ func (s *Session) Drain(ctx context.Context) error {
 // observer's last event. It returns the session's failure cause, if any.
 // Safe to call more than once.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	s.state = sessClosed
-	cause := s.cause
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.e.stop) })
-	s.endOnce.Do(func() {
-		e := s.e
-		e.mu.Lock()
-		if e.obs != nil {
-			e.obs.RunEnded(e.stats.Committed, e.stats.GaveUp, time.Since(e.start))
-		}
-		e.mu.Unlock()
-	})
-	return cause
+	e := s.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s.stopLocked()
+	if !s.ended && e.obs != nil {
+		e.obs.RunEnded(e.stats.Committed, e.stats.GaveUp, time.Since(e.start))
+	}
+	s.ended = true
+	return s.cause
 }
 
 // Stats snapshots the session's counters.
@@ -547,11 +530,9 @@ func (s *Session) Stats() SessionStats {
 		GaveUp:         e.stats.GaveUp,
 		DeadlineAborts: e.stats.DeadlineAborts,
 		FaultsInjected: e.stats.FaultsInjected,
+		Inflight:       s.inflight,
 		Uptime:         time.Since(e.start),
 	}
 	e.mu.Unlock()
-	s.mu.Lock()
-	st.Inflight = s.inflight
-	s.mu.Unlock()
 	return st
 }

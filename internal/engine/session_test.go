@@ -102,6 +102,104 @@ func TestSessionConcurrentCommits(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestSessionShardedLeavesEmptyTable churns uniquely named submissions
+// through a resident sharded-2PL session until wounds have restarted some,
+// then drains it: the lock table holds no lock, no holder and no index
+// entry — priorities leave with the locks, so the table stays bounded by
+// the submissions in flight, not by the ids the session has seen.
+func TestSessionShardedLeavesEmptyTable(t *testing.T) {
+	ents := []model.EntityID{"a", "b", "c", "d"}
+	init := map[model.EntityID]model.Value{}
+	for _, x := range ents {
+		init[x] = 100
+	}
+	stp := sched.NewShardedTwoPhase(8)
+	// The step delay holds each first lock long enough for the next
+	// submission to collide with it.
+	s := NewSession(Config{Seed: 12, StepDelay: 100 * time.Microsecond}, stp, breakpoint.Uniform{Levels: 2, C: 2}, NewVolatileStore(init))
+	const subs = 24
+	for round := 0; round < 2 || s.Stats().Restarts == 0; round++ {
+		if round == 50 {
+			t.Fatalf("no restart in %d rounds of %d contended submissions", round, subs)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < subs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				p := &model.Scripted{
+					Txn: model.TxnID(fmt.Sprintf("r%d-t%02d", round, i)),
+					Ops: []model.Op{model.Add(ents[i%len(ents)], -1), model.Add(ents[(i+1)%len(ents)], 1)},
+				}
+				if out, err := s.Submit(context.Background(), p, SubmitOpts{}); err != nil || !out.Committed {
+					t.Errorf("%s: %+v, %v", p.Txn, out, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := stp.LockSnapshot(); st.Locked != 0 || st.Holders != 0 || st.Entries != 0 {
+		t.Errorf("drained session left %+v in the lock table", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+}
+
+// beginCounter is the no-op control that counts Begin calls.
+type beginCounter struct {
+	sched.Control
+	begins int
+}
+
+func (b *beginCounter) Begin(t model.TxnID, prio int64) {
+	b.begins++
+	b.Control.Begin(t, prio)
+}
+
+// TestAdmissionRefusesExpiredSubmission: a submission whose deadline has
+// already passed, or whose client has already gone, is refused in the
+// admission section before its first attempt begins — a refusal, not a
+// rollback, so nothing is counted and the control never hears of it.
+func TestAdmissionRefusesExpiredSubmission(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		opts SubmitOpts
+		want Outcome
+	}{
+		{"past deadline", context.Background(), SubmitOpts{Deadline: time.Now().Add(-time.Second)}, Outcome{DeadlineExceeded: true}},
+		{"cancelled context", cancelled, SubmitOpts{}, Outcome{Canceled: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bc := &beginCounter{Control: sched.NewNone()}
+			s := NewSession(Config{}, bc, breakpoint.Uniform{Levels: 2, C: 2}, NewVolatileStore(nil))
+			p := &model.Scripted{Txn: "late", Ops: []model.Op{model.Add("x", 1)}}
+			out, err := s.Submit(tc.ctx, p, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != tc.want {
+				t.Errorf("outcome %+v, want %+v", out, tc.want)
+			}
+			if st := s.Stats(); st.DeadlineAborts != 0 || st.Inflight != 0 {
+				t.Errorf("stats %+v: want no deadline abort and nothing in flight", st)
+			}
+			if bc.begins != 0 {
+				t.Errorf("the control saw %d Begin calls, want 0", bc.begins)
+			}
+			if err := s.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+	}
+}
+
 // waitControl always answers Wait — the deterministic way to park a
 // submission so its deadline or cancellation must fire. It implements the
 // DeadlineAborter capability so the test can assert the engine routes

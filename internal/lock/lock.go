@@ -42,6 +42,10 @@ type Stats struct {
 	Holders int
 	// Shards is the stripe count.
 	Shards int
+	// Entries is the number of transactions in Striped's per-transaction
+	// index: those holding a lock or given a priority since their last
+	// Release.
+	Entries int
 }
 
 // Manager tracks exclusive entity locks. The zero value is not usable; call

@@ -18,14 +18,14 @@ import (
 //
 // Striped is safe for concurrent use. The prio callback passed to Acquire is
 // invoked while the shard mutex is held; it must not call back into the
-// manager.
+// manager, except through Priority.
 type Striped struct {
 	shards []stripe
 	mask   uint32
-	// index is the held-stripe index: per transaction, a mask of the shards
-	// where it holds a lock (shard i is bit i%64), striped by transaction
-	// hash (≥ 16 wide) so no mutex is shared by all transactions. A
-	// one-shard table has none: its only shard to visit is shard 0.
+	// index is the per-transaction index: for each transaction with an
+	// entry, a mask of the shards where it holds a lock (shard i is bit
+	// i%64) and the priority SetPriority gave it, striped by transaction
+	// hash (≥ 16 wide) so no mutex is shared by all transactions.
 	index []indexStripe
 }
 
@@ -36,9 +36,16 @@ type stripe struct {
 }
 
 type indexStripe struct {
-	mu   sync.Mutex
-	held map[model.TxnID]uint64
-	_    [48]byte // as stripe
+	mu      sync.Mutex
+	entries map[model.TxnID]txnEntry
+	_       [48]byte // as stripe
+}
+
+// txnEntry is a transaction's index entry: the shards it holds locks in and
+// its wound-wait priority. Release deletes both.
+type txnEntry struct {
+	mask uint64
+	prio int64
 }
 
 // NewStriped returns a manager with the given number of shards, rounded up
@@ -48,15 +55,12 @@ func NewStriped(shards int) *Striped {
 	for n < shards {
 		n <<= 1
 	}
-	s := &Striped{shards: make([]stripe, n), mask: uint32(n - 1)}
-	if n > 1 {
-		s.index = make([]indexStripe, max(n, 16))
-	}
+	s := &Striped{shards: make([]stripe, n), mask: uint32(n - 1), index: make([]indexStripe, max(n, 16))}
 	for i := range s.shards {
 		s.shards[i].m = NewManager()
 	}
 	for i := range s.index {
-		s.index[i].held = make(map[model.TxnID]uint64)
+		s.index[i].entries = make(map[model.TxnID]txnEntry)
 	}
 	return s
 }
@@ -73,6 +77,33 @@ func fnv[T ~string](x T) uint32 {
 // shardOf hashes an entity to its shard.
 func (s *Striped) shardOf(x model.EntityID) *stripe { return &s.shards[fnv(x)&s.mask] }
 
+// indexOf hashes a transaction to its index stripe.
+func (s *Striped) indexOf(t model.TxnID) *indexStripe {
+	return &s.index[fnv(t)&uint32(len(s.index)-1)]
+}
+
+// SetPriority records t's wound-wait priority in its index entry, where
+// Priority reads it until Release deletes the entry. Only t's index stripe
+// is locked.
+func (s *Striped) SetPriority(t model.TxnID, prio int64) {
+	ix := s.indexOf(t)
+	ix.mu.Lock()
+	e := ix.entries[t]
+	e.prio = prio
+	ix.entries[t] = e
+	ix.mu.Unlock()
+}
+
+// Priority returns the priority SetPriority recorded for t, or 0 when t has
+// no entry. It is a valid prio callback for Acquire.
+func (s *Striped) Priority(t model.TxnID) int64 {
+	ix := s.indexOf(t)
+	ix.mu.Lock()
+	p := ix.entries[t].prio
+	ix.mu.Unlock()
+	return p
+}
+
 // Acquire attempts to take the exclusive lock on x for t under the
 // wound-wait rule; see Manager.Acquire. Only x's shard is locked, and on
 // t's first lock there t's index stripe, to set the shard's bit.
@@ -82,10 +113,12 @@ func (s *Striped) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	out, h, first := sh.m.acquire(t, x, prio)
-	if first && s.index != nil {
-		ix := &s.index[fnv(t)&uint32(len(s.index)-1)]
+	if first {
+		ix := s.indexOf(t)
 		ix.mu.Lock()
-		ix.held[t] |= 1 << (i % 64)
+		e := ix.entries[t]
+		e.mask |= 1 << (i % 64)
+		ix.entries[t] = e
 		ix.mu.Unlock()
 	}
 	return out, h
@@ -106,19 +139,17 @@ func (s *Striped) Holds(t model.TxnID, x model.EntityID) bool {
 	return sh.m.Holds(t, x)
 }
 
-// Release frees every lock held by t (strict 2PL): it takes t's mask out of
-// the index and visits only the shards it names, so holding nothing costs
-// one index probe. An Acquire by t racing it lands in a shard still to be
-// visited, or sets a fresh bit that the next Release of t consumes.
+// Release frees every lock held by t (strict 2PL) and forgets its priority:
+// it takes t's entry out of the index and visits only the shards its mask
+// names, so holding nothing costs one index probe. An Acquire by t racing
+// it lands in a shard still to be visited, or sets a fresh bit that the
+// next Release of t consumes.
 func (s *Striped) Release(t model.TxnID) {
-	held := uint64(1) // a one-shard table has no index and visits shard 0
-	if s.index != nil {
-		ix := &s.index[fnv(t)&uint32(len(s.index)-1)]
-		ix.mu.Lock()
-		held = ix.held[t]
-		delete(ix.held, t)
-		ix.mu.Unlock()
-	}
+	ix := s.indexOf(t)
+	ix.mu.Lock()
+	held := ix.entries[t].mask
+	delete(ix.entries, t)
+	ix.mu.Unlock()
 	for ; held != 0; held &= held - 1 {
 		for i := bits.TrailingZeros64(held); i < len(s.shards); i += 64 {
 			sh := &s.shards[i]
@@ -144,6 +175,12 @@ func (s *Striped) Snapshot() Stats {
 		out.Locked += len(sh.m.holder)
 		out.Holders += len(sh.m.held)
 		sh.mu.Unlock()
+	}
+	for i := range s.index {
+		ix := &s.index[i]
+		ix.mu.Lock()
+		out.Entries += len(ix.entries)
+		ix.mu.Unlock()
 	}
 	return out
 }

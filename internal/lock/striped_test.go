@@ -181,7 +181,8 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 			prioTable[tx] = int64(i)
 		}
 		prio := func(tx model.TxnID) int64 { return prioTable[tx] }
-		mgrs := []locker{NewManager(), NewStriped(1), NewStriped(8)}
+		mgrs := []locker{NewManager(), NewStriped(1), NewStriped(8),
+			newPrioStriped(1, prioTable), newPrioStriped(8, prioTable)}
 		logs := make([][]string, len(mgrs))
 		for op := 0; op < 500; op++ {
 			kind := rng.Intn(12)
@@ -223,26 +224,89 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 			}
 		}
 		for _, m := range mgrs[1:] {
-			for _, tx := range txns {
-				m.Release(tx)
+			s, ok := m.(*Striped)
+			if !ok {
+				s = m.(*prioStriped).Striped
 			}
-			if n := indexLen(m.(*Striped)); n != 0 || m.Locked() != 0 {
-				t.Fatalf("seed=%d: after releasing everyone, %d index entries and %d locks", seed, n, m.Locked())
+			for _, tx := range txns {
+				s.Release(tx)
+			}
+			if st := s.Snapshot(); st.Entries != 0 || st.Locked != 0 {
+				t.Fatalf("seed=%d: after releasing everyone, %d index entries and %d locks", seed, st.Entries, st.Locked)
 			}
 		}
 	}
 }
 
-// indexLen counts the held-stripe index's entries.
-func indexLen(s *Striped) int {
-	n := 0
-	for i := range s.index {
-		ix := &s.index[i]
-		ix.mu.Lock()
-		n += len(ix.held)
-		ix.mu.Unlock()
+// prioStriped is a Striped that takes its wound-wait priorities from its
+// own index, as sched.ShardedTwoPhase does: every transaction of the table
+// has its priority set up front and again after each Release, the way a
+// restart's Begin sets it again after an abort.
+type prioStriped struct {
+	*Striped
+	table map[model.TxnID]int64
+}
+
+func newPrioStriped(shards int, table map[model.TxnID]int64) *prioStriped {
+	p := &prioStriped{NewStriped(shards), table}
+	for tx, pr := range table {
+		p.SetPriority(tx, pr)
 	}
-	return n
+	return p
+}
+
+func (p *prioStriped) Acquire(t model.TxnID, x model.EntityID, _ func(model.TxnID) int64) (Outcome, model.TxnID) {
+	return p.Striped.Acquire(t, x, p.Priority)
+}
+
+func (p *prioStriped) Release(t model.TxnID) {
+	p.Striped.Release(t)
+	if pr, ok := p.table[t]; ok {
+		p.SetPriority(t, pr)
+	}
+}
+
+// TestStripedPriorityLivesUntilRelease pins the priority half of the index
+// entry, with one shard and with sixteen: Priority reads what SetPriority
+// wrote until Release deletes it, wound-wait decides by it, and an entry
+// made by SetPriority alone, with no lock, is dropped by Release too.
+func TestStripedPriorityLivesUntilRelease(t *testing.T) {
+	for _, shards := range []int{1, 16} {
+		s := NewStriped(shards)
+		if p := s.Priority("old"); p != 0 {
+			t.Fatalf("shards=%d: priority %d before SetPriority", shards, p)
+		}
+		s.SetPriority("old", 1)
+		s.SetPriority("young", 2)
+		if out, _ := s.Acquire("young", "x", s.Priority); out != Granted {
+			t.Fatalf("shards=%d: young's first lock: %d", shards, out)
+		}
+		if out, _ := s.Acquire("old", "y", s.Priority); out != Granted {
+			t.Fatalf("shards=%d: old's first lock: %d", shards, out)
+		}
+		if out, v := s.Acquire("old", "x", s.Priority); out != Wound || v != "young" {
+			t.Fatalf("shards=%d: old requesting young's lock: %d %s, want a wound of young", shards, out, v)
+		}
+		if out, _ := s.Acquire("young", "y", s.Priority); out != Wait {
+			t.Fatalf("shards=%d: young requesting old's lock: %d, want a wait", shards, out)
+		}
+		if p := s.Priority("old"); p != 1 {
+			t.Fatalf("shards=%d: priority %d while holding, want 1", shards, p)
+		}
+		s.Release("old")
+		s.Release("young")
+		if p := s.Priority("old"); p != 0 {
+			t.Fatalf("shards=%d: priority %d after Release", shards, p)
+		}
+		s.SetPriority("idle", 5)
+		if st := s.Snapshot(); st.Entries != 1 || st.Locked != 0 {
+			t.Fatalf("shards=%d: a priority alone: %+v, want 1 entry and no lock", shards, st)
+		}
+		s.Release("idle")
+		if st := s.Snapshot(); st.Entries != 0 || s.Priority("idle") != 0 {
+			t.Fatalf("shards=%d: Release kept the lockless entry: %+v", shards, st)
+		}
+	}
 }
 
 // TestStripePadding pins the cache-line padding the stripe comments promise:
@@ -297,33 +361,35 @@ func TestStripedAcquireRacesRelease(t *testing.T) {
 	if st := s.Snapshot(); st.Locked != 0 || st.Holders != 0 {
 		t.Fatalf("non-empty final snapshot: %+v", st)
 	}
-	if n := indexLen(s); n != 0 {
+	if n := s.Snapshot().Entries; n != 0 {
 		t.Fatalf("held-stripe index keeps %d entries", n)
 	}
 }
 
 // TestStripedIndexBoundedByConcurrency churns many distinct transaction ids
-// through a window of 8 in flight, as a resident session does: the index
-// holds at most the window, and nothing once the window drains.
+// through a window of 8 in flight, as a resident session does — each given
+// its priority before its lock, as sched.ShardedTwoPhase's Begin does: the
+// index holds at most the window, and nothing once the window drains.
 func TestStripedIndexBoundedByConcurrency(t *testing.T) {
 	const window, churn = 8, 1 << 18
 	s := NewStriped(16)
 	id := func(i int) model.TxnID { return model.TxnID(fmt.Sprintf("s1-t%d", i)) }
 	for i := 0; i < churn+window; i++ {
 		if i < churn {
+			s.SetPriority(id(i), int64(i+1))
 			s.TryAcquire(id(i), model.EntityID(fmt.Sprintf("x%d", i%1000)))
 		}
 		if i >= window {
 			s.Release(id(i - window))
 		}
 		if i%4096 == 0 {
-			if n := indexLen(s); n > window {
+			if n := s.Snapshot().Entries; n > window {
 				t.Fatalf("after %d ids the index holds %d entries, window %d", i, n, window)
 			}
 		}
 	}
-	if n := indexLen(s); n != 0 || s.Locked() != 0 {
-		t.Fatalf("drained: %d index entries, %d locks", n, s.Locked())
+	if st := s.Snapshot(); st.Entries != 0 || st.Locked != 0 {
+		t.Fatalf("drained: %d index entries, %d locks", st.Entries, st.Locked)
 	}
 }
 

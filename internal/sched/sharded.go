@@ -19,23 +19,17 @@ import (
 // state and the two transactions' fixed priorities, nothing else.
 //
 // All methods are safe for concurrent use (the Concurrent marker); stats
-// are atomics folded into a Stats struct on demand.
-//
-// Transaction IDs are interned into dense handles at Begin (session
-// admission), so priorities live in a flat slice indexed by handle instead
-// of a string-keyed map: the wound-wait comparison on every contended
-// Request is an RLock plus two array reads, the handle space is recycled at
-// Finished, and a resident session's control state stays bounded by peak
-// concurrency rather than lifetime transaction count.
+// are atomics folded into a Stats struct on demand. Priorities live in the
+// lock table's per-transaction entry beside the held-shard mask: Begin sets
+// one, the wound-wait comparison reads it under t's index stripe only, and
+// the Release at Finished or Aborted deletes it, so a resident session's
+// control state stays bounded by peak concurrency rather than lifetime
+// transaction count.
 type ShardedTwoPhase struct {
 	locks *lock.Striped
 
-	ids    *model.Interner[model.TxnID]
-	prioMu sync.RWMutex
-	prio   []int64 // indexed by interned handle; 0 = unknown/retired
-
-	// prioFn is prioOf bound once at construction: Acquire takes a func
-	// value, and binding per Request allocated on every step.
+	// prioFn is locks.Priority bound once at construction: Acquire takes a
+	// func value, and binding per Request allocated on every step.
 	prioFn func(model.TxnID) int64
 
 	requests, grants, waits, wounds, aborts, deadlines atomic.Int64
@@ -51,11 +45,8 @@ func NewShardedTwoPhase(shards int) *ShardedTwoPhase {
 	if shards <= 0 {
 		shards = 16
 	}
-	stp := &ShardedTwoPhase{
-		locks: lock.NewStriped(shards),
-		ids:   model.NewInterner[model.TxnID](),
-	}
-	stp.prioFn = stp.prioOf
+	stp := &ShardedTwoPhase{locks: lock.NewStriped(shards)}
+	stp.prioFn = stp.locks.Priority
 	return stp
 }
 
@@ -70,29 +61,8 @@ func (*ShardedTwoPhase) StepQuiescentSafe() {}
 // Name implements Control.
 func (*ShardedTwoPhase) Name() string { return "2pl-sharded" }
 
-// Begin implements Control.
-func (stp *ShardedTwoPhase) Begin(t model.TxnID, prio int64) {
-	h := stp.ids.Intern(t)
-	stp.prioMu.Lock()
-	for int(h) >= len(stp.prio) {
-		stp.prio = append(stp.prio, make([]int64, int(h)+16-len(stp.prio))...)
-	}
-	stp.prio[h] = prio
-	stp.prioMu.Unlock()
-}
-
-func (stp *ShardedTwoPhase) prioOf(t model.TxnID) int64 {
-	h, ok := stp.ids.Lookup(t)
-	if !ok {
-		return 0
-	}
-	stp.prioMu.RLock()
-	defer stp.prioMu.RUnlock()
-	if int(h) >= len(stp.prio) {
-		return 0
-	}
-	return stp.prio[h]
-}
+// Begin implements Control: t's priority goes into its lock-table entry.
+func (stp *ShardedTwoPhase) Begin(t model.TxnID, prio int64) { stp.locks.SetPriority(t, prio) }
 
 // Request implements Control: wound-wait on the entity's shard. Older
 // requester wounds the younger holder; younger requester waits.
@@ -116,19 +86,9 @@ func (stp *ShardedTwoPhase) Request(t model.TxnID, _ int, x model.EntityID) Deci
 func (*ShardedTwoPhase) Performed(model.TxnID, int, model.EntityID, int) {}
 
 // Finished implements Control: strict 2PL releases everything at end, and
-// the handle (with its priority slot) is recycled — an aborted transaction
-// re-interns at its restart's Begin.
-func (stp *ShardedTwoPhase) Finished(t model.TxnID) {
-	stp.locks.Release(t)
-	if h, ok := stp.ids.Lookup(t); ok {
-		stp.prioMu.Lock()
-		if int(h) < len(stp.prio) {
-			stp.prio[h] = 0
-		}
-		stp.prioMu.Unlock()
-		stp.ids.Release(t)
-	}
-}
+// the Release drops t's priority with its locks — an aborted transaction
+// sets it again at its restart's Begin.
+func (stp *ShardedTwoPhase) Finished(t model.TxnID) { stp.locks.Release(t) }
 
 // Aborted implements Control.
 func (stp *ShardedTwoPhase) Aborted(victims []model.TxnID) {
