@@ -31,18 +31,18 @@ import (
 // the rule for pinned transactions (the Detector's optimistic inserts), and
 // its visiting order defines the cycle witness (CycleTxns).
 //
-// Rollback is incremental when it can be and a rebuild when it must:
-// dropping a whole transaction whose steps are closure-sinks (no live step
-// is reachable from any of them) retracts exactly those steps in place —
+// A step that closes a cycle leaves nothing behind (AddStep). Rollback is
+// incremental when it can be and a rebuild when it must: dropping a whole
+// transaction whose steps are closure-sinks (no live step is reachable
+// from any of them) retracts exactly those steps in place —
 // tombstone the step slots, clear the victim's per-transaction state, pop
 // its steps off the per-entity access chains, and mask its bits out of
 // every live reach/pred/pinned set. The sink condition makes this exact:
 // a dead step that reaches no live step contributed nothing to any live
 // step's predecessor set, so masking its bits leaves precisely the closure
 // a filter-and-replay would rebuild (TestRetractEquivalence pins this on
-// randomized histories). When bookkeeping is ambiguous — a partial keep, a
-// relation left dirty by a rejected AddStep, or a dropped step with live
-// closure-successors — RebuildPartial falls back to the full replay.
+// randomized histories). A partial keep, or a dropped step with live
+// closure-successors, falls back to the full replay.
 //
 // Commit is the mirror image: Retire marks a transaction committed and
 // seals the committed prefix of the closure — every committed transaction
@@ -74,13 +74,11 @@ type Online struct {
 	chains  [][]int // per entity row: live accessor steps, in order
 
 	// Retraction bookkeeping: dead marks tombstoned step slots (indices are
-	// never reused between rebuilds), liveSteps counts the rest, dirty is
-	// set by PopStep — the relation then contains a rejected step's edges
-	// and only a replay can remove them. forceReplay (tests only) disables
-	// the incremental path so replay and retraction can be compared.
+	// never reused between rebuilds), liveSteps counts the rest.
+	// forceReplay (tests only) disables the incremental path so replay and
+	// retraction can be compared.
 	dead        bitset
 	liveSteps   int
-	dirty       bool
 	forceReplay bool
 	retractions int // total successful incremental retractions
 
@@ -96,10 +94,12 @@ type Online struct {
 	OnSeal     func(model.TxnID)
 	noSeal     bool
 
-	// Scratch kept for its capacity: applyStep's edge work list and seal's
-	// candidate set.
+	// Scratch kept for its capacity: applyStep's edge work list, seal's
+	// candidate set, and process's trail of the bits it set: {a, b, 0} for
+	// an edge a → b, {ti, b, lv} for pinned[ti][lv] bit b.
 	queue   [][2]int
 	sealing bitset
+	trail   [][3]int
 
 	// Preview scratch, reused across collectPreds calls. Online is driven
 	// under its owner's serialization (the engine mutex or the simulator
@@ -118,7 +118,7 @@ type Online struct {
 	// pvEnt, and while pvFresh is set applyStep links that step from it
 	// instead of traversing again. applyStep, Retire and RebuildPartial
 	// clear it; AddCut need not (a cut lands after a transaction's latest
-	// step, which no mate walk reaches), and PopStep follows an applyStep.
+	// step, which no mate walk reaches).
 	pvTxn   model.TxnID
 	pvEnt   model.EntityID
 	pvFresh bool
@@ -127,6 +127,8 @@ type Online struct {
 	// insertion can be compared with the general rule.
 	noSink bool
 
+	// cyclic: the last AddStep was rejected, with a witness of transaction
+	// indices cycleA, cycleB (CycleTxns).
 	cyclic         bool
 	cycleA, cycleB int
 }
@@ -188,9 +190,13 @@ func (b bitset) forEach(f func(i int)) {
 	}
 }
 
-func (b bitset) clear(i int) {
-	if w := i >> 6; w < len(b) {
-		b[w] &^= 1 << uint(i&63)
+// clear removes i and drops trailing zero words (previews size by slots).
+func (b *bitset) clear(i int) {
+	if w := i >> 6; w < len(*b) {
+		(*b)[w] &^= 1 << uint(i&63)
+	}
+	for len(*b) > 0 && (*b)[len(*b)-1] == 0 {
+		*b = (*b)[:len(*b)-1]
 	}
 }
 
@@ -294,7 +300,6 @@ func (oc *Online) reset() {
 	}
 	oc.nCommitted = 0
 	oc.liveSteps = 0
-	oc.dirty = false
 	oc.cyclic = false
 }
 
@@ -325,22 +330,37 @@ func (oc *Online) entity(x model.EntityID) int {
 }
 
 // AddStep appends a step of t on x, returning false when it closes a cycle
-// in the coherent closure. On false the caller must Rollback or Rebuild:
-// the internal relation is left dirty.
+// in the coherent closure. A rejected step is undone before AddStep
+// returns: the closure is left exactly as it was, and CycleTxns names the
+// cycle's witness pair.
 func (oc *Online) AddStep(t model.TxnID, x model.EntityID) bool {
-	oc.events = append(oc.events, oevent{kind: evStep, txn: t, entity: x})
+	oc.cyclic = false
 	oc.applyStep(t, x)
-	return !oc.cyclic
-}
-
-// PopStep removes the most recent event, which must be the step just
-// rejected by AddStep. The rejected step's edges remain in the relation
-// until the Rebuild the caller is contractually about to perform; the
-// dirty flag forces that rebuild down the full-replay path, since
-// incremental retraction cannot see phantom edges.
-func (oc *Online) PopStep() {
-	oc.events = oc.events[:len(oc.events)-1]
-	oc.dirty = true
+	if !oc.cyclic {
+		oc.events = append(oc.events, oevent{kind: evStep, txn: t, entity: x})
+		return true
+	}
+	// Undo the step: clear the bits process logged, each clear before it,
+	// and pop the step off its slot, its transaction (known before: only a
+	// pinned step closes a cycle) and its entity chain. A chain row the step
+	// added stays mapped and empty, as after a retraction.
+	for _, r := range oc.trail {
+		if r[2] > 0 {
+			oc.pinned[r[0]][r[2]].clear(r[1])
+		} else {
+			oc.reach[r[0]].clear(r[1])
+			oc.pred[r[1]].clear(r[0])
+		}
+	}
+	g := len(oc.stepTxn) - 1
+	ti, e := oc.stepTxn[g], oc.stepEnt[g]
+	oc.stepTxn, oc.stepSeq, oc.stepEnt = oc.stepTxn[:g], oc.stepSeq[:g], oc.stepEnt[:g]
+	oc.reach, oc.pred = oc.reach[:g], oc.pred[:g]
+	oc.liveSteps--
+	oc.perTxn[ti] = oc.perTxn[ti][:len(oc.perTxn[ti])-1]
+	oc.coarse[ti] = oc.coarse[ti][:len(oc.coarse[ti])-1]
+	oc.chains[e] = oc.chains[e][:len(oc.chains[e])-1]
+	return false
 }
 
 // AddCut appends a breakpoint of the given coarseness after t's latest
@@ -365,8 +385,8 @@ func (oc *Online) Rebuild(drop map[model.TxnID]bool) {
 // steps), then replays the remainder. keep[t] = 0 drops t entirely.
 //
 // Full drops of closure-sink transactions take the incremental retraction
-// path (see tryRetract) and never replay; partial keeps, dirty relations,
-// and drops with live closure-successors fall back to filter-and-replay.
+// path (see tryRetract) and never replay; partial keeps and drops with live
+// closure-successors fall back to filter-and-replay.
 func (oc *Online) RebuildPartial(keep map[model.TxnID]int) {
 	oc.pvFresh = false
 	if !oc.tryRetract(keep) {
@@ -418,7 +438,6 @@ func (oc *Online) replay() {
 // tryRetract attempts to undo the dropped transactions in place instead of
 // replaying. It succeeds only when the retraction is provably exact:
 //
-//   - the relation is clean (no rejected step's phantom edges — dirty),
 //   - every keep is a full drop (partial keeps shift seq numbering),
 //   - no dropped step reaches a live step outside the drop set (the
 //     closure-sink condition).
@@ -434,7 +453,7 @@ func (oc *Online) replay() {
 // On success the step slots are tombstoned, not compacted; indices stay
 // stable until the next full replay.
 func (oc *Online) tryRetract(keep map[model.TxnID]int) bool {
-	if oc.dirty || oc.forceReplay || oc.cyclic {
+	if oc.forceReplay {
 		return false
 	}
 	for _, k := range keep {
@@ -582,11 +601,8 @@ func (oc *Online) applyCommit(t model.TxnID) {
 // S, and the closure restricted to them is the same with S dropped
 // (TestSealEquivalence). Pred-closure also makes the sealed steps a prefix
 // of every per-entity chain.
-//
-// The sweep is deferred while a rejected step's phantom edges are in the
-// relation (dirty/cyclic); the Rebuild that must follow runs it.
 func (oc *Online) seal() {
-	if oc.nCommitted == 0 || oc.noSeal || oc.dirty || oc.cyclic {
+	if oc.nCommitted == 0 || oc.noSeal {
 		return
 	}
 	// Fixpoint: start from every committed transaction's steps and evict
@@ -686,8 +702,8 @@ func (oc *Online) evicted(ti int, sealing bitset) bool {
 func (oc *Online) Retractions() int { return oc.retractions }
 
 // CycleTxns returns the transactions of the two steps whose pair closed the
-// cycle (valid after AddStep returned false). A rejected step usually closes
-// many cycles; the witness is the last cycle-closing pair process's LIFO
+// cycle (valid after AddStep returned false, until the closure next
+// changes). A rejected step usually closes many cycles; the witness is the last cycle-closing pair process's LIFO
 // worklist visited, so it is defined by that visiting order and by nothing
 // more canonical. The Detector's victim choice, and with it every `detect`
 // row of EXPERIMENTS.md, is a function of it: internal/bench's golden
@@ -696,8 +712,7 @@ func (oc *Online) CycleTxns() []model.TxnID {
 	if !oc.cyclic {
 		return nil
 	}
-	a := oc.txns[oc.stepTxn[oc.cycleA]]
-	b := oc.txns[oc.stepTxn[oc.cycleB]]
+	a, b := oc.txns[oc.cycleA], oc.txns[oc.cycleB]
 	if a == b {
 		return []model.TxnID{a}
 	}
@@ -824,15 +839,17 @@ func (oc *Online) segmentOpen(ti, seq, lv int) bool {
 }
 
 // process drains oc.queue, closing the relation under transitivity and
-// rule (b).
+// rule (b), and logs every bit it sets into the trail.
 func (oc *Online) process() {
+	oc.trail = oc.trail[:0]
 	for len(oc.queue) > 0 {
 		p := oc.queue[len(oc.queue)-1]
 		oc.queue = oc.queue[:len(oc.queue)-1]
 		a, b := p[0], p[1]
+		ta, tb := oc.stepTxn[a], oc.stepTxn[b]
 		if a == b {
 			oc.cyclic = true
-			oc.cycleA, oc.cycleB = a, b
+			oc.cycleA, oc.cycleB = ta, tb
 			continue
 		}
 		if oc.reach[a].has(b) {
@@ -840,12 +857,12 @@ func (oc *Online) process() {
 		}
 		if oc.reach[b].has(a) {
 			oc.cyclic = true
-			oc.cycleA, oc.cycleB = a, b
+			oc.cycleA, oc.cycleB = ta, tb
 		}
 		oc.reach[a].set(b)
 		oc.pred[b].set(a)
+		oc.trail = append(oc.trail, [3]int{a, b, 0})
 
-		ta, tb := oc.stepTxn[a], oc.stepTxn[b]
 		if ta != tb {
 			lv := oc.level(oc.txns[ta], oc.txns[tb])
 			// Rule (b), past part: later performed steps of ta in the same
@@ -860,8 +877,9 @@ func (oc *Online) process() {
 				}
 			}
 			// Rule (b), future part: pin b if a's segment is still open.
-			if oc.segmentOpen(ta, oc.stepSeq[a], lv) {
+			if oc.segmentOpen(ta, oc.stepSeq[a], lv) && !oc.pinned[ta][lv].has(b) {
 				oc.pinned[ta][lv].set(b)
+				oc.trail = append(oc.trail, [3]int{ta, b, lv})
 			}
 		}
 

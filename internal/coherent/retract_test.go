@@ -2,8 +2,11 @@ package coherent
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,8 +22,11 @@ import (
 // equality the equivalence test checks.
 func dump(oc *Online, txns []model.TxnID, ents []model.EntityID) string {
 	var lines []string
-	name := func(g int) string {
-		return fmt.Sprintf("%s#%d", oc.txns[oc.stepTxn[g]], oc.stepSeq[g])
+	names := make([]string, len(oc.stepTxn))
+	for g := range oc.stepTxn {
+		if !oc.dead.has(g) {
+			names[g] = string(oc.txns[oc.stepTxn[g]]) + "#" + strconv.Itoa(oc.stepSeq[g])
+		}
 	}
 	for g := range oc.stepTxn {
 		if oc.dead.has(g) {
@@ -28,7 +34,7 @@ func dump(oc *Online, txns []model.TxnID, ents []model.EntityID) string {
 		}
 		oc.reach[g].forEach(func(h int) {
 			if !oc.dead.has(h) {
-				lines = append(lines, fmt.Sprintf("edge %s -> %s", name(g), name(h)))
+				lines = append(lines, "edge "+names[g]+" -> "+names[h])
 			}
 		})
 	}
@@ -54,6 +60,32 @@ func dump(oc *Online, txns []model.TxnID, ents []model.EntityID) string {
 	return strings.Join(lines, "\n")
 }
 
+// snapshot returns a deep copy of oc's closure — everything dump reads —
+// with preview scratch of its own, so dump(snapshot(oc)) is dump(oc) as it
+// stood at the copy, however oc changes afterwards.
+func snapshot(oc *Online) *Online {
+	c := *oc
+	c.txns, c.txnIdx = slices.Clone(oc.txns), maps.Clone(oc.txnIdx)
+	c.stepTxn, c.stepSeq, c.stepEnt = slices.Clone(oc.stepTxn), slices.Clone(oc.stepSeq), slices.Clone(oc.stepEnt)
+	c.perTxn, c.coarse, c.chains = cloneRows(oc.perTxn), cloneRows(oc.coarse), cloneRows(oc.chains)
+	c.reach, c.pred, c.dead = cloneRows(oc.reach), cloneRows(oc.pred), slices.Clone(oc.dead)
+	c.pinned = make([][]bitset, len(oc.pinned))
+	for ti, lvs := range oc.pinned {
+		c.pinned[ti] = cloneRows(lvs)
+	}
+	c.entSlot = maps.Clone(oc.entSlot)
+	c.pvVisited, c.pvStack, c.pvMax, c.pvLv, c.pvTouched, c.pvFresh = nil, nil, nil, nil, nil, false
+	return &c
+}
+
+func cloneRows[R ~[]E, E any](rows []R) []R {
+	out := make([]R, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
+	return out
+}
+
 // predOfNewStep collects ForEachPredOfNewStep into a map.
 func predOfNewStep(oc *Online, t model.TxnID, x model.EntityID) map[model.TxnID]int {
 	out := make(map[model.TxnID]int)
@@ -67,12 +99,13 @@ func predOfNewStep(oc *Online, t model.TxnID, x model.EntityID) map[model.TxnID]
 // other has forceReplay set, so every rollback filters and replays. After
 // every operation the two must agree on every observable: accept/reject
 // verdicts, the live edge set, extents, segment closure, and hypothetical
-// predecessor sets. The test also demands that the incremental path
-// actually fired, so the equivalence is not vacuous.
+// predecessor sets; a rejected step must leave each exactly as it was. The
+// test also demands that the incremental path actually fired, including
+// for the victims of rejected steps, so the equivalence is not vacuous.
 func TestRetractEquivalence(t *testing.T) {
 	txns := []model.TxnID{"t0", "t1", "t2", "t3", "t4"}
 	ents := []model.EntityID{"x", "y", "z", "w"}
-	fastPaths := 0
+	fastPaths, rejectRetracts := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := 2 + rng.Intn(3)
@@ -93,19 +126,31 @@ func TestRetractEquivalence(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r <= 5: // step
 				x := ents[rng.Intn(len(ents))]
+				incBefore, repBefore := snapshot(inc), snapshot(rep)
 				okI := inc.AddStep(id, x)
 				okR := rep.AddStep(id, x)
 				if okI != okR {
 					t.Fatalf("seed=%d op=%d: AddStep(%s,%s) incremental=%v replay=%v", seed, op, id, x, okI, okR)
 				}
 				if !okI {
-					// Both reject: pop and drop the stepping transaction —
-					// a deterministic victim, since the reported cycle pair
-					// may legitimately differ between the twins.
-					inc.PopStep()
-					rep.PopStep()
-					inc.Rebuild(map[model.TxnID]bool{id: true})
-					rep.Rebuild(map[model.TxnID]bool{id: true})
+					if dump(inc, txns, ents) != dump(incBefore, txns, ents) || dump(rep, txns, ents) != dump(repBefore, txns, ents) {
+						t.Fatalf("seed=%d op=%d: the rejected AddStep(%s,%s) left a trace", seed, op, id, x)
+					}
+					// Both reject: drop the stepping transaction, and half
+					// the time the incremental twin's cycle partner too — the
+					// same victims on both twins.
+					victims := map[model.TxnID]bool{id: true}
+					if rng.Intn(2) == 0 {
+						for _, u := range inc.CycleTxns() {
+							victims[u] = true
+						}
+					}
+					before := inc.Retractions()
+					inc.Rebuild(victims)
+					rep.Rebuild(victims)
+					if inc.Retractions() > before {
+						rejectRetracts++
+					}
 				}
 			case r <= 7: // cut
 				c := 2 + rng.Intn(k)
@@ -131,10 +176,11 @@ func TestRetractEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if fastPaths == 0 {
-		t.Fatal("incremental retraction never fired: the equivalence test is vacuous")
+	if fastPaths == 0 || rejectRetracts == 0 {
+		t.Fatalf("incremental retraction fired %d times on a drop, %d on a rejection's victims: the equivalence test is vacuous",
+			fastPaths, rejectRetracts)
 	}
-	t.Logf("incremental fast paths taken: %d", fastPaths)
+	t.Logf("incremental fast paths taken: %d on a drop, %d on a rejection's victims", fastPaths, rejectRetracts)
 }
 
 // TestRetractFallsBackOnLiveSuccessor builds a history where the victim's

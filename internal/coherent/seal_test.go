@@ -3,6 +3,7 @@ package coherent
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mla/internal/model"
@@ -32,11 +33,20 @@ type twins struct {
 }
 
 // addStep appends the step to both twins and returns their common verdict.
+// A rejected step must leave got's dump as it was (check compares ref with
+// got after every operation).
 func (w *twins) addStep(id model.TxnID, x model.EntityID) bool {
 	w.t.Helper()
+	var before *Online
+	if !sinkStep(w.got, id) { // a closure sink never closes a cycle
+		before = snapshot(w.got)
+	}
 	ok, okRef := w.got.AddStep(id, x), w.ref.AddStep(id, x)
 	if ok != okRef {
 		w.t.Fatalf("%s: AddStep(%s,%s) got=%v reference=%v", w.where, id, x, ok, okRef)
+	}
+	if !ok && dump(w.got, w.active, w.ents) != dump(before, w.active, w.ents) {
+		w.t.Fatalf("%s: the rejected step of %s on %s left a trace", w.where, id, x)
 	}
 	return ok
 }
@@ -137,13 +147,14 @@ func (w *twins) compareSealed(focus model.TxnID, all bool) {
 // historyTally counts what the randomized histories exercised, so a test can
 // show it was not vacuous.
 type historyTally struct {
-	sealed, lingered, deferred, afterAbort, rejected int
+	sealed, lingered, between, afterAbort, rejected, partners int
 }
 
 // playHistory drives fresh twins through the seed's randomized history over
 // a random nest: steps, cuts, commits at random points, rejected steps
-// (PopStep, sometimes with a commit arriving before the Rebuild), full
-// drops (sink retraction or replay) and partial keeps (always replay).
+// (each must leave got's dump as it was; sometimes a commit arrives before
+// the rollback, and sometimes the rollback takes the cycle partner too),
+// full drops (sink retraction or replay) and partial keeps (always replay).
 // configure sets the twins' test-only switches and hooks; check runs after
 // every operation. got must be a sealing closure: its seals feed the tally.
 func playHistory(t *testing.T, seed int64, tally *historyTally, configure func(w *twins)) {
@@ -186,35 +197,40 @@ func playHistory(t *testing.T, seed int64, tally *historyTally, configure func(w
 		}
 	}
 	w.commit = commit
-	drop := func(id model.TxnID) {
+	drop := func(victims map[model.TxnID]bool) {
 		before := tally.sealed
-		w.got.Rebuild(map[model.TxnID]bool{id: true})
-		w.ref.Rebuild(map[model.TxnID]bool{id: true})
+		w.got.Rebuild(victims)
+		w.ref.Rebuild(victims)
 		if tally.sealed > before {
 			tally.afterAbort++
 		}
 	}
-	// step reports whether active[i]'s step was accepted; a rejected one
-	// is popped and its transaction dropped.
+	// step reports whether active[i]'s step was accepted; a rejected one's
+	// transaction is dropped.
 	step := func(i int) bool {
 		id, x := w.active[i], w.ents[rng.Intn(len(w.ents))]
 		if w.step(id, x) {
 			return true
 		}
 		tally.rejected++
-		w.got.PopStep()
-		w.ref.PopStep()
 		if j := rng.Intn(len(w.active)); j != i && w.got.Extent(w.active[j]) > 0 {
-			// A commit lands between the rejection and the
-			// rollback: the sweep must wait for the Rebuild.
-			before := tally.sealed
+			// A commit lands between the rejection and the rollback.
 			commit(j)
-			if tally.sealed != before {
-				t.Fatalf("%s: sealed through a dirty relation", w.where)
-			}
-			tally.deferred++
+			w.check(id, false)
+			tally.between++
 		}
-		drop(id) // the stepping transaction: a deterministic victim
+		// The stepping transaction is the deterministic victim; half the
+		// time the witness's other uncommitted transaction goes with it.
+		victims := map[model.TxnID]bool{id: true}
+		if rng.Intn(2) == 0 {
+			for _, u := range w.got.CycleTxns() {
+				if u != id && slices.Contains(w.active, u) {
+					victims[u] = true
+					tally.partners++
+				}
+			}
+		}
+		drop(victims)
 		return false
 	}
 
@@ -242,7 +258,7 @@ func playHistory(t *testing.T, seed int64, tally *historyTally, configure func(w
 		case r <= 16: // commit
 			commit(i)
 		case r <= 18: // full drop
-			drop(id)
+			drop(map[model.TxnID]bool{id: true})
 		default: // partial keep
 			keep := 0
 			if ext := w.got.Extent(id); ext > 0 {
@@ -259,10 +275,11 @@ func playHistory(t *testing.T, seed int64, tally *historyTally, configure func(w
 // marks commits (noSeal) through randomized histories (playHistory). They
 // must agree on every AddStep verdict and, after every operation, on
 // everything compareSealed checks. The counters at the end keep it from
-// being vacuous: transactions were sealed while others stayed live, sweeps
-// were deferred behind a dirty relation, and rollbacks released lingering
-// commits. These histories go quiescent or replay too often for tombstones
-// to pile up; TestSealCompaction covers the compaction trigger.
+// being vacuous: transactions were sealed while others stayed live, commits
+// landed between a rejected step and its rollback, rollbacks took a cycle
+// partner along, and rollbacks released lingering commits. These histories
+// go quiescent or replay too often for tombstones to pile up;
+// TestSealCompaction covers the compaction trigger.
 func TestSealEquivalence(t *testing.T) {
 	const histories = 2000
 	var tally historyTally
@@ -272,10 +289,10 @@ func TestSealEquivalence(t *testing.T) {
 			w.check = w.compareSealed
 		})
 	}
-	t.Logf("%d histories: %d sealed, %d commits lingered, %d sweeps deferred, %d sealed after a rollback, %d rejected steps",
-		histories, tally.sealed, tally.lingered, tally.deferred, tally.afterAbort, tally.rejected)
-	for name, n := range map[string]int{"sealed": tally.sealed, "lingered": tally.lingered, "deferred": tally.deferred,
-		"sealed after a rollback": tally.afterAbort, "rejected": tally.rejected} {
+	t.Logf("%d histories: %d sealed, %d commits lingered, %d commits between a rejection and its rollback, %d sealed after a rollback, %d rejected steps, %d partners dropped",
+		histories, tally.sealed, tally.lingered, tally.between, tally.afterAbort, tally.rejected, tally.partners)
+	for name, n := range map[string]int{"sealed": tally.sealed, "lingered": tally.lingered, "between": tally.between,
+		"sealed after a rollback": tally.afterAbort, "rejected": tally.rejected, "partners": tally.partners} {
 		if n == 0 {
 			t.Errorf("no history exercised %q: the equivalence test is vacuous there", name)
 		}

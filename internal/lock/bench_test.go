@@ -16,7 +16,7 @@ import (
 func BenchmarkReleaseManyHolders(b *testing.B) {
 	for _, holders := range []int{16, 1024, 16384} {
 		b.Run(fmt.Sprintf("holders=%d", holders), func(b *testing.B) {
-			m := NewManager()
+			m := NewStriped(1)
 			for i := 0; i < holders; i++ {
 				tx := model.TxnID(fmt.Sprintf("bg-%d", i))
 				m.TryAcquire(tx, model.EntityID(fmt.Sprintf("bg-ent-%d", i)))

@@ -11,7 +11,7 @@ func prios(m map[model.TxnID]int64) func(model.TxnID) int64 {
 }
 
 func TestAcquireGrantAndReentry(t *testing.T) {
-	m := NewManager()
+	m := NewStriped(1)
 	p := prios(map[model.TxnID]int64{"t1": 1, "t2": 2})
 	if out, _ := m.Acquire("t1", "x", p); out != Granted {
 		t.Fatal("free lock must grant")
@@ -25,7 +25,7 @@ func TestAcquireGrantAndReentry(t *testing.T) {
 }
 
 func TestWoundWaitPolicy(t *testing.T) {
-	m := NewManager()
+	m := NewStriped(1)
 	p := prios(map[model.TxnID]int64{"old": 1, "young": 9})
 	m.Acquire("young", "x", p)
 	// Older requester wounds the younger holder.
@@ -34,7 +34,7 @@ func TestWoundWaitPolicy(t *testing.T) {
 		t.Fatalf("out=%v victim=%v", out, victim)
 	}
 	// Younger requester waits for the older holder.
-	m2 := NewManager()
+	m2 := NewStriped(1)
 	m2.Acquire("old", "x", p)
 	out, _ = m2.Acquire("young", "x", p)
 	if out != Wait {
@@ -43,7 +43,7 @@ func TestWoundWaitPolicy(t *testing.T) {
 }
 
 func TestReleaseFreesAll(t *testing.T) {
-	m := NewManager()
+	m := NewStriped(1)
 	p := prios(map[model.TxnID]int64{"t1": 1, "t2": 2})
 	m.Acquire("t1", "x", p)
 	m.Acquire("t1", "y", p)
@@ -60,7 +60,7 @@ func TestReleaseFreesAll(t *testing.T) {
 }
 
 func TestReleaseUnknownIsNoop(t *testing.T) {
-	m := NewManager()
+	m := NewStriped(1)
 	m.Release("ghost") // must not panic
 	if m.Locked() != 0 {
 		t.Error("phantom locks appeared")

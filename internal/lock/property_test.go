@@ -8,10 +8,11 @@ import (
 	"mla/internal/model"
 )
 
-// TestPropertyExclusiveHolder drives the manager through seeded random
-// acquire/release sequences and checks the safety property after every
-// operation: no entity ever has two holders. The manager's own holder map
-// is cross-checked against an independently maintained shadow table, so a
+// TestPropertyExclusiveHolder drives a one-stripe table, the serial
+// controls' shape, through seeded random acquire/release sequences and
+// checks the safety property after every operation: no entity ever has two
+// holders. The table's holder map (Holds, HolderOf, Locked) is
+// cross-checked against an independently maintained shadow table, so a
 // bookkeeping desync between holder and held would also surface.
 func TestPropertyExclusiveHolder(t *testing.T) {
 	txns := make([]model.TxnID, 6)
@@ -21,7 +22,7 @@ func TestPropertyExclusiveHolder(t *testing.T) {
 	entities := []model.EntityID{"x", "y", "z", "w"}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewManager()
+		m := NewStriped(1)
 		shadow := make(map[model.EntityID]model.TxnID)
 		for op := 0; op < 400; op++ {
 			tx := txns[rng.Intn(len(txns))]
@@ -66,9 +67,9 @@ func TestPropertyExclusiveHolder(t *testing.T) {
 			if len(holders) != len(shadow) {
 				t.Fatalf("seed=%d op=%d: manager holds %d entities, shadow %d", seed, op, len(holders), len(shadow))
 			}
-			for x, h := range shadow {
-				if holders[x] != h {
-					t.Fatalf("seed=%d op=%d: %s holder %s, shadow %s", seed, op, x, holders[x], h)
+			for _, x := range entities {
+				if holders[x] != shadow[x] || m.HolderOf(x) != shadow[x] {
+					t.Fatalf("seed=%d op=%d: %s holder %s (HolderOf %s), shadow %s", seed, op, x, holders[x], m.HolderOf(x), shadow[x])
 				}
 			}
 			if m.Locked() != len(shadow) {
@@ -98,7 +99,7 @@ func TestPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 			prios[tx] = int64(rng.Intn(4))
 		}
 		prio := func(tx model.TxnID) int64 { return prios[tx] }
-		m := NewManager()
+		m := NewStriped(1)
 		for op := 0; op < 300; op++ {
 			tx := txns[rng.Intn(len(txns))]
 			if rng.Intn(6) == 0 {

@@ -7,12 +7,11 @@ import (
 	"mla/internal/model"
 )
 
-// Striped is the entity-hashed, sharded lock manager: N independent lock
+// Striped is the entity-hashed, sharded lock table: N independent holder
 // tables, each behind its own mutex. Every entity maps to exactly one shard,
 // so a decision about x involves only x's shard — requests on entities in
 // different shards proceed in parallel with no shared cache line beyond the
-// shard array itself. Semantics are identical to Manager's (each shard IS a
-// Manager); the wound-wait priority rule, single-holder, and
+// shard array itself. The wound-wait priority rule, single-holder, and
 // wound-only-strictly-younger properties all hold per shard and therefore
 // globally, because no lock state spans shards.
 //
@@ -29,11 +28,20 @@ type Striped struct {
 	index []indexStripe
 }
 
+// stripe is one shard's table. held lists each holder's entities, so a
+// Release costs the locks it frees, not the table size; free recycles
+// released held slices, so a steady lock path allocates none.
 type stripe struct {
-	mu sync.Mutex
-	m  *Manager
-	_  [48]byte // pad to a 64-byte cache line so shard mutexes don't false-share
+	mu     sync.Mutex
+	holder map[model.EntityID]model.TxnID
+	held   map[model.TxnID][]model.EntityID
+	free   [][]model.EntityID
+	_      [16]byte // pad to a 64-byte cache line so shard mutexes don't false-share
 }
+
+// maxFreeHeld caps a stripe's recycled-slice pool; beyond it, slices are
+// left to the GC (the pool only needs to cover peak concurrent holders).
+const maxFreeHeld = 64
 
 type indexStripe struct {
 	mu      sync.Mutex
@@ -57,7 +65,8 @@ func NewStriped(shards int) *Striped {
 	}
 	s := &Striped{shards: make([]stripe, n), mask: uint32(n - 1), index: make([]indexStripe, max(n, 16))}
 	for i := range s.shards {
-		s.shards[i].m = NewManager()
+		s.shards[i].holder = make(map[model.EntityID]model.TxnID)
+		s.shards[i].held = make(map[model.TxnID][]model.EntityID)
 	}
 	for i := range s.index {
 		s.index[i].entries = make(map[model.TxnID]txnEntry)
@@ -104,16 +113,31 @@ func (s *Striped) Priority(t model.TxnID) int64 {
 	return p
 }
 
-// Acquire attempts to take the exclusive lock on x for t under the
-// wound-wait rule; see Manager.Acquire. Only x's shard is locked, and on
-// t's first lock there t's index stripe, to set the shard's bit.
+// Acquire attempts to take the exclusive lock on x for t. prio returns a
+// transaction's priority; smaller values are older (higher priority). On
+// Wound, victim is the current holder, which the caller must abort (its
+// locks are released by Release) before retrying. Only x's shard is locked,
+// and on t's first lock there t's index stripe, to set the shard's bit.
 func (s *Striped) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID) int64) (Outcome, model.TxnID) {
 	i := fnv(x) & s.mask
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	out, h, first := sh.m.acquire(t, x, prio)
-	if first {
+	if h, locked := sh.holder[x]; locked {
+		switch {
+		case h == t:
+			return Granted, ""
+		case prio(t) < prio(h):
+			return Wound, h
+		}
+		return Wait, h
+	}
+	sh.holder[x] = t
+	hs, have := sh.held[t]
+	if !have {
+		if n := len(sh.free); n > 0 {
+			hs, sh.free = sh.free[n-1], sh.free[:n-1]
+		}
 		ix := s.indexOf(t)
 		ix.mu.Lock()
 		e := ix.entries[t]
@@ -121,22 +145,29 @@ func (s *Striped) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID
 		ix.entries[t] = e
 		ix.mu.Unlock()
 	}
-	return out, h
+	sh.held[t] = append(hs, x)
+	return Granted, ""
 }
 
-// TryAcquire takes the lock when free or already held by t; see
-// Manager.TryAcquire.
+// TryAcquire takes the lock when it is free or already held by t, otherwise
+// reporting the current holder. Callers that prefer deadlock detection over
+// wound-wait use this directly.
 func (s *Striped) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID) {
 	out, h := s.Acquire(t, x, func(model.TxnID) int64 { return 0 }) // equal priorities never wound
 	return out == Granted, h
 }
 
 // Holds reports whether t holds the lock on x.
-func (s *Striped) Holds(t model.TxnID, x model.EntityID) bool {
+func (s *Striped) Holds(t model.TxnID, x model.EntityID) bool { return s.HolderOf(x) == t }
+
+// HolderOf returns the current holder of x ("" when unlocked). Deadlock
+// probes chase waits-for edges with it: the edge from a waiter leads to
+// whoever holds the entity it is blocked on.
+func (s *Striped) HolderOf(x model.EntityID) model.TxnID {
 	sh := s.shardOf(x)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.m.Holds(t, x)
+	return sh.holder[x]
 }
 
 // Release frees every lock held by t (strict 2PL) and forgets its priority:
@@ -154,7 +185,16 @@ func (s *Striped) Release(t model.TxnID) {
 		for i := bits.TrailingZeros64(held); i < len(s.shards); i += 64 {
 			sh := &s.shards[i]
 			sh.mu.Lock()
-			sh.m.Release(t)
+			if hs, have := sh.held[t]; have {
+				for _, x := range hs {
+					delete(sh.holder, x) // held[t] lists exactly what t holds here
+				}
+				delete(sh.held, t)
+				if len(sh.free) < maxFreeHeld {
+					clear(hs) // drop entity-string references before pooling
+					sh.free = append(sh.free, hs[:0])
+				}
+			}
 			sh.mu.Unlock()
 		}
 	}
@@ -172,8 +212,8 @@ func (s *Striped) Snapshot() Stats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		out.Locked += len(sh.m.holder)
-		out.Holders += len(sh.m.held)
+		out.Locked += len(sh.holder)
+		out.Holders += len(sh.held)
 		sh.mu.Unlock()
 	}
 	for i := range s.index {

@@ -10,15 +10,51 @@ import (
 	"mla/internal/model"
 )
 
-// locker is the surface shared by Manager and Striped, letting the property
-// tests run identically against both.
+// locker is the surface shared by Striped and refTable, letting the
+// equivalence test run identically against both.
 type locker interface {
 	Acquire(model.TxnID, model.EntityID, func(model.TxnID) int64) (Outcome, model.TxnID)
 	TryAcquire(model.TxnID, model.EntityID) (bool, model.TxnID)
-	Holds(model.TxnID, model.EntityID) bool
+	HolderOf(model.EntityID) model.TxnID
 	Release(model.TxnID)
 	Locked() int
 }
+
+// refTable is the reference lock table: one map from entity to holder, the
+// wound-wait rule written out, and a Release that scans the whole map. It
+// is the oracle of TestStripedDecisionEquivalence.
+type refTable map[model.EntityID]model.TxnID
+
+func (r refTable) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID) int64) (Outcome, model.TxnID) {
+	h, locked := r[x]
+	switch {
+	case !locked:
+		r[x] = t
+		return Granted, ""
+	case h == t:
+		return Granted, ""
+	case prio(t) < prio(h):
+		return Wound, h
+	}
+	return Wait, h
+}
+
+func (r refTable) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID) {
+	out, h := r.Acquire(t, x, func(model.TxnID) int64 { return 0 })
+	return out == Granted, h
+}
+
+func (r refTable) HolderOf(x model.EntityID) model.TxnID { return r[x] }
+
+func (r refTable) Release(t model.TxnID) {
+	for x, h := range r {
+		if h == t {
+			delete(r, x)
+		}
+	}
+}
+
+func (r refTable) Locked() int { return len(r) }
 
 // TestStripedPropertyExclusiveHolder reruns the exclusive-holder property
 // against the sharded manager: seeded random acquire/release sequences, with
@@ -158,13 +194,14 @@ func TestStripedPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 }
 
 // TestStripedDecisionEquivalence pins the claim in the package doc: on the
-// same serial request sequence, a Striped manager makes byte-for-byte the
-// decisions an unsharded Manager makes — striping changes where state lives,
-// never what is decided. Every outcome (grant/wait/wound, reported holders,
-// victims, lock counts) is appended to a decision log per manager and the
-// logs are compared. Releases include non-holders (a second release, a
-// transaction that never locked) and are followed by re-acquisition, the
-// sequences that exercise the held-stripe index.
+// same serial request sequence, a Striped table of any stripe count makes
+// byte-for-byte the decisions of the map-backed reference table (refTable)
+// — striping changes where state lives, never what is decided. Every
+// outcome (grant/wait/wound, reported holders, victims, the entity's holder
+// after the request, lock counts) is appended to a decision log per table
+// and the logs are compared. Releases include non-holders (a second
+// release, a transaction that never locked) and are followed by
+// re-acquisition, the sequences that exercise the held-stripe index.
 func TestStripedDecisionEquivalence(t *testing.T) {
 	txns := make([]model.TxnID, 7)
 	for i := range txns {
@@ -181,7 +218,7 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 			prioTable[tx] = int64(i)
 		}
 		prio := func(tx model.TxnID) int64 { return prioTable[tx] }
-		mgrs := []locker{NewManager(), NewStriped(1), NewStriped(8),
+		mgrs := []locker{refTable{}, NewStriped(1), NewStriped(8),
 			newPrioStriped(1, prioTable), newPrioStriped(8, prioTable)}
 		logs := make([][]string, len(mgrs))
 		for op := 0; op < 500; op++ {
@@ -209,13 +246,13 @@ func TestStripedDecisionEquivalence(t *testing.T) {
 					ok, holder := m.TryAcquire(tx, x)
 					entry = fmt.Sprintf("try %s %s -> %v %s", tx, x, ok, holder)
 				}
-				logs[i] = append(logs[i], entry)
+				logs[i] = append(logs[i], entry+" holder="+string(m.HolderOf(x)))
 			}
 		}
 		for i := 1; i < len(mgrs); i++ {
 			for j := range logs[0] {
 				if logs[i][j] != logs[0][j] {
-					t.Fatalf("seed=%d op=%d: manager %d diverged from unsharded:\n  unsharded: %s\n  striped:   %s",
+					t.Fatalf("seed=%d op=%d: table %d diverged from the reference:\n  reference: %s\n  striped:   %s",
 						seed, j, i, logs[0][j], logs[i][j])
 				}
 			}
@@ -353,7 +390,7 @@ func TestStripedAcquireRacesRelease(t *testing.T) {
 		tx := model.TxnID(fmt.Sprintf("w%d", w))
 		s.Release(tx)
 		for i := range s.shards {
-			if _, held := s.shards[i].m.held[tx]; held {
+			if _, held := s.shards[i].held[tx]; held {
 				t.Fatalf("shard %d still holds locks of %s after the final Release", i, tx)
 			}
 		}

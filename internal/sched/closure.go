@@ -71,8 +71,8 @@ func (h *closureHost) ClosureSteps() int { return h.oc.Steps() }
 func (h *closureHost) ClosureSlots() int { return h.oc.Slots() }
 
 // Aborted implements Control: the victims' events leave the closure (in
-// place when they are closure sinks, by replay otherwise). The replay also
-// cleans the dirty state a Detector's rejected step leaves behind.
+// place when they are closure sinks, by replay otherwise), a Detector's
+// victims like any other.
 func (h *closureHost) Aborted(victims []model.TxnID) {
 	h.stats.Aborts += len(victims)
 	drop := make(map[model.TxnID]bool, len(victims))

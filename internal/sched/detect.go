@@ -35,8 +35,8 @@ func NewDetector(n *nest.Nest, spec breakpoint.Spec) *Detector {
 func (d *Detector) Name() string { return "detect" }
 
 // Request implements Control. The step is tentatively added to the closure;
-// on a cycle it is withdrawn and the youngest transaction involved is
-// chosen as the victim.
+// on a cycle the closure withdraws it and the youngest transaction involved
+// is chosen as the victim.
 func (d *Detector) Request(t model.TxnID, _ int, x model.EntityID) Decision {
 	d.stats.Requests++
 	if d.oc.AddStep(t, x) {
@@ -44,7 +44,6 @@ func (d *Detector) Request(t model.TxnID, _ int, x model.EntityID) Decision {
 		return grant
 	}
 	d.stats.Cycles++
-	d.oc.PopStep()
 	victim := d.pickVictim(append(d.oc.CycleTxns(), t))
 	if victim != t {
 		d.stats.Wounds++

@@ -13,7 +13,7 @@ import (
 // deadlock policy. All locks are held to transaction end, so aborts never
 // cascade.
 type TwoPhase struct {
-	locks   *lock.Manager
+	locks   *lock.Striped
 	prio    map[model.TxnID]int64
 	waitFor *waitGraph
 	stats   Stats
@@ -22,7 +22,7 @@ type TwoPhase struct {
 // NewTwoPhase returns a strict 2PL control.
 func NewTwoPhase() *TwoPhase {
 	return &TwoPhase{
-		locks:   lock.NewManager(),
+		locks:   lock.NewStriped(1),
 		prio:    make(map[model.TxnID]int64),
 		waitFor: newWaitGraph(),
 	}

@@ -84,7 +84,7 @@ type simNode struct {
 	id int
 	up bool
 
-	locks *lock.Manager
+	locks *lock.Striped
 	// shotDone fences duplicate ShotPrepare deliveries: retransmits of an
 	// already-prepared shot re-vote without re-releasing (a re-release
 	// after the next unit acquired fresh locks here would tear it).
@@ -106,7 +106,7 @@ func newSimNode(id int) *simNode {
 
 // reset zeroes all per-node state (crash, and initial construction).
 func (n *simNode) reset() {
-	n.locks = lock.NewManager()
+	n.locks = lock.NewStriped(1)
 	n.shotDone = make(map[model.TxnID]int)
 	n.recovering = false
 	n.syncNeed = nil

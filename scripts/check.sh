@@ -20,12 +20,14 @@ go test -race ./...
 # the stripes a transaction took; a ledger commit and a ledger rollback flat
 # in the in-flight count; the WAL DB's share of a commit and of a rollback; a
 # closure insert linear in the transaction's length, the preview on a
-# 1024-step closure, and the history checker on ≈470- and ≈3,800-step serial
-# banking histories), run once each so they keep compiling and running.
+# 1024-step closure, a Detector abort whose victim is retracted in place, and
+# the history checker on ≈470- and ≈3,800-step serial banking histories), run
+# once each so they keep compiling and running.
 go test ./internal/lock/ -run '^$' -bench BenchmarkStripedAcquireRelease -benchtime 1x > /dev/null
 go test ./internal/storage/ -run '^$' -bench 'BenchmarkLedgerCommit|BenchmarkLedgerRollback' -benchtime 1x > /dev/null
 go test ./internal/wal/ -run '^$' -bench 'BenchmarkDBPerformCommit|BenchmarkDBAbortSuffix' -benchtime 1x -benchmem > /dev/null
 go test ./internal/coherent/ -run '^$' -bench 'BenchmarkOnlineLongTxn|BenchmarkOnlinePreviewAt1024' -benchtime 1x > /dev/null
+go test ./internal/sched/ -run '^$' -bench BenchmarkDetectorCascade -benchtime 1x > /dev/null
 go test ./internal/history/ -run '^$' -bench BenchmarkCheck -benchtime 1x -benchmem > /dev/null
 go test ./internal/wal/ -run FuzzWALRecovery -fuzz FuzzWALRecovery -fuzztime 10s
 # Same recovery law over the real medium: a file-backed log whose tail is
