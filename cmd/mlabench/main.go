@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Int("scale", 2, "workload scale multiplier (1 = quick)")
 	seed := fs.Int64("seed", 1, "random seed")
 	markdown := fs.Bool("md", false, "render tables as markdown")
-	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics table at exit")
+	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics at exit")
 	traceOut := fs.String("trace-out", "", "write the recorded spans as Chrome trace-event JSON (implies -telemetry)")
 	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	if err := fs.Parse(args); err != nil {
@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "wrote %s (load in ui.perfetto.dev)\n", *traceOut)
 			}
 		}
-		tel.Table().Render(stdout)
+		tel.Metrics.WriteText(stdout)
 	}()
 
 	opts := bench.Config{Scale: *scale, Seed: *seed, Context: ctx, Telemetry: tel}

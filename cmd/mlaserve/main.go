@@ -14,8 +14,9 @@
 //
 // In serve mode the process runs until SIGTERM/SIGINT, then drains: new
 // work is refused with 503 while admitted transactions finish, the WAL
-// group-commit pipeline is flushed, and telemetry is exported on every exit
-// path.
+// group-commit pipeline is flushed, and the -trace-out trace is written on
+// every exit path. Counters are served live at GET /metrics (Prometheus
+// text format); nothing else is exported on exit.
 //
 // With -data-dir the WAL is a real segmented on-disk log: commits are
 // fsynced before their 200 is written, a restart over the same directory
@@ -64,8 +65,7 @@ func main() {
 }
 
 // run is main without the process exit, so tests can drive it and the
-// telemetry export still runs as a defer; the return value is the exit
-// status.
+// trace export still runs as a defer; the return value is the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mlaserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxDeadline := fs.Duration("max-deadline", 0, "clamp for client-supplied deadlines (0 = default)")
 	seed := fs.Int64("seed", 1, "seed for synthesized workload choices")
 	traceOut := fs.String("trace-out", "", "write telemetry spans as Chrome trace-event JSON on exit")
-	metricsOut := fs.String("metrics-out", "", "write the telemetry metrics snapshot as JSON on exit")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long the SIGTERM drain may take")
 
 	dataDir := fs.String("data-dir", "", "persist the WAL as a segmented on-disk log here; restarts recover from it")
@@ -186,29 +185,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var tel *telemetry.Telemetry
-	if *traceOut != "" || *metricsOut != "" {
+	if *traceOut != "" {
 		tel = telemetry.New()
 		cfg.Telemetry = tel
 	}
-	// Export telemetry on every path out, including failures: the trace of
+	// Export the trace on every path out, including failures: the trace of
 	// a failed run is the one worth looking at.
 	defer func() {
 		if tel == nil {
 			return
 		}
-		if *traceOut != "" {
-			if err := tel.WriteTrace(*traceOut); err != nil {
-				fmt.Fprintf(stderr, "mlaserve: trace: %v\n", err)
-			} else {
-				fmt.Fprintf(stdout, "wrote %s (load in ui.perfetto.dev)\n", *traceOut)
-			}
-		}
-		if *metricsOut != "" {
-			if err := tel.WriteMetrics(*metricsOut); err != nil {
-				fmt.Fprintf(stderr, "mlaserve: metrics: %v\n", err)
-			} else {
-				fmt.Fprintf(stdout, "wrote %s\n", *metricsOut)
-			}
+		if err := tel.WriteTrace(*traceOut); err != nil {
+			fmt.Fprintf(stderr, "mlaserve: trace: %v\n", err)
+		} else {
+			fmt.Fprintf(stdout, "wrote %s (load in ui.perfetto.dev)\n", *traceOut)
 		}
 	}()
 

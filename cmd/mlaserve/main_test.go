@@ -74,7 +74,7 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 
 // TestUsageErrorsLeaveNothingBehind: a flag value outside its documented
 // range exits 2 before anything listens, forks or writes — only a
-// diagnostic on stderr, no spool, WAL, soak directory or telemetry file —
+// diagnostic on stderr, no spool, WAL, soak directory or trace file —
 // instead of running with a value the command was not given.
 func TestUsageErrorsLeaveNothingBehind(t *testing.T) {
 	for _, flags := range []string{
@@ -99,7 +99,7 @@ func TestUsageErrorsLeaveNothingBehind(t *testing.T) {
 		args := strings.Fields(strings.ReplaceAll(flags, "DIR", dir))
 		args = append(args, "-addr", "127.0.0.1:0", "-spool", filepath.Join(dir, "h.spool"),
 			"-soak-dir", filepath.Join(dir, "soak"),
-			"-trace-out", filepath.Join(dir, "t.json"), "-metrics-out", filepath.Join(dir, "m.json"))
+			"-trace-out", filepath.Join(dir, "t.json"))
 		var out, errb bytes.Buffer
 		status := run(args, &out, &errb)
 		if left, _ := os.ReadDir(dir); status != 2 || out.Len() != 0 || !strings.HasPrefix(errb.String(), "mlaserve: ") || len(left) != 0 {

@@ -56,9 +56,10 @@
 //
 // -telemetry records spans and counters from the run (engine lock waits,
 // commit groups, recoveries; simulator transactions; dist bus messages) and
-// prints the aggregated metrics table at exit. -trace-out writes the spans
-// as Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev), and
-// implies -telemetry. -pprof PREFIX writes PREFIX.cpu.pprof and
+// prints the aggregated metrics at exit, one "name value" line each
+// (Prometheus text format). -trace-out writes the spans as Chrome
+// trace-event JSON loadable in Perfetto (ui.perfetto.dev), and implies
+// -telemetry. -pprof PREFIX writes PREFIX.cpu.pprof and
 // PREFIX.heap.pprof.
 package main
 
@@ -131,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	partTime := fs.Int64("partition", 0, "dist/shard controls: split the processors into two halves at this time (0 = never)")
 	healTime := fs.Int64("heal", 0, "dist/shard controls: heal the partition at this time (0 = partition+300)")
 	procFail := fs.Int("procfail", 0, "dist/shard controls: crash this many processors in sequence, each rejoining 400 units later")
-	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics table at exit")
+	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics at exit")
 	telOut := fs.String("trace-out", "", "write recorded spans as Chrome trace-event JSON (implies -telemetry)")
 	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	if err := fs.Parse(args); err != nil {
@@ -197,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "spans written:  %s (load in ui.perfetto.dev)\n", *telOut)
 			}
 		}
-		tel.Table().Render(stdout)
+		tel.Metrics.WriteText(stdout)
 	}()
 
 	var (

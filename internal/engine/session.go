@@ -536,3 +536,12 @@ func (s *Session) Stats() SessionStats {
 	e.mu.Unlock()
 	return st
 }
+
+// ControlStats copies the control's counters under the engine mutex: the
+// serial controls count in live state the engine writes under it, and
+// ShardedTwoPhase folds every caller's reading into one shared struct.
+func (s *Session) ControlStats() sched.Stats {
+	s.e.mu.Lock()
+	defer s.e.mu.Unlock()
+	return *s.e.control.Stats()
+}

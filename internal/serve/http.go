@@ -12,6 +12,7 @@ import (
 
 	"mla/internal/engine"
 	"mla/internal/model"
+	"mla/internal/telemetry"
 	"mla/internal/wal"
 )
 
@@ -23,7 +24,7 @@ import (
 //	GET    /v1/txns/{id}       durability lookup          -> {"txn","durable"}
 //	GET    /healthz            liveness (engine alive, disk healthy)
 //	GET    /readyz             readiness (accepting, not draining)
-//	GET    /statz              full Stats snapshot
+//	GET    /metrics            Stats snapshot, Prometheus text format
 //
 // POST /v1/txns status codes carry the backpressure contract:
 //
@@ -50,7 +51,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/txns/{id}", s.handleTxnLookup)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /statz", s.handleStatz)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -285,6 +286,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Write([]byte("ready\n"))
 }
 
-func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+// handleMetrics folds a fresh Stats into a registry of its own, so every
+// counter reads as of this scrape, and writes it after the attached
+// telemetry registry's metrics, if any.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	if s.cfg.Telemetry != nil {
+		s.cfg.Telemetry.Metrics.WriteText(w)
+	}
+	scrape := telemetry.NewRegistry()
+	scrape.ObserveSnapshot("serve", s.Stats())
+	scrape.WriteText(w)
 }

@@ -171,7 +171,6 @@ type Server struct {
 	pipe    *wal.Pipeline
 	spool   *history.Recorder
 	epoch   int64 // boot count of DataDir; 0 when in-memory
-	start   time.Time
 
 	// pop builds every synthesized program with its class path; its Spec is
 	// the engine's breakpoint rule.
@@ -214,7 +213,7 @@ const (
 	stDegraded
 )
 
-// counters are the server-level outcome tallies /statz exposes; all
+// counters are the server-level outcome tallies /metrics exposes; all
 // atomics so the request path never takes the server mutex.
 type counters struct {
 	acked, deadline, canceled, gaveUp, shed, budget, rejected atomic.Int64
@@ -291,7 +290,6 @@ func New(cfg Config) (*Server, error) {
 		pipe:     pipe,
 		epoch:    medium.Recovery().Epoch,
 		sessions: make(map[string]*clientSession),
-		start:    time.Now(),
 		lat:      metrics.NewHistogram(),
 		waited:   metrics.NewHistogram(),
 	}
@@ -595,10 +593,6 @@ func (s *Server) observeLatency(latUs, waitedUs int64) {
 	s.lat.Record(latUs)
 	s.waited.Record(waitedUs)
 	s.latMu.Unlock()
-	if s.cfg.Telemetry != nil {
-		s.cfg.Telemetry.Metrics.Histogram("serve.commit_latency_us").Observe(latUs)
-		s.cfg.Telemetry.Metrics.Histogram("serve.lock_wait_us").Observe(waitedUs)
-	}
 }
 
 // RetryAfter is the backoff hint attached to 429/503: the commit-latency
@@ -743,51 +737,43 @@ func (s *Server) Durable(id model.TxnID) bool { return s.pipe.Committed(id) }
 // from the last checkpoint, and any torn bytes truncated.
 func (s *Server) RecoveryInfo() wal.RecoveryInfo { return s.medium.Recovery() }
 
-// Stats is the /statz payload: engine, scheduler, lock table, admission,
-// and latency state in one JSON-serializable snapshot.
+// Stats is the /metrics payload: engine, scheduler, lock table, admission,
+// and latency state in one snapshot.
 type Stats struct {
-	Uptime       string               `json:"uptime"`
-	State        string               `json:"state"`
-	Sessions     int                  `json:"sessions"`
-	Engine       engine.SessionStats  `json:"engine"`
-	Sched        sched.Stats          `json:"sched"`
-	Locks        *lockStats           `json:"locks,omitempty"`
-	Gates        map[string]GateStats `json:"gates"`
-	Acked        int64                `json:"acked"`
-	Deadline     int64                `json:"deadline_exceeded"`
-	Canceled     int64                `json:"canceled"`
-	GaveUp       int64                `json:"gave_up"`
-	Shed         int64                `json:"shed"`
-	BudgetDenied int64                `json:"budget_denied"`
-	Rejected     int64                `json:"rejected_draining"`
-	Latency      metrics.Summary      `json:"latency_us"`   // every commit since boot
-	LockWait     metrics.Summary      `json:"lock_wait_us"` // every commit since boot
-	RetryAfterMS int64                `json:"retry_after_ms"`
+	Sessions     int
+	Engine       engine.SessionStats
+	Sched        sched.Stats
+	Locks        *lock.Stats // nil unless the control has a striped lock table
+	Gates        map[string]GateStats
+	Acked        int64
+	Deadline     int64
+	Canceled     int64
+	GaveUp       int64
+	Shed         int64
+	BudgetDenied int64
+	Rejected     int64
+	Latency      metrics.Summary // every commit since boot, µs
+	LockWait     metrics.Summary // every commit since boot, µs
+	RetryAfterMS int64
 
 	// WAL is the group-commit pipeline's counters (flushes, batch sizes,
 	// compacting checkpoints, degraded flag).
-	WAL wal.PipelineStats `json:"wal"`
+	WAL wal.PipelineStats
 	// SinceCheckpoint is the current recovery replay bound: records a
 	// restart right now would redo.
-	SinceCheckpoint int `json:"wal_since_checkpoint"`
+	SinceCheckpoint int
 	// Recovery reports what this boot's WAL load found; nil for in-memory
 	// servers.
-	Recovery *wal.RecoveryInfo `json:"recovery,omitempty"`
-}
-
-type lockStats struct {
-	Locked  int `json:"locked"`
-	Holders int `json:"holders"`
-	Shards  int `json:"shards"`
+	Recovery *wal.RecoveryInfo
 }
 
 // GateStats snapshots one admission gate.
 type GateStats struct {
-	Depth    int   `json:"depth"`
-	Inflight int64 `json:"inflight"`
-	Queued   int64 `json:"queued"`
-	Admitted int64 `json:"admitted"`
-	Shed     int64 `json:"shed"`
+	Depth    int
+	Inflight int64
+	Queued   int64
+	Admitted int64
+	Shed     int64
 }
 
 // Stats snapshots the server.
@@ -796,11 +782,9 @@ func (s *Server) Stats() Stats {
 	nSess := len(s.sessions)
 	s.mu.RUnlock()
 	st := Stats{
-		Uptime:       time.Since(s.start).Round(time.Millisecond).String(),
-		State:        [...]string{"accepting", "draining", "closed", "degraded"}[atomic.LoadInt32(&s.state)],
 		Sessions:     nSess,
 		Engine:       s.session.Stats(),
-		Sched:        *s.control.Stats(),
+		Sched:        s.session.ControlStats(),
 		Gates:        make(map[string]GateStats, len(s.gates)+1),
 		Acked:        s.counters.acked.Load(),
 		Deadline:     s.counters.deadline.Load(),
@@ -813,7 +797,7 @@ func (s *Server) Stats() Stats {
 	}
 	if lp, ok := s.control.(interface{ LockSnapshot() lock.Stats }); ok {
 		ls := lp.LockSnapshot()
-		st.Locks = &lockStats{Locked: ls.Locked, Holders: ls.Holders, Shards: ls.Shards}
+		st.Locks = &ls
 	}
 	for name, g := range s.gates {
 		st.Gates[name] = g.snapshot()

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,8 +245,14 @@ func TestServeDegradedMode(t *testing.T) {
 			t.Errorf("degraded lookup %s: status %d, want 200", id, resp.StatusCode)
 		}
 	}
-	if resp, _ := http.Get(ts.URL + "/statz"); resp.StatusCode != http.StatusOK {
-		t.Errorf("degraded statz: status %d, want 200", resp.StatusCode)
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(metrics), "\nserve_wal_degraded 1\n") {
+		t.Errorf("degraded /metrics: status %d, want 200 with serve_wal_degraded 1:\n%s", resp.StatusCode, metrics)
 	}
 }
 

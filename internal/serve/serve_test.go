@@ -550,6 +550,74 @@ func TestServeConcurrentLoadNoLeaks(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestMetricsScrapeUnderLoad: one goroutine calls Stats and another scrapes
+// GET /metrics while transfers commit, under each control. Under -race it
+// catches an unsynchronized copy of the control's counters: the serial
+// controls count in live state, and ShardedTwoPhase folds every reading
+// into one shared struct. Once quiescent, the scrape agrees with Stats.
+func TestMetricsScrapeUnderLoad(t *testing.T) {
+	for _, control := range []string{"2pl-sharded", "2pl", "tso"} {
+		t.Run(control, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Control = control
+			srv, ts := startServer(t, cfg)
+			ctx := context.Background()
+			stop := make(chan struct{})
+			var readers, writers sync.WaitGroup
+			for _, read := range []func() error{
+				func() error { srv.Stats(); return nil },
+				func() error { _, err := fetchMetrics(ctx, ts.Client(), ts.URL); return err },
+			} {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := read(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			for w := 0; w < 4; w++ {
+				cs, err := srv.OpenSession(-1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				writers.Add(1)
+				go func() {
+					defer writers.Done()
+					for i := 0; i < 50; i++ {
+						if _, err := srv.Submit(ctx, TxnRequest{Session: cs.ID(), Kind: "transfer"}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			writers.Wait()
+			close(stop)
+			readers.Wait()
+			m, err := fetchMetrics(ctx, ts.Client(), ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
+			if st.Acked == 0 || m["serve_acked"] != float64(st.Acked) ||
+				m["serve_sched_requests"] != float64(st.Sched.Requests) || m["serve_gates_inflight_admitted"] != float64(st.Gates["inflight"].Admitted) {
+				t.Errorf("scrape acked %v, requests %v, admitted %v; Stats %d, %d, %d",
+					m["serve_acked"], m["serve_sched_requests"], m["serve_gates_inflight_admitted"],
+					st.Acked, st.Sched.Requests, st.Gates["inflight"].Admitted)
+			}
+		})
+	}
+}
+
 // waitGoroutines mirrors the engine tests' leak check.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -94,7 +94,7 @@ type SoakReport struct {
 	// boots. Durability means this is empty.
 	LostAcks []string
 	// Checkpoints is the child-reported compacting-checkpoint count
-	// (maximum observed over /statz samples).
+	// (maximum observed over /metrics samples).
 	Checkpoints int64
 	// History is the black-box checker's report over the merged spool.
 	History *history.Report
@@ -209,18 +209,18 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 			<-c.done
 			return nil, nil, err
 		}
-		st, err := fetchStatz(ctx, client, c.base)
+		m, err := fetchMetrics(ctx, client, c.base)
 		if err != nil {
 			c.cmd.Process.Kill()
 			<-c.done
 			return nil, nil, err
 		}
-		r := &SoakRound{Graceful: graceful}
-		if st.Recovery != nil {
-			r.Epoch = st.Recovery.Epoch
-			r.Records = st.Recovery.Records
-			r.SinceCheckpoint = st.Recovery.SinceCheckpoint
-			r.TornBytes = st.Recovery.TornBytes
+		r := &SoakRound{
+			Graceful:        graceful,
+			Epoch:           int64(m["serve_recovery_epoch"]),
+			Records:         int(m["serve_recovery_records"]),
+			SinceCheckpoint: int(m["serve_recovery_since_checkpoint"]),
+			TornBytes:       int64(m["serve_recovery_torn_bytes"]),
 		}
 		lost, err := loadgen.Reverify(ctx, client, c.base, acked)
 		if err != nil {
@@ -288,8 +288,8 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 			}
 			loadDone <- nil
 		}
-		if st, err := fetchStatz(ctx, client, c.base); err == nil && st.WAL.Checkpoints > rep.Checkpoints {
-			rep.Checkpoints = st.WAL.Checkpoints
+		if m, err := fetchMetrics(ctx, client, c.base); err == nil {
+			rep.Checkpoints = max(rep.Checkpoints, int64(m["serve_wal_checkpoints"]))
 		}
 		c.cmd.Process.Kill()
 		if err := <-loadDone; err != nil {
@@ -315,8 +315,8 @@ func Soak(ctx context.Context, o SoakOptions) (*SoakReport, error) {
 		<-c.done
 		return rep, fmt.Errorf("soak: graceful load: %w", err)
 	}
-	if st, err := fetchStatz(ctx, client, c.base); err == nil && st.WAL.Checkpoints > rep.Checkpoints {
-		rep.Checkpoints = st.WAL.Checkpoints
+	if m, err := fetchMetrics(ctx, client, c.base); err == nil {
+		rep.Checkpoints = max(rep.Checkpoints, int64(m["serve_wal_checkpoints"]))
 	}
 	if err := c.stop(); err != nil {
 		problem("graceful drain: %v", err)
@@ -445,9 +445,9 @@ func awaitReady(ctx context.Context, client *http.Client, c *soakChild, timeout 
 	}
 }
 
-// fetchStatz reads the child's /statz back into the type that wrote it.
-func fetchStatz(ctx context.Context, client *http.Client, base string) (*Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/statz", nil)
+// fetchMetrics reads the child's /metrics into a name -> value map.
+func fetchMetrics(ctx context.Context, client *http.Client, base string) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -456,11 +456,20 @@ func fetchStatz(ctx context.Context, client *http.Client, base string) (*Stats, 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("statz: %w", err)
+	m := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, val, ok := strings.Cut(sc.Text(), " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("metrics: malformed line %q", sc.Text())
+		}
+		m[name] = v
 	}
-	return &st, nil
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	return m, nil
 }
 
 func sample(s []string, n int) []string {

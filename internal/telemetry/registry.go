@@ -1,11 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,15 +29,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a race-safe last-value metric.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates int64 samples into fixed log-linear buckets
 // (metrics.Histogram: no allocation per sample, memory independent of the
@@ -65,13 +55,12 @@ func (h *Histogram) Summary() metrics.Summary {
 	return h.h.Summary()
 }
 
-// Registry is the run-wide aggregated view: named counters, gauges, and
-// histograms behind one race-safe surface. Metrics are created on first
-// use; the same name always returns the same instance.
+// Registry is the run-wide aggregated view: named counters and histograms
+// behind one race-safe surface. Metrics are created on first use; the same
+// name always returns the same instance.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -79,7 +68,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -94,18 +82,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram.
@@ -123,39 +99,40 @@ func (r *Registry) Histogram(name string) *Histogram {
 // ObserveSnapshot folds a package's Snapshot() stats struct into the
 // registry: every exported numeric field is ADDED to the counter named
 // prefix.field (lower_snake), so repeated runs aggregate instead of
-// overwriting each other. It accepts a struct or pointer to struct and
-// silently skips non-numeric fields — the uniform bridge from the
-// per-package Stats conventions (lock, sched, wal, net, dist) to the
+// overwriting each other. Nested structs, non-nil pointers and string-keyed
+// maps fold under prefix.field.sub (a map key is used verbatim); nil
+// pointers and every other kind are skipped — the uniform bridge from the
+// per-package Stats conventions (lock, sched, wal, net, dist, serve) to the
 // run-wide view.
 func (r *Registry) ObserveSnapshot(prefix string, snap any) {
-	v := reflect.ValueOf(snap)
-	for v.Kind() == reflect.Pointer {
-		if v.IsNil() {
-			return
+	r.observe(prefix, reflect.ValueOf(snap))
+}
+
+func (r *Registry) observe(name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			r.observe(name, v.Elem())
 		}
-		v = v.Elem()
-	}
-	if v.Kind() != reflect.Struct {
-		return
-	}
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				r.observe(name+"."+snakeCase(f.Name), v.Field(i))
+			}
 		}
-		var n int64
-		switch fv := v.Field(i); fv.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			n = fv.Int()
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			n = int64(fv.Uint())
-		case reflect.Float32, reflect.Float64:
-			n = int64(fv.Float())
-		default:
-			continue
+	case reflect.Map:
+		if v.Type().Key().Kind() == reflect.String {
+			for it := v.MapRange(); it.Next(); {
+				r.observe(name+"."+it.Key().String(), it.Value())
+			}
 		}
-		r.Counter(prefix + "." + snakeCase(f.Name)).Add(n)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		r.Counter(name).Add(v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		r.Counter(name).Add(int64(v.Uint()))
+	case reflect.Float32, reflect.Float64:
+		r.Counter(name).Add(int64(v.Float()))
 	}
 }
 
@@ -175,53 +152,36 @@ func snakeCase(name string) string {
 	return b.String()
 }
 
-// flat returns every metric as a sorted name -> value map; histograms
-// expand to name.count/min/max/mean/p50/p95/p99.
-func (r *Registry) flat() map[string]any {
+// WriteText writes every metric as one "name value" line, sorted by name,
+// in Prometheus's untyped text exposition format: '.' and '-' in a name
+// become '_', and a histogram expands to name_count, _min, _max, _mean,
+// _p50, _p95 and _p99.
+func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+7*len(r.hists))
+	lines := make([]string, 0, len(r.counters)+7*len(r.hists))
 	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
+		lines = append(lines, promName.Replace(name)+" "+strconv.FormatInt(c.Value(), 10))
 	}
 	for name, h := range r.hists {
-		s := h.Summary()
-		out[name+".count"] = int64(s.N)
-		out[name+".min"] = s.Min
-		out[name+".max"] = s.Max
-		out[name+".mean"] = s.Mean
-		out[name+".p50"] = s.P50
-		out[name+".p95"] = s.P95
-		out[name+".p99"] = s.P99
+		s, n := h.Summary(), promName.Replace(name)
+		lines = append(lines,
+			n+"_count "+strconv.Itoa(s.N),
+			n+"_min "+strconv.FormatInt(s.Min, 10),
+			n+"_max "+strconv.FormatInt(s.Max, 10),
+			n+"_mean "+strconv.FormatFloat(s.Mean, 'g', -1, 64),
+			n+"_p50 "+strconv.FormatInt(s.P50, 10),
+			n+"_p95 "+strconv.FormatInt(s.P95, 10),
+			n+"_p99 "+strconv.FormatInt(s.P99, 10))
 	}
-	return out
-}
-
-// WriteJSON writes the flat metrics dump (encoding/json sorts the keys).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r.flat(), "", "  ")
-	if err != nil {
-		return err
+	r.mu.Unlock()
+	sort.Strings(lines) // ' ' sorts before every name byte: by name
+	var b strings.Builder
+	for _, l := range lines {
+		b.WriteString(l)
+		b.WriteByte('\n')
 	}
-	_, err = w.Write(append(data, '\n'))
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// Table renders the registry expvar-style: one sorted name/value row per
-// metric, via the same metrics.Table every bench report uses.
-func (r *Registry) Table() *metrics.Table {
-	flat := r.flat()
-	names := make([]string, 0, len(flat))
-	for name := range flat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tbl := metrics.NewTable("telemetry", "metric", "value")
-	for _, name := range names {
-		tbl.Row(name, fmt.Sprintf("%v", flat[name]))
-	}
-	return tbl
-}
+var promName = strings.NewReplacer(".", "_", "-", "_")

@@ -1,23 +1,23 @@
 // Package telemetry is the run-wide observability layer: a registry of
-// named counters, gauges, and histograms that unifies the per-package
-// Snapshot() stats conventions (lock, sched, wal, net, dist) behind one
+// named counters and histograms that unifies the per-package Snapshot()
+// stats conventions (lock, sched, wal, net, dist, serve) behind one
 // aggregated race-safe view, and a span tracer recording per-transaction
 // timelines — run, transaction attempt, breakpoint unit, lock wait, commit
 // group, recovery pass, replica RPC — lock-free per goroutine and merged
 // at run end.
 //
-// It exports three ways:
+// It exports two ways:
 //
 //   - Chrome trace-event JSON (WriteTrace / Tracer.WriteChrome), loadable
 //     in chrome://tracing or Perfetto;
-//   - a flat JSON metrics dump (WriteMetrics / Registry.WriteJSON);
-//   - an expvar-style text rendering (Table / Registry.Table).
+//   - Prometheus's untyped text format (Registry.WriteText), which
+//     mlaserve serves live at GET /metrics and mlasim/mlabench -telemetry
+//     print.
 //
 // The package depends only on the standard library and internal/metrics;
 // every producer hook is designed so that DISABLED telemetry costs exactly
 // one nil check on the producer's side (the engine's Observer, the bus's
-// attached Local), which is what lets the perf gate demand <5% overhead
-// with telemetry off.
+// attached Local).
 //
 // Timestamps: wall-clock producers use Tracer.Now (nanoseconds since the
 // tracer's epoch). Simulated-time producers map one simulator time unit to
@@ -25,11 +25,7 @@
 // axis conventions without pretending to wall-clock accuracy.
 package telemetry
 
-import (
-	"os"
-
-	"mla/internal/metrics"
-)
+import "os"
 
 // SimUnit converts a simulated timestamp (discrete simulator units) to
 // trace nanoseconds: one unit maps to one microsecond.
@@ -59,19 +55,3 @@ func (t *Telemetry) WriteTrace(path string) error {
 	}
 	return f.Close()
 }
-
-// WriteMetrics writes the flat JSON metrics dump to path.
-func (t *Telemetry) WriteMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Metrics.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Table renders the registry as an aligned text table.
-func (t *Telemetry) Table() *metrics.Table { return t.Metrics.Table() }

@@ -3,13 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
 
 // TestRegistryRaceSafety hammers one registry from many goroutines — same
-// names, mixed metric kinds — and checks the totals. Run with -race for the
+// names, both metric kinds — and checks the totals. Run with -race for the
 // full payoff.
 func TestRegistryRaceSafety(t *testing.T) {
 	r := NewRegistry()
@@ -21,7 +20,6 @@ func TestRegistryRaceSafety(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.Counter("engine.steps").Inc()
-				r.Gauge("engine.live").Set(int64(i))
 				r.Histogram("engine.wait_us").Observe(int64(i % 100))
 			}
 		}(w)
@@ -69,46 +67,61 @@ func TestObserveSnapshotAggregates(t *testing.T) {
 	s := stats{Committed: 3, DroppedLink: 7, Rate: 2.9, Name: "x", hidden: 99}
 	r.ObserveSnapshot("net", s)
 	r.ObserveSnapshot("net", &s) // pointer form works too
-	if got := r.Counter("net.committed").Value(); got != 6 {
-		t.Errorf("net.committed = %d, want 6", got)
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Counter("net.dropped_link").Value(); got != 14 {
-		t.Errorf("net.dropped_link = %d, want 14", got)
-	}
-	if got := r.Counter("net.rate").Value(); got != 4 { // truncated per observation
-		t.Errorf("net.rate = %d, want 4", got)
-	}
-	flat := r.flat()
-	if _, ok := flat["net.name"]; ok {
-		t.Error("non-numeric field leaked into the registry")
-	}
-	if _, ok := flat["net.hidden"]; ok {
-		t.Error("unexported field leaked into the registry")
+	// Rate is truncated per observation; Name and hidden leave no line.
+	if want := "net_committed 6\nnet_dropped_link 14\nnet_rate 4\n"; buf.String() != want {
+		t.Errorf("WriteText = %q, want %q", buf.String(), want)
 	}
 }
 
+// TestRegistryExports pins WriteText byte for byte: lines sorted by name,
+// '.' and '-' mapped to '_', a histogram expanded to its seven summary
+// lines, and ObserveSnapshot folding nested structs, non-nil pointers and
+// string-keyed maps (a nil pointer and a non-string-keyed map fold nothing).
 func TestRegistryExports(t *testing.T) {
+	type gate struct{ Queued int }
+	type stats struct {
+		Gates    map[string]gate
+		ByID     map[int]int
+		Sub      gate
+		Recovery *gate
+		Missing  *gate
+	}
 	r := NewRegistry()
-	r.Counter("a.b").Add(5)
-	r.Histogram("h").Observe(10)
+	r.Counter("z.last").Inc()
+	r.Counter("wal.sharded-2pl.appends").Add(5)
+	for _, v := range []int64{10, 20, 30} {
+		r.Histogram("engine.wait_us").Observe(v)
+	}
+	r.ObserveSnapshot("serve", stats{
+		Gates:    map[string]gate{"cust": {2}, "audit": {3}},
+		ByID:     map[int]int{1: 1},
+		Sub:      gate{4},
+		Recovery: &gate{6},
+	})
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v", err)
-	}
-	if m["a.b"] != float64(5) {
-		t.Errorf("a.b = %v, want 5", m["a.b"])
-	}
-	if m["h.count"] != float64(1) {
-		t.Errorf("h.count = %v, want 1", m["h.count"])
-	}
-	var tbl bytes.Buffer
-	r.Table().Render(&tbl)
-	if !strings.Contains(tbl.String(), "a.b") {
-		t.Error("Table output missing metric name")
+	want := `engine_wait_us_count 3
+engine_wait_us_max 30
+engine_wait_us_mean 20
+engine_wait_us_min 10
+engine_wait_us_p50 20
+engine_wait_us_p95 30
+engine_wait_us_p99 30
+serve_gates_audit_queued 3
+serve_gates_cust_queued 2
+serve_recovery_queued 6
+serve_sub_queued 4
+wal_sharded_2pl_appends 5
+z_last 1
+`
+	if buf.String() != want {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

@@ -81,18 +81,18 @@ type RecoveryInfo struct {
 	// Epoch is the boot count of this data directory, starting at 1. It
 	// is bumped (durably) on every OpenFile, so identifiers derived from
 	// it never collide across restarts.
-	Epoch int64 `json:"epoch"`
+	Epoch int64
 	// Records is how many durable frames survived the load: the archive's
 	// plus the log records past it.
-	Records int `json:"records"`
+	Records int
 	// SinceCheckpoint is how many of those are log records past the
 	// archive — the replay work recovery actually had to redo.
-	SinceCheckpoint int `json:"since_checkpoint"`
+	SinceCheckpoint int
 	// TornBytes is how many trailing bytes of the last segment (and of the
 	// archive) were truncated as a torn write or a recycled log's remainder.
-	TornBytes int64 `json:"torn_bytes"`
+	TornBytes int64
 	// Segments is the number of on-disk segments after the load.
-	Segments int `json:"segments"`
+	Segments int
 }
 
 const (

@@ -40,9 +40,10 @@ go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzz
 go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
 # Crash-restart durability smoke: a real mlaserve process over an on-disk
 # WAL, SIGKILLed mid-load twice with injected disk faults; every 200-acked
-# transaction must be re-verifiable after each restart and the multi-boot
-# history spool must pass the black-box checker (the nightly runs the full
-# five-round soak).
+# transaction must be re-verifiable after each restart, the soak reads each
+# boot's recovery and checkpoint counts from the child's GET /metrics, and
+# the multi-boot history spool must pass the black-box checker (the nightly
+# runs the full five-round soak).
 rm -rf /tmp/mla_soak_smoke
 go run ./cmd/mlaserve -soak -soak-rounds 2 -soak-txns 200 -soak-dir /tmp/mla_soak_smoke \
     -checkpoint-every 64 -disk-write-err 0.02 -disk-short-write 0.02 -disk-sync-err 0.01 > /dev/null
