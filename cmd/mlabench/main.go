@@ -10,11 +10,12 @@
 // soundness or equivalence violation returns an error, which exits 1.
 // Performance is not measured here: benchmark/ is the one yardstick.
 //
-// -telemetry records spans and counters from the runs that support tracing
-// (the engine, the simulator, the dist bus); -trace-out exports the spans
-// as Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing, and implies -telemetry. -pprof PREFIX writes
-// PREFIX.cpu.pprof and PREFIX.heap.pprof for `go tool pprof`.
+// -telemetry records spans from the runs that support tracing (the engine,
+// the simulator, the dist bus) and folds their counters into the registry;
+// -trace-out exports the spans as Chrome trace-event JSON loadable in
+// Perfetto (ui.perfetto.dev) or chrome://tracing, and implies -telemetry.
+// -pprof PREFIX writes PREFIX.cpu.pprof and PREFIX.heap.pprof for
+// `go tool pprof`.
 package main
 
 import (
@@ -45,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Int("scale", 2, "workload scale multiplier (1 = quick)")
 	seed := fs.Int64("seed", 1, "random seed")
 	markdown := fs.Bool("md", false, "render tables as markdown")
-	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics at exit")
+	useTel := fs.Bool("telemetry", false, "record spans, fold the runs' counters; print the metrics at exit")
 	traceOut := fs.String("trace-out", "", "write the recorded spans as Chrome trace-event JSON (implies -telemetry)")
 	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	if err := fs.Parse(args); err != nil {

@@ -54,12 +54,13 @@
 // An interrupt (^C) cancels the run promptly — both executors stop and
 // report the cancellation instead of running to completion.
 //
-// -telemetry records spans and counters from the run (engine lock waits,
-// commit groups, recoveries; simulator transactions; dist bus messages) and
-// prints the aggregated metrics at exit, one "name value" line each
-// (Prometheus text format). -trace-out writes the spans as Chrome
-// trace-event JSON loadable in Perfetto (ui.perfetto.dev), and implies
-// -telemetry. -pprof PREFIX writes PREFIX.cpu.pprof and
+// -telemetry records spans from the run (engine lock waits, commit groups,
+// recoveries; simulator transactions; dist bus messages), folds the run's
+// counters (the engine's event tally, the simulator's and the control's
+// stats) into the registry at its end, and prints the metrics at exit, one
+// "name value" line each (Prometheus text format). -trace-out writes the
+// spans as Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev),
+// and implies -telemetry. -pprof PREFIX writes PREFIX.cpu.pprof and
 // PREFIX.heap.pprof.
 package main
 
@@ -132,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	partTime := fs.Int64("partition", 0, "dist/shard controls: split the processors into two halves at this time (0 = never)")
 	healTime := fs.Int64("heal", 0, "dist/shard controls: heal the partition at this time (0 = partition+300)")
 	procFail := fs.Int("procfail", 0, "dist/shard controls: crash this many processors in sequence, each rejoining 400 units later")
-	useTel := fs.Bool("telemetry", false, "record spans and counters; print the metrics at exit")
+	useTel := fs.Bool("telemetry", false, "record spans, fold the run's counters; print the metrics at exit")
 	telOut := fs.String("trace-out", "", "write recorded spans as Chrome trace-event JSON (implies -telemetry)")
 	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	if err := fs.Parse(args); err != nil {
@@ -389,6 +390,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			NewControl: func() sched.Control { c, _ := mkCtl(); return c },
 		}
 		res, err := engine.RunWithCrashes(ctx, plan, programs)
+		if tel != nil {
+			tel.Metrics.ObserveSnapshot("engine", ev)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1
@@ -407,6 +411,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Observer: engine.Tee(&ev, engine.NewTelemetryObserver(tel, "mlasim engine"), recObs),
 		}
 		res, err := engine.Run(ctx, cfg, programs, c, spec, init)
+		if tel != nil {
+			tel.Metrics.ObserveSnapshot("engine", ev)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "mlasim:", err)
 			return 1

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -99,6 +100,34 @@ func TestEngineHistoryAudits(t *testing.T) {
 			hist := filepath.Join(t.TempDir(), "history.json")
 			mlasim(t, append(strings.Fields(flags), "-history", hist)...)
 			audit(t, hist)
+		})
+	}
+}
+
+// TestEngineTelemetryCounters: -telemetry prints the engine's event tally
+// and the control's counters, folded once at the end of the run, on the
+// plain engine path and across crash rounds.
+func TestEngineTelemetryCounters(t *testing.T) {
+	for _, flags := range []string{"-workload bank -control 2pl -engine", "-workload bank -control 2pl -engine -crashes 2"} {
+		t.Run(flags, func(t *testing.T) {
+			m := make(map[string]int64)
+			for _, line := range strings.Split(mlasim(t, append(strings.Fields(flags), "-telemetry")...), "\n") {
+				if name, val, ok := strings.Cut(line, " "); ok {
+					if v, err := strconv.ParseInt(val, 10, 64); err == nil {
+						m[name] = v
+					}
+				}
+			}
+			if m["engine_committed"] == 0 || m["engine_steps"] < m["engine_committed"] || m["engine_cuts"] == 0 {
+				t.Errorf("engine_committed %d, engine_steps %d, engine_cuts %d", m["engine_committed"], m["engine_steps"], m["engine_cuts"])
+			}
+			if strings.Contains(flags, "-crashes") {
+				if m["engine_crashes"] != 2 {
+					t.Errorf("engine_crashes %d, want 2", m["engine_crashes"])
+				}
+			} else if m["control_2pl_requests"] < m["engine_steps"] {
+				t.Errorf("control_2pl_requests %d < engine_steps %d", m["control_2pl_requests"], m["engine_steps"])
+			}
 		})
 	}
 }

@@ -135,7 +135,7 @@ func (s syncWALStore) Values() map[model.EntityID]model.Value { return s.db.Valu
 // schedule-independent expectation, append the cell's row to tbl and return
 // its throughput. Telemetry, when non-nil, attaches a per-cell
 // engine.TelemetryObserver (spans for every lock wait and commit group) and
-// folds the cell's WAL counters into the registry.
+// folds the cell's engine event tally and WAL counters into the registry.
 func perfCase(ctx context.Context, tbl *metrics.Table, wl perfWorkload, config string, procs int, seed int64, tel *telemetry.Telemetry) (float64, error) {
 	runtime.GOMAXPROCS(procs)
 	medium := wal.NewMedium()
@@ -156,8 +156,9 @@ func perfCase(ctx context.Context, tbl *metrics.Table, wl perfWorkload, config s
 		control = sched.NewShardedTwoPhase(1) // single stripe: the unoptimized lock path
 	}
 	cfg := engine.Config{Seed: seed}
+	var ev engine.EventCounts
 	if tel != nil {
-		cfg.Observer = engine.NewTelemetryObserver(tel, fmt.Sprintf("%s/%s@%d", wl.name, config, procs))
+		cfg.Observer = engine.Tee(&ev, engine.NewTelemetryObserver(tel, fmt.Sprintf("%s/%s@%d", wl.name, config, procs)))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -170,6 +171,7 @@ func perfCase(ctx context.Context, tbl *metrics.Table, wl perfWorkload, config s
 	}
 	runtime.ReadMemStats(&after)
 	if tel != nil {
+		tel.Metrics.ObserveSnapshot("engine", ev)
 		tel.Metrics.ObserveSnapshot("wal."+config, db.Snapshot())
 	}
 	// The equivalence assertion: commutative workload, so the optimized and

@@ -123,6 +123,10 @@ type Result struct {
 	Aborts    int
 	Cascades  int
 	Restarts  int
+	// Steps counts performed steps, rolled-back attempts' included; Cuts
+	// counts the steps among them that ended a breakpoint unit.
+	Steps int
+	Cuts  int
 	// CommitGroups holds each commit group's size in decision order. After
 	// an injected crash it also lists the groups decided but never acked,
 	// whose steps Exec holds too.
@@ -650,6 +654,10 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 				cut = e.spec.CutAfter(id, t.steps)
 			}
 			t.lastCut = cut
+			e.stats.Steps++
+			if cut > 0 {
+				e.stats.Cuts++
+			}
 			e.control.Performed(id, t.seq, x, cut)
 			if e.obs != nil {
 				e.obs.StepPerformed(id, t.seq, x, attempt, cut)

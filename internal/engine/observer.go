@@ -91,9 +91,10 @@ func (NopObserver) Recovered(int, int) {}
 func (NopObserver) RunEnded(int, int, time.Duration) {}
 
 // EventCounts is a ready-made Observer that tallies every event; cmd/mlasim
-// prints it after an engine run. The engine serializes hook calls, so no
-// internal locking is needed — but the counts must only be read after Run
-// returns.
+// and mlabench -telemetry fold it into the registry as engine.* with
+// ObserveSnapshot after an engine run. The engine serializes hook calls, so
+// no internal locking is needed — but the counts must only be read after
+// Run returns.
 type EventCounts struct {
 	Steps      int
 	Cuts       int // steps that ended a breakpoint unit
@@ -102,6 +103,7 @@ type EventCounts struct {
 	Aborts     int
 	Cascades   int
 	Groups     int
+	Committed  int // members of the commit groups
 	Faults     int
 	GaveUps    int
 	Crashes    int
@@ -134,7 +136,10 @@ func (c *EventCounts) TxnAborted(_ model.TxnID, cascade bool) {
 }
 
 // CommitGroup implements Observer.
-func (c *EventCounts) CommitGroup([]model.TxnID) { c.Groups++ }
+func (c *EventCounts) CommitGroup(txns []model.TxnID) {
+	c.Groups++
+	c.Committed += len(txns)
+}
 
 // FaultInjected implements Observer.
 func (c *EventCounts) FaultInjected(model.TxnID, int, int) { c.Faults++ }

@@ -141,6 +141,8 @@ type SessionStats struct {
 	Aborts         int
 	Cascades       int
 	Restarts       int
+	Steps          int
+	Cuts           int
 	GaveUp         int
 	DeadlineAborts int
 	FaultsInjected int
@@ -527,6 +529,8 @@ func (s *Session) Stats() SessionStats {
 		Aborts:         e.stats.Aborts,
 		Cascades:       e.stats.Cascades,
 		Restarts:       e.stats.Restarts,
+		Steps:          e.stats.Steps,
+		Cuts:           e.stats.Cuts,
 		GaveUp:         e.stats.GaveUp,
 		DeadlineAborts: e.stats.DeadlineAborts,
 		FaultsInjected: e.stats.FaultsInjected,

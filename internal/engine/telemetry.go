@@ -8,13 +8,14 @@ import (
 	"mla/internal/telemetry"
 )
 
-// TelemetryObserver adapts a telemetry sink to the engine's Observer: every
-// lifecycle event becomes exactly one span (intervals for run, transaction
-// attempt, breakpoint unit, lock wait, and recovery; instants for abort,
-// commit group, fault, give-up, and crash) plus a registry counter under
-// the engine.* naming scheme. One observer serves a whole RunWithCrashes
-// plan: each recovery round opens a fresh run span and Crashed/Recovered
-// bracket the recovery spans between rounds.
+// TelemetryObserver records a run's lifecycle events as spans: intervals
+// for run, transaction attempt, breakpoint unit, lock wait, and recovery;
+// instants for step, abort, commit group, fault, give-up, and crash. It
+// counts nothing: the engine's Result and SessionStats and the EventCounts
+// tally hold the counts, and a caller folds them into a registry with
+// ObserveSnapshot. One observer serves a whole RunWithCrashes plan: each
+// recovery round opens a fresh run span and Crashed/Recovered bracket the
+// recovery spans between rounds.
 //
 // Concurrency: the engine serializes every hook (under its mutex during a
 // run; between rounds for Crashed/Recovered and late commit groups), so the
@@ -23,7 +24,7 @@ import (
 // telemetry costs the engine nothing beyond the work recorded here, and
 // disabled telemetry (nil Config.Observer) stays one nil check.
 type TelemetryObserver struct {
-	tel *telemetry.Telemetry
+	tr  *telemetry.Tracer
 	l   *telemetry.Local
 	pid int64
 
@@ -50,7 +51,7 @@ func NewTelemetryObserver(tel *telemetry.Telemetry, label string) Observer {
 		return nil
 	}
 	o := &TelemetryObserver{
-		tel:     tel,
+		tr:      tel.Trace,
 		l:       tel.Trace.Local(),
 		pid:     tel.Trace.NextPID(),
 		lanes:   make(map[model.TxnID]int64),
@@ -67,16 +68,12 @@ func NewTelemetryObserver(tel *telemetry.Telemetry, label string) Observer {
 	return o
 }
 
-func (o *TelemetryObserver) c(name string) *telemetry.Counter {
-	return o.tel.Metrics.Counter(name)
-}
-
 func (o *TelemetryObserver) lane(t model.TxnID) int64 {
 	tid, ok := o.lanes[t]
 	if !ok {
 		tid = int64(len(o.lanes) + 1)
 		o.lanes[t] = tid
-		o.tel.Trace.NameLane(o.pid, tid, string(t))
+		o.tr.NameLane(o.pid, tid, string(t))
 	}
 	return tid
 }
@@ -101,8 +98,13 @@ func (o *TelemetryObserver) ensureTxn(t model.TxnID) telemetry.SpanID {
 }
 
 // closeTxn seals a transaction's open wait, unit, and attempt spans with
-// the given outcome arg.
+// the given outcome arg, and numbers the transaction's next attempt. The
+// observer keeps that number itself rather than reading the engine's:
+// WaitBegin and FaultInjected can open an attempt's span before its first
+// step reports the attempt, and a crash round restarts the engine's count
+// while the trace goes on.
 func (o *TelemetryObserver) closeTxn(t model.TxnID, outcome string) {
+	o.attempt[t]++
 	if id, ok := o.wait[t]; ok {
 		o.l.Arg(id, "outcome", outcome)
 		o.l.End(id)
@@ -121,9 +123,7 @@ func (o *TelemetryObserver) closeTxn(t model.TxnID, outcome string) {
 
 // StepPerformed implements Observer: steps accrete into breakpoint-unit
 // spans; a positive cut closes the current unit at this step.
-func (o *TelemetryObserver) StepPerformed(t model.TxnID, seq int, x model.EntityID, attempt, cut int) {
-	o.c("engine.steps").Inc()
-	o.attempt[t] = attempt
+func (o *TelemetryObserver) StepPerformed(t model.TxnID, seq int, x model.EntityID, _, cut int) {
 	parent := o.ensureTxn(t)
 	id, ok := o.unit[t]
 	if !ok {
@@ -131,7 +131,6 @@ func (o *TelemetryObserver) StepPerformed(t model.TxnID, seq int, x model.Entity
 		o.unit[t] = id
 	}
 	if cut > 0 {
-		o.c("engine.cuts").Inc()
 		o.l.Arg(id, "cut", fmt.Sprint(cut))
 		o.l.Arg(id, "last_step", fmt.Sprint(seq))
 		o.l.End(id)
@@ -144,7 +143,6 @@ func (o *TelemetryObserver) StepPerformed(t model.TxnID, seq int, x model.Entity
 
 // WaitBegin implements Observer.
 func (o *TelemetryObserver) WaitBegin(t model.TxnID, x model.EntityID) {
-	o.c("engine.waits").Inc()
 	parent := o.ensureTxn(t)
 	if u, ok := o.unit[t]; ok {
 		parent = u
@@ -153,21 +151,17 @@ func (o *TelemetryObserver) WaitBegin(t model.TxnID, x model.EntityID) {
 }
 
 // WaitEnd implements Observer.
-func (o *TelemetryObserver) WaitEnd(t model.TxnID, x model.EntityID, waited time.Duration) {
-	o.tel.Metrics.Histogram("engine.wait_us").Observe(waited.Microseconds())
+func (o *TelemetryObserver) WaitEnd(t model.TxnID, _ model.EntityID, _ time.Duration) {
 	if id, ok := o.wait[t]; ok {
 		o.l.End(id)
 		delete(o.wait, t)
 	}
-	_ = x
 }
 
 // TxnAborted implements Observer.
 func (o *TelemetryObserver) TxnAborted(t model.TxnID, cascade bool) {
-	o.c("engine.aborts").Inc()
 	outcome := "abort"
 	if cascade {
-		o.c("engine.cascades").Inc()
 		outcome = "cascade"
 	}
 	o.closeTxn(t, outcome)
@@ -179,8 +173,6 @@ func (o *TelemetryObserver) TxnAborted(t model.TxnID, cascade bool) {
 // crashed round's durable commits, after Recovered) is a root instant: it
 // opens no run span.
 func (o *TelemetryObserver) CommitGroup(txns []model.TxnID) {
-	o.c("engine.commit_groups").Inc()
-	o.c("engine.committed").Add(int64(len(txns)))
 	for _, t := range txns {
 		o.closeTxn(t, "commit")
 	}
@@ -206,14 +198,12 @@ func joinTxns(txns []model.TxnID) string {
 
 // FaultInjected implements Observer.
 func (o *TelemetryObserver) FaultInjected(t model.TxnID, seq int, try int) {
-	o.c("engine.faults").Inc()
 	o.l.Event("fault", "fault "+string(t), o.pid, o.lane(t), o.ensureTxn(t),
 		"seq", fmt.Sprint(seq), "try", fmt.Sprint(try))
 }
 
 // TxnGaveUp implements Observer.
 func (o *TelemetryObserver) TxnGaveUp(t model.TxnID, restarts int) {
-	o.c("engine.gaveups").Inc()
 	o.closeTxn(t, "gaveup")
 	o.l.Event("gaveup", "gaveup "+string(t), o.pid, o.lane(t), o.ensureRun(),
 		"restarts", fmt.Sprint(restarts))
@@ -224,7 +214,6 @@ func (o *TelemetryObserver) TxnGaveUp(t model.TxnID, restarts int) {
 // crash is an instant and the recovery pass opens as an interval that
 // Recovered will close.
 func (o *TelemetryObserver) Crashed(round int, torn int) {
-	o.c("engine.crashes").Inc()
 	o.l.Event("crash", fmt.Sprintf("crash round %d", round), o.pid, 0, 0,
 		"torn", fmt.Sprint(torn))
 	if o.recOpen {
@@ -236,7 +225,6 @@ func (o *TelemetryObserver) Crashed(round int, torn int) {
 
 // Recovered implements Observer.
 func (o *TelemetryObserver) Recovered(round int, committed int) {
-	o.c("engine.recoveries").Inc()
 	if o.recOpen {
 		o.l.Arg(o.recovery, "durable_commits", fmt.Sprint(committed))
 		o.l.End(o.recovery)
@@ -252,7 +240,6 @@ func (o *TelemetryObserver) Recovered(round int, committed int) {
 // clean run nothing, on a crash or timeout the in-flight transactions —
 // and close the round's run span.
 func (o *TelemetryObserver) RunEnded(committed, gaveUp int, elapsed time.Duration) {
-	o.c("engine.runs").Inc()
 	for t := range o.txn {
 		o.closeTxn(t, "interrupted")
 	}

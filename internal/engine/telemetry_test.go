@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,12 +80,12 @@ func TestTelemetryObserverLifecycle(t *testing.T) {
 	if ev.Cuts == 0 {
 		t.Error("no breakpoint cuts observed on a breakpoint-bearing workload")
 	}
-	if got := tel.Metrics.Counter("engine.steps").Value(); got != int64(ev.Steps) {
-		t.Errorf("engine.steps = %d, observer counted %d", got, ev.Steps)
+	if res.Steps != ev.Steps || res.Cuts != ev.Cuts {
+		t.Errorf("result counts %d steps, %d cuts; observer counted %d, %d", res.Steps, res.Cuts, ev.Steps, ev.Cuts)
 	}
-	if got := tel.Metrics.Counter("engine.committed").Value(); got != int64(res.Committed) {
-		t.Errorf("engine.committed = %d, result has %d", got, res.Committed)
-	}
+	// Nearly every run restarts a transaction whose next attempt waits or
+	// faults before its first step.
+	checkAttemptNumbers(t, spans["txn"])
 
 	// Nesting: every wait and unit span lies within its parent's bounds,
 	// and parents resolve transitively up to the run span.
@@ -173,11 +175,28 @@ func TestTelemetryObserverCrashRecovery(t *testing.T) {
 			t.Errorf("txn span %q leaked across rounds", s.Name)
 		}
 	}
-	if got := tel.Metrics.Counter("engine.crashes").Value(); got != int64(out.Crashes) {
-		t.Errorf("engine.crashes = %d, want %d", got, out.Crashes)
+	if out.RedoneTxns == 0 {
+		t.Error("no attempt redone across a crash: the attempt numbering goes unchecked")
 	}
-	if got := tel.Metrics.Counter("engine.runs").Value(); got != int64(out.Rounds) {
-		t.Errorf("engine.runs = %d, want %d", got, out.Rounds)
+	checkAttemptNumbers(t, spans["txn"])
+}
+
+// checkAttemptNumbers asserts that each transaction's txn spans ("T#n"), in
+// start order, carry strictly increasing attempt numbers: no attempt reuses
+// an earlier one's name, within a run or across crash rounds.
+func checkAttemptNumbers(t *testing.T, txnSpans []telemetry.Span) {
+	t.Helper()
+	last := make(map[string]int)
+	for _, s := range txnSpans {
+		txn, num, _ := strings.Cut(s.Name, "#")
+		n, err := strconv.Atoi(num)
+		if err != nil {
+			t.Fatalf("txn span %q has no attempt number", s.Name)
+		}
+		if prev, ok := last[txn]; ok && n <= prev {
+			t.Errorf("txn span %q starts after attempt %d of %s", s.Name, prev, txn)
+		}
+		last[txn] = n
 	}
 }
 

@@ -287,13 +287,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics folds a fresh Stats into a registry of its own, so every
-// counter reads as of this scrape, and writes it after the attached
-// telemetry registry's metrics, if any.
+// counter reads as of this scrape, and writes it. Attached telemetry
+// records spans only, so the scrape serves each quantity once.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if s.cfg.Telemetry != nil {
-		s.cfg.Telemetry.Metrics.WriteText(w)
-	}
 	scrape := telemetry.NewRegistry()
 	scrape.ObserveSnapshot("serve", s.Stats())
 	scrape.WriteText(w)

@@ -22,6 +22,7 @@ import (
 	"mla/internal/breakpoint"
 	"mla/internal/history"
 	"mla/internal/model"
+	"mla/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -554,12 +555,18 @@ func TestServeConcurrentLoadNoLeaks(t *testing.T) {
 // GET /metrics while transfers commit, under each control. Under -race it
 // catches an unsynchronized copy of the control's counters: the serial
 // controls count in live state, and ShardedTwoPhase folds every reading
-// into one shared struct. Once quiescent, the scrape agrees with Stats.
+// into one shared struct. Once quiescent, the scrape agrees with Stats and
+// serves each engine quantity once: with telemetry attached too, there is
+// no engine_* line beside the serve_engine_* ones.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	for _, control := range []string{"2pl-sharded", "2pl", "tso"} {
-		t.Run(control, func(t *testing.T) {
+	for _, name := range []string{"2pl-sharded", "2pl", "tso", "2pl-sharded+telemetry"} {
+		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
+			control, withTel := strings.CutSuffix(name, "+telemetry")
 			cfg.Control = control
+			if withTel {
+				cfg.Telemetry = telemetry.New()
+			}
 			srv, ts := startServer(t, cfg)
 			ctx := context.Background()
 			stop := make(chan struct{})
@@ -613,6 +620,14 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 				t.Errorf("scrape acked %v, requests %v, admitted %v; Stats %d, %d, %d",
 					m["serve_acked"], m["serve_sched_requests"], m["serve_gates_inflight_admitted"],
 					st.Acked, st.Sched.Requests, st.Gates["inflight"].Admitted)
+			}
+			if steps, committed := m["serve_engine_steps"], m["serve_engine_committed"]; committed == 0 || steps < committed {
+				t.Errorf("scrape serve_engine_steps %v, serve_engine_committed %v", steps, committed)
+			}
+			for k := range m {
+				if strings.HasPrefix(k, "engine_") {
+					t.Errorf("scrape serves %s beside serve_engine_*", k)
+				}
 			}
 		})
 	}

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"mla/internal/metrics"
 )
 
 // Naming scheme: every metric is "<layer>.<counter>" in lower_snake —
@@ -30,46 +28,17 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Histogram accumulates int64 samples into fixed log-linear buckets
-// (metrics.Histogram: no allocation per sample, memory independent of the
-// sample count, quantiles within 1.6%) and summarizes them with order
-// statistics. Observe takes a lock; it belongs on reporting paths (one
-// call per wait, per commit), not per-step hot loops. Obtain one from
-// Registry.Histogram.
-type Histogram struct {
-	mu sync.Mutex
-	h  *metrics.Histogram
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	h.mu.Lock()
-	h.h.Record(v)
-	h.mu.Unlock()
-}
-
-// Summary returns order statistics over the samples recorded so far.
-func (h *Histogram) Summary() metrics.Summary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Summary()
-}
-
-// Registry is the run-wide aggregated view: named counters and histograms
-// behind one race-safe surface. Metrics are created on first use; the same
-// name always returns the same instance.
+// Registry is the run-wide aggregated view: named counters behind one
+// race-safe surface. A counter is created on first use; the same name
+// always returns the same instance.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns (creating if needed) the named counter.
@@ -82,18 +51,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{h: metrics.NewHistogram()}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // ObserveSnapshot folds a package's Snapshot() stats struct into the
@@ -152,26 +109,14 @@ func snakeCase(name string) string {
 	return b.String()
 }
 
-// WriteText writes every metric as one "name value" line, sorted by name,
-// in Prometheus's untyped text exposition format: '.' and '-' in a name
-// become '_', and a histogram expands to name_count, _min, _max, _mean,
-// _p50, _p95 and _p99.
+// WriteText writes every counter as one "name value" line, sorted by
+// name, in Prometheus's untyped text exposition format: '.' and '-' in a
+// name become '_'.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
-	lines := make([]string, 0, len(r.counters)+7*len(r.hists))
+	lines := make([]string, 0, len(r.counters))
 	for name, c := range r.counters {
 		lines = append(lines, promName.Replace(name)+" "+strconv.FormatInt(c.Value(), 10))
-	}
-	for name, h := range r.hists {
-		s, n := h.Summary(), promName.Replace(name)
-		lines = append(lines,
-			n+"_count "+strconv.Itoa(s.N),
-			n+"_min "+strconv.FormatInt(s.Min, 10),
-			n+"_max "+strconv.FormatInt(s.Max, 10),
-			n+"_mean "+strconv.FormatFloat(s.Mean, 'g', -1, 64),
-			n+"_p50 "+strconv.FormatInt(s.P50, 10),
-			n+"_p95 "+strconv.FormatInt(s.P95, 10),
-			n+"_p99 "+strconv.FormatInt(s.P99, 10))
 	}
 	r.mu.Unlock()
 	sort.Strings(lines) // ' ' sorts before every name byte: by name

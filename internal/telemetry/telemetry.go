@@ -1,7 +1,7 @@
 // Package telemetry is the run-wide observability layer: a registry of
-// named counters and histograms that unifies the per-package Snapshot()
-// stats conventions (lock, sched, wal, net, dist, serve) behind one
-// aggregated race-safe view, and a span tracer recording per-transaction
+// named counters that folds the per-package Snapshot() stats conventions
+// (engine, lock, sched, wal, net, dist, serve) into one aggregated
+// race-safe view, and a span tracer recording per-transaction
 // timelines — run, transaction attempt, breakpoint unit, lock wait, commit
 // group, recovery pass, replica RPC — lock-free per goroutine and merged
 // at run end.
@@ -14,10 +14,9 @@
 //     mlaserve serves live at GET /metrics and mlasim/mlabench -telemetry
 //     print.
 //
-// The package depends only on the standard library and internal/metrics;
-// every producer hook is designed so that DISABLED telemetry costs exactly
-// one nil check on the producer's side (the engine's Observer, the bus's
-// attached Local).
+// The package depends only on the standard library; every producer hook
+// is designed so that DISABLED telemetry costs exactly one nil check on
+// the producer's side (the engine's Observer, the bus's attached Local).
 //
 // Timestamps: wall-clock producers use Tracer.Now (nanoseconds since the
 // tracer's epoch). Simulated-time producers map one simulator time unit to

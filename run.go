@@ -74,21 +74,22 @@ type EventCounts = engine.EventCounts
 // are dropped; a nil result means "no observer").
 func TeeObservers(obs ...Observer) Observer { return engine.Tee(obs...) }
 
-// Telemetry is the shared observability sink: a registry of named counters,
-// gauges, and histograms plus a span tracer whose output loads in Perfetto
-// (ui.perfetto.dev) via WriteTrace. Create one with NewTelemetry, attach it
-// to a run with WithTelemetry, then export.
+// Telemetry is the shared observability sink: a registry of named counters
+// plus a span tracer whose output loads in Perfetto (ui.perfetto.dev) via
+// WriteTrace. Create one with NewTelemetry, attach it to a run with
+// WithTelemetry, then export.
 type Telemetry = telemetry.Telemetry
 
 // NewTelemetry creates an empty telemetry sink.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
-// WithTelemetry returns cfg with a span- and counter-recording observer
-// attached (teed with any observer already present). Every engine event
-// becomes a span: intervals for the run, each transaction attempt,
-// breakpoint unit, lock wait, and recovery pass; instants for commit
-// groups, aborts, faults, give-ups, and crashes. label names the trace
-// lane; a nil tel returns cfg unchanged.
+// WithTelemetry returns cfg with a span recorder attached (teed with any
+// observer already present). Every engine event becomes a span: intervals
+// for the run, each transaction attempt, breakpoint unit, lock wait, and
+// recovery pass; instants for commit groups, aborts, faults, give-ups, and
+// crashes. It counts nothing: the run's Result and an EventCounts hold the
+// counts, and Metrics.ObserveSnapshot folds them into the registry. label
+// names the trace lane; a nil tel returns cfg unchanged.
 func WithTelemetry(cfg RunConfig, tel *Telemetry, label string) RunConfig {
 	if tel == nil {
 		return cfg
