@@ -391,6 +391,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		res, err := engine.RunWithCrashes(ctx, plan, programs)
 		if tel != nil {
+			if res != nil {
+				// A group torn by a crash is redone and announced again, so
+				// the tally's announcements can exceed the durable commits.
+				ev.Committed = res.Committed
+			}
 			tel.Metrics.ObserveSnapshot("engine", ev)
 		}
 		if err != nil {

@@ -112,6 +112,9 @@ func TestEngineTelemetryCounters(t *testing.T) {
 		t.Run(flags, func(t *testing.T) {
 			m := make(map[string]int64)
 			for _, line := range strings.Split(mlasim(t, append(strings.Fields(flags), "-telemetry")...), "\n") {
+				if f := strings.Fields(line); len(f) > 1 && f[0] == "committed:" {
+					m["committed:"], _ = strconv.ParseInt(f[1], 10, 64)
+				}
 				if name, val, ok := strings.Cut(line, " "); ok {
 					if v, err := strconv.ParseInt(val, 10, 64); err == nil {
 						m[name] = v
@@ -124,6 +127,11 @@ func TestEngineTelemetryCounters(t *testing.T) {
 			if strings.Contains(flags, "-crashes") {
 				if m["engine_crashes"] != 2 {
 					t.Errorf("engine_crashes %d, want 2", m["engine_crashes"])
+				}
+				// The fold counts durable commits, not announcements, which
+				// repeat when a torn group is redone.
+				if m["engine_committed"] != m["committed:"] {
+					t.Errorf("engine_committed %d, but the run printed committed: %d", m["engine_committed"], m["committed:"])
 				}
 			} else if m["control_2pl_requests"] < m["engine_steps"] {
 				t.Errorf("control_2pl_requests %d < engine_steps %d", m["control_2pl_requests"], m["engine_steps"])

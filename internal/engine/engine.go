@@ -150,7 +150,7 @@ type Result struct {
 	FaultsInjected int
 
 	// Latencies holds one sample per committed transaction: wall-clock
-	// time from its first Begin to commit.
+	// time from its Submit to commit (Outcome.Latency).
 	Latencies []time.Duration
 	// WaitTimes holds one sample per committed transaction: total
 	// wall-clock time it spent blocked on Wait decisions (lock/closure
@@ -188,7 +188,6 @@ type etxn struct {
 	steps   []model.Step
 	gaveUp  bool // parked after exhausting the restart budget
 	prio    int64
-	began   time.Time     // first Begin, for commit latency
 	waited  time.Duration // total time blocked on Wait decisions
 
 	// lastCut is the coarseness of the breakpoint after the most recently
@@ -226,6 +225,7 @@ type engine struct {
 	waiters int
 	genSeq  uint64
 	stop    chan struct{} // closed exactly once when the run is abandoned or done
+	stopped bool          // stop is closed; guarded by mu, set with the close
 
 	control sched.Control
 	caps    sched.Capabilities
@@ -457,9 +457,6 @@ func (e *engine) waitDereg(ch chan struct{}) {
 	}
 }
 
-// stopped reports whether the run has been abandoned.
-func (e *engine) stopped() bool { return closed(e.stop) }
-
 // sleepUnlocked lets the mutex go, blocks for d or until the run stops, and
 // takes the mutex again; the caller, who holds the mutex, checks stopped.
 func (e *engine) sleepUnlocked(d time.Duration) {
@@ -505,9 +502,6 @@ func (e *engine) beginAttemptLocked(t *etxn, prio int64) {
 	t.seq = 0
 	t.steps = t.steps[:0]
 	t.lastCut = 0
-	if t.began.IsZero() {
-		t.began = time.Now()
-	}
 	if t.prio == 0 {
 		e.prioCounter++
 		t.prio = prio*1024 + e.prioCounter
@@ -550,7 +544,7 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			e.turn()
 			requested = false
 		}
-		if e.stopped() {
+		if e.stopped {
 			return false, errStopped
 		}
 		if t.attempt != attempt {
@@ -708,7 +702,7 @@ func (e *engine) attempt(ctx context.Context, cfg Config, t *etxn, attempt int, 
 			}
 			waited := time.Since(t0)
 			e.mu.Lock()
-			if e.stopped() {
+			if e.stopped {
 				return false, errStopped
 			}
 			e.waitDereg(ch)

@@ -96,14 +96,16 @@ func (NopObserver) RunEnded(int, int, time.Duration) {}
 // no internal locking is needed — but the counts must only be read after
 // Run returns.
 type EventCounts struct {
-	Steps      int
-	Cuts       int // steps that ended a breakpoint unit
-	Waits      int
-	WaitTime   time.Duration
-	Aborts     int
-	Cascades   int
-	Groups     int
-	Committed  int // members of the commit groups
+	Steps    int
+	Cuts     int // steps that ended a breakpoint unit
+	Waits    int
+	WaitTime time.Duration
+	Aborts   int
+	Cascades int
+	Groups   int
+	// Committed counts announced group members; across crash rounds a torn
+	// group is redone and announced again (CrashResult.Committed is durable).
+	Committed  int
 	Faults     int
 	GaveUps    int
 	Crashes    int

@@ -127,7 +127,8 @@ type Outcome struct {
 	// Restarts counts the rollbacks this submission survived before
 	// resolving.
 	Restarts int
-	// Latency is first-Begin-to-commit wall time (Committed outcomes).
+	// Latency is Submit-to-commit wall time (Committed outcomes): admission,
+	// every attempt, backoff and wait, and the commit group's durability ack.
 	Latency time.Duration
 	// Waited is total time blocked on Wait decisions across attempts.
 	Waited time.Duration
@@ -197,11 +198,19 @@ func (s *Session) Submit(ctx context.Context, p model.Program, opts SubmitOpts) 
 // submit is Submit with the caller's base priority band: 0 for a service's
 // submissions, where admission order alone decides age; the program index
 // for a batch run, so earlier programs are older.
-func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, prio int64) (Outcome, error) {
+func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, prio int64) (out Outcome, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e := s.e
+	// The latency's two monotonic clock reads bracket the submission's
+	// sections: the deferred one runs after the mutex is let go.
+	began := time.Since(e.start)
+	defer func() {
+		if out.Committed {
+			out.Latency = time.Since(e.start) - began
+		}
+	}()
 	id := p.ID()
 	deadline := opts.Deadline
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
@@ -231,7 +240,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 	t := e.getTxn(p, id)
 	e.txns[id] = t
 	e.turn()
-	out, err := s.run(ctx, t, prio, deadline, maxRestarts)
+	out, err = s.run(ctx, t, prio, deadline, maxRestarts)
 	e.turn()
 	s.retireLocked(t, opts.Cleanup)
 	return out, err
@@ -246,7 +255,7 @@ func (s *Session) submit(ctx context.Context, p model.Program, opts SubmitOpts, 
 func (s *Session) run(ctx context.Context, t *etxn, prio int64, deadline time.Time, maxRestarts int) (Outcome, error) {
 	e := s.e
 	for {
-		if e.stopped() {
+		if e.stopped {
 			return Outcome{}, s.causeLocked()
 		}
 		// Restart boundary: a spent deadline or a gone client means we
@@ -329,12 +338,7 @@ func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadlin
 			return Outcome{}, true, fmt.Errorf("%w: %w", ErrSessionClosed, werr)
 		}
 		if t.Committed {
-			return Outcome{
-				Committed: true,
-				Restarts:  attempt,
-				Latency:   time.Since(t.began),
-				Waited:    t.waited,
-			}, true, nil
+			return Outcome{Committed: true, Restarts: attempt, Waited: t.waited}, true, nil
 		}
 		if t.attempt != attempt {
 			return Outcome{}, false, nil
@@ -350,7 +354,7 @@ func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadlin
 			case <-e.stop:
 			}
 			e.mu.Lock()
-			if e.stopped() {
+			if e.stopped {
 				// An abandoned session's acks are discarded, also when the
 				// stop raced the ack.
 				return Outcome{}, false, s.causeLocked()
@@ -379,7 +383,7 @@ func (s *Session) awaitCommit(ctx context.Context, t *etxn, attempt int, deadlin
 			tm.Stop()
 		}
 		e.mu.Lock()
-		if e.stopped() {
+		if e.stopped {
 			return Outcome{}, false, s.causeLocked()
 		}
 		e.waitDereg(ch)
@@ -409,28 +413,30 @@ func killedOutcome(reason int8, restarts int) Outcome {
 
 // retireLocked deletes and recycles the submission's transaction record,
 // runs the caller's Cleanup hook and ends the submission's inflight count.
-// It also discards any lock residue unconditionally: on the clean outcomes
-// the control already released everything (Finished/Aborted), so this
-// releases nothing, but a submission abandoned mid-attempt by Close — or a
-// racing concurrent-control grant to the dead attempt — must not leave a
-// lock behind for a session that keeps running other tenants. Caller holds
-// the mutex.
+// A committed transaction left nothing to discard: Finished released its
+// locks and the ledger dropped it with its group. Every other outcome —
+// parked, killed, abandoned mid-attempt by Close, or given a racing
+// concurrent-control grant after its last rollback — may leave lock residue
+// or a ledger entry, which go here, so a session that keeps running other
+// tenants inherits neither. Caller holds the mutex.
 func (s *Session) retireLocked(t *etxn, cleanup func()) {
 	e := s.e
-	if e.caps.ReleaseAll != nil {
-		e.caps.ReleaseAll(t.ID)
+	if !t.Committed {
+		if e.caps.ReleaseAll != nil {
+			e.caps.ReleaseAll(t.ID)
+		}
+		e.led.Remove(t.ID)
+		// ReleaseAll may have just freed residue locks a racing grant gave
+		// the dead attempt; anyone waiting on them must re-request now —
+		// with lazy (waiter-counted) wakeups there is no later bump to
+		// piggyback on in a quiet session.
+		e.bump()
 	}
-	e.led.Remove(t.ID)
 	delete(e.txns, t.ID)
 	e.putTxn(t)
 	if cleanup != nil {
 		cleanup()
 	}
-	// ReleaseAll may have just freed residue locks a racing grant gave the
-	// dead attempt; anyone waiting on them must re-request now — with lazy
-	// (waiter-counted) wakeups there is no later bump to piggyback on in a
-	// quiet session.
-	e.bump()
 	s.inflight--
 	if s.inflight == 0 && s.state != sessAccepting && !s.idleClosed {
 		close(s.idle)
@@ -463,10 +469,12 @@ func (s *Session) failLocked(err error) {
 }
 
 // stopLocked closes the session and the stop channel every blocking point
-// selects on. Caller holds the mutex.
+// selects on, and sets the flag the sections read instead. Caller holds the
+// mutex.
 func (s *Session) stopLocked() {
 	s.state = sessClosed
-	if !s.e.stopped() {
+	if !s.e.stopped {
+		s.e.stopped = true
 		close(s.e.stop)
 	}
 }

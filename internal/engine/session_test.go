@@ -149,6 +149,101 @@ func TestSessionShardedLeavesEmptyTable(t *testing.T) {
 	}
 }
 
+// releaseCounter is sched.ShardedTwoPhase counting the ReleaseAll calls
+// each transaction receives; embedding keeps the control's Concurrent and
+// StepQuiescent markers, so the engine drives it as it drives the real one.
+type releaseCounter struct {
+	*sched.ShardedTwoPhase
+	mu    sync.Mutex
+	calls map[model.TxnID]int
+}
+
+func (c *releaseCounter) ReleaseAll(t model.TxnID) {
+	c.mu.Lock()
+	c.calls[t]++
+	c.mu.Unlock()
+	c.ShardedTwoPhase.ReleaseAll(t)
+}
+
+func (c *releaseCounter) count(t model.TxnID) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls[t]
+}
+
+// TestRetireReleasesOnlyResidue: retiring a committed submission pays no
+// ReleaseAll, because Finished already released its locks, while the
+// outcomes that can leave residue keep paying it: a submission parked by
+// its restart budget and one abandoned by Close, whose held lock only the
+// retire frees.
+func TestRetireReleasesOnlyResidue(t *testing.T) {
+	newSession := func(t *testing.T, cfg Config) (*Session, *releaseCounter) {
+		t.Helper()
+		rc := &releaseCounter{ShardedTwoPhase: sched.NewShardedTwoPhase(8), calls: map[model.TxnID]int{}}
+		if caps := sched.CapabilitiesOf(rc); !caps.Concurrent || !caps.QuiescentSteps || caps.ReleaseAll == nil {
+			t.Fatalf("the wrapper lost a capability: %+v", caps)
+		}
+		return NewSession(cfg, rc, nil, NewVolatileStore(map[model.EntityID]model.Value{"x": 0, "y": 0})), rc
+	}
+	inc := func(id model.TxnID) *model.Scripted {
+		return &model.Scripted{Txn: id, Ops: []model.Op{model.Add("x", 1), model.Add("y", 1)}}
+	}
+	t.Run("committed", func(t *testing.T) {
+		s, rc := newSession(t, Config{})
+		defer s.Close()
+		for i := 0; i < 20; i++ {
+			id := model.TxnID(fmt.Sprintf("c%d", i))
+			if out, err := s.Submit(context.Background(), inc(id), SubmitOpts{}); err != nil || !out.Committed {
+				t.Fatalf("%s: %+v, %v", id, out, err)
+			}
+			if n := rc.count(id); n != 0 {
+				t.Fatalf("committed %s received %d ReleaseAll calls, want 0", id, n)
+			}
+		}
+		if st := rc.LockSnapshot(); st.Locked != 0 || st.Entries != 0 {
+			t.Errorf("committed submissions left %+v in the lock table", st)
+		}
+	})
+	t.Run("parked", func(t *testing.T) {
+		// Every step attempt fails, so the budget runs out before any lock.
+		s, rc := newSession(t, Config{Faults: fault.New(fault.Plan{Seed: 3, StepErrorRate: 1.0})})
+		defer s.Close()
+		out, err := s.Submit(context.Background(), inc("g"), SubmitOpts{MaxRestarts: 2})
+		if err != nil || !out.GaveUp {
+			t.Fatalf("want GaveUp, got %+v, %v", out, err)
+		}
+		if n := rc.count("g"); n < 1 {
+			t.Errorf("parked submission received %d ReleaseAll calls, want at least 1", n)
+		}
+	})
+	t.Run("abandoned", func(t *testing.T) {
+		// The step delay holds the first lock until Close cuts the sleep.
+		s, rc := newSession(t, Config{StepDelay: time.Minute})
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(context.Background(), inc("z"), SubmitOpts{})
+			done <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); rc.LockSnapshot().Locked == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the submission never took its first lock")
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := <-done; !errors.Is(err, ErrSessionClosed) {
+			t.Errorf("abandoned submission error = %v, want ErrSessionClosed", err)
+		}
+		if n := rc.count("z"); n < 1 {
+			t.Errorf("abandoned submission received %d ReleaseAll calls, want at least 1", n)
+		}
+		if st := rc.LockSnapshot(); st.Locked != 0 || st.Entries != 0 {
+			t.Errorf("the abandoned submission left %+v in the lock table", st)
+		}
+	})
+}
+
 // beginCounter is the no-op control that counts Begin calls.
 type beginCounter struct {
 	sched.Control

@@ -36,8 +36,8 @@ func BenchmarkReleaseManyHolders(b *testing.B) {
 
 // BenchmarkStripedAcquireRelease compares the sharded manager's uncontended
 // acquire/release path across stripe counts; more stripes should not make
-// the serial path slower, because Release visits only the stripes its
-// held-stripe index names, not all of them.
+// the serial path slower, because Release visits only the entities t's
+// record lists, not every stripe.
 func BenchmarkStripedAcquireRelease(b *testing.B) {
 	for _, shards := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

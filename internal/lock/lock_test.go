@@ -19,8 +19,8 @@ func TestAcquireGrantAndReentry(t *testing.T) {
 	if out, _ := m.Acquire("t1", "x", p); out != Granted {
 		t.Fatal("re-acquire by holder must grant")
 	}
-	if !m.Holds("t1", "x") {
-		t.Error("Holds must report the holder")
+	if m.HolderOf("x") != "t1" {
+		t.Error("HolderOf must report the holder")
 	}
 }
 
@@ -47,12 +47,12 @@ func TestReleaseFreesAll(t *testing.T) {
 	p := prios(map[model.TxnID]int64{"t1": 1, "t2": 2})
 	m.Acquire("t1", "x", p)
 	m.Acquire("t1", "y", p)
-	if m.Locked() != 2 {
-		t.Fatalf("locked = %d", m.Locked())
+	if m.Snapshot().Locked != 2 {
+		t.Fatalf("locked = %d", m.Snapshot().Locked)
 	}
 	m.Release("t1")
-	if m.Locked() != 0 {
-		t.Fatalf("locked after release = %d", m.Locked())
+	if m.Snapshot().Locked != 0 {
+		t.Fatalf("locked after release = %d", m.Snapshot().Locked)
 	}
 	if out, _ := m.Acquire("t2", "x", p); out != Granted {
 		t.Error("released lock must be acquirable")
@@ -62,7 +62,7 @@ func TestReleaseFreesAll(t *testing.T) {
 func TestReleaseUnknownIsNoop(t *testing.T) {
 	m := NewStriped(1)
 	m.Release("ghost") // must not panic
-	if m.Locked() != 0 {
+	if m.Snapshot().Locked != 0 {
 		t.Error("phantom locks appeared")
 	}
 }

@@ -11,9 +11,10 @@ import (
 // TestPropertyExclusiveHolder drives a one-stripe table, the serial
 // controls' shape, through seeded random acquire/release sequences and
 // checks the safety property after every operation: no entity ever has two
-// holders. The table's holder map (Holds, HolderOf, Locked) is
+// holders. The table's holder map (HolderOf, Snapshot().Locked) is
 // cross-checked against an independently maintained shadow table, so a
-// bookkeeping desync between holder and held would also surface.
+// desync between the holder map and the transaction records would also
+// surface.
 func TestPropertyExclusiveHolder(t *testing.T) {
 	txns := make([]model.TxnID, 6)
 	for i := range txns {
@@ -56,7 +57,7 @@ func TestPropertyExclusiveHolder(t *testing.T) {
 			holders := make(map[model.EntityID]model.TxnID)
 			for _, tx := range txns {
 				for _, x := range entities {
-					if m.Holds(tx, x) {
+					if m.HolderOf(x) == tx {
 						if other, dup := holders[x]; dup {
 							t.Fatalf("seed=%d op=%d: %s held by both %s and %s", seed, op, x, other, tx)
 						}
@@ -72,8 +73,8 @@ func TestPropertyExclusiveHolder(t *testing.T) {
 					t.Fatalf("seed=%d op=%d: %s holder %s (HolderOf %s), shadow %s", seed, op, x, holders[x], m.HolderOf(x), shadow[x])
 				}
 			}
-			if m.Locked() != len(shadow) {
-				t.Fatalf("seed=%d op=%d: Locked()=%d, shadow %d", seed, op, m.Locked(), len(shadow))
+			if m.Snapshot().Locked != len(shadow) {
+				t.Fatalf("seed=%d op=%d: Locked=%d, shadow %d", seed, op, m.Snapshot().Locked, len(shadow))
 			}
 		}
 	}
@@ -109,7 +110,7 @@ func TestPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 			x := entities[rng.Intn(len(entities))]
 			holderBefore := model.TxnID("")
 			for _, cand := range txns {
-				if m.Holds(cand, x) {
+				if m.HolderOf(x) == cand {
 					holderBefore = cand
 				}
 			}
@@ -119,7 +120,7 @@ func TestPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 				if holderBefore != "" && holderBefore != tx {
 					t.Fatalf("seed=%d op=%d: granted %s to %s over holder %s", seed, op, x, tx, holderBefore)
 				}
-				if !m.Holds(tx, x) {
+				if m.HolderOf(x) != tx {
 					t.Fatalf("seed=%d op=%d: Granted but not holding", seed, op)
 				}
 			case Wound:

@@ -1,7 +1,6 @@
 package lock
 
 import (
-	"math/bits"
 	"sync"
 
 	"mla/internal/model"
@@ -21,39 +20,39 @@ import (
 type Striped struct {
 	shards []stripe
 	mask   uint32
-	// index is the per-transaction index: for each transaction with an
-	// entry, a mask of the shards where it holds a lock (shard i is bit
-	// i%64) and the priority SetPriority gave it, striped by transaction
-	// hash (≥ 16 wide) so no mutex is shared by all transactions.
+	// index is the per-transaction index: one record per transaction that
+	// holds a lock or was given a priority since its last Release, striped
+	// by transaction hash (≥ 16 wide) so no mutex is shared by all
+	// transactions. A shard mutex may be held while an index stripe's is
+	// taken, never the reverse.
 	index []indexStripe
 }
 
-// stripe is one shard's table. held lists each holder's entities, so a
-// Release costs the locks it frees, not the table size; free recycles
-// released held slices, so a steady lock path allocates none.
+// stripe is one shard's table: each locked entity's holder.
 type stripe struct {
 	mu     sync.Mutex
 	holder map[model.EntityID]model.TxnID
-	held   map[model.TxnID][]model.EntityID
-	free   [][]model.EntityID
-	_      [16]byte // pad to a 64-byte cache line so shard mutexes don't false-share
+	_      [48]byte // pad to a 64-byte cache line so shard mutexes don't false-share
 }
 
-// maxFreeHeld caps a stripe's recycled-slice pool; beyond it, slices are
-// left to the GC (the pool only needs to cover peak concurrent holders).
-const maxFreeHeld = 64
+// maxFreeRecs caps an index stripe's recycled-record pool; beyond it,
+// records are left to the GC (the pool only needs to cover peak concurrent
+// transactions).
+const maxFreeRecs = 64
 
 type indexStripe struct {
 	mu      sync.Mutex
-	entries map[model.TxnID]txnEntry
-	_       [48]byte // as stripe
+	entries map[model.TxnID]*txnRec
+	free    []*txnRec
+	_       [24]byte // as stripe
 }
 
-// txnEntry is a transaction's index entry: the shards it holds locks in and
-// its wound-wait priority. Release deletes both.
-type txnEntry struct {
-	mask uint64
+// txnRec is a transaction's record: its wound-wait priority and the
+// entities it holds, in every shard. Release takes it out of the index and
+// frees exactly those entities.
+type txnRec struct {
 	prio int64
+	held []model.EntityID
 }
 
 // NewStriped returns a manager with the given number of shards, rounded up
@@ -66,10 +65,9 @@ func NewStriped(shards int) *Striped {
 	s := &Striped{shards: make([]stripe, n), mask: uint32(n - 1), index: make([]indexStripe, max(n, 16))}
 	for i := range s.shards {
 		s.shards[i].holder = make(map[model.EntityID]model.TxnID)
-		s.shards[i].held = make(map[model.TxnID][]model.EntityID)
 	}
 	for i := range s.index {
-		s.index[i].entries = make(map[model.TxnID]txnEntry)
+		s.index[i].entries = make(map[model.TxnID]*txnRec)
 	}
 	return s
 }
@@ -91,36 +89,51 @@ func (s *Striped) indexOf(t model.TxnID) *indexStripe {
 	return &s.index[fnv(t)&uint32(len(s.index)-1)]
 }
 
-// SetPriority records t's wound-wait priority in its index entry, where
-// Priority reads it until Release deletes the entry. Only t's index stripe
-// is locked.
+// rec returns t's record, taking a recycled one for a transaction without
+// one. Caller holds ix.mu.
+func (ix *indexStripe) rec(t model.TxnID) *txnRec {
+	r := ix.entries[t]
+	if r == nil {
+		if n := len(ix.free); n > 0 {
+			r, ix.free = ix.free[n-1], ix.free[:n-1]
+		} else {
+			r = &txnRec{}
+		}
+		ix.entries[t] = r
+	}
+	return r
+}
+
+// SetPriority records t's wound-wait priority in its record, where Priority
+// reads it until Release takes the record out. Only t's index stripe is
+// locked.
 func (s *Striped) SetPriority(t model.TxnID, prio int64) {
 	ix := s.indexOf(t)
 	ix.mu.Lock()
-	e := ix.entries[t]
-	e.prio = prio
-	ix.entries[t] = e
+	ix.rec(t).prio = prio
 	ix.mu.Unlock()
 }
 
 // Priority returns the priority SetPriority recorded for t, or 0 when t has
-// no entry. It is a valid prio callback for Acquire.
+// no record. It is a valid prio callback for Acquire.
 func (s *Striped) Priority(t model.TxnID) int64 {
 	ix := s.indexOf(t)
 	ix.mu.Lock()
-	p := ix.entries[t].prio
-	ix.mu.Unlock()
-	return p
+	defer ix.mu.Unlock()
+	if r := ix.entries[t]; r != nil {
+		return r.prio
+	}
+	return 0
 }
 
 // Acquire attempts to take the exclusive lock on x for t. prio returns a
 // transaction's priority; smaller values are older (higher priority). On
 // Wound, victim is the current holder, which the caller must abort (its
 // locks are released by Release) before retrying. Only x's shard is locked,
-// and on t's first lock there t's index stripe, to set the shard's bit.
+// and on a grant of a free entity t's index stripe, to append x to t's
+// record.
 func (s *Striped) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID) int64) (Outcome, model.TxnID) {
-	i := fnv(x) & s.mask
-	sh := &s.shards[i]
+	sh := s.shardOf(x)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if h, locked := sh.holder[x]; locked {
@@ -133,19 +146,11 @@ func (s *Striped) Acquire(t model.TxnID, x model.EntityID, prio func(model.TxnID
 		return Wait, h
 	}
 	sh.holder[x] = t
-	hs, have := sh.held[t]
-	if !have {
-		if n := len(sh.free); n > 0 {
-			hs, sh.free = sh.free[n-1], sh.free[:n-1]
-		}
-		ix := s.indexOf(t)
-		ix.mu.Lock()
-		e := ix.entries[t]
-		e.mask |= 1 << (i % 64)
-		ix.entries[t] = e
-		ix.mu.Unlock()
-	}
-	sh.held[t] = append(hs, x)
+	ix := s.indexOf(t)
+	ix.mu.Lock()
+	r := ix.rec(t)
+	r.held = append(r.held, x)
+	ix.mu.Unlock()
 	return Granted, ""
 }
 
@@ -156,9 +161,6 @@ func (s *Striped) TryAcquire(t model.TxnID, x model.EntityID) (bool, model.TxnID
 	out, h := s.Acquire(t, x, func(model.TxnID) int64 { return 0 }) // equal priorities never wound
 	return out == Granted, h
 }
-
-// Holds reports whether t holds the lock on x.
-func (s *Striped) Holds(t model.TxnID, x model.EntityID) bool { return s.HolderOf(x) == t }
 
 // HolderOf returns the current holder of x ("" when unlocked). Deadlock
 // probes chase waits-for edges with it: the edge from a waiter leads to
@@ -171,55 +173,55 @@ func (s *Striped) HolderOf(x model.EntityID) model.TxnID {
 }
 
 // Release frees every lock held by t (strict 2PL) and forgets its priority:
-// it takes t's entry out of the index and visits only the shards its mask
-// names, so holding nothing costs one index probe. An Acquire by t racing
-// it lands in a shard still to be visited, or sets a fresh bit that the
+// it takes t's record out of the index and frees exactly the entities it
+// lists, each under its own shard's mutex, so holding nothing costs one
+// index probe. An Acquire by t racing it either finds an entity still held
+// (granted, and freed by this Release) or starts a fresh record that the
 // next Release of t consumes.
 func (s *Striped) Release(t model.TxnID) {
 	ix := s.indexOf(t)
 	ix.mu.Lock()
-	held := ix.entries[t].mask
+	r := ix.entries[t]
 	delete(ix.entries, t)
 	ix.mu.Unlock()
-	for ; held != 0; held &= held - 1 {
-		for i := bits.TrailingZeros64(held); i < len(s.shards); i += 64 {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			if hs, have := sh.held[t]; have {
-				for _, x := range hs {
-					delete(sh.holder, x) // held[t] lists exactly what t holds here
-				}
-				delete(sh.held, t)
-				if len(sh.free) < maxFreeHeld {
-					clear(hs) // drop entity-string references before pooling
-					sh.free = append(sh.free, hs[:0])
-				}
-			}
-			sh.mu.Unlock()
-		}
+	if r == nil {
+		return
 	}
+	for _, x := range r.held {
+		sh := s.shardOf(x)
+		sh.mu.Lock()
+		delete(sh.holder, x) // only this record's Release frees x
+		sh.mu.Unlock()
+	}
+	clear(r.held) // drop entity-string references before pooling
+	*r = txnRec{held: r.held[:0]}
+	ix.mu.Lock()
+	if len(ix.free) < maxFreeRecs {
+		ix.free = append(ix.free, r)
+	}
+	ix.mu.Unlock()
 }
 
-// Locked returns the number of currently locked entities; see Snapshot.
-func (s *Striped) Locked() int { return s.Snapshot().Locked }
-
-// Snapshot returns a value-copy of the table's counters summed over shards;
-// see Stats for the immutability contract. Holders counts per-shard holder
-// entries, so a transaction holding locks in k shards contributes k. Sums
-// are consistent per shard only: acquisitions may land between shard reads.
+// Snapshot returns a value-copy of the table's counters; see Stats for the
+// immutability contract. Sums are consistent per stripe only: acquisitions
+// may land between stripe reads.
 func (s *Striped) Snapshot() Stats {
 	out := Stats{Shards: len(s.shards)}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		out.Locked += len(sh.holder)
-		out.Holders += len(sh.held)
 		sh.mu.Unlock()
 	}
 	for i := range s.index {
 		ix := &s.index[i]
 		ix.mu.Lock()
 		out.Entries += len(ix.entries)
+		for _, r := range ix.entries {
+			if len(r.held) > 0 {
+				out.Holders++
+			}
+		}
 		ix.mu.Unlock()
 	}
 	return out

@@ -56,6 +56,10 @@ func (r refTable) Release(t model.TxnID) {
 
 func (r refTable) Locked() int { return len(r) }
 
+// Locked gives Striped the locker surface's lock count, which the table
+// itself reports through Snapshot.
+func (s *Striped) Locked() int { return s.Snapshot().Locked }
+
 // TestStripedPropertyExclusiveHolder reruns the exclusive-holder property
 // against the sharded manager: seeded random acquire/release sequences, with
 // the holder state cross-checked against a shadow table after every op. The
@@ -104,7 +108,7 @@ func TestStripedPropertyExclusiveHolder(t *testing.T) {
 			holders := make(map[model.EntityID]model.TxnID)
 			for _, tx := range txns {
 				for _, x := range entities {
-					if m.Holds(tx, x) {
+					if m.HolderOf(x) == tx {
 						if other, dup := holders[x]; dup {
 							t.Fatalf("seed=%d op=%d: %s held by both %s and %s", seed, op, x, other, tx)
 						}
@@ -120,8 +124,8 @@ func TestStripedPropertyExclusiveHolder(t *testing.T) {
 					t.Fatalf("seed=%d op=%d: %s holder %s, shadow %s", seed, op, x, holders[x], h)
 				}
 			}
-			if m.Locked() != len(shadow) {
-				t.Fatalf("seed=%d op=%d: Locked()=%d, shadow %d", seed, op, m.Locked(), len(shadow))
+			if m.Snapshot().Locked != len(shadow) {
+				t.Fatalf("seed=%d op=%d: Locked=%d, shadow %d", seed, op, m.Snapshot().Locked, len(shadow))
 			}
 		}
 	}
@@ -156,7 +160,7 @@ func TestStripedPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 			x := entities[rng.Intn(len(entities))]
 			holderBefore := model.TxnID("")
 			for _, cand := range txns {
-				if m.Holds(cand, x) {
+				if m.HolderOf(x) == cand {
 					holderBefore = cand
 				}
 			}
@@ -166,7 +170,7 @@ func TestStripedPropertyWoundOnlyStrictlyYounger(t *testing.T) {
 				if holderBefore != "" && holderBefore != tx {
 					t.Fatalf("seed=%d op=%d: granted %s to %s over holder %s", seed, op, x, tx, holderBefore)
 				}
-				if !m.Holds(tx, x) {
+				if m.HolderOf(x) != tx {
 					t.Fatalf("seed=%d op=%d: Granted but not holding", seed, op)
 				}
 			case Wound:
@@ -359,8 +363,8 @@ func TestStripePadding(t *testing.T) {
 
 // TestStripedAcquireRacesRelease races Acquire against Release for the same
 // transaction — the engine's stale-grant case — and checks the residue
-// contract: whatever the race left, one more Release of t leaves no shard
-// holding t, no locked entity, and an empty held-stripe index.
+// contract: whatever the race left, one more Release of t leaves no entity
+// held by t, no locked entity, and an empty per-transaction index.
 func TestStripedAcquireRacesRelease(t *testing.T) {
 	s := NewStriped(8)
 	entities := make([]model.EntityID, 24)
@@ -389,9 +393,9 @@ func TestStripedAcquireRacesRelease(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		tx := model.TxnID(fmt.Sprintf("w%d", w))
 		s.Release(tx)
-		for i := range s.shards {
-			if _, held := s.shards[i].held[tx]; held {
-				t.Fatalf("shard %d still holds locks of %s after the final Release", i, tx)
+		for _, x := range entities {
+			if s.HolderOf(x) == tx {
+				t.Fatalf("%s still holds %s after the final Release", tx, x)
 			}
 		}
 	}
@@ -399,7 +403,7 @@ func TestStripedAcquireRacesRelease(t *testing.T) {
 		t.Fatalf("non-empty final snapshot: %+v", st)
 	}
 	if n := s.Snapshot().Entries; n != 0 {
-		t.Fatalf("held-stripe index keeps %d entries", n)
+		t.Fatalf("per-transaction index keeps %d entries", n)
 	}
 }
 
@@ -521,8 +525,8 @@ func TestCrossShardDeadlockWounded(t *testing.T) {
 			if wounds == 0 {
 				t.Fatal("cycle spanning 3 shards completed without any wound — conflicts never materialized")
 			}
-			if s.Locked() != 0 {
-				t.Fatalf("locks leaked: %d", s.Locked())
+			if s.Snapshot().Locked != 0 {
+				t.Fatalf("locks leaked: %d", s.Snapshot().Locked)
 			}
 			return
 		}
@@ -566,7 +570,7 @@ func TestStripedConcurrentHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := s.Locked(); got != 0 {
+	if got := s.Snapshot().Locked; got != 0 {
 		t.Fatalf("locks leaked after all releases: %d", got)
 	}
 	if st := s.Snapshot(); st.Holders != 0 || st.Locked != 0 {

@@ -20,11 +20,11 @@ import (
 //
 // All methods are safe for concurrent use (the Concurrent marker); stats
 // are atomics folded into a Stats struct on demand. Priorities live in the
-// lock table's per-transaction entry beside the held-shard mask: Begin sets
-// one, the wound-wait comparison reads it under t's index stripe only, and
-// the Release at Finished or Aborted deletes it, so a resident session's
-// control state stays bounded by peak concurrency rather than lifetime
-// transaction count.
+// lock table's per-transaction record beside the entities the transaction
+// holds: Begin sets one, the wound-wait comparison reads it under t's index
+// stripe only, and the Release at Finished or Aborted takes the record out,
+// so a resident session's control state stays bounded by peak concurrency
+// rather than lifetime transaction count.
 type ShardedTwoPhase struct {
 	locks *lock.Striped
 

@@ -397,7 +397,7 @@ func TestTornMultiShotCoordinatorCrash(t *testing.T) {
 	if c.Shots != 1 {
 		t.Fatalf("Shots = %d, want 1 (the committed shot)", c.Shots)
 	}
-	if c.nodes[1].locks.Locked() != 0 {
+	if c.nodes[1].locks.Snapshot().Locked != 0 {
 		t.Fatal("participant kept the committed shot's locks")
 	}
 	// Unit 2 opens at the coordinator...
@@ -415,7 +415,7 @@ func TestTornMultiShotCoordinatorCrash(t *testing.T) {
 		t.Errorf("CrashAborts = %d, want 1", c.CrashAborts)
 	}
 	c.Aborted(victims)
-	if c.nodes[1].locks.Locked() != 0 {
+	if c.nodes[1].locks.Snapshot().Locked != 0 {
 		t.Error("abort leaked locks at the surviving participant")
 	}
 }
@@ -458,7 +458,7 @@ func TestLockResyncAfterParticipantCrash(t *testing.T) {
 	if !c.nodes[1].up || c.nodes[1].recovering {
 		t.Fatal("shard 1 never finished recovering")
 	}
-	if !c.nodes[1].locks.Holds("t1", b) {
+	if c.nodes[1].locks.HolderOf(b) != "t1" {
 		t.Fatal("anti-entropy did not re-install the surviving claim")
 	}
 	c.Begin("t2", 2)

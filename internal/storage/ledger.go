@@ -53,7 +53,7 @@ const decided = -1
 // marks the ledger sets.
 type Txn struct {
 	ID       model.TxnID
-	Finished bool // wants to commit; set by Finish, cleared by a whole-transaction rollback
+	Finished bool // wants to commit; set by Finish, cleared by a whole-transaction rollback or Remove
 	// Decided: a commit group containing the transaction has formed. The
 	// decision is irrevocable — the transaction is immune to rollback and
 	// satisfies its dependents' dependencies — even while the host is still
@@ -106,14 +106,21 @@ func (l *Ledger) Add(t *Txn, id model.TxnID) {
 
 // Remove forgets a transaction that will take no further part, and the
 // values it still authors with it: one that committed is already gone, one
-// that was wholly rolled back authors nothing.
+// that was wholly rolled back authors nothing. The record leaves unfinished,
+// so a stale entry of it in the finished queue never joins a group.
 func (l *Ledger) Remove(id model.TxnID) {
 	if t := l.txns[id]; t != nil {
-		delete(l.txns, id)
-		for _, w := range t.writes {
-			if l.author[w.x].txn == id {
-				delete(l.author, w.x)
-			}
+		t.Finished = false
+		l.drop(t)
+	}
+}
+
+// drop deletes t from the ledger with the values it still authors.
+func (l *Ledger) drop(t *Txn) {
+	delete(l.txns, t.ID)
+	for _, w := range t.writes {
+		if l.author[w.x].txn == t.ID {
+			delete(l.author, w.x)
 		}
 	}
 }
@@ -167,7 +174,7 @@ func (l *Ledger) Finish(t *Txn) {
 func (l *Ledger) Group(buf []model.TxnID) []model.TxnID {
 	all, q := l.fin, l.fin[:0]
 	for _, t := range all {
-		if t.Finished && !t.Decided && !t.cand && l.txns[t.ID] == t {
+		if t.Finished && !t.Decided && !t.cand {
 			t.cand = true
 			q = append(q, t)
 		}
@@ -213,7 +220,7 @@ func (l *Ledger) Committed(ids []model.TxnID) {
 	for _, id := range ids {
 		if t := l.txns[id]; t != nil {
 			t.Committed = true
-			l.Remove(id)
+			l.drop(t)
 			for _, d := range t.dependents {
 				if dt := l.txns[d]; dt != nil {
 					delete(dt.deps, id)

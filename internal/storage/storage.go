@@ -219,10 +219,6 @@ func (s *Store) maybeCompact() {
 	}
 }
 
-// PendingRecords returns the number of live (uncommitted, not undone) log
-// records.
-func (s *Store) PendingRecords() int { return s.live }
-
 // PendingTxns returns the number of transactions with a live record.
 func (s *Store) PendingTxns() int { return len(s.byTxn) }
 
@@ -236,14 +232,4 @@ func (s *Store) Values() map[model.EntityID]model.Value {
 		out[x] = v
 	}
 	return out
-}
-
-// Sum returns the sum of the values of the given entities; applications use
-// it for conservation invariants.
-func (s *Store) Sum(entities []model.EntityID) model.Value {
-	var total model.Value
-	for _, x := range entities {
-		total += s.vals[x]
-	}
-	return total
 }

@@ -21,8 +21,8 @@ func TestPerformRecordsStep(t *testing.T) {
 	if s.Get("x") != 70 {
 		t.Errorf("x = %d", s.Get("x"))
 	}
-	if s.PendingRecords() != 1 {
-		t.Errorf("pending = %d", s.PendingRecords())
+	if s.live != 1 {
+		t.Errorf("pending = %d", s.live)
 	}
 }
 
@@ -36,8 +36,8 @@ func TestAbortRestoresValues(t *testing.T) {
 	if s.Get("x") != 10 || s.Get("y") != 20 {
 		t.Errorf("values after abort: x=%d y=%d", s.Get("x"), s.Get("y"))
 	}
-	if s.PendingRecords() != 0 {
-		t.Errorf("pending = %d", s.PendingRecords())
+	if s.live != 0 {
+		t.Errorf("pending = %d", s.live)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestCommitTruncates(t *testing.T) {
 	s.Perform("t1", 1, "x", add(1))
 	s.Perform("t2", 1, "y", add(1))
 	s.Commit("t1")
-	if s.PendingRecords() != 1 {
-		t.Errorf("pending = %d", s.PendingRecords())
+	if s.live != 1 {
+		t.Errorf("pending = %d", s.live)
 	}
 	// Aborting a committed transaction's records is a no-op.
 	if err := s.Abort(map[model.TxnID]bool{"t1": true}); err != nil {
@@ -95,15 +95,12 @@ func TestInterleavedAbortKeepsSurvivors(t *testing.T) {
 	}
 }
 
-func TestValuesAndSum(t *testing.T) {
+func TestValuesIsACopy(t *testing.T) {
 	s := New(map[model.EntityID]model.Value{"a": 1, "b": 2})
 	v := s.Values()
 	v["a"] = 99 // must be a copy
 	if s.Get("a") != 1 {
 		t.Error("Values leaked internal map")
-	}
-	if got := s.Sum([]model.EntityID{"a", "b"}); got != 3 {
-		t.Errorf("Sum = %d", got)
 	}
 }
 
@@ -113,8 +110,8 @@ func TestCompaction(t *testing.T) {
 		s.Perform("t", i+1, "x", add(1))
 	}
 	s.Commit("t")
-	if s.PendingRecords() != 0 {
-		t.Errorf("pending = %d", s.PendingRecords())
+	if s.live != 0 {
+		t.Errorf("pending = %d", s.live)
 	}
 	// Log should have been compacted away.
 	if len(s.log) != 0 {
@@ -133,8 +130,8 @@ func TestAbortSuffixKeepsPrefix(t *testing.T) {
 	if s.Get("x") != 1 || s.Get("y") != 0 {
 		t.Errorf("x=%d y=%d, want 1 0", s.Get("x"), s.Get("y"))
 	}
-	if s.PendingRecords() != 1 {
-		t.Errorf("pending = %d, want 1", s.PendingRecords())
+	if s.live != 1 {
+		t.Errorf("pending = %d, want 1", s.live)
 	}
 	// The surviving prefix can still be fully aborted later.
 	if err := s.Abort(map[model.TxnID]bool{"t1": true}); err != nil {
@@ -209,8 +206,8 @@ func TestOnUndoHook(t *testing.T) {
 	if err := s.Abort(map[model.TxnID]bool{"t2": true}); err != stop {
 		t.Fatalf("Abort = %v, want the hook's error", err)
 	}
-	if s.Get("y") != 2 || s.PendingRecords() != 1 || s.PendingTxns() != 1 {
-		t.Fatalf("a stopped rollback undid its record: y=%d pending=%d/%d", s.Get("y"), s.PendingRecords(), s.PendingTxns())
+	if s.Get("y") != 2 || s.live != 1 || s.PendingTxns() != 1 {
+		t.Fatalf("a stopped rollback undid its record: y=%d pending=%d/%d", s.Get("y"), s.live, s.PendingTxns())
 	}
 }
 
@@ -307,9 +304,9 @@ func TestStoreAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(2000, cycle); got != 0 {
 		t.Fatalf("%.2f allocations per transaction, want 0: index slices are not recycled", got)
 	}
-	if aborts == 0 || compactions == 0 || s.PendingRecords() != 0 {
+	if aborts == 0 || compactions == 0 || s.live != 0 {
 		t.Fatalf("measured %d aborts, %d compactions, %d pending records: want both kinds and nothing pending",
-			aborts, compactions, s.PendingRecords())
+			aborts, compactions, s.live)
 	}
 }
 
@@ -331,13 +328,13 @@ func TestCommitIndexAcrossCompactionAndAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Perform("t", 1, "x", add(7))
-	live := s.PendingRecords()
+	live := s.live
 	if live != 1 {
 		t.Fatalf("live = %d, want 1", live)
 	}
 	s.Commit("t")
-	if s.PendingRecords() != 0 {
-		t.Errorf("pending after commit = %d", s.PendingRecords())
+	if s.live != 0 {
+		t.Errorf("pending after commit = %d", s.live)
 	}
 	if s.Get("x") != 1507 {
 		t.Errorf("x = %d, want 1507", s.Get("x"))
@@ -345,7 +342,7 @@ func TestCommitIndexAcrossCompactionAndAborts(t *testing.T) {
 	// Committing again (or an unknown txn) is a harmless no-op.
 	s.Commit("t")
 	s.Commit("never-ran")
-	if s.PendingRecords() != 0 {
-		t.Errorf("no-op commits changed accounting: %d", s.PendingRecords())
+	if s.live != 0 {
+		t.Errorf("no-op commits changed accounting: %d", s.live)
 	}
 }

@@ -16,16 +16,19 @@ go vet ./...
 # the nightly repeats them, the pipelined-commit tests, the
 # close-with-ack-in-flight test and the batch-run tests fifty times.
 go test -race ./...
-# The per-commit and per-step microbenchmarks (a Release that visits only
-# the stripes a transaction took; a ledger commit and a ledger rollback flat
-# in the in-flight count; the WAL DB's share of a commit and of a rollback; a
-# closure insert linear in the transaction's length, the preview on a
-# 1024-step closure, a Detector abort whose victim is retracted in place, and
-# the history checker on ≈470- and ≈3,800-step serial banking histories), run
-# once each so they keep compiling and running.
+# The per-commit and per-step microbenchmarks (a Release that frees only
+# the entities a transaction's record lists; a ledger commit and a ledger
+# rollback flat in the in-flight count; the WAL DB's share of a commit and of
+# a rollback; a resident engine session's Submit of a 2-step increment, from
+# one goroutine and from GOMAXPROCS; a closure insert linear in the
+# transaction's length, the preview on a 1024-step closure, a Detector abort
+# whose victim is retracted in place, and the history checker on ≈470- and
+# ≈3,800-step serial banking histories), run once each so they keep
+# compiling and running.
 go test ./internal/lock/ -run '^$' -bench BenchmarkStripedAcquireRelease -benchtime 1x > /dev/null
 go test ./internal/storage/ -run '^$' -bench 'BenchmarkLedgerCommit|BenchmarkLedgerRollback' -benchtime 1x > /dev/null
 go test ./internal/wal/ -run '^$' -bench 'BenchmarkDBPerformCommit|BenchmarkDBAbortSuffix' -benchtime 1x -benchmem > /dev/null
+go test ./internal/engine/ -run '^$' -bench BenchmarkSessionSubmit -benchtime 1x -benchmem > /dev/null
 go test ./internal/coherent/ -run '^$' -bench 'BenchmarkOnlineLongTxn|BenchmarkOnlinePreviewAt1024' -benchtime 1x > /dev/null
 go test ./internal/sched/ -run '^$' -bench BenchmarkDetectorCascade -benchtime 1x > /dev/null
 go test ./internal/history/ -run '^$' -bench BenchmarkCheck -benchtime 1x -benchmem > /dev/null
