@@ -1,14 +1,17 @@
 .PHONY: check test bench lint fuzz perf loc
 
 # Full gate: build + vet + lint + full suite under -race (goldens, chaos
-# scenarios, engine goroutine-leak and cancellation tests included), the
-# microbenchmark and fuzz smokes, the soak, the E19 race smoke and three
-# benchmark/ output-check smokes (engine_uniform, bank_mla, serve_durable).
+# scenarios, the dead-surface audit, engine goroutine-leak and cancellation
+# tests included), every examples/ program, the microbenchmark and fuzz
+# smokes, the soak, the E19 race smoke and three benchmark/ output-check
+# smokes (engine_uniform, bank_mla, serve_durable).
 check:
 	./scripts/check.sh
 
-# Tier-1, golden tables and chaos scenarios included; a change that means to
-# move one runs `go test ./internal/bench ./cmd/mlasim -update`.
+# Tier-1, golden tables, chaos scenarios and the dead-surface audit included;
+# a change that means to move a golden runs
+# `go test ./internal/bench ./cmd/mlasim -update`, and one that means to move
+# the audit's pin runs `go test . -run TestSurface -update`.
 test:
 	go test ./...
 

@@ -319,7 +319,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mkCtl := func() (sched.Control, error) {
 		switch *control {
 		case "dist":
-			procs := sim.DefaultConfig().Processors
+			procs := sim.Processors
 			distCtl = dist.NewNet(n, spec, dist.Params{
 				Procs:  procs,
 				Owner:  sim.OwnerFunc(procs),

@@ -28,7 +28,7 @@ func main() {
 
 	table := metrics.NewTable(
 		fmt.Sprintf("Utopian Planning: %d modifications, %d snapshots, %d specialties × %d teams",
-			params.Mods, params.Snapshots, params.Specialties, params.TeamsPerSpecialty),
+			params.Mods, params.Snapshots, cad.Specialties, cad.TeamsPerSpecialty),
 		"nest-depth", "throughput", "waits", "aborts", "snapshots-clean")
 
 	for k := 2; k <= 5; k++ {

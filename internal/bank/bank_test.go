@@ -4,8 +4,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mla/internal/breakpoint"
 	"mla/internal/coherent"
 	"mla/internal/model"
+	"mla/internal/nest"
 )
 
 // runProgram executes a program serially against vals.
@@ -294,6 +296,16 @@ func TestCutAfterPlacesPhaseBoundary(t *testing.T) {
 	}
 }
 
+// BankAuditIDs returns the bank audit transaction IDs, sorted by ID.
+func (wl *Workload) BankAuditIDs() []model.TxnID {
+	var out []model.TxnID
+	for _, a := range wl.audits {
+		out = append(out, a.Txn)
+	}
+	model.SortTxnIDs(out)
+	return out
+}
+
 func TestSerializabilitySpecCovers(t *testing.T) {
 	wl := Generate(DefaultParams())
 	n2, s2 := wl.SerializabilitySpec()
@@ -305,4 +317,14 @@ func TestSerializabilitySpecCovers(t *testing.T) {
 			t.Fatalf("%s missing from k=2 nest", p.ID())
 		}
 	}
+}
+
+// SerializabilitySpec returns the k=2 spec over the same transactions, for
+// baseline comparisons on identical workloads.
+func (wl *Workload) SerializabilitySpec() (*nest.Nest, breakpoint.Spec) {
+	n := nest.New(2)
+	for _, p := range wl.Programs {
+		n.Add(p.ID())
+	}
+	return n, breakpoint.Uniform{Levels: 2, C: 2}
 }

@@ -74,12 +74,6 @@ func (p *Population) cutAfter(t model.TxnID, prefix []model.Step) int {
 	return 3
 }
 
-// Transfer builds transfer id of family f over drawn accounts. Its class is
-// its family's, among the customers.
-func (p *Population) Transfer(id model.TxnID, f int, sources []model.EntityID, targets [2]model.EntityID) (*Transfer, []string) {
-	return &Transfer{Txn: id, Family: f, Sources: sources, Targets: targets, Amount: p.amount, Reserve: p.reserve}, p.famPath[f]
-}
-
 // drawnTransfer is a Transfer with room for its sources beside it, so that
 // DrawTransfer allocates once without every Transfer carrying the room.
 type drawnTransfer struct {

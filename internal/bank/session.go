@@ -76,40 +76,28 @@ func (st *sessionState) Apply(v model.Value) (model.Value, string, model.ProgSta
 	return w, label, ns
 }
 
-// SessionParams configures a sessioned banking workload.
+// SessionParams configures a sessioned banking workload. Its world is fixed:
+// sessionFamilies families of sessionAccounts accounts holding 1000 each,
+// the paper's $100 transfers over a $125 reserve, sessionCrossPct percent
+// of the deposit targets in another family, and one bank audit.
 type SessionParams struct {
-	Families          int
-	AccountsPerFamily int
-	InitialBalance    model.Value
-
 	Sessions      int // concurrent customer sessions
 	SessionLength int // transfers per session
-	BankAudits    int
+	Seed          int64
+}
 
-	// CrossFamilyPct is the percentage of transfers whose deposit targets
+const (
+	sessionFamilies = 3
+	sessionAccounts = 4 // per family
+	// sessionCrossPct is the percentage of transfers whose deposit targets
 	// lie in another family ("transfers of money from the accounts of one
 	// family to the accounts of another family are also fairly common").
-	CrossFamilyPct int
-
-	Amount  model.Value
-	Reserve model.Value
-	Seed    int64
-}
+	sessionCrossPct = 30
+)
 
 // DefaultSessionParams returns a medium configuration.
 func DefaultSessionParams() SessionParams {
-	return SessionParams{
-		Families:          3,
-		AccountsPerFamily: 4,
-		InitialBalance:    1000,
-		Sessions:          8,
-		SessionLength:     4,
-		BankAudits:        1,
-		CrossFamilyPct:    30,
-		Amount:            100,
-		Reserve:           125,
-		Seed:              1,
-	}
+	return SessionParams{Sessions: 8, SessionLength: 4, Seed: 1}
 }
 
 // SessionWorkload bundles a sessioned run. The 4-nest differs from the
@@ -130,44 +118,42 @@ type SessionWorkload struct {
 // GenerateSessions builds a deterministic sessioned workload.
 func GenerateSessions(p SessionParams) *SessionWorkload {
 	rng := rand.New(rand.NewSource(p.Seed))
-	w := World{Families: p.Families, AccountsPerFamily: p.AccountsPerFamily, InitialBalance: p.InitialBalance}
-	pop := NewPopulation(w, p.Amount, p.Reserve, nest.New(4), true)
+	w := World{Families: sessionFamilies, AccountsPerFamily: sessionAccounts, InitialBalance: 1000}
+	pop := NewPopulation(w, paperAmount, paperReserve, nest.New(4), true)
 	wl := &SessionWorkload{World: w, Params: p, Init: w.Init(), Nest: pop.Nest, Spec: pop.Spec}
 	add := func(prog model.Program, path []string) {
 		pop.Prepare(prog, path)
 		wl.Programs = append(wl.Programs, prog)
 	}
 	for i := 0; i < p.Sessions; i++ {
-		f := rng.Intn(p.Families)
+		f := rng.Intn(sessionFamilies)
 		transfers := make([]Transfer, p.SessionLength)
 		for j := range transfers {
 			// Sources within the family; targets anywhere.
 			tr := &transfers[j]
-			for _, ai := range rng.Perm(p.AccountsPerFamily)[:min(3, p.AccountsPerFamily)] {
+			for _, ai := range rng.Perm(sessionAccounts)[:3] {
 				tr.Sources = append(tr.Sources, w.Account(f, ai))
 			}
 			tf := f
-			if p.Families > 1 && rng.Intn(100) < p.CrossFamilyPct {
+			if rng.Intn(100) < sessionCrossPct {
 				for tf == f {
-					tf = rng.Intn(p.Families)
+					tf = rng.Intn(sessionFamilies)
 				}
 			}
 			tr.Targets = [2]model.EntityID{
-				w.Account(tf, rng.Intn(p.AccountsPerFamily)),
-				w.Account(tf, rng.Intn(p.AccountsPerFamily)),
+				w.Account(tf, rng.Intn(sessionAccounts)),
+				w.Account(tf, rng.Intn(sessionAccounts)),
 			}
 		}
 		add(pop.Session(model.TxnID(fmt.Sprintf("sess-%03d", i)), f, transfers))
 	}
-	for i := 0; i < p.BankAudits; i++ {
-		a, path := pop.Audit(model.TxnID(fmt.Sprintf("audit-%03d", i)))
-		wl.audits = append(wl.audits, a)
-		wl.Init[a.Result] = 0
-		// Audits live beside the customers at level 2: they may interleave
-		// at session transfer boundaries (consistent totals) but never
-		// inside a transfer.
-		add(a, []string{classCust, path[1]})
-	}
+	// The bank audit lives beside the customers at level 2: it may
+	// interleave at session transfer boundaries (consistent totals) but
+	// never inside a transfer.
+	a, path := pop.Audit("audit-000")
+	wl.audits = append(wl.audits, a)
+	wl.Init[a.Result] = 0
+	add(a, []string{classCust, path[1]})
 	rng.Shuffle(len(wl.Programs), func(i, j int) { wl.Programs[i], wl.Programs[j] = wl.Programs[j], wl.Programs[i] })
 	return wl
 }
@@ -177,16 +163,4 @@ func GenerateSessions(p SessionParams) *SessionWorkload {
 // validity.
 func (wl *SessionWorkload) Check(exec model.Execution, final map[model.EntityID]model.Value) Invariants {
 	return check(wl.World, wl.Init, wl.audits, exec, final)
-}
-
-// SessionIDs returns the session transaction IDs, sorted.
-func (wl *SessionWorkload) SessionIDs() []model.TxnID {
-	var out []model.TxnID
-	for _, p := range wl.Programs {
-		if s, ok := p.(*Session); ok {
-			out = append(out, s.Txn)
-		}
-	}
-	model.SortTxnIDs(out)
-	return out
 }

@@ -99,7 +99,7 @@ func TestSessionCutPlacement(t *testing.T) {
 	if got := wl.Spec.CutAfter(id, end); got != 2 {
 		t.Errorf("after xfer-end = %d, want 2", got)
 	}
-	mid := []model.Step{{Txn: id, Seq: 1, Label: "withdraw", Before: 500, After: 500 - p.Amount}}
+	mid := []model.Step{{Txn: id, Seq: 1, Label: "withdraw", Before: 500, After: 500 - paperAmount}}
 	if got := wl.Spec.CutAfter(id, mid); got != 3 {
 		t.Errorf("after an inner transfer's completed withdrawal = %d, want 3", got)
 	}
@@ -153,4 +153,16 @@ func TestAuditBetweenTransfersIsAtomic(t *testing.T) {
 	if bad {
 		t.Error("audit inside a transfer must not be correctable")
 	}
+}
+
+// SessionIDs returns the session transaction IDs, sorted.
+func (wl *SessionWorkload) SessionIDs() []model.TxnID {
+	var out []model.TxnID
+	for _, p := range wl.Programs {
+		if s, ok := p.(*Session); ok {
+			out = append(out, s.Txn)
+		}
+	}
+	model.SortTxnIDs(out)
+	return out
 }

@@ -30,6 +30,9 @@ type Params struct {
 	Seed int64
 }
 
+// The paper's transfer goal and first-deposit top-up level.
+const paperAmount, paperReserve = 100, 125
+
 // DefaultParams returns a moderately contended configuration.
 func DefaultParams() Params {
 	return Params{
@@ -39,8 +42,8 @@ func DefaultParams() Params {
 		Transfers:         24,
 		BankAudits:        2,
 		CreditorAudits:    4,
-		Amount:            100,
-		Reserve:           125,
+		Amount:            paperAmount,
+		Reserve:           paperReserve,
 		CrossFamilyPct:    50,
 		Seed:              1,
 	}
@@ -92,16 +95,6 @@ func Generate(p Params) *Workload {
 	return wl
 }
 
-// SerializabilitySpec returns the k=2 spec over the same transactions, for
-// baseline comparisons on identical workloads.
-func (wl *Workload) SerializabilitySpec() (*nest.Nest, breakpoint.Spec) {
-	n := nest.New(2)
-	for _, p := range wl.Programs {
-		n.Add(p.ID())
-	}
-	return n, breakpoint.Uniform{Levels: 2, C: 2}
-}
-
 // Invariants summarizes the correctness checks of a finished run.
 type Invariants struct {
 	ConservationOK bool        // account total equals the initial supply
@@ -146,14 +139,4 @@ func check(w World, init map[model.EntityID]model.Value, audits []*Audit, exec m
 	}
 	inv.TraceValid = exec.Validate(init)
 	return inv
-}
-
-// BankAuditIDs returns the bank audit transaction IDs, sorted by ID.
-func (wl *Workload) BankAuditIDs() []model.TxnID {
-	var out []model.TxnID
-	for _, a := range wl.audits {
-		out = append(out, a.Txn)
-	}
-	model.SortTxnIDs(out)
-	return out
 }

@@ -75,8 +75,8 @@ func E18Chaos(o Config) (*metrics.Table, error) {
 			plan := scn.plan
 			plan.Seed = o.Seed + int64(s)*101
 			c := dist.NewNet(wl.Nest, wl.Spec, dist.Params{
-				Procs:  cfg.Processors,
-				Owner:  sim.OwnerFunc(cfg.Processors),
+				Procs:  sim.Processors,
+				Owner:  sim.OwnerFunc(sim.Processors),
 				Delay:  5,
 				Faults: fault.New(plan),
 			})

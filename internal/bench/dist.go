@@ -45,7 +45,7 @@ func E13Distributed(o Config) (*metrics.Table, error) {
 		for s := 0; s < seeds; s++ {
 			wl := bankWorkload(3, 4, 14, 1, o.Seed+int64(s)*41)
 			cfg := sim.DefaultConfig()
-			c := dist.New(wl.Nest, wl.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), delay)
+			c := dist.New(wl.Nest, wl.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), delay)
 			res, err := sim.Run(cfg, wl.Programs, c, wl.Spec, wl.Init)
 			if err != nil {
 				return nil, fmt.Errorf("E13 delay=%d: %w", delay, err)

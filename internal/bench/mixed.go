@@ -111,10 +111,9 @@ func E20MixedHistory(o Config) (*metrics.Table, error) {
 		w := newMixedWorkload(sessions, rounds, analytics, audits, accounts, o.Seed)
 		var c sched.Control
 		if control == "dist" {
-			cfg := sim.DefaultConfig()
 			c = dist.NewNet(w.n, w.spec, dist.Params{
-				Procs:  cfg.Processors,
-				Owner:  sim.OwnerFunc(cfg.Processors),
+				Procs:  sim.Processors,
+				Owner:  sim.OwnerFunc(sim.Processors),
 				Delay:  5,
 				Faults: fault.New(fault.Plan{Seed: o.Seed}),
 			})

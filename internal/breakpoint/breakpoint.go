@@ -154,31 +154,3 @@ func (d *Description) Classes(level int) [][2]int {
 	out = append(out, [2]int{start, d.n})
 	return out
 }
-
-// CutAfter reports the coarseness of the boundary after step pos, or 0 if
-// pos is the last step (the end of a transaction is a boundary of every
-// level, including level 1 — callers treat 0 as "fully open").
-func (d *Description) CutAfter(pos int) int {
-	d.checkStep(pos)
-	if pos == d.n {
-		return 0
-	}
-	return d.coarse[pos-1+0]
-}
-
-// Validate checks internal consistency: every coarseness in [2, k].
-func (d *Description) Validate() error {
-	for i, c := range d.coarse {
-		if c < 2 || c > d.k {
-			return fmt.Errorf("breakpoint: position %d has coarseness %d outside [2,%d]", i+1, c, d.k)
-		}
-	}
-	return nil
-}
-
-// Clone returns a deep copy.
-func (d *Description) Clone() *Description {
-	nd := &Description{k: d.k, n: d.n}
-	nd.coarse = append([]int(nil), d.coarse...)
-	return nd
-}

@@ -1,6 +1,7 @@
 package breakpoint
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -117,17 +118,6 @@ func TestDescriptionEdgeCases(t *testing.T) {
 	d1 := NewDescription(2, 1)
 	if c := d1.Classes(2); len(c) != 1 {
 		t.Errorf("single-step description: %v", c)
-	}
-	if got := d1.CutAfter(1); got != 0 {
-		t.Errorf("CutAfter(last) = %d, want 0", got)
-	}
-	c := paperTransfer().Clone()
-	if c.Coarseness(3) != 2 {
-		t.Error("Clone lost cuts")
-	}
-	c.SetCut(1, 2)
-	if paperTransfer().Coarseness(1) == 2 {
-		t.Error("Clone must be independent")
 	}
 }
 
@@ -255,4 +245,14 @@ func TestClamp(t *testing.T) {
 	}
 	mustPanic(func() { Clamp(base, 1) })
 	mustPanic(func() { Clamp(base, 6) })
+}
+
+// Validate checks internal consistency: every coarseness in [2, k].
+func (d *Description) Validate() error {
+	for i, c := range d.coarse {
+		if c < 2 || c > d.k {
+			return fmt.Errorf("breakpoint: position %d has coarseness %d outside [2,%d]", i+1, c, d.k)
+		}
+	}
+	return nil
 }

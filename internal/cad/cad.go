@@ -34,30 +34,27 @@ import (
 	"mla/internal/nest"
 )
 
+// The planning department's fixed shape: Specialties specialties of
+// objectsPerSpec plan objects, TeamsPerSpecialty teams in each, and
+// modifications of unitsPerMod units.
+const (
+	Specialties       = 3
+	TeamsPerSpecialty = 2
+	objectsPerSpec    = 4
+	unitsPerMod       = 3
+	crossSpecialtyPct = 20 // percentage of units touching another specialty
+)
+
 // Params configures a generated CAD workload.
 type Params struct {
-	Specialties       int
-	TeamsPerSpecialty int
-	ObjectsPerSpec    int
-	Mods              int
-	UnitsPerMod       int
-	Snapshots         int
-	CrossSpecialtyPct int // percentage of units touching another specialty
-	Seed              int64
+	Mods      int
+	Snapshots int
+	Seed      int64
 }
 
 // DefaultParams returns a moderately contended configuration.
 func DefaultParams() Params {
-	return Params{
-		Specialties:       3,
-		TeamsPerSpecialty: 2,
-		ObjectsPerSpec:    4,
-		Mods:              18,
-		UnitsPerMod:       3,
-		Snapshots:         2,
-		CrossSpecialtyPct: 20,
-		Seed:              1,
-	}
+	return Params{Mods: 18, Snapshots: 2, Seed: 1}
 }
 
 // Workload bundles the programs, the 5-level specification, and the initial
@@ -218,12 +215,12 @@ func Generate(p Params) *Workload {
 		mods:   make(map[model.TxnID]*Modification),
 		snaps:  make(map[model.TxnID]*Snapshot),
 	}
-	for s := 0; s < p.Specialties; s++ {
-		for o := 0; o < p.ObjectsPerSpec; o++ {
+	for s := 0; s < Specialties; s++ {
+		for o := 0; o < objectsPerSpec; o++ {
 			wl.Init[object(s, o)] = 0
 		}
 		wl.Init[totalEntity(s)] = 0
-		for t := 0; t < p.TeamsPerSpecialty; t++ {
+		for t := 0; t < TeamsPerSpecialty; t++ {
 			wl.Init[scratch(s, t)] = 0
 		}
 	}
@@ -231,20 +228,20 @@ func Generate(p Params) *Workload {
 	n := nest.New(5)
 	var programs []model.Program
 	for i := 0; i < p.Mods; i++ {
-		spec := rng.Intn(p.Specialties)
-		team := rng.Intn(p.TeamsPerSpecialty)
+		spec := rng.Intn(Specialties)
+		team := rng.Intn(TeamsPerSpecialty)
 		id := model.TxnID(fmt.Sprintf("mod-%03d", i))
 		m := &Modification{Txn: id, Specialty: spec, Team: team}
-		for u := 0; u < p.UnitsPerMod; u++ {
+		for u := 0; u < unitsPerMod; u++ {
 			target := spec
-			if p.Specialties > 1 && rng.Intn(100) < p.CrossSpecialtyPct {
+			if rng.Intn(100) < crossSpecialtyPct {
 				for target == spec {
-					target = rng.Intn(p.Specialties)
+					target = rng.Intn(Specialties)
 				}
 			}
 			m.Units = append(m.Units, Unit{
 				Scratch: scratch(spec, team),
-				Object:  object(target, rng.Intn(p.ObjectsPerSpec)),
+				Object:  object(target, rng.Intn(objectsPerSpec)),
 				Total:   totalEntity(target),
 				Delta:   model.Value(1 + rng.Intn(5)),
 			})
@@ -255,7 +252,7 @@ func Generate(p Params) *Workload {
 	}
 	for i := 0; i < p.Snapshots; i++ {
 		id := model.TxnID(fmt.Sprintf("snap-%03d", i))
-		s := &Snapshot{Txn: id, Specs: p.Specialties, Objects: p.ObjectsPerSpec, Result: model.EntityID("snapres/" + string(id))}
+		s := &Snapshot{Txn: id, Specs: Specialties, Objects: objectsPerSpec, Result: model.EntityID("snapres/" + string(id))}
 		wl.snaps[id] = s
 		wl.Init[s.Result] = -1 // sentinel: distinguishes "never ran" from 0
 		programs = append(programs, s)
@@ -301,9 +298,9 @@ type Invariants struct {
 // values chain.
 func (wl *Workload) Check(exec model.Execution, final map[model.EntityID]model.Value) Invariants {
 	inv := Invariants{TotalsConsistent: true}
-	for s := 0; s < wl.Params.Specialties; s++ {
+	for s := 0; s < Specialties; s++ {
 		var sum model.Value
-		for o := 0; o < wl.Params.ObjectsPerSpec; o++ {
+		for o := 0; o < objectsPerSpec; o++ {
 			sum += final[object(s, o)]
 		}
 		if sum != final[totalEntity(s)] {
@@ -342,6 +339,3 @@ func (wl *Workload) WithDepth(k int) (*nest.Nest, breakpoint.Spec) {
 	}
 	return n, breakpoint.Clamp(breakpoint.Func{Levels: 5, Fn: wl.cutAfter}, k)
 }
-
-// Snapshots returns the snapshot transactions, for reporting.
-func (wl *Workload) Snapshots() map[model.TxnID]*Snapshot { return wl.snaps }

@@ -208,7 +208,7 @@ func TestWithDepthFlattening(t *testing.T) {
 
 func TestSnapshotsAccessor(t *testing.T) {
 	wl := Generate(DefaultParams())
-	if len(wl.Snapshots()) != wl.Params.Snapshots {
-		t.Errorf("snapshots = %d", len(wl.Snapshots()))
+	if len(wl.snaps) != wl.Params.Snapshots {
+		t.Errorf("snapshots = %d", len(wl.snaps))
 	}
 }

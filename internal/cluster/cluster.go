@@ -308,9 +308,6 @@ func (k *Kit) Heard(q, peer int) (wasSuspected bool) {
 	return wasSuspected
 }
 
-// Suspects reports whether node q's detector currently suspects peer.
-func (k *Kit) Suspects(q, peer int) bool { return k.nodes[q].suspected[peer] }
-
 // Unreachable reports whether peer is crashed or suspected by node q.
 func (k *Kit) Unreachable(q, peer int) bool { return !k.Up(peer) || k.nodes[q].suspected[peer] }
 

@@ -356,3 +356,6 @@ func TestChaosScheduleKeysByIndex(t *testing.T) {
 		t.Error("healing partition 1 lifted partition 27")
 	}
 }
+
+// Suspects reports whether node q's detector currently suspects peer.
+func (k *Kit) Suspects(q, peer int) bool { return k.nodes[q].suspected[peer] }

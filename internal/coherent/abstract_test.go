@@ -357,3 +357,22 @@ func TestEmptyInstance(t *testing.T) {
 		t.Error("the empty relation is vacuously total")
 	}
 }
+
+// Add extends the relation with additional edges, re-closing it.
+func (r *Relation) Add(edges [][2]int) { r.close(edges) }
+
+// HasID reports whether (α,β) ∈ R for step identities; unknown steps are
+// unrelated.
+func (r *Relation) HasID(a, b model.StepID) bool {
+	ga, ok1 := r.inst.Index(a.Txn, a.Seq)
+	gb, ok2 := r.inst.Index(b.Txn, b.Seq)
+	if !ok1 || !ok2 {
+		return false
+	}
+	return r.reach[ga].has(gb)
+}
+
+// Comparable reports whether a and b are ordered either way.
+func (r *Relation) Comparable(a, b int) bool {
+	return a == b || r.reach[a].has(b) || r.reach[b].has(a)
+}

@@ -103,3 +103,87 @@ func TestBruteGuards(t *testing.T) {
 		t.Error("oversized instance should be refused")
 	}
 }
+
+// BruteCorrectable decides correctability by exhaustive search: it looks
+// for a coherent total order of the instance's steps that contains the
+// dependency relation ≤e of the execution. This is the definition applied
+// literally — exponential in the number of steps — and exists purely to
+// cross-validate the Theorem 2 closure test on small instances (see the
+// property tests). maxSteps guards against accidental blow-ups; executions
+// longer than that return ok=false, valid=false.
+func BruteCorrectable(e model.Execution, inst *Instance, order []int) (ok, valid bool) {
+	n := inst.N()
+	if n > 12 {
+		return false, false
+	}
+	// ≤e generator edges in global-index space.
+	succ := make([][]int, n)
+	pred := make([][]int, n)
+	for _, pe := range e.DependencyEdges() {
+		a, b := order[pe[0]], order[pe[1]]
+		succ[a] = append(succ[a], b)
+		pred[b] = append(pred[b], a)
+	}
+
+	placed := make([]int, 0, n)
+	posOf := make([]int, n)
+	for i := range posOf {
+		posOf[i] = -1
+	}
+	nextSeq := make([]int, len(inst.txns)) // steps of each txn placed so far
+
+	var search func() bool
+	search = func() bool {
+		if len(placed) == n {
+			return inst.IsCoherentTotalOrder(placed)
+		}
+		for ti := range inst.txns {
+			if nextSeq[ti] >= len(inst.stepsOf[ti]) {
+				continue
+			}
+			g := inst.stepsOf[ti][nextSeq[ti]]
+			// All ≤e predecessors must already be placed.
+			ready := true
+			for _, p := range pred[g] {
+				if posOf[p] < 0 {
+					ready = false
+					break
+				}
+			}
+			if !ready {
+				continue
+			}
+			// Coherence pruning: placing g must not interrupt another
+			// transaction inside a protected segment.
+			legal := true
+			for tj := range inst.txns {
+				if tj == ti {
+					continue
+				}
+				pl := nextSeq[tj]
+				if pl == 0 || pl == len(inst.stepsOf[tj]) {
+					continue
+				}
+				lv := inst.level[tj][ti]
+				if inst.desc[tj].SameSegment(pl, pl+1, lv) {
+					legal = false
+					break
+				}
+			}
+			if !legal {
+				continue
+			}
+			posOf[g] = len(placed)
+			placed = append(placed, g)
+			nextSeq[ti]++
+			if search() {
+				return true
+			}
+			nextSeq[ti]--
+			placed = placed[:len(placed)-1]
+			posOf[g] = -1
+		}
+		return false
+	}
+	return search(), true
+}

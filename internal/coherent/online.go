@@ -906,15 +906,6 @@ func (oc *Online) SegmentClosedAfter(t model.TxnID, seq, lv int) bool {
 	return !oc.segmentOpen(ti, seq, lv)
 }
 
-// Extent returns the number of live steps of t.
-func (oc *Online) Extent(t model.TxnID) int {
-	ti, ok := oc.txnIdx[t]
-	if !ok {
-		return 0
-	}
-	return len(oc.perTxn[ti])
-}
-
 // collectPreds leaves in pvVisited the steps that would precede a next step
 // of t on x in the coherent closure, WITHOUT mutating the closure. The
 // hypothetical step's in-edges are its program predecessor and x's last

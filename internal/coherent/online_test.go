@@ -186,3 +186,12 @@ func TestObitset(t *testing.T) {
 		t.Errorf("forEachNotIn = %v", diff)
 	}
 }
+
+// Extent returns the number of live steps of t.
+func (oc *Online) Extent(t model.TxnID) int {
+	ti, ok := oc.txnIdx[t]
+	if !ok {
+		return 0
+	}
+	return len(oc.perTxn[ti])
+}

@@ -126,7 +126,7 @@ func TestPartitionStrandsThenGraceAborts(t *testing.T) {
 	if c.GraceAborts == 0 {
 		t.Error("grace abort not counted")
 	}
-	if !c.kit.Suspects(0, 1) {
+	if !c.kit.Up(1) || !c.kit.Unreachable(0, 1) {
 		t.Error("processor 0 never suspected its partitioned peer")
 	}
 	c.Aborted(victims)
@@ -301,8 +301,8 @@ func TestChaosSweepSoundness(t *testing.T) {
 			wl := bank.Generate(p)
 			cfg := sim.DefaultConfig()
 			c := NewNet(wl.Nest, wl.Spec, Params{
-				Procs:  cfg.Processors,
-				Owner:  sim.OwnerFunc(cfg.Processors),
+				Procs:  sim.Processors,
+				Owner:  sim.OwnerFunc(sim.Processors),
 				Delay:  5,
 				Faults: fault.New(sc.plan),
 			})
@@ -361,8 +361,8 @@ func TestChaosReplayDeterministic(t *testing.T) {
 		wl := bank.Generate(p)
 		cfg := sim.DefaultConfig()
 		c := NewNet(wl.Nest, wl.Spec, Params{
-			Procs:  cfg.Processors,
-			Owner:  sim.OwnerFunc(cfg.Processors),
+			Procs:  sim.Processors,
+			Owner:  sim.OwnerFunc(sim.Processors),
 			Delay:  5,
 			Faults: fault.New(chaosScenarios(false)[3].plan),
 		})

@@ -21,7 +21,7 @@ func runBank(t *testing.T, delay int64, seed int64) (*sim.Result, *bank.Workload
 	p.Seed = seed
 	wl := bank.Generate(p)
 	cfg := sim.DefaultConfig()
-	c := New(wl.Nest, wl.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), delay)
+	c := New(wl.Nest, wl.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), delay)
 	res, err := sim.Run(cfg, wl.Programs, c, wl.Spec, wl.Init)
 	if err != nil {
 		t.Fatalf("delay=%d: %v", delay, err)
@@ -65,7 +65,7 @@ func TestZeroDelayNoStaleWaits(t *testing.T) {
 	p.Transfers = 10
 	wl := bank.Generate(p)
 	cfg := sim.DefaultConfig()
-	c := New(wl.Nest, wl.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), 0)
+	c := New(wl.Nest, wl.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), 0)
 	if _, err := sim.Run(cfg, wl.Programs, c, wl.Spec, wl.Init); err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestStalenessCostsWaits(t *testing.T) {
 	p.Families = 2
 	wl0 := bank.Generate(p)
 	cfg := sim.DefaultConfig()
-	c0 := New(wl0.Nest, wl0.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), 0)
+	c0 := New(wl0.Nest, wl0.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), 0)
 	if _, err := sim.Run(cfg, wl0.Programs, c0, wl0.Spec, wl0.Init); err != nil {
 		t.Fatal(err)
 	}
 	wl1 := bank.Generate(p)
-	c1 := New(wl1.Nest, wl1.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), 200)
+	c1 := New(wl1.Nest, wl1.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), 200)
 	if _, err := sim.Run(cfg, wl1.Programs, c1, wl1.Spec, wl1.Init); err != nil {
 		t.Fatal(err)
 	}

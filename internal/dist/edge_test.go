@@ -120,7 +120,7 @@ func TestDistributedPartialUnsupported(t *testing.T) {
 	// Run again with PartialRecovery on; no panic and no partial rollbacks.
 	cfg := sim.DefaultConfig()
 	cfg.PartialRecovery = true
-	c := New(wl.Nest, wl.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), 5)
+	c := New(wl.Nest, wl.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), 5)
 	res, err := sim.Run(cfg, wl.Programs, c, wl.Spec, wl.Init)
 	if err != nil {
 		t.Fatal(err)

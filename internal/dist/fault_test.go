@@ -91,8 +91,8 @@ func TestNetFaultSoundness(t *testing.T) {
 			NetExtraDelay: 40,
 		})
 		c := NewNet(wl.Nest, wl.Spec, Params{
-			Procs:  cfg.Processors,
-			Owner:  sim.OwnerFunc(cfg.Processors),
+			Procs:  sim.Processors,
+			Owner:  sim.OwnerFunc(sim.Processors),
 			Delay:  10,
 			Faults: inj,
 		})

@@ -126,7 +126,7 @@ func TestControlAbortsMatchSimulator(t *testing.T) {
 		case "2pl":
 			c = sched.NewTwoPhase()
 		case "dist-prevent":
-			c = New(wl.Nest, wl.Spec, cfg.Processors, sim.OwnerFunc(cfg.Processors), 5)
+			c = New(wl.Nest, wl.Spec, sim.Processors, sim.OwnerFunc(sim.Processors), 5)
 		}
 		res, err := sim.Run(cfg, wl.Programs, c, wl.Spec, wl.Init)
 		if err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
@@ -228,6 +229,7 @@ func TestPreventerSubmitAllocatesOnlyTheProgram(t *testing.T) {
 
 	progs := make([]model.Program, 2*runs+1)
 	paths := make([][]string, len(progs))
+	rng := rand.New(rand.NewSource(1))
 	var audits []model.EntityID
 	for i := range progs {
 		if i%55 == 27 {
@@ -236,12 +238,7 @@ func TestPreventerSubmitAllocatesOnlyTheProgram(t *testing.T) {
 			audits = append(audits, a.Result)
 			continue
 		}
-		f := i % world.Families
-		src, dst := world.FamilyAccounts(f), world.FamilyAccounts((f+1+i%7)%world.Families)
-		o := i % 4
-		progs[i], paths[i] = pop.Transfer(model.TxnID("x"+strconv.Itoa(i)), f,
-			[]model.EntityID{src[o], src[(o+1)%4], src[(o+2)%4]},
-			[2]model.EntityID{dst[i%4], dst[(i+1)%4]})
+		progs[i], paths[i] = pop.DrawTransfer(rng, model.TxnID("x"+strconv.Itoa(i)), i%world.Families, 100)
 	}
 	n := 0
 	opts := SubmitOpts{

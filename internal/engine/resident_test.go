@@ -82,12 +82,8 @@ func TestPreventerResidentBounded(t *testing.T) {
 			auditMu.Unlock()
 		case m%14 == 3: // 8 creditor audits
 			prog, path = pop.Credit(model.TxnID(fmt.Sprintf("c%d", i)), fam)
-		default: // 100 transfers
-			src, dst := world.FamilyAccounts(fam), world.FamilyAccounts((fam+1+rng.Intn(world.Families-1))%world.Families)
-			o := rng.Intn(4)
-			prog, path = pop.Transfer(model.TxnID(fmt.Sprintf("x%d", i)), fam,
-				[]model.EntityID{src[o], src[(o+1)%4], src[(o+2)%4]},
-				[2]model.EntityID{dst[rng.Intn(4)], dst[rng.Intn(4)]})
+		default: // 100 transfers, each to another family
+			prog, path = pop.DrawTransfer(rng, model.TxnID(fmt.Sprintf("x%d", i)), fam, 100)
 		}
 		id := prog.ID()
 		out, err := s.Submit(context.Background(), prog, SubmitOpts{

@@ -164,13 +164,6 @@ type ProcCrash struct {
 	Rejoin int64 // 0 = stays down forever
 }
 
-// Enabled reports whether the plan injects anything at all.
-func (p Plan) Enabled() bool {
-	return len(p.CrashAppends) > 0 || p.CrashAfter > 0 || p.StepErrorRate > 0 ||
-		p.NetDropRate > 0 || p.NetDelayRate > 0 ||
-		len(p.Partitions) > 0 || len(p.ProcCrashes) > 0 || p.DiskEnabled()
-}
-
 // DiskEnabled reports whether the plan injects any disk faults.
 func (p Plan) DiskEnabled() bool {
 	return p.DiskWriteErrRate > 0 || p.DiskShortWriteRate > 0 ||

@@ -95,11 +95,8 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 }
 
 func TestPlanHelpers(t *testing.T) {
-	if (Plan{}).Enabled() {
-		t.Error("zero plan enabled")
-	}
 	p := Plan{CrashAppends: []int64{3}, CrashAfter: time.Second}
-	if !p.Enabled() || p.Crashes() != 2 {
-		t.Errorf("Enabled=%v Crashes=%d", p.Enabled(), p.Crashes())
+	if p.Crashes() != 2 {
+		t.Errorf("Crashes=%d", p.Crashes())
 	}
 }

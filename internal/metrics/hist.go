@@ -76,23 +76,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordCorrected adds a sample with coordinated-omission back-fill: when a
-// measured service time exceeds the expected sampling interval, the stalled
-// requests that a closed-loop driver silently failed to issue are
-// reconstructed as v-interval, v-2·interval, … so the quantiles reflect the
-// latency an open-loop arrival process would have observed. Open-loop
-// drivers that timestamp from the *scheduled* arrival should use plain
-// Record — their samples already include queueing delay.
-func (h *Histogram) RecordCorrected(v, expectedInterval int64) {
-	h.Record(v)
-	if expectedInterval <= 0 {
-		return
-	}
-	for missed := v - expectedInterval; missed >= expectedInterval; missed -= expectedInterval {
-		h.Record(missed)
-	}
-}
-
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {

@@ -70,14 +70,6 @@ func (in *Interner[K]) Intern(k K) Handle {
 	return h
 }
 
-// Lookup returns k's handle without assigning one.
-func (in *Interner[K]) Lookup(k K) (Handle, bool) {
-	in.mu.RLock()
-	h, ok := in.ids[k]
-	in.mu.RUnlock()
-	return h, ok
-}
-
 // Release forgets k and recycles its handle for a future Intern. Releasing
 // an unknown key is a no-op. The caller owns the invariant that no
 // handle-indexed state still attributes meaning to the released handle.
@@ -88,11 +80,4 @@ func (in *Interner[K]) Release(k K) {
 		in.free = append(in.free, h)
 	}
 	in.mu.Unlock()
-}
-
-// Len returns the number of currently interned keys.
-func (in *Interner[K]) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.ids)
 }

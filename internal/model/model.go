@@ -74,17 +74,6 @@ func (e Execution) Txns() []TxnID {
 	return out
 }
 
-// ByTxn returns, for each transaction, the global indices of its steps in
-// execution order. Within each transaction the indices are ascending and the
-// Seq fields are 1..n: that is validated by Validate, not here.
-func (e Execution) ByTxn() map[TxnID][]int {
-	m := make(map[TxnID][]int)
-	for i, s := range e {
-		m[s.Txn] = append(m[s.Txn], i)
-	}
-	return m
-}
-
 // ByEntity returns, for each entity, the global indices of the steps that
 // access it, in execution order.
 func (e Execution) ByEntity() map[EntityID][]int {
@@ -93,17 +82,6 @@ func (e Execution) ByEntity() map[EntityID][]int {
 		m[s.Entity] = append(m[s.Entity], i)
 	}
 	return m
-}
-
-// Steps of transaction t, in execution order.
-func (e Execution) StepsOf(t TxnID) []Step {
-	var out []Step
-	for _, s := range e {
-		if s.Txn == t {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Validate checks the consistency requirements of Section 3.1: within each
@@ -206,20 +184,6 @@ func (e Execution) Equivalent(f Execution) bool {
 		byEnt["x:"+string(s.Entity)] = append(byEnt["x:"+string(s.Entity)], i)
 	}
 	return check(byTxn) && check(byEnt)
-}
-
-// Entities returns the distinct entities accessed by e, sorted.
-func (e Execution) Entities() []EntityID {
-	seen := make(map[EntityID]bool)
-	for _, s := range e {
-		seen[s.Entity] = true
-	}
-	out := make([]EntityID, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // SortTxnIDs sorts transaction IDs ascending.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -265,4 +266,40 @@ func TestStepsOf(t *testing.T) {
 	if len(sa) != 2 || sa[1].Seq != 2 {
 		t.Fatalf("StepsOf(a) = %v", sa)
 	}
+}
+
+// Steps of transaction t, in execution order.
+func (e Execution) StepsOf(t TxnID) []Step {
+	var out []Step
+	for _, s := range e {
+		if s.Txn == t {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Entities returns the distinct entities accessed by e, sorted.
+func (e Execution) Entities() []EntityID {
+	seen := make(map[EntityID]bool)
+	for _, s := range e {
+		seen[s.Entity] = true
+	}
+	out := make([]EntityID, 0, len(seen))
+	for x := range seen {
+		out = append(out, x)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// ByTxn returns, for each transaction, the global indices of its steps in
+// execution order. Within each transaction the indices are ascending and the
+// Seq fields are 1..n: that is validated by Validate, not here.
+func (e Execution) ByTxn() map[TxnID][]int {
+	m := make(map[TxnID][]int)
+	for i, s := range e {
+		m[s.Txn] = append(m[s.Txn], i)
+	}
+	return m
 }

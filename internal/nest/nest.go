@@ -13,7 +13,6 @@ package nest
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"mla/internal/model"
@@ -84,16 +83,6 @@ func unknown(t model.TxnID) { panic(fmt.Sprintf("nest: unknown transaction %s", 
 func (n *Nest) labels(r int) []string {
 	w := n.k - 2
 	return n.mids[r*w : r*w+w]
-}
-
-// Txns returns the registered transactions, sorted.
-func (n *Nest) Txns() []model.TxnID {
-	out := make([]model.TxnID, 0, len(n.row))
-	for t := range n.row {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Level returns level(t,t′): the largest i (1-based) such that t and t′ lie

@@ -328,3 +328,13 @@ func TestAddAllocatesNothing(t *testing.T) {
 		t.Fatal("transactions of one family must share level 3")
 	}
 }
+
+// Txns returns the registered transactions, sorted.
+func (n *Nest) Txns() []model.TxnID {
+	out := make([]model.TxnID, 0, len(n.row))
+	for t := range n.row {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}

@@ -256,9 +256,6 @@ func (b *Bus) traceDrop(m Message, reason string) {
 // Down reports whether processor p is crashed.
 func (b *Bus) Down(p int) bool { return b.down[p] }
 
-// InFlight returns the number of undelivered messages.
-func (b *Bus) InFlight() int { return len(b.inflight) }
-
 // Partition installs (or replaces) a named partition: processors assigned
 // to different sides cannot exchange messages while it is active;
 // processors not listed in any side are unaffected. Multiple named

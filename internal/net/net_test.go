@@ -45,7 +45,7 @@ func TestZeroLatencyDeliversInline(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatal("zero-latency send must deliver inline")
 	}
-	if b.InFlight() != 0 {
+	if len(b.inflight) != 0 {
 		t.Error("nothing should stay in flight")
 	}
 }

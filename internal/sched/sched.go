@@ -1,5 +1,5 @@
 // Package sched implements the concurrency controls discussed in Section 6
-// of the paper, behind a single simulator-driven interface:
+// of the paper, behind the one Control interface both executors drive:
 //
 //   - Preventer: the paper's cycle-prevention sketch — steps are delayed
 //     until every closure-predecessor transaction has passed a breakpoint of
@@ -8,18 +8,22 @@
 //   - Detector: the paper's cycle-detection sketch — steps run optimistically
 //     while the coherent closure of ≤e is maintained online; a cycle triggers
 //     priority-based rollback.
-//   - TwoPhase: strict two-phase locking [EGLT] with wound-wait, the
-//     serializability baseline.
+//   - TwoPhase: strict two-phase locking [EGLT], the serializability
+//     baseline; deadlocks are resolved by a waits-for graph and a youngest
+//     victim, as in the Preventer.
+//   - ShardedTwoPhase: strict two-phase locking with wound-wait over a
+//     striped lock table, the concurrent engine's scalable control.
 //   - Timestamp: basic timestamp ordering [L], the second baseline.
 //   - Serial: one transaction at a time (the throughput floor).
 //   - None: no control at all (the chaos ceiling; used to show why the
 //     banking invariants need concurrency control).
 //
-// The simulator (internal/sim) calls Request before each step; a granted
-// request is performed immediately and acknowledged with Performed, which
-// also reports the coarseness of the breakpoint following the step. The
-// simulator closes abort sets under value dependencies before calling
-// Aborted, and re-offers waiting requests after every state change.
+// The simulator (internal/sim) and the concurrent engine (internal/engine)
+// call Request before each step; a granted request is performed at once
+// and acknowledged with Performed, which also reports the coarseness of the
+// breakpoint following the step. The executor closes abort sets under value
+// dependencies before calling Aborted, and re-offers waiting requests after
+// every state change.
 package sched
 
 import (

@@ -46,26 +46,6 @@ func BuildGraph(e model.Execution) *Graph {
 	return g
 }
 
-// Edges returns the number of directed edges.
-func (g *Graph) Edges() int {
-	n := 0
-	for _, row := range g.adj {
-		for _, b := range row {
-			if b {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// HasEdge reports whether the graph has an edge t → u.
-func (g *Graph) HasEdge(t, u model.TxnID) bool {
-	i, ok1 := g.idx[t]
-	j, ok2 := g.idx[u]
-	return ok1 && ok2 && g.adj[i][j]
-}
-
 // TopoOrder returns a topological order of the transactions, or ok=false if
 // the graph has a cycle. Deterministic: among ready nodes the smallest
 // transaction ID is chosen first.
@@ -108,39 +88,4 @@ func (g *Graph) TopoOrder() ([]model.TxnID, bool) {
 func Serializable(e model.Execution) bool {
 	_, ok := BuildGraph(e).TopoOrder()
 	return ok
-}
-
-// Witness returns a serial execution equivalent to e, or ok=false when e is
-// not serializable. The witness replays e's steps grouped by transaction in
-// a topological order of the serialization graph.
-func Witness(e model.Execution) (model.Execution, bool) {
-	order, ok := BuildGraph(e).TopoOrder()
-	if !ok {
-		return nil, false
-	}
-	byTxn := e.ByTxn()
-	out := make(model.Execution, 0, len(e))
-	for _, t := range order {
-		for _, i := range byTxn[t] {
-			out = append(out, e[i])
-		}
-	}
-	return out, true
-}
-
-// IsSerial reports whether e is a serial execution: the steps of each
-// transaction are contiguous.
-func IsSerial(e model.Execution) bool {
-	seen := make(map[model.TxnID]bool)
-	var cur model.TxnID
-	for i, s := range e {
-		if i == 0 || s.Txn != cur {
-			if seen[s.Txn] {
-				return false
-			}
-			seen[s.Txn] = true
-			cur = s.Txn
-		}
-	}
-	return true
 }

@@ -50,8 +50,6 @@ type Txn struct {
 type GroupConfig struct {
 	// Shards is the partition count (< 1 is pinned to 1).
 	Shards int
-	// LockShards stripes each shard's lock table (0 picks a default).
-	LockShards int
 	// NewStore builds shard i's store over its slice of the initial state.
 	// Nil builds volatile stores. Per-shard WAL pipelines plug in here —
 	// each shard then owns an independent group-commit pipeline, and a
@@ -72,16 +70,6 @@ type Outcome struct {
 	CrossShard bool
 	// Restarts counts unit-level rollback-and-retry rounds (wounds).
 	Restarts int
-}
-
-// Stats is a point-in-time counter snapshot (value copy, like every
-// Snapshot in this codebase).
-type Stats struct {
-	Committed  int64 // transactions fully committed
-	CrossShard int64 // committed transactions that spanned shards
-	Shots      int64 // unit commits (multi-shot rounds)
-	Restarts   int64 // unit rollback-and-retry rounds
-	Wounds     int64 // wound decisions taken against a younger holder
 }
 
 // shardNode is one partition's mini-engine: a wound-wait control over its
@@ -138,11 +126,11 @@ func (u *unitState) signal() {
 	}
 }
 
-// Group is the partitioned entity store: Shards() mini-engines behind one
-// Submit interface. All methods are safe for concurrent use; Submit is
-// called from many goroutines at once, and independent shards proceed in
-// parallel — the single engine mutex the unsharded hot path serializes on
-// simply does not exist here.
+// Group is the partitioned entity store: GroupConfig.Shards mini-engines
+// behind one Submit interface. All methods are safe for concurrent use;
+// Submit is called from many goroutines at once, and independent shards
+// proceed in parallel — the single engine mutex the unsharded hot path
+// serializes on simply does not exist here.
 type Group struct {
 	router *Router
 	nodes  []*shardNode
@@ -176,7 +164,7 @@ func NewGroup(cfg GroupConfig, init map[model.EntityID]model.Value) *Group {
 	for i := range g.nodes {
 		store := cfg.NewStore(i, parts[i])
 		n := &shardNode{
-			ctl:   sched.NewShardedTwoPhase(cfg.LockShards),
+			ctl:   sched.NewShardedTwoPhase(0),
 			store: store,
 			wait:  make(chan struct{}),
 		}
@@ -186,35 +174,9 @@ func NewGroup(cfg GroupConfig, init map[model.EntityID]model.Value) *Group {
 	return g
 }
 
-// Router exposes the entity→shard assignment (serve pins sessions to home
-// shards with it; bench builds shard-affine workloads with it).
+// Router exposes the entity→shard assignment (benchmark/ builds
+// shard-affine workloads with it).
 func (g *Group) Router() *Router { return g.router }
-
-// Values merges the per-shard stores into one state. Entities are routed
-// to exactly one shard, so the merge is a disjoint union.
-func (g *Group) Values() map[model.EntityID]model.Value {
-	out := make(map[model.EntityID]model.Value)
-	for _, n := range g.nodes {
-		n.mu.Lock()
-		vals := n.store.Values()
-		n.mu.Unlock()
-		for x, v := range vals {
-			out[x] = v
-		}
-	}
-	return out
-}
-
-// Stats returns a snapshot of the group counters.
-func (g *Group) Stats() Stats {
-	return Stats{
-		Committed:  g.committed.Load(),
-		CrossShard: g.crossShard.Load(),
-		Shots:      g.shots.Load(),
-		Restarts:   g.restarts.Load(),
-		Wounds:     g.wounds.Load(),
-	}
-}
 
 // subID names unit ui of transaction t: the per-shot sub-transaction the
 // stores and lock tables see. Committing the sub-ID at each participant is

@@ -44,31 +44,12 @@ func NewRouter(n int) *Router {
 	return &Router{shards: n, ids: model.NewInterner[model.EntityID]()}
 }
 
-// Shards returns the shard count.
-func (r *Router) Shards() int { return r.shards }
-
-// Shard returns x's home shard in [0, Shards()). The assignment is stable
-// for the router's lifetime: handles are interned once and never released,
-// so the peak interned population is the entity universe, which a
-// partitioned store holds resident anyway.
+// Shard returns x's home shard in [0, n) for a router of n shards. The
+// assignment is stable for the router's lifetime: handles are interned once
+// and never released, so the peak interned population is the entity
+// universe, which a partitioned store holds resident anyway.
 func (r *Router) Shard(x model.EntityID) int {
 	return int(r.ids.Intern(x).Mix()) % r.shards
-}
-
-// Home returns the home shard of a whole entity set and whether the set is
-// single-shard: single-shard transactions execute entirely at their home
-// shard with no cross-shard protocol at all.
-func (r *Router) Home(ents []model.EntityID) (home int, single bool) {
-	if len(ents) == 0 {
-		return 0, true
-	}
-	home = r.Shard(ents[0])
-	for _, x := range ents[1:] {
-		if r.Shard(x) != home {
-			return home, false
-		}
-	}
-	return home, true
 }
 
 // Partition splits an initial state by home shard: slot i holds exactly the

@@ -25,8 +25,8 @@ import (
 
 func TestRouterStableTotalAndDisjoint(t *testing.T) {
 	r := NewRouter(4)
-	if r.Shards() != 4 {
-		t.Fatalf("Shards() = %d", r.Shards())
+	if r.shards != 4 {
+		t.Fatalf("shards = %d", r.shards)
 	}
 	init := make(map[model.EntityID]model.Value)
 	for i := 0; i < 200; i++ {
@@ -302,7 +302,7 @@ func TestGroupCancelledSubmitLeavesCommittedShots(t *testing.T) {
 // twoShardEntities picks one entity homed at each of two shards.
 func twoShardEntities(t *testing.T, c *SimControl) (a, b model.EntityID) {
 	t.Helper()
-	return entityOn(t, c.Router(), 0, "p"), entityOn(t, c.Router(), 1, "p")
+	return entityOn(t, c.router, 0, "p"), entityOn(t, c.router, 1, "p")
 }
 
 // TestCrossShardDeadlockResolvedByProbes builds the canonical two-shard
@@ -368,7 +368,7 @@ func TestTornMultiShotCoordinatorCrash(t *testing.T) {
 	})
 	c := NewSimControl(SimParams{Shards: 2, Delay: 2, Faults: inj})
 	a, b := twoShardEntities(t, c)
-	a2 := entityOn(t, c.Router(), 0, "q")
+	a2 := entityOn(t, c.router, 0, "q")
 	c.Tick(0)
 	c.Begin("t1", 1)
 	if d := c.Request("t1", 1, a); d.Kind != sched.Grant {
@@ -668,4 +668,56 @@ func TestChaosReplayDeterministic(t *testing.T) {
 		t.Errorf("same seed, same plan, different runs:\n%+v %+v %+v %+v\n%+v %+v %+v %+v",
 			a.Stats, a.Control, a.Chaos, a.Net, b.Stats, b.Control, b.Chaos, b.Net)
 	}
+}
+
+// Stats is a point-in-time counter snapshot (value copy, like every
+// Snapshot in this codebase).
+type Stats struct {
+	Committed  int64 // transactions fully committed
+	CrossShard int64 // committed transactions that spanned shards
+	Shots      int64 // unit commits (multi-shot rounds)
+	Restarts   int64 // unit rollback-and-retry rounds
+	Wounds     int64 // wound decisions taken against a younger holder
+}
+
+// Stats returns a snapshot of the group counters.
+func (g *Group) Stats() Stats {
+	return Stats{
+		Committed:  g.committed.Load(),
+		CrossShard: g.crossShard.Load(),
+		Shots:      g.shots.Load(),
+		Restarts:   g.restarts.Load(),
+		Wounds:     g.wounds.Load(),
+	}
+}
+
+// Values merges the per-shard stores into one state. Entities are routed
+// to exactly one shard, so the merge is a disjoint union.
+func (g *Group) Values() map[model.EntityID]model.Value {
+	out := make(map[model.EntityID]model.Value)
+	for _, n := range g.nodes {
+		n.mu.Lock()
+		vals := n.store.Values()
+		n.mu.Unlock()
+		for x, v := range vals {
+			out[x] = v
+		}
+	}
+	return out
+}
+
+// Home returns the home shard of a whole entity set and whether the set is
+// single-shard: single-shard transactions execute entirely at their home
+// shard with no cross-shard protocol at all.
+func (r *Router) Home(ents []model.EntityID) (home int, single bool) {
+	if len(ents) == 0 {
+		return 0, true
+	}
+	home = r.Shard(ents[0])
+	for _, x := range ents[1:] {
+		if r.Shard(x) != home {
+			return home, false
+		}
+	}
+	return home, true
 }

@@ -63,9 +63,6 @@ type SimParams struct {
 	// Faults supplies per-message drop/delay verdicts and the scheduled
 	// partition/crash chaos. Nil means a reliable, failure-free network.
 	Faults *fault.Injector
-	// NetPolicy, when non-nil, overrides Faults for per-message verdicts.
-	NetPolicy mnet.Policy
-
 	// Nest supplies the workload's multilevel nesting. When set, every
 	// grant additionally passes the Section 6 delay rule over the online
 	// coherent closure: locks released at a shot boundary reopen the
@@ -199,7 +196,7 @@ func NewSimControl(pr SimParams) *SimControl {
 		// "committed ⇒ no step of t will arrive later" is not yet established.
 		c.oc = coherent.NewOnline(pr.Nest.K(), pr.Nest.Level)
 	}
-	c.kit = cluster.New(pr.Shards, pr.Delay, pr.Faults, pr.NetPolicy, cluster.Host{
+	c.kit = cluster.New(pr.Shards, pr.Delay, pr.Faults, nil, cluster.Host{
 		Epoch: func(t model.TxnID) int { return c.epoch[t] },
 		Prio:  func(t model.TxnID) (int64, bool) { pr, ok := c.prio[t]; return pr, ok },
 		// A transaction's control state lives at its coordinator, so waiting
@@ -222,9 +219,6 @@ func NewSimControl(pr SimParams) *SimControl {
 
 // Name implements sched.Control.
 func (c *SimControl) Name() string { return fmt.Sprintf("shard/s=%d", c.shards) }
-
-// Router returns the entity→shard assignment the control decides with.
-func (c *SimControl) Router() *Router { return c.router }
 
 // NetStats returns the bus traffic counters.
 func (c *SimControl) NetStats() mnet.Stats { return c.bus.Stats() }

@@ -97,7 +97,7 @@ func RunWithCrashes(plan CrashPlan, programs []model.Program) (*CrashResult, err
 
 		cfg := plan.Cfg
 		if round < len(crashes) {
-			cfg.StopAt = crashes[round]
+			cfg.stopAt = crashes[round]
 		}
 		r := New(cfg, todo, plan.NewControl(), plan.Spec, plan.Init)
 		r.store = durableStore{db: db}

@@ -22,35 +22,6 @@ func TestMaxTimeExceeded(t *testing.T) {
 	}
 }
 
-func TestSingleProcessor(t *testing.T) {
-	progs, init := smallWorkload()
-	_, spec := k2Spec(progs)
-	cfg := DefaultConfig()
-	cfg.Processors = 1
-	res, err := Run(cfg, progs, sched.NewTwoPhase(), spec, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Committed != len(progs) {
-		t.Fatalf("committed %d", res.Stats.Committed)
-	}
-	// With one processor there are no migration hops; messages are only
-	// the per-transaction completion notifications.
-	if res.Stats.Messages != int64(len(progs)) {
-		t.Errorf("messages = %d, want %d", res.Stats.Messages, len(progs))
-	}
-}
-
-func TestZeroProcessorsDefaultsToOne(t *testing.T) {
-	progs, init := smallWorkload()
-	_, spec := k2Spec(progs)
-	cfg := DefaultConfig()
-	cfg.Processors = 0
-	if _, err := Run(cfg, progs, sched.NewSerial(), spec, init); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNilSpecWithBaseline(t *testing.T) {
 	// Controls that ignore breakpoints run fine without a spec.
 	progs, init := smallWorkload()

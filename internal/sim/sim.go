@@ -26,16 +26,23 @@ import (
 	"mla/internal/telemetry"
 )
 
-// Config sets the simulated system's shape and timing. All durations are in
+// The simulated system's fixed shape and timing, in abstract time units.
+const (
+	Processors         = 4  // entities and transactions are hashed across them
+	serviceTime  int64 = 10 // time to perform one step
+	latency      int64 = 5  // one network hop (message between processors)
+	restartDelay int64 = 25 // backoff before an aborted transaction restarts
+)
+
+// Config sets a run's arrivals, horizon and recovery. All durations are in
 // abstract time units.
 type Config struct {
-	Processors   int   // number of processors (entities are hashed across them)
-	ServiceTime  int64 // time to perform one step
-	Latency      int64 // one network hop (message between processors)
 	InterArrival int64 // gap between successive transaction arrivals
-	RestartDelay int64 // backoff before an aborted transaction restarts
 	MaxTime      int64 // safety horizon; 0 means 100M units
-	StopAt       int64 // stop cleanly at this time with work incomplete (0 = run to completion); used for crash injection
+
+	// stopAt stops the run cleanly at this time with work incomplete (0 =
+	// run to completion); RunWithCrashes sets it for each crash round.
+	stopAt int64
 
 	// PartialRecovery shrinks the unit of recovery (Section 1 of the paper:
 	// "one would probably not want to roll back very long transactions"):
@@ -60,7 +67,7 @@ type Config struct {
 // DefaultConfig returns a small, contended configuration used by the
 // examples and tests.
 func DefaultConfig() Config {
-	return Config{Processors: 4, ServiceTime: 10, Latency: 5, InterArrival: 3, RestartDelay: 25, MaxTime: 0}
+	return Config{InterArrival: 3}
 }
 
 // Stats aggregates what happened during a run.
@@ -218,9 +225,6 @@ type Runner struct {
 // be nil for controls that ignore breakpoints (the baselines), in which
 // case 0 is reported.
 func New(cfg Config, programs []model.Program, control sched.Control, spec breakpoint.Spec, init map[model.EntityID]model.Value) *Runner {
-	if cfg.Processors <= 0 {
-		cfg.Processors = 1
-	}
 	if cfg.MaxTime == 0 {
 		cfg.MaxTime = 100_000_000
 	}
@@ -237,7 +241,7 @@ func New(cfg Config, programs []model.Program, control sched.Control, spec break
 	}
 	r.led.Record()
 	for i, p := range programs {
-		t := &txn{prog: p, home: hashString(string(p.ID())) % cfg.Processors}
+		t := &txn{prog: p, home: hashString(string(p.ID())) % Processors}
 		t.loc = t.home
 		r.led.Add(&t.Txn, p.ID())
 		r.txns = append(r.txns, t)
@@ -249,7 +253,7 @@ func New(cfg Config, programs []model.Program, control sched.Control, spec break
 		r.telePID = tel.Trace.NextPID()
 		tel.Trace.NameProcess(r.telePID, "sim "+control.Name())
 		tel.Trace.NameLane(r.telePID, 0, "run")
-		for p := 0; p < cfg.Processors; p++ {
+		for p := 0; p < Processors; p++ {
 			tel.Trace.NameLane(r.telePID, int64(p)+1, fmt.Sprintf("proc %d", p))
 		}
 		r.runSpan = r.tele.BeginAt(0, "run", "sim run", r.telePID, 0, 0,
@@ -267,7 +271,7 @@ func hashString(s string) int {
 }
 
 func (r *Runner) owner(x model.EntityID) int {
-	return hashString(string(x)) % r.cfg.Processors
+	return hashString(string(x)) % Processors
 }
 
 // OwnerFunc exposes the simulator's entity-placement function so
@@ -317,7 +321,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			continue
 		}
 		ev := heap.Pop(&r.queue).(event)
-		if r.cfg.StopAt > 0 && ev.time > r.cfg.StopAt {
+		if r.cfg.stopAt > 0 && ev.time > r.cfg.stopAt {
 			break // crash point: volatile state is abandoned
 		}
 		if ev.time > r.cfg.MaxTime {
@@ -482,7 +486,7 @@ func (r *Runner) perform(ti int, x model.EntityID) {
 	r.control.Performed(t.ID, t.seq, x, cut)
 
 	t.status = stRunning
-	r.push(r.now+r.cfg.ServiceTime, evDone, ti, t.attempt)
+	r.push(r.now+serviceTime, evDone, ti, t.attempt)
 	r.offerWaiters()
 }
 
@@ -490,7 +494,7 @@ func (r *Runner) stepDone(ti int) {
 	t := r.txns[ti]
 	t.status = stReady
 	if _, more := t.cur.Next(); more {
-		r.push(r.now+r.cfg.Latency, evArrive, ti, t.attempt)
+		r.push(r.now+latency, evArrive, ti, t.attempt)
 	} else {
 		r.finish(ti)
 	}
@@ -672,9 +676,9 @@ func (r *Runner) fullRollback(ti, rank int) {
 	if exp > 4 {
 		exp = 4
 	}
-	window := r.cfg.RestartDelay << uint(exp)
+	window := restartDelay << uint(exp)
 	jitter := int64(hashString(fmt.Sprintf("%s/%d", t.ID, t.attempt))) % window
-	delay := r.cfg.RestartDelay*(int64(rank)+1) + jitter
+	delay := restartDelay*(int64(rank)+1) + jitter
 	r.push(r.now+delay, evBegin, ti, t.attempt)
 }
 
@@ -708,9 +712,9 @@ func (r *Runner) partialRollback(ti, keepSeq int) {
 	if streak > 4 {
 		streak = 4
 	}
-	window := r.cfg.RestartDelay << uint(streak)
+	window := restartDelay << uint(streak)
 	jitter := int64(hashString(fmt.Sprintf("%s@%d/%d", t.ID, keepSeq, t.partialStreak))) % window
-	r.push(r.now+r.cfg.RestartDelay+jitter, evArrive, ti, t.attempt)
+	r.push(r.now+restartDelay+jitter, evArrive, ti, t.attempt)
 }
 
 // offerWaiters re-presents every waiting request, oldest priority first.

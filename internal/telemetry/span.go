@@ -205,9 +205,6 @@ func (l *Local) EndAt(id SpanID, end int64) {
 	l.done = append(l.done, *sp)
 }
 
-// Open reports whether the span is still open on this Local.
-func (l *Local) Open(id SpanID) bool { _, ok := l.open[id]; return ok }
-
 // Event records an instant: a zero-duration span at the current time.
 func (l *Local) Event(cat, name string, pid, tid int64, parent SpanID, kv ...string) SpanID {
 	return l.RecordAt(l.tr.Now(), 0, cat, name, pid, tid, parent, kv...)

@@ -18,7 +18,7 @@ func TestRegistryRaceSafety(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Counter("engine.steps").Inc()
+				r.Counter("engine.steps").Add(1)
 			}
 		}(w)
 	}
@@ -85,7 +85,7 @@ func TestRegistryExports(t *testing.T) {
 		Missing  *gate
 	}
 	r := NewRegistry()
-	r.Counter("z.last").Inc()
+	r.Counter("z.last").Add(1)
 	r.Counter("wal.sharded-2pl.appends").Add(5)
 	r.ObserveSnapshot("serve", stats{
 		Gates:    map[string]gate{"cust": {2}, "audit": {3}},
@@ -161,7 +161,7 @@ func TestTracerNestingAndMerge(t *testing.T) {
 	// Closing or annotating an unknown id is a no-op, not a panic.
 	a.End(wait)
 	a.Arg(wait, "k", "v")
-	if a.Open(wait) {
+	if _, open := a.open[wait]; open {
 		t.Error("closed span still reported open")
 	}
 }

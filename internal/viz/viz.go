@@ -22,8 +22,6 @@ import (
 type Options struct {
 	// Width truncates the timeline after this many global steps (0 = all).
 	Width int
-	// ShowValues appends before→after values to each step cell.
-	ShowValues bool
 }
 
 // Timeline renders the execution as one lane per transaction. spec may be
@@ -109,11 +107,7 @@ func stepCell(s model.Step, opts Options) string {
 	if len(op) > 4 {
 		op = op[:4]
 	}
-	cell := fmt.Sprintf("%s(%s)", op, shortEntity(s.Entity))
-	if opts.ShowValues {
-		cell += fmt.Sprintf("%d→%d", s.Before, s.After)
-	}
-	return cell
+	return fmt.Sprintf("%s(%s)", op, shortEntity(s.Entity))
 }
 
 // shortEntity keeps the last path component of hierarchical entity names.

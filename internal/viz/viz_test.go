@@ -47,13 +47,6 @@ func TestTimelineBreakpointMarkers(t *testing.T) {
 	}
 }
 
-func TestTimelineValues(t *testing.T) {
-	out := Timeline(sampleExec(), nil, Options{ShowValues: true})
-	if !strings.Contains(out, "100→90") {
-		t.Errorf("missing values:\n%s", out)
-	}
-}
-
 func TestTimelineTruncation(t *testing.T) {
 	out := Timeline(sampleExec(), nil, Options{Width: 2})
 	if !strings.Contains(out, "1 more steps") {

@@ -256,20 +256,6 @@ func (m *Medium) Close() error {
 	return m.backing.close()
 }
 
-// Corrupt flips the payload of the record with the given LSN without
-// recomputing its checksum — simulated bit rot for recovery tests. It
-// reports whether a record with that LSN existed.
-func (m *Medium) Corrupt(lsn int64) bool {
-	for i := range m.records {
-		if m.records[i].LSN == lsn {
-			m.records[i].After++
-			m.records[i].Before--
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of durable records.
 func (m *Medium) Len() int { return len(m.records) }
 
@@ -444,9 +430,6 @@ func (db *DB) redoCompensation(c Record) error {
 	}
 	return nil
 }
-
-// Get returns the current value of x.
-func (db *DB) Get(x model.EntityID) model.Value { return db.store.Get(x) }
 
 // Values returns a copy of the current state.
 func (db *DB) Values() map[model.EntityID]model.Value { return db.store.Values() }

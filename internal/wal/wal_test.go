@@ -686,3 +686,20 @@ func TestMediumCrashPoint(t *testing.T) {
 		t.Fatalf("injector counted %d appends, want 5 (recovery's undo uncounted)", got)
 	}
 }
+
+// Corrupt flips the payload of the record with the given LSN without
+// recomputing its checksum — simulated bit rot for recovery tests. It
+// reports whether a record with that LSN existed.
+func (m *Medium) Corrupt(lsn int64) bool {
+	for i := range m.records {
+		if m.records[i].LSN == lsn {
+			m.records[i].After++
+			m.records[i].Before--
+			return true
+		}
+	}
+	return false
+}
+
+// Get returns the current value of x.
+func (db *DB) Get(x model.EntityID) model.Value { return db.store.Get(x) }

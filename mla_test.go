@@ -242,7 +242,7 @@ func TestSerializabilitySpec(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("witness: %v %v", ok, err)
 	}
-	if !serial.IsSerial(w) {
+	if !isSerial(w) {
 		t.Errorf("k=2 witness must be serial: %v", w)
 	}
 }
@@ -289,7 +289,24 @@ func TestCheckResultFields(t *testing.T) {
 	if res.Inst.N() != 2 {
 		t.Errorf("instance has %d steps", res.Inst.N())
 	}
-	if !res.Rel.HasID(model.StepID{Txn: "t1", Seq: 1}, model.StepID{Txn: "t1", Seq: 2}) {
+	a, okA := res.Inst.Index("t1", 1)
+	b, okB := res.Inst.Index("t1", 2)
+	if !okA || !okB || !res.Rel.Has(a, b) {
 		t.Error("program order missing from closure")
 	}
+}
+
+// isSerial reports whether e is a serial execution: the steps of each
+// transaction are contiguous.
+func isSerial(e model.Execution) bool {
+	seen := make(map[model.TxnID]bool)
+	for i, s := range e {
+		if i == 0 || s.Txn != e[i-1].Txn {
+			if seen[s.Txn] {
+				return false
+			}
+			seen[s.Txn] = true
+		}
+	}
+	return true
 }

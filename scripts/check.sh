@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full gate: tier-1's suite under the race detector (which exercises the
-# engine's leak-free shutdown guarantees), plus vet, lint, the microbenchmark
-# and fuzz smokes, the soak (child processes), the E19 race smoke and the
+# engine's leak-free shutdown guarantees, and includes the dead-surface
+# audit), plus vet, lint, every examples/ program, the microbenchmark and
+# fuzz smokes, the soak (child processes), the E19 race smoke and the
 # benchmark/run.sh output-check smokes.
 set -eu
 cd "$(dirname "$0")/.."
@@ -16,6 +17,12 @@ go vet ./...
 # the nightly repeats them, the pipelined-commit tests, the
 # close-with-ack-in-flight test and the batch-run tests fifty times.
 go test -race ./...
+# The examples are runnable and self-verifying: each exits nonzero when its
+# own check fails, and the dead-surface audit (surface_test.go, in the suite
+# above) counts them as callers, so every one of them runs here.
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
 # The per-commit and per-step microbenchmarks (a Release that frees only
 # the entities a transaction's record lists; a ledger commit and a ledger
 # rollback flat in the in-flight count; the WAL DB's share of a commit and of
