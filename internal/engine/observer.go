@@ -90,78 +90,10 @@ func (NopObserver) Recovered(int, int) {}
 // RunEnded implements Observer.
 func (NopObserver) RunEnded(int, int, time.Duration) {}
 
-// EventCounts is a ready-made Observer that tallies every event; cmd/mlasim
-// and mlabench -telemetry fold it into the registry as engine.* with
-// ObserveSnapshot after an engine run. The engine serializes hook calls, so
-// no internal locking is needed — but the counts must only be read after
-// Run returns.
-type EventCounts struct {
-	Steps    int
-	Cuts     int // steps that ended a breakpoint unit
-	Waits    int
-	WaitTime time.Duration
-	Aborts   int
-	Cascades int
-	Groups   int
-	// Committed counts announced group members; across crash rounds a torn
-	// group is redone and announced again (CrashResult.Committed is durable).
-	Committed  int
-	Faults     int
-	GaveUps    int
-	Crashes    int
-	Recoveries int
-	Runs       int
-}
-
-// StepPerformed implements Observer.
-func (c *EventCounts) StepPerformed(_ model.TxnID, _ int, _ model.EntityID, _, cut int) {
-	c.Steps++
-	if cut > 0 {
-		c.Cuts++
-	}
-}
-
-// WaitBegin implements Observer.
-func (c *EventCounts) WaitBegin(model.TxnID, model.EntityID) { c.Waits++ }
-
-// WaitEnd implements Observer.
-func (c *EventCounts) WaitEnd(_ model.TxnID, _ model.EntityID, waited time.Duration) {
-	c.WaitTime += waited
-}
-
-// TxnAborted implements Observer.
-func (c *EventCounts) TxnAborted(_ model.TxnID, cascade bool) {
-	c.Aborts++
-	if cascade {
-		c.Cascades++
-	}
-}
-
-// CommitGroup implements Observer.
-func (c *EventCounts) CommitGroup(txns []model.TxnID) {
-	c.Groups++
-	c.Committed += len(txns)
-}
-
-// FaultInjected implements Observer.
-func (c *EventCounts) FaultInjected(model.TxnID, int, int) { c.Faults++ }
-
-// TxnGaveUp implements Observer.
-func (c *EventCounts) TxnGaveUp(model.TxnID, int) { c.GaveUps++ }
-
-// Crashed implements Observer.
-func (c *EventCounts) Crashed(int, int) { c.Crashes++ }
-
-// Recovered implements Observer.
-func (c *EventCounts) Recovered(int, int) { c.Recoveries++ }
-
-// RunEnded implements Observer.
-func (c *EventCounts) RunEnded(int, int, time.Duration) { c.Runs++ }
-
 // Tee fans every event out to each non-nil observer in order. It lets a
-// caller combine a tallying EventCounts with a telemetry recorder on the
-// same run. Tee(nil...) and Tee() return nil, preserving the "nil observer
-// = disabled" fast path.
+// caller combine a history recorder with a telemetry recorder on the same
+// run. Tee(nil...) and Tee() return nil, preserving the "nil observer =
+// disabled" fast path.
 func Tee(obs ...Observer) Observer {
 	var live []Observer
 	for _, o := range obs {

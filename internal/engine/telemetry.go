@@ -11,9 +11,9 @@ import (
 // TelemetryObserver records a run's lifecycle events as spans: intervals
 // for run, transaction attempt, breakpoint unit, lock wait, and recovery;
 // instants for step, abort, commit group, fault, give-up, and crash. It
-// counts nothing: the engine's Result and SessionStats and the EventCounts
-// tally hold the counts, and a caller folds them into a registry with
-// ObserveSnapshot. One observer serves a whole RunWithCrashes plan: each
+// counts nothing: the engine counts each quantity once, in the Counts that
+// Result, SessionStats and CrashResult embed, and a caller folds them into
+// a registry with ObserveSnapshot. One observer serves a whole RunWithCrashes plan: each
 // recovery round opens a fresh run span and Crashed/Recovered bracket the
 // recovery spans between rounds.
 //

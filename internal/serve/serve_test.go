@@ -624,6 +624,9 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			if steps, committed := m["serve_engine_steps"], m["serve_engine_committed"]; committed == 0 || steps < committed {
 				t.Errorf("scrape serve_engine_steps %v, serve_engine_committed %v", steps, committed)
 			}
+			if w, ok := m["serve_engine_waits"]; !ok || w != float64(st.Engine.Waits) {
+				t.Errorf("scrape serve_engine_waits %v (served %t), Stats %d", w, ok, st.Engine.Waits)
+			}
 			for k := range m {
 				if strings.HasPrefix(k, "engine_") {
 					t.Errorf("scrape serves %s beside serve_engine_*", k)

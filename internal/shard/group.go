@@ -140,12 +140,6 @@ type Group struct {
 	inflight sync.Map // model.TxnID -> *unitState
 
 	prioSeq atomic.Int64
-
-	committed  atomic.Int64
-	crossShard atomic.Int64
-	shots      atomic.Int64
-	restarts   atomic.Int64
-	wounds     atomic.Int64
 }
 
 // NewGroup builds a partitioned store over init.
@@ -225,7 +219,6 @@ func (g *Group) Submit(ctx context.Context, txn Txn) (Outcome, error) {
 				break
 			}
 			out.Restarts++
-			g.restarts.Add(1)
 			if err := ctx.Err(); err != nil {
 				return out, err
 			}
@@ -242,14 +235,9 @@ func (g *Group) Submit(ctx context.Context, txn Txn) (Outcome, error) {
 			time.Sleep(time.Duration(1<<shift) * 10 * time.Microsecond)
 		}
 		out.UnitsCommitted++
-		g.shots.Add(1)
 	}
 	out.Committed = true
 	out.CrossShard = touched == -2
-	g.committed.Add(1)
-	if out.CrossShard {
-		g.crossShard.Add(1)
-	}
 	return out, nil
 }
 
@@ -310,7 +298,6 @@ func (g *Group) runUnit(ctx context.Context, sub model.TxnID, prio int64, unit *
 				break
 			}
 			if d.Kind == sched.Abort {
-				g.wounds.Add(1)
 				for _, v := range d.Victims {
 					if rec, ok := g.inflight.Load(v); ok {
 						rec.(*unitState).signal()

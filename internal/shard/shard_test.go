@@ -105,10 +105,12 @@ func entityOn(t *testing.T, r *Router, shard int, prefix string) model.EntityID 
 // groupWorkload submits commutative increments from many goroutines and
 // checks decision equivalence the same way the bench gate does: the final
 // store values must equal the increment counts, or a shot tore / a lock was
-// not where the control thought it was.
-func groupWorkload(t *testing.T, g *Group, workers, txnsPer int, ents []model.EntityID) {
+// not where the control thought it was. It sums every submission's Outcome
+// and returns how many committed transactions crossed shards.
+func groupWorkload(t *testing.T, g *Group, workers, txnsPer int, ents []model.EntityID) (crossShard int) {
 	t.Helper()
 	expect := make(map[model.EntityID]int64)
+	committed, shots := 0, 0
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	inc := func(v model.Value) (model.Value, string) { return v + 1, "inc" }
@@ -138,6 +140,15 @@ func groupWorkload(t *testing.T, g *Group, workers, txnsPer int, ents []model.En
 					t.Errorf("submit %s: %+v", txn.ID, out)
 					return
 				}
+				mu.Lock()
+				if out.Committed {
+					committed++
+				}
+				shots += out.UnitsCommitted
+				if out.CrossShard {
+					crossShard++
+				}
+				mu.Unlock()
 				for k := 0; k < 4; k++ {
 					local[pick(k)]++
 				}
@@ -151,7 +162,7 @@ func groupWorkload(t *testing.T, g *Group, workers, txnsPer int, ents []model.En
 	}
 	wg.Wait()
 	if t.Failed() {
-		return
+		return crossShard
 	}
 	final := g.Values()
 	for x, n := range expect {
@@ -159,13 +170,13 @@ func groupWorkload(t *testing.T, g *Group, workers, txnsPer int, ents []model.En
 			t.Errorf("entity %s: final %d, want %d increments", x, final[x], n)
 		}
 	}
-	st := g.Stats()
-	if st.Committed != int64(workers*txnsPer) {
-		t.Errorf("committed %d, want %d", st.Committed, workers*txnsPer)
+	if committed != workers*txnsPer {
+		t.Errorf("committed %d, want %d", committed, workers*txnsPer)
 	}
-	if st.Shots != int64(workers*txnsPer*2) {
-		t.Errorf("shots %d, want %d", st.Shots, workers*txnsPer*2)
+	if shots != workers*txnsPer*2 {
+		t.Errorf("shots %d, want %d", shots, workers*txnsPer*2)
 	}
+	return crossShard
 }
 
 func TestGroupConcurrentEquivalence(t *testing.T) {
@@ -179,8 +190,7 @@ func TestGroupConcurrentEquivalence(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			g := NewGroup(GroupConfig{Shards: shards}, init)
-			groupWorkload(t, g, 8, 30, ents)
-			if shards > 1 && g.Stats().CrossShard == 0 {
+			if cross := groupWorkload(t, g, 8, 30, ents); shards > 1 && cross == 0 {
 				t.Error("no cross-shard transaction exercised the multi-shot path")
 			}
 		})
@@ -210,11 +220,11 @@ func TestGroupWALPipelinedShots(t *testing.T) {
 			return engine.NewPipelinedWALStore(pipe)
 		},
 	}, init)
-	groupWorkload(t, g, 6, 20, ents)
+	cross := groupWorkload(t, g, 6, 20, ents)
 	for _, p := range pipes {
 		p.Close()
 	}
-	if g.Stats().CrossShard == 0 {
+	if cross == 0 {
 		t.Error("no cross-shard transaction exercised per-shard WAL voting")
 	}
 }
@@ -667,27 +677,6 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, same plan, different runs:\n%+v %+v %+v %+v\n%+v %+v %+v %+v",
 			a.Stats, a.Control, a.Chaos, a.Net, b.Stats, b.Control, b.Chaos, b.Net)
-	}
-}
-
-// Stats is a point-in-time counter snapshot (value copy, like every
-// Snapshot in this codebase).
-type Stats struct {
-	Committed  int64 // transactions fully committed
-	CrossShard int64 // committed transactions that spanned shards
-	Shots      int64 // unit commits (multi-shot rounds)
-	Restarts   int64 // unit rollback-and-retry rounds
-	Wounds     int64 // wound decisions taken against a younger holder
-}
-
-// Stats returns a snapshot of the group counters.
-func (g *Group) Stats() Stats {
-	return Stats{
-		Committed:  g.committed.Load(),
-		CrossShard: g.crossShard.Load(),
-		Shots:      g.shots.Load(),
-		Restarts:   g.restarts.Load(),
-		Wounds:     g.wounds.Load(),
 	}
 }
 

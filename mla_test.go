@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"mla"
 	"mla/internal/model"
@@ -130,6 +131,14 @@ func TestFacadeCheckResult(t *testing.T) {
 	}
 }
 
+// runCount counts the runs an observer saw end.
+type runCount struct {
+	mla.NopObserver
+	runs int
+}
+
+func (r *runCount) RunEnded(int, int, time.Duration) { r.runs++ }
+
 // TestWithTelemetry: the façade attaches a telemetry sink to a run config
 // (teeing with any observer already present) and the run records spans; a
 // nil sink leaves the config untouched.
@@ -143,7 +152,7 @@ func TestWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := mla.NewTelemetry()
-	var ev mla.EventCounts
+	var ev runCount
 	cfg := mla.WithTelemetry(mla.RunConfig{Seed: 3, Observer: &ev}, tel, "facade")
 	res, err := mla.Run(context.Background(), cfg, progs, ctl, nil,
 		map[mla.EntityID]mla.Value{"x": 0, "y": 0})
@@ -153,8 +162,8 @@ func TestWithTelemetry(t *testing.T) {
 	if res.Committed != len(progs) {
 		t.Fatalf("committed %d/%d", res.Committed, len(progs))
 	}
-	if ev.Runs != 1 {
-		t.Errorf("teed observer missed the run (runs=%d)", ev.Runs)
+	if ev.runs != 1 {
+		t.Errorf("teed observer missed the run (runs=%d)", ev.runs)
 	}
 	var sawRun bool
 	groups := 0

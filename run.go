@@ -58,17 +58,13 @@ func NewControl(kind ControlKind, n *Nest, bp BreakpointSpec) (Control, error) {
 func ParseControlKind(name string) (ControlKind, error) { return sched.ParseControlKind(name) }
 
 // Observer receives a run's lifecycle events (steps, waits, aborts, commit
-// groups, faults, crashes); NopObserver is the embeddable no-op and
-// EventCounts a ready-made tally.
+// groups, faults, crashes); NopObserver is the embeddable no-op. Counting
+// needs no observer: RunResult holds the engine's counts.
 type Observer = engine.Observer
 
 // NopObserver implements Observer with no-ops; embed it to implement only
 // the events of interest.
 type NopObserver = engine.NopObserver
-
-// EventCounts is a ready-made Observer tallying every event; read it only
-// after the run returns.
-type EventCounts = engine.EventCounts
 
 // TeeObservers fans one run's events out to several observers (nil entries
 // are dropped; a nil result means "no observer").
@@ -87,9 +83,9 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 // observer already present). Every engine event becomes a span: intervals
 // for the run, each transaction attempt, breakpoint unit, lock wait, and
 // recovery pass; instants for commit groups, aborts, faults, give-ups, and
-// crashes. It counts nothing: the run's Result and an EventCounts hold the
-// counts, and Metrics.ObserveSnapshot folds them into the registry. label
-// names the trace lane; a nil tel returns cfg unchanged.
+// crashes. It counts nothing: the run's Result holds the counts, and
+// Metrics.ObserveSnapshot(prefix, res.Counts) folds them into the
+// registry. label names the trace lane; a nil tel returns cfg unchanged.
 func WithTelemetry(cfg RunConfig, tel *Telemetry, label string) RunConfig {
 	if tel == nil {
 		return cfg

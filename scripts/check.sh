@@ -61,7 +61,7 @@ go run ./cmd/mlacheck -history /tmp/mla_soak_smoke/history.spool
 # Perf-path smoke under the race detector: E19 runs the striped-lock engine
 # and the group-commit pipeline at full concurrency, failing if an optimized
 # path leaves commit outcomes changed, with telemetry on so the span recorder
-# and each cell's end-of-run fold of its event tally into the registry are
+# and each cell's end-of-run fold of its engine counts into the registry are
 # race-checked too. The trace lands in /tmp, not the repo; CI uploads it as
 # an artifact.
 go run -race ./cmd/mlabench -exp E19 -scale 1 -telemetry -trace-out /tmp/mla_perf_smoke_trace.json
