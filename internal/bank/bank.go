@@ -137,17 +137,25 @@ type Transfer struct {
 	Targets [2]model.EntityID
 	Amount  model.Value
 	Reserve model.Value
+
+	room *drawnSlab // set by Population.DrawTransfer: every attempt's slab
 }
 
 // ID implements model.Program.
 func (t *Transfer) ID() model.TxnID { return t.Txn }
 
-// Init implements model.Program. The attempt's states live in one slab,
-// allocated here: a transfer takes at most len(Sources)+2 steps, the state
-// after n steps is slab[n], and Apply writes its successor in place, so
-// stepping boxes nothing.
+// Init implements model.Program. The attempt's states live in one slab: a
+// transfer takes at most len(Sources)+2 steps, the state after n steps is
+// slab[n], and Apply writes its successor in place, so stepping boxes
+// nothing. A drawn transfer's attempts all reuse the slab it carries; any
+// other transfer allocates one here per attempt.
 func (t *Transfer) Init() model.ProgState {
-	slab := make([]xferState, len(t.Sources)+3)
+	var slab []xferState
+	if n := len(t.Sources) + 3; t.room != nil && n <= len(t.room) {
+		slab = t.room[:n]
+	} else {
+		slab = make([]xferState, n)
+	}
 	slab[0] = xferState{t: t, slab: slab}
 	return &slab[0]
 }

@@ -74,19 +74,26 @@ func (p *Population) cutAfter(t model.TxnID, prefix []model.Step) int {
 	return 3
 }
 
-// drawnTransfer is a Transfer with room for its sources beside it, so that
-// DrawTransfer allocates once without every Transfer carrying the room.
+// drawnTransfer is a Transfer with room for its sources and its state slab
+// beside it, so that DrawTransfer's program allocates once in all its
+// attempts without every Transfer carrying the room.
 type drawnTransfer struct {
 	Transfer
-	src [3]model.EntityID
+	src  [3]model.EntityID
+	slab drawnSlab
 }
 
+// drawnSlab holds the states of a transfer over up to three sources.
+type drawnSlab [3 + 3]xferState
+
 // DrawTransfer builds transfer id of family f over accounts drawn from rng
-// as World.DrawTransfer draws them, in one allocation: the sources sit in
-// the same object as the transfer.
+// as World.DrawTransfer draws them, in one allocation: the sources and the
+// slab every attempt steps in sit in the same object as the transfer. So
+// the program must not run twice at once.
 func (p *Population) DrawTransfer(rng *rand.Rand, id model.TxnID, f, crossPct int) (*Transfer, []string) {
 	d := &drawnTransfer{Transfer: Transfer{Txn: id, Family: f, Amount: p.amount, Reserve: p.reserve}}
 	d.Sources, d.Targets = p.World.DrawTransfer(rng, p.Accounts, f, crossPct, d.src[:0])
+	d.room = &d.slab
 	return &d.Transfer, p.famPath[f]
 }
 

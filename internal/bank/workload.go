@@ -76,7 +76,11 @@ func Generate(p Params) *Workload {
 
 	for i := 0; i < p.Transfers; i++ {
 		f := rng.Intn(p.Families)
-		add(pop.DrawTransfer(rng, model.TxnID(fmt.Sprintf("xfer-%03d", i)), f, p.CrossFamilyPct))
+		tr, path := pop.DrawTransfer(rng, model.TxnID(fmt.Sprintf("xfer-%03d", i)), f, p.CrossFamilyPct)
+		// A Workload may be run many times, concurrently too: each of its
+		// transfers' attempts gets a slab of its own.
+		tr.room = nil
+		add(tr, path)
 	}
 	for i := 0; i < p.BankAudits; i++ {
 		a, path := pop.Audit(model.TxnID(fmt.Sprintf("audit-%03d", i)))

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -85,13 +85,12 @@ type errorResponse struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
-// bodies recycles the buffers POST bodies are read into and 200s encoded in.
-var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bodyBuf is the pooled array a request body is read into and a 200 is
+// encoded in: one byte past maxBodyBytes, so a read that fills it has
+// outrun the bound.
+type bodyBuf [maxBodyBytes + 1]byte
 
-// txnRequests recycles the values POST /v1/txns bodies decode into:
-// json.Unmarshal takes a pointer it cannot prove stays on the stack, so a
-// local would move to the heap on every request.
-var txnRequests = sync.Pool{New: func() any { return new(txnRequest) }}
+var bodies = sync.Pool{New: func() any { return new(bodyBuf) }}
 
 var jsonContentType = []string{"application/json"} // shared, never mutated
 
@@ -105,10 +104,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // json writes verbatim — every ID the server mints — without reflection or
 // an Encoder.
 func writeCommitted(w http.ResponseWriter, id model.TxnID, out engine.Outcome) {
-	buf := bodies.Get().(*bytes.Buffer)
+	buf := bodies.Get().(*bodyBuf)
 	defer bodies.Put(buf)
-	buf.Reset()
-	b := append(append(buf.AvailableBuffer(), `{"txn":"`...), id...)
+	b := append(append(buf[:0], `{"txn":"`...), id...)
 	b = strconv.AppendInt(append(b, `","committed":true,"restarts":`...), int64(out.Restarts), 10)
 	b = strconv.AppendInt(append(b, `,"latency_us":`...), out.Latency.Microseconds(), 10)
 	b = strconv.AppendInt(append(b, `,"waited_us":`...), out.Waited.Microseconds(), 10)
@@ -133,39 +131,72 @@ func (s *Server) writeRetryable(w http.ResponseWriter, status int, code, detail 
 // bytes; nothing a client sends may make the decoder buffer more than this.
 const maxBodyBytes = 4 << 10
 
-// decodeBody decodes the JSON request body into v. A declared length over
-// the bound is refused with 413 before anything is read; a body of unknown
-// length (chunked) is cut off at the bound, so the common fixed-length path
-// pays one comparison. A body read to EOF is closed, so net/http has nothing
+// readBody reads r's body into buf. A declared length over the bound is
+// refused with 413 before anything is read; a body of unknown length
+// (chunked) is cut off at the bound, so the common fixed-length path pays
+// one comparison. A body read to EOF is closed, so net/http has nothing
 // left to drain before it writes the response. False means the error
 // response is already written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+func readBody(w http.ResponseWriter, r *http.Request, buf *bodyBuf) ([]byte, bool) {
 	if r.ContentLength > maxBodyBytes {
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
-		return false
+		return nil, false
 	}
 	body := r.Body
 	if r.ContentLength < 0 {
 		body = http.MaxBytesReader(w, body, maxBodyBytes)
 	}
-	buf := bodies.Get().(*bytes.Buffer)
-	defer bodies.Put(buf)
-	buf.Reset()
-	_, err := buf.ReadFrom(body)
-	if err == nil {
+	n, err := io.ReadFull(body, buf[:])
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF:
 		body.Close()
-		err = json.Unmarshal(buf.Bytes(), v)
+		return buf[:n], true
+	case nil: // only a body longer than its declared length fills buf
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
 	}
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
-		}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "body_too_large"})
+	} else {
+		writeBadRequest(w, err)
+	}
+	return nil, false
+}
+
+// decodeBody decodes the JSON request body into v. False means the error
+// response is already written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf := bodies.Get().(*bodyBuf)
+	defer bodies.Put(buf)
+	b, ok := readBody(w, r, buf)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		writeBadRequest(w, err)
 		return false
 	}
 	return true
+}
+
+func writeBadRequest(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
+}
+
+// decodeTxn decodes a POST /v1/txns body to what json.Unmarshal into a
+// txnRequest yields. The body clients send takes scanTxnBody and allocates
+// nothing: the session resolves to the open session's own id and the kind
+// to synthesize's constant. Every other body, and every error, is
+// json.Unmarshal's.
+func (s *Server) decodeTxn(b []byte) (TxnRequest, error) {
+	if session, kind, ms, ok := scanTxnBody(b); ok {
+		return TxnRequest{Session: s.sessionID(session), Kind: kindName(kind), Deadline: time.Duration(ms) * time.Millisecond}, nil
+	}
+	var req txnRequest
+	if err := json.Unmarshal(b, &req); err != nil {
+		return TxnRequest{}, err
+	}
+	return TxnRequest{Session: req.Session, Kind: req.Kind, Deadline: time.Duration(req.DeadlineMS) * time.Millisecond}, nil
 }
 
 // writeError maps a refusal from OpenSession or Submit to its status code.
@@ -186,7 +217,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrUnknownSession):
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown_session", Detail: err.Error()})
 	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad_request", Detail: err.Error()})
+		writeBadRequest(w, err)
 	}
 }
 
@@ -216,19 +247,19 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	req := txnRequests.Get().(*txnRequest)
-	*req = txnRequest{}
-	ok := decodeBody(w, r, req)
-	tr := TxnRequest{
-		Session:  req.Session,
-		Kind:     req.Kind,
-		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
-	}
-	txnRequests.Put(req)
+	buf := bodies.Get().(*bodyBuf)
+	b, ok := readBody(w, r, buf)
 	if !ok {
+		bodies.Put(buf)
 		return
 	}
-	res, err := s.Submit(r.Context(), tr)
+	req, err := s.decodeTxn(b)
+	bodies.Put(buf) // req holds none of its bytes
+	if err != nil {
+		writeBadRequest(w, err)
+		return
+	}
+	res, err := s.Submit(r.Context(), req)
 	if err != nil {
 		s.writeError(w, err)
 		return

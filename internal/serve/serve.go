@@ -406,6 +406,18 @@ func (s *Server) lookupSession(id string) *clientSession {
 	return s.sessions[id]
 }
 
+// sessionID returns the id of the open session named b without allocating,
+// or b as a string when no such session is open.
+func (s *Server) sessionID(b []byte) string {
+	s.mu.RLock()
+	cs := s.sessions[string(b)]
+	s.mu.RUnlock()
+	if cs == nil {
+		return string(b)
+	}
+	return cs.id
+}
+
 // ErrDraining rejects work arriving after Shutdown began.
 var ErrDraining = errors.New("serve: draining")
 

@@ -57,13 +57,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"mla/internal/fault"
+	"mla/internal/model"
 )
 
 // FileOptions configures OpenFile.
@@ -345,46 +348,38 @@ func decodeFrames(data []byte, prev int64) (int64, []Record, error) {
 }
 
 // appendPayload appends r's frame payload to dst, byte-identical to
-// json.Marshal(r) — the on-disk format. The hot kinds are encoded without
-// reflection; a Checkpoint, or any id json would escape, takes json.Marshal.
-func appendPayload(dst []byte, r *Record) ([]byte, error) {
-	simple := r.Kind != Checkpoint && len(r.Snapshot)+len(r.Done) == 0 && plainJSON(string(r.Txn)) && plainJSON(string(r.Entity))
-	for _, g := range r.Group {
-		simple = simple && plainJSON(string(g))
-	}
-	if !simple {
-		p, err := json.Marshal(*r) // a copy: r itself must not escape
-		return append(dst, p...), err
-	}
+// json.Marshal(r) — the on-disk format — for every kind of frame, without
+// reflection: fields in declaration order, omitempty ones left out when
+// zero, strings through appendJSONString and a Checkpoint's snapshot with
+// its keys sorted, as json sorts map keys.
+func appendPayload(dst []byte, r *Record) []byte {
 	dst = strconv.AppendInt(append(dst, `{"l":`...), r.LSN, 10)
 	dst = strconv.AppendInt(append(dst, `,"k":`...), int64(r.Kind), 10)
-	dst = appendStr(dst, `,"t":"`, string(r.Txn))
+	dst = appendStr(dst, `,"t":`, string(r.Txn))
 	dst = appendNum(dst, `,"q":`, int64(r.Seq))
-	dst = appendStr(dst, `,"e":"`, string(r.Entity))
+	dst = appendStr(dst, `,"e":`, string(r.Entity))
 	dst = appendNum(dst, `,"b":`, int64(r.Before))
 	dst = appendNum(dst, `,"a":`, int64(r.After))
 	dst = appendNum(dst, `,"p":`, int64(r.Keep))
-	if len(r.Group) > 0 {
-		dst = append(dst, `,"g":[`...)
-		for _, g := range r.Group {
-			dst = append(append(append(dst, '"'), g...), '"', ',')
+	dst = appendIDs(dst, `,"g":[`, r.Group)
+	if len(r.Snapshot) > 0 {
+		keys := make([]model.EntityID, 0, len(r.Snapshot))
+		for x := range r.Snapshot {
+			keys = append(keys, x)
 		}
-		dst[len(dst)-1] = ']'
+		slices.Sort(keys)
+		dst = append(dst, `,"s":{`...)
+		for _, x := range keys {
+			dst = strconv.AppendInt(append(appendJSONString(dst, string(x)), ':'), int64(r.Snapshot[x]), 10)
+			dst = append(dst, ',')
+		}
+		dst[len(dst)-1] = '}'
 	}
-	return append(strconv.AppendUint(append(dst, `,"x":`...), r.Sum, 10), '}'), nil
+	dst = appendIDs(dst, `,"d":[`, r.Done)
+	return append(strconv.AppendUint(append(dst, `,"x":`...), r.Sum, 10), '}')
 }
 
-// plainJSON reports whether json.Marshal writes s verbatim between quotes.
-func plainJSON(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendNum and appendStr write one omitempty field.
+// appendNum, appendStr and appendIDs write one omitempty field.
 func appendNum(dst []byte, key string, v int64) []byte {
 	if v == 0 {
 		return dst
@@ -396,7 +391,71 @@ func appendStr(dst []byte, key, s string) []byte {
 	if s == "" {
 		return dst
 	}
-	return append(append(append(dst, key...), s...), '"')
+	return appendJSONString(append(dst, key...), s)
+}
+
+func appendIDs(dst []byte, key string, ids []model.TxnID) []byte {
+	if len(ids) == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	for _, id := range ids {
+		dst = append(appendJSONString(dst, string(id)), ',')
+	}
+	dst[len(dst)-1] = ']'
+	return dst
+}
+
+// appendJSONString appends s quoted as json.Marshal writes a string: " and
+// \ backslash-escaped; \b, \f, \n, \r and \t by name; every other
+// control byte, and the HTML characters <, > and &, as \u00XX; each byte of
+// invalid UTF-8 as \ufffd; U+2028 and U+2029 as \u2028 and \u2029; the
+// rest verbatim.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // append buffers one record's frame. It makes no syscall: the frame
@@ -408,10 +467,7 @@ func (b *fileBacking) append(r Record) error {
 		return b.failed
 	}
 	at := len(b.pending)
-	buf, err := appendPayload(append(b.pending, 0, 0, 0, 0), &r)
-	if err != nil {
-		return fmt.Errorf("wal: encode lsn %d: %w", r.LSN, err)
-	}
+	buf := appendPayload(append(b.pending, 0, 0, 0, 0), &r)
 	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	b.pending = buf
 	return nil
@@ -565,10 +621,9 @@ func (b *fileBacking) compact(ck *Record) error {
 	}
 	b.io.Lock()
 	defer b.io.Unlock()
-	payload, err := appendPayload(make([]byte, 4, 256), ck)
-	if err != nil {
-		return fmt.Errorf("wal: encode checkpoint at lsn %d: %w", ck.LSN, err)
-	}
+	// 32 bytes per snapshot entry or done id covers the names the server
+	// mints, so the frame is usually encoded into one allocation.
+	payload := appendPayload(make([]byte, 4, 64+32*(len(ck.Snapshot)+len(ck.Done))), ck)
 	binary.BigEndian.PutUint32(payload, uint32(len(payload)-4))
 	if err := b.try(func() error { return b.writeOnce(b.arch, payload, b.archOff) }); err != nil {
 		return err

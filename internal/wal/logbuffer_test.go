@@ -246,9 +246,11 @@ func TestEpochBumpIsCrashAtomic(t *testing.T) {
 }
 
 // TestAppendPayloadMatchesJSON: the reflection-free encoder is byte-identical
-// to json.Marshal(Record) — the on-disk format did not change — including
-// for ids json escapes (quotes, control bytes, HTML characters, non-ASCII,
-// invalid UTF-8).
+// to json.Marshal(Record) — the on-disk format did not change — for every
+// kind of frame, including ids and snapshot keys json escapes (quotes,
+// control bytes, HTML characters, non-ASCII, invalid UTF-8, U+2028/U+2029),
+// Checkpoint frames with random snapshots (keys sorted as json sorts them)
+// and done lists, and nil and empty ones.
 func TestAppendPayloadMatchesJSON(t *testing.T) {
 	check := func(r Record) {
 		t.Helper()
@@ -256,24 +258,32 @@ func TestAppendPayloadMatchesJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendPayload([]byte("prefix"), &r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		if got := appendPayload([]byte("prefix"), &r); !bytes.Equal(got, append([]byte("prefix"), want...)) {
 			t.Fatalf("record %+v\n encoded %s\n    json %s", r, got[len("prefix"):], want)
 		}
 	}
 	for c := 0; c < 256; c++ { // every byte, alone and embedded
-		check(Record{LSN: 1, Kind: Update, Txn: model.TxnID([]byte{byte(c)}), Entity: model.EntityID([]byte{'e', byte(c), 'f'})})
-		check(Record{LSN: 2, Kind: Commit, Txn: "t", Group: []model.TxnID{"g", model.TxnID([]byte{byte(c)})}})
+		b := byte(c)
+		check(Record{LSN: 1, Kind: Update, Txn: model.TxnID([]byte{b}), Entity: model.EntityID([]byte{'e', b, 'f'})})
+		check(Record{LSN: 2, Kind: Commit, Txn: "t", Group: []model.TxnID{"g", model.TxnID([]byte{b})}})
+		check(Record{LSN: 3, Kind: Checkpoint, Snapshot: map[model.EntityID]model.Value{
+			model.EntityID([]byte{b}): 1, model.EntityID([]byte{'k', b}): -2, "k": 3}, Done: []model.TxnID{model.TxnID([]byte{b, 'd'})}})
+	}
+	for _, snap := range []map[model.EntityID]model.Value{nil, {}} {
+		for _, done := range [][]model.TxnID{nil, {}} {
+			check(Record{LSN: 4, Kind: Checkpoint, Snapshot: snap, Done: done, Sum: 9})
+		}
 	}
 	rng := rand.New(rand.NewSource(16))
-	alphabet := []string{"a", "t17", "e3-s2-", "", "\"", "\\", "<", ">", "&", "\n", "\x00", "é", " ", "\xff", " ", "~", "/"}
+	alphabet := []string{"a", "t17", "e3-s2-", "", "\"", "\\", "<", ">", "&", "\n", "\x00", "é", " ", "\xff", "\u2028", "\u2029", "~", "/", "\x7f", "\xe2\x80"}
 	str := func() string {
 		var s string
 		for n := rng.Intn(4); n > 0; n-- {
-			s += alphabet[rng.Intn(len(alphabet))]
+			if rng.Intn(4) == 0 {
+				s += string([]byte{byte(rng.Intn(256))})
+			} else {
+				s += alphabet[rng.Intn(len(alphabet))]
+			}
 		}
 		return s
 	}
@@ -293,8 +303,13 @@ func TestAppendPayloadMatchesJSON(t *testing.T) {
 			r.Group = append(r.Group, model.TxnID(str()))
 		}
 		if r.Kind == Checkpoint || rng.Intn(50) == 0 {
-			r.Snapshot = map[model.EntityID]model.Value{model.EntityID(str()): model.Value(num())}
-			r.Done = []model.TxnID{model.TxnID(str())}
+			r.Snapshot = map[model.EntityID]model.Value{}
+			for n := rng.Intn(20); n > 0; n-- {
+				r.Snapshot[model.EntityID(str())] = model.Value(num())
+			}
+			for n := rng.Intn(20); n > 0; n-- {
+				r.Done = append(r.Done, model.TxnID(str()))
+			}
 		}
 		check(r)
 	}

@@ -48,6 +48,10 @@ go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzz
 # with the Theorem 2 analysis on random interleavings of the banking
 # workload.
 go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
+# POST /v1/txns decoder smoke: the hand-written fast path must decode every
+# body it accepts to what encoding/json decodes, and every other body must
+# get json.Unmarshal's values or error.
+go test ./internal/serve/ -run FuzzTxnRequestBody -fuzz FuzzTxnRequestBody -fuzztime 10s
 # Crash-restart durability smoke: a real mlaserve process over an on-disk
 # WAL, SIGKILLed mid-load twice with injected disk faults; every 200-acked
 # transaction must be re-verifiable after each restart, the soak reads each
