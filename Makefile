@@ -23,12 +23,14 @@ bench:
 lint:
 	./scripts/lint.sh
 
-# The same three fuzz smokes check.sh runs: WAL recovery over the in-memory
-# medium, over the real file medium, and checker-vs-scheduler agreement.
+# The same four fuzz smokes check.sh runs: WAL recovery over the in-memory
+# medium, over the real file medium, checker-vs-scheduler agreement, and
+# the POST /v1/txns decoder against encoding/json.
 fuzz:
 	go test ./internal/wal/ -run FuzzWALRecovery -fuzz FuzzWALRecovery -fuzztime 10s
 	go test ./internal/wal/ -run FuzzFileWALRecovery -fuzz FuzzFileWALRecovery -fuzztime 10s
 	go test ./internal/history/ -run FuzzHistoryCheck -fuzz FuzzHistoryCheck -fuzztime 10s
+	go test ./internal/serve/ -run FuzzTxnRequestBody -fuzz FuzzTxnRequestBody -fuzztime 10s
 
 # The same smokes check.sh runs: E19 at scale 1 under -race with telemetry
 # on (the trace lands in /tmp), then one second of the benchmark's engine

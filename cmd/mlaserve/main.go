@@ -284,7 +284,7 @@ func runServe(cfg serve.Config, addr string, drainTimeout time.Duration, stdout,
 	}
 	st := srv.Stats()
 	fmt.Fprintf(stdout, "mlaserve: drained clean — %d committed, %d shed, %d deadline-aborted\n",
-		st.Acked, st.Shed, st.Deadline)
+		st.Engine.Committed, st.Shed, st.Deadline)
 	return code
 }
 

@@ -268,7 +268,6 @@ func (p *Preventer) closedTrue(u model.TxnID, seq, lv int) bool {
 // grace period); deadlock cycles local to the owner processor are caught
 // synchronously, cross-processor ones by probes.
 func (p *Preventer) Request(t model.TxnID, seq int, x model.EntityID) sched.Decision {
-	p.stats.Requests++
 	proc := p.owner(x) % p.procs
 	p.site[t] = proc
 	rep := p.reps[proc]
@@ -294,7 +293,6 @@ func (p *Preventer) Request(t model.TxnID, seq int, x model.EntityID) sched.Deci
 	})
 	if len(blockers) == 0 {
 		p.kit.ClearWait(t)
-		p.stats.Grants++
 		return sched.Decision{Kind: sched.Grant}
 	}
 	if stale {
@@ -413,7 +411,6 @@ func (p *Preventer) Retired(model.TxnID) {}
 // victims is erased synchronously (the rollback is a control-plane event
 // the transactions themselves carry, like Begin).
 func (p *Preventer) Aborted(victims []model.TxnID) {
-	p.stats.Aborts += len(victims)
 	drop := make(map[model.TxnID]bool, len(victims))
 	for _, t := range victims {
 		drop[t] = true
@@ -424,7 +421,7 @@ func (p *Preventer) Aborted(victims []model.TxnID) {
 }
 
 // DeadlineAborted implements the sched.DeadlineAborter capability.
-func (p *Preventer) DeadlineAborted(model.TxnID) { p.stats.Deadlines++ }
+func (*Preventer) DeadlineAborted(model.TxnID) {}
 
 // Stats implements sched.Control.
 func (p *Preventer) Stats() *sched.Stats { return &p.stats }

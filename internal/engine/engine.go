@@ -139,8 +139,7 @@ type Counts struct {
 	// per-submission deadline expired or its client context was cancelled
 	// (resident sessions only; batch runs have no per-txn deadlines). Each
 	// is also counted in Aborts like any rollback — this is the
-	// distinct cause sub-count, mirrored in sched.Stats.Deadlines for
-	// controls with the DeadlineAborter capability.
+	// distinct cause sub-count.
 	DeadlineAborts int
 	// FaultsInjected counts transient step errors the fault injector
 	// placed in this run (each was retried or escalated to a restart).
@@ -755,16 +754,13 @@ func expired(ctx context.Context, deadline time.Time) int8 {
 
 // killLocked rolls back t's current attempt because its deadline expired or
 // its client walked away: the cause is recorded on the transaction (so the
-// session run loop stops restarting it), counted distinctly in the result
-// and — via the DeadlineAborter capability — in the control's stats, and
-// then the rollback flows through the normal dependency-closed abort path.
+// session run loop stops restarting it) and counted distinctly in the
+// result, then the rollback flows through the normal dependency-closed
+// abort path.
 // Caller holds the mutex and has verified the attempt is current.
 func (e *engine) killLocked(t *etxn, reason int8) {
 	t.killed = reason
 	e.stats.DeadlineAborts++
-	if e.caps.DeadlineAborted != nil {
-		e.caps.DeadlineAborted(t.ID)
-	}
 	e.abortLocked([]model.TxnID{t.ID})
 	e.bump()
 }

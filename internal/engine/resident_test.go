@@ -142,7 +142,7 @@ func TestPreventerResidentBounded(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	final := store.Values()
+	final, counts := store.Values(), s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPreventerResidentBounded(t *testing.T) {
 	}
 	first, last := median(elapsed[:5]), median(elapsed[windows-5:])
 	t.Logf("peak %d live steps / %d slots; window medians: first five %v, last five %v; %d waits, %d aborts",
-		obs.maxSteps, obs.maxSlots, first, last, p.Stats().Waits, p.Stats().Aborts)
+		obs.maxSteps, obs.maxSlots, first, last, counts.Waits, counts.Aborts)
 	if last > 2*first {
 		t.Errorf("the last windows take %v, the first %v: cost grows with the run", last, first)
 	}

@@ -28,9 +28,8 @@ import (
 //   - Per-submission deadlines abort at breakpoints: a runnable transaction
 //     finishes the unit it started before its rollback, a blocked one rolls
 //     back in place (nothing partial survives a full rollback either way).
-//     Deadline rollbacks are counted distinctly (Result.DeadlineAborts,
-//     sched.Stats.Deadlines) from the control's own conflict aborts. The
-//     batch driver sets none.
+//     Deadline rollbacks are counted distinctly (Counts.DeadlineAborts)
+//     from the control's own conflict aborts. The batch driver sets none.
 //   - Per-commit samples (latency, wait time) are returned in each Outcome;
 //     the batch driver collects them into its Result.
 //   - Both drivers retire each transaction's record as its submission

@@ -296,28 +296,23 @@ func TestAdmissionRefusesExpiredSubmission(t *testing.T) {
 }
 
 // waitControl always answers Wait — the deterministic way to park a
-// submission so its deadline or cancellation must fire. It implements the
-// DeadlineAborter capability so the test can assert the engine routes
-// deadline kills into the control's distinct counter.
+// submission so its deadline or cancellation must fire.
 type waitControl struct{ stats sched.Stats }
 
 func (*waitControl) Name() string             { return "wait" }
 func (*waitControl) Begin(model.TxnID, int64) {}
 func (w *waitControl) Request(model.TxnID, int, model.EntityID) sched.Decision {
-	w.stats.Requests++
 	w.stats.Waits++
 	return sched.Decision{Kind: sched.Wait}
 }
 func (*waitControl) Performed(model.TxnID, int, model.EntityID, int) {}
 func (*waitControl) Finished(model.TxnID)                            {}
-func (w *waitControl) Aborted(v []model.TxnID)                       { w.stats.Aborts += len(v) }
-func (w *waitControl) DeadlineAborted(model.TxnID)                   { w.stats.Deadlines++ }
+func (*waitControl) Aborted([]model.TxnID)                           {}
 func (w *waitControl) Stats() *sched.Stats                           { return &w.stats }
 
 // TestSessionDeadline: a submission blocked forever by the control must be
 // withdrawn at its deadline, reported DeadlineExceeded, and counted
-// distinctly from conflict aborts in both the engine's and the control's
-// stats.
+// distinctly from conflict aborts in the engine's counts.
 func TestSessionDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	wc := &waitControl{}
@@ -334,11 +329,8 @@ func TestSessionDeadline(t *testing.T) {
 	if e := time.Since(start); e > 5*time.Second {
 		t.Errorf("deadline took %v to fire", e)
 	}
-	if st := s.Stats(); st.DeadlineAborts != 1 {
-		t.Errorf("engine DeadlineAborts = %d, want 1", st.DeadlineAborts)
-	}
-	if wc.stats.Deadlines != 1 {
-		t.Errorf("control Deadlines = %d, want 1 (DeadlineAborter not wired?)", wc.stats.Deadlines)
+	if st := s.Stats(); st.DeadlineAborts != 1 || st.Aborts != 1 {
+		t.Errorf("engine DeadlineAborts = %d, Aborts = %d, want 1 and 1", st.DeadlineAborts, st.Aborts)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("close: %v", err)

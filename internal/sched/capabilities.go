@@ -55,20 +55,16 @@ type StepQuiescent interface {
 // outside the harness's global mutex, it can race past a rollback of the
 // requester: the abort releases everything t held, then the in-flight
 // Request grants one more lock for the now-dead attempt. ReleaseAll
-// discards every resource t still holds WITHOUT counting an abort (the
-// rollback was already counted); the harness calls it when it detects such
-// a stale grant, and when it parks a transaction for good.
+// discards every resource t still holds; the harness calls it when it
+// detects such a stale grant, and when it parks a transaction for good.
 type Releaser interface {
 	ReleaseAll(t model.TxnID)
 }
 
-// DeadlineAborter is implemented by controls that attribute rollbacks to
-// their cause. The harness calls DeadlineAborted(t) immediately before the
-// Aborted call that rolls t back because its per-transaction deadline
-// expired (or its client walked away mid-run), so the control can count
-// deadline aborts distinctly from its own wound/deadlock victims in
-// Stats.Deadlines. The call carries no state change beyond the counter —
-// the rollback itself still flows through Aborted.
+// DeadlineAborter is a capability no harness uses: the executor counts
+// deadline rollbacks itself (engine.Counts.DeadlineAborts), nothing calls
+// DeadlineAborted, and every control's method is empty. It stays only while
+// tracing decorators still match their wrappers on it.
 type DeadlineAborter interface {
 	DeadlineAborted(t model.TxnID)
 }
@@ -99,10 +95,9 @@ type Capabilities struct {
 	// Retired frees state for a committed transaction (Retirer).
 	Retired func(t model.TxnID)
 	// ReleaseAll discards resources held by a rolled-back or parked
-	// transaction without abort accounting (Releaser).
+	// transaction (Releaser).
 	ReleaseAll func(t model.TxnID)
-	// DeadlineAborted attributes the upcoming Aborted call for t to a
-	// per-transaction deadline (DeadlineAborter).
+	// DeadlineAborted is never called (DeadlineAborter).
 	DeadlineAborted func(t model.TxnID)
 	// Concurrent reports whether the control is safe for concurrent calls
 	// (the Concurrent marker).

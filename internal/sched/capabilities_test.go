@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mla/internal/breakpoint"
@@ -147,22 +148,30 @@ func TestShardedTwoPhaseWoundWait(t *testing.T) {
 		t.Fatalf("after release: %v", d.Kind)
 	}
 	st := stp.Stats()
-	if st.Requests != 5 || st.Grants != 3 || st.Waits != 1 || st.Wounds != 1 || st.Aborts != 1 {
+	if *st != (Stats{Waits: 1, Wounds: 1}) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The Stats pointer is a frozen fold, per the doc contract.
 	before := *st
-	stp.Request("young2", 2, "y")
+	stp.Begin("young3", 9)
+	if d := stp.Request("young3", 1, "x"); d.Kind != Wait {
+		t.Fatalf("younger vs young2: %v", d.Kind)
+	}
 	if *st != before {
 		t.Fatal("ShardedTwoPhase.Stats must return a snapshot")
+	}
+	if w := stp.Stats().Waits; w != 2 {
+		t.Fatalf("waits = %d after the second Wait decision", w)
 	}
 }
 
 // TestShardedTwoPhaseConcurrent hammers the control from parallel
-// goroutines; the race detector validates the locking discipline and the
-// final lock table must be empty.
+// goroutines; the race detector validates the locking discipline, the
+// final lock table must be empty, and the atomic counters must hold every
+// Wait and wound decision handed out.
 func TestShardedTwoPhaseConcurrent(t *testing.T) {
 	stp := NewShardedTwoPhase(8)
+	var waits, wounds atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -173,7 +182,10 @@ func TestShardedTwoPhaseConcurrent(t *testing.T) {
 			for op := 0; op < 500; op++ {
 				x := model.EntityID(fmt.Sprintf("e%d", (w*7+op)%16))
 				switch d := stp.Request(id, op, x); d.Kind {
+				case Wait:
+					waits.Add(1)
 				case Abort:
+					wounds.Add(1)
 					stp.Aborted(d.Victims)
 					for _, v := range d.Victims {
 						stp.Begin(v, int64(len(d.Victims)+op)) // victim restarts
@@ -187,7 +199,7 @@ func TestShardedTwoPhaseConcurrent(t *testing.T) {
 	if got := stp.LockSnapshot(); got.Locked != 0 {
 		t.Fatalf("locks leaked: %+v", got)
 	}
-	if st := stp.Stats(); st.Requests != 8*500 {
-		t.Fatalf("requests = %d", st.Requests)
+	if st := stp.Stats(); st.Waits != int(waits.Load()) || st.Wounds != int(wounds.Load()) {
+		t.Fatalf("stats = %+v; decided %d waits and %d wounds", st, waits.Load(), wounds.Load())
 	}
 }

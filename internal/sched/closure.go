@@ -74,7 +74,6 @@ func (h *closureHost) ClosureSlots() int { return h.oc.Slots() }
 // place when they are closure sinks, by replay otherwise), a Detector's
 // victims like any other.
 func (h *closureHost) Aborted(victims []model.TxnID) {
-	h.stats.Aborts += len(victims)
 	drop := make(map[model.TxnID]bool, len(victims))
 	for _, t := range victims {
 		drop[t] = true
@@ -87,14 +86,13 @@ func (h *closureHost) Aborted(victims []model.TxnID) {
 // AbortedTo implements the simulator's partial-recovery hook: t was rolled
 // back to seq = keep and resumes; its suffix leaves the closure.
 func (h *closureHost) AbortedTo(t model.TxnID, keep int) {
-	h.stats.Aborts++
 	delete(h.finished, t)
 	h.waitFor.drop(t)
 	h.oc.RebuildPartial(map[model.TxnID]int{t: keep})
 }
 
 // DeadlineAborted implements the DeadlineAborter capability.
-func (h *closureHost) DeadlineAborted(model.TxnID) { h.stats.Deadlines++ }
+func (*closureHost) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control.
 func (h *closureHost) Stats() *Stats { return &h.stats }

@@ -38,9 +38,7 @@ func (d *Detector) Name() string { return "detect" }
 // on a cycle the closure withdraws it and the youngest transaction involved
 // is chosen as the victim.
 func (d *Detector) Request(t model.TxnID, _ int, x model.EntityID) Decision {
-	d.stats.Requests++
 	if d.oc.AddStep(t, x) {
-		d.stats.Grants++
 		return grant
 	}
 	d.stats.Cycles++

@@ -56,7 +56,6 @@ func (p *directPreventer) closed(u model.TxnID, seq, lv int) bool {
 
 // Request implements Control: the delay rule over x's accessors.
 func (p *directPreventer) Request(t model.TxnID, _ int, x model.EntityID) Decision {
-	p.stats.Requests++
 	var waits map[model.TxnID]bool
 	for u, s := range p.lastAccess[x] {
 		if u != t && !p.closed(u, s, p.nest.Level(u, t)) {
@@ -68,7 +67,6 @@ func (p *directPreventer) Request(t model.TxnID, _ int, x model.EntityID) Decisi
 	}
 	if waits == nil {
 		p.waitFor.clear(t)
-		p.stats.Grants++
 		return grant
 	}
 	return p.waitFor.block(t, waits, p.prio, &p.stats)
@@ -106,7 +104,6 @@ func (p *directPreventer) Retired(t model.TxnID) {
 
 // Aborted implements Control: the victims' records and accesses go.
 func (p *directPreventer) Aborted(victims []model.TxnID) {
-	p.stats.Aborts += len(victims)
 	for _, t := range victims {
 		delete(p.txns, t)
 		p.waitFor.drop(t)
@@ -125,7 +122,6 @@ func (p *directPreventer) Aborted(victims []model.TxnID) {
 // back to seq = keep and resumes; its boundaries and accesses are clamped
 // to the kept prefix.
 func (p *directPreventer) AbortedTo(t model.TxnID, keep int) {
-	p.stats.Aborts++
 	p.waitFor.drop(t)
 	if d := p.txns[t]; d != nil {
 		for lv := range d.bound {
@@ -147,7 +143,7 @@ func (p *directPreventer) AbortedTo(t model.TxnID, keep int) {
 }
 
 // DeadlineAborted implements the DeadlineAborter capability.
-func (p *directPreventer) DeadlineAborted(model.TxnID) { p.stats.Deadlines++ }
+func (*directPreventer) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control.
 func (p *directPreventer) Stats() *Stats { return &p.stats }

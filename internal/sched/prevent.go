@@ -66,12 +66,10 @@ func (p *Preventer) Name() string { return "prevent" }
 // Request implements Control: the Section 6 delay rule over the previewed
 // closure predecessors, with waits-for deadlock resolution.
 func (p *Preventer) Request(t model.TxnID, _ int, x model.EntityID) Decision {
-	p.stats.Requests++
 	p.blockers = p.blockers[:0]
 	p.oc.ForEachOpenPred(t, x, p.addBlocker)
 	if len(p.blockers) == 0 {
 		p.waitFor.clear(t)
-		p.stats.Grants++
 		return grant
 	}
 	waits := make(map[model.TxnID]bool, len(p.blockers))

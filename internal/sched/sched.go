@@ -110,54 +110,30 @@ type Waker interface {
 // AsyncAborter is implemented by controls that decide aborts outside
 // Request — probe-based deadlock detection, failure-detector escalation.
 // The harness drains TakeVictims after every Tick and rolls the victims
-// back through the normal dependency-closed Aborted path, so the Stats
-// accounting contract below is unchanged: the victims are counted once
-// each, inside Aborted.
+// back through the normal dependency-closed Aborted path.
 type AsyncAborter interface {
 	TakeVictims() []model.TxnID
 }
 
-// Stats counts control decisions. Every control — including dist.Preventer
-// — implements one accounting contract so counters are comparable across
-// controls and consistent with the harness's own rollback counts:
+// Stats counts the decisions only the control can see. What the executor
+// already counts — its Request calls, the steps it performs, the rollbacks
+// it applies and their causes — it counts itself (engine.Counts,
+// sim.Stats), so a control keeps no copy of those:
 //
-//   - Requests, Grants, and Waits count Request calls and their Grant/Wait
-//     outcomes.
-//   - Aborts counts victim rollbacks: incremented once per victim inside
-//     Aborted (and once per suffix rollback inside AbortedTo, for controls
-//     with partial recovery). A Request returning an Abort decision does
-//     NOT touch Aborts — the harness echoes the decision's dependency-closed
-//     victim set back through Aborted exactly once, so counting at decision
-//     time would double-count every control-initiated rollback while
-//     missing harness-initiated ones (stall breaks, cascades).
+//   - Waits counts Request calls answered Wait (the simulator has no wait
+//     count of its own).
 //   - Wounds counts Abort decisions naming a victim other than the
 //     requester, incremented in Request at decision time.
 //   - Cycles counts dependency cycles detected (Detector only).
-//   - Deadlines counts the subset of Aborts whose victim was chosen by the
-//     harness because a per-transaction deadline expired (or its client
-//     walked away), NOT by the control's own wound/deadlock decision. The
-//     harness reports each such victim through the DeadlineAborter
-//     capability immediately before the normal Aborted call, so a deadline
-//     abort is counted once in Aborts (like every rollback) and once in
-//     Deadlines (its distinct cause); Aborts - Deadlines is the control's
-//     own conflict-abort count.
 //   - Sealed counts committed transactions whose state the control
 //     reclaimed (the closure controls, through the Retirer capability): on
 //     a resident control Sealed trails commits by the transactions still
 //     anchored behind an uncommitted closure-predecessor.
-//
-// Under this contract a simulator run without partial recovery satisfies
-// Control.Stats().Aborts == sim full-rollback count for every control; the
-// cross-control consistency test in internal/dist pins it.
 type Stats struct {
-	Requests  int
-	Grants    int
-	Waits     int
-	Aborts    int // victim rollbacks, counted per victim in Aborted/AbortedTo
-	Wounds    int // abort decisions naming a non-requester victim (in Request)
-	Cycles    int // dependency cycles detected (Detector only)
-	Deadlines int // subset of Aborts caused by per-txn deadlines (DeadlineAborter)
-	Sealed    int // committed transactions reclaimed from the closure (Retirer)
+	Waits  int
+	Wounds int // abort decisions naming a non-requester victim (in Request)
+	Cycles int // dependency cycles detected (Detector only)
+	Sealed int // committed transactions reclaimed from the closure (Retirer)
 }
 
 // Snapshot returns a value copy of the counters. The pointer returned by
@@ -182,11 +158,7 @@ func (*None) Name() string { return "none" }
 func (*None) Begin(model.TxnID, int64) {}
 
 // Request implements Control.
-func (n *None) Request(model.TxnID, int, model.EntityID) Decision {
-	n.stats.Requests++
-	n.stats.Grants++
-	return grant
-}
+func (*None) Request(model.TxnID, int, model.EntityID) Decision { return grant }
 
 // Performed implements Control.
 func (*None) Performed(model.TxnID, int, model.EntityID, int) {}
@@ -194,12 +166,11 @@ func (*None) Performed(model.TxnID, int, model.EntityID, int) {}
 // Finished implements Control.
 func (*None) Finished(model.TxnID) {}
 
-// Aborted implements Control. None never demands aborts itself, but the
-// harness may still roll its transactions back (stall breaking, cascades).
-func (n *None) Aborted(victims []model.TxnID) { n.stats.Aborts += len(victims) }
+// Aborted implements Control: None keeps no state to roll back.
+func (*None) Aborted([]model.TxnID) {}
 
 // DeadlineAborted implements the DeadlineAborter capability.
-func (n *None) DeadlineAborted(model.TxnID) { n.stats.Deadlines++ }
+func (*None) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control.
 func (n *None) Stats() *Stats { return &n.stats }
@@ -223,10 +194,8 @@ func (*Serial) Begin(model.TxnID, int64) {}
 
 // Request implements Control.
 func (s *Serial) Request(t model.TxnID, _ int, _ model.EntityID) Decision {
-	s.stats.Requests++
 	if s.holder == "" || s.holder == t {
 		s.holder = t
-		s.stats.Grants++
 		return grant
 	}
 	s.stats.Waits++
@@ -245,7 +214,6 @@ func (s *Serial) Finished(t model.TxnID) {
 
 // Aborted implements Control.
 func (s *Serial) Aborted(victims []model.TxnID) {
-	s.stats.Aborts += len(victims)
 	for _, t := range victims {
 		if s.holder == t {
 			s.holder = ""
@@ -254,7 +222,7 @@ func (s *Serial) Aborted(victims []model.TxnID) {
 }
 
 // DeadlineAborted implements the DeadlineAborter capability.
-func (s *Serial) DeadlineAborted(model.TxnID) { s.stats.Deadlines++ }
+func (*Serial) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control.
 func (s *Serial) Stats() *Stats { return &s.stats }

@@ -32,7 +32,7 @@ type ShardedTwoPhase struct {
 	// func value, and binding per Request allocated on every step.
 	prioFn func(model.TxnID) int64
 
-	requests, grants, waits, wounds, aborts, deadlines atomic.Int64
+	waits, wounds atomic.Int64
 
 	statsMu  sync.Mutex
 	statsOut Stats
@@ -67,11 +67,9 @@ func (stp *ShardedTwoPhase) Begin(t model.TxnID, prio int64) { stp.locks.SetPrio
 // Request implements Control: wound-wait on the entity's shard. Older
 // requester wounds the younger holder; younger requester waits.
 func (stp *ShardedTwoPhase) Request(t model.TxnID, _ int, x model.EntityID) Decision {
-	stp.requests.Add(1)
 	out, victim := stp.locks.Acquire(t, x, stp.prioFn)
 	switch out {
 	case lock.Granted:
-		stp.grants.Add(1)
 		return grant
 	case lock.Wound:
 		stp.wounds.Add(1)
@@ -92,20 +90,18 @@ func (stp *ShardedTwoPhase) Finished(t model.TxnID) { stp.locks.Release(t) }
 
 // Aborted implements Control.
 func (stp *ShardedTwoPhase) Aborted(victims []model.TxnID) {
-	stp.aborts.Add(int64(len(victims)))
 	for _, t := range victims {
 		stp.locks.Release(t)
 	}
 }
 
 // ReleaseAll implements the Releaser capability: drop every lock t still
-// holds without counting an abort. The engine calls it for grants that
+// holds. The engine calls it for grants that
 // raced past a rollback of t, and when t is parked for good.
 func (stp *ShardedTwoPhase) ReleaseAll(t model.TxnID) { stp.locks.Release(t) }
 
-// DeadlineAborted implements the DeadlineAborter capability: an atomic, so
-// it is safe from the engine's mutex-holding path like every other method.
-func (stp *ShardedTwoPhase) DeadlineAborted(model.TxnID) { stp.deadlines.Add(1) }
+// DeadlineAborted implements the DeadlineAborter capability.
+func (*ShardedTwoPhase) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control. The returned pointer refers to a fold of the
 // atomic counters taken at call time; unlike the serial controls it is a
@@ -113,14 +109,7 @@ func (stp *ShardedTwoPhase) DeadlineAborted(model.TxnID) { stp.deadlines.Add(1) 
 func (stp *ShardedTwoPhase) Stats() *Stats {
 	stp.statsMu.Lock()
 	defer stp.statsMu.Unlock()
-	stp.statsOut = Stats{
-		Requests:  int(stp.requests.Load()),
-		Grants:    int(stp.grants.Load()),
-		Waits:     int(stp.waits.Load()),
-		Aborts:    int(stp.aborts.Load()),
-		Wounds:    int(stp.wounds.Load()),
-		Deadlines: int(stp.deadlines.Load()),
-	}
+	stp.statsOut = Stats{Waits: int(stp.waits.Load()), Wounds: int(stp.wounds.Load())}
 	return &stp.statsOut
 }
 

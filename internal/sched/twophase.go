@@ -36,11 +36,9 @@ func (tp *TwoPhase) Begin(t model.TxnID, prio int64) { tp.prio[t] = prio }
 
 // Request implements Control.
 func (tp *TwoPhase) Request(t model.TxnID, _ int, x model.EntityID) Decision {
-	tp.stats.Requests++
 	ok, holder := tp.locks.TryAcquire(t, x)
 	if ok {
 		tp.waitFor.clear(t)
-		tp.stats.Grants++
 		return grant
 	}
 	return tp.waitFor.block(t, map[model.TxnID]bool{holder: true}, tp.prio, &tp.stats)
@@ -58,7 +56,6 @@ func (tp *TwoPhase) Finished(t model.TxnID) {
 
 // Aborted implements Control.
 func (tp *TwoPhase) Aborted(victims []model.TxnID) {
-	tp.stats.Aborts += len(victims)
 	for _, t := range victims {
 		tp.locks.Release(t)
 		tp.waitFor.drop(t)
@@ -66,7 +63,7 @@ func (tp *TwoPhase) Aborted(victims []model.TxnID) {
 }
 
 // DeadlineAborted implements the DeadlineAborter capability.
-func (tp *TwoPhase) DeadlineAborted(model.TxnID) { tp.stats.Deadlines++ }
+func (*TwoPhase) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control.
 func (tp *TwoPhase) Stats() *Stats { return &tp.stats }
@@ -96,9 +93,7 @@ func (ts *Timestamp) Begin(t model.TxnID, prio int64) { ts.prio[t] = prio }
 
 // Request implements Control.
 func (ts *Timestamp) Request(t model.TxnID, _ int, x model.EntityID) Decision {
-	ts.stats.Requests++
 	if p := ts.prio[t]; p >= ts.maxTS[x] {
-		ts.stats.Grants++
 		return grant
 	}
 	return Decision{Kind: Abort, Victims: []model.TxnID{t}}
@@ -115,7 +110,7 @@ func (ts *Timestamp) Performed(t model.TxnID, _ int, x model.EntityID, _ int) {
 func (ts *Timestamp) Finished(t model.TxnID) { delete(ts.prio, t) }
 
 // Aborted implements Control.
-func (ts *Timestamp) Aborted(victims []model.TxnID) { ts.stats.Aborts += len(victims) }
+func (*Timestamp) Aborted([]model.TxnID) {}
 
 // NewPriority restarts an aborted transaction with a fresh timestamp — a
 // transaction aborts under TO precisely because its timestamp is too old,
@@ -123,7 +118,7 @@ func (ts *Timestamp) Aborted(victims []model.TxnID) { ts.stats.Aborts += len(vic
 func (ts *Timestamp) NewPriority(_ model.TxnID, _, fresh int64) int64 { return fresh }
 
 // DeadlineAborted implements the DeadlineAborter capability.
-func (ts *Timestamp) DeadlineAborted(model.TxnID) { ts.stats.Deadlines++ }
+func (*Timestamp) DeadlineAborted(model.TxnID) {}
 
 // Stats implements Control.
 func (ts *Timestamp) Stats() *Stats { return &ts.stats }

@@ -213,10 +213,11 @@ const (
 	stDegraded
 )
 
-// counters are the server-level outcome tallies /metrics exposes; all
-// atomics so the request path never takes the server mutex.
+// counters are the server-level tallies /metrics exposes beside the
+// engine's own counts; all atomics so the request path never takes the
+// server mutex.
 type counters struct {
-	acked, deadline, canceled, gaveUp, shed, budget, rejected atomic.Int64
+	deadline, canceled, shed, budget, rejected atomic.Int64
 }
 
 // clientSession is one client's handle: a stable identity, a pinned
@@ -559,15 +560,12 @@ func (s *Server) Submit(ctx context.Context, req TxnRequest) (TxnResult, error) 
 
 	switch {
 	case out.Committed:
-		s.counters.acked.Add(1)
 		us := out.Latency.Microseconds()
 		s.observeLatency(us, out.Waited.Microseconds())
 	case out.DeadlineExceeded:
 		s.counters.deadline.Add(1)
 	case out.Canceled:
 		s.counters.canceled.Add(1)
-	case out.GaveUp:
-		s.counters.gaveUp.Add(1)
 	}
 	return TxnResult{Txn: id, Outcome: out}, nil
 }
@@ -750,17 +748,20 @@ func (s *Server) Durable(id model.TxnID) bool { return s.pipe.Committed(id) }
 func (s *Server) RecoveryInfo() wal.RecoveryInfo { return s.medium.Recovery() }
 
 // Stats is the /metrics payload: engine, scheduler, lock table, admission,
-// and latency state in one snapshot.
+// and latency state in one snapshot. Commits and give-ups are the engine's
+// counts (Engine.Committed, Engine.GaveUp); the server counts what the
+// engine does not.
 type Stats struct {
-	Sessions     int
-	Engine       engine.SessionStats
-	Sched        sched.Stats
-	Locks        *lock.Stats // nil unless the control has a striped lock table
-	Gates        map[string]GateStats
-	Acked        int64
+	Sessions int
+	Engine   engine.SessionStats
+	Sched    sched.Stats
+	Locks    *lock.Stats // nil unless the control has a striped lock table
+	Gates    map[string]GateStats
+	// Deadline and Canceled count submissions that resolved so, refusals
+	// at a restart boundary included; Engine.DeadlineAborts counts only the
+	// rollbacks among them, of either cause.
 	Deadline     int64
 	Canceled     int64
-	GaveUp       int64
 	Shed         int64
 	BudgetDenied int64
 	Rejected     int64
@@ -798,10 +799,8 @@ func (s *Server) Stats() Stats {
 		Engine:       s.session.Stats(),
 		Sched:        s.session.ControlStats(),
 		Gates:        make(map[string]GateStats, len(s.gates)+1),
-		Acked:        s.counters.acked.Load(),
 		Deadline:     s.counters.deadline.Load(),
 		Canceled:     s.counters.canceled.Load(),
-		GaveUp:       s.counters.gaveUp.Load(),
 		Shed:         s.counters.shed.Load(),
 		BudgetDenied: s.counters.budget.Load(),
 		Rejected:     s.counters.rejected.Load(),

@@ -227,7 +227,7 @@ func (c *SimControl) NetStats() mnet.Stats { return c.bus.Stats() }
 func (c *SimControl) Stats() *sched.Stats { return &c.stats }
 
 // DeadlineAborted implements the sched.DeadlineAborter capability.
-func (c *SimControl) DeadlineAborted(model.TxnID) { c.stats.Deadlines++ }
+func (*SimControl) DeadlineAborted(model.TxnID) {}
 
 // Begin implements sched.Control. Each (re)start bumps the transaction's
 // epoch, fencing every in-flight message about the previous incarnation.
@@ -270,7 +270,6 @@ func (c *SimControl) forget(t model.TxnID) {
 // round. A transaction at a shot boundary waits until every participant
 // voted — the next unit must not overlap the uncommitted shot.
 func (c *SimControl) Request(t model.TxnID, seq int, x model.EntityID) sched.Decision {
-	c.stats.Requests++
 	if c.pendingShot[t] != nil {
 		c.stats.Waits++
 		return sched.Decision{Kind: sched.Wait}
@@ -306,7 +305,6 @@ func (c *SimControl) Request(t model.TxnID, seq int, x model.EntityID) sched.Dec
 		ok, holder := node.locks.TryAcquire(t, x)
 		if ok {
 			c.kit.ClearWait(t)
-			c.stats.Grants++
 			return sched.Decision{Kind: sched.Grant}
 		}
 		return c.waitAt(co, t, x, map[model.TxnID]bool{holder: true})
@@ -317,7 +315,6 @@ func (c *SimControl) Request(t model.TxnID, seq int, x model.EntityID) sched.Dec
 	if c.granted[t][x] {
 		c.kit.Unstrand(t)
 		c.kit.ClearWait(t)
-		c.stats.Grants++
 		return sched.Decision{Kind: sched.Grant}
 	}
 	if !node.up {
@@ -470,7 +467,6 @@ func (c *SimControl) Finished(t model.TxnID) {
 // Aborted implements sched.Control. The epoch bump fences every in-flight
 // message about the rolled-back incarnations.
 func (c *SimControl) Aborted(victims []model.TxnID) {
-	c.stats.Aborts += len(victims)
 	drop := make(map[model.TxnID]bool, len(victims))
 	for _, t := range victims {
 		drop[t] = true

@@ -60,9 +60,8 @@ func TestSimTelemetry(t *testing.T) {
 	if groups != len(res.CommitGroups) {
 		t.Errorf("commit-group instants = %d, groups = %d", groups, len(res.CommitGroups))
 	}
-	if aborts != res.Stats.Aborts+res.Stats.PartialRollbacks {
-		t.Errorf("abort instants = %d, want aborts %d + partial %d",
-			aborts, res.Stats.Aborts, res.Stats.PartialRollbacks)
+	if aborts != res.Stats.Aborts {
+		t.Errorf("abort instants = %d, want %d", aborts, res.Stats.Aborts)
 	}
 	// Simulated-time mapping: the run span ends at SimUnit(last commit).
 	if runSpan.End != telemetry.SimUnit(res.Time) {
@@ -86,7 +85,7 @@ func TestSimTelemetry(t *testing.T) {
 	if got := tel.Metrics.Counter("sim.steps").Value(); got != res.Stats.Steps {
 		t.Errorf("sim.steps = %d, want %d", got, res.Stats.Steps)
 	}
-	if got := tel.Metrics.Counter("control.prevent.requests").Value(); got == 0 {
-		t.Error("control counters not folded into the registry")
+	if got := tel.Metrics.Counter("control.prevent.waits").Value(); got == 0 || got != int64(res.Control.Waits) {
+		t.Errorf("control.prevent.waits = %d, want %d (nonzero)", got, res.Control.Waits)
 	}
 }
